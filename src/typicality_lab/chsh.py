@@ -46,8 +46,8 @@ from .linalg import (
     projector,
     tensor,
 )
-from .spaces import FiniteProbabilitySpace, point_mass, product, uniform
-from .worlds import condition_seq, sample_world
+from .spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, product, uniform
+from .worlds import condition_seq, sample_world, sign_cell
 
 __all__ = [
     "ChshOutcome",
@@ -234,13 +234,6 @@ class ConditionalAverageReport:
         return out
 
 
-def _binomial_std_error(values: np.ndarray) -> float:
-    """Standard error of the mean of a +/-1 sample, via the success fraction."""
-    n = values.size
-    p_hat = float((values > 0).mean())
-    return 2.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-
-
 def run_chsh(
     trials: int,
     seed: int,
@@ -264,6 +257,7 @@ def run_chsh(
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = chsh_distribution("analytic")
     world = sample_world(fps, trials, seed, threads=threads)
+    symbol_counts = np.bincount(world.indices, minlength=len(fps.alphabet))
     averages: dict[str, float] = {}
     counts: dict[str, int] = {}
     std_errors: dict[str, float] = {}
@@ -271,27 +265,27 @@ def run_chsh(
     batteries: dict[str, battery_mod.BatteryReport] = {}
     for name, ((c, d), _) in _AVERAGES.items():
         event = coin_event(c, d)
-        cell = condition_seq(world, event)
-        if len(cell) == 0:
+        cell = sign_cell(
+            symbol_counts, [o.m * o.n if o in event else 0 for o in fps.alphabet]
+        )
+        if cell.count == 0:
             raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
-        products = np.array([o.m * o.n for o in cell.alphabet])
-        values = products[cell.indices]
-        averages[name] = float(values.mean())
-        counts[name] = len(cell)
-        std_errors[name] = _binomial_std_error(values)
+        averages[name] = cell.mean
+        counts[name] = cell.count
+        std_errors[name] = cell.std_error
         # 4 sigma under the exact conditional law: Var(m*n) = 1 - 1/2.
-        tolerances[name] = 4.0 * math.sqrt(0.5 / len(cell))
+        tolerances[name] = 4.0 * math.sqrt(0.5 / cell.count)
         if battery_blocks is not None:
             conditional = fps.condition(event)
             # Only block lengths the cell is long enough for.
             usable = [
                 k
                 for k in battery_blocks
-                if k * len(conditional.alphabet) ** k <= len(cell) / 10
+                if k * len(conditional.alphabet) ** k <= cell.count / 10
             ]
             if usable:
                 batteries[f"{c}{d}"] = battery_mod.run_battery(
-                    cell, conditional, usable, significance
+                    condition_seq(world, event), conditional, usable, significance
                 )
     tolerances["s_value"] = 4.0 * math.sqrt(sum(0.5 / n for n in counts.values()))
     return ConditionalAverageReport.from_averages(
@@ -359,18 +353,19 @@ def lhv_chsh_simulate(
     std_errors: dict[str, float] = {}
     tolerances: dict[str, float] = {}
     exact_avgs = exact.averages
+    symbol_counts = np.bincount(world.indices, minlength=len(joint.alphabet))
     for name, ((c, d), (i, j)) in _AVERAGES.items():
-        event = tuple(sym for sym in joint.alphabet if sym[1] == c and sym[2] == d)
-        cell = condition_seq(world, event)
-        if len(cell) == 0:
+        cell = sign_cell(
+            symbol_counts,
+            [sym[0][i] * sym[0][j] if sym[1:] == (c, d) else 0 for sym in joint.alphabet],
+        )
+        if cell.count == 0:
             raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
-        products = np.array([sym[0][i] * sym[0][j] for sym in cell.alphabet])
-        values = products[cell.indices]
-        averages[name] = float(values.mean())
-        counts[name] = len(cell)
-        std_errors[name] = _binomial_std_error(values)
+        averages[name] = cell.mean
+        counts[name] = cell.count
+        std_errors[name] = cell.std_error
         variance = max(0.0, 1.0 - exact_avgs[name] ** 2)
-        tolerances[name] = 4.0 * math.sqrt(variance / len(cell))
+        tolerances[name] = 4.0 * math.sqrt(variance / cell.count)
     return ConditionalAverageReport.from_averages(
         averages,
         method="lhv-simulated",
@@ -389,14 +384,52 @@ def random_h_spaces(count: int, seed: int) -> list[FiniteProbabilitySpace]:
     Uses normalized exponential draws (symmetric over the 16 vertices),
     from a Philox stream keyed on ``seed``.
     """
+    return [FiniteProbabilitySpace(RQST_TUPLES, w) for w in _random_h_weights(count, seed)]
+
+
+def _random_h_weights(count: int, seed: int) -> np.ndarray:
+    """The weights of :func:`random_h_spaces`, one row per distribution.
+
+    One ``(count, 16)`` draw consumes the Philox stream exactly as
+    ``count`` successive 16-draws do, and each row is normalized by its
+    own sum, so row ``k`` is the ``k``-th space's weight vector.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
     gen = np.random.Generator(np.random.Philox(key=seed))
-    spaces = []
-    for _ in range(count):
-        w = gen.standard_exponential(len(RQST_TUPLES))
-        spaces.append(FiniteProbabilitySpace(RQST_TUPLES, w / w.sum()))
-    return spaces
+    w = gen.standard_exponential((count, len(RQST_TUPLES)))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+#: ``_SIGNS[x, a]`` is the value product that tuple ``RQST_TUPLES[x]``
+#: contributes to average ``a`` (``_AVERAGES`` order: rs, qs, rt, qt).
+_SIGNS = np.array(
+    [[x[i] * x[j] for _, (i, j) in _AVERAGES.values()] for x in RQST_TUPLES], dtype=float
+)
+
+
+def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
+    """``s_value`` of each row of hidden-variable weights over ``RQST_TUPLES``.
+
+    Each row is checked by the rules of :class:`FiniteProbabilitySpace`,
+    and, as in :func:`lhv_chsh_averages`, any value beyond the bound of 2
+    raises.  The matrix product rounds differently from that function's
+    exact sums, by at most a few units in the last place.
+    """
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    if np.any(np.abs(weights.sum(axis=1) - 1.0) > SUM_ATOL):
+        raise ValueError(f"weights must sum to 1 within {SUM_ATOL}")
+    rs, qs, rt, qt = (weights @ _SIGNS).T
+    s_values = rs + qs + rt - qt
+    over = s_values[np.abs(s_values) > 2.0 + 1e-12]
+    if over.size:
+        raise RuntimeError(
+            f"local-realist bound violated by exact averages: {float(over[0])!r}"
+        )
+    return s_values
 
 
 @dataclass(frozen=True)
@@ -431,10 +464,9 @@ def lhv_sweep(count: int, seed: int) -> SweepReport:
     vertex_s = []
     for x in RQST_TUPLES:
         vertex_s.append(lhv_chsh_averages(point_mass(RQST_TUPLES, x)).s_value)
-    random_s = [lhv_chsh_averages(h).s_value for h in random_h_spaces(count, seed)]
-    all_s = vertex_s + random_s
+    random_s = _lhv_s_values(_random_h_weights(count, seed))
     return SweepReport(
-        max_s_value=max(all_s),
+        max_s_value=max(vertex_s + random_s.tolist()),
         vertex_max_s_value=max(vertex_s),
         num_random=count,
         num_vertices=len(RQST_TUPLES),

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import secrets
 import sys
 from dataclasses import dataclass
@@ -466,6 +467,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
     if config.command == "ghz" and config.trials < ghz_mod.MIN_TRIALS:
         raise UsageError(f"ghz requires --trials >= {ghz_mod.MIN_TRIALS}")
+    if config.command == "chsh" and config.tolerance is not None and not (
+        math.isfinite(config.tolerance) and config.tolerance > 0
+    ):
+        raise UsageError(
+            f"chsh requires a positive finite --tolerance, got {config.tolerance!r}"
+        )
+    if config.sweep is not None and config.sweep < 0:
+        raise UsageError(f"--sweep must be non-negative, got {config.sweep}")
+    if (
+        config.command == "lhv"
+        and config.protocol == "chsh"
+        and config.sweep is None
+        and config.trials is not None
+        and config.trials < chsh_mod.MIN_TRIALS
+    ):
+        raise UsageError(f"lhv chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
     return config
 
 

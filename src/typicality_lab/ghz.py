@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import MeasurementOperatorSet, X, Y, ghz_state, involutory_pvm, ket_plus, projector, tensor
 from .spaces import FiniteProbabilitySpace
-from .worlds import condition_seq, sample_world
+from .worlds import sample_world, sign_cell
 
 __all__ = [
     "GhzOutcome",
@@ -205,19 +205,21 @@ def run_ghz(trials: int, seed: int, threads: int = 1) -> GhzRunReport:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
     world = sample_world(fps, trials, seed, threads=threads)
+    symbol_counts = np.bincount(world.indices, minlength=len(fps.alphabet))
     constrained: dict = {}
     free: dict = {}
     for coins in itertools.product((0, 1), repeat=3):
         key = "".join(str(c) for c in coins)
-        cell = condition_seq(world, coin_event(*coins))
-        products = np.array([o.m1 * o.m2 * o.m3 for o in cell.alphabet])
-        values = products[cell.indices]
+        cell = sign_cell(
+            symbol_counts,
+            [o.m1 * o.m2 * o.m3 if o[:3] == coins else 0 for o in fps.alphabet],
+        )
         coin_sum = sum(coins)
         if coin_sum in (0, 2):
             required = -1 if coin_sum == 0 else 1
-            violations = int((values != required).sum())
+            violations = cell.plus if required < 0 else cell.minus
             constrained[key] = {
-                "count": len(cell),
+                "count": cell.count,
                 "required_product": required,
                 "violations": violations,
             }
@@ -227,11 +229,10 @@ def run_ghz(trials: int, seed: int, threads: int = 1) -> GhzRunReport:
                     f"required product {required:+d}"
                 )
         else:
-            mean = float(values.mean()) if len(cell) else 0.0
             free[key] = {
-                "count": len(cell),
-                "mean_product": mean,
-                "tolerance": 4.0 / math.sqrt(len(cell)) if len(cell) else float("inf"),
+                "count": cell.count,
+                "mean_product": cell.mean if cell.count else 0.0,
+                "tolerance": 4.0 / math.sqrt(cell.count) if cell.count else float("inf"),
             }
     return GhzRunReport(trials=trials, seed=seed, constrained=constrained, free=free)
 

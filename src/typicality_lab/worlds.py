@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "zip_seqs",
     "empirical",
     "EmpiricalStats",
+    "SignCell",
+    "sign_cell",
     "lln_report",
     "LlnReport",
     "LlnRow",
@@ -351,6 +354,42 @@ def empirical(world: WorldPrefix) -> EmpiricalStats:
     raw = np.bincount(world.indices, minlength=len(world.alphabet))
     counts = {a: int(n) for a, n in zip(world.alphabet, raw)}
     return EmpiricalStats(counts=counts, total=len(world))
+
+
+class SignCell(NamedTuple):
+    """A +/-1 value tallied over one cell of a world: rounds counted, rounds at +1."""
+
+    count: int
+    plus: int
+
+    @property
+    def minus(self) -> int:
+        return self.count - self.plus
+
+    @property
+    def mean(self) -> float:
+        """``(plus - minus) / count``: the cell's average value."""
+        return (self.plus - self.minus) / self.count
+
+    @property
+    def std_error(self) -> float:
+        """Binomial standard error of :attr:`mean`, via the +1 fraction."""
+        p_hat = self.plus / self.count
+        return 2.0 * math.sqrt(p_hat * (1.0 - p_hat) / self.count)
+
+
+def sign_cell(counts: np.ndarray, signs: Sequence[int]) -> SignCell:
+    """Tally a +/-1 value from per-symbol occurrence ``counts``.
+
+    ``signs[i]`` is the value on alphabet symbol ``i``: +1 or -1 inside the
+    cell, 0 outside it.  Counting first gives the same averages as
+    conditioning the world and averaging the values, since every sum
+    involved is an exact integer.
+    """
+    signs = np.asarray(signs)
+    return SignCell(
+        count=int(counts[signs != 0].sum()), plus=int(counts[signs > 0].sum())
+    )
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,16 @@ class TestChshCommand:
         assert status == 0
         assert report["s_tolerance"] == 0.5
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tolerance):
+        status, out, err = run_cli(
+            capsys,
+            ["chsh", "--trials", "8000", "--seed", "2", f"--tolerance={tolerance}"],
+        )
+        assert status == 2
+        assert out == ""
+        assert "--tolerance" in json.loads(err)["error"]["message"]
+
     def test_seed_random_prints_seed(self, capsys):
         status, out, err = run_cli(capsys, ["chsh", "--trials", "8000", "--seed", "random"])
         assert status == 0
@@ -168,6 +178,24 @@ class TestLhvCommand:
         assert status == 0
         assert report["sweep"]["max_s_value"] <= 2 + 1e-12
         assert report["sweep"]["bound_ok"] is True
+
+    def test_negative_sweep_is_usage_error(self, capsys):
+        status, out, err = run_cli(capsys, ["lhv", "chsh", "--sweep", "-5", "--seed", "1"])
+        assert status == 2
+        assert out == ""
+        assert "--sweep" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("trials", ["2", "0", "3999"])
+    def test_h_file_trials_below_minimum_is_usage_error(self, capsys, tmp_path, trials):
+        h_path = tmp_path / "h.json"
+        h_path.write_text(uniform(RQST_TUPLES).to_json())
+        status, out, err = run_cli(
+            capsys,
+            ["lhv", "chsh", "--h-file", str(h_path), "--trials", trials, "--seed", "4"],
+        )
+        assert status == 2
+        assert out == ""
+        assert "4000" in json.loads(err)["error"]["message"]
 
     def test_sweep_requires_seed(self, capsys):
         status, _, err = run_cli(capsys, ["lhv", "chsh", "--sweep", "10"])

@@ -1,0 +1,230 @@
+"""The fast paths against the computations they replaced.
+
+Each reference below is the straightforward version kept for comparison:
+``scipy.stats.chi2.ppf`` for the battery threshold, one probability space
+per hidden-variable distribution for the sweep, and conditioning the world
+cell by cell for the run statistics.  The fast paths must agree exactly,
+except the sweep's matrix product, which may round in the last place.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import typicality_lab
+from typicality_lab import chsh as chsh_mod
+from typicality_lab.battery import _chi2_quantile
+from typicality_lab.chsh import (
+    CHSH_OUTCOMES,
+    RQST_TUPLES,
+    chsh_distribution,
+    coin_event,
+    lhv_chsh_averages,
+    lhv_chsh_simulate,
+    random_h_spaces,
+    run_chsh,
+)
+from typicality_lab import ghz as ghz_mod
+from typicality_lab.ghz import (
+    GHZ_OUTCOMES,
+    GhzOutcome,
+    PerfectCorrelationError,
+    ghz_distribution,
+    run_ghz,
+)
+from typicality_lab.spaces import FiniteProbabilitySpace, product, uniform
+from typicality_lab.worlds import WorldPrefix, condition_seq, sample_world, sign_cell
+
+_SRC = os.path.dirname(os.path.dirname(typicality_lab.__file__))
+
+
+def _python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNoScipyUnlessBattery:
+    def test_import_loads_no_scipy(self):
+        out = _python(
+            "import sys, typicality_lab, typicality_lab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+    def test_ghz_and_lhv_commands_load_no_scipy(self):
+        out = _python(
+            "import os, sys\n"
+            "from typicality_lab.cli import main\n"
+            "for argv in (['ghz', '--trials', '8000', '--seed', '1'], ['lhv', 'ghz'],\n"
+            "             ['lhv', 'chsh', '--sweep', '100', '--seed', '1']):\n"
+            "    assert main(argv + ['--out', os.devnull]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("significance", [0.01, 0.05, 0.2, 1e-6])
+def test_threshold_is_scipy_chi2_ppf_bit_for_bit(significance):
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    dofs = np.arange(1, 5000)
+    expected = chi2.ppf(1.0 - significance, dofs)
+    got = np.array([_chi2_quantile(1.0 - significance, int(dof)) for dof in dofs])
+    assert np.array_equal(got, expected)
+
+
+class TestSweep:
+    def per_row_weights(self, count, seed):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        rows = []
+        for _ in range(count):
+            w = gen.standard_exponential(len(RQST_TUPLES))
+            rows.append(w / w.sum())
+        return np.array(rows).reshape(count, len(RQST_TUPLES))
+
+    @pytest.mark.parametrize("seed", [42, 3])
+    def test_rows_are_the_spaces_weights(self, seed):
+        weights = chsh_mod._random_h_weights(3000, seed)
+        assert np.array_equal(weights, self.per_row_weights(3000, seed))
+        spaces = random_h_spaces(3000, seed)
+        assert np.array_equal(weights, np.array([h.weights for h in spaces]))
+
+    @pytest.mark.parametrize("seed", [42, 3])
+    def test_s_values_match_exact_averages(self, seed):
+        weights = chsh_mod._random_h_weights(3000, seed)
+        s_values = chsh_mod._lhv_s_values(weights)
+        exact = np.array([lhv_chsh_averages(h).s_value for h in random_h_spaces(3000, seed)])
+        assert np.abs(s_values - exact).max() <= 1e-15
+
+    def test_empty_sweep_reports_the_vertices(self):
+        report = chsh_mod.lhv_sweep(0, 1)
+        assert report.max_s_value == report.vertex_max_s_value == 2.0
+        assert report.num_random == 0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan] + [1 / 15] * 15, "finite"),
+            ([-0.5, 1.5] + [0.0] * 14, "non-negative"),
+            ([0.5] + [0.0] * 15, "sum to 1"),
+        ],
+    )
+    def test_rows_validated_like_spaces(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteProbabilitySpace(RQST_TUPLES, row)
+        weights = np.vstack([chsh_mod._random_h_weights(3, 1), row])
+        with pytest.raises(ValueError, match=message):
+            chsh_mod._lhv_s_values(weights)
+
+    def test_bound_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(chsh_mod, "_SIGNS", 2.0 * chsh_mod._SIGNS)
+        with pytest.raises(RuntimeError, match="bound violated"):
+            chsh_mod.lhv_sweep(10, 1)
+
+
+def conditioned_cell(world, event, value):
+    """Count, mean and binomial standard error of ``value`` on one conditioned cell."""
+    cell = condition_seq(world, event)
+    values = np.array([value(sym) for sym in cell.alphabet])[cell.indices]
+    p_hat = float((values > 0).mean())
+    return (
+        len(cell),
+        float(values.mean()),
+        2.0 * math.sqrt(p_hat * (1.0 - p_hat) / len(cell)),
+        values,
+    )
+
+
+class TestCountsFirst:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_run_chsh(self, seed):
+        report = run_chsh(40_000, seed, battery_blocks=None)
+        world = sample_world(chsh_distribution("analytic"), 40_000, seed)
+        for name, ((c, d), _) in chsh_mod._AVERAGES.items():
+            count, mean, std_error, _ = conditioned_cell(
+                world, coin_event(c, d), lambda o: o.m * o.n
+            )
+            assert report.counts[name] == count
+            assert report.averages[name] == mean
+            assert report.std_errors[name] == std_error
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_lhv_chsh_simulate(self, seed):
+        h = random_h_spaces(1, seed)[0]
+        report = lhv_chsh_simulate(h, 40_000, seed)
+        coin = uniform((0, 1))
+        joint = product(h, coin, coin)
+        world = sample_world(joint, 40_000, seed)
+        for name, ((c, d), (i, j)) in chsh_mod._AVERAGES.items():
+            event = [sym for sym in joint.alphabet if sym[1:] == (c, d)]
+            count, mean, std_error, _ = conditioned_cell(
+                world, event, lambda sym: sym[0][i] * sym[0][j]
+            )
+            assert report.counts[name] == count
+            assert report.averages[name] == mean
+            assert report.std_errors[name] == std_error
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_run_ghz(self, seed):
+        report = run_ghz(40_000, seed)
+        world = sample_world(ghz_distribution("analytic"), 40_000, seed)
+        for key, entry in {**report.constrained, **report.free}.items():
+            coins = tuple(int(ch) for ch in key)
+            event = [o for o in GHZ_OUTCOMES if o[:3] == coins]
+            count, mean, _, values = conditioned_cell(
+                world, event, lambda o: o.m1 * o.m2 * o.m3
+            )
+            assert entry["count"] == count
+            if key in report.constrained:
+                required = entry["required_product"]
+                assert entry["violations"] == int((values != required).sum()) == 0
+            else:
+                assert entry["mean_product"] == mean
+                assert entry["tolerance"] == 4.0 / math.sqrt(count)
+
+    def test_sign_cell_counts_only_its_cell(self):
+        counts = np.array([5, 3, 7, 2])
+        cell = sign_cell(counts, [1, -1, 0, 1])
+        assert (cell.count, cell.plus, cell.minus) == (10, 7, 3)
+        assert cell.mean == (7 - 3) / 10
+        assert cell.std_error == 2.0 * math.sqrt(0.7 * 0.3 / 10)
+
+
+def constant_sampler(symbol):
+    """A stand-in for ``sample_world`` that repeats one symbol."""
+
+    def sample(fps, length, seed, threads=1):
+        return WorldPrefix(fps.alphabet, np.full(length, fps.index(symbol)))
+
+    return sample
+
+
+class TestChecksKept:
+    @pytest.mark.parametrize(
+        "outcome, triple",
+        [(GhzOutcome(0, 0, 0, 1, 1, 1), "000"), (GhzOutcome(0, 1, 1, 1, 1, -1), "011")],
+    )
+    def test_forbidden_product_raises(self, monkeypatch, outcome, triple):
+        monkeypatch.setattr(ghz_mod, "sample_world", constant_sampler(outcome))
+        with pytest.raises(PerfectCorrelationError, match=f"{triple}: 8000 rounds"):
+            run_ghz(8000, 1)
+
+    def test_run_chsh_empty_cell_raises(self, monkeypatch):
+        monkeypatch.setattr(chsh_mod, "sample_world", constant_sampler(CHSH_OUTCOMES[0]))
+        with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
+            run_chsh(4000, 1)
+
+    def test_lhv_simulate_empty_cell_raises(self, monkeypatch):
+        symbol = (RQST_TUPLES[0], 0, 0)
+        monkeypatch.setattr(chsh_mod, "sample_world", constant_sampler(symbol))
+        h = uniform(RQST_TUPLES)
+        with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
+            lhv_chsh_simulate(h, 4000, 1)
