@@ -120,9 +120,12 @@ def block_frequency_test(
             f"{10 * block_len * n_cells}, got {len(world)}"
         )
     n_blocks = len(world) // block_len
-    codes = np.asarray(world.indices[: n_blocks * block_len]).reshape(n_blocks, block_len)
-    powers = n_sym ** np.arange(block_len - 1, -1, -1, dtype=np.int64)
-    observed = np.bincount(codes @ powers, minlength=n_cells)
+    # Block codes in int64: the stored indices use the alphabet's compact
+    # dtype, which n_sym**block_len would overflow.
+    codes = np.zeros(n_blocks, dtype=np.int64)
+    for j in range(block_len):
+        codes = codes * n_sym + world.indices[j : n_blocks * block_len : block_len]
+    observed = np.bincount(codes, minlength=n_cells)
     cell_probs = reduce(np.kron, [np.asarray(fps.weights)] * block_len)
     positive = cell_probs > 0
     expected = n_blocks * cell_probs[positive]

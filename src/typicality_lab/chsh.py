@@ -257,7 +257,7 @@ def run_chsh(
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = chsh_distribution("analytic")
     world = sample_world(fps, trials, seed, threads=threads)
-    symbol_counts = np.bincount(world.indices, minlength=len(fps.alphabet))
+    symbol_counts = world.counts()
     averages: dict[str, float] = {}
     counts: dict[str, int] = {}
     std_errors: dict[str, float] = {}
@@ -353,7 +353,7 @@ def lhv_chsh_simulate(
     std_errors: dict[str, float] = {}
     tolerances: dict[str, float] = {}
     exact_avgs = exact.averages
-    symbol_counts = np.bincount(world.indices, minlength=len(joint.alphabet))
+    symbol_counts = world.counts()
     for name, ((c, d), (i, j)) in _AVERAGES.items():
         cell = sign_cell(
             symbol_counts,

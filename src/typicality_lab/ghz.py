@@ -205,7 +205,7 @@ def run_ghz(trials: int, seed: int, threads: int = 1) -> GhzRunReport:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
     world = sample_world(fps, trials, seed, threads=threads)
-    symbol_counts = np.bincount(world.indices, minlength=len(fps.alphabet))
+    symbol_counts = world.counts()
     constrained: dict = {}
     free: dict = {}
     for coins in itertools.product((0, 1), repeat=3):

@@ -66,6 +66,8 @@ class FiniteProbabilitySpace:
         w = np.array(list(weights), dtype=float)
         if len(alpha) == 0:
             raise ValueError("alphabet must be non-empty")
+        if w.ndim != 1:
+            raise ValueError("weights must be a flat sequence of numbers")
         if len(alpha) != w.size:
             raise ValueError(
                 f"alphabet size {len(alpha)} does not match weight count {w.size}"

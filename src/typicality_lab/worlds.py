@@ -12,12 +12,29 @@ Sampling draws i.i.d. symbols by inverse CDF over the space's explicit
 alphabet ordering.  Cumulative boundaries are half-open: a uniform draw
 exactly equal to a boundary resolves to the *later* symbol.  One
 consequence is exact, not statistical: a symbol of weight zero can never
-be produced.
+be produced.  The boundaries are clipped at 1.0 and pinned to 1.0 from the
+last positive weight onward, so they are non-decreasing even when the
+weights sum to slightly more than one.
 
 Generation is blocked.  Block ``i`` of a run with seed ``s`` uses a
-Philox stream with key ``s`` and counter offset ``i << 128``, so blocks
-can be generated concurrently in any order and the concatenation is
-byte-identical to the single-threaded result.
+Philox stream with key ``s`` and counter offset ``i << 128`` (Salmon et
+al., SC'11), so blocks can be generated in any order and grouping and the
+result is byte-identical to the single-threaded one.  Work is handed out
+in chunks of 16 consecutive blocks; each chunk fills one buffer of
+uniforms, block by block, and writes its symbols straight into its slice
+of the preallocated output, so threads never copy or concatenate.
+
+The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
+stores ``searchsorted(cum, j / 1024, side="right")``, a draw ``u`` starts
+at the entry of bucket ``floor(u * 1024)``, and ``idx += u >= cum[idx]``
+repeats until no draw steps.  It returns exactly what
+``searchsorted(cum, u, side="right")`` would: scaling by 2**10 is exact in
+binary floating point, the start never overshoots because the boundaries
+are non-decreasing, and the steps stop at the first boundary above ``u``.
+
+Indices are stored in the smallest unsigned dtype that holds the alphabet
+(``uint8`` for up to 256 symbols), 8x smaller than ``int64``.  Arithmetic
+on them inside the package promotes to a wider integer type first.
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -58,12 +76,55 @@ BLOCK_LEN = 8192
 
 _MAX_SEED = 2**64
 
+#: Blocks per unit of threaded work, and the symbols that covers.
+_CHUNK_BLOCKS = 16
+_CHUNK_LEN = _CHUNK_BLOCKS * BLOCK_LEN
+
+#: Buckets of the inverse-CDF guide table; a power of two keeps ``u * _GUIDE`` exact.
+_GUIDE = 1024
+
+
+def _index_dtype(alphabet_size: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds indices ``0..alphabet_size - 1``."""
+    return np.min_scalar_type(max(alphabet_size - 1, 0))
+
+
+def _as_indices(indices, alphabet_size: int) -> np.ndarray:
+    """Validated indices in the compact dtype; a compact array is not copied.
+
+    Only integers are indices: floats, booleans and strings are rejected
+    rather than cast, so a stored world cannot silently replay as another.
+    """
+    if isinstance(indices, np.ndarray):
+        idx = indices.reshape(-1)
+    else:
+        items = indices if isinstance(indices, (list, tuple)) else list(indices)
+        if any(
+            issubclass(t, bool) or not issubclass(t, (int, np.integer))
+            for t in set(map(type, items))
+        ):
+            raise ValueError("world indices must be integers")
+        try:
+            idx = np.array(items, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("world indices out of range for the alphabet") from None
+    if idx.dtype.kind not in "iu":
+        raise ValueError("world indices must be integers")
+    if idx.size and (
+        (idx.dtype.kind == "i" and idx.min() < 0) or idx.max() >= alphabet_size
+    ):
+        raise ValueError("world indices out of range for the alphabet")
+    return idx.astype(_index_dtype(alphabet_size), copy=False)
+
 
 class WorldPrefix:
     """A finite prefix of an outcome sequence over an explicit alphabet.
 
-    Stores symbols as indices into the alphabet; the symbol view is
-    materialized on demand.  Instances are immutable.
+    Stores symbols as indices into the alphabet, in the smallest unsigned
+    dtype that holds them; the symbol view is materialized on demand.
+    Instances are immutable.  An index array that already has that dtype
+    is not copied: the instance keeps a read-only view of it, so the
+    caller must not write to it afterwards.
     """
 
     __slots__ = ("_alphabet", "_indices", "_provenance")
@@ -74,9 +135,7 @@ class WorldPrefix:
             raise ValueError("alphabet must be non-empty")
         if len(set(alpha)) != len(alpha):
             raise ValueError("alphabet must be duplicate-free")
-        idx = np.array(indices, dtype=np.int64).reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= len(alpha)):
-            raise ValueError("world indices out of range for the alphabet")
+        idx = _as_indices(indices, len(alpha))
         idx.setflags(write=False)
         self._alphabet = alpha
         self._indices = idx
@@ -111,6 +170,19 @@ class WorldPrefix:
 
     def __getitem__(self, i: int):
         return self._alphabet[int(self._indices[i])]
+
+    def counts(self) -> np.ndarray:
+        """Occurrences of each alphabet symbol, in alphabet order.
+
+        Counted chunk by chunk, so no index array wider than the stored
+        one is ever built for the whole prefix.
+        """
+        total = np.zeros(len(self._alphabet), dtype=np.int64)
+        for start in range(0, self._indices.size, _CHUNK_LEN):
+            total += np.bincount(
+                self._indices[start : start + _CHUNK_LEN], minlength=total.size
+            )
+        return total
 
     def symbols(self) -> list:
         """The prefix as a list of symbols."""
@@ -175,7 +247,7 @@ class WorldPrefix:
     def to_json(self) -> str:
         obj = {
             "alphabet": [_encode_symbol(a) for a in self._alphabet],
-            "indices": [int(i) for i in self._indices],
+            "indices": self._indices.tolist(),
             "provenance": self._provenance,
         }
         return json.dumps(obj)
@@ -209,18 +281,49 @@ def _symbol_token(symbol) -> str:
 
 
 def _cumulative_boundaries(fps: FiniteProbabilitySpace) -> np.ndarray:
-    """Inverse-CDF boundaries; trailing boundaries from the last positive
-    weight onward are pinned to 1.0 so a draw can never select past it."""
+    """Non-decreasing inverse-CDF boundaries, clipped at 1.0.
+
+    Boundaries from the last positive weight onward are pinned to 1.0 so a
+    draw can never select past it.  The clip keeps them sorted when the
+    weights sum to slightly more than one (within ``SUM_ATOL``).
+    """
     weights = np.asarray(fps.weights, dtype=float)
-    cum = np.cumsum(weights)
+    cum = np.minimum(np.cumsum(weights), 1.0)
     positive = np.flatnonzero(weights > 0)
     cum[positive[-1] :] = 1.0
     return cum
 
 
-def _sample_block(seed: int, block: int, count: int, cum: np.ndarray) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
-    return np.searchsorted(cum, gen.random(count), side="right")
+def _sample_chunk(
+    seed: int, chunk: int, cum: np.ndarray, guide: np.ndarray, out: np.ndarray
+) -> None:
+    """Fill ``out``, chunk ``chunk`` of the world, with inverse-CDF draws.
+
+    Block ``b`` keeps its own Philox stream, so the uniforms are the ones a
+    block-at-a-time draw would give.  ``cum`` is scaled by ``_GUIDE``.
+    """
+    u = np.empty(out.size)
+    first = chunk * _CHUNK_BLOCKS
+    for offset in range(0, out.size, BLOCK_LEN):
+        block = first + offset // BLOCK_LEN
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+        gen.random(out=u[offset : offset + BLOCK_LEN])
+    u *= _GUIDE
+    out[...] = _guide_search(u, cum, guide)
+
+
+def _guide_search(u: np.ndarray, cum: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum, u, side="right")`` for draws ``u`` in ``[0, _GUIDE)``.
+
+    ``u`` and ``cum`` are the draws and boundaries scaled by ``_GUIDE``,
+    which changes no comparison; ``guide[j]`` is the answer for ``u = j``.
+    """
+    idx = guide.take(u.astype(np.intp))
+    while True:
+        step = u >= cum.take(idx)
+        if not step.any():
+            return idx
+        idx += step
 
 
 def sample_world(
@@ -229,7 +332,8 @@ def sample_world(
     """Draw ``length`` i.i.d. symbols from ``fps``, deterministically in ``seed``.
 
     The result is identical for every ``threads`` value; threads only
-    parallelize block generation.
+    parallelize chunk generation.  At most ``min(threads, chunks, CPUs)``
+    threads run.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -238,16 +342,22 @@ def sample_world(
     if threads < 1:
         raise ValueError("threads must be at least 1")
     cum = _cumulative_boundaries(fps)
-    n_blocks = -(-length // BLOCK_LEN)
-    sizes = [min(BLOCK_LEN, length - b * BLOCK_LEN) for b in range(n_blocks)]
-    if threads == 1 or n_blocks == 1:
-        parts = [_sample_block(seed, b, sizes[b], cum) for b in range(n_blocks)]
+    guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right")
+    cum *= _GUIDE
+    indices = np.empty(length, dtype=_index_dtype(len(fps.alphabet)))
+
+    def fill(chunk: int) -> None:
+        start = chunk * _CHUNK_LEN
+        _sample_chunk(seed, chunk, cum, guide, indices[start : start + _CHUNK_LEN])
+
+    n_chunks = -(-length // _CHUNK_LEN)
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    if workers == 1:
+        for chunk in range(n_chunks):
+            fill(chunk)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda b: _sample_block(seed, b, sizes[b], cum), range(n_blocks))
-            )
-    indices = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(n_chunks)))
     provenance = {
         "kind": "sampled",
         "seed": int(seed),
@@ -268,11 +378,20 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
     if not keep_ids:
         raise ValueError("event must contain at least one symbol")
     sub_alpha = tuple(world.alphabet[i] for i in keep_ids)
-    remap = np.full(len(world.alphabet), -1, dtype=np.int64)
-    for new, old in enumerate(keep_ids):
-        remap[old] = new
-    mask = remap[world.indices] >= 0
-    new_indices = remap[world.indices[mask]]
+    keep = np.zeros(len(world.alphabet), dtype=bool)
+    keep[keep_ids] = True
+    remap = np.zeros(len(world.alphabet), dtype=_index_dtype(len(sub_alpha)))
+    remap[keep_ids] = np.arange(len(keep_ids))
+    # Chunk by chunk: a lookup casts its index array to intp, so this caps
+    # that temporary at one chunk.
+    parts = [
+        remap.take(np.compress(keep.take(part), part))
+        for part in (
+            world.indices[start : start + _CHUNK_LEN]
+            for start in range(0, len(world), _CHUNK_LEN)
+        )
+    ]
+    new_indices = np.concatenate(parts) if parts else remap[:0]
     prov = {
         "kind": "conditioned",
         "event_size": len(keep_ids),
@@ -304,7 +423,9 @@ def project_seq(world: WorldPrefix, coords) -> WorldPrefix:
     new_alpha: dict = {}
     for p in projected:
         new_alpha.setdefault(p, len(new_alpha))
-    remap = np.array([new_alpha[p] for p in projected], dtype=np.int64)
+    remap = np.array(
+        [new_alpha[p] for p in projected], dtype=_index_dtype(len(new_alpha))
+    )
     prov = {"kind": "projected", "coords": coords, "parent": world.provenance}
     return WorldPrefix(tuple(new_alpha), remap[world.indices], prov)
 
@@ -322,6 +443,8 @@ def zip_seqs(worlds: Sequence[WorldPrefix]) -> WorldPrefix:
         if len(w) != length:
             raise ValueError("zip_seqs requires equal-length worlds")
     alphabet = tuple(itertools.product(*(w.alphabet for w in worlds)))
+    # int64 from the start: the product of the factor sizes overflows the
+    # factors' compact dtypes.
     indices = np.zeros(length, dtype=np.int64)
     for w in worlds:
         indices = indices * len(w.alphabet) + w.indices
@@ -351,8 +474,7 @@ class EmpiricalStats:
 
 def empirical(world: WorldPrefix) -> EmpiricalStats:
     """Count occurrences of every alphabet symbol (zeros included)."""
-    raw = np.bincount(world.indices, minlength=len(world.alphabet))
-    counts = {a: int(n) for a, n in zip(world.alphabet, raw)}
+    counts = {a: int(n) for a, n in zip(world.alphabet, world.counts())}
     return EmpiricalStats(counts=counts, total=len(world))
 
 
@@ -434,7 +556,7 @@ def lln_report(
     n = len(world)
     if n == 0:
         raise ValueError("cannot report on an empty world")
-    raw = np.bincount(world.indices, minlength=len(world.alphabet))
+    raw = world.counts()
     rows = []
     for symbol, count, p in zip(world.alphabet, raw, fps.weights):
         count = int(count)

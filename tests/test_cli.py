@@ -215,6 +215,20 @@ class TestLhvCommand:
         message = json.loads(err)["error"]["message"]
         assert "sum to 1" in message
 
+    def test_nested_weights_h_file_is_usage_error(self, capsys, tmp_path):
+        h_path = tmp_path / "h.json"
+        alphabet = [list(x) for x in RQST_TUPLES]
+        h_path.write_text(json.dumps({"alphabet": alphabet, "weights": [[0.0625]] * 16}))
+        for extra in ([], ["--trials", "20000", "--seed", "1"]):
+            status, out, err = run_cli(
+                capsys, ["lhv", "chsh", "--h-file", str(h_path)] + extra
+            )
+            assert status == 2
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["code"] == "usage"
+            assert "flat sequence" in error["message"]
+
     def test_wrong_alphabet_h_file(self, capsys, tmp_path):
         h_path = tmp_path / "h.json"
         h_path.write_text(uniform((0, 1)).to_json())
@@ -285,6 +299,22 @@ class TestBatteryCommand:
         status, _, err = run_cli(capsys, ["battery", str(world_path), str(fps_path)])
         assert status == 2
         assert "empty" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("bad", [0.7, 1.9, True, "1"])
+    def test_non_integer_world_indices_are_usage_error(self, capsys, tmp_path, bad):
+        # Casting would replay a different world from the one in the file.
+        world_path = tmp_path / "world.json"
+        fps_path = tmp_path / "fps.json"
+        indices = sample_world(fair_coin(), 5000, seed=8).indices.tolist()
+        indices[17] = bad
+        world_path.write_text(json.dumps({"alphabet": [0, 1], "indices": indices}))
+        fps_path.write_text(fair_coin().to_json())
+        status, out, err = run_cli(capsys, ["battery", str(world_path), str(fps_path)])
+        assert status == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "usage"
+        assert "must be integers" in error["message"]
 
     def test_alphabet_mismatch_is_usage_error(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"

@@ -46,7 +46,15 @@ GOLDEN = {
         0,
         "aaf24ee043d9c2133c7f64c550b5947b80d7d91c0ef96e57ad20b68a34fc75d2",
     ),
+    # 300001 trials: two full 16-block chunks and a partial one.
+    "ghz --trials 300001 --seed 5": (
+        0,
+        "7b9633903b3d4ee53fab567a18727adaf55b58d4dcf352137b15e0dd5866d0f6",
+    ),
 }
+
+#: sha256 of the world file ``chsh --trials 200000 --seed 42 --world-out`` writes.
+WORLD_FILE_SHA256 = "7f93effec4317e47255d33f5fe383adcc252081431e18e14e5d9804d0818169a"
 
 
 def write_inputs(directory):
@@ -78,3 +86,12 @@ def input_files(tmp_path_factory):
 @pytest.mark.parametrize("template", sorted(GOLDEN))
 def test_report_bytes_unchanged(template, input_files):
     assert report_digest(template, input_files) == GOLDEN[template]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_world_file_bytes_unchanged(threads, tmp_path):
+    world = tmp_path / "world.json"
+    template = f"chsh --trials 200000 --seed 42 --threads {threads} --world-out {{out}}"
+    status, digest = report_digest(template, {"out": world})
+    assert (status, digest) == GOLDEN["chsh --trials 200000 --seed 42"]
+    assert hashlib.sha256(world.read_bytes()).hexdigest() == WORLD_FILE_SHA256

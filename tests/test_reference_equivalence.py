@@ -2,9 +2,10 @@
 
 Each reference below is the straightforward version kept for comparison:
 ``scipy.stats.chi2.ppf`` for the battery threshold, one probability space
-per hidden-variable distribution for the sweep, and conditioning the world
-cell by cell for the run statistics.  The fast paths must agree exactly,
-except the sweep's matrix product, which may round in the last place.
+per hidden-variable distribution for the sweep, conditioning the world
+cell by cell for the run statistics, and one ``searchsorted`` per Philox
+block for the sampler.  The fast paths must agree exactly, except the
+sweep's matrix product, which may round in the last place.
 """
 
 import math
@@ -14,6 +15,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import typicality_lab
 from typicality_lab import chsh as chsh_mod
@@ -36,8 +39,15 @@ from typicality_lab.ghz import (
     ghz_distribution,
     run_ghz,
 )
-from typicality_lab.spaces import FiniteProbabilitySpace, product, uniform
-from typicality_lab.worlds import WorldPrefix, condition_seq, sample_world, sign_cell
+from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, product, uniform
+from typicality_lab.worlds import (
+    BLOCK_LEN,
+    WorldPrefix,
+    _cumulative_boundaries,
+    condition_seq,
+    sample_world,
+    sign_cell,
+)
 
 _SRC = os.path.dirname(os.path.dirname(typicality_lab.__file__))
 
@@ -228,3 +238,70 @@ class TestChecksKept:
         h = uniform(RQST_TUPLES)
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             lhv_chsh_simulate(h, 4000, 1)
+
+
+def reference_sample(fps, length, seed):
+    """The block-at-a-time sampler: one ``searchsorted`` per 8192-symbol block."""
+    cum = _cumulative_boundaries(fps)
+    parts = []
+    for block in range(-(-length // BLOCK_LEN)):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+        count = min(BLOCK_LEN, length - block * BLOCK_LEN)
+        parts.append(np.searchsorted(cum, gen.random(count), side="right"))
+    return np.concatenate(parts)
+
+
+CHUNK = 16 * BLOCK_LEN
+
+
+@st.composite
+def sampled_spaces(draw):
+    """Weight vectors with exact zeros, 1e-300-sized weights and sums of 1 + eps."""
+    size = draw(st.integers(1, 300))
+    raw = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0), st.just(1e-300), st.floats(1e-6, 1.0), st.floats(1e-6, 1e-3)
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    raw[draw(st.integers(0, size - 1))] = draw(st.floats(0.01, 1.0))
+    total = math.fsum(raw)
+    weights = [w / total for w in raw]
+    # Push the sum above one, up to the tolerance the constructor allows.
+    bump = draw(st.sampled_from([0.0, 1e-13, 0.9 * SUM_ATOL]))
+    heaviest = max(range(size), key=weights.__getitem__)
+    weights[heaviest] += bump
+    if abs(math.fsum(weights) - 1.0) > SUM_ATOL:
+        weights[heaviest] -= bump
+    return FiniteProbabilitySpace(range(size), weights)
+
+
+class TestGuideTableSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fps=sampled_spaces(),
+        length=st.one_of(
+            st.sampled_from(
+                [1, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1]
+                + [CHUNK * k + d for k in (1, 2) for d in (-1, 0, 1)]
+            ),
+            st.integers(1, 2 * CHUNK + BLOCK_LEN),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        threads=st.integers(1, 3),
+    )
+    def test_matches_block_searchsorted(self, fps, length, seed, threads):
+        world = sample_world(fps, length, seed, threads=threads)
+        np.testing.assert_array_equal(world.indices, reference_sample(fps, length, seed))
+        assert world.indices.dtype == (np.uint8 if len(fps) <= 256 else np.uint16)
+        assert not np.any(fps.weights[world.indices] == 0.0)
+
+    def test_chsh_and_ghz_match_over_many_chunks(self):
+        for fps in (chsh_distribution("analytic"), ghz_distribution("analytic")):
+            length = 5 * CHUNK + 3
+            world = sample_world(fps, length, 42, threads=2)
+            np.testing.assert_array_equal(world.indices, reference_sample(fps, length, 42))
+            assert not np.any(fps.weights[world.indices] == 0.0)

@@ -48,6 +48,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sum to 1"):
             FiniteProbabilitySpace(["a", "b"], [0.6, 0.5])
 
+    def test_rejects_nested_weights(self):
+        # Sixteen one-element rows match the alphabet size but are not weights.
+        with pytest.raises(ValueError, match="flat sequence"):
+            FiniteProbabilitySpace(range(16), [[0.0625]] * 16)
+        with pytest.raises(ValueError, match="flat sequence"):
+            FiniteProbabilitySpace.from_json(
+                {"alphabet": list(range(16)), "weights": [[0.0625]] * 16}
+            )
+
     def test_zero_weights_allowed(self):
         fps = FiniteProbabilitySpace(["a", "b", "z"], [0.4, 0.6, 0.0])
         assert fps.prob("z") == 0.0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typicality_lab.chsh import chsh_distribution, coin_event
+from typicality_lab import worlds as worlds_mod
 from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin, product, uniform
 from typicality_lab.worlds import (
     BLOCK_LEN,
@@ -101,6 +103,123 @@ class TestSampling:
         picks = np.searchsorted(cum, draws, side="right")
         assert picks.tolist() == [0, 0, 2, 2]  # 0.25 goes to "b", never "z"
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.25, 0.0, 0.75], [0.3, 0.0, 0.0, 0.7], [0.1, 0.2, 0.0, 0.3, 0.4], [1.0, 0.0]],
+    )
+    def test_guide_search_resolves_exact_ties_like_searchsorted(self, weights):
+        # Draws exactly on a boundary, on either side of it and at both ends
+        # of the unit interval; a boundary inside a guide bucket (0.3) needs
+        # the stepping, one on a bucket edge (0.25) does not.
+        from typicality_lab.worlds import _GUIDE, _cumulative_boundaries, _guide_search
+
+        fps = FiniteProbabilitySpace(range(len(weights)), weights)
+        cum = _cumulative_boundaries(fps)
+        draws = np.concatenate(
+            [cum[cum < 1.0], np.nextafter(cum, 0.0), np.nextafter(cum[cum < 1.0], 1.0)]
+        )
+        draws = np.concatenate([draws, [0.0, np.nextafter(1.0, 0.0)]])
+        guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right")
+        picks = _guide_search(draws * _GUIDE, cum * _GUIDE, guide)
+        np.testing.assert_array_equal(picks, np.searchsorted(cum, draws, side="right"))
+        assert not np.any(fps.weights[picks] == 0.0)
+
+    def test_boundaries_stay_monotone_when_weights_sum_above_one(self):
+        # The weights sum to 1 + 2e-13, inside SUM_ATOL; the running sum
+        # passes 1.0 before the last symbol and must be clipped there.
+        from typicality_lab.worlds import _cumulative_boundaries
+
+        fps = FiniteProbabilitySpace(["a", "b", "c"], [0.5, 0.5 + 1e-13, 1e-13])
+        cum = _cumulative_boundaries(fps)
+        assert np.all(np.diff(cum) >= 0)
+        np.testing.assert_array_equal(cum, [0.5, 1.0, 1.0])
+        counts = sample_world(fps, 3 * BLOCK_LEN, seed=6).counts()
+        assert counts[2] == 0 and counts[:2].min() > 0
+
+    def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch):
+        requested = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(worlds_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        fps = uniform("ab")
+        chunk = worlds_mod._CHUNK_LEN
+        base = sample_world(fps, 4 * chunk, seed=5)
+        assert requested == []  # one thread asked for: no pool at all
+        assert sample_world(fps, 4 * chunk, seed=5, threads=1000) == base
+        assert requested == [3]  # the CPU count
+        sample_world(fps, 2 * chunk, seed=5, threads=1000)
+        assert requested == [3, 2]  # the chunk count
+        sample_world(fps, chunk, seed=5, threads=1000)
+        assert requested == [3, 2]  # a single chunk runs without a pool
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: None)
+        sample_world(fps, 4 * chunk, seed=5, threads=1000)
+        assert requested == [3, 2]  # unknown CPU count: one thread
+
+    def test_more_threads_than_cores_fill_disjoint_chunks(self, monkeypatch):
+        # Six workers on a fast switch interval write one shared output;
+        # a chunk written twice or not at all would change the world.
+        import sys
+
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 6)
+        fps = chsh_distribution("analytic")
+        length = 9 * worlds_mod._CHUNK_LEN + 3
+        base = sample_world(fps, length, seed=31)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert sample_world(fps, length, seed=31, threads=6) == base
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_indices_use_the_smallest_unsigned_dtype(self):
+        world = sample_world(chsh_distribution("analytic"), 100, seed=1)
+        assert world.indices.dtype == np.uint8
+        assert WorldPrefix("ab", [1, 0]).indices.dtype == np.uint8
+        assert WorldPrefix(range(256), [255]).indices.dtype == np.uint8
+        assert WorldPrefix(range(257), [256]).indices.dtype == np.uint16
+        wide = WorldPrefix("ab", np.array([1, 0], dtype=np.int64))
+        assert wide.indices.dtype == np.uint8
+        assert wide.symbols() == ["b", "a"]
+
+    def test_compact_index_array_is_kept_without_a_copy(self):
+        raw = np.array([0, 1, 1], dtype=np.uint8)
+        world = WorldPrefix("ab", raw)
+        assert np.shares_memory(world.indices, raw)
+        assert not world.indices.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0.7, 1.9, 1.0, True, False, "3", None, [1]])
+    def test_non_integer_indices_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            WorldPrefix(range(4), [0, bad, 1])
+        with pytest.raises(ValueError, match="must be integers"):
+            WorldPrefix.from_json({"alphabet": [0, 1, 2, 3], "indices": [0, bad, 1]})
+
+    @pytest.mark.parametrize(
+        "raw", [np.array([0.0, 1.0]), np.array([True, False]), np.array(["0", "1"])]
+    )
+    def test_non_integer_index_arrays_rejected(self, raw):
+        with pytest.raises(ValueError, match="must be integers"):
+            WorldPrefix("ab", raw)
+
+    @pytest.mark.parametrize("bad", [[2], [-1], [2**64]])
+    def test_out_of_range_indices_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            WorldPrefix("ab", bad)
+
+    def test_counts_across_chunks(self):
+        fps = uniform("abc")
+        world = sample_world(fps, 2 * worlds_mod._CHUNK_LEN + 3, seed=12)
+        np.testing.assert_array_equal(
+            world.counts(), np.bincount(world.indices.astype(np.int64), minlength=3)
+        )
+        assert world.counts().sum() == len(world)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="length"):
             sample_world(fair_coin(), 0, seed=1)
@@ -147,6 +266,16 @@ class TestConditionSeq:
             p = conditional.prob(outcome)
             sigma = math.sqrt(p * (1 - p) / len(cond))
             assert abs(stats.frequency(outcome) - p) <= 4 * sigma
+
+    def test_matches_mask_reference_across_chunks(self):
+        fps = chsh_distribution("analytic")
+        world = sample_world(fps, 2 * worlds_mod._CHUNK_LEN + 11, seed=4)
+        event = coin_event(1, 1)
+        cond = condition_seq(world, event)
+        keep = [fps.index(o) for o in fps.alphabet if o in event]
+        kept = world.indices[np.isin(world.indices, keep)]
+        np.testing.assert_array_equal(cond.indices, np.searchsorted(keep, kept))
+        assert cond.indices.dtype == np.uint8
 
     def test_provenance_records_parent(self):
         world = sample_world(fair_coin(), 50, seed=11)
