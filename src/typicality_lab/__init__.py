@@ -17,6 +17,16 @@ enumeration showing no value assignment reproduces the GHZ perfect
 correlations.
 """
 
+import os as _os
+
+# Every matrix product here is at most 64x64.  OpenBLAS worker threads buy
+# nothing at that size, and the first product after the machine has been
+# idle can wait about a second for them to wake.  So one BLAS thread,
+# unless a thread count is already set.  This takes effect only if numpy
+# is first loaded after this package, as in a command-line run.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(_os.environ):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .battery import (
     BatteryReport,
     FrequencyTest,
@@ -53,6 +63,7 @@ from .ghz import (
 from .linalg import (
     ATOL,
     I2,
+    MAX_TENSOR_DIM,
     MeasurementOperatorSet,
     Pvm,
     X,
@@ -66,7 +77,6 @@ from .linalg import (
     ghz_state,
     involutory_pvm,
     ket_plus,
-    max_tensor_dim,
     projector,
     tensor,
 )
@@ -84,6 +94,7 @@ from .worlds import (
     condition_seq,
     empirical,
     lln_report,
+    partition_seq,
     project_seq,
     sample_world,
     zip_seqs,

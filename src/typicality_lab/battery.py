@@ -120,12 +120,7 @@ def block_frequency_test(
             f"{10 * block_len * n_cells}, got {len(world)}"
         )
     n_blocks = len(world) // block_len
-    # Block codes in int64: the stored indices use the alphabet's compact
-    # dtype, which n_sym**block_len would overflow.
-    codes = np.zeros(n_blocks, dtype=np.int64)
-    for j in range(block_len):
-        codes = codes * n_sym + world.indices[j : n_blocks * block_len : block_len]
-    observed = np.bincount(codes, minlength=n_cells)
+    observed = world.counts(block_len)
     cell_probs = reduce(np.kron, [np.asarray(fps.weights)] * block_len)
     positive = cell_probs > 0
     expected = n_blocks * cell_probs[positive]
@@ -147,16 +142,30 @@ def block_frequency_test(
     )
 
 
+#: ``chi2.ppf(1 - DEFAULT_SIGNIFICANCE, dof)`` for ``dof = 4**k - 1``, k in
+#: ``DEFAULT_BLOCK_LENS``: the thresholds of a default CHSH battery, whose
+#: coin-pair cells have four symbols.  Stored so a default run loads no scipy.
+_KNOWN_QUANTILES = {
+    (1.0 - DEFAULT_SIGNIFICANCE, 3): 11.344866730144373,
+    (1.0 - DEFAULT_SIGNIFICANCE, 15): 30.57791416689249,
+    (1.0 - DEFAULT_SIGNIFICANCE, 63): 92.01002361413214,
+}
+
+
 def _chi2_quantile(q: float, dof: int) -> float:
     """Chi-square quantile, bit for bit what ``scipy.stats.chi2.ppf(q, dof)`` returns.
 
-    That is ``2 * gammaincinv(dof / 2, q)``.  ``scipy.special`` is imported
-    here, not at module level: it is the package's only scipy dependency
-    and commands that run no battery should not pay for loading it.
-    ``scipy.special.chdtri`` is not a substitute: at q = 0.99 it differs
-    from ``chi2.ppf`` in the last digits for 3, 15 and 63 degrees of
-    freedom, which the CHSH battery uses.
+    That is ``2 * gammaincinv(dof / 2, q)``, or the stored value for a pair
+    in ``_KNOWN_QUANTILES``.  ``scipy.special`` is imported here, not at
+    module level: it is the package's only scipy dependency and commands
+    that run no battery, or only the default CHSH one, should not pay for
+    loading it.  ``scipy.special.chdtri`` is not a substitute: at q = 0.99
+    it differs from ``chi2.ppf`` in the last digits for 3, 15 and 63
+    degrees of freedom, which the CHSH battery uses.
     """
+    known = _KNOWN_QUANTILES.get((q, dof))
+    if known is not None:
+        return known
     from scipy.special import gammaincinv
 
     return float(2.0 * gammaincinv(dof / 2.0, q))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .linalg import (
     tensor,
 )
 from .spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, product, uniform
-from .worlds import condition_seq, sample_world, sign_cell
+from .worlds import WorldPrefix, partition_seq, sample_world, sign_cell
 
 __all__ = [
     "ChshOutcome",
@@ -240,6 +240,7 @@ def run_chsh(
     threads: int = 1,
     battery_blocks: Sequence[int] | None = battery_mod.DEFAULT_BLOCK_LENS,
     significance: float = battery_mod.DEFAULT_SIGNIFICANCE,
+    on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> ConditionalAverageReport:
     """Sample a length-``trials`` world and compute the conditional averages.
 
@@ -252,17 +253,21 @@ def run_chsh(
     Each coin pair's subsequence is also tested against its conditional
     distribution with the block-frequency battery (``battery_blocks``;
     pass ``None`` to skip).  Raises if any coin pair collected no samples.
+    ``on_world``, if given, is called with the sampled world before any
+    statistic is taken from it.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = chsh_distribution("analytic")
     world = sample_world(fps, trials, seed, threads=threads)
+    if on_world is not None:
+        on_world(world)
     symbol_counts = world.counts()
     averages: dict[str, float] = {}
     counts: dict[str, int] = {}
     std_errors: dict[str, float] = {}
     tolerances: dict[str, float] = {}
-    batteries: dict[str, battery_mod.BatteryReport] = {}
+    tested: dict[str, tuple] = {}
     for name, ((c, d), _) in _AVERAGES.items():
         event = coin_event(c, d)
         cell = sign_cell(
@@ -284,10 +289,13 @@ def run_chsh(
                 if k * len(conditional.alphabet) ** k <= cell.count / 10
             ]
             if usable:
-                batteries[f"{c}{d}"] = battery_mod.run_battery(
-                    condition_seq(world, event), conditional, usable, significance
-                )
+                tested[f"{c}{d}"] = (event, conditional, usable)
     tolerances["s_value"] = 4.0 * math.sqrt(sum(0.5 / n for n in counts.values()))
+    cells = partition_seq(world, [event for event, _, _ in tested.values()])
+    batteries = {
+        key: battery_mod.run_battery(cell_world, conditional, usable, significance)
+        for (key, (_, conditional, usable)), cell_world in zip(tested.items(), cells)
+    }
     return ConditionalAverageReport.from_averages(
         averages,
         method="typical-sampling",

@@ -24,7 +24,7 @@ from . import chsh as chsh_mod
 from . import ghz as ghz_mod
 from .linalg import ATOL
 from .spaces import FiniteProbabilitySpace
-from .worlds import WorldPrefix, sample_world
+from .worlds import WorldPrefix
 
 __all__ = ["SCHEMA_VERSION", "RunConfig", "main", "cmd_chsh", "cmd_ghz", "cmd_lhv", "cmd_battery"]
 
@@ -108,12 +108,19 @@ def _load_fps(path: str, what: str) -> FiniteProbabilitySpace:
 # -- commands ----------------------------------------------------------
 
 
-def _maybe_dump_world(config: RunConfig, fps: FiniteProbabilitySpace) -> None:
-    """Re-sample the run's world (identical, by determinism) and save it."""
-    if config.world_out:
-        world = sample_world(fps, config.trials, config.seed, threads=config.threads)
-        with open(config.world_out, "w", encoding="utf-8") as handle:
-            handle.write(world.to_json())
+def _write_text(path: str, text: str, flag: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {flag} file {path!r}: {err}")
+
+
+def _world_saver(config: RunConfig):
+    """The callback that saves the run's own world to ``--world-out``, or None."""
+    if not config.world_out:
+        return None
+    return lambda world: _write_text(config.world_out, world.to_json(), "--world-out")
 
 
 def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
@@ -122,9 +129,12 @@ def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
     operator = chsh_mod.chsh_distribution("linear_algebra")
     cross_diff = float(abs(analytic.weights - operator.weights).max())
     report_obj = chsh_mod.run_chsh(
-        config.trials, config.seed, threads=config.threads, battery_blocks=config.blocks
+        config.trials,
+        config.seed,
+        threads=config.threads,
+        battery_blocks=config.blocks,
+        on_world=_world_saver(config),
     )
-    _maybe_dump_world(config, analytic)
     s_tolerance = (
         config.tolerance
         if config.tolerance is not None
@@ -168,9 +178,10 @@ def cmd_ghz(config: RunConfig) -> tuple[int, dict]:
     operator = ghz_mod.ghz_distribution("linear_algebra")
     cross_diff = float(abs(analytic.weights - operator.weights).max())
     failures = []
-    _maybe_dump_world(config, analytic)
     try:
-        run = ghz_mod.run_ghz(config.trials, config.seed, threads=config.threads)
+        run = ghz_mod.run_ghz(
+            config.trials, config.seed, threads=config.threads, on_world=_world_saver(config)
+        )
         run_dict = run.to_dict()
         violations = run.total_violations
     except ghz_mod.PerfectCorrelationError as err:
@@ -376,8 +387,7 @@ def _csv_view(report: dict) -> str:
 def _emit(report: dict, config: RunConfig) -> None:
     text = _canonical_json(report) if config.fmt == "json" else _csv_view(report)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(config.out, text, "--out")
     else:
         sys.stdout.write(text)
 
@@ -432,13 +442,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_batt = sub.add_parser("battery", help="test a stored world against a stored space")
     p_batt.add_argument("world_file", help="world JSON file")
     p_batt.add_argument("fps_file", help="probability-space JSON file")
-    p_batt.add_argument("--seed")  # accepted for interface uniformity; unused
+    p_batt.add_argument("--seed")  # parsed only to be refused as a JSON usage error
     add_common(p_batt, battery_blocks=True)
 
     return parser
 
 
+#: The optional flags, without defaults, that each invocation reads.  One
+#: given where it would be ignored is a usage error, not silently dropped.
+_FLAGS_READ = {
+    "chsh": {"trials", "seed", "tolerance", "world_out"},
+    "ghz": {"trials", "seed", "world_out"},
+    "lhv chsh --sweep": {"sweep", "seed"},
+    "lhv chsh": {"h_file", "trials", "seed"},
+    "lhv ghz": {"h_file"},
+    "battery": {"tolerance"},
+}
+
+
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
+    if mode == "lhv chsh" and args.sweep is not None:
+        mode += " --sweep"
+    for flag in ("trials", "seed", "tolerance", "sweep", "h_file", "world_out"):
+        if getattr(args, flag, None) is not None and flag not in _FLAGS_READ[mode]:
+            raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    _reject_unread_flags(args)
     config = RunConfig(
         command=args.command,
         protocol=getattr(args, "protocol", None),

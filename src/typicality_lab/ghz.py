@@ -25,13 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .linalg import MeasurementOperatorSet, X, Y, ghz_state, involutory_pvm, ket_plus, projector, tensor
 from .spaces import FiniteProbabilitySpace
-from .worlds import sample_world, sign_cell
+from .worlds import WorldPrefix, sample_world, sign_cell
 
 __all__ = [
     "GhzOutcome",
@@ -192,19 +192,28 @@ class GhzRunReport:
         }
 
 
-def run_ghz(trials: int, seed: int, threads: int = 1) -> GhzRunReport:
+def run_ghz(
+    trials: int,
+    seed: int,
+    threads: int = 1,
+    on_world: Callable[[WorldPrefix], None] | None = None,
+) -> GhzRunReport:
     """Sample a length-``trials`` world and verify the perfect correlations.
 
     For coin triples 011/101/110 every conditioned round must have
     product +1, and for 000 product -1; a single violation raises
     :class:`PerfectCorrelationError`, because such outcomes have weight
     exactly zero and the sampler cannot produce them.  The remaining four
-    triples report their empirical mean product.
+    triples report their empirical mean product.  ``on_world``, if given,
+    is called with the sampled world before it is checked, so it sees the
+    world of a run that raises too.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
     world = sample_world(fps, trials, seed, threads=threads)
+    if on_world is not None:
+        on_world(world)
     symbol_counts = world.counts()
     constrained: dict = {}
     free: dict = {}

@@ -19,7 +19,6 @@ floating-point error stays orders of magnitude below that.
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ __all__ = [
     "X",
     "Y",
     "Z",
-    "max_tensor_dim",
+    "MAX_TENSOR_DIM",
     "dag",
     "is_hermitian",
     "is_unitary",
@@ -51,21 +50,8 @@ __all__ = [
 #: Absolute entrywise tolerance for every operator identity in the package.
 ATOL = 1e-12
 
-_DEFAULT_MAX_DIM = 2**12
-
-#: Environment variable overriding the tensor-product dimension cap.
-MAX_DIM_ENV = "TYPICALITY_LAB_MAX_DIM"
-
-
-def max_tensor_dim() -> int:
-    """Largest total dimension ``tensor`` will produce (default 4096)."""
-    raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None or not raw.strip():
-        return _DEFAULT_MAX_DIM
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{MAX_DIM_ENV} must be a positive integer, got {raw!r}")
-    return value
+#: Largest total dimension ``tensor`` will produce.
+MAX_TENSOR_DIM = 2**12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -172,8 +158,8 @@ def tensor(*factors) -> np.ndarray:
 
     The left factor is outermost: the result index is
     ``index_left * dim_right + index_right``.  Mixing operators and
-    states in one call is an error, as is exceeding the configured
-    dimension cap (``max_tensor_dim()``).
+    states in one call is an error, as is exceeding the dimension cap
+    ``MAX_TENSOR_DIM``.
     """
     if len(factors) < 2:
         raise ValueError("tensor requires at least two factors")
@@ -184,12 +170,8 @@ def tensor(*factors) -> np.ndarray:
     total = 1
     for a in arrays:
         total *= a.shape[0]
-    cap = max_tensor_dim()
-    if total > cap:
-        raise ValueError(
-            f"tensor product dimension {total} exceeds cap {cap} "
-            f"(override with {MAX_DIM_ENV})"
-        )
+    if total > MAX_TENSOR_DIM:
+        raise ValueError(f"tensor product dimension {total} exceeds cap {MAX_TENSOR_DIM}")
     out = arrays[0]
     for a in arrays[1:]:
         out = np.kron(out, a)

@@ -34,7 +34,8 @@ are non-decreasing, and the steps stop at the first boundary above ``u``.
 
 Indices are stored in the smallest unsigned dtype that holds the alphabet
 (``uint8`` for up to 256 symbols), 8x smaller than ``int64``.  Arithmetic
-on them inside the package promotes to a wider integer type first.
+on them inside the package first casts them to a dtype that holds every
+result, such as block codes below ``n**k``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "WorldPrefix",
     "sample_world",
     "condition_seq",
+    "partition_seq",
     "project_seq",
     "zip_seqs",
     "empirical",
@@ -171,17 +173,33 @@ class WorldPrefix:
     def __getitem__(self, i: int):
         return self._alphabet[int(self._indices[i])]
 
-    def counts(self) -> np.ndarray:
+    def counts(self, block_len: int = 1) -> np.ndarray:
         """Occurrences of each alphabet symbol, in alphabet order.
 
-        Counted chunk by chunk, so no index array wider than the stored
-        one is ever built for the whole prefix.
+        With ``block_len`` k, occurrences of each non-overlapping length-k
+        block, indexed by its code ``sum_j s_j * n**(k-1-j)`` over an
+        alphabet of ``n`` symbols; a trailing partial block is not counted.
+        Codes are built by Horner's rule in the smallest unsigned dtype
+        that holds ``n**k - 1``, which is exact because every intermediate
+        value is below ``n**k``.  Counted chunk by chunk, so no index array
+        wider than that dtype is ever built for the whole prefix.
         """
-        total = np.zeros(len(self._alphabet), dtype=np.int64)
-        for start in range(0, self._indices.size, _CHUNK_LEN):
-            total += np.bincount(
-                self._indices[start : start + _CHUNK_LEN], minlength=total.size
-            )
+        if block_len < 1:
+            raise ValueError("block_len must be at least 1")
+        n_cells = len(self._alphabet) ** block_len
+        dtype = np.min_scalar_type(n_cells - 1)
+        used = self._indices[: self._indices.size - self._indices.size % block_len]
+        step = _CHUNK_LEN - _CHUNK_LEN % block_len
+        total = np.zeros(n_cells, dtype=np.int64)
+        for start in range(0, used.size, step):
+            codes = part = used[start : start + step]
+            if block_len > 1:
+                # A copy: the stored indices are read-only and may be narrower.
+                codes = part[::block_len].astype(dtype)
+                for j in range(1, block_len):
+                    codes *= len(self._alphabet)
+                    codes += part[j::block_len]
+            total += np.bincount(codes, minlength=n_cells)
         return total
 
     def symbols(self) -> list:
@@ -374,30 +392,47 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
     empty.  Its length always equals the total count of event symbols in
     the input.
     """
-    keep_ids = sorted({_alphabet_index(world, s) for s in event})
-    if not keep_ids:
+    return partition_seq(world, [event])[0]
+
+
+def partition_seq(world: WorldPrefix, events: Sequence[Iterable]) -> list[WorldPrefix]:
+    """:func:`condition_seq` of a prefix on each of several disjoint events, in one pass.
+
+    Entry ``i`` equals ``condition_seq(world, events[i])``.  A cell-id table
+    sends each symbol to its event (or to none) and a local-code table to
+    its index in that event's alphabet, so the prefix is read once however
+    many events there are.
+    """
+    keep_ids = [sorted({_alphabet_index(world, s) for s in event}) for event in events]
+    if not all(keep_ids):
         raise ValueError("event must contain at least one symbol")
-    sub_alpha = tuple(world.alphabet[i] for i in keep_ids)
-    keep = np.zeros(len(world.alphabet), dtype=bool)
-    keep[keep_ids] = True
-    remap = np.zeros(len(world.alphabet), dtype=_index_dtype(len(sub_alpha)))
-    remap[keep_ids] = np.arange(len(keep_ids))
+    if len(set().union(*keep_ids)) != sum(map(len, keep_ids)):
+        raise ValueError("events must be disjoint")
+    if not keep_ids:
+        return []
+    n_events = len(keep_ids)
+    cell = np.full(len(world.alphabet), n_events, dtype=_index_dtype(n_events + 1))
+    local = np.zeros(len(world.alphabet), dtype=_index_dtype(max(map(len, keep_ids))))
+    for i, ids in enumerate(keep_ids):
+        cell[ids] = i
+        local[ids] = np.arange(len(ids))
+    parts: list[list[np.ndarray]] = [[] for _ in keep_ids]
     # Chunk by chunk: a lookup casts its index array to intp, so this caps
     # that temporary at one chunk.
-    parts = [
-        remap.take(np.compress(keep.take(part), part))
-        for part in (
-            world.indices[start : start + _CHUNK_LEN]
-            for start in range(0, len(world), _CHUNK_LEN)
+    for start in range(0, len(world), _CHUNK_LEN):
+        chunk = world.indices[start : start + _CHUNK_LEN].astype(np.intp)
+        chunk_cells = cell.take(chunk)
+        chunk_local = local.take(chunk)
+        for i, cell_parts in enumerate(parts):
+            cell_parts.append(np.compress(chunk_cells == i, chunk_local))
+    result = []
+    for ids, cell_parts in zip(keep_ids, parts):
+        indices = np.concatenate(cell_parts) if cell_parts else local[:0]
+        prov = {"kind": "conditioned", "event_size": len(ids), "parent": world.provenance}
+        result.append(
+            WorldPrefix(tuple(world.alphabet[i] for i in ids), indices, prov)
         )
-    ]
-    new_indices = np.concatenate(parts) if parts else remap[:0]
-    prov = {
-        "kind": "conditioned",
-        "event_size": len(keep_ids),
-        "parent": world.provenance,
-    }
-    return WorldPrefix(sub_alpha, new_indices, prov)
+    return result
 
 
 def project_seq(world: WorldPrefix, coords) -> WorldPrefix:

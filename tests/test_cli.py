@@ -2,11 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from typicality_lab import chsh as chsh_mod
+from typicality_lab import cli as cli_mod
+from typicality_lab import ghz as ghz_mod
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
+from typicality_lab.ghz import GhzOutcome, ghz_distribution
 from typicality_lab.spaces import fair_coin, uniform
 from typicality_lab.worlds import WorldPrefix, sample_world
 
@@ -359,3 +367,141 @@ class TestBatteryCommand:
             ["battery", str(world_path), str(fps_path), "--blocks", "1,x"],
         )
         assert status == 2
+
+
+def assert_usage_error(status, out, err, fragment):
+    assert status == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "usage"
+    assert fragment in error["message"]
+
+
+class TestWorldOutSamplesOnce:
+    @pytest.fixture
+    def sample_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample_world(*args, **kwargs)
+
+        for module in (chsh_mod, ghz_mod, cli_mod):
+            monkeypatch.setattr(module, "sample_world", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command, fps", [("chsh", chsh_distribution()), ("ghz", ghz_distribution())]
+    )
+    def test_one_draw_writes_the_run_world(self, capsys, tmp_path, sample_calls, command, fps):
+        world_path = tmp_path / "world.json"
+        argv = [command, "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
+        status, _, _ = run_cli(capsys, argv)
+        assert status == 0
+        assert len(sample_calls) == 1
+        assert WorldPrefix.from_json(world_path.read_text()) == sample_world(fps, 8000, 5)
+
+    def test_ghz_writes_the_world_of_a_failed_run(self, capsys, tmp_path, monkeypatch):
+        forbidden = GhzOutcome(0, 0, 0, 1, 1, 1)
+
+        def constant(fps, length, seed, threads=1):
+            return WorldPrefix(fps.alphabet, np.full(length, fps.index(forbidden)))
+
+        monkeypatch.setattr(ghz_mod, "sample_world", constant)
+        world_path = tmp_path / "world.json"
+        argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
+        status, report, _ = run_json(capsys, argv)
+        assert status == 1
+        assert report["failures"][0]["check"] == "perfect-correlations"
+        world = WorldPrefix.from_json(world_path.read_text())
+        assert world == constant(ghz_distribution(), 8000, 5)
+
+
+class TestExitCodeHoles:
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        status, out, err = run_cli(capsys, ["lhv", "ghz", "--out", str(target)])
+        assert_usage_error(status, out, err, "--out")
+
+    def test_unwritable_world_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "world.json"
+        argv = ["chsh", "--trials", "8000", "--seed", "5", "--world-out", str(target)]
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, "--world-out")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["ghz", "--trials", "8000", "--seed", "1", "--tolerance", "nan"], "--tolerance"),
+            (["ghz", "--trials", "8000", "--seed", "1", "--tolerance", "0.5"], "--tolerance"),
+            (["lhv", "chsh", "--sweep", "10", "--trials", "2", "--seed", "1"], "--trials"),
+            (["lhv", "ghz", "--seed", "1"], "--seed"),
+        ],
+    )
+    def test_unused_flag(self, capsys, argv, flag):
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, f"does not use {flag}")
+
+    def test_battery_seed(self, capsys, tmp_path):
+        world_path = tmp_path / "world.json"
+        fps_path = tmp_path / "fps.json"
+        world_path.write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
+        fps_path.write_text(fair_coin().to_json())
+        argv = ["battery", str(world_path), str(fps_path), "--seed", "3"]
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, "does not use --seed")
+
+    def test_max_dim_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("TYPICALITY_LAB_MAX_DIM", "abc")
+        status, report, _ = run_json(capsys, ["ghz", "--trials", "8000", "--seed", "1"])
+        assert status == 0
+        assert report["cross_check"]["pass"] is True
+
+
+#: Prints the OpenBLAS thread count numpy ended up with, after importing
+#: the package first, as the command-line entry points do.
+_BLAS_THREADS = """
+import ctypes, glob, os, sys
+import typicality_lab, numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+getters = [getattr(ctypes.CDLL(lib), n) for lib in libs for n in names if hasattr(ctypes.CDLL(lib), n)]
+if not getters:
+    sys.exit(3)
+getters[0].restype = ctypes.c_int
+print(getters[0](), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+class TestBlasThreads:
+    def blas_threads(self, **env_vars):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(env_vars)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        if done.returncode == 3:
+            pytest.skip("numpy is not linked against a bundled OpenBLAS")
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_one_thread_by_default(self):
+        assert self.blas_threads() == ["1", "1"]
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_set_thread_count_wins(self, var):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two CPUs to tell two BLAS threads from one")
+        threads, openblas_var = self.blas_threads(**{var: "2"})
+        assert threads == "2"
+        assert openblas_var == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")

@@ -24,7 +24,6 @@ from typicality_lab.linalg import (
     ghz_state,
     involutory_pvm,
     ket_plus,
-    max_tensor_dim,
     projector,
     tensor,
 )
@@ -109,17 +108,6 @@ class TestTensor:
         big = np.eye(128)
         with pytest.raises(ValueError, match="exceeds cap"):
             tensor(big, big)
-
-    def test_dimension_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("TYPICALITY_LAB_MAX_DIM", "65536")
-        assert max_tensor_dim() == 65536
-        big = np.eye(128)
-        assert tensor(big, big).shape == (16384, 16384)
-
-    def test_cap_env_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("TYPICALITY_LAB_MAX_DIM", "0")
-        with pytest.raises(ValueError):
-            max_tensor_dim()
 
 
 class TestExpectation:

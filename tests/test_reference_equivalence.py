@@ -3,9 +3,11 @@
 Each reference below is the straightforward version kept for comparison:
 ``scipy.stats.chi2.ppf`` for the battery threshold, one probability space
 per hidden-variable distribution for the sweep, conditioning the world
-cell by cell for the run statistics, and one ``searchsorted`` per Philox
-block for the sampler.  The fast paths must agree exactly, except the
-sweep's matrix product, which may round in the last place.
+cell by cell for the run statistics, one ``searchsorted`` per Philox
+block for the sampler, a membership mask per event for the one-pass cell
+split, and int64 Horner codes for the battery's block histograms.  The
+fast paths must agree exactly, except the sweep's matrix product, which
+may round in the last place.
 """
 
 import math
@@ -20,7 +22,12 @@ from hypothesis import strategies as st
 
 import typicality_lab
 from typicality_lab import chsh as chsh_mod
-from typicality_lab.battery import _chi2_quantile
+from typicality_lab.battery import (
+    _KNOWN_QUANTILES,
+    DEFAULT_BLOCK_LENS,
+    DEFAULT_SIGNIFICANCE,
+    _chi2_quantile,
+)
 from typicality_lab.chsh import (
     CHSH_OUTCOMES,
     RQST_TUPLES,
@@ -45,6 +52,7 @@ from typicality_lab.worlds import (
     WorldPrefix,
     _cumulative_boundaries,
     condition_seq,
+    partition_seq,
     sample_world,
     sign_cell,
 )
@@ -75,11 +83,30 @@ class TestNoScipyUnlessBattery:
             "import os, sys\n"
             "from typicality_lab.cli import main\n"
             "for argv in (['ghz', '--trials', '8000', '--seed', '1'], ['lhv', 'ghz'],\n"
-            "             ['lhv', 'chsh', '--sweep', '100', '--seed', '1']):\n"
+            "             ['lhv', 'chsh', '--sweep', '100', '--seed', '1'],\n"
+            "             ['chsh', '--trials', '200000', '--seed', '42']):\n"
             "    assert main(argv + ['--out', os.devnull]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert out.strip() == "[]"
+
+    def test_chsh_with_a_fourth_block_length_loads_scipy(self):
+        out = _python(
+            "import os, sys\n"
+            "from typicality_lab.cli import main\n"
+            "argv = ['chsh', '--trials', '200000', '--seed', '42', '--blocks', '1,2,3,4']\n"
+            "assert main(argv + ['--out', os.devnull]) == 0\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        assert out.strip() == "True"
+
+
+def test_stored_thresholds_are_scipy_chi2_ppf_bit_for_bit():
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    q = 1.0 - DEFAULT_SIGNIFICANCE
+    assert set(_KNOWN_QUANTILES) == {(q, 4**k - 1) for k in DEFAULT_BLOCK_LENS}
+    for (q, dof), value in _KNOWN_QUANTILES.items():
+        assert _chi2_quantile(q, dof) == value == float(chi2.ppf(q, dof))
 
 
 @pytest.mark.parametrize("significance", [0.01, 0.05, 0.2, 1e-6])
@@ -305,3 +332,106 @@ class TestGuideTableSampler:
             world = sample_world(fps, length, 42, threads=2)
             np.testing.assert_array_equal(world.indices, reference_sample(fps, length, 42))
             assert not np.any(fps.weights[world.indices] == 0.0)
+
+
+def reference_condition(world, event):
+    """Indices of ``condition_seq(world, event)`` from one membership mask."""
+    keep_ids = sorted(world.alphabet.index(s) for s in set(event))
+    remap = np.zeros(len(world.alphabet), dtype=np.int64)
+    remap[keep_ids] = np.arange(len(keep_ids))
+    return remap[world.indices[np.isin(world.indices, keep_ids)]]
+
+
+@st.composite
+def partitioned_worlds(draw):
+    """A world, some symbols never drawn, and disjoint events over a subset."""
+    size = draw(st.integers(1, 256))
+    length = draw(
+        st.one_of(
+            st.sampled_from([0, 1] + [CHUNK * k + d for k in (1, 2) for d in (-1, 0, 1)]),
+            st.integers(0, 2 * CHUNK + 5),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drawn = rng.choice(size, size=draw(st.integers(1, size)), replace=False)
+    world = WorldPrefix(range(size), rng.choice(drawn, size=length))
+    # Each symbol goes to one of the events or to none (label n_events).
+    n_events = draw(st.integers(1, 5))
+    labels = rng.integers(0, n_events + 1, size=size)
+    events = [list(np.flatnonzero(labels == i)) for i in range(n_events)]
+    events = [e for e in events if e] or [[int(rng.integers(size))]]
+    return world, events
+
+
+class TestPartition:
+    @settings(max_examples=40, deadline=None)
+    @given(case=partitioned_worlds())
+    def test_each_part_is_condition_seq(self, case):
+        world, events = case
+        parts = partition_seq(world, events)
+        assert len(parts) == len(events)
+        for event, part in zip(events, parts):
+            alone = condition_seq(world, event)
+            assert part == alone
+            assert part.provenance == alone.provenance
+            assert part.indices.dtype == alone.indices.dtype
+            np.testing.assert_array_equal(part.indices, reference_condition(world, event))
+
+    def test_chsh_coin_pairs(self):
+        world = sample_world(chsh_distribution("analytic"), 3 * CHUNK + 7, 42)
+        events = [coin_event(c, d) for c in (0, 1) for d in (0, 1)]
+        for event, part in zip(events, partition_seq(world, events)):
+            assert part == condition_seq(world, event)
+            assert part.alphabet == event
+            assert part.provenance["kind"] == "conditioned"
+
+    def test_overlapping_events_rejected(self):
+        world = WorldPrefix("abc", [0, 1, 2])
+        with pytest.raises(ValueError, match="disjoint"):
+            partition_seq(world, ["ab", "bc"])
+
+    def test_empty_event_rejected(self):
+        world = WorldPrefix("abc", [0, 1, 2])
+        with pytest.raises(ValueError, match="at least one symbol"):
+            partition_seq(world, ["a", ""])
+
+    def test_no_events(self):
+        assert partition_seq(WorldPrefix("ab", [0, 1]), []) == []
+
+
+def reference_block_counts(world, block_len):
+    """The int64 Horner histogram the battery built before compact codes."""
+    n_sym = len(world.alphabet)
+    n_blocks = len(world) // block_len
+    codes = np.zeros(n_blocks, dtype=np.int64)
+    for j in range(block_len):
+        codes = codes * n_sym + world.indices[j : n_blocks * block_len : block_len]
+    return np.bincount(codes, minlength=n_sym**block_len)
+
+
+class TestCompactBlockCounts:
+    @pytest.mark.parametrize(
+        "n_sym, block_len",
+        # Every block length up to 4 whose histogram has at most 2**20 cells.
+        [(n, k) for n in (1, 2, 4, 16, 300) for k in (1, 2, 3, 4) if n**k <= 2**20],
+    )
+    @pytest.mark.parametrize("length", [0, 11, CHUNK - 1, CHUNK + 2, 2 * CHUNK + 3])
+    def test_matches_int64_horner(self, n_sym, block_len, length):
+        rng = np.random.default_rng(n_sym * 1000 + block_len * 10 + length)
+        world = WorldPrefix(range(n_sym), rng.integers(0, n_sym, size=length))
+        counts = world.counts(block_len)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, reference_block_counts(world, block_len))
+        assert counts.sum() == length // block_len
+
+    def test_codes_reaching_the_dtype_maximum(self):
+        # 4**4 - 1 = 255 and 16**2 - 1 = 255: the codes fill uint8 exactly.
+        for n_sym, block_len in ((4, 4), (16, 2), (2, 8)):
+            world = WorldPrefix(range(n_sym), np.full(10 * block_len + 1, n_sym - 1))
+            counts = world.counts(block_len)
+            assert counts[-1] == 10 and counts.sum() == 10
+            np.testing.assert_array_equal(counts, reference_block_counts(world, block_len))
+
+    def test_block_len_must_be_positive(self):
+        with pytest.raises(ValueError, match="block_len"):
+            WorldPrefix("ab", [0, 1]).counts(0)
