@@ -25,6 +25,7 @@ __all__ = [
     "FrequencyTest",
     "BatteryReport",
     "block_frequency_test",
+    "long_enough",
     "run_battery",
 ]
 
@@ -113,12 +114,17 @@ def block_frequency_test(
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must be in (0, 1)")
     n_sym = len(fps.alphabet)
-    n_cells = n_sym**block_len
-    if block_len * n_cells > len(world) / 10:
+    if not long_enough(len(world), n_sym, block_len):
+        need = (
+            10 * block_len * n_sym**block_len
+            if block_len <= _MAX_REPORTED_BLOCK_LEN
+            else f"10 * {block_len} * {n_sym}**{block_len}"
+        )
         raise ValueError(
             f"world too short for block_len {block_len}: need length >= "
-            f"{10 * block_len * n_cells}, got {len(world)}"
+            f"{need}, got {len(world)}"
         )
+    n_cells = n_sym**block_len
     n_blocks = len(world) // block_len
     observed = world.counts(block_len)
     cell_probs = reduce(np.kron, [np.asarray(fps.weights)] * block_len)
@@ -140,6 +146,23 @@ def block_frequency_test(
         zero_cells=int(n_cells - positive.sum()),
         zero_cell_hits=zero_hits,
     )
+
+
+#: Beyond this block length the required length is named, not computed.
+_MAX_REPORTED_BLOCK_LEN = 64
+
+
+def long_enough(length: int, n_sym: int, block_len: int) -> bool:
+    """Whether ``block_len * n_sym**block_len <= length / 10``, the battery's length rule.
+
+    With two or more symbols a block length above ``length.bit_length()``
+    fails it (``n_sym**block_len`` alone exceeds ``length``), and is
+    rejected without building that power, which for an absurd
+    ``--blocks`` value would not fit in memory.
+    """
+    if n_sym > 1 and block_len > length.bit_length():
+        return False
+    return block_len * n_sym**block_len <= length / 10
 
 
 #: ``chi2.ppf(1 - DEFAULT_SIGNIFICANCE, dof)`` for ``dof = 4**k - 1``, k in

@@ -47,7 +47,7 @@ from .linalg import (
     tensor,
 )
 from .spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, product, uniform
-from .worlds import WorldPrefix, partition_seq, sample_world, sign_cell
+from .worlds import WorldPrefix, sign_cell, tally
 
 __all__ = [
     "ChshOutcome",
@@ -253,25 +253,32 @@ def run_chsh(
     Each coin pair's subsequence is also tested against its conditional
     distribution with the block-frequency battery (``battery_blocks``;
     pass ``None`` to skip).  Raises if any coin pair collected no samples.
-    ``on_world``, if given, is called with the sampled world before any
-    statistic is taken from it.
+    Every statistic is taken from counts made while the world is drawn
+    (:func:`~typicality_lab.worlds.tally`), so the world is not kept unless
+    ``on_world`` is given; it is then called with the world before any
+    statistic is checked.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = chsh_distribution("analytic")
-    world = sample_world(fps, trials, seed, threads=threads)
-    if on_world is not None:
-        on_world(world)
-    symbol_counts = world.counts()
+    events = [coin_event(c, d) for (c, d), _ in _AVERAGES.values()]
+    # Block lengths no cell of this run can be long enough for are not counted.
+    block_lens = [
+        k
+        for k in battery_blocks or ()
+        if battery_mod.long_enough(trials, len(events[0]), k)
+    ]
+    tallied = tally(fps, trials, seed, threads, events, block_lens, on_world)
     averages: dict[str, float] = {}
     counts: dict[str, int] = {}
     std_errors: dict[str, float] = {}
     tolerances: dict[str, float] = {}
     tested: dict[str, tuple] = {}
-    for name, ((c, d), _) in _AVERAGES.items():
-        event = coin_event(c, d)
+    for (name, ((c, d), _)), event, cell_tally in zip(
+        _AVERAGES.items(), events, tallied.cells
+    ):
         cell = sign_cell(
-            symbol_counts, [o.m * o.n if o in event else 0 for o in fps.alphabet]
+            tallied.counts, [o.m * o.n if o in event else 0 for o in fps.alphabet]
         )
         if cell.count == 0:
             raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
@@ -286,15 +293,14 @@ def run_chsh(
             usable = [
                 k
                 for k in battery_blocks
-                if k * len(conditional.alphabet) ** k <= cell.count / 10
+                if battery_mod.long_enough(cell.count, len(conditional.alphabet), k)
             ]
             if usable:
-                tested[f"{c}{d}"] = (event, conditional, usable)
+                tested[f"{c}{d}"] = (cell_tally, conditional, usable)
     tolerances["s_value"] = 4.0 * math.sqrt(sum(0.5 / n for n in counts.values()))
-    cells = partition_seq(world, [event for event, _, _ in tested.values()])
     batteries = {
-        key: battery_mod.run_battery(cell_world, conditional, usable, significance)
-        for (key, (_, conditional, usable)), cell_world in zip(tested.items(), cells)
+        key: battery_mod.run_battery(cell_tally, conditional, usable, significance)
+        for key, (cell_tally, conditional, usable) in tested.items()
     }
     return ConditionalAverageReport.from_averages(
         averages,
@@ -355,13 +361,12 @@ def lhv_chsh_simulate(
     exact = lhv_chsh_averages(h)
     coin = uniform((0, 1))
     joint = product(h, coin, coin)
-    world = sample_world(joint, trials, seed, threads=threads)
+    symbol_counts = tally(joint, trials, seed, threads).counts
     averages: dict[str, float] = {}
     counts: dict[str, int] = {}
     std_errors: dict[str, float] = {}
     tolerances: dict[str, float] = {}
     exact_avgs = exact.averages
-    symbol_counts = world.counts()
     for name, ((c, d), (i, j)) in _AVERAGES.items():
         cell = sign_cell(
             symbol_counts,

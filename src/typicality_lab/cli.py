@@ -395,8 +395,21 @@ def _emit(report: dict, config: RunConfig) -> None:
 # -- argument parsing ----------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are JSON usage errors, exit status 2."""
+
+    def error(self, message: str):
+        _print_usage_error(f"{self.prog}: {message}")
+        sys.exit(2)
+
+
+def _print_usage_error(message: str) -> None:
+    error = {"schema": SCHEMA_VERSION, "error": {"code": "usage", "message": message}}
+    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="typicality-lab",
         description="Seeded CHSH/GHZ protocol runs, local-hidden-variable analyses, "
         "and block-frequency randomness checks.",
@@ -404,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, battery_blocks: bool = False) -> None:
-        p.add_argument("--threads", type=int, default=1, help="parallel sampling blocks")
+        p.add_argument("--threads", type=int, help="sampling threads (default 1)")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
@@ -451,10 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 #: The optional flags, without defaults, that each invocation reads.  One
 #: given where it would be ignored is a usage error, not silently dropped.
 _FLAGS_READ = {
-    "chsh": {"trials", "seed", "tolerance", "world_out"},
-    "ghz": {"trials", "seed", "world_out"},
+    "chsh": {"trials", "seed", "threads", "tolerance", "world_out"},
+    "ghz": {"trials", "seed", "threads", "world_out"},
     "lhv chsh --sweep": {"sweep", "seed"},
-    "lhv chsh": {"h_file", "trials", "seed"},
+    "lhv chsh --trials": {"h_file", "trials", "seed", "threads"},
+    "lhv chsh": {"h_file"},
     "lhv ghz": {"h_file"},
     "battery": {"tolerance"},
 }
@@ -464,7 +478,9 @@ def _reject_unread_flags(args: argparse.Namespace) -> None:
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
         mode += " --sweep"
-    for flag in ("trials", "seed", "tolerance", "sweep", "h_file", "world_out"):
+    elif mode == "lhv chsh" and args.trials is not None:
+        mode += " --trials"
+    for flag in ("trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out"):
         if getattr(args, flag, None) is not None and flag not in _FLAGS_READ[mode]:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
 
@@ -475,7 +491,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         protocol=getattr(args, "protocol", None),
         trials=getattr(args, "trials", None),
-        threads=args.threads,
+        threads=1 if args.threads is None else args.threads,
         fmt=args.fmt,
         out=args.out,
         tolerance=args.tolerance,
@@ -489,12 +505,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         config.blocks = _parse_blocks(args.blocks)
     if config.threads < 1:
         raise UsageError("--threads must be at least 1")
-    needs_seed = config.command in ("chsh", "ghz") or (
-        config.command == "lhv"
-        and config.protocol == "chsh"
-        and (config.sweep is not None or config.trials is not None)
-    )
-    config.seed = _resolve_seed(getattr(args, "seed", None), required=needs_seed)
     if config.command == "chsh" and config.trials < chsh_mod.MIN_TRIALS:
         raise UsageError(f"chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
     if config.command == "ghz" and config.trials < ghz_mod.MIN_TRIALS:
@@ -515,6 +525,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         and config.trials < chsh_mod.MIN_TRIALS
     ):
         raise UsageError(f"lhv chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
+    # Last, so a drawn seed is printed only for an invocation that is valid so far.
+    needs_seed = config.command in ("chsh", "ghz") or (
+        config.command == "lhv"
+        and config.protocol == "chsh"
+        and (config.sweep is not None or config.trials is not None)
+    )
+    config.seed = _resolve_seed(getattr(args, "seed", None), required=needs_seed)
     return config
 
 
@@ -535,8 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, config)
         return status
     except UsageError as err:
-        error = {"schema": SCHEMA_VERSION, "error": {"code": "usage", "message": str(err)}}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        _print_usage_error(str(err))
         return 2
 
 

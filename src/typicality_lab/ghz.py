@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import MeasurementOperatorSet, X, Y, ghz_state, involutory_pvm, ket_plus, projector, tensor
 from .spaces import FiniteProbabilitySpace
-from .worlds import WorldPrefix, sample_world, sign_cell
+from .worlds import WorldPrefix, sign_cell, tally
 
 __all__ = [
     "GhzOutcome",
@@ -204,17 +204,15 @@ def run_ghz(
     product +1, and for 000 product -1; a single violation raises
     :class:`PerfectCorrelationError`, because such outcomes have weight
     exactly zero and the sampler cannot produce them.  The remaining four
-    triples report their empirical mean product.  ``on_world``, if given,
-    is called with the sampled world before it is checked, so it sees the
-    world of a run that raises too.
+    triples report their empirical mean product.  The counts are taken
+    while the world is drawn; ``on_world``, if given, is called with the
+    world before it is checked, so it sees the world of a run that raises
+    too.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
-    world = sample_world(fps, trials, seed, threads=threads)
-    if on_world is not None:
-        on_world(world)
-    symbol_counts = world.counts()
+    symbol_counts = tally(fps, trials, seed, threads, on_world=on_world).counts
     constrained: dict = {}
     free: dict = {}
     for coins in itertools.product((0, 1), repeat=3):

@@ -20,9 +20,17 @@ Generation is blocked.  Block ``i`` of a run with seed ``s`` uses a
 Philox stream with key ``s`` and counter offset ``i << 128`` (Salmon et
 al., SC'11), so blocks can be generated in any order and grouping and the
 result is byte-identical to the single-threaded one.  Work is handed out
-in chunks of 16 consecutive blocks; each chunk fills one buffer of
-uniforms, block by block, and writes its symbols straight into its slice
-of the preallocated output, so threads never copy or concatenate.
+in chunks of 16 consecutive blocks, as one ordered stream
+(``_stream_chunks``): a thread draws a chunk's uniforms, block by block,
+maps them to symbols and runs a ``work`` function on them, and the
+consumer takes the results in chunk order, with at most two chunks per
+thread in flight.  :func:`sample_world` stores each chunk in its slice of
+one preallocated output.  :func:`tally` counts each chunk instead: the
+drawing thread takes its symbol counts and splits it by event, and the
+consumer feeds each event's part to its block histograms, carrying the
+symbols of an unfinished block into the next chunk.  A run's statistics
+therefore need no world in memory, and its memory does not grow with its
+length.
 
 The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
 stores ``searchsorted(cum, j / 1024, side="right")``, a draw ``u`` starts
@@ -44,9 +52,10 @@ import itertools
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +66,9 @@ __all__ = [
     "BLOCK_LEN",
     "WorldPrefix",
     "sample_world",
+    "tally",
+    "Tally",
+    "CellTally",
     "condition_seq",
     "partition_seq",
     "project_seq",
@@ -84,6 +96,9 @@ _CHUNK_LEN = _CHUNK_BLOCKS * BLOCK_LEN
 
 #: Buckets of the inverse-CDF guide table; a power of two keeps ``u * _GUIDE`` exact.
 _GUIDE = 1024
+
+#: Chunks each sampling thread may draw ahead of the consumer of the stream.
+_WINDOW = 2
 
 
 def _index_dtype(alphabet_size: int) -> np.dtype:
@@ -179,28 +194,16 @@ class WorldPrefix:
         With ``block_len`` k, occurrences of each non-overlapping length-k
         block, indexed by its code ``sum_j s_j * n**(k-1-j)`` over an
         alphabet of ``n`` symbols; a trailing partial block is not counted.
-        Codes are built by Horner's rule in the smallest unsigned dtype
-        that holds ``n**k - 1``, which is exact because every intermediate
-        value is below ``n**k``.  Counted chunk by chunk, so no index array
-        wider than that dtype is ever built for the whole prefix.
+        Counted chunk by chunk by :class:`_BlockCounter`, the one block
+        count that :func:`tally` uses too, so no index array wider than
+        the code dtype is ever built for the whole prefix.
         """
-        if block_len < 1:
-            raise ValueError("block_len must be at least 1")
-        n_cells = len(self._alphabet) ** block_len
-        dtype = np.min_scalar_type(n_cells - 1)
-        used = self._indices[: self._indices.size - self._indices.size % block_len]
+        counter = _BlockCounter(len(self._alphabet), block_len)
+        # Parts of whole blocks, so no symbols are carried between them.
         step = _CHUNK_LEN - _CHUNK_LEN % block_len
-        total = np.zeros(n_cells, dtype=np.int64)
-        for start in range(0, used.size, step):
-            codes = part = used[start : start + step]
-            if block_len > 1:
-                # A copy: the stored indices are read-only and may be narrower.
-                codes = part[::block_len].astype(dtype)
-                for j in range(1, block_len):
-                    codes *= len(self._alphabet)
-                    codes += part[j::block_len]
-            total += np.bincount(codes, minlength=n_cells)
-        return total
+        for start in range(0, len(self), step):
+            counter.add(self._indices[start : start + step])
+        return counter.total
 
     def symbols(self) -> list:
         """The prefix as a list of symbols."""
@@ -227,40 +230,6 @@ class WorldPrefix:
         return WorldPrefix(self._alphabet, self._indices[:n], prov)
 
     # -- export / import ------------------------------------------------
-
-    def _tokens(self) -> list[str]:
-        tokens = [_symbol_token(a) for a in self._alphabet]
-        if len(set(tokens)) != len(tokens):
-            raise ValueError(
-                "alphabet symbols do not have distinct text tokens; use JSON export"
-            )
-        return tokens
-
-    def to_text(self) -> str:
-        """Compact newline-free text: one token per symbol, comma-separated."""
-        tokens = self._tokens()
-        return ",".join(tokens[i] for i in self._indices)
-
-    @classmethod
-    def from_text(cls, text: str, alphabet: Iterable) -> "WorldPrefix":
-        """Parse :meth:`to_text` output against a known alphabet."""
-        alpha = tuple(alphabet)
-        lookup = {}
-        for i, a in enumerate(alpha):
-            token = _symbol_token(a)
-            if token in lookup:
-                raise ValueError(
-                    "alphabet symbols do not have distinct text tokens; use JSON import"
-                )
-            lookup[token] = i
-        text = text.strip()
-        if not text:
-            raise ValueError("world text is empty")
-        try:
-            idx = [lookup[tok] for tok in text.split(",")]
-        except KeyError as err:
-            raise ValueError(f"unknown symbol token {err.args[0]!r}") from None
-        return cls(alpha, idx, {"kind": "imported", "format": "text"})
 
     def to_json(self) -> str:
         obj = {
@@ -289,15 +258,6 @@ class WorldPrefix:
         raise ValueError("world JSON needs an 'indices' or 'symbols' field")
 
 
-def _symbol_token(symbol) -> str:
-    if isinstance(symbol, tuple):
-        return "|".join(_symbol_token(part) for part in symbol)
-    token = str(symbol)
-    if "," in token or "|" in token or "\n" in token:
-        raise ValueError(f"symbol {symbol!r} has no unambiguous text token")
-    return token
-
-
 def _cumulative_boundaries(fps: FiniteProbabilitySpace) -> np.ndarray:
     """Non-decreasing inverse-CDF boundaries, clipped at 1.0.
 
@@ -313,21 +273,21 @@ def _cumulative_boundaries(fps: FiniteProbabilitySpace) -> np.ndarray:
 
 
 def _sample_chunk(
-    seed: int, chunk: int, cum: np.ndarray, guide: np.ndarray, out: np.ndarray
-) -> None:
-    """Fill ``out``, chunk ``chunk`` of the world, with inverse-CDF draws.
+    seed: int, chunk: int, size: int, cum: np.ndarray, guide: np.ndarray
+) -> np.ndarray:
+    """The first ``size`` symbols of chunk ``chunk`` of the world, as ``intp`` indices.
 
     Block ``b`` keeps its own Philox stream, so the uniforms are the ones a
     block-at-a-time draw would give.  ``cum`` is scaled by ``_GUIDE``.
     """
-    u = np.empty(out.size)
+    u = np.empty(size)
     first = chunk * _CHUNK_BLOCKS
-    for offset in range(0, out.size, BLOCK_LEN):
+    for offset in range(0, size, BLOCK_LEN):
         block = first + offset // BLOCK_LEN
         gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
         gen.random(out=u[offset : offset + BLOCK_LEN])
     u *= _GUIDE
-    out[...] = _guide_search(u, cum, guide)
+    return _guide_search(u, cum, guide)
 
 
 def _guide_search(u: np.ndarray, cum: np.ndarray, guide: np.ndarray) -> np.ndarray:
@@ -344,6 +304,62 @@ def _guide_search(u: np.ndarray, cum: np.ndarray, guide: np.ndarray) -> np.ndarr
         idx += step
 
 
+def _check_draw(length: int, seed: int, threads: int) -> None:
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+
+
+def _stream_chunks(
+    fps: FiniteProbabilitySpace,
+    length: int,
+    seed: int,
+    threads: int,
+    work: Callable[[np.ndarray], object],
+    out: np.ndarray | None = None,
+) -> Iterator:
+    """``work(indices)`` for each chunk of the world, yielded in chunk order.
+
+    ``indices`` are the chunk's symbols as ``intp``, the dtype a numpy
+    lookup or ``bincount`` would cast them to; when ``out`` is given they
+    are also stored in its slice for the chunk.  ``work`` runs in the
+    thread that drew the chunk.  At most ``min(threads, chunks, CPUs)``
+    threads run, each at most ``_WINDOW`` chunks ahead of the consumer, so
+    the memory in use does not grow with ``length``.
+    """
+    cum = _cumulative_boundaries(fps)
+    guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right")
+    cum *= _GUIDE
+
+    def draw(chunk: int):
+        start = chunk * _CHUNK_LEN
+        indices = _sample_chunk(seed, chunk, min(_CHUNK_LEN, length - start), cum, guide)
+        if out is not None:
+            out[start : start + indices.size] = indices
+        return work(indices)
+
+    n_chunks = -(-length // _CHUNK_LEN)
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    if workers == 1:
+        yield from map(draw, range(n_chunks))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for chunk in range(n_chunks):
+            if len(pending) == workers * _WINDOW:
+                yield pending.popleft().result()
+            pending.append(pool.submit(draw, chunk))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _sampled_provenance(seed: int, length: int) -> dict:
+    return {"kind": "sampled", "seed": int(seed), "generator": GENERATOR_ID, "length": int(length)}
+
+
 def sample_world(
     fps: FiniteProbabilitySpace, length: int, seed: int, threads: int = 1
 ) -> WorldPrefix:
@@ -353,36 +369,159 @@ def sample_world(
     parallelize chunk generation.  At most ``min(threads, chunks, CPUs)``
     threads run.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    cum = _cumulative_boundaries(fps)
-    guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right")
-    cum *= _GUIDE
+    _check_draw(length, seed, threads)
     indices = np.empty(length, dtype=_index_dtype(len(fps.alphabet)))
+    for _ in _stream_chunks(fps, length, seed, threads, lambda chunk: None, indices):
+        pass
+    return WorldPrefix(fps.alphabet, indices, _sampled_provenance(seed, length))
 
-    def fill(chunk: int) -> None:
-        start = chunk * _CHUNK_LEN
-        _sample_chunk(seed, chunk, cum, guide, indices[start : start + _CHUNK_LEN])
 
-    n_chunks = -(-length // _CHUNK_LEN)
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
-    if workers == 1:
-        for chunk in range(n_chunks):
-            fill(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
-    provenance = {
-        "kind": "sampled",
-        "seed": int(seed),
-        "generator": GENERATOR_ID,
-        "length": int(length),
-    }
-    return WorldPrefix(fps.alphabet, indices, provenance)
+class _BlockCounter:
+    """Histogram of the non-overlapping ``block_len``-blocks of a sequence fed in parts.
+
+    A block's code is ``sum_j s_j * n**(k-1-j)`` over ``n`` symbols, built
+    by Horner's rule in the smallest unsigned dtype that holds ``n**k - 1``;
+    that is exact because every intermediate value is below ``n**k``.  The
+    symbols of a part that do not fill a block are carried into the next
+    one, so parts may end anywhere; a partial block left at the end is not
+    counted.
+    """
+
+    def __init__(self, n_sym: int, block_len: int):
+        if block_len < 1:
+            raise ValueError("block_len must be at least 1")
+        self.n_sym = n_sym
+        self.block_len = block_len
+        self.total = np.zeros(n_sym**block_len, dtype=np.int64)
+        self._dtype = np.min_scalar_type(self.total.size - 1)
+        self._tail: np.ndarray | None = None
+
+    def add(self, part: np.ndarray) -> None:
+        k = self.block_len
+        if self._tail is not None:
+            part = np.concatenate((self._tail, part))
+        used = part.size - part.size % k
+        self._tail = part[used:].copy() if used < part.size else None
+        codes = part[:used]
+        if k > 1:
+            # A copy: the parts may be read-only and narrower than the codes.
+            codes = part[0:used:k].astype(self._dtype)
+            for j in range(1, k):
+                codes *= self.n_sym
+                codes += part[j:used:k]
+        self.total += np.bincount(codes, minlength=self.total.size)
+
+
+def _cell_tables(alphabet: tuple, events: Sequence[Iterable]):
+    """Each event's alphabet indices, plus the symbol-to-event and symbol-to-local-index tables.
+
+    ``cell[i]`` is the event that symbol ``i`` belongs to (``len(events)``
+    for none) and ``local[i]`` its index in that event's alphabet, which
+    keeps the parent order.
+    """
+    keep_ids = [sorted({_alphabet_index(alphabet, s) for s in event}) for event in events]
+    if not all(keep_ids):
+        raise ValueError("event must contain at least one symbol")
+    if len(set().union(*keep_ids)) != sum(map(len, keep_ids)):
+        raise ValueError("events must be disjoint")
+    n_events = len(keep_ids)
+    cell = np.full(len(alphabet), n_events, dtype=_index_dtype(n_events + 1))
+    local = np.zeros(len(alphabet), dtype=_index_dtype(max(map(len, keep_ids), default=1)))
+    for i, ids in enumerate(keep_ids):
+        cell[ids] = i
+        local[ids] = np.arange(len(ids))
+    return keep_ids, cell, local
+
+
+def _split_chunk(indices: np.ndarray, cell: np.ndarray, local: np.ndarray, n_events: int):
+    """The local indices of each event's symbols in ``indices``, in order."""
+    # A lookup casts its index array to intp; one cast serves both tables.
+    wide = indices.astype(np.intp, copy=False)
+    cells = cell.take(wide)
+    codes = local.take(wide)
+    return [np.compress(cells == i, codes) for i in range(n_events)]
+
+
+class CellTally:
+    """Counts of one event's subsequence of a world, as a conditioned prefix would give them.
+
+    It has the members the battery reads of a world: ``alphabet``, the
+    event's symbols in parent order; ``len``, the subsequence length; and
+    ``counts(block_len)``, for the block lengths it was tallied with.
+    """
+
+    __slots__ = ("alphabet", "_counts")
+
+    def __init__(self, alphabet: tuple, counts: dict):
+        self.alphabet = alphabet
+        self._counts = counts
+
+    def __len__(self) -> int:
+        return int(self._counts[1].sum())
+
+    def counts(self, block_len: int = 1) -> np.ndarray:
+        """Block histogram, as :meth:`WorldPrefix.counts` of the subsequence would return."""
+        try:
+            return self._counts[block_len]
+        except KeyError:
+            raise ValueError(f"block length {block_len} was not tallied") from None
+
+
+class Tally(NamedTuple):
+    """The symbol counts of a sampled world and the :class:`CellTally` of each event."""
+
+    counts: np.ndarray
+    cells: tuple
+
+
+def tally(
+    fps: FiniteProbabilitySpace,
+    length: int,
+    seed: int,
+    threads: int = 1,
+    events: Sequence[Iterable] = (),
+    block_lens: Iterable[int] = (),
+    on_world: Callable[[WorldPrefix], None] | None = None,
+) -> Tally:
+    """Counts of ``sample_world(fps, length, seed)``, taken chunk by chunk as it is drawn.
+
+    Returns the world's symbol counts and, for each of the disjoint
+    ``events``, a :class:`CellTally` of its subsequence (what
+    :func:`condition_seq` would give) with block histograms at length 1
+    and at each of ``block_lens``.  A chunk is counted in the thread that
+    drew it; its split into event subsequences is carried on, in chunk
+    order, by one :class:`_BlockCounter` per event and block length.  The
+    world is kept only when ``on_world`` is given; it is then called with
+    the world once the draw is done, before the counts are returned.
+    """
+    _check_draw(length, seed, threads)
+    n_sym = len(fps.alphabet)
+    keep_ids, cell, local = _cell_tables(fps.alphabet, events)
+    block_lens = sorted({k for k in block_lens if k > 1})
+    counters = [[_BlockCounter(len(ids), k) for k in block_lens] for ids in keep_ids]
+    split = bool(block_lens and keep_ids)
+
+    def work(indices: np.ndarray):
+        parts = _split_chunk(indices, cell, local, len(keep_ids)) if split else ()
+        return np.bincount(indices, minlength=n_sym), parts
+
+    out = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
+    total = np.zeros(n_sym, dtype=np.int64)
+    for chunk_counts, parts in _stream_chunks(fps, length, seed, threads, work, out):
+        total += chunk_counts
+        for part, event_counters in zip(parts, counters):
+            for counter in event_counters:
+                counter.add(part)
+    if on_world is not None:
+        on_world(WorldPrefix(fps.alphabet, out, _sampled_provenance(seed, length)))
+    cells = tuple(
+        CellTally(
+            tuple(fps.alphabet[i] for i in ids),
+            {1: total[ids], **{c.block_len: c.total for c in event_counters}},
+        )
+        for ids, event_counters in zip(keep_ids, counters)
+    )
+    return Tally(total, cells)
 
 
 def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
@@ -403,28 +542,12 @@ def partition_seq(world: WorldPrefix, events: Sequence[Iterable]) -> list[WorldP
     its index in that event's alphabet, so the prefix is read once however
     many events there are.
     """
-    keep_ids = [sorted({_alphabet_index(world, s) for s in event}) for event in events]
-    if not all(keep_ids):
-        raise ValueError("event must contain at least one symbol")
-    if len(set().union(*keep_ids)) != sum(map(len, keep_ids)):
-        raise ValueError("events must be disjoint")
-    if not keep_ids:
-        return []
-    n_events = len(keep_ids)
-    cell = np.full(len(world.alphabet), n_events, dtype=_index_dtype(n_events + 1))
-    local = np.zeros(len(world.alphabet), dtype=_index_dtype(max(map(len, keep_ids))))
-    for i, ids in enumerate(keep_ids):
-        cell[ids] = i
-        local[ids] = np.arange(len(ids))
+    keep_ids, cell, local = _cell_tables(world.alphabet, events)
     parts: list[list[np.ndarray]] = [[] for _ in keep_ids]
-    # Chunk by chunk: a lookup casts its index array to intp, so this caps
-    # that temporary at one chunk.
     for start in range(0, len(world), _CHUNK_LEN):
-        chunk = world.indices[start : start + _CHUNK_LEN].astype(np.intp)
-        chunk_cells = cell.take(chunk)
-        chunk_local = local.take(chunk)
-        for i, cell_parts in enumerate(parts):
-            cell_parts.append(np.compress(chunk_cells == i, chunk_local))
+        chunk = world.indices[start : start + _CHUNK_LEN]
+        for cell_parts, part in zip(parts, _split_chunk(chunk, cell, local, len(keep_ids))):
+            cell_parts.append(part)
     result = []
     for ids, cell_parts in zip(keep_ids, parts):
         indices = np.concatenate(cell_parts) if cell_parts else local[:0]
@@ -487,9 +610,9 @@ def zip_seqs(worlds: Sequence[WorldPrefix]) -> WorldPrefix:
     return WorldPrefix(alphabet, indices, prov)
 
 
-def _alphabet_index(world: WorldPrefix, symbol) -> int:
+def _alphabet_index(alphabet: tuple, symbol) -> int:
     try:
-        return world.alphabet.index(symbol)
+        return alphabet.index(symbol)
     except ValueError:
         raise ValueError(f"symbol {symbol!r} is not in the alphabet") from None
 

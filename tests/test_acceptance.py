@@ -305,12 +305,15 @@ def test_11_reproducibility(tmp_path):
     fps_path.write_text(chsh_distribution("analytic").to_json())
     commands["battery"] = ["battery", str(world_path), str(fps_path), "--blocks", "1,2"]
 
+    # Only the sampling commands read --threads; the others refuse it.
+    threaded = {"chsh", "ghz"}
     ok = True
     for name, argv in commands.items():
         outputs = []
         for run_id, threads in (("a", 1), ("b", 1), ("c", 4)):
             out = tmp_path / f"{name}-{run_id}.json"
-            status = main(argv + ["--threads", str(threads), "--out", str(out)])
+            flags = ["--threads", str(threads)] if name in threaded else []
+            status = main(argv + flags + ["--out", str(out)])
             assert status == 0, name
             outputs.append(out.read_bytes())
         ok = ok and outputs[0] == outputs[1] == outputs[2]

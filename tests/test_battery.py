@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from typicality_lab.battery import BatteryReport, block_frequency_test, run_battery
+from typicality_lab.battery import BatteryReport, block_frequency_test, long_enough, run_battery
 from typicality_lab.chsh import chsh_distribution, coin_event
 from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin
 from typicality_lab.worlds import WorldPrefix, condition_seq, sample_world
@@ -59,6 +59,24 @@ class TestBlockFrequency:
         world = sample_world(fair_coin(), 100, seed=1)
         with pytest.raises(ValueError, match="too short"):
             block_frequency_test(world, fair_coin(), 4)
+
+    def test_length_rule(self):
+        for length in (0, 9, 80, 1000, 10**6):
+            for n_sym in (1, 2, 4, 16):
+                for k in range(1, 30):
+                    assert long_enough(length, n_sym, k) == (k * n_sym**k <= length / 10)
+
+    def test_absurd_block_len_is_too_short_at_once(self):
+        class NoPower(int):
+            def __pow__(self, exponent):
+                raise AssertionError("the power was built")
+
+        # 4**(10**8) alone would take seconds and a 25 MB integer to build.
+        assert not long_enough(10**6, NoPower(4), 10**8)
+        assert long_enough(10**9, 1, 10**8)
+        world = sample_world(fair_coin(), 100, seed=1)
+        with pytest.raises(ValueError, match=r"need length >= 10 \* 100000000 \* 2\*\*100000000"):
+            block_frequency_test(world, fair_coin(), 10**8)
 
     def test_block_len_must_be_positive(self):
         world = sample_world(fair_coin(), 100, seed=1)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from typicality_lab import chsh as chsh_mod
 from typicality_lab import cli as cli_mod
 from typicality_lab import ghz as ghz_mod
+from typicality_lab import worlds as worlds_mod
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
 from typicality_lab.ghz import GhzOutcome, ghz_distribution
@@ -379,42 +383,45 @@ def assert_usage_error(status, out, err, fragment):
 
 class TestWorldOutSamplesOnce:
     @pytest.fixture
-    def sample_calls(self, monkeypatch):
+    def stream_calls(self, monkeypatch):
         calls = []
+        stream = worlds_mod._stream_chunks
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return sample_world(*args, **kwargs)
+            return stream(*args, **kwargs)
 
-        for module in (chsh_mod, ghz_mod, cli_mod):
-            monkeypatch.setattr(module, "sample_world", counting, raising=False)
+        monkeypatch.setattr(worlds_mod, "_stream_chunks", counting)
         return calls
 
     @pytest.mark.parametrize(
         "command, fps", [("chsh", chsh_distribution()), ("ghz", ghz_distribution())]
     )
-    def test_one_draw_writes_the_run_world(self, capsys, tmp_path, sample_calls, command, fps):
+    def test_one_draw_writes_the_run_world(self, capsys, tmp_path, stream_calls, command, fps):
         world_path = tmp_path / "world.json"
         argv = [command, "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, _, _ = run_cli(capsys, argv)
         assert status == 0
-        assert len(sample_calls) == 1
+        assert len(stream_calls) == 1
         assert WorldPrefix.from_json(world_path.read_text()) == sample_world(fps, 8000, 5)
 
     def test_ghz_writes_the_world_of_a_failed_run(self, capsys, tmp_path, monkeypatch):
         forbidden = GhzOutcome(0, 0, 0, 1, 1, 1)
 
-        def constant(fps, length, seed, threads=1):
-            return WorldPrefix(fps.alphabet, np.full(length, fps.index(forbidden)))
+        def constant(fps, length, seed, threads, work, out=None):
+            out[...] = fps.index(forbidden)
+            return (work(out[s : s + 1000]) for s in range(0, length, 1000))
 
-        monkeypatch.setattr(ghz_mod, "sample_world", constant)
+        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant)
         world_path = tmp_path / "world.json"
         argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, report, _ = run_json(capsys, argv)
         assert status == 1
         assert report["failures"][0]["check"] == "perfect-correlations"
         world = WorldPrefix.from_json(world_path.read_text())
-        assert world == constant(ghz_distribution(), 8000, 5)
+        assert world == WorldPrefix(
+            ghz_distribution().alphabet, np.full(8000, ghz_distribution().index(forbidden))
+        )
 
 
 class TestExitCodeHoles:
@@ -436,11 +443,31 @@ class TestExitCodeHoles:
             (["ghz", "--trials", "8000", "--seed", "1", "--tolerance", "0.5"], "--tolerance"),
             (["lhv", "chsh", "--sweep", "10", "--trials", "2", "--seed", "1"], "--trials"),
             (["lhv", "ghz", "--seed", "1"], "--seed"),
+            (["lhv", "chsh", "--h-file", "h.json", "--seed", "5"], "--seed"),
+            (["lhv", "chsh", "--h-file", "h.json", "--threads", "2"], "--threads"),
+            (["lhv", "chsh", "--sweep", "10", "--seed", "1", "--threads", "2"], "--threads"),
+            (["lhv", "ghz", "--threads", "1"], "--threads"),
+            (["battery", "world.json", "fps.json", "--threads", "4"], "--threads"),
         ],
     )
     def test_unused_flag(self, capsys, argv, flag):
         status, out, err = run_cli(capsys, argv)
         assert_usage_error(status, out, err, f"does not use {flag}")
+
+    def test_simulation_reads_threads_and_seed(self, capsys, tmp_path):
+        h_path = tmp_path / "h.json"
+        h_path.write_text(uniform(RQST_TUPLES).to_json())
+        base = ["lhv", "chsh", "--h-file", str(h_path), "--trials", "8000", "--seed", "5"]
+        status, out1, _ = run_cli(capsys, base)
+        assert status == 0
+        assert run_cli(capsys, base + ["--threads", "2"])[1] == out1
+
+    def test_parse_error_is_a_json_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chsh", "--trials", "many", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert_usage_error(2, captured.out, captured.err, "--trials")
 
     def test_battery_seed(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
@@ -456,6 +483,45 @@ class TestExitCodeHoles:
         status, report, _ = run_json(capsys, ["ghz", "--trials", "8000", "--seed", "1"])
         assert status == 0
         assert report["cross_check"]["pass"] is True
+
+
+#: Runs the command-line program on its arguments and prints its exit status
+#: and peak RSS in kilobytes (the Linux unit).  The run is spawned from this
+#: small process, not from the test process, because a child's peak RSS
+#: counts the memory of the process it was spawned from.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "typicality_lab", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+class TestPeakMemory:
+    """A run's counts are taken as its world is drawn, so its memory does not grow with trials."""
+
+    def peak_mb(self, trials):
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["chsh", "--trials", str(trials), "--seed", "3", "--threads", "2"]
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        status, peak_kb = map(int, done.stdout.split())
+        assert status == 0
+        return peak_kb / 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss unit")
+    def test_chsh_peak_does_not_grow_with_trials(self):
+        small, large = self.peak_mb(400_000), self.peak_mb(4_000_000)
+        assert large - small < 3.0, (small, large)
 
 
 #: Prints the OpenBLAS thread count numpy ended up with, after importing
@@ -505,3 +571,105 @@ class TestBlasThreads:
         threads, openblas_var = self.blas_threads(**{var: "2"})
         assert threads == "2"
         assert openblas_var == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files of every kind a command may be handed, valid or not."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "world.json": sample_world(fair_coin(), 5000, seed=8).to_json(),
+        "fps.json": fair_coin().to_json(),
+        "chsh.json": chsh_distribution().to_json(),
+        "h.json": uniform(RQST_TUPLES).to_json(),
+        "p.json": uniform(ghz_mod.LHV_ASSIGNMENTS).to_json(),
+        "empty.json": "",
+        "broken.json": "{",
+        "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return root
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values.map(str))
+
+
+def _fuzz_argv(root):
+    """Argument lists: a command, then flags with valid, out-of-range or junk values."""
+    paths = st.sampled_from(
+        [str(root / name) for name in os.listdir(root)]
+        + [str(root / "missing.json"), str(root / "no-dir" / "out.json")]
+    )
+    outputs = st.sampled_from([str(root / "out.json"), str(root / "no-dir" / "out.json")])
+    junk = st.sampled_from(["x", "", "1e3", "-"])
+    flags = st.one_of(
+        _flag("--trials", st.one_of(st.integers(-3, 20000), junk)),
+        _flag("--seed", st.one_of(st.integers(-1, 2**64), st.just("random"), junk)),
+        _flag("--threads", st.one_of(st.integers(1, 3), junk)),
+        _flag("--tolerance", st.one_of(st.floats(allow_nan=True, allow_infinity=True), junk)),
+        _flag(
+            "--blocks",
+            st.one_of(
+                st.lists(st.sampled_from([-1, 0, 1, 2, 3, 6, 40, 10**6]), max_size=3).map(
+                    lambda ks: ",".join(map(str, ks))
+                ),
+                junk,
+            ),
+        ),
+        _flag("--format", st.sampled_from(["json", "csv", "xml"])),
+        _flag("--sweep", st.one_of(st.integers(-2, 300), junk)),
+        _flag("--h-file", paths),
+        _flag("--world-out", outputs),
+        _flag("--out", outputs),
+    )
+    h_file, world, fps = (str(root / name) for name in ("h.json", "world.json", "fps.json"))
+    # Valid invocations to start from; a repeated flag overrides, as argparse reads the last.
+    commands = st.one_of(
+        st.sampled_from(
+            [
+                ["chsh", "--trials", "8000", "--seed", "1"],
+                ["ghz", "--trials", "8000", "--seed", "1"],
+                ["lhv", "chsh", "--sweep", "20", "--seed", "1"],
+                ["lhv", "chsh", "--h-file", h_file],
+                ["lhv", "chsh", "--h-file", h_file, "--trials", "4000", "--seed", "1"],
+                ["lhv", "ghz"],
+                ["battery", world, fps],
+                ["chsh"],
+                ["lhv"],
+                ["nope"],
+            ]
+        ),
+        st.tuples(st.just("battery"), paths, paths).map(list),
+    )
+    return st.tuples(commands, st.lists(flags, max_size=2)).map(
+        lambda parts: parts[0] + [token for pair in parts[1] for token in pair]
+    )
+
+
+class TestMainFuzz:
+    """Every invocation ends in a report (exit 0 or 1) or a JSON usage error (exit 2)."""
+
+    def test_any_argv(self, fuzz_files):
+        @settings(
+            max_examples=120,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(argv=_fuzz_argv(fuzz_files))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            assert status in (0, 1, 2), (argv, status)
+            assert "Traceback" not in err.getvalue()
+            if status == 2:
+                *before, last = err.getvalue().splitlines()
+                assert all(line.startswith("seed: ") for line in before), err.getvalue()
+                assert json.loads(last)["error"]["code"] == "usage"
+
+        check()

@@ -5,7 +5,9 @@ Each reference below is the straightforward version kept for comparison:
 per hidden-variable distribution for the sweep, conditioning the world
 cell by cell for the run statistics, one ``searchsorted`` per Philox
 block for the sampler, a membership mask per event for the one-pass cell
-split, and int64 Horner codes for the battery's block histograms.  The
+split, int64 Horner codes for the battery's block histograms, and the
+materialised world, split and counted, for the counts taken while it is
+drawn.  The
 fast paths must agree exactly, except the sweep's matrix product, which
 may round in the last place.
 """
@@ -38,7 +40,6 @@ from typicality_lab.chsh import (
     random_h_spaces,
     run_chsh,
 )
-from typicality_lab import ghz as ghz_mod
 from typicality_lab.ghz import (
     GHZ_OUTCOMES,
     GhzOutcome,
@@ -46,15 +47,19 @@ from typicality_lab.ghz import (
     ghz_distribution,
     run_ghz,
 )
+from typicality_lab import worlds as worlds_mod
 from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, product, uniform
 from typicality_lab.worlds import (
     BLOCK_LEN,
     WorldPrefix,
     _cumulative_boundaries,
+    _index_dtype,
     condition_seq,
+    _BlockCounter,
     partition_seq,
     sample_world,
     sign_cell,
+    tally,
 )
 
 _SRC = os.path.dirname(os.path.dirname(typicality_lab.__file__))
@@ -235,13 +240,20 @@ class TestCountsFirst:
         assert cell.std_error == 2.0 * math.sqrt(0.7 * 0.3 / 10)
 
 
-def constant_sampler(symbol):
-    """A stand-in for ``sample_world`` that repeats one symbol."""
+CHUNK = 16 * BLOCK_LEN
 
-    def sample(fps, length, seed, threads=1):
-        return WorldPrefix(fps.alphabet, np.full(length, fps.index(symbol)))
 
-    return sample
+def constant_stream(symbol):
+    """A stand-in for ``worlds._stream_chunks`` whose world repeats one symbol."""
+
+    def stream(fps, length, seed, threads, work, out=None):
+        indices = np.full(length, fps.index(symbol), dtype=_index_dtype(len(fps)))
+        if out is not None:
+            out[...] = indices
+            indices = out
+        return (work(indices[s : s + CHUNK]) for s in range(0, length, CHUNK))
+
+    return stream
 
 
 class TestChecksKept:
@@ -250,18 +262,18 @@ class TestChecksKept:
         [(GhzOutcome(0, 0, 0, 1, 1, 1), "000"), (GhzOutcome(0, 1, 1, 1, 1, -1), "011")],
     )
     def test_forbidden_product_raises(self, monkeypatch, outcome, triple):
-        monkeypatch.setattr(ghz_mod, "sample_world", constant_sampler(outcome))
+        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(outcome))
         with pytest.raises(PerfectCorrelationError, match=f"{triple}: 8000 rounds"):
             run_ghz(8000, 1)
 
     def test_run_chsh_empty_cell_raises(self, monkeypatch):
-        monkeypatch.setattr(chsh_mod, "sample_world", constant_sampler(CHSH_OUTCOMES[0]))
+        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(CHSH_OUTCOMES[0]))
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             run_chsh(4000, 1)
 
     def test_lhv_simulate_empty_cell_raises(self, monkeypatch):
         symbol = (RQST_TUPLES[0], 0, 0)
-        monkeypatch.setattr(chsh_mod, "sample_world", constant_sampler(symbol))
+        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(symbol))
         h = uniform(RQST_TUPLES)
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             lhv_chsh_simulate(h, 4000, 1)
@@ -276,9 +288,6 @@ def reference_sample(fps, length, seed):
         count = min(BLOCK_LEN, length - block * BLOCK_LEN)
         parts.append(np.searchsorted(cum, gen.random(count), side="right"))
     return np.concatenate(parts)
-
-
-CHUNK = 16 * BLOCK_LEN
 
 
 @st.composite
@@ -435,3 +444,82 @@ class TestCompactBlockCounts:
     def test_block_len_must_be_positive(self):
         with pytest.raises(ValueError, match="block_len"):
             WorldPrefix("ab", [0, 1]).counts(0)
+
+
+@st.composite
+def tallied_runs(draw):
+    """A space with never-drawn symbols, a length near chunk edges, disjoint events, block lengths."""
+    size = draw(st.integers(1, 16))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=size, max_size=size)))
+    weights[draw(st.integers(0, size - 1))] = 2.0
+    fps = FiniteProbabilitySpace(range(size), weights / weights.sum())
+    length = draw(
+        st.one_of(
+            st.sampled_from([1, 2, 3] + [CHUNK * k + d for k in (1, 2) for d in (-1, 0, 1)]),
+            st.integers(1, 2 * CHUNK + 5),
+        )
+    )
+    # Each symbol goes to one of the events or to none (label n_events).
+    n_events = draw(st.integers(0, 4))
+    labels = draw(st.lists(st.integers(0, n_events), min_size=size, max_size=size))
+    events = [[i for i in range(size) if labels[i] == e] for e in range(n_events)]
+    block_lens = draw(st.lists(st.integers(1, 4), max_size=4))
+    return fps, length, [e for e in events if e], block_lens
+
+
+class TestTally:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=tallied_runs(),
+        seed=st.integers(0, 2**64 - 1),
+        threads=st.integers(1, 3),
+    )
+    def test_matches_partition_then_counts(self, case, seed, threads):
+        fps, length, events, block_lens = case
+        result = tally(fps, length, seed, threads, events, block_lens)
+        world = sample_world(fps, length, seed)
+        np.testing.assert_array_equal(result.counts, world.counts())
+        assert result.counts.dtype == np.int64
+        parts = partition_seq(world, events)
+        assert len(result.cells) == len(parts)
+        for cell, part in zip(result.cells, parts):
+            assert cell.alphabet == part.alphabet
+            assert len(cell) == len(part)
+            for k in {1, *block_lens}:
+                np.testing.assert_array_equal(cell.counts(k), part.counts(k))
+
+    def test_chsh_cells_over_many_chunks(self):
+        fps = chsh_distribution("analytic")
+        events = [coin_event(c, d) for c in (0, 1) for d in (0, 1)]
+        length = 5 * CHUNK + 3
+        world = sample_world(fps, length, 42)
+        result = tally(fps, length, 42, 2, events, [2, 3])
+        for cell, part in zip(result.cells, partition_seq(world, events)):
+            for k in (1, 2, 3):
+                np.testing.assert_array_equal(cell.counts(k), part.counts(k))
+
+    def test_on_world_sees_the_sampled_world(self):
+        fps = chsh_distribution("analytic")
+        seen = []
+        result = tally(fps, CHUNK + 5, 7, 2, on_world=seen.append)
+        world = sample_world(fps, CHUNK + 5, 7)
+        assert seen == [world]
+        assert seen[0].provenance == world.provenance
+        np.testing.assert_array_equal(result.counts, world.counts())
+        assert result.cells == ()
+
+    def test_untallied_block_length_rejected(self):
+        result = tally(uniform("abc"), 100, 1, events=["ab"], block_lens=[2])
+        with pytest.raises(ValueError, match="block length 3 was not tallied"):
+            result.cells[0].counts(3)
+
+    @pytest.mark.parametrize("block_len", [1, 2, 3, 4])
+    def test_block_counter_parts_may_end_anywhere(self, block_len):
+        rng = np.random.default_rng(block_len)
+        indices = rng.integers(0, 5, size=1000).astype(np.uint8)
+        cuts = np.sort(rng.integers(0, indices.size, size=40))
+        counter = _BlockCounter(5, block_len)
+        for part in np.split(indices, cuts):
+            counter.add(part)
+        world = WorldPrefix(range(5), indices)
+        np.testing.assert_array_equal(counter.total, reference_block_counts(world, block_len))

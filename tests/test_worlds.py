@@ -160,6 +160,20 @@ class TestSampling:
         sample_world(fps, 4 * chunk, seed=5, threads=1000)
         assert requested == [3, 2]  # unknown CPU count: one thread
 
+    def test_stream_draws_a_bounded_window_ahead(self, monkeypatch):
+        import time
+
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 2)
+        drawn = []
+        stream = worlds_mod._stream_chunks(
+            uniform("ab"), 20 * worlds_mod._CHUNK_LEN, 5, 2, drawn.append
+        )
+        next(stream)
+        time.sleep(0.2)  # time enough for the threads to draw every chunk
+        assert len(drawn) <= 1 + 2 * worlds_mod._WINDOW
+        assert sum(1 for _ in stream) == 19
+        assert len(drawn) == 20
+
     def test_more_threads_than_cores_fill_disjoint_chunks(self, monkeypatch):
         # Six workers on a fast switch interval write one shared output;
         # a chunk written twice or not at all would change the world.
@@ -428,20 +442,6 @@ class TestPrefixCommutation:
 
 
 class TestExportImport:
-    def test_text_round_trip(self):
-        fps = chsh_distribution("analytic")
-        world = sample_world(fps, 200, seed=14)
-        text = world.to_text()
-        assert "\n" not in text
-        again = WorldPrefix.from_text(text, world.alphabet)
-        assert again.symbols() == world.symbols()
-
-    def test_text_token_format(self):
-        world = WorldPrefix.from_symbols(
-            tuple(itertools.product((0, 1), (1, -1))), [(0, 1), (1, -1)]
-        )
-        assert world.to_text() == "0|1,1|-1"
-
     def test_json_round_trip(self):
         fps = chsh_distribution("analytic")
         world = sample_world(fps, 500, seed=15)
@@ -453,10 +453,6 @@ class TestExportImport:
         obj = {"alphabet": ["a", "b"], "symbols": ["b", "a", "b"]}
         world = WorldPrefix.from_json(obj)
         assert world.symbols() == ["b", "a", "b"]
-
-    def test_from_text_rejects_unknown_token(self):
-        with pytest.raises(ValueError, match="unknown symbol token"):
-            WorldPrefix.from_text("a,q", ("a", "b"))
 
     def test_from_json_rejects_missing_data(self):
         with pytest.raises(ValueError, match="indices"):
