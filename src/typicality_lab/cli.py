@@ -49,6 +49,8 @@ class RunConfig:
     tolerance: float | None = None
     sweep: int | None = None
     h_file: str | None = None
+    h: FiniteProbabilitySpace | None = None
+    h_exact: chsh_mod.ConditionalAverageReport | None = None
     blocks: tuple[int, ...] = battery_mod.DEFAULT_BLOCK_LENS
     world_file: str | None = None
     fps_file: str | None = None
@@ -66,6 +68,10 @@ def _parse_blocks(raw: str) -> tuple[int, ...]:
 
 
 def _resolve_seed(raw: str | None, required: bool) -> int | None:
+    # A drawn seed is printed at once.  Callers resolve it after every input
+    # check that needs no seed, so a usage error prints no seed.  Writing
+    # --out or --world-out can still fail later, after the run has used the
+    # seed; the seed line printed before that error names the run.
     if raw is None:
         if required:
             raise UsageError("--seed is required (use '--seed random' to draw one)")
@@ -103,6 +109,15 @@ def _load_fps(path: str, what: str) -> FiniteProbabilitySpace:
         return FiniteProbabilitySpace.from_json(obj)
     except ValueError as err:
         raise UsageError(f"invalid {what} file {path!r}: {err}")
+
+
+def _load_chsh_h(path: str) -> tuple[FiniteProbabilitySpace, chsh_mod.ConditionalAverageReport]:
+    """``lhv chsh``'s hidden-variable distribution and its exact averages, which check it."""
+    h = _load_fps(path, "hidden-variable")
+    try:
+        return h, chsh_mod.lhv_chsh_averages(h)
+    except ValueError as err:
+        raise UsageError(f"invalid hidden-variable file {path!r}: {err}")
 
 
 # -- commands ----------------------------------------------------------
@@ -248,15 +263,11 @@ def _cmd_lhv_chsh(config: RunConfig) -> tuple[int, dict]:
                     "detail": f"sweep max s_value {sweep.max_s_value!r} exceeds 2",
                 }
             )
-    elif config.h_file is not None:
-        h = _load_fps(config.h_file, "hidden-variable")
-        try:
-            exact = chsh_mod.lhv_chsh_averages(h)
-        except ValueError as err:
-            raise UsageError(f"invalid hidden-variable file {config.h_file!r}: {err}")
+    elif config.h is not None:
+        exact = config.h_exact
         if config.trials is not None:
             simulated = chsh_mod.lhv_chsh_simulate(
-                h, config.trials, config.seed, threads=config.threads
+                config.h, config.trials, config.seed, threads=config.threads
             )
             report.update(simulated.to_dict())
         else:
@@ -525,6 +536,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         and config.trials < chsh_mod.MIN_TRIALS
     ):
         raise UsageError(f"lhv chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
+    if config.command == "lhv" and config.protocol == "chsh" and config.h_file is not None:
+        config.h, config.h_exact = _load_chsh_h(config.h_file)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
     needs_seed = config.command in ("chsh", "ghz") or (
         config.command == "lhv"

@@ -21,24 +21,37 @@ Philox stream with key ``s`` and counter offset ``i << 128`` (Salmon et
 al., SC'11), so blocks can be generated in any order and grouping and the
 result is byte-identical to the single-threaded one.  Work is handed out
 in chunks of 16 consecutive blocks, as one ordered stream
-(``_stream_chunks``): a thread draws a chunk's uniforms, block by block,
-maps them to symbols and runs a ``work`` function on them, and the
-consumer takes the results in chunk order, with at most two chunks per
-thread in flight.  :func:`sample_world` stores each chunk in its slice of
-one preallocated output.  :func:`tally` counts each chunk instead: the
-drawing thread takes its symbol counts and splits it by event, and the
-consumer feeds each event's part to its block histograms, carrying the
-symbols of an unfinished block into the next chunk.  A run's statistics
-therefore need no world in memory, and its memory does not grow with its
-length.
+(``_stream_chunks``): a thread draws a chunk's uniforms, maps them to
+symbols and runs a ``work`` function on them, and the consumer takes the
+results in chunk order, with at most two chunks per thread in flight.  A
+chunk uses one generator: it starts at the counter of the chunk's first
+block and is advanced to ``(i + 1) << 128`` after each block, which gives
+the same uniforms as a fresh generator per block, so ``GENERATOR_ID`` and
+the world bytes are those of the block-at-a-time draw.  Each thread keeps
+two chunk-sized buffers for the whole stream, one for the uniforms and one
+for their guide buckets.  The fill, the scaling, the bucket cast and the
+table lookup write into them, and the symbols end up in the uniforms'
+memory once those are spent, so a chunk's draw allocates nothing but the
+search of its mixed-bucket draws (below) and touches no fresh page.
+:func:`sample_world` stores each chunk in its slice of one preallocated
+output.  :func:`tally` counts each chunk instead: the drawing thread takes
+its symbol counts and splits it by event, and the consumer feeds each
+event's part to its block histograms, carrying the symbols of an
+unfinished block into the next chunk.  A run's statistics therefore need
+no world in memory, and its memory does not grow with its length.
 
 The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
-stores ``searchsorted(cum, j / 1024, side="right")``, a draw ``u`` starts
-at the entry of bucket ``floor(u * 1024)``, and ``idx += u >= cum[idx]``
-repeats until no draw steps.  It returns exactly what
-``searchsorted(cum, u, side="right")`` would: scaling by 2**10 is exact in
-binary floating point, the start never overshoots because the boundaries
-are non-decreasing, and the steps stop at the first boundary above ``u``.
+stores ``searchsorted(cum, j / 1024, side="right")``, and a draw ``u``
+looks up the entry of bucket ``floor(u * 1024)``.  In a pure bucket, one
+with no boundary strictly inside it, that entry is the answer for every
+draw.  Only the draws in a mixed bucket, one with a boundary strictly
+inside, are searched with ``searchsorted(cum, u, side="right")``.  CHSH
+has 8 mixed buckets; GHZ, whose boundaries lie on the 1/1024 grid, has
+none and skips the search.  The result is exactly what
+``searchsorted(cum, u, side="right")`` would give for every draw: scaling
+by 2**10 is exact in binary floating point, and the boundaries are
+non-decreasing, so the draws of a pure bucket all lie between the same
+two boundaries.
 
 Indices are stored in the smallest unsigned dtype that holds the alphabet
 (``uint8`` for up to 256 symbols), 8x smaller than ``int64``.  Arithmetic
@@ -52,6 +65,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -99,6 +113,10 @@ _GUIDE = 1024
 
 #: Chunks each sampling thread may draw ahead of the consumer of the stream.
 _WINDOW = 2
+
+#: Philox counter steps from the end of one block's draws to the start of the
+#: next block, ``(b + 1) << 128``: each step yields four 64-bit draws.
+_NEXT_BLOCK = (1 << 128) - BLOCK_LEN // 4
 
 
 def _index_dtype(alphabet_size: int) -> np.dtype:
@@ -272,36 +290,65 @@ def _cumulative_boundaries(fps: FiniteProbabilitySpace) -> np.ndarray:
     return cum
 
 
-def _sample_chunk(
-    seed: int, chunk: int, size: int, cum: np.ndarray, guide: np.ndarray
-) -> np.ndarray:
-    """The first ``size`` symbols of chunk ``chunk`` of the world, as ``intp`` indices.
+def _guide_tables(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The guide table over ``cum``, and which of its buckets hold a boundary inside.
 
-    Block ``b`` keeps its own Philox stream, so the uniforms are the ones a
-    block-at-a-time draw would give.  ``cum`` is scaled by ``_GUIDE``.
+    ``guide[j]`` is ``searchsorted(cum, j / _GUIDE, side="right")``, the
+    answer for every draw in bucket ``j`` that no boundary inside the
+    bucket separates from its left edge.  ``mixed[j]`` is true when a
+    boundary lies strictly inside bucket ``j``; it is None when no bucket
+    has one, as when every boundary lies on the ``1 / _GUIDE`` grid.
     """
-    u = np.empty(size)
-    first = chunk * _CHUNK_BLOCKS
-    for offset in range(0, size, BLOCK_LEN):
-        block = first + offset // BLOCK_LEN
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    guide = np.searchsorted(cum, edges[:-1], side="right")
+    mixed = np.searchsorted(cum, edges[1:], side="left") > guide
+    return guide, (mixed if mixed.any() else None)
+
+
+def _fill_uniforms(u: np.ndarray, seed: int, chunk: int) -> None:
+    """Fill ``u`` with the first ``u.size`` uniforms of chunk ``chunk`` of the world.
+
+    One Philox generator starts at the chunk's first block and is advanced
+    to the counter of each next block, so the uniforms are the ones a fresh
+    generator per block would give.
+    """
+    gen = np.random.Generator(
+        np.random.Philox(key=seed, counter=(chunk * _CHUNK_BLOCKS) << 128)
+    )
+    for offset in range(0, u.size, BLOCK_LEN):
+        if offset:
+            gen.bit_generator.advance(_NEXT_BLOCK)
         gen.random(out=u[offset : offset + BLOCK_LEN])
-    u *= _GUIDE
-    return _guide_search(u, cum, guide)
 
 
-def _guide_search(u: np.ndarray, cum: np.ndarray, guide: np.ndarray) -> np.ndarray:
-    """``searchsorted(cum, u, side="right")`` for draws ``u`` in ``[0, _GUIDE)``.
+def _invert_cdf(
+    u: np.ndarray,
+    bucket: np.ndarray,
+    cum: np.ndarray,
+    guide: np.ndarray,
+    mixed: np.ndarray | None,
+) -> np.ndarray:
+    """The symbols of uniforms ``u`` in ``[0, 1)`` by inverse CDF, written over ``u``.
 
-    ``u`` and ``cum`` are the draws and boundaries scaled by ``_GUIDE``,
-    which changes no comparison; ``guide[j]`` is the answer for ``u = j``.
+    ``cum`` holds the boundaries scaled by ``_GUIDE``, and ``guide`` and
+    ``mixed`` are their :func:`_guide_tables`; the result equals
+    ``searchsorted(cum, u * _GUIDE, side="right")``.  ``bucket`` is an
+    ``intp`` array of ``u.size`` items.  The scaling, the bucket cast and
+    the table lookup write into ``u`` and ``bucket``, and the result is
+    ``u``'s memory viewed as ``intp``.  Only the search of the draws in
+    mixed buckets allocates.
     """
-    idx = guide.take(u.astype(np.intp))
-    while True:
-        step = u >= cum.take(idx)
-        if not step.any():
-            return idx
-        idx += step
+    np.multiply(u, _GUIDE, out=u)
+    np.copyto(bucket, u, casting="unsafe")
+    if mixed is not None:
+        fix = np.flatnonzero(mixed.take(bucket, mode="clip"))
+        found = np.searchsorted(cum, u[fix], side="right")
+    # Buckets are below _GUIDE because u < 1, so "clip" never clips; it
+    # spares the copy that "raise" makes of ``out``.
+    indices = guide.take(bucket, out=u.view(np.intp), mode="clip")
+    if mixed is not None:
+        indices[fix] = found
+    return indices
 
 
 def _check_draw(length: int, seed: int, threads: int) -> None:
@@ -326,17 +373,26 @@ def _stream_chunks(
     ``indices`` are the chunk's symbols as ``intp``, the dtype a numpy
     lookup or ``bincount`` would cast them to; when ``out`` is given they
     are also stored in its slice for the chunk.  ``work`` runs in the
-    thread that drew the chunk.  At most ``min(threads, chunks, CPUs)``
-    threads run, each at most ``_WINDOW`` chunks ahead of the consumer, so
-    the memory in use does not grow with ``length``.
+    thread that drew the chunk.  Each thread draws every chunk into the
+    same two buffers, so ``work`` must not keep ``indices`` or return a
+    view of them: the thread overwrites them with its next chunk.  At most
+    ``min(threads, chunks, CPUs)`` threads run, each at most ``_WINDOW``
+    chunks ahead of the consumer, so the memory in use does not grow with
+    ``length``.
     """
     cum = _cumulative_boundaries(fps)
-    guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right")
+    guide, mixed = _guide_tables(cum)
     cum *= _GUIDE
+    local = threading.local()
 
     def draw(chunk: int):
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = (np.empty(_CHUNK_LEN), np.empty(_CHUNK_LEN, np.intp))
         start = chunk * _CHUNK_LEN
-        indices = _sample_chunk(seed, chunk, min(_CHUNK_LEN, length - start), cum, guide)
+        u, bucket = (b[: min(_CHUNK_LEN, length - start)] for b in buffers)
+        _fill_uniforms(u, seed, chunk)
+        indices = _invert_cdf(u, bucket, cum, guide, mixed)
         if out is not None:
             out[start : start + indices.size] = indices
         return work(indices)

@@ -241,6 +241,22 @@ class TestLhvCommand:
             assert error["code"] == "usage"
             assert "flat sequence" in error["message"]
 
+    @pytest.mark.parametrize(
+        "text", [None, "", "{", '{"alphabet": [0, 1], "weights": [0.5, 0.5]}']
+    )
+    def test_bad_h_file_prints_no_drawn_seed(self, capsys, tmp_path, text):
+        # The file is read and checked before a random seed is drawn, so the
+        # usage error is the only line on stderr.
+        h_path = tmp_path / "h.json"
+        if text is not None:
+            h_path.write_text(text)
+        argv = ["lhv", "chsh", "--h-file", str(h_path), "--trials", "4000", "--seed", "random"]
+        status, out, err = run_cli(capsys, argv)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["code"] == "usage"
+
     def test_wrong_alphabet_h_file(self, capsys, tmp_path):
         h_path = tmp_path / "h.json"
         h_path.write_text(uniform((0, 1)).to_json())
@@ -485,8 +501,8 @@ class TestExitCodeHoles:
         assert report["cross_check"]["pass"] is True
 
 
-#: Runs the command-line program on its arguments and prints its exit status
-#: and peak RSS in kilobytes (the Linux unit).  The run is spawned from this
+#: Runs the command-line program on its arguments and prints its exit status,
+#: peak RSS in kilobytes (the Linux unit) and minor page faults.  The run is spawned from this
 #: small process, not from the test process, because a child's peak RSS
 #: counts the memory of the process it was spawned from.
 _PEAK_RSS = """
@@ -494,34 +510,53 @@ import os, subprocess, sys
 child = subprocess.Popen([sys.executable, "-m", "typicality_lab", *sys.argv[1:]], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(child.pid, 0)
 child.returncode = os.waitstatus_to_exitcode(status)
-print(child.returncode, usage.ru_maxrss)
+print(child.returncode, usage.ru_maxrss, usage.ru_minflt)
 """
+
+
+def _child_usage(argv):
+    """Peak RSS in MB and minor page faults of one ``typicality_lab`` process."""
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    status, peak_kb, faults = map(int, done.stdout.split())
+    assert status == 0
+    return peak_kb / 1024, faults
 
 
 class TestPeakMemory:
     """A run's counts are taken as its world is drawn, so its memory does not grow with trials."""
 
     def peak_mb(self, trials):
-        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["chsh", "--trials", str(trials), "--seed", "3", "--threads", "2"]
-        done = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        status, peak_kb = map(int, done.stdout.split())
-        assert status == 0
-        return peak_kb / 1024
+        return _child_usage(["chsh", "--trials", str(trials), "--seed", "3", "--threads", "2"])[0]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss unit")
     def test_chsh_peak_does_not_grow_with_trials(self):
         small, large = self.peak_mb(400_000), self.peak_mb(4_000_000)
         assert large - small < 3.0, (small, large)
+
+
+class TestPageFaults:
+    """Each drawing thread reuses its chunk buffers, so a longer draw touches no fresh pages."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chsh_faults_do_not_grow_with_trials(self, threads):
+        # Fresh 1 MB arrays per 131072-symbol chunk cost about 5500 faults
+        # per million trials, about 20000 between these two sizes.
+        faults = [
+            _child_usage(["chsh", "--trials", trials, "--seed", "3", "--threads", threads])[1]
+            for trials in ("400000", "4000000")
+        ]
+        assert faults[1] - faults[0] < 2000, faults
 
 
 #: Prints the OpenBLAS thread count numpy ended up with, after importing

@@ -52,8 +52,12 @@ from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, product, uni
 from typicality_lab.worlds import (
     BLOCK_LEN,
     WorldPrefix,
+    _GUIDE,
     _cumulative_boundaries,
+    _fill_uniforms,
+    _guide_tables,
     _index_dtype,
+    _invert_cdf,
     condition_seq,
     _BlockCounter,
     partition_seq,
@@ -315,7 +319,76 @@ def sampled_spaces(draw):
     return FiniteProbabilitySpace(range(size), weights)
 
 
+@st.composite
+def grid_spaces(draw):
+    """Weights that are multiples of 1/1024, zeros included: every boundary on the guide grid."""
+    cuts = sorted(draw(st.lists(st.integers(0, _GUIDE), max_size=40)))
+    ticks = np.diff([0, *cuts, _GUIDE])
+    return FiniteProbabilitySpace(range(ticks.size), ticks / _GUIDE)
+
+
+@st.composite
+def mixed_bucket_draws(draw):
+    """A space and uniforms packed into its mixed buckets, plus a few anywhere in [0, 1)."""
+    fps = draw(st.one_of(sampled_spaces(), grid_spaces()))
+    cum = _cumulative_boundaries(fps)
+    mixed = _guide_tables(cum)[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    lo = np.flatnonzero(mixed if mixed is not None else []) / _GUIDE
+    inside = cum[(cum < 1.0) & np.isin(np.floor(cum * _GUIDE) / _GUIDE, lo)]
+    draws = np.concatenate(
+        [
+            lo,
+            np.nextafter(lo + 1.0 / _GUIDE, 0.0),
+            inside,
+            np.nextafter(inside, 0.0),
+            np.nextafter(inside, 1.0),
+            np.repeat(lo, 20) + rng.random(20 * lo.size) / _GUIDE,
+            rng.random(50),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ]
+    )
+    return fps, draws[draws < 1.0]  # lo + r / _GUIDE may round up to 1.0
+
+
 class TestGuideTableSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_bucket_draws())
+    def test_search_matches_searchsorted_right(self, case):
+        fps, draws = case
+        cum = _cumulative_boundaries(fps)
+        guide, mixed = _guide_tables(cum)
+        if np.all(cum * _GUIDE == np.floor(cum * _GUIDE)):
+            assert mixed is None  # every boundary on the grid: no search at all
+        bucket = np.empty(draws.size, dtype=np.intp)
+        picks = _invert_cdf(draws.copy(), bucket, cum * _GUIDE, guide, mixed)
+        np.testing.assert_array_equal(picks, np.searchsorted(cum, draws, side="right"))
+        assert not np.any(fps.weights[picks] == 0.0)
+
+    def test_chsh_has_eight_mixed_buckets_and_ghz_none(self):
+        chsh_mixed = _guide_tables(_cumulative_boundaries(chsh_distribution("analytic")))[1]
+        assert int(chsh_mixed.sum()) == 8
+        assert _guide_tables(_cumulative_boundaries(ghz_distribution("analytic")))[1] is None
+
+    @pytest.mark.parametrize("chunk", [0, 3])
+    @pytest.mark.parametrize(
+        "size", [1, BLOCK_LEN - 1, BLOCK_LEN, 3 * BLOCK_LEN + 5, CHUNK - 1, CHUNK]
+    )
+    def test_one_advanced_generator_matches_fresh_block_generators(self, chunk, size):
+        # Sizes below CHUNK are a world's final partial chunk; those not a
+        # multiple of BLOCK_LEN end in a partial block.
+        for seed in (7, 2**64 - 1):
+            u = np.empty(size)
+            _fill_uniforms(u, seed, chunk)
+            first = chunk * CHUNK // BLOCK_LEN
+            fresh = [
+                np.random.Generator(np.random.Philox(key=seed, counter=b << 128)).random(
+                    min(BLOCK_LEN, size - (b - first) * BLOCK_LEN)
+                )
+                for b in range(first, first + -(-size // BLOCK_LEN))
+            ]
+            np.testing.assert_array_equal(u, np.concatenate(fresh))
+
     @settings(max_examples=40, deadline=None)
     @given(
         fps=sampled_spaces(),

@@ -110,8 +110,13 @@ class TestSampling:
     def test_guide_search_resolves_exact_ties_like_searchsorted(self, weights):
         # Draws exactly on a boundary, on either side of it and at both ends
         # of the unit interval; a boundary inside a guide bucket (0.3) needs
-        # the stepping, one on a bucket edge (0.25) does not.
-        from typicality_lab.worlds import _GUIDE, _cumulative_boundaries, _guide_search
+        # the mixed-bucket search, one on a bucket edge (0.25) does not.
+        from typicality_lab.worlds import (
+            _GUIDE,
+            _cumulative_boundaries,
+            _guide_tables,
+            _invert_cdf,
+        )
 
         fps = FiniteProbabilitySpace(range(len(weights)), weights)
         cum = _cumulative_boundaries(fps)
@@ -119,8 +124,9 @@ class TestSampling:
             [cum[cum < 1.0], np.nextafter(cum, 0.0), np.nextafter(cum[cum < 1.0], 1.0)]
         )
         draws = np.concatenate([draws, [0.0, np.nextafter(1.0, 0.0)]])
-        guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right")
-        picks = _guide_search(draws * _GUIDE, cum * _GUIDE, guide)
+        guide, mixed = _guide_tables(cum)
+        bucket = np.empty(draws.size, dtype=np.intp)
+        picks = _invert_cdf(draws.copy(), bucket, cum * _GUIDE, guide, mixed)
         np.testing.assert_array_equal(picks, np.searchsorted(cum, draws, side="right"))
         assert not np.any(fps.weights[picks] == 0.0)
 
@@ -188,6 +194,31 @@ class TestSampling:
         try:
             for _ in range(3):
                 assert sample_world(fps, length, seed=31, threads=6) == base
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_stream_chunks_are_the_world_whichever_thread_reuses_its_buffers(
+        self, monkeypatch, threads
+    ):
+        # Each thread draws into its own two buffers, over and over; a
+        # buffer shared between threads, or written before ``work`` has
+        # copied the previous chunk out, would mix chunks.
+        import sys
+
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        fps = chsh_distribution("analytic")
+        length = 7 * worlds_mod._CHUNK_LEN + 5
+        base = sample_world(fps, length, seed=23).indices
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                chunks = list(
+                    worlds_mod._stream_chunks(fps, length, 23, threads, lambda c: c.copy())
+                )
+                assert all(chunk.dtype == np.intp for chunk in chunks)
+                np.testing.assert_array_equal(np.concatenate(chunks), base)
         finally:
             sys.setswitchinterval(interval)
 
