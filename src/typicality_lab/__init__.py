@@ -34,12 +34,12 @@ from .battery import (
     run_battery,
 )
 from .chsh import (
+    CHSH,
     CHSH_OUTCOMES,
     ChshOutcome,
     ConditionalAverageReport,
     build_chsh_operators,
     chsh_distribution,
-    chsh_initial_state,
     lhv_chsh_averages,
     lhv_chsh_simulate,
     lhv_sweep,
@@ -47,6 +47,7 @@ from .chsh import (
     run_chsh,
 )
 from .ghz import (
+    GHZ,
     GHZ_OUTCOMES,
     GhzEnumeration,
     GhzOutcome,
@@ -55,7 +56,6 @@ from .ghz import (
     PerfectCorrelationError,
     build_ghz_operators,
     ghz_distribution,
-    ghz_initial_state,
     lhv_ghz_enumerate,
     lhv_ghz_feasibility,
     run_ghz,
@@ -65,7 +65,6 @@ from .linalg import (
     I2,
     MAX_TENSOR_DIM,
     MeasurementOperatorSet,
-    Pvm,
     X,
     Y,
     Z,
@@ -94,7 +93,6 @@ from .worlds import (
     condition_seq,
     empirical,
     lln_report,
-    partition_seq,
     project_seq,
     sample_world,
     zip_seqs,

@@ -13,17 +13,17 @@ which ``Q``; with the convention used here all four conditional averages
 come out at +1/sqrt(2) except ``<QT>``.)
 
 One full round is a single 16-outcome measurement on coin-A (x) coin-B
-(x) qubit-A (x) qubit-B, whose operators are the projectors
-``E_c (x) E_d (x) E^A_{c,m} (x) E^B_{d,n}``.  The induced outcome
-distribution has the closed form
+(x) qubit-A (x) qubit-B, declared once as the :data:`CHSH` record (see
+:mod:`typicality_lab.protocol`).  Its outcome distribution has the closed
+form
 
     P(c, d, m, n) = [1 + (-1)^(cd) * m * n / sqrt(2)] / 16,
 
-and the module cross-checks this formula against the Born weights of the
-operator construction.  Conditioning on the coin pair and averaging the
-outcome product m*n gives <RS> + <QS> + <RT> - <QT> = 2*sqrt(2), whereas
-any assignment of pre-existing values to R, Q, S, T -- however
-distributed -- caps the same combination at 2 (the CHSH inequality).
+which every run cross-checks against the Born weights of the operator
+construction.  Conditioning on the coin pair and averaging the outcome
+product m*n gives <RS> + <QS> + <RT> - <QT> = 2*sqrt(2), whereas any
+assignment of pre-existing values to R, Q, S, T -- however distributed --
+caps the same combination at 2 (the CHSH inequality).
 """
 
 from __future__ import annotations
@@ -36,17 +36,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import battery as battery_mod
-from .linalg import (
-    MeasurementOperatorSet,
-    X,
-    Z,
-    bell_singlet,
-    involutory_pvm,
-    ket_plus,
-    projector,
-    tensor,
-)
-from .spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, product, uniform
+from .linalg import X, Z, bell_singlet
+from .protocol import Protocol
+from .spaces import SUM_ATOL, FiniteProbabilitySpace, product, uniform
 from .worlds import WorldPrefix, sign_cell, tally
 
 __all__ = [
@@ -55,10 +47,8 @@ __all__ = [
     "RQST_TUPLES",
     "MIN_TRIALS",
     "S_TARGET",
-    "alice_observables",
-    "bob_observables",
+    "CHSH",
     "build_chsh_operators",
-    "chsh_initial_state",
     "chsh_distribution",
     "coin_event",
     "ConditionalAverageReport",
@@ -80,12 +70,6 @@ class ChshOutcome(NamedTuple):
     n: int  # party B result, +1 or -1
 
 
-#: All 16 outcomes, in the canonical sampling order.
-CHSH_OUTCOMES = tuple(
-    ChshOutcome(c, d, m, n)
-    for c, d, m, n in itertools.product((0, 1), (0, 1), (1, -1), (1, -1))
-)
-
 #: Value tuples (r, q, s, t) for hidden-variable distributions.
 RQST_TUPLES = tuple(itertools.product((1, -1), repeat=4))
 
@@ -106,64 +90,32 @@ _AVERAGES = {
 }
 
 
-def alice_observables() -> tuple[np.ndarray, np.ndarray]:
-    """Party A's observables (R, Q) = (X, Z)."""
-    return X, Z
+#: ``_SIGNS[x, a]`` is the value product that tuple ``RQST_TUPLES[x]``
+#: contributes to average ``a`` (``_AVERAGES`` order: rs, qs, rt, qt).
+_SIGNS = np.array(
+    [[x[i] * x[j] for _, (i, j) in _AVERAGES.values()] for x in RQST_TUPLES], dtype=float
+)
 
 
-def bob_observables() -> tuple[np.ndarray, np.ndarray]:
-    """Party B's observables (S, T) = (-(X+Z)/sqrt2, (-X+Z)/sqrt2)."""
-    s = -(X + Z) / _SQRT2
-    t = (-X + Z) / _SQRT2
-    return s, t
+def _closed_form(o: ChshOutcome) -> float:
+    sign = 1 if (o.c * o.d) % 2 == 0 else -1  # integer (-1)^(cd)
+    return (1.0 + sign * o.m * o.n / _SQRT2) / 16.0
 
 
-def build_chsh_operators() -> MeasurementOperatorSet:
-    """The 16 projectors ``E_c (x) E_d (x) E^A_{c,m} (x) E^B_{d,n}`` on dimension 16."""
-    r, q = alice_observables()
-    s, t = bob_observables()
-    e_coin = {0: projector([1, 0]), 1: projector([0, 1])}
-    e_a = {0: involutory_pvm(r), 1: involutory_pvm(q)}
-    e_b = {0: involutory_pvm(s), 1: involutory_pvm(t)}
-    elements = []
-    for out in CHSH_OUTCOMES:
-        op = tensor(
-            e_coin[out.c],
-            e_coin[out.d],
-            e_a[out.c].projector_for(out.m),
-            e_b[out.d].projector_for(out.n),
-        )
-        elements.append((out, op))
-    return MeasurementOperatorSet(elements)
+#: Party A measures (R, Q) = (X, Z), party B (S, T) = (-(X+Z)/sqrt2, (-X+Z)/sqrt2).
+CHSH = Protocol(
+    outcome=ChshOutcome,
+    observables=((X, Z), (-(X + Z) / _SQRT2, (-X + Z) / _SQRT2)),
+    shared_state=bell_singlet(),
+    closed_form=_closed_form,
+)
 
+#: All 16 outcomes, in the canonical sampling order.
+CHSH_OUTCOMES = CHSH.alphabet
 
-def chsh_initial_state() -> np.ndarray:
-    """|+> (x) |+> (x) singlet: both coin qubits plus the shared pair."""
-    return tensor(ket_plus(), ket_plus(), bell_singlet())
-
-
-def chsh_distribution(method: str = "analytic") -> FiniteProbabilitySpace:
-    """The 16-outcome round distribution.
-
-    ``method="analytic"`` evaluates the closed form; ``"linear_algebra"``
-    computes Born weights ``<psi|M^dag M|psi>`` from the operator set.
-    The two agree entrywise to within 1e-12 (cross-checked in tests).
-    """
-    if method == "analytic":
-        weights = []
-        for out in CHSH_OUTCOMES:
-            sign = 1 if (out.c * out.d) % 2 == 0 else -1  # integer (-1)^(cd)
-            weights.append((1.0 + sign * out.m * out.n / _SQRT2) / 16.0)
-        return FiniteProbabilitySpace(CHSH_OUTCOMES, weights)
-    if method == "linear_algebra":
-        probs = build_chsh_operators().outcome_probabilities(chsh_initial_state())
-        return FiniteProbabilitySpace(CHSH_OUTCOMES, [probs[o] for o in CHSH_OUTCOMES])
-    raise ValueError(f"unknown method {method!r}")
-
-
-def coin_event(c: int, d: int) -> tuple[ChshOutcome, ...]:
-    """All outcomes with the given coin pair."""
-    return tuple(o for o in CHSH_OUTCOMES if o.c == c and o.d == d)
+build_chsh_operators = CHSH.operators
+chsh_distribution = CHSH.distribution
+coin_event = CHSH.coin_event
 
 
 @dataclass(frozen=True)
@@ -277,9 +229,7 @@ def run_chsh(
     for (name, ((c, d), _)), event, cell_tally in zip(
         _AVERAGES.items(), events, tallied.cells
     ):
-        cell = sign_cell(
-            tallied.counts, [o.m * o.n if o in event else 0 for o in fps.alphabet]
-        )
+        cell = sign_cell(tallied.counts, CHSH.product_signs(c, d))
         if cell.count == 0:
             raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
         averages[name] = cell.mean
@@ -328,21 +278,13 @@ def lhv_chsh_averages(h: FiniteProbabilitySpace) -> ConditionalAverageReport:
     With values distributed as ``h``, each average is the weighted sum of
     the corresponding product, e.g. ``<RS> = sum_x h(x) * r * s``.  Every
     valid ``h`` satisfies ``|s_value| <= 2`` (each value tuple contributes
-    rs + qs + rt - qt = +/-2); a violation here would be an internal bug
-    and raises.
+    rs + qs + rt - qt = +/-2); the callers check that bound.  Each sum is
+    exactly rounded, whatever the order of ``h``'s alphabet.
     """
     _require_rqst_space(h)
-    averages = {}
-    for name, (_, (i, j)) in _AVERAGES.items():
-        averages[name] = math.fsum(
-            h.prob(x) * x[i] * x[j] for x in h.alphabet
-        )
-    report = ConditionalAverageReport.from_averages(averages, method="lhv-exact")
-    if abs(report.s_value) > 2.0 + 1e-12:
-        raise RuntimeError(
-            f"local-realist bound violated by exact averages: {report.s_value!r}"
-        )
-    return report
+    w = np.array([h.prob(x) for x in RQST_TUPLES])
+    averages = {name: math.fsum(w * _SIGNS[:, a]) for a, name in enumerate(_AVERAGES)}
+    return ConditionalAverageReport.from_averages(averages, method="lhv-exact")
 
 
 def lhv_chsh_simulate(
@@ -414,20 +356,12 @@ def _random_h_weights(count: int, seed: int) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-#: ``_SIGNS[x, a]`` is the value product that tuple ``RQST_TUPLES[x]``
-#: contributes to average ``a`` (``_AVERAGES`` order: rs, qs, rt, qt).
-_SIGNS = np.array(
-    [[x[i] * x[j] for _, (i, j) in _AVERAGES.values()] for x in RQST_TUPLES], dtype=float
-)
-
-
 def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     """``s_value`` of each row of hidden-variable weights over ``RQST_TUPLES``.
 
-    Each row is checked by the rules of :class:`FiniteProbabilitySpace`,
-    and, as in :func:`lhv_chsh_averages`, any value beyond the bound of 2
-    raises.  The matrix product rounds differently from that function's
-    exact sums, by at most a few units in the last place.
+    Each row is checked by the rules of :class:`FiniteProbabilitySpace`.
+    The matrix product rounds differently from the exact sums of
+    :func:`lhv_chsh_averages`, by at most a few units in the last place.
     """
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
@@ -436,13 +370,7 @@ def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     if np.any(np.abs(weights.sum(axis=1) - 1.0) > SUM_ATOL):
         raise ValueError(f"weights must sum to 1 within {SUM_ATOL}")
     rs, qs, rt, qt = (weights @ _SIGNS).T
-    s_values = rs + qs + rt - qt
-    over = s_values[np.abs(s_values) > 2.0 + 1e-12]
-    if over.size:
-        raise RuntimeError(
-            f"local-realist bound violated by exact averages: {float(over[0])!r}"
-        )
-    return s_values
+    return rs + qs + rt - qt
 
 
 @dataclass(frozen=True)
@@ -473,14 +401,18 @@ class SweepReport:
 
 
 def lhv_sweep(count: int, seed: int) -> SweepReport:
-    """Max ``s_value`` over ``count`` random distributions and the 16 point masses."""
-    vertex_s = []
-    for x in RQST_TUPLES:
-        vertex_s.append(lhv_chsh_averages(point_mass(RQST_TUPLES, x)).s_value)
+    """Max ``s_value`` over ``count`` random distributions and the 16 point masses.
+
+    The point masses are the rows of the identity, whose ``s_value`` the
+    matrix product gives exactly.  They are taken after the random draw,
+    whose weights set the peak memory, so that the first matrix product's
+    BLAS buffers are not added to it.
+    """
     random_s = _lhv_s_values(_random_h_weights(count, seed))
+    vertex_s = _lhv_s_values(np.eye(len(RQST_TUPLES)))
     return SweepReport(
-        max_s_value=max(vertex_s + random_s.tolist()),
-        vertex_max_s_value=max(vertex_s),
+        max_s_value=float(np.concatenate([vertex_s, random_s]).max()),
+        vertex_max_s_value=float(vertex_s.max()),
         num_random=count,
         num_vertices=len(RQST_TUPLES),
         seed=seed,

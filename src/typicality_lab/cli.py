@@ -138,11 +138,30 @@ def _world_saver(config: RunConfig):
     return lambda world: _write_text(config.world_out, world.to_json(), "--world-out")
 
 
+def _cross_check(distribution) -> tuple[dict, list]:
+    """The report's ``cross_check`` entry for a protocol's distribution, and its failure if any.
+
+    Callers pass the distribution function as their protocol module holds
+    it at call time, so that a wrapper installed there, such as a tracer,
+    is the one called.
+    """
+    analytic = distribution("analytic")
+    operator = distribution("linear_algebra")
+    diff = float(abs(analytic.weights - operator.weights).max())
+    failures = []
+    if diff > ATOL:
+        failures.append(
+            {
+                "check": "distribution-cross-check",
+                "detail": f"analytic vs operator max diff {diff:.3e} > {ATOL}",
+            }
+        )
+    return {"max_abs_diff": diff, "tolerance": ATOL, "pass": diff <= ATOL}, failures
+
+
 def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
     """Quantum protocol run plus the analytic/operator distribution cross-check."""
-    analytic = chsh_mod.chsh_distribution("analytic")
-    operator = chsh_mod.chsh_distribution("linear_algebra")
-    cross_diff = float(abs(analytic.weights - operator.weights).max())
+    cross_check, failures = _cross_check(chsh_mod.chsh_distribution)
     report_obj = chsh_mod.run_chsh(
         config.trials,
         config.seed,
@@ -156,14 +175,6 @@ def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
         else report_obj.tolerances["s_value"]
     )
     s_error = abs(report_obj.s_value - chsh_mod.S_TARGET)
-    failures = []
-    if cross_diff > ATOL:
-        failures.append(
-            {
-                "check": "distribution-cross-check",
-                "detail": f"analytic vs operator max diff {cross_diff:.3e} > {ATOL}",
-            }
-        )
     if s_error > s_tolerance:
         failures.append(
             {
@@ -177,11 +188,7 @@ def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
         **report_obj.to_dict(),
         "s_target": chsh_mod.S_TARGET,
         "s_tolerance": s_tolerance,
-        "cross_check": {
-            "max_abs_diff": cross_diff,
-            "tolerance": ATOL,
-            "pass": cross_diff <= ATOL,
-        },
+        "cross_check": cross_check,
         "failures": failures,
     }
     return (0 if not failures else 1), report
@@ -189,9 +196,7 @@ def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_ghz(config: RunConfig) -> tuple[int, dict]:
     """Quantum protocol run plus the exhaustive hidden-value enumeration."""
-    analytic = ghz_mod.ghz_distribution("analytic")
-    operator = ghz_mod.ghz_distribution("linear_algebra")
-    cross_diff = float(abs(analytic.weights - operator.weights).max())
+    cross_check, cross_failures = _cross_check(ghz_mod.ghz_distribution)
     failures = []
     try:
         run = ghz_mod.run_ghz(
@@ -218,23 +223,13 @@ def cmd_ghz(config: RunConfig) -> tuple[int, dict]:
                 "detail": f"{enumeration.satisfying_count} assignments satisfy all constraints",
             }
         )
-    if cross_diff > ATOL:
-        failures.append(
-            {
-                "check": "distribution-cross-check",
-                "detail": f"analytic vs operator max diff {cross_diff:.3e} > {ATOL}",
-            }
-        )
+    failures += cross_failures
     report = {
         "schema": SCHEMA_VERSION,
         "protocol": "ghz",
         **run_dict,
         "lhv": enumeration.to_dict(),
-        "cross_check": {
-            "max_abs_diff": cross_diff,
-            "tolerance": ATOL,
-            "pass": cross_diff <= ATOL,
-        },
+        "cross_check": cross_check,
         "failures": failures,
     }
     return (0 if not failures else 1), report

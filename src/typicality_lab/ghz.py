@@ -3,7 +3,8 @@
 Each round, a source distributes the three qubits of the state
 ``(|000> - |111>)/sqrt(2)`` to three parties.  Each party tosses a fair
 coin and measures ``X`` on 0 or ``Y`` on 1.  One round is a single
-64-outcome measurement whose distribution is
+64-outcome measurement, declared once as the :data:`GHZ` record (see
+:mod:`typicality_lab.protocol`), whose distribution is
 
     P(c1, c2, c3, m1, m2, m3) = [1 - m1*m2*m3 * cos(pi*(c1+c2+c3)/2)] / 64.
 
@@ -27,9 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .linalg import MeasurementOperatorSet, X, Y, ghz_state, involutory_pvm, ket_plus, projector, tensor
+from .linalg import X, Y, ghz_state
+from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace
 from .worlds import WorldPrefix, sign_cell, tally
 
@@ -42,9 +42,8 @@ __all__ = [
     "COS_QUARTER_TURNS",
     "CONSTRAINTS",
     "PerfectCorrelationError",
-    "party_observables",
+    "GHZ",
     "build_ghz_operators",
-    "ghz_initial_state",
     "ghz_distribution",
     "coin_event",
     "GhzRunReport",
@@ -65,13 +64,6 @@ class GhzOutcome(NamedTuple):
     m1: int
     m2: int
     m3: int
-
-
-#: All 64 outcomes, in the canonical sampling order.
-GHZ_OUTCOMES = tuple(
-    GhzOutcome(*values)
-    for values in itertools.product((0, 1), (0, 1), (0, 1), (1, -1), (1, -1), (1, -1))
-)
 
 
 class LhvAssignment(NamedTuple):
@@ -110,58 +102,25 @@ class PerfectCorrelationError(RuntimeError):
     """A sampled round violated a weight-zero constraint (sampler bug)."""
 
 
-def party_observables() -> tuple[np.ndarray, np.ndarray]:
-    """The per-party observables for coin 0 and coin 1: (X, Y)."""
-    return X, Y
+def _closed_form(o: GhzOutcome) -> float:
+    return (1 - o.m1 * o.m2 * o.m3 * COS_QUARTER_TURNS[o.c1 + o.c2 + o.c3]) / 64.0
 
 
-def build_ghz_operators() -> MeasurementOperatorSet:
-    """The 64 projectors ``E_c1 (x) E_c2 (x) E_c3 (x) E^1 (x) E^2 (x) E^3`` on dimension 64."""
-    a0, a1 = party_observables()
-    e_coin = {0: projector([1, 0]), 1: projector([0, 1])}
-    e_m = {0: involutory_pvm(a0), 1: involutory_pvm(a1)}
-    elements = []
-    for out in GHZ_OUTCOMES:
-        op = tensor(
-            e_coin[out.c1],
-            e_coin[out.c2],
-            e_coin[out.c3],
-            e_m[out.c1].projector_for(out.m1),
-            e_m[out.c2].projector_for(out.m2),
-            e_m[out.c3].projector_for(out.m3),
-        )
-        elements.append((out, op))
-    return MeasurementOperatorSet(elements)
+#: Every party measures X on coin 0 and Y on coin 1.  The Y observable
+#: makes the Born weights complex; a real-only shortcut would be wrong.
+GHZ = Protocol(
+    outcome=GhzOutcome,
+    observables=((X, Y),) * 3,
+    shared_state=ghz_state(),
+    closed_form=_closed_form,
+)
 
+#: All 64 outcomes, in the canonical sampling order.
+GHZ_OUTCOMES = GHZ.alphabet
 
-def ghz_initial_state() -> np.ndarray:
-    """|+> (x) |+> (x) |+> (x) GHZ: the coin qubits plus the shared triple."""
-    return tensor(ket_plus(), ket_plus(), ket_plus(), ghz_state())
-
-
-def ghz_distribution(method: str = "analytic") -> FiniteProbabilitySpace:
-    """The 64-outcome round distribution.
-
-    ``"analytic"`` uses the closed form with the integer cosine lookup, so
-    its 16 structural zeros are exactly 0.0.  ``"linear_algebra"``
-    computes Born weights from the operator set in full complex
-    arithmetic (the Y observable makes real-only shortcuts wrong).
-    """
-    if method == "analytic":
-        weights = []
-        for out in GHZ_OUTCOMES:
-            cos_term = COS_QUARTER_TURNS[out.c1 + out.c2 + out.c3]
-            weights.append((1 - out.m1 * out.m2 * out.m3 * cos_term) / 64.0)
-        return FiniteProbabilitySpace(GHZ_OUTCOMES, weights)
-    if method == "linear_algebra":
-        probs = build_ghz_operators().outcome_probabilities(ghz_initial_state())
-        return FiniteProbabilitySpace(GHZ_OUTCOMES, [probs[o] for o in GHZ_OUTCOMES])
-    raise ValueError(f"unknown method {method!r}")
-
-
-def coin_event(c1: int, c2: int, c3: int) -> tuple[GhzOutcome, ...]:
-    """All outcomes with the given coin triple."""
-    return tuple(o for o in GHZ_OUTCOMES if (o.c1, o.c2, o.c3) == (c1, c2, c3))
+build_ghz_operators = GHZ.operators
+ghz_distribution = GHZ.distribution
+coin_event = GHZ.coin_event
 
 
 @dataclass(frozen=True)
@@ -217,10 +176,7 @@ def run_ghz(
     free: dict = {}
     for coins in itertools.product((0, 1), repeat=3):
         key = "".join(str(c) for c in coins)
-        cell = sign_cell(
-            symbol_counts,
-            [o.m1 * o.m2 * o.m3 if o[:3] == coins else 0 for o in fps.alphabet],
-        )
+        cell = sign_cell(symbol_counts, GHZ.product_signs(*coins))
         coin_sum = sum(coins)
         if coin_sum in (0, 2):
             required = -1 if coin_sum == 0 else 1

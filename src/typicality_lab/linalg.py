@@ -5,8 +5,9 @@ complex matrices, states are complex unit vectors.  The module provides
 the handful of constructions the measurement protocols need -- tensor
 products, expectation values, the two-element projective decomposition of
 an involutory observable, controlled unitaries built from a projective
-partition of the control space, and completeness checking for measurement
-operator sets.
+partition of the control space, and :class:`MeasurementOperatorSet`, the
+one labelled operator container.  Every measurement here is projective,
+so that container always checks orthogonal idempotence and completeness.
 
 Qubit 0 is always the leftmost tensor factor and the most significant
 index bit, so ``tensor(a, b)`` places ``a`` outermost.
@@ -40,7 +41,6 @@ __all__ = [
     "projector",
     "tensor",
     "expectation",
-    "Pvm",
     "involutory_pvm",
     "MeasurementOperatorSet",
     "check_completeness",
@@ -200,68 +200,7 @@ def expectation(state, op) -> float:
     return value.real
 
 
-class Pvm:
-    """A projection-valued measure: labelled, mutually orthogonal projectors summing to identity.
-
-    Validates, to within ``ATOL``: each element Hermitian, ``P_a P_b =
-    delta_ab P_a``, and ``sum_a P_a = I``.
-    """
-
-    def __init__(self, elements: Iterable[tuple[object, np.ndarray]]):
-        pairs = [(label, as_operator(p)) for label, p in elements]
-        if not pairs:
-            raise ValueError("a PVM needs at least one projector")
-        labels = [label for label, _ in pairs]
-        if len(set(labels)) != len(labels):
-            raise ValueError("PVM labels must be distinct")
-        dim = pairs[0][1].shape[0]
-        for label, p in pairs:
-            if p.shape[0] != dim:
-                raise ValueError("PVM projectors must share one dimension")
-            if not is_hermitian(p):
-                raise ValueError(f"PVM element {label!r} is not Hermitian")
-        for i, (la, pa) in enumerate(pairs):
-            for lb, pb in pairs[i:]:
-                target = pa if la == lb else 0.0
-                if np.abs(pa @ pb - target).max() > ATOL:
-                    raise ValueError(
-                        f"PVM elements {la!r}, {lb!r} violate orthogonal idempotence"
-                    )
-        total = sum(p for _, p in pairs)
-        if np.abs(total - np.eye(dim)).max() > ATOL:
-            raise ValueError("PVM projectors do not sum to the identity")
-        self._elements = tuple(pairs)
-        self._dim = dim
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self._elements)
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(p for _, p in self._elements)
-
-    def projector_for(self, label) -> np.ndarray:
-        for lab, p in self._elements:
-            if lab == label:
-                return p
-        raise KeyError(label)
-
-    def __iter__(self):
-        return iter(self._elements)
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __repr__(self) -> str:
-        return f"Pvm(dim={self._dim}, labels={list(self.labels)!r})"
-
-
-def involutory_pvm(obs) -> Pvm:
+def involutory_pvm(obs) -> "MeasurementOperatorSet":
     """Two-element PVM ``{+1: (I+A)/2, -1: (I-A)/2}`` of a Hermitian involution.
 
     Requires ``A`` Hermitian with ``A @ A = I`` to within ``ATOL``; the
@@ -275,7 +214,7 @@ def involutory_pvm(obs) -> Pvm:
         raise ValueError("observable must square to the identity (eigenvalues +/-1)")
     plus = (eye + a) / 2
     minus = (eye - a) / 2
-    return Pvm([(+1, plus), (-1, minus)])
+    return MeasurementOperatorSet([(+1, plus), (-1, minus)])
 
 
 def check_completeness(elements) -> float:
@@ -300,9 +239,13 @@ def check_completeness(elements) -> float:
 
 
 class MeasurementOperatorSet:
-    """Labelled measurement operators ``{M_m}`` satisfying the completeness equation.
+    """A projective measurement: labelled operators ``{P_m}`` on one space.
 
-    Construction verifies ``sum_m M_m^dag M_m = I`` to within ``ATOL``.
+    Construction verifies, to within ``ATOL``: each element Hermitian,
+    ``P_a P_b = delta_ab P_a`` (orthogonal idempotence) and the
+    completeness equation ``sum_m P_m^dag P_m = I``, which for projectors
+    is ``sum_m P_m = I``.  Every measurement in this package is projective,
+    so these are the only operator sets it builds.
     """
 
     def __init__(self, elements: Iterable[tuple[object, np.ndarray]]):
@@ -313,16 +256,29 @@ class MeasurementOperatorSet:
         if len(set(labels)) != len(labels):
             raise ValueError("measurement operator labels must be distinct")
         dim = pairs[0][1].shape[0]
-        for _, m in pairs:
+        for label, m in pairs:
             if m.shape[0] != dim:
                 raise ValueError("measurement operators must share one dimension")
-        self._elements = tuple(pairs)
-        self._dim = dim
+            if not is_hermitian(m):
+                raise ValueError(f"measurement operator {label!r} is not Hermitian")
+        # The same projectors may break either condition or both, so the
+        # error names each that fails (the first offending pair, if any).
+        problems = [
+            f"elements {la!r}, {lb!r} violate orthogonal idempotence"
+            for i, (la, pa) in enumerate(pairs)
+            for lb, pb in pairs[i:]
+            if np.abs(pa @ pb - (pa if la == lb else 0.0)).max() > ATOL
+        ][:1]
         defect = check_completeness(pairs)
         if defect > ATOL:
-            raise ValueError(
-                f"completeness equation violated: max deviation {defect:.3e} > {ATOL}"
+            problems.append(
+                f"completeness equation violated: the elements do not sum to the "
+                f"identity (max deviation {defect:.3e} > {ATOL})"
             )
+        if problems:
+            raise ValueError("; ".join(problems))
+        self._elements = tuple(pairs)
+        self._dim = dim
 
     @property
     def dim(self) -> int:
@@ -331,10 +287,6 @@ class MeasurementOperatorSet:
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self._elements)
-
-    @property
-    def operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(m for _, m in self._elements)
 
     def operator_for(self, label) -> np.ndarray:
         for lab, m in self._elements:
@@ -384,6 +336,6 @@ def controlled_unitary(branches: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.
             raise ValueError("branch unitaries must share one dimension")
         if not is_unitary(u):
             raise ValueError("branch operator is not unitary")
-    Pvm(list(enumerate(projectors)))  # raises unless the projectors form a PVM
+    MeasurementOperatorSet(list(enumerate(projectors)))  # raises unless they form a PVM
     out = sum(tensor(u, p) for u, p in zip(unitaries, projectors))
     return _frozen(out)

@@ -84,7 +84,6 @@ __all__ = [
     "Tally",
     "CellTally",
     "condition_seq",
-    "partition_seq",
     "project_seq",
     "zip_seqs",
     "empirical",
@@ -585,33 +584,19 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
 
     The result lives on the event alphabet (in parent order) and may be
     empty.  Its length always equals the total count of event symbols in
-    the input.
+    the input.  The prefix is read a chunk at a time, through the cell
+    tables :func:`tally` splits each drawn chunk with, so conditioning a
+    world on each of several disjoint events gives the subsequences whose
+    counts :func:`tally` takes.
     """
-    return partition_seq(world, [event])[0]
-
-
-def partition_seq(world: WorldPrefix, events: Sequence[Iterable]) -> list[WorldPrefix]:
-    """:func:`condition_seq` of a prefix on each of several disjoint events, in one pass.
-
-    Entry ``i`` equals ``condition_seq(world, events[i])``.  A cell-id table
-    sends each symbol to its event (or to none) and a local-code table to
-    its index in that event's alphabet, so the prefix is read once however
-    many events there are.
-    """
-    keep_ids, cell, local = _cell_tables(world.alphabet, events)
-    parts: list[list[np.ndarray]] = [[] for _ in keep_ids]
-    for start in range(0, len(world), _CHUNK_LEN):
-        chunk = world.indices[start : start + _CHUNK_LEN]
-        for cell_parts, part in zip(parts, _split_chunk(chunk, cell, local, len(keep_ids))):
-            cell_parts.append(part)
-    result = []
-    for ids, cell_parts in zip(keep_ids, parts):
-        indices = np.concatenate(cell_parts) if cell_parts else local[:0]
-        prov = {"kind": "conditioned", "event_size": len(ids), "parent": world.provenance}
-        result.append(
-            WorldPrefix(tuple(world.alphabet[i] for i in ids), indices, prov)
-        )
-    return result
+    (ids,), cell, local = _cell_tables(world.alphabet, [event])
+    parts = [
+        _split_chunk(world.indices[start : start + _CHUNK_LEN], cell, local, 1)[0]
+        for start in range(0, len(world), _CHUNK_LEN)
+    ]
+    indices = np.concatenate(parts) if parts else local[:0]
+    prov = {"kind": "conditioned", "event_size": len(ids), "parent": world.provenance}
+    return WorldPrefix(tuple(world.alphabet[i] for i in ids), indices, prov)
 
 
 def project_seq(world: WorldPrefix, coords) -> WorldPrefix:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from typicality_lab.chsh import (
+    CHSH,
     CHSH_OUTCOMES,
     MIN_TRIALS,
     RQST_TUPLES,
@@ -14,7 +15,6 @@ from typicality_lab.chsh import (
     ChshOutcome,
     build_chsh_operators,
     chsh_distribution,
-    chsh_initial_state,
     coin_event,
     lhv_chsh_averages,
     lhv_chsh_simulate,
@@ -88,7 +88,7 @@ class TestDistribution:
             chsh_distribution("symbolic")
 
     def test_initial_state_is_unit(self):
-        psi = chsh_initial_state()
+        psi = CHSH.initial_state()
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -708,3 +708,37 @@ class TestMainFuzz:
                 assert json.loads(last)["error"]["code"] == "usage"
 
         check()
+
+
+class TestTracedHarness:
+    """The benchmark's tracing harness still finds the names it wraps."""
+
+    @pytest.mark.parametrize("command", ["chsh", "ghz"])
+    def test_one_operator_distribution_span(self, command, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        spans = tmp_path / "spans.json"
+        done = subprocess.run(
+            [
+                sys.executable,
+                os.path.join(root, "perfbench", "traced_cli.py"),
+                str(spans),
+                str(tmp_path / "report.json"),
+                command,
+                "--trials",
+                "8000",
+                "--seed",
+                "1",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        trace = json.loads(spans.read_text())
+        assert trace["exit"] == 0
+        names = [span[2] for span in trace["spans"]]
+        assert names.count("linalg.operator_dist") == 1

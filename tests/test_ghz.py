@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from typicality_lab.ghz import (
+    GHZ,
     CONSTRAINTS,
     GHZ_OUTCOMES,
     LHV_ASSIGNMENTS,
@@ -15,7 +16,6 @@ from typicality_lab.ghz import (
     build_ghz_operators,
     coin_event,
     ghz_distribution,
-    ghz_initial_state,
     lhv_ghz_enumerate,
     lhv_ghz_feasibility,
     run_ghz,
@@ -86,7 +86,7 @@ class TestDistribution:
         np.testing.assert_allclose(regrouped.marginal("left").weights, 0.125, atol=1e-12)
 
     def test_initial_state_is_unit(self):
-        assert np.linalg.norm(ghz_initial_state()) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(GHZ.initial_state()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRun:

@@ -1,4 +1,4 @@
-"""Tests for operators, states, tensor products, PVMs and controlled unitaries."""
+"""Tests for operators, states, tensor products, projective measurements and controlled unitaries."""
 
 import math
 
@@ -9,7 +9,6 @@ from typicality_lab.linalg import (
     ATOL,
     I2,
     MeasurementOperatorSet,
-    Pvm,
     X,
     Y,
     Z,
@@ -151,17 +150,17 @@ class TestExpectation:
 class TestPvm:
     def test_involutory_pvm_z(self):
         pvm = involutory_pvm(Z)
-        np.testing.assert_allclose(pvm.projector_for(+1), projector(basis(2, 0)), atol=ATOL)
-        np.testing.assert_allclose(pvm.projector_for(-1), projector(basis(2, 1)), atol=ATOL)
+        np.testing.assert_allclose(pvm.operator_for(+1), projector(basis(2, 0)), atol=ATOL)
+        np.testing.assert_allclose(pvm.operator_for(-1), projector(basis(2, 1)), atol=ATOL)
 
     def test_involutory_pvm_x(self):
         pvm = involutory_pvm(X)
-        np.testing.assert_allclose(pvm.projector_for(+1), np.full((2, 2), 0.5), atol=ATOL)
+        np.testing.assert_allclose(pvm.operator_for(+1), np.full((2, 2), 0.5), atol=ATOL)
 
     def test_involutory_pvm_rotated(self):
         s = -(X + Z) / SQRT2
         pvm = involutory_pvm(s)
-        plus, minus = pvm.projector_for(+1), pvm.projector_for(-1)
+        plus, minus = pvm.operator_for(+1), pvm.operator_for(-1)
         np.testing.assert_allclose(plus - minus, s, atol=ATOL)
         np.testing.assert_allclose(plus + minus, np.eye(2), atol=ATOL)
         np.testing.assert_allclose(plus @ minus, np.zeros((2, 2)), atol=ATOL)
@@ -178,7 +177,7 @@ class TestPvm:
             obs = u @ np.diag(signs) @ u.conj().T
             obs = (obs + obs.conj().T) / 2
             pvm = involutory_pvm(obs)
-            plus, minus = pvm.projector_for(+1), pvm.projector_for(-1)
+            plus, minus = pvm.operator_for(+1), pvm.operator_for(-1)
             np.testing.assert_allclose(plus + minus, np.eye(dim), atol=ATOL)
             np.testing.assert_allclose(plus @ minus, np.zeros((dim, dim)), atol=ATOL)
             np.testing.assert_allclose(plus - minus, obs, atol=ATOL)
@@ -194,19 +193,19 @@ class TestPvm:
     def test_pvm_rejects_bad_sum(self):
         p = projector(basis(2, 0))
         with pytest.raises(ValueError, match="sum to the identity"):
-            Pvm([(0, p)])
+            MeasurementOperatorSet([(0, p)])
 
     def test_pvm_rejects_non_orthogonal(self):
         p0 = projector(basis(2, 0))
         pp = projector(ket_plus())
         with pytest.raises(ValueError, match="orthogonal"):
-            Pvm([(0, p0), (1, pp)])
+            MeasurementOperatorSet([(0, p0), (1, pp)])
 
     def test_pvm_rejects_duplicate_labels(self):
         p0 = projector(basis(2, 0))
         p1 = projector(basis(2, 1))
         with pytest.raises(ValueError, match="distinct"):
-            Pvm([(0, p0), (0, p1)])
+            MeasurementOperatorSet([(0, p0), (0, p1)])
 
 
 class TestControlledUnitary:
@@ -241,7 +240,7 @@ class TestControlledUnitary:
         # The coin record space is 3-dimensional; its PVM is the two coin
         # records plus the leftover projector padding the partition.
         def interaction(pvm):
-            return tensor(pvm.projector_for(+1), I2) + tensor(pvm.projector_for(-1), X)
+            return tensor(pvm.operator_for(+1), I2) + tensor(pvm.operator_for(-1), X)
 
         v0 = interaction(involutory_pvm(X))
         v1 = interaction(involutory_pvm(Z))
@@ -299,7 +298,7 @@ class TestCompleteness:
 
     def test_duplicate_labels_rejected(self):
         pvm = involutory_pvm(Z)
-        elements = [("a", pvm.projector_for(+1)), ("a", pvm.projector_for(-1))]
+        elements = [("a", pvm.operator_for(+1)), ("a", pvm.operator_for(-1))]
         with pytest.raises(ValueError, match="distinct"):
             MeasurementOperatorSet(elements)
 

@@ -12,6 +12,7 @@ fast paths must agree exactly, except the sweep's matrix product, which
 may round in the last place.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -40,6 +41,7 @@ from typicality_lab.chsh import (
     random_h_spaces,
     run_chsh,
 )
+from typicality_lab.cli import main
 from typicality_lab.ghz import (
     GHZ_OUTCOMES,
     GhzOutcome,
@@ -48,7 +50,7 @@ from typicality_lab.ghz import (
     run_ghz,
 )
 from typicality_lab import worlds as worlds_mod
-from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, product, uniform
+from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, product, uniform
 from typicality_lab.worlds import (
     BLOCK_LEN,
     WorldPrefix,
@@ -60,7 +62,6 @@ from typicality_lab.worlds import (
     _invert_cdf,
     condition_seq,
     _BlockCounter,
-    partition_seq,
     sample_world,
     sign_cell,
     tally,
@@ -170,10 +171,18 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             chsh_mod._lhv_s_values(weights)
 
-    def test_bound_violation_raises(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["--sweep", "--h-file"])
+    def test_bound_violation_is_a_report_failure(self, mode, monkeypatch, capsys, tmp_path):
+        # A planted breach: every value product doubled, so a vertex reaches 4.
         monkeypatch.setattr(chsh_mod, "_SIGNS", 2.0 * chsh_mod._SIGNS)
-        with pytest.raises(RuntimeError, match="bound violated"):
-            chsh_mod.lhv_sweep(10, 1)
+        h_file = tmp_path / "h.json"
+        h_file.write_text(point_mass(RQST_TUPLES, (1, 1, 1, 1)).to_json())
+        args = ["10", "--seed", "1"] if mode == "--sweep" else [str(h_file)]
+        status = main(["lhv", "chsh", mode, *args])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert [f["check"] for f in json.loads(captured.out)["failures"]] == ["chsh-bound"]
+        assert "Traceback" not in captured.err
 
 
 def conditioned_cell(world, event, value):
@@ -450,35 +459,37 @@ class TestPartition:
     @given(case=partitioned_worlds())
     def test_each_part_is_condition_seq(self, case):
         world, events = case
-        parts = partition_seq(world, events)
-        assert len(parts) == len(events)
-        for event, part in zip(events, parts):
-            alone = condition_seq(world, event)
-            assert part == alone
-            assert part.provenance == alone.provenance
-            assert part.indices.dtype == alone.indices.dtype
+        for event in events:
+            part = condition_seq(world, event)
+            assert part.alphabet == tuple(world.alphabet[i] for i in sorted(event))
+            assert part.provenance == {
+                "kind": "conditioned",
+                "event_size": len(event),
+                "parent": world.provenance,
+            }
+            assert part.indices.dtype == worlds_mod._index_dtype(len(event))
             np.testing.assert_array_equal(part.indices, reference_condition(world, event))
 
     def test_chsh_coin_pairs(self):
         world = sample_world(chsh_distribution("analytic"), 3 * CHUNK + 7, 42)
-        events = [coin_event(c, d) for c in (0, 1) for d in (0, 1)]
-        for event, part in zip(events, partition_seq(world, events)):
-            assert part == condition_seq(world, event)
-            assert part.alphabet == event
-            assert part.provenance["kind"] == "conditioned"
+        for c in (0, 1):
+            for d in (0, 1):
+                event = coin_event(c, d)
+                part = condition_seq(world, event)
+                assert part.alphabet == event
+                assert part.provenance["kind"] == "conditioned"
+                np.testing.assert_array_equal(part.indices, reference_condition(world, event))
 
     def test_overlapping_events_rejected(self):
-        world = WorldPrefix("abc", [0, 1, 2])
         with pytest.raises(ValueError, match="disjoint"):
-            partition_seq(world, ["ab", "bc"])
+            tally(uniform("abc"), 10, 1, events=["ab", "bc"])
 
     def test_empty_event_rejected(self):
         world = WorldPrefix("abc", [0, 1, 2])
         with pytest.raises(ValueError, match="at least one symbol"):
-            partition_seq(world, ["a", ""])
-
-    def test_no_events(self):
-        assert partition_seq(WorldPrefix("ab", [0, 1]), []) == []
+            condition_seq(world, "")
+        with pytest.raises(ValueError, match="at least one symbol"):
+            tally(uniform("abc"), 10, 1, events=["a", ""])
 
 
 def reference_block_counts(world, block_len):
@@ -553,7 +564,7 @@ class TestTally:
         world = sample_world(fps, length, seed)
         np.testing.assert_array_equal(result.counts, world.counts())
         assert result.counts.dtype == np.int64
-        parts = partition_seq(world, events)
+        parts = [condition_seq(world, e) for e in events]
         assert len(result.cells) == len(parts)
         for cell, part in zip(result.cells, parts):
             assert cell.alphabet == part.alphabet
@@ -567,7 +578,7 @@ class TestTally:
         length = 5 * CHUNK + 3
         world = sample_world(fps, length, 42)
         result = tally(fps, length, 42, 2, events, [2, 3])
-        for cell, part in zip(result.cells, partition_seq(world, events)):
+        for cell, part in zip(result.cells, [condition_seq(world, e) for e in events]):
             for k in (1, 2, 3):
                 np.testing.assert_array_equal(cell.counts(k), part.counts(k))
 
