@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,6 +186,25 @@ class ConditionalAverageReport:
         return out
 
 
+def _cell_statistics(cells: Sequence, variances: Sequence[float]) -> tuple[dict, dict, dict, dict]:
+    """Averages, counts, standard errors and 4-sigma tolerances of the four coin-pair cells.
+
+    ``cells`` are the :class:`~typicality_lab.worlds.SignCell` of each
+    average in ``_AVERAGES`` order, and ``variances`` the variance of its
+    product under the exact conditional law, which sets its tolerance.
+    Raises if any coin pair collected no samples.
+    """
+    averages, counts, std_errors, tolerances = {}, {}, {}, {}
+    for (name, ((c, d), _)), cell, variance in zip(_AVERAGES.items(), cells, variances):
+        if cell.count == 0:
+            raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
+        averages[name] = cell.mean
+        counts[name] = cell.count
+        std_errors[name] = cell.std_error
+        tolerances[name] = 4.0 * math.sqrt(variance / cell.count)
+    return averages, counts, std_errors, tolerances
+
+
 def run_chsh(
     trials: int,
     seed: int,
@@ -221,37 +240,24 @@ def run_chsh(
         if battery_mod.long_enough(trials, len(events[0]), k)
     ]
     tallied = tally(fps, trials, seed, threads, events, block_lens, on_world)
-    averages: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    std_errors: dict[str, float] = {}
-    tolerances: dict[str, float] = {}
-    tested: dict[str, tuple] = {}
-    for (name, ((c, d), _)), event, cell_tally in zip(
-        _AVERAGES.items(), events, tallied.cells
-    ):
-        cell = sign_cell(tallied.counts, CHSH.product_signs(c, d))
-        if cell.count == 0:
-            raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
-        averages[name] = cell.mean
-        counts[name] = cell.count
-        std_errors[name] = cell.std_error
-        # 4 sigma under the exact conditional law: Var(m*n) = 1 - 1/2.
-        tolerances[name] = 4.0 * math.sqrt(0.5 / cell.count)
-        if battery_blocks is not None:
-            conditional = fps.condition(event)
-            # Only block lengths the cell is long enough for.
-            usable = [
-                k
-                for k in battery_blocks
-                if battery_mod.long_enough(cell.count, len(conditional.alphabet), k)
-            ]
-            if usable:
-                tested[f"{c}{d}"] = (cell_tally, conditional, usable)
+    cells = [
+        sign_cell(tallied.counts, CHSH.product_signs(c, d)) for (c, d), _ in _AVERAGES.values()
+    ]
+    # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
+    averages, counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
     tolerances["s_value"] = 4.0 * math.sqrt(sum(0.5 / n for n in counts.values()))
-    batteries = {
-        key: battery_mod.run_battery(cell_tally, conditional, usable, significance)
-        for key, (cell_tally, conditional, usable) in tested.items()
-    }
+    batteries = {}
+    for ((c, d), _), event, cell_tally, cell in zip(
+        _AVERAGES.values(), events, tallied.cells, cells
+    ):
+        # Only block lengths the cell is long enough for.
+        usable = [
+            k for k in battery_blocks or () if battery_mod.long_enough(cell.count, len(event), k)
+        ]
+        if usable:
+            batteries[f"{c}{d}"] = battery_mod.run_battery(
+                cell_tally, fps.condition(event), usable, significance
+            )
     return ConditionalAverageReport.from_averages(
         averages,
         method="typical-sampling",
@@ -304,23 +310,15 @@ def lhv_chsh_simulate(
     coin = uniform((0, 1))
     joint = product(h, coin, coin)
     symbol_counts = tally(joint, trials, seed, threads).counts
-    averages: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    std_errors: dict[str, float] = {}
-    tolerances: dict[str, float] = {}
-    exact_avgs = exact.averages
-    for name, ((c, d), (i, j)) in _AVERAGES.items():
-        cell = sign_cell(
+    cells = [
+        sign_cell(
             symbol_counts,
             [sym[0][i] * sym[0][j] if sym[1:] == (c, d) else 0 for sym in joint.alphabet],
         )
-        if cell.count == 0:
-            raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
-        averages[name] = cell.mean
-        counts[name] = cell.count
-        std_errors[name] = cell.std_error
-        variance = max(0.0, 1.0 - exact_avgs[name] ** 2)
-        tolerances[name] = 4.0 * math.sqrt(variance / cell.count)
+        for (c, d), (i, j) in _AVERAGES.values()
+    ]
+    variances = [max(0.0, 1.0 - average**2) for average in exact.averages.values()]
+    averages, counts, std_errors, tolerances = _cell_statistics(cells, variances)
     return ConditionalAverageReport.from_averages(
         averages,
         method="lhv-simulated",
@@ -339,21 +337,28 @@ def random_h_spaces(count: int, seed: int) -> list[FiniteProbabilitySpace]:
     Uses normalized exponential draws (symmetric over the 16 vertices),
     from a Philox stream keyed on ``seed``.
     """
-    return [FiniteProbabilitySpace(RQST_TUPLES, w) for w in _random_h_weights(count, seed)]
+    blocks = _random_h_weights(count, seed)
+    return [FiniteProbabilitySpace(RQST_TUPLES, w) for block in blocks for w in block]
 
 
-def _random_h_weights(count: int, seed: int) -> np.ndarray:
-    """The weights of :func:`random_h_spaces`, one row per distribution.
+#: Rows of hidden-variable weights drawn at a time, so that the memory of a
+#: sweep does not grow with its count.
+_SWEEP_BLOCK = 8192
 
-    One ``(count, 16)`` draw consumes the Philox stream exactly as
-    ``count`` successive 16-draws do, and each row is normalized by its
-    own sum, so row ``k`` is the ``k``-th space's weight vector.
+
+def _random_h_weights(count: int, seed: int) -> Iterator[np.ndarray]:
+    """The weights of :func:`random_h_spaces`, in blocks of at most ``_SWEEP_BLOCK`` rows.
+
+    The blocks' draws from one Philox generator consume its stream exactly
+    as one ``(count, 16)`` draw does, and each row is normalized by its own
+    sum, so row ``k`` of the stacked blocks is the ``k``-th space's weights.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     gen = np.random.Generator(np.random.Philox(key=seed))
-    w = gen.standard_exponential((count, len(RQST_TUPLES)))
-    return w / w.sum(axis=1, keepdims=True)
+    for start in range(0, count, _SWEEP_BLOCK):
+        w = gen.standard_exponential((min(_SWEEP_BLOCK, count - start), len(RQST_TUPLES)))
+        yield w / w.sum(axis=1, keepdims=True)
 
 
 def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
@@ -403,16 +408,19 @@ class SweepReport:
 def lhv_sweep(count: int, seed: int) -> SweepReport:
     """Max ``s_value`` over ``count`` random distributions and the 16 point masses.
 
-    The point masses are the rows of the identity, whose ``s_value`` the
-    matrix product gives exactly.  They are taken after the random draw,
-    whose weights set the peak memory, so that the first matrix product's
-    BLAS buffers are not added to it.
+    The random distributions are drawn and checked one block at a time,
+    so the memory of a sweep does not grow with ``count``.  The point
+    masses are the rows of the identity, whose ``s_value`` the matrix
+    product gives exactly; they are taken after the random draw.
     """
-    random_s = _lhv_s_values(_random_h_weights(count, seed))
-    vertex_s = _lhv_s_values(np.eye(len(RQST_TUPLES)))
+    random_max = max(
+        (float(_lhv_s_values(w).max()) for w in _random_h_weights(count, seed)),
+        default=-math.inf,
+    )
+    vertex_max = float(_lhv_s_values(np.eye(len(RQST_TUPLES))).max())
     return SweepReport(
-        max_s_value=float(np.concatenate([vertex_s, random_s]).max()),
-        vertex_max_s_value=float(vertex_s.max()),
+        max_s_value=max(vertex_max, random_max),
+        vertex_max_s_value=vertex_max,
         num_random=count,
         num_vertices=len(RQST_TUPLES),
         seed=seed,

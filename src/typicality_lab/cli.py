@@ -6,6 +6,11 @@ reports carry no timestamps, and the canonical JSON output is
 byte-identical across reruns and across ``--threads`` values.  Exit
 status is 0 only when every enabled check passes; failed checks are all
 enumerated in the report's ``failures`` list.
+
+The flow is parser -> :func:`_check_args` -> handler: each subcommand's
+parser binds its handler, ``_check_args`` validates and resolves the
+parsed namespace in place, and the handler reads it and returns the exit
+status and the report.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass
 
 from . import battery as battery_mod
 from . import chsh as chsh_mod
@@ -26,35 +30,13 @@ from .linalg import ATOL
 from .spaces import FiniteProbabilitySpace
 from .worlds import WorldPrefix
 
-__all__ = ["SCHEMA_VERSION", "RunConfig", "main", "cmd_chsh", "cmd_ghz", "cmd_lhv", "cmd_battery"]
+__all__ = ["SCHEMA_VERSION", "main"]
 
 SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
     """Bad invocation or malformed input file; maps to exit status 2."""
-
-
-@dataclass
-class RunConfig:
-    """Everything a command needs, resolved from the parsed flags."""
-
-    command: str
-    protocol: str | None = None
-    trials: int | None = None
-    seed: int | None = None
-    threads: int = 1
-    fmt: str = "json"
-    out: str | None = None
-    tolerance: float | None = None
-    sweep: int | None = None
-    h_file: str | None = None
-    h: FiniteProbabilitySpace | None = None
-    h_exact: chsh_mod.ConditionalAverageReport | None = None
-    blocks: tuple[int, ...] = battery_mod.DEFAULT_BLOCK_LENS
-    world_file: str | None = None
-    fps_file: str | None = None
-    world_out: str | None = None
 
 
 def _parse_blocks(raw: str) -> tuple[int, ...]:
@@ -111,11 +93,11 @@ def _load_fps(path: str, what: str) -> FiniteProbabilitySpace:
         raise UsageError(f"invalid {what} file {path!r}: {err}")
 
 
-def _load_chsh_h(path: str) -> tuple[FiniteProbabilitySpace, chsh_mod.ConditionalAverageReport]:
-    """``lhv chsh``'s hidden-variable distribution and its exact averages, which check it."""
+def _load_h(path: str, analyse) -> tuple:
+    """A hidden-variable distribution and ``analyse`` of it, which checks its alphabet."""
     h = _load_fps(path, "hidden-variable")
     try:
-        return h, chsh_mod.lhv_chsh_averages(h)
+        return h, analyse(h)
     except ValueError as err:
         raise UsageError(f"invalid hidden-variable file {path!r}: {err}")
 
@@ -131,11 +113,11 @@ def _write_text(path: str, text: str, flag: str) -> None:
         raise UsageError(f"cannot write {flag} file {path!r}: {err}")
 
 
-def _world_saver(config: RunConfig):
+def _world_saver(args: argparse.Namespace):
     """The callback that saves the run's own world to ``--world-out``, or None."""
-    if not config.world_out:
+    if not args.world_out:
         return None
-    return lambda world: _write_text(config.world_out, world.to_json(), "--world-out")
+    return lambda world: _write_text(args.world_out, world.to_json(), "--world-out")
 
 
 def _cross_check(distribution) -> tuple[dict, list]:
@@ -159,20 +141,30 @@ def _cross_check(distribution) -> tuple[dict, list]:
     return {"max_abs_diff": diff, "tolerance": ATOL, "pass": diff <= ATOL}, failures
 
 
-def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
+def _enumeration_failures(enumeration: ghz_mod.GhzEnumeration) -> list:
+    """The ``lhv-enumeration`` failure, should any value assignment meet every constraint."""
+    if enumeration.satisfying_count == 0:
+        return []
+    return [
+        {
+            "check": "lhv-enumeration",
+            "detail": f"{enumeration.satisfying_count} assignments satisfy all constraints",
+        }
+    ]
+
+
+def cmd_chsh(args: argparse.Namespace) -> tuple[int, dict]:
     """Quantum protocol run plus the analytic/operator distribution cross-check."""
     cross_check, failures = _cross_check(chsh_mod.chsh_distribution)
     report_obj = chsh_mod.run_chsh(
-        config.trials,
-        config.seed,
-        threads=config.threads,
-        battery_blocks=config.blocks,
-        on_world=_world_saver(config),
+        args.trials,
+        args.seed,
+        threads=args.threads,
+        battery_blocks=args.blocks,
+        on_world=_world_saver(args),
     )
     s_tolerance = (
-        config.tolerance
-        if config.tolerance is not None
-        else report_obj.tolerances["s_value"]
+        args.tolerance if args.tolerance is not None else report_obj.tolerances["s_value"]
     )
     s_error = abs(report_obj.s_value - chsh_mod.S_TARGET)
     if s_error > s_tolerance:
@@ -194,36 +186,23 @@ def cmd_chsh(config: RunConfig) -> tuple[int, dict]:
     return (0 if not failures else 1), report
 
 
-def cmd_ghz(config: RunConfig) -> tuple[int, dict]:
-    """Quantum protocol run plus the exhaustive hidden-value enumeration."""
+def cmd_ghz(args: argparse.Namespace) -> tuple[int, dict]:
+    """Quantum protocol run plus the exhaustive hidden-value enumeration.
+
+    :func:`~typicality_lab.ghz.run_ghz` raises on the first violated
+    perfect correlation, so a run it returns has none.
+    """
     cross_check, cross_failures = _cross_check(ghz_mod.ghz_distribution)
     failures = []
     try:
-        run = ghz_mod.run_ghz(
-            config.trials, config.seed, threads=config.threads, on_world=_world_saver(config)
-        )
-        run_dict = run.to_dict()
-        violations = run.total_violations
+        run_dict = ghz_mod.run_ghz(
+            args.trials, args.seed, threads=args.threads, on_world=_world_saver(args)
+        ).to_dict()
     except ghz_mod.PerfectCorrelationError as err:
-        run_dict = {"trials": config.trials, "seed": config.seed}
-        violations = -1
+        run_dict = {"trials": args.trials, "seed": args.seed}
         failures.append({"check": "perfect-correlations", "detail": str(err)})
     enumeration = ghz_mod.lhv_ghz_enumerate()
-    if violations > 0:
-        failures.append(
-            {
-                "check": "perfect-correlations",
-                "detail": f"{violations} rounds violated a required product",
-            }
-        )
-    if enumeration.satisfying_count != 0:
-        failures.append(
-            {
-                "check": "lhv-enumeration",
-                "detail": f"{enumeration.satisfying_count} assignments satisfy all constraints",
-            }
-        )
-    failures += cross_failures
+    failures += _enumeration_failures(enumeration) + cross_failures
     report = {
         "schema": SCHEMA_VERSION,
         "protocol": "ghz",
@@ -235,21 +214,13 @@ def cmd_ghz(config: RunConfig) -> tuple[int, dict]:
     return (0 if not failures else 1), report
 
 
-def cmd_lhv(config: RunConfig) -> tuple[int, dict]:
-    """Local-realist analyses: exact averages, simulation, sweep, enumeration."""
-    if config.protocol == "chsh":
-        return _cmd_lhv_chsh(config)
-    if config.protocol == "ghz":
-        return _cmd_lhv_ghz(config)
-    raise UsageError("lhv requires a protocol: chsh or ghz")
-
-
-def _cmd_lhv_chsh(config: RunConfig) -> tuple[int, dict]:
+def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[int, dict]:
+    """Local-realist CHSH: a sweep, or the exact (and simulated) averages of ``--h-file``."""
     report: dict = {"schema": SCHEMA_VERSION, "protocol": "lhv-chsh"}
     failures = []
     bound = 2.0 + 1e-12
-    if config.sweep is not None:
-        sweep = chsh_mod.lhv_sweep(config.sweep, config.seed)
+    if args.sweep is not None:
+        sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
         report["sweep"] = sweep.to_dict()
         if not sweep.bound_ok:
             failures.append(
@@ -258,12 +229,10 @@ def _cmd_lhv_chsh(config: RunConfig) -> tuple[int, dict]:
                     "detail": f"sweep max s_value {sweep.max_s_value!r} exceeds 2",
                 }
             )
-    elif config.h is not None:
-        exact = config.h_exact
-        if config.trials is not None:
-            simulated = chsh_mod.lhv_chsh_simulate(
-                config.h, config.trials, config.seed, threads=config.threads
-            )
+    elif args.h_file is not None:
+        h, exact = args.h
+        if args.trials is not None:
+            simulated = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, threads=args.threads)
             report.update(simulated.to_dict())
         else:
             report.update(exact.to_dict())
@@ -280,46 +249,34 @@ def _cmd_lhv_chsh(config: RunConfig) -> tuple[int, dict]:
     return (0 if not failures else 1), report
 
 
-def _cmd_lhv_ghz(config: RunConfig) -> tuple[int, dict]:
-    report: dict = {"schema": SCHEMA_VERSION, "protocol": "lhv-ghz"}
-    failures = []
+def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[int, dict]:
+    """Local-realist GHZ: the enumeration, and the violation masses of ``--h-file``."""
     enumeration = ghz_mod.lhv_ghz_enumerate()
-    report["lhv"] = enumeration.to_dict()
-    if enumeration.satisfying_count != 0:
-        failures.append(
-            {
-                "check": "lhv-enumeration",
-                "detail": f"{enumeration.satisfying_count} assignments satisfy all constraints",
-            }
-        )
-    if config.h_file is not None:
-        p = _load_fps(config.h_file, "hidden-variable")
-        try:
-            feasibility = ghz_mod.lhv_ghz_feasibility(p)
-        except ValueError as err:
-            raise UsageError(f"invalid hidden-variable file {config.h_file!r}: {err}")
+    report: dict = {"schema": SCHEMA_VERSION, "protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
+    if args.h_file is not None:
+        _, feasibility = _load_h(args.h_file, ghz_mod.lhv_ghz_feasibility)
         report["feasibility"] = feasibility.to_dict()
-    report["failures"] = failures
-    return (0 if not failures else 1), report
+    report["failures"] = _enumeration_failures(enumeration)
+    return (0 if not report["failures"] else 1), report
 
 
-def cmd_battery(config: RunConfig) -> tuple[int, dict]:
+def cmd_battery(args: argparse.Namespace) -> tuple[int, dict]:
     """Replay a stored world against a stored space through the battery."""
-    world_obj = _load_json_file(config.world_file, "world")
+    world_obj = _load_json_file(args.world_file, "world")
     try:
         world = WorldPrefix.from_json(world_obj)
     except ValueError as err:
-        raise UsageError(f"invalid world file {config.world_file!r}: {err}")
-    fps = _load_fps(config.fps_file, "probability-space")
+        raise UsageError(f"invalid world file {args.world_file!r}: {err}")
+    fps = _load_fps(args.fps_file, "probability-space")
     if world.alphabet != fps.alphabet:
         raise UsageError(
             "world and probability-space alphabets differ (symbols and order must match)"
         )
     significance = (
-        config.tolerance if config.tolerance is not None else battery_mod.DEFAULT_SIGNIFICANCE
+        args.tolerance if args.tolerance is not None else battery_mod.DEFAULT_SIGNIFICANCE
     )
     try:
-        result = battery_mod.run_battery(world, fps, config.blocks, significance)
+        result = battery_mod.run_battery(world, fps, args.blocks, significance)
     except ValueError as err:
         raise UsageError(str(err))
     failures = [
@@ -390,10 +347,10 @@ def _csv_view(report: dict) -> str:
     return buffer.getvalue()
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    text = _canonical_json(report) if config.fmt == "json" else _csv_view(report)
-    if config.out:
-        _write_text(config.out, text, "--out")
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    text = _canonical_json(report) if args.fmt == "json" else _csv_view(report)
+    if args.out:
+        _write_text(args.out, text, "--out")
     else:
         sys.stdout.write(text)
 
@@ -443,12 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--seed", required=True)
     p_chsh.add_argument("--world-out", help="also save the sampled world (JSON)")
     add_common(p_chsh, battery_blocks=True)
+    p_chsh.set_defaults(handler=cmd_chsh)
 
     p_ghz = sub.add_parser("ghz", help="run the quantum GHZ protocol")
     p_ghz.add_argument("--trials", type=int, required=True)
     p_ghz.add_argument("--seed", required=True)
     p_ghz.add_argument("--world-out", help="also save the sampled world (JSON)")
     add_common(p_ghz)
+    p_ghz.set_defaults(handler=cmd_ghz)
 
     p_lhv = sub.add_parser("lhv", help="local-hidden-variable analyses")
     p_lhv.add_argument("protocol", choices=("chsh", "ghz"))
@@ -457,18 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhv.add_argument("--trials", type=int, help="also simulate this many rounds")
     p_lhv.add_argument("--seed")
     add_common(p_lhv)
+    # The positional's choices are exactly these two handlers' protocols.
+    lhv_handlers = {"chsh": cmd_lhv_chsh, "ghz": cmd_lhv_ghz}
+    p_lhv.set_defaults(handler=lambda args: lhv_handlers[args.protocol](args))
 
     p_batt = sub.add_parser("battery", help="test a stored world against a stored space")
     p_batt.add_argument("world_file", help="world JSON file")
     p_batt.add_argument("fps_file", help="probability-space JSON file")
     p_batt.add_argument("--seed")  # parsed only to be refused as a JSON usage error
     add_common(p_batt, battery_blocks=True)
+    p_batt.set_defaults(handler=cmd_battery)
 
     return parser
 
 
 #: The optional flags, without defaults, that each invocation reads.  One
 #: given where it would be ignored is a usage error, not silently dropped.
+#: An invocation that reads ``--seed`` requires it.
 _FLAGS_READ = {
     "chsh": {"trials", "seed", "threads", "tolerance", "world_out"},
     "ghz": {"trials", "seed", "threads", "world_out"},
@@ -479,8 +443,21 @@ _FLAGS_READ = {
     "battery": {"tolerance"},
 }
 
+#: The least ``--trials`` of each invocation that takes one.
+_MIN_TRIALS = {
+    "chsh": chsh_mod.MIN_TRIALS,
+    "ghz": ghz_mod.MIN_TRIALS,
+    "lhv chsh --trials": chsh_mod.MIN_TRIALS,
+}
 
-def _reject_unread_flags(args: argparse.Namespace) -> None:
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate the parsed flags and resolve them in place, or raise :class:`UsageError`.
+
+    ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``lhv chsh
+    --h-file`` is loaded into ``args.h`` as the space and its exact
+    averages, and ``--seed`` becomes an integer or None.
+    """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
         mode += " --sweep"
@@ -489,75 +466,35 @@ def _reject_unread_flags(args: argparse.Namespace) -> None:
     for flag in ("trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out"):
         if getattr(args, flag, None) is not None and flag not in _FLAGS_READ[mode]:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    _reject_unread_flags(args)
-    config = RunConfig(
-        command=args.command,
-        protocol=getattr(args, "protocol", None),
-        trials=getattr(args, "trials", None),
-        threads=1 if args.threads is None else args.threads,
-        fmt=args.fmt,
-        out=args.out,
-        tolerance=args.tolerance,
-        sweep=getattr(args, "sweep", None),
-        h_file=getattr(args, "h_file", None),
-        world_file=getattr(args, "world_file", None),
-        fps_file=getattr(args, "fps_file", None),
-        world_out=getattr(args, "world_out", None),
-    )
     if hasattr(args, "blocks"):
-        config.blocks = _parse_blocks(args.blocks)
-    if config.threads < 1:
+        args.blocks = _parse_blocks(args.blocks)
+    if args.threads is None:
+        args.threads = 1
+    elif args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    if config.command == "chsh" and config.trials < chsh_mod.MIN_TRIALS:
-        raise UsageError(f"chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
-    if config.command == "ghz" and config.trials < ghz_mod.MIN_TRIALS:
-        raise UsageError(f"ghz requires --trials >= {ghz_mod.MIN_TRIALS}")
-    if config.command == "chsh" and config.tolerance is not None and not (
-        math.isfinite(config.tolerance) and config.tolerance > 0
-    ):
+    if mode in _MIN_TRIALS and args.trials < _MIN_TRIALS[mode]:
         raise UsageError(
-            f"chsh requires a positive finite --tolerance, got {config.tolerance!r}"
+            f"{mode.removesuffix(' --trials')} requires --trials >= {_MIN_TRIALS[mode]}"
         )
-    if config.sweep is not None and config.sweep < 0:
-        raise UsageError(f"--sweep must be non-negative, got {config.sweep}")
-    if (
-        config.command == "lhv"
-        and config.protocol == "chsh"
-        and config.sweep is None
-        and config.trials is not None
-        and config.trials < chsh_mod.MIN_TRIALS
+    if mode == "chsh" and args.tolerance is not None and not (
+        math.isfinite(args.tolerance) and args.tolerance > 0
     ):
-        raise UsageError(f"lhv chsh requires --trials >= {chsh_mod.MIN_TRIALS}")
-    if config.command == "lhv" and config.protocol == "chsh" and config.h_file is not None:
-        config.h, config.h_exact = _load_chsh_h(config.h_file)
+        raise UsageError(f"chsh requires a positive finite --tolerance, got {args.tolerance!r}")
+    if mode == "lhv chsh --sweep" and args.sweep < 0:
+        raise UsageError(f"--sweep must be non-negative, got {args.sweep}")
+    if mode.startswith("lhv chsh") and args.h_file is not None:
+        args.h = _load_h(args.h_file, chsh_mod.lhv_chsh_averages)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
-    needs_seed = config.command in ("chsh", "ghz") or (
-        config.command == "lhv"
-        and config.protocol == "chsh"
-        and (config.sweep is not None or config.trials is not None)
-    )
-    config.seed = _resolve_seed(getattr(args, "seed", None), required=needs_seed)
-    return config
-
-
-_COMMANDS = {
-    "chsh": cmd_chsh,
-    "ghz": cmd_ghz,
-    "lhv": cmd_lhv,
-    "battery": cmd_battery,
-}
+    args.seed = _resolve_seed(args.seed, required="seed" in _FLAGS_READ[mode])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        status, report = _COMMANDS[config.command](config)
-        _emit(report, config)
+        _check_args(args)
+        status, report = args.handler(args)
+        _emit(report, args)
         return status
     except UsageError as err:
         _print_usage_error(str(err))

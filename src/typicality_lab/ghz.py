@@ -177,9 +177,8 @@ def run_ghz(
     for coins in itertools.product((0, 1), repeat=3):
         key = "".join(str(c) for c in coins)
         cell = sign_cell(symbol_counts, GHZ.product_signs(*coins))
-        coin_sum = sum(coins)
-        if coin_sum in (0, 2):
-            required = -1 if coin_sum == 0 else 1
+        if key in CONSTRAINTS:
+            required = CONSTRAINTS[key][1]
             violations = cell.plus if required < 0 else cell.minus
             constrained[key] = {
                 "count": cell.count,

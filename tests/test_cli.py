@@ -433,7 +433,15 @@ class TestWorldOutSamplesOnce:
         argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, report, _ = run_json(capsys, argv)
         assert status == 1
-        assert report["failures"][0]["check"] == "perfect-correlations"
+        assert report["failures"] == [
+            {
+                "check": "perfect-correlations",
+                "detail": "coin triple 000: 8000 rounds violated the required product -1",
+            }
+        ]
+        run_part = set(report) - {"schema", "protocol", "lhv", "cross_check", "failures"}
+        assert run_part == {"trials", "seed"}
+        assert (report["trials"], report["seed"]) == (8000, 5)
         world = WorldPrefix.from_json(world_path.read_text())
         assert world == WorldPrefix(
             ghz_distribution().alphabet, np.full(8000, ghz_distribution().index(forbidden))

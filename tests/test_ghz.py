@@ -123,6 +123,26 @@ class TestRun:
         assert r1.to_dict() == r4.to_dict()
 
 
+class TestConstraints:
+    def test_violations_are_the_structural_zeros(self):
+        zeros = {
+            o for o, w in zip(GHZ_OUTCOMES, ghz_distribution("analytic").weights) if w == 0.0
+        }
+        violations = set()
+        for o in GHZ_OUTCOMES:
+            key = f"{o.c1}{o.c2}{o.c3}"
+            if key in CONSTRAINTS and o.m1 * o.m2 * o.m3 != CONSTRAINTS[key][1]:
+                violations.add(o)
+        assert zeros == violations
+
+    def test_coordinates_follow_the_coins(self):
+        # Party k's value on coin c is coordinate 2*k + c of an assignment.
+        for key, (coords, _) in CONSTRAINTS.items():
+            assert coords == tuple(2 * k + int(c) for k, c in enumerate(key))
+        for k, c in itertools.product(range(3), (0, 1)):
+            assert LhvAssignment._fields[2 * k + c] == f"m{k + 1}_{c}"
+
+
 class TestEnumeration:
     def test_no_assignment_satisfies_all_constraints(self):
         assert lhv_ghz_enumerate().satisfying_count == 0

@@ -13,7 +13,8 @@ import pytest
 
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
-from typicality_lab.spaces import uniform
+from typicality_lab.ghz import LHV_ASSIGNMENTS
+from typicality_lab.spaces import FiniteProbabilitySpace, uniform
 from typicality_lab.worlds import sample_world
 
 #: argv template -> (exit status, sha256 of stdout).
@@ -53,19 +54,67 @@ GOLDEN = {
     ),
 }
 
+#: The CSV views, and the modes the reports above do not reach.
+GOLDEN.update(
+    {
+        "chsh --trials 200000 --seed 42 --format csv": (
+            0,
+            "25fb23b07ac766c78f4b90e01c8b6d35bba8a99dd74dc5ba445f8c0b7ff2ed8e",
+        ),
+        "ghz --trials 100000 --seed 7 --format csv": (
+            0,
+            "92d7288a818e674f0f291a61bc5fb4cf001b449b459123d66a9dfb0df150f26c",
+        ),
+        "lhv chsh --sweep 1000 --seed 3 --format csv": (
+            0,
+            "48519c1a5290f264ba6f11e3254338f42d49dcf191b08ca5293106949aaf628d",
+        ),
+        "lhv ghz --format csv": (
+            0,
+            "16c6ffa54e6e6a3e42885beb255c5e6f9828198e93565b4d55b8e91bdac07175",
+        ),
+        "battery {world} {fps} --tolerance 0.2 --format csv": (
+            0,
+            "9de20eb18d36094353e04b196c455c2fd9d38d81d2ff00d5b4f7682b96bbcae7",
+        ),
+        "lhv chsh --h-file {h}": (
+            0,
+            "1c1fcc6a0cfc8336b113af0449860dee9711f439b88b0acd71936faa1c1207ac",
+        ),
+        "lhv ghz --h-file {p}": (
+            0,
+            "c6f115af5b0af1bb98babd3c15ff8b701be8312385d3ee53457b7cc88009ba13",
+        ),
+        "chsh --trials 200000 --seed 42 --blocks 1,2,3,4": (
+            0,
+            "8ba0ded405528a826cdff05b406debaf5b5f2298a072f7378db4ddbff20e5b4b",
+        ),
+        # A tolerance no sampled run meets: the s-value check fails.
+        "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
+            1,
+            "abc2140e8e2389d2ea5bbaa62d9922fba7b441e43d960edcdd5f1f3ac8e4952e",
+        ),
+    }
+)
+
 #: sha256 of the world file ``chsh --trials 200000 --seed 42 --world-out`` writes.
 WORLD_FILE_SHA256 = "7f93effec4317e47255d33f5fe383adcc252081431e18e14e5d9804d0818169a"
 
 
 def write_inputs(directory):
-    """The uniform hidden-variable space, a CHSH world and the CHSH space."""
+    """Hidden-variable spaces for CHSH (uniform) and GHZ, a CHSH world and the CHSH space."""
     files = {
         "h": directory / "h.json",
+        "p": directory / "p.json",
         "world": directory / "world.json",
         "fps": directory / "fps.json",
     }
     fps = chsh_distribution("analytic")
     files["h"].write_text(uniform(RQST_TUPLES).to_json())
+    # Weight 2k+1 on the k-th assignment, so no two constraints see the same mass.
+    files["p"].write_text(
+        FiniteProbabilitySpace(LHV_ASSIGNMENTS, [(2 * k + 1) / 64**2 for k in range(64)]).to_json()
+    )
     files["world"].write_text(sample_world(fps, 200_000, 11).to_json())
     files["fps"].write_text(fps.to_json())
     return files

@@ -139,17 +139,52 @@ class TestSweep:
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_rows_are_the_spaces_weights(self, seed):
-        weights = chsh_mod._random_h_weights(3000, seed)
+        weights = np.vstack(list(chsh_mod._random_h_weights(3000, seed)))
         assert np.array_equal(weights, self.per_row_weights(3000, seed))
         spaces = random_h_spaces(3000, seed)
         assert np.array_equal(weights, np.array([h.weights for h in spaces]))
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_s_values_match_exact_averages(self, seed):
-        weights = chsh_mod._random_h_weights(3000, seed)
+        weights = np.vstack(list(chsh_mod._random_h_weights(3000, seed)))
         s_values = chsh_mod._lhv_s_values(weights)
         exact = np.array([lhv_chsh_averages(h).s_value for h in random_h_spaces(3000, seed)])
         assert np.abs(s_values - exact).max() <= 1e-15
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 12])
+    def test_blocked_sweep_is_the_one_shot_sweep(self, count, monkeypatch):
+        # Blocks of 4 rows: none, one short, one full, one and a bit, three.
+        monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", 4)
+        gen = np.random.Generator(np.random.Philox(key=9))
+        one_shot = gen.standard_exponential((count, len(RQST_TUPLES)))
+        one_shot /= one_shot.sum(axis=1, keepdims=True)
+        blocks = list(chsh_mod._random_h_weights(count, 9))
+        assert [len(block) for block in blocks] == [min(4, count - s) for s in range(0, count, 4)]
+        assert np.array_equal(np.vstack([np.empty((0, 16)), *blocks]), one_shot)
+
+        checked = []
+        s_values = chsh_mod._lhv_s_values
+
+        def recording(weights):
+            checked.append(s_values(weights))
+            return checked[-1]
+
+        monkeypatch.setattr(chsh_mod, "_lhv_s_values", recording)
+        report = chsh_mod.lhv_sweep(count, 9)
+        *random_s, vertex_s = checked
+        assert [len(s) for s in random_s] == [len(block) for block in blocks]
+        assert len(vertex_s) == len(RQST_TUPLES)
+        if count:
+            assert max(s.max() for s in random_s) == s_values(one_shot).max()
+        assert report.max_s_value == max(s_values(one_shot).max(initial=-np.inf), 2.0)
+
+    def test_blocked_sweep_report_bytes(self, monkeypatch, capsys):
+        argv = ["lhv", "chsh", "--sweep", "1000", "--seed", "3"]
+        assert main(argv) == 0
+        one_block = capsys.readouterr().out
+        monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", 64)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == one_block
 
     def test_empty_sweep_reports_the_vertices(self):
         report = chsh_mod.lhv_sweep(0, 1)
@@ -167,7 +202,7 @@ class TestSweep:
     def test_rows_validated_like_spaces(self, row, message):
         with pytest.raises(ValueError, match=message):
             FiniteProbabilitySpace(RQST_TUPLES, row)
-        weights = np.vstack([chsh_mod._random_h_weights(3, 1), row])
+        weights = np.vstack([*chsh_mod._random_h_weights(3, 1), row])
         with pytest.raises(ValueError, match=message):
             chsh_mod._lhv_s_values(weights)
 
