@@ -3,13 +3,15 @@
 Certifying algorithmic randomness is impossible; this battery makes no
 such claim.  It rejects gross non-typicality only: the frequencies of
 non-overlapping length-k blocks are compared against the i.i.d. product
-weights with a chi-square goodness-of-fit test.  A typical sequence still
-fails each test at roughly the significance rate (default 0.01), so an
-occasional failure on a fresh seed is expected behaviour, not a bug.
+weights with a chi-square goodness-of-fit test, which passes when its
+p-value is at least the significance.  A typical sequence still fails
+each test at the significance rate (default 0.01), so an occasional
+failure on a fresh seed is expected behaviour, not a bug.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -37,15 +39,15 @@ DEFAULT_SIGNIFICANCE = 0.01
 class FrequencyTest:
     """One chi-square block-frequency test.
 
-    ``passed`` is exactly ``statistic <= threshold``.  ``zero_cells`` is
-    the number of zero-probability blocks removed from the statistic; a
-    prefix that *hits* such a block gets an infinite statistic, since the
-    claimed space assigns it measure zero.
+    ``passed`` is exactly ``p_value >= significance``, where ``p_value`` is
+    the chi-square upper tail of ``statistic``.  ``zero_cells`` is the
+    number of zero-probability blocks removed from the statistic; a prefix
+    that *hits* such a block gets an infinite statistic and p-value 0.
     """
 
     block_len: int
     statistic: float
-    threshold: float
+    p_value: float
     dof: int
     significance: float
     n_blocks: int
@@ -54,13 +56,13 @@ class FrequencyTest:
 
     @property
     def passed(self) -> bool:
-        return self.statistic <= self.threshold
+        return self.p_value >= self.significance
 
     def to_dict(self) -> dict:
         return {
             "block_len": self.block_len,
             "statistic": self.statistic,
-            "threshold": self.threshold,
+            "p_value": self.p_value,
             "dof": self.dof,
             "significance": self.significance,
             "n_blocks": self.n_blocks,
@@ -103,9 +105,8 @@ def block_frequency_test(
 
     Requires ``block_len >= 1`` and ``block_len * |alphabet|**block_len
     <= len(world) / 10`` so every positive-probability cell has a usable
-    expected count.  The threshold is the chi-square quantile at
-    ``1 - significance`` with (#positive-probability blocks - 1) degrees
-    of freedom.
+    expected count.  The p-value is the chi-square upper tail with
+    (#positive-probability blocks - 1) degrees of freedom.
     """
     if world.alphabet != fps.alphabet:
         raise ValueError("world and probability space alphabets differ")
@@ -135,11 +136,10 @@ def block_frequency_test(
     if zero_hits > 0:
         statistic = float("inf")
     dof = int(positive.sum()) - 1
-    threshold = _chi2_quantile(1.0 - significance, dof) if dof > 0 else 0.0
     return FrequencyTest(
         block_len=block_len,
         statistic=statistic,
-        threshold=threshold,
+        p_value=_chi2_sf(statistic, dof),
         dof=dof,
         significance=significance,
         n_blocks=n_blocks,
@@ -165,33 +165,25 @@ def long_enough(length: int, n_sym: int, block_len: int) -> bool:
     return block_len * n_sym**block_len <= length / 10
 
 
-#: ``chi2.ppf(1 - DEFAULT_SIGNIFICANCE, dof)`` for ``dof = 4**k - 1``, k in
-#: ``DEFAULT_BLOCK_LENS``: the thresholds of a default CHSH battery, whose
-#: coin-pair cells have four symbols.  Stored so a default run loads no scipy.
-_KNOWN_QUANTILES = {
-    (1.0 - DEFAULT_SIGNIFICANCE, 3): 11.344866730144373,
-    (1.0 - DEFAULT_SIGNIFICANCE, 15): 30.57791416689249,
-    (1.0 - DEFAULT_SIGNIFICANCE, 63): 92.01002361413214,
-}
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail ``P(X >= x)`` of the chi-square law with integer ``dof``, in closed form.
 
-
-def _chi2_quantile(q: float, dof: int) -> float:
-    """Chi-square quantile, bit for bit what ``scipy.stats.chi2.ppf(q, dof)`` returns.
-
-    That is ``2 * gammaincinv(dof / 2, q)``, or the stored value for a pair
-    in ``_KNOWN_QUANTILES``.  ``scipy.special`` is imported here, not at
-    module level: it is the package's only scipy dependency and commands
-    that run no battery, or only the default CHSH one, should not pay for
-    loading it.  ``scipy.special.chdtri`` is not a substitute: at q = 0.99
-    it differs from ``chi2.ppf`` in the last digits for 3, 15 and 63
-    degrees of freedom, which the CHSH battery uses.
+    Abramowitz & Stegun 26.4.4-26.4.5, with ``h = x / 2``: the sum of
+    ``e**-h * h**a / a!`` over ``a = 0 .. dof/2 - 1`` for an even ``dof``, and
+    over ``a = 1/2 .. dof/2 - 1`` plus ``erfc(sqrt(h))`` for an odd one.  Each
+    term is taken in log space, where ``e**-h`` does not underflow nor
+    ``h**a`` overflow at tens of thousands of dof.  Zero dof is the point mass at 0.
     """
-    known = _KNOWN_QUANTILES.get((q, dof))
-    if known is not None:
-        return known
-    from scipy.special import gammaincinv
-
-    return float(2.0 * gammaincinv(dof / 2.0, q))
+    if x <= 0.0:
+        return 1.0
+    if dof == 0 or math.isinf(x):
+        return 0.0
+    h, half = x / 2.0, (dof % 2) / 2.0
+    log_h = math.log(h)
+    logs = [(j + half) * log_h - h - math.lgamma(j + half + 1.0) for j in range(dof // 2)]
+    top = max(logs, default=0.0)
+    tail = math.exp(top) * sum(math.exp(t - top) for t in logs)
+    return min(1.0, tail + (math.erfc(math.sqrt(h)) if dof % 2 else 0.0))
 
 
 def run_battery(

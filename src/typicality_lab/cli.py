@@ -16,6 +16,7 @@ status and the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -32,7 +33,7 @@ from .worlds import WorldPrefix
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(Exception):
@@ -113,11 +114,19 @@ def _write_text(path: str, text: str, flag: str) -> None:
         raise UsageError(f"cannot write {flag} file {path!r}: {err}")
 
 
+@contextlib.contextmanager
 def _world_saver(args: argparse.Namespace):
-    """The callback that saves the run's own world to ``--world-out``, or None."""
+    """The callback that saves the run's own world to ``--world-out``, or None.
+
+    Too little memory to keep or serialize that world is a usage error.
+    """
     if not args.world_out:
-        return None
-    return lambda world: _write_text(args.world_out, world.to_json(), "--world-out")
+        yield None
+        return
+    try:
+        yield lambda world: _write_text(args.world_out, world.to_json(), "--world-out")
+    except MemoryError:
+        raise UsageError(f"--world-out: too little memory for a world of {args.trials} trials")
 
 
 def _cross_check(distribution) -> tuple[dict, list]:
@@ -156,16 +165,11 @@ def _enumeration_failures(enumeration: ghz_mod.GhzEnumeration) -> list:
 def cmd_chsh(args: argparse.Namespace) -> tuple[int, dict]:
     """Quantum protocol run plus the analytic/operator distribution cross-check."""
     cross_check, failures = _cross_check(chsh_mod.chsh_distribution)
-    report_obj = chsh_mod.run_chsh(
-        args.trials,
-        args.seed,
-        threads=args.threads,
-        battery_blocks=args.blocks,
-        on_world=_world_saver(args),
-    )
-    s_tolerance = (
-        args.tolerance if args.tolerance is not None else report_obj.tolerances["s_value"]
-    )
+    with _world_saver(args) as on_world:
+        report_obj = chsh_mod.run_chsh(
+            args.trials, args.seed, args.threads, battery_blocks=args.blocks, on_world=on_world
+        )
+    s_tolerance = report_obj.tolerances["s_value"] if args.tolerance is None else args.tolerance
     s_error = abs(report_obj.s_value - chsh_mod.S_TARGET)
     if s_error > s_tolerance:
         failures.append(
@@ -195,9 +199,10 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[int, dict]:
     cross_check, cross_failures = _cross_check(ghz_mod.ghz_distribution)
     failures = []
     try:
-        run_dict = ghz_mod.run_ghz(
-            args.trials, args.seed, threads=args.threads, on_world=_world_saver(args)
-        ).to_dict()
+        with _world_saver(args) as on_world:
+            run_dict = ghz_mod.run_ghz(
+                args.trials, args.seed, threads=args.threads, on_world=on_world
+            ).to_dict()
     except ghz_mod.PerfectCorrelationError as err:
         run_dict = {"trials": args.trials, "seed": args.seed}
         failures.append({"check": "perfect-correlations", "detail": str(err)})
@@ -272,9 +277,7 @@ def cmd_battery(args: argparse.Namespace) -> tuple[int, dict]:
         raise UsageError(
             "world and probability-space alphabets differ (symbols and order must match)"
         )
-    significance = (
-        args.tolerance if args.tolerance is not None else battery_mod.DEFAULT_SIGNIFICANCE
-    )
+    significance = battery_mod.DEFAULT_SIGNIFICANCE if args.tolerance is None else args.tolerance
     try:
         result = battery_mod.run_battery(world, fps, args.blocks, significance)
     except ValueError as err:
@@ -282,7 +285,7 @@ def cmd_battery(args: argparse.Namespace) -> tuple[int, dict]:
     failures = [
         {
             "check": f"block-frequency-k{t.block_len}",
-            "detail": f"statistic {t.statistic:.3f} > threshold {t.threshold:.3f}",
+            "detail": f"p_value {t.p_value:.3e} < significance {t.significance!r}",
         }
         for t in result.tests
         if not t.passed
@@ -315,16 +318,9 @@ def _csv_view(report: dict) -> str:
         writer.writerow(["rs", "qs", "rt", "qt", "s_value"])
         writer.writerow([avg["rs"], avg["qs"], avg["rt"], avg["qt"], report["s_value"]])
     elif protocol == "lhv-chsh" and "sweep" in report:
-        sweep = report["sweep"]
-        writer.writerow(["max_s_value", "vertex_max_s_value", "num_random", "bound_ok"])
-        writer.writerow(
-            [
-                sweep["max_s_value"],
-                sweep["vertex_max_s_value"],
-                sweep["num_random"],
-                sweep["bound_ok"],
-            ]
-        )
+        fields = ["max_s_value", "vertex_max_s_value", "num_random", "bound_ok"]
+        writer.writerow(fields)
+        writer.writerow([report["sweep"][field] for field in fields])
     elif protocol == "ghz":
         writer.writerow(["triple", "kind", "count", "value"])
         for triple, entry in sorted(report.get("perfect_correlation", {}).items()):
@@ -336,11 +332,9 @@ def _csv_view(report: dict) -> str:
         writer.writerow(["satisfying_count", report["lhv"]["satisfying_count"]])
         writer.writerow(["plus_only_count", report["lhv"]["plus_only_count"]])
     elif protocol == "battery":
-        writer.writerow(["block_len", "statistic", "threshold", "dof", "pass"])
+        writer.writerow(["block_len", "statistic", "p_value", "dof", "pass"])
         for t in report["tests"]:
-            writer.writerow(
-                [t["block_len"], t["statistic"], t["threshold"], t["dof"], t["pass"]]
-            )
+            writer.writerow([t["block_len"], t["statistic"], t["p_value"], t["dof"], t["pass"]])
     else:
         writer.writerow(["report"])
         writer.writerow([json.dumps(report, sort_keys=True)])

@@ -488,13 +488,23 @@ def _cell_tables(alphabet: tuple, events: Sequence[Iterable]):
     return keep_ids, cell, local
 
 
-def _split_chunk(indices: np.ndarray, cell: np.ndarray, local: np.ndarray, n_events: int):
-    """The local indices of each event's symbols in ``indices``, in order."""
-    # A lookup casts its index array to intp; one cast serves both tables.
-    wide = indices.astype(np.intp, copy=False)
-    cells = cell.take(wide)
-    codes = local.take(wide)
-    return [np.compress(cells == i, codes) for i in range(n_events)]
+def _split_buffers(cell: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Chunk-sized buffers for :func:`_split_chunk`: the two table lookups and an event mask."""
+    return tuple(np.empty(_CHUNK_LEN, dtype) for dtype in (cell.dtype, local.dtype, bool))
+
+
+def _split_chunk(indices: np.ndarray, cell: np.ndarray, local: np.ndarray, n_events: int, out):
+    """The local indices of each event's symbols in ``indices``, in order.
+
+    Lookups and masks go into ``out``, :func:`_split_buffers` reused chunk to
+    chunk, so a longer draw touches no fresh pages.  The indices are in range,
+    so the lookups "clip", which spares the copy of ``out`` that "raise" makes.
+    """
+    wide = indices.astype(np.intp, copy=False)  # one cast to intp serves both lookups
+    cells, codes, mask = (b[: wide.size] for b in out)
+    cell.take(wide, out=cells, mode="clip")
+    local.take(wide, out=codes, mode="clip")
+    return [np.compress(np.equal(cells, i, out=mask), codes) for i in range(n_events)]
 
 
 class CellTally:
@@ -555,9 +565,12 @@ def tally(
     block_lens = sorted({k for k in block_lens if k > 1})
     counters = [[_BlockCounter(len(ids), k) for k in block_lens] for ids in keep_ids]
     split = bool(block_lens and keep_ids)
+    buffers = threading.local()  # each drawing thread's _split_buffers
 
     def work(indices: np.ndarray):
-        parts = _split_chunk(indices, cell, local, len(keep_ids)) if split else ()
+        if split and not hasattr(buffers, "out"):
+            buffers.out = _split_buffers(cell, local)
+        parts = _split_chunk(indices, cell, local, len(keep_ids), buffers.out) if split else ()
         return np.bincount(indices, minlength=n_sym), parts
 
     out = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
@@ -590,8 +603,9 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
     counts :func:`tally` takes.
     """
     (ids,), cell, local = _cell_tables(world.alphabet, [event])
+    out = _split_buffers(cell, local)
     parts = [
-        _split_chunk(world.indices[start : start + _CHUNK_LEN], cell, local, 1)[0]
+        _split_chunk(world.indices[start : start + _CHUNK_LEN], cell, local, 1, out)[0]
         for start in range(0, len(world), _CHUNK_LEN)
     ]
     indices = np.concatenate(parts) if parts else local[:0]

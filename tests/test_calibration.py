@@ -1,0 +1,105 @@
+"""Two-level calibration of the run statistics over a fixed range of seeds.
+
+Under the exact law every battery p-value is (close to) uniform, so each
+block length rejects at the significance rate, and the CHSH value and
+the GHZ free-triple means are normal about their targets.  Following
+NIST SP 800-22 section 4.2, the second level tests those first-level
+values: a binomial bound on each block length's rejection count and a
+10-bin chi-square test of uniformity.  The k = 1, 2, 3 tests of one cell
+share data, so each block length is tested on its own.
+
+Every bound comes from one family-wise false-alarm rate split evenly
+(Bonferroni) over the checks below.  The seeds were fixed before any
+result was looked at and must never be re-picked after a failure.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from typicality_lab.battery import DEFAULT_BLOCK_LENS, DEFAULT_SIGNIFICANCE, _chi2_sf
+from typicality_lab.chsh import S_TARGET, run_chsh
+from typicality_lab.ghz import run_ghz
+
+SEEDS = range(400)
+TRIALS = 40_000
+
+#: Chance that this file fails on a correct sampler and battery.
+FAMILY_ALPHA = 1e-6
+#: Per block length a rejection count and a uniformity test; then the
+#: CHSH z-scores and the GHZ scaled means.
+CHECKS = 2 * len(DEFAULT_BLOCK_LENS) + 2
+ALPHA = FAMILY_ALPHA / CHECKS
+
+
+def uniformity_p_value(values, bins=10):
+    """Chi-square p-value of values in [0, 1) against the uniform law on ``bins`` cells."""
+    counts = np.histogram(values, bins=bins, range=(0.0, 1.0))[0]
+    expected = len(values) / bins
+    return _chi2_sf(float(((counts - expected) ** 2 / expected).sum()), bins - 1)
+
+
+def binomial_tails(k, n, p):
+    """``P(K <= k)`` and ``P(K >= k)`` for ``K ~ Binomial(n, p)``."""
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+        + r * math.log(p) + (n - r) * math.log1p(-p)
+        for r in range(n + 1)
+    ]
+    pmf = [math.exp(v) for v in log_pmf]
+    return math.fsum(pmf[: k + 1]), math.fsum(pmf[k:])
+
+
+def normal_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+@pytest.fixture(scope="module")
+def chsh_runs():
+    return [run_chsh(TRIALS, seed) for seed in SEEDS]
+
+
+def battery_tests(runs, block_len):
+    """The battery tests at ``block_len`` of every coin pair of every run."""
+    return [
+        t for run in runs for battery in run.batteries.values() for t in battery.tests
+        if t.block_len == block_len
+    ]
+
+
+@pytest.mark.parametrize("block_len", DEFAULT_BLOCK_LENS)
+def test_rejection_rate_is_the_significance(chsh_runs, block_len):
+    tests = battery_tests(chsh_runs, block_len)
+    assert len(tests) == 4 * len(SEEDS)
+    rejections = sum(not t.passed for t in tests)
+    below, above = binomial_tails(rejections, len(tests), DEFAULT_SIGNIFICANCE)
+    assert min(below, above) > ALPHA / 2, (rejections, len(tests))
+
+
+@pytest.mark.parametrize("block_len", DEFAULT_BLOCK_LENS)
+def test_p_values_are_uniform(chsh_runs, block_len):
+    p_values = [t.p_value for t in battery_tests(chsh_runs, block_len)]
+    assert uniformity_p_value(p_values) >= ALPHA
+
+
+def test_chsh_s_value_is_normal_about_its_target(chsh_runs):
+    # Given the cell counts n, each coin pair's mean product has variance
+    # 0.5 / n under the exact law, and the four are independent.
+    z = [
+        (run.s_value - S_TARGET) / math.sqrt(sum(0.5 / n for n in run.counts.values()))
+        for run in chsh_runs
+    ]
+    assert uniformity_p_value([normal_cdf(v) for v in z]) >= ALPHA
+
+
+def test_ghz_free_triple_means_are_standard_normal():
+    # A free triple's product is +-1 with mean 0, so sqrt(n) times its
+    # mean over n rounds is close to N(0, 1).
+    z = [
+        entry["mean_product"] * math.sqrt(entry["count"])
+        for seed in SEEDS
+        for entry in run_ghz(TRIALS, seed).free.values()
+    ]
+    assert len(z) == 4 * len(SEEDS)
+    assert uniformity_p_value([normal_cdf(v) for v in z]) >= ALPHA

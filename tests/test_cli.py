@@ -40,7 +40,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -363,7 +363,7 @@ class TestBatteryCommand:
             ["battery", str(world_path), str(fps_path), "--format", "csv"],
         )
         assert status == 0
-        assert out.splitlines()[0] == "block_len,statistic,threshold,dof,pass"
+        assert out.splitlines()[0] == "block_len,statistic,p_value,dof,pass"
 
     def test_significance_override(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
@@ -459,6 +459,18 @@ class TestExitCodeHoles:
         argv = ["chsh", "--trials", "8000", "--seed", "5", "--world-out", str(target)]
         status, out, err = run_cli(capsys, argv)
         assert_usage_error(status, out, err, "--world-out")
+
+    @pytest.mark.parametrize("command", ["chsh", "ghz"])
+    def test_world_too_large_to_keep(self, capsys, tmp_path, command):
+        # 10**15 one-byte symbols are 909 TiB, past any 47-bit address space,
+        # so keeping the world fails at once on every host.
+        target = tmp_path / "world.json"
+        argv = [command, "--trials", str(10**15), "--seed", "1", "--world-out", str(target)]
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, "--world-out")
+        assert str(10**15) in json.loads(err)["error"]["message"]
+        assert len(err.splitlines()) == 1
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -21,36 +21,36 @@ from typicality_lab.worlds import sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "ed7affc0a5f2a021e72f9b8aff930e404d91c2fe77240c655df61eec31d1c92b",
+        "9ecaeabc45cc792a56845c2a65b30a1a7f79b82dc4a2881c49ca5e3ac93b96f3",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "7172fe8264da1880cc3657c5fa3d118ea7a2898f945a53e37f1cef1460b4c044",
+        "c5052507eececc06e1454aec7b9d2a141ec6f0a45a222448555b422e3b6f2d38",
     ),
     "lhv ghz": (
         0,
-        "7d6a075f6d8e250904bbbbcae2a2b288beeec2a6f23c0bf0a7d3ed3460a4bede",
+        "4ea86ddb229a4f9fa9e1acd321ba0be7de39b0c04c4b239e2af8b9a54a98c315",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "6ee7cb81a06b34a74730947507d95b96105c68101c76a00b60d6e3dd8f09c77f",
+        "b2b1f37dbbe933a5f6c9088e8d9598d5b1371e252f3d14eb8e1c16ed5b679993",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "ee90c3d357a1e212d716deeb4f0462da5b4e266cb15de30b654ee052e83ee2e8",
+        "11b1410e907dfbcde988bd33dccdf8ab3d695b3259b23099b264527207e3fdb6",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "e8660e751afbede5b84b19ff20f5ce236c454c7ca2f4c08514831394f8a824d1",
+        "1d8a8d4b5e8a8cc16919c133deb2eb247957f92ed439f89a275205e84cdbe7a9",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "aaf24ee043d9c2133c7f64c550b5947b80d7d91c0ef96e57ad20b68a34fc75d2",
+        "60c8ce0fa3610341dfe67874d6fc04ed6f144204a117e7761537cac4ab988657",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "7b9633903b3d4ee53fab567a18727adaf55b58d4dcf352137b15e0dd5866d0f6",
+        "761074d97101411b8417e9dcfd335d52070334f45d4a875e9236cc4e4acedde9",
     ),
 }
 
@@ -75,24 +75,24 @@ GOLDEN.update(
         ),
         "battery {world} {fps} --tolerance 0.2 --format csv": (
             0,
-            "9de20eb18d36094353e04b196c455c2fd9d38d81d2ff00d5b4f7682b96bbcae7",
+            "75b23637ca6c31b48b1dcb14c0bd8781dc3ba3de43627816f6e69a685d7a498a",
         ),
         "lhv chsh --h-file {h}": (
             0,
-            "1c1fcc6a0cfc8336b113af0449860dee9711f439b88b0acd71936faa1c1207ac",
+            "c023f9fff84a1434b123996c44b00af6b74528f745dc987b841aa9c80a21c221",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "c6f115af5b0af1bb98babd3c15ff8b701be8312385d3ee53457b7cc88009ba13",
+            "a460cbc1e644951a9efaf3938067c0ba6630a8a1f853b8e7bad04cad75256e3b",
         ),
         "chsh --trials 200000 --seed 42 --blocks 1,2,3,4": (
             0,
-            "8ba0ded405528a826cdff05b406debaf5b5f2298a072f7378db4ddbff20e5b4b",
+            "5464d93ac33775d5f8469e21e5635b8438f78484d3736a8ab3097b78b387d6fd",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "abc2140e8e2389d2ea5bbaa62d9922fba7b441e43d960edcdd5f1f3ac8e4952e",
+            "eec1c0a374ce1ad80e2331b29eb0d75a3edd6759a74e2c3ac1591b349cf0483a",
         ),
     }
 )
