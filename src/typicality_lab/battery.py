@@ -12,7 +12,7 @@ failure on a fresh seed is expected behaviour, not a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -59,17 +59,7 @@ class FrequencyTest:
         return self.p_value >= self.significance
 
     def to_dict(self) -> dict:
-        return {
-            "block_len": self.block_len,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "dof": self.dof,
-            "significance": self.significance,
-            "n_blocks": self.n_blocks,
-            "zero_cells": self.zero_cells,
-            "zero_cell_hits": self.zero_cell_hits,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)

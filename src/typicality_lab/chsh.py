@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -122,19 +122,18 @@ coin_event = CHSH.coin_event
 class ConditionalAverageReport:
     """The four coin-conditioned product averages and their combination.
 
-    ``s_value`` is always ``rs + qs + rt - qt`` exactly as computed from
-    the four stored averages.  For sampled runs, ``counts`` holds the
-    per-average cell sizes, ``std_errors`` the binomial standard errors of
-    each average, and ``tolerances`` the 4-sigma acceptance bands derived
-    from the appropriate exact distribution.  ``exact`` carries the
-    noise-free reference report when one exists.
+    ``averages`` maps ``rs``, ``qs``, ``rt`` and ``qt`` to their values, and
+    ``s_value`` is ``rs + qs + rt - qt`` computed from them in that order.
+    For sampled runs, ``counts`` holds the per-average cell sizes,
+    ``std_errors`` the binomial standard errors of each average, and
+    ``tolerances`` the 4-sigma acceptance bands derived from the
+    appropriate exact distribution.  ``batteries`` holds the battery of
+    each coin pair long enough for one, and ``exact`` the noise-free
+    reference report when one exists.  Fields left at None are not
+    reported.
     """
 
-    rs: float
-    qs: float
-    rt: float
-    qt: float
-    s_value: float
+    averages: dict
     method: str
     trials: int | None = None
     seed: int | None = None
@@ -144,46 +143,18 @@ class ConditionalAverageReport:
     batteries: dict | None = None
     exact: "ConditionalAverageReport | None" = None
 
-    @classmethod
-    def from_averages(cls, averages: dict, method: str, **extra) -> "ConditionalAverageReport":
-        s_value = averages["rs"] + averages["qs"] + averages["rt"] - averages["qt"]
-        return cls(
-            rs=averages["rs"],
-            qs=averages["qs"],
-            rt=averages["rt"],
-            qt=averages["qt"],
-            s_value=s_value,
-            method=method,
-            **extra,
-        )
-
     @property
-    def averages(self) -> dict:
-        return {"rs": self.rs, "qs": self.qs, "rt": self.rt, "qt": self.qt}
+    def s_value(self) -> float:
+        a = self.averages
+        return a["rs"] + a["qs"] + a["rt"] - a["qt"]
 
     def to_dict(self) -> dict:
-        out = {
-            "averages": self.averages,
-            "s_value": self.s_value,
-            "method": self.method,
+        out = {**asdict(self), "s_value": self.s_value}
+        out["exact"] = self.exact and self.exact.to_dict()
+        out["battery"] = out.pop("batteries") and {
+            key: rep.to_dict() for key, rep in self.batteries.items()
         }
-        if self.trials is not None:
-            out["trials"] = self.trials
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.counts is not None:
-            out["counts"] = dict(self.counts)
-        if self.std_errors is not None:
-            out["std_errors"] = dict(self.std_errors)
-        if self.tolerances is not None:
-            out["tolerances"] = dict(self.tolerances)
-        if self.batteries is not None:
-            out["battery"] = {
-                key: rep.to_dict() for key, rep in self.batteries.items()
-            }
-        if self.exact is not None:
-            out["exact"] = self.exact.to_dict()
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
 
 def _cell_statistics(cells: Sequence, variances: Sequence[float]) -> tuple[dict, dict, dict, dict]:
@@ -210,7 +181,6 @@ def run_chsh(
     seed: int,
     threads: int = 1,
     battery_blocks: Sequence[int] | None = battery_mod.DEFAULT_BLOCK_LENS,
-    significance: float = battery_mod.DEFAULT_SIGNIFICANCE,
     on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> ConditionalAverageReport:
     """Sample a length-``trials`` world and compute the conditional averages.
@@ -255,10 +225,8 @@ def run_chsh(
             k for k in battery_blocks or () if battery_mod.long_enough(cell.count, len(event), k)
         ]
         if usable:
-            batteries[f"{c}{d}"] = battery_mod.run_battery(
-                cell_tally, fps.condition(event), usable, significance
-            )
-    return ConditionalAverageReport.from_averages(
+            batteries[f"{c}{d}"] = battery_mod.run_battery(cell_tally, fps.condition(event), usable)
+    return ConditionalAverageReport(
         averages,
         method="typical-sampling",
         trials=trials,
@@ -290,7 +258,7 @@ def lhv_chsh_averages(h: FiniteProbabilitySpace) -> ConditionalAverageReport:
     _require_rqst_space(h)
     w = np.array([h.prob(x) for x in RQST_TUPLES])
     averages = {name: math.fsum(w * _SIGNS[:, a]) for a, name in enumerate(_AVERAGES)}
-    return ConditionalAverageReport.from_averages(averages, method="lhv-exact")
+    return ConditionalAverageReport(averages, method="lhv-exact")
 
 
 def lhv_chsh_simulate(
@@ -319,7 +287,7 @@ def lhv_chsh_simulate(
     ]
     variances = [max(0.0, 1.0 - average**2) for average in exact.averages.values()]
     averages, counts, std_errors, tolerances = _cell_statistics(cells, variances)
-    return ConditionalAverageReport.from_averages(
+    return ConditionalAverageReport(
         averages,
         method="lhv-simulated",
         trials=trials,
@@ -394,15 +362,7 @@ class SweepReport:
         return self.max_s_value <= self.bound + 1e-12
 
     def to_dict(self) -> dict:
-        return {
-            "max_s_value": self.max_s_value,
-            "vertex_max_s_value": self.vertex_max_s_value,
-            "num_random": self.num_random,
-            "num_vertices": self.num_vertices,
-            "seed": self.seed,
-            "bound": self.bound,
-            "bound_ok": self.bound_ok,
-        }
+        return {**asdict(self), "bound_ok": self.bound_ok}
 
 
 def lhv_sweep(count: int, seed: int) -> SweepReport:

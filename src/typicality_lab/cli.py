@@ -7,10 +7,11 @@ byte-identical across reruns and across ``--threads`` values.  Exit
 status is 0 only when every enabled check passes; failed checks are all
 enumerated in the report's ``failures`` list.
 
-The flow is parser -> :func:`_check_args` -> handler: each subcommand's
-parser binds its handler, ``_check_args`` validates and resolves the
-parsed namespace in place, and the handler reads it and returns the exit
-status and the report.
+The flow is parser -> :func:`_check_args` -> handler -> :func:`main`:
+each subcommand's parser binds its handler, ``_check_args`` validates and
+resolves the parsed namespace in place, and the handler reads it and
+returns the report body and its failures.  ``main`` alone stamps the
+report with ``schema`` and ``failures`` and sets the exit status.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _enumeration_failures(enumeration: ghz_mod.GhzEnumeration) -> list:
     ]
 
 
-def cmd_chsh(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
     """Quantum protocol run plus the analytic/operator distribution cross-check."""
     cross_check, failures = _cross_check(chsh_mod.chsh_distribution)
     with _world_saver(args) as on_world:
@@ -178,19 +179,17 @@ def cmd_chsh(args: argparse.Namespace) -> tuple[int, dict]:
                 "detail": f"|s - 2*sqrt(2)| = {s_error:.6f} > tolerance {s_tolerance:.6f}",
             }
         )
-    report = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "protocol": "chsh",
         **report_obj.to_dict(),
         "s_target": chsh_mod.S_TARGET,
         "s_tolerance": s_tolerance,
         "cross_check": cross_check,
-        "failures": failures,
     }
-    return (0 if not failures else 1), report
+    return body, failures
 
 
-def cmd_ghz(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     """Quantum protocol run plus the exhaustive hidden-value enumeration.
 
     :func:`~typicality_lab.ghz.run_ghz` raises on the first violated
@@ -208,25 +207,17 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[int, dict]:
         failures.append({"check": "perfect-correlations", "detail": str(err)})
     enumeration = ghz_mod.lhv_ghz_enumerate()
     failures += _enumeration_failures(enumeration) + cross_failures
-    report = {
-        "schema": SCHEMA_VERSION,
-        "protocol": "ghz",
-        **run_dict,
-        "lhv": enumeration.to_dict(),
-        "cross_check": cross_check,
-        "failures": failures,
-    }
-    return (0 if not failures else 1), report
+    body = {"protocol": "ghz", **run_dict, "lhv": enumeration.to_dict(), "cross_check": cross_check}
+    return body, failures
 
 
-def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist CHSH: a sweep, or the exact (and simulated) averages of ``--h-file``."""
-    report: dict = {"schema": SCHEMA_VERSION, "protocol": "lhv-chsh"}
     failures = []
     bound = 2.0 + 1e-12
     if args.sweep is not None:
         sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
-        report["sweep"] = sweep.to_dict()
+        body = {"sweep": sweep.to_dict()}
         if not sweep.bound_ok:
             failures.append(
                 {
@@ -237,10 +228,9 @@ def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[int, dict]:
     elif args.h_file is not None:
         h, exact = args.h
         if args.trials is not None:
-            simulated = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, threads=args.threads)
-            report.update(simulated.to_dict())
+            body = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, args.threads).to_dict()
         else:
-            report.update(exact.to_dict())
+            body = exact.to_dict()
         if abs(exact.s_value) > bound:
             failures.append(
                 {
@@ -250,22 +240,20 @@ def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[int, dict]:
             )
     else:
         raise UsageError("lhv chsh requires --h-file or --sweep")
-    report["failures"] = failures
-    return (0 if not failures else 1), report
+    return {"protocol": "lhv-chsh", **body}, failures
 
 
-def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist GHZ: the enumeration, and the violation masses of ``--h-file``."""
     enumeration = ghz_mod.lhv_ghz_enumerate()
-    report: dict = {"schema": SCHEMA_VERSION, "protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
+    body = {"protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
     if args.h_file is not None:
         _, feasibility = _load_h(args.h_file, ghz_mod.lhv_ghz_feasibility)
-        report["feasibility"] = feasibility.to_dict()
-    report["failures"] = _enumeration_failures(enumeration)
-    return (0 if not report["failures"] else 1), report
+        body["feasibility"] = feasibility.to_dict()
+    return body, _enumeration_failures(enumeration)
 
 
-def cmd_battery(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_battery(args: argparse.Namespace) -> tuple[dict, list]:
     """Replay a stored world against a stored space through the battery."""
     world_obj = _load_json_file(args.world_file, "world")
     try:
@@ -290,15 +278,13 @@ def cmd_battery(args: argparse.Namespace) -> tuple[int, dict]:
         for t in result.tests
         if not t.passed
     ]
-    report = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "protocol": "battery",
         "world_length": len(world),
         "significance": significance,
         **result.to_dict(),
-        "failures": failures,
     }
-    return (0 if not failures else 1), report
+    return body, failures
 
 
 # -- output ------------------------------------------------------------
@@ -487,9 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        status, report = args.handler(args)
-        _emit(report, args)
-        return status
+        body, failures = args.handler(args)
+        _emit({"schema": SCHEMA_VERSION, **body, "failures": failures}, args)
+        return 1 if failures else 0
     except UsageError as err:
         _print_usage_error(str(err))
         return 2

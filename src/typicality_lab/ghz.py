@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .linalg import X, Y, ghz_state
@@ -138,10 +138,6 @@ class GhzRunReport:
     constrained: dict
     free: dict
 
-    @property
-    def total_violations(self) -> int:
-        return sum(entry["violations"] for entry in self.constrained.values())
-
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
@@ -220,14 +216,8 @@ class GhzEnumeration:
     witnesses: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "satisfying_count": self.satisfying_count,
-            "plus_only_count": self.plus_only_count,
-            "per_constraint_counts": dict(self.per_constraint_counts),
-            "witnesses": [
-                {"assignment": list(a), "fails": name} for a, name in self.witnesses
-            ],
-        }
+        witnesses = [{"assignment": list(a), "fails": name} for a, name in self.witnesses]
+        return {**asdict(self), "witnesses": witnesses}
 
 
 def lhv_ghz_enumerate() -> GhzEnumeration:
@@ -283,11 +273,7 @@ class FeasibilityReport:
         return all(mass == 0.0 for mass in self.violation_mass.values())
 
     def to_dict(self) -> dict:
-        return {
-            "violation_mass": dict(self.violation_mass),
-            "total_violation_mass": self.total_violation_mass,
-            "feasible": self.feasible,
-        }
+        return {**asdict(self), "feasible": self.feasible}
 
 
 def lhv_ghz_feasibility(p: FiniteProbabilitySpace) -> FeasibilityReport:

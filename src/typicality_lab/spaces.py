@@ -38,7 +38,7 @@ __all__ = [
 #: Tolerance on the total weight of a probability space.
 SUM_ATOL = 1e-12
 
-#: Default cap on the alphabet size of a product space.
+#: Cap on the alphabet size of a product space.
 MAX_PRODUCT_SIZE = 10**6
 
 
@@ -209,9 +209,8 @@ class FiniteProbabilitySpace:
             raise ValueError(
                 "probability space JSON must be an object with 'alphabet' and 'weights'"
             )
-        alphabet = [_decode_symbol(a) for a in obj["alphabet"]]
         try:
-            return cls(alphabet, obj["weights"])
+            return cls([_decode_symbol(a) for a in obj["alphabet"]], obj["weights"])
         except TypeError as err:
             raise ValueError(f"malformed probability space JSON: {err}") from None
 
@@ -237,24 +236,19 @@ def fair_coin() -> FiniteProbabilitySpace:
     return uniform((0, 1))
 
 
-def product(
-    *spaces: FiniteProbabilitySpace, max_size: int = MAX_PRODUCT_SIZE
-) -> FiniteProbabilitySpace:
+def product(*spaces: FiniteProbabilitySpace) -> FiniteProbabilitySpace:
     """Independent product of K spaces, on K-tuples.
 
     The product alphabet is the Cartesian product in lexicographic order
     of the factor orderings, and weights multiply.  ``product(p)`` of a
-    single space yields 1-tuples.
+    single space yields 1-tuples.  The product alphabet may hold at most
+    ``MAX_PRODUCT_SIZE`` symbols.
     """
-    if len(spaces) == 1 and not isinstance(spaces[0], FiniteProbabilitySpace):
-        spaces = tuple(spaces[0])  # accept a single iterable of spaces
     if not spaces:
         raise ValueError("product requires at least one space")
-    size = 1
-    for sp in spaces:
-        size *= len(sp)
-    if size > max_size:
-        raise ValueError(f"product alphabet size {size} exceeds cap {max_size}")
+    size = math.prod(len(sp) for sp in spaces)
+    if size > MAX_PRODUCT_SIZE:
+        raise ValueError(f"product alphabet size {size} exceeds cap {MAX_PRODUCT_SIZE}")
     alphabet = tuple(itertools.product(*(sp.alphabet for sp in spaces)))
     weights = reduce(
         lambda acc, sp: np.multiply.outer(acc, sp.weights).reshape(-1),

@@ -262,9 +262,9 @@ class WorldPrefix:
         obj = json.loads(source) if isinstance(source, str) else source
         if not isinstance(obj, dict) or "alphabet" not in obj:
             raise ValueError("world JSON must be an object with an 'alphabet' field")
-        alphabet = [_decode_symbol(a) for a in obj["alphabet"]]
         provenance = obj.get("provenance") or {"kind": "imported", "format": "json"}
         try:
+            alphabet = [_decode_symbol(a) for a in obj["alphabet"]]
             if "indices" in obj:
                 return cls(alphabet, obj["indices"], provenance)
             if "symbols" in obj:

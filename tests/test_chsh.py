@@ -106,7 +106,8 @@ class TestRun:
 
     def test_s_value_identity_is_exact(self):
         report = run_chsh(10_000, seed=5)
-        assert report.s_value == report.rs + report.qs + report.rt - report.qt
+        a = report.averages
+        assert report.s_value == a["rs"] + a["qs"] + a["rt"] - a["qt"]
 
     def test_s_value_near_target(self):
         report = run_chsh(200_000, seed=42)

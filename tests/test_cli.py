@@ -514,6 +514,25 @@ class TestExitCodeHoles:
         status, out, err = run_cli(capsys, argv)
         assert_usage_error(status, out, err, "does not use --seed")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["battery", "{bad}", "{space}"],
+            ["battery", "{world}", "{bad}"],
+            ["lhv", "chsh", "--h-file", "{bad}"],
+            ["lhv", "ghz", "--h-file", "{bad}"],
+        ],
+        ids=["battery-world", "battery-space", "lhv-chsh", "lhv-ghz"],
+    )
+    def test_non_list_alphabet(self, capsys, tmp_path, argv):
+        files = {name: tmp_path / f"{name}.json" for name in ("bad", "world", "space")}
+        files["bad"].write_text(json.dumps({"alphabet": 5, "weights": [1.0], "indices": [0]}))
+        files["world"].write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
+        files["space"].write_text(fair_coin().to_json())
+        status, out, err = run_cli(capsys, [arg.format(**files) for arg in argv])
+        assert_usage_error(status, out, err, "malformed")
+        assert len(err.splitlines()) == 1
+
     def test_max_dim_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("TYPICALITY_LAB_MAX_DIM", "abc")
         status, report, _ = run_json(capsys, ["ghz", "--trials", "8000", "--seed", "1"])

@@ -94,6 +94,19 @@ GOLDEN.update(
             1,
             "eec1c0a374ce1ad80e2331b29eb0d75a3edd6759a74e2c3ac1591b349cf0483a",
         ),
+        # A significance the golden world fails at three block lengths.
+        "battery {world} {fps} --tolerance 0.999": (
+            1,
+            "3d2b4d88bed30ed04ebd422af99a2bb87ba024fe579204a3524a36465f25fc3a",
+        ),
+        "battery {world} {fps} --tolerance 0.999 --format csv": (
+            1,
+            "24cae9c30e2a041c41f9834921e4f5081d0267e2aa2a84a814542be35fe7081a",
+        ),
+        "lhv chsh --h-file {h} --trials 20000 --seed 4 --format csv": (
+            0,
+            "175d161fceba7595b2ff09c3ed19cb9c8b8403c8649d502dfa66d901a0426820",
+        ),
     }
 )
 
