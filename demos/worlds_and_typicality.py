@@ -6,7 +6,7 @@ counter-based generator (so any block can be regenerated independently
 and runs are reproducible bit for bit).  The toolkit mirrors the
 classical closure properties at finite scale:
 
-* law of large numbers  -> per-symbol z-scores against the claimed law,
+* law of large numbers  -> a block-1 chi-square test against the claimed law,
 * conditioning          -> filter to an event; the result is typical for
                            the renormalized conditional law,
 * independence/products -> zip independent sequences; the pair sequence
@@ -15,7 +15,7 @@ classical closure properties at finite scale:
 * weight zero           -> a zero-weight symbol never appears, exactly.
 
 === EXAMPLE OUTPUT ===
-biased coin, 100000 draws (seed 20): freq(a) = 0.29876, max |z| = 0.92
+biased coin, 100000 draws (seed 20): freq(a) = 0.29876, block-1 p-value = 0.552
 conditioned on {a, b}: length 79884, freq(a|{a,b}) = 0.37399 (law: 0.3750)
 zero-weight symbol 'x' appearances: 0
 zipped fair coins vs product law: battery pass = True
@@ -27,7 +27,6 @@ from typicality_lab import (
     condition_seq,
     empirical,
     fair_coin,
-    lln_report,
     product,
     project_seq,
     run_battery,
@@ -40,10 +39,10 @@ def main():
     fps = FiniteProbabilitySpace(["a", "b", "x", "c"], [0.3, 0.5, 0.0, 0.2])
     world = sample_world(fps, 100_000, seed=20)
     stats = empirical(world)
-    report = lln_report(world, fps)
+    block1 = run_battery(world, fps, block_lens=(1,)).tests[0]
     print(
         f"biased coin, {len(world)} draws (seed 20): "
-        f"freq(a) = {stats.frequency('a'):.5f}, max |z| = {report.max_abs_z:.2f}"
+        f"freq(a) = {stats.frequency('a'):.5f}, block-1 p-value = {block1.p_value:.3f}"
     )
 
     event = ["a", "b"]

@@ -6,9 +6,9 @@ distribution computed from Born weights), and once from the closed-form
 distributions, cross-checked entrywise.  Outcome sequences are drawn by a
 deterministic counter-based generator standing in for a typical sequence
 under the product measure, and the sequence toolkit (conditioning,
-projection, zipping, frequency reports, a chi-square battery) turns
-limit statements about infinite sequences into finite-scale checks with
-explicit tolerances.
+projection, zipping, frequency reports as ``empirical`` symbol counts and
+a chi-square block battery) turns limit statements about infinite
+sequences into finite-scale checks with explicit tolerances.
 
 Local-hidden-variable baselines are included for contrast: exact and
 simulated CHSH conditional averages for any distribution of pre-existing
@@ -72,7 +72,6 @@ from .linalg import (
     bell_singlet,
     check_completeness,
     controlled_unitary,
-    expectation,
     ghz_state,
     involutory_pvm,
     ket_plus,
@@ -88,11 +87,9 @@ from .spaces import (
 )
 from .worlds import (
     EmpiricalStats,
-    LlnReport,
     WorldPrefix,
     condition_seq,
     empirical,
-    lln_report,
     project_seq,
     sample_world,
     zip_seqs,

@@ -47,6 +47,8 @@ __all__ = [
     "RQST_TUPLES",
     "MIN_TRIALS",
     "S_TARGET",
+    "LOCAL_BOUND",
+    "within_local_bound",
     "CHSH",
     "build_chsh_operators",
     "chsh_distribution",
@@ -77,6 +79,9 @@ RQST_TUPLES = tuple(itertools.product((1, -1), repeat=4))
 MIN_TRIALS = 4000
 
 S_TARGET = 2.0 * math.sqrt(2.0)
+
+#: The CHSH inequality: every local hidden-variable model has ``|s| <= LOCAL_BOUND``.
+LOCAL_BOUND = 2.0
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -346,6 +351,11 @@ def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     return rs + qs + rt - qt
 
 
+def within_local_bound(s_value: float) -> bool:
+    """Whether ``|s_value| <= LOCAL_BOUND`` (read at call time), with ``1e-12`` of slack."""
+    return abs(s_value) <= LOCAL_BOUND + 1e-12
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Bound check over random hidden-variable distributions plus all vertices."""
@@ -355,14 +365,13 @@ class SweepReport:
     num_random: int
     num_vertices: int
     seed: int
-    bound: float = 2.0
 
     @property
     def bound_ok(self) -> bool:
-        return self.max_s_value <= self.bound + 1e-12
+        return within_local_bound(self.max_s_value)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "bound_ok": self.bound_ok}
+        return {**asdict(self), "bound": LOCAL_BOUND, "bound_ok": self.bound_ok}
 
 
 def lhv_sweep(count: int, seed: int) -> SweepReport:

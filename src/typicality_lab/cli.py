@@ -140,15 +140,16 @@ def _cross_check(distribution) -> tuple[dict, list]:
     analytic = distribution("analytic")
     operator = distribution("linear_algebra")
     diff = float(abs(analytic.weights - operator.weights).max())
+    passed = diff <= ATOL
     failures = []
-    if diff > ATOL:
+    if not passed:
         failures.append(
             {
                 "check": "distribution-cross-check",
                 "detail": f"analytic vs operator max diff {diff:.3e} > {ATOL}",
             }
         )
-    return {"max_abs_diff": diff, "tolerance": ATOL, "pass": diff <= ATOL}, failures
+    return {"max_abs_diff": diff, "tolerance": ATOL, "pass": passed}, failures
 
 
 def _enumeration_failures(enumeration: ghz_mod.GhzEnumeration) -> list:
@@ -214,7 +215,6 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
 def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist CHSH: a sweep, or the exact (and simulated) averages of ``--h-file``."""
     failures = []
-    bound = 2.0 + 1e-12
     if args.sweep is not None:
         sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
         body = {"sweep": sweep.to_dict()}
@@ -222,7 +222,7 @@ def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[dict, list]:
             failures.append(
                 {
                     "check": "chsh-bound",
-                    "detail": f"sweep max s_value {sweep.max_s_value!r} exceeds 2",
+                    "detail": f"sweep max s_value {sweep.max_s_value!r} exceeds {chsh_mod.LOCAL_BOUND:g}",
                 }
             )
     elif args.h_file is not None:
@@ -231,11 +231,11 @@ def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[dict, list]:
             body = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, args.threads).to_dict()
         else:
             body = exact.to_dict()
-        if abs(exact.s_value) > bound:
+        if not chsh_mod.within_local_bound(exact.s_value):
             failures.append(
                 {
                     "check": "chsh-bound",
-                    "detail": f"exact s_value {exact.s_value!r} exceeds 2",
+                    "detail": f"exact s_value {exact.s_value!r} exceeds {chsh_mod.LOCAL_BOUND:g}",
                 }
             )
     else:

@@ -3,11 +3,11 @@
 Everything here works on plain ``numpy`` arrays: operators are square
 complex matrices, states are complex unit vectors.  The module provides
 the handful of constructions the measurement protocols need -- tensor
-products, expectation values, the two-element projective decomposition of
-an involutory observable, controlled unitaries built from a projective
-partition of the control space, and :class:`MeasurementOperatorSet`, the
-one labelled operator container.  Every measurement here is projective,
-so that container always checks orthogonal idempotence and completeness.
+products, the two-element projective decomposition of an involutory
+observable, controlled unitaries built from a projective partition of the
+control space, and :class:`MeasurementOperatorSet`, the one labelled
+operator container.  Every measurement here is projective, so that
+container always checks orthogonal idempotence and completeness.
 
 Qubit 0 is always the leftmost tensor factor and the most significant
 index bit, so ``tensor(a, b)`` places ``a`` outermost.
@@ -40,7 +40,6 @@ __all__ = [
     "ghz_state",
     "projector",
     "tensor",
-    "expectation",
     "involutory_pvm",
     "MeasurementOperatorSet",
     "check_completeness",
@@ -178,28 +177,6 @@ def tensor(*factors) -> np.ndarray:
     return _frozen(out)
 
 
-def expectation(state, op) -> float:
-    """Expectation value <psi|A|psi> of a Hermitian operator.
-
-    The imaginary part must vanish to within ``ATOL``; it is checked and
-    then discarded.
-    """
-    psi = as_state(state)
-    a = np.asarray(op, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expectation requires a square operator")
-    if a.shape[0] != psi.size:
-        raise ValueError(
-            f"dimension mismatch: state dim {psi.size}, operator dim {a.shape[0]}"
-        )
-    if not is_hermitian(a):
-        raise ValueError("expectation requires a Hermitian operator")
-    value = complex(psi.conj() @ (a @ psi))
-    if abs(value.imag) > ATOL:
-        raise ValueError(f"expectation value has non-negligible imaginary part {value.imag!r}")
-    return value.real
-
-
 def involutory_pvm(obs) -> "MeasurementOperatorSet":
     """Two-element PVM ``{+1: (I+A)/2, -1: (I-A)/2}`` of a Hermitian involution.
 
@@ -220,13 +197,10 @@ def involutory_pvm(obs) -> "MeasurementOperatorSet":
 def check_completeness(elements) -> float:
     """Max-abs deviation of ``sum_m M_m^dag M_m`` from the identity.
 
-    Accepts a :class:`MeasurementOperatorSet` or an iterable of
-    ``(label, operator)`` pairs.  Callers enforce the tolerance.
+    Takes ``(label, operator)`` pairs, as a :class:`MeasurementOperatorSet`
+    iterates.  Callers enforce the tolerance.
     """
-    if isinstance(elements, MeasurementOperatorSet):
-        pairs = list(elements)
-    else:
-        pairs = [(label, as_operator(m)) for label, m in elements]
+    pairs = [(label, as_operator(m)) for label, m in elements]
     if not pairs:
         raise ValueError("measurement operator set is empty")
     dim = pairs[0][1].shape[0]

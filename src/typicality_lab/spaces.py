@@ -1,4 +1,4 @@
-"""Finite probability spaces and the Bernoulli measure of strings.
+"""Finite probability spaces.
 
 A :class:`FiniteProbabilitySpace` is a normalized non-negative weight
 function over an explicitly ordered finite alphabet.  Symbols may be any
@@ -9,11 +9,6 @@ that seeded sampling downstream is deterministic.
 Events are plain collections of symbols; the operations validate
 membership.  Individual weights may be exactly zero -- only conditioning
 on a zero-probability event is rejected.
-
-Strings over the alphabet get the i.i.d. product weight
-``P(s1) * ... * P(sn)``, which is the measure of the set of infinite
-sequences extending the string; a prefix-free set of strings has measure
-equal to the sum of its string weights.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import itertools
 import json
 import math
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -170,28 +165,6 @@ class FiniteProbabilitySpace:
         return FiniteProbabilitySpace(
             tuple(groups), [math.fsum(parts) for parts in groups.values()]
         )
-
-    def string_prob(self, string: Iterable) -> float:
-        """Product weight ``P(s1)...P(sn)`` of a finite string; empty string -> 1."""
-        out = 1.0
-        for symbol in string:
-            out *= float(self._weights[self.index(symbol)])
-        return out
-
-    def prefix_free_measure(self, strings: Iterable[Sequence]) -> float:
-        """Sum of string weights over a prefix-free set of strings.
-
-        Raises if one string is a proper prefix of another (or the set
-        contains the empty string alongside others).
-        """
-        normalized = {tuple(s) for s in strings}
-        for s in normalized:
-            for cut in range(len(s)):
-                if s[:cut] in normalized:
-                    raise ValueError(
-                        f"set is not prefix-free: {s[:cut]!r} is a prefix of {s!r}"
-                    )
-        return math.fsum(self.string_prob(s) for s in normalized)
 
     def to_json(self) -> str:
         """Serialize as ``{"alphabet": [...], "weights": [...]}``."""

@@ -90,9 +90,6 @@ __all__ = [
     "EmpiricalStats",
     "SignCell",
     "sign_cell",
-    "lln_report",
-    "LlnReport",
-    "LlnRow",
 ]
 
 #: Identifier of the sampling scheme, recorded in provenance.
@@ -725,64 +722,3 @@ def sign_cell(counts: np.ndarray, signs: Sequence[int]) -> SignCell:
     return SignCell(
         count=int(counts[signs != 0].sum()), plus=int(counts[signs > 0].sum())
     )
-
-
-@dataclass(frozen=True)
-class LlnRow:
-    symbol: object
-    count: int
-    frequency: float
-    expected: float
-    z: float
-
-
-@dataclass(frozen=True)
-class LlnReport:
-    """Per-symbol comparison of empirical frequencies with a claimed space.
-
-    ``z`` scores use the binomial standard deviation.  A zero-weight
-    symbol scores 0 when absent and +inf when present (its occurrence is
-    impossible, not merely unlikely); the mirrored convention applies to
-    weight-one symbols.  Convergence statements about finite prefixes are
-    only ever as strong as ``threshold`` allows; the report records it.
-    """
-
-    rows: tuple[LlnRow, ...]
-    threshold: float
-    length: int
-
-    @property
-    def flagged(self) -> tuple[LlnRow, ...]:
-        return tuple(r for r in self.rows if abs(r.z) > self.threshold)
-
-    @property
-    def max_abs_z(self) -> float:
-        return max(abs(r.z) for r in self.rows)
-
-
-def lln_report(
-    world: WorldPrefix, fps: FiniteProbabilitySpace, threshold: float = 4.0
-) -> LlnReport:
-    """Empirical frequency vs expected weight, with binomial z-scores."""
-    if world.alphabet != fps.alphabet:
-        raise ValueError("world and probability space alphabets differ")
-    n = len(world)
-    if n == 0:
-        raise ValueError("cannot report on an empty world")
-    raw = world.counts()
-    rows = []
-    for symbol, count, p in zip(world.alphabet, raw, fps.weights):
-        count = int(count)
-        p = float(p)
-        expected_count = n * p
-        variance = n * p * (1.0 - p)
-        if variance > 0.0:
-            z = (count - expected_count) / variance**0.5
-        elif count == expected_count:
-            z = 0.0
-        else:
-            z = float("inf") if count > expected_count else float("-inf")
-        rows.append(
-            LlnRow(symbol=symbol, count=count, frequency=count / n, expected=p, z=z)
-        )
-    return LlnReport(rows=tuple(rows), threshold=threshold, length=n)

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from typicality_lab import chsh as chsh_mod
 from typicality_lab import cli as cli_mod
 from typicality_lab import ghz as ghz_mod
 from typicality_lab import worlds as worlds_mod
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
 from typicality_lab.ghz import GhzOutcome, ghz_distribution
-from typicality_lab.spaces import fair_coin, uniform
+from typicality_lab.spaces import fair_coin, point_mass, uniform
 from typicality_lab.worlds import WorldPrefix, sample_world
 
 
@@ -190,6 +191,21 @@ class TestLhvCommand:
         assert status == 0
         assert report["sweep"]["max_s_value"] <= 2 + 1e-12
         assert report["sweep"]["bound_ok"] is True
+
+    @pytest.mark.parametrize("source", ["sweep", "vertex"])
+    def test_one_local_bound_decides_both_checks(self, capsys, tmp_path, monkeypatch, source):
+        # Every sweep takes the vertices, and the vertex below has s = 2, so a
+        # bound of 1.5 must fail both the sweep and the --h-file check.
+        monkeypatch.setattr(chsh_mod, "LOCAL_BOUND", 1.5)
+        if source == "sweep":
+            argv = ["lhv", "chsh", "--sweep", "10", "--seed", "1"]
+        else:
+            h_path = tmp_path / "h.json"
+            h_path.write_text(point_mass(RQST_TUPLES, (1, 1, 1, -1)).to_json())
+            argv = ["lhv", "chsh", "--h-file", str(h_path)]
+        status, report, _ = run_json(capsys, argv)
+        assert status == 1
+        assert [f["check"] for f in report["failures"]] == ["chsh-bound"]
 
     def test_negative_sweep_is_usage_error(self, capsys):
         status, out, err = run_cli(capsys, ["lhv", "chsh", "--sweep", "-5", "--seed", "1"])
@@ -554,10 +570,16 @@ print(child.returncode, usage.ru_maxrss, usage.ru_minflt)
 
 
 def _child_usage(argv):
-    """Peak RSS in MB and minor page faults of one ``typicality_lab`` process."""
+    """Peak RSS in MB and minor page faults of one ``typicality_lab`` process.
+
+    The child gets only ``PATH`` and ``PYTHONPATH``: the size of its
+    environment moves its heap layout, and with it both readings.
+    """
     src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, *argv],
         env=env,

@@ -10,17 +10,13 @@ from typicality_lab.linalg import (
     I2,
     MeasurementOperatorSet,
     X,
-    Y,
     Z,
     as_operator,
     as_state,
     basis,
-    bell_singlet,
     check_completeness,
     controlled_unitary,
     dag,
-    expectation,
-    ghz_state,
     involutory_pvm,
     ket_plus,
     projector,
@@ -107,44 +103,6 @@ class TestTensor:
         big = np.eye(128)
         with pytest.raises(ValueError, match="exceeds cap"):
             tensor(big, big)
-
-
-class TestExpectation:
-    def test_singlet_xx(self):
-        assert expectation(bell_singlet(), tensor(X, X)) == pytest.approx(-1.0, abs=ATOL)
-
-    def test_singlet_zz(self):
-        assert expectation(bell_singlet(), tensor(Z, Z)) == pytest.approx(-1.0, abs=ATOL)
-
-    def test_singlet_single_sided(self):
-        for op in (tensor(X, I2), tensor(Z, I2), tensor(I2, X), tensor(I2, Z)):
-            assert expectation(bell_singlet(), op) == pytest.approx(0.0, abs=ATOL)
-
-    def test_ghz_triple_products(self):
-        # <GHZ| A_c1 (x) A_c2 (x) A_c3 |GHZ> follows the quarter-turn cosine
-        # of the coin sum: 0 -> -1, 1 -> 0, 2 -> +1, 3 -> 0.
-        obs = {0: X, 1: Y}
-        cos_table = {0: 1, 1: 0, 2: -1, 3: 0}
-        for c1 in (0, 1):
-            for c2 in (0, 1):
-                for c3 in (0, 1):
-                    got = expectation(ghz_state(), tensor(obs[c1], obs[c2], obs[c3]))
-                    assert got == pytest.approx(-cos_table[c1 + c2 + c3], abs=ATOL)
-
-    def test_identity_expectation_is_one(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 3, 5, 8):
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v /= np.linalg.norm(v)
-            assert expectation(v, np.eye(dim)) == pytest.approx(1.0, abs=ATOL)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            expectation(basis(2, 0), [[0, 1], [0, 0]])
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            expectation(basis(2, 0), np.eye(4))
 
 
 class TestPvm:

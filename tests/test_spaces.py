@@ -218,53 +218,3 @@ class TestMarginal:
         mid = joint.marginal_index(1)
         assert mid.alphabet == ("a", "b")
         np.testing.assert_allclose(mid.weights, 0.5, atol=1e-12)
-
-
-class TestStringProb:
-    def test_empty_string(self):
-        assert fair_coin().string_prob([]) == 1.0
-        assert uniform("ab").string_prob("") == 1.0
-
-    def test_fair_coin_pair(self):
-        assert fair_coin().string_prob([0, 1]) == pytest.approx(0.25, abs=1e-15)
-
-    def test_hand_product(self):
-        fps = FiniteProbabilitySpace(["a", "b"], [0.2, 0.8])
-        assert fps.string_prob("aab") == pytest.approx(0.032, abs=1e-15)
-
-    def test_foreign_symbol(self):
-        with pytest.raises(ValueError, match="not in the alphabet"):
-            fair_coin().string_prob([0, 7])
-
-
-class TestPrefixFreeMeasure:
-    def test_level_one_cover(self):
-        fps = FiniteProbabilitySpace(["0", "1"], [0.5, 0.5])
-        assert fps.prefix_free_measure(["0", "1"]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_mixed_depth_cover(self):
-        fps = FiniteProbabilitySpace(["0", "1"], [0.5, 0.5])
-        assert fps.prefix_free_measure(["0", "10", "11"]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_hand_sum(self):
-        fps = FiniteProbabilitySpace([0, 1], [0.3, 0.7])
-        assert fps.prefix_free_measure([(0, 0), (0, 1)]) == pytest.approx(0.3, abs=1e-15)
-
-    def test_rejects_prefix_violation(self):
-        fps = FiniteProbabilitySpace(["0", "1"], [0.5, 0.5])
-        with pytest.raises(ValueError, match="prefix-free"):
-            fps.prefix_free_measure(["0", "01"])
-
-    def test_empty_string_only(self):
-        assert fair_coin().prefix_free_measure([()]) == 1.0
-
-    def test_empty_string_with_others_rejected(self):
-        with pytest.raises(ValueError, match="prefix-free"):
-            fair_coin().prefix_free_measure([(), (0,)])
-
-    @given(weights_strategy(3), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, derandomize=True)
-    def test_exhaustive_cover_at_fixed_depth(self, weights, depth):
-        fps = FiniteProbabilitySpace(range(3), weights)
-        cover = list(itertools.product(range(3), repeat=depth))
-        assert fps.prefix_free_measure(cover) == pytest.approx(1.0, abs=1e-12)

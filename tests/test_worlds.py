@@ -18,7 +18,6 @@ from typicality_lab.worlds import (
     WorldPrefix,
     condition_seq,
     empirical,
-    lln_report,
     project_seq,
     sample_world,
     zip_seqs,
@@ -416,38 +415,6 @@ class TestEmpiricalAndLln:
             p = fps.prob(outcome)
             sigma = math.sqrt(p * (1 - p) / len(world))
             assert abs(stats.frequency(outcome) - p) <= 4 * sigma
-
-    def test_lln_degenerate(self):
-        fps = FiniteProbabilitySpace(["a", "b"], [1.0, 0.0])
-        world = sample_world(fps, 100, seed=2)
-        report = lln_report(world, fps)
-        by_symbol = {row.symbol: row for row in report.rows}
-        assert by_symbol["a"].z == 0.0
-        assert by_symbol["b"].z == 0.0
-
-    def test_lln_fair_coin(self):
-        world = sample_world(fair_coin(), 10_000, seed=123)
-        report = lln_report(world, fair_coin())
-        assert report.max_abs_z <= 4.0
-        assert report.flagged == ()
-
-    def test_lln_zero_weight_hit_is_hard_failure(self):
-        fps = FiniteProbabilitySpace(["a", "z"], [1.0, 0.0])
-        world = WorldPrefix.from_symbols(["a", "z"], ["a", "z", "a"])
-        report = lln_report(world, fps)
-        by_symbol = {row.symbol: row for row in report.rows}
-        assert by_symbol["z"].z == float("inf")
-        assert by_symbol["z"] in report.flagged
-
-    def test_lln_flags_biased_world(self):
-        world = WorldPrefix.from_symbols((0, 1), [0] * 900 + [1] * 100)
-        report = lln_report(world, fair_coin(), threshold=4.0)
-        assert len(report.flagged) == 2
-
-    def test_alphabet_mismatch_rejected(self):
-        world = sample_world(fair_coin(), 10, seed=1)
-        with pytest.raises(ValueError, match="alphabets differ"):
-            lln_report(world, uniform("ab"))
 
 
 class TestPrefixCommutation:
