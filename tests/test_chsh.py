@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from typicality_lab import chsh as chsh_mod
 from typicality_lab.chsh import (
     CHSH,
     CHSH_OUTCOMES,
@@ -13,6 +14,7 @@ from typicality_lab.chsh import (
     RQST_TUPLES,
     S_TARGET,
     ChshOutcome,
+    SweepReport,
     build_chsh_operators,
     chsh_distribution,
     coin_event,
@@ -21,6 +23,7 @@ from typicality_lab.chsh import (
     lhv_sweep,
     random_h_spaces,
     run_chsh,
+    within_local_bound,
 )
 from typicality_lab.linalg import ATOL, check_completeness, dag
 from typicality_lab.spaces import FiniteProbabilitySpace, point_mass, uniform
@@ -210,3 +213,39 @@ class TestSweep:
 
     def test_deterministic_in_seed(self):
         assert lhv_sweep(50, seed=7).max_s_value == lhv_sweep(50, seed=7).max_s_value
+
+
+class TestLocalBound:
+    @pytest.mark.parametrize(
+        ("s_value", "within"),
+        [
+            (0.0, True),
+            (2.0, True),
+            (-2.0, True),
+            (2.0 + 1e-12, True),
+            (2.0 + 1e-11, False),
+            (-2.0 - 1e-11, False),
+            (S_TARGET, False),
+        ],
+    )
+    def test_predicate(self, s_value, within):
+        assert within_local_bound(s_value) is within
+
+    def test_bound_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(chsh_mod, "LOCAL_BOUND", 1.5)
+        assert not within_local_bound(2.0)
+        assert within_local_bound(1.5)
+
+    def test_sweep_report_writes_the_bound_it_decides_by(self):
+        sweep = SweepReport(
+            max_s_value=2.0, vertex_max_s_value=2.0, num_random=0, num_vertices=16, seed=1
+        )
+        assert sweep.to_dict() == {
+            "max_s_value": 2.0,
+            "vertex_max_s_value": 2.0,
+            "num_random": 0,
+            "num_vertices": 16,
+            "seed": 1,
+            "bound": 2.0,
+            "bound_ok": True,
+        }

@@ -556,6 +556,42 @@ class TestExitCodeHoles:
         assert report["cross_check"]["pass"] is True
 
 
+def _skewed(distribution, skew):
+    """``distribution`` with its ``linear_algebra`` weights moved by ``skew`` between two cells."""
+
+    def skewed(method):
+        space = distribution(method)
+        if method == "analytic":
+            return space
+        weights = space.weights.copy()
+        weights[0] += skew
+        weights[1] -= skew
+        return type(space)(space.alphabet, weights)
+
+    return skewed
+
+
+class TestCrossCheck:
+    def test_agreeing_distributions_pass(self):
+        entry, failures = cli_mod._cross_check(chsh_distribution)
+        assert entry["pass"] is True
+        assert entry["max_abs_diff"] <= entry["tolerance"]
+        assert failures == []
+
+    def test_disagreeing_distributions_fail_once(self):
+        entry, failures = cli_mod._cross_check(_skewed(chsh_distribution, 1e-6))
+        assert entry["pass"] is False
+        assert entry["max_abs_diff"] == pytest.approx(1e-6)
+        assert [f["check"] for f in failures] == ["distribution-cross-check"]
+
+    def test_failed_cross_check_fails_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(chsh_mod, "chsh_distribution", _skewed(chsh_distribution, 1e-6))
+        status, report, _ = run_json(capsys, ["chsh", "--trials", "8000", "--seed", "1"])
+        assert status == 1
+        assert report["cross_check"]["pass"] is False
+        assert [f["check"] for f in report["failures"]] == ["distribution-cross-check"]
+
+
 #: Runs the command-line program on its arguments and prints its exit status,
 #: peak RSS in kilobytes (the Linux unit) and minor page faults.  The run is spawned from this
 #: small process, not from the test process, because a child's peak RSS

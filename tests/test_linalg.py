@@ -250,6 +250,22 @@ class TestCompleteness:
         pvm = involutory_pvm(Z)
         assert check_completeness(list(pvm)) == 0.0
 
+    def test_operator_set_iterates_as_its_pairs(self):
+        pvm = involutory_pvm(X)
+        assert isinstance(pvm, MeasurementOperatorSet)
+        assert check_completeness(pvm) == check_completeness(list(pvm))
+
+    def test_deviation_of_incomplete_pairs(self):
+        assert check_completeness([("a", I2), ("b", I2)]) == 1.0
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            check_completeness([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            check_completeness([("a", I2), ("b", np.eye(4))])
+
     def test_non_complete_set_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
             MeasurementOperatorSet([("a", I2), ("b", I2)])

@@ -3,6 +3,8 @@
 import importlib
 import types
 
+import pytest
+
 import typicality_lab
 
 PUBLIC_API = {
@@ -59,19 +61,54 @@ PUBLIC_API = {
 }
 
 
-def test_public_api_is_pinned():
+def _exported(module_name):
     # The package itself has no __all__: its public names are the non-module
     # names it binds.  Every module lists its own in __all__.
-    found = {
-        "typicality_lab": sorted(
+    module = importlib.import_module(module_name)
+    if module_name == "typicality_lab":
+        return sorted(
             name
-            for name, value in vars(typicality_lab).items()
+            for name, value in vars(module).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         )
-    }
-    for module_name in PUBLIC_API:
-        if module_name != "typicality_lab":
-            module = importlib.import_module(module_name)
-            assert all(hasattr(module, name) for name in module.__all__), module_name
-            found[module_name] = sorted(module.__all__)
-    assert found == {name: sorted(names) for name, names in PUBLIC_API.items()}
+    assert all(hasattr(module, name) for name in module.__all__), module_name
+    return sorted(module.__all__)
+
+
+@pytest.mark.parametrize("module_name", sorted(PUBLIC_API))
+def test_public_api_is_pinned(module_name):
+    assert _exported(module_name) == sorted(PUBLIC_API[module_name])
+
+
+def test_package_reexports_only_module_exports():
+    # A package name is a module's public name, bound to the same object.
+    for name in PUBLIC_API["typicality_lab"]:
+        owners = [
+            module_name
+            for module_name in PUBLIC_API
+            if module_name != "typicality_lab" and name in PUBLIC_API[module_name]
+        ]
+        assert owners, name
+        assert any(
+            getattr(importlib.import_module(owner), name) is getattr(typicality_lab, name)
+            for owner in owners
+        ), name
+
+
+@pytest.mark.parametrize(
+    ("module_name", "class_name", "name"),
+    [
+        ("typicality_lab.spaces", "FiniteProbabilitySpace", "string_prob"),
+        ("typicality_lab.spaces", "FiniteProbabilitySpace", "prefix_free_measure"),
+        ("typicality_lab.linalg", None, "expectation"),
+        ("typicality_lab.worlds", None, "lln_report"),
+        ("typicality_lab.worlds", None, "LlnReport"),
+        ("typicality_lab.worlds", None, "LlnRow"),
+    ],
+)
+def test_deleted_name_stays_deleted(module_name, class_name, name):
+    holder = importlib.import_module(module_name)
+    if class_name is not None:
+        holder = getattr(holder, class_name)
+    assert not hasattr(holder, name)
+    assert not hasattr(typicality_lab, name)
