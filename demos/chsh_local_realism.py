@@ -13,7 +13,7 @@ lands where the exact value says it must.
 
 === EXAMPLE OUTPUT ===
 vertex S values: {2.0, -2.0} (maximum exactly 2)
-sweep of 1000 random H: max S = 2.000000  (bound 2 holds)
+sweep of 1000 random H: max S = 1.306054  (bound 2 holds)
 one random H, exact vs simulated (100000 rounds, seed 12):
   <RS> exact +0.135464  simulated +0.136273
   <QS> exact +0.507956  simulated +0.507766

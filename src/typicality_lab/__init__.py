@@ -33,6 +33,7 @@ from .battery import (
     block_frequency_test,
     run_battery,
 )
+from .checks import Check
 from .chsh import (
     CHSH,
     CHSH_OUTCOMES,
@@ -53,7 +54,6 @@ from .ghz import (
     GhzOutcome,
     GhzRunReport,
     LhvAssignment,
-    PerfectCorrelationError,
     build_ghz_operators,
     ghz_distribution,
     lhv_ghz_enumerate,

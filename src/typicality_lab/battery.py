@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import Check
 from .spaces import FiniteProbabilitySpace
 from .worlds import WorldPrefix
 
@@ -39,10 +40,11 @@ DEFAULT_SIGNIFICANCE = 0.01
 class FrequencyTest:
     """One chi-square block-frequency test.
 
-    ``passed`` is exactly ``p_value >= significance``, where ``p_value`` is
+    ``check`` decides ``p_value >= significance``, where ``p_value`` is
     the chi-square upper tail of ``statistic``.  ``zero_cells`` is the
     number of zero-probability blocks removed from the statistic; a prefix
-    that *hits* such a block gets an infinite statistic and p-value 0.
+    that *hits* such a block gets an infinite statistic, reported as null,
+    and p-value 0.
     """
 
     block_len: int
@@ -55,11 +57,16 @@ class FrequencyTest:
     zero_cell_hits: int
 
     @property
+    def check(self) -> Check:
+        return Check(f"block-frequency-k{self.block_len}", self.p_value, ">=", self.significance)
+
+    @property
     def passed(self) -> bool:
-        return self.p_value >= self.significance
+        return self.check.passed
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "pass": self.passed}
+        statistic = self.statistic if math.isfinite(self.statistic) else None
+        return {**asdict(self), "statistic": statistic, "pass": self.passed}
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,30 @@
+"""Each pass/fail decision of a run as one record: a value, a relation and a bound."""
+
+import operator
+from dataclasses import asdict, dataclass
+
+__all__ = ["Check", "RELATIONS", "SIGMAS"]
+
+#: Width, in standard errors, of every acceptance band on a sampled average.
+SIGMAS = 4.0
+
+#: Each relation's test of ``value`` against ``bound``, and the relation a failure shows.
+RELATIONS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<"), "==": (operator.eq, "!=")}
+
+
+@dataclass(frozen=True)
+class Check:
+    """The decision ``value relation bound``; only a failed gating check fails a run."""
+
+    name: str
+    value: float
+    relation: str
+    bound: float
+    gating: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return RELATIONS[self.relation][0](self.value, self.bound)
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}

@@ -36,7 +36,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import battery as battery_mod
-from .linalg import X, Z, bell_singlet
+from .checks import SIGMAS, Check
+from .linalg import ATOL, X, Z, bell_singlet
 from .protocol import Protocol
 from .spaces import SUM_ATOL, FiniteProbabilitySpace, product, uniform
 from .worlds import WorldPrefix, sign_cell, tally
@@ -48,7 +49,7 @@ __all__ = [
     "MIN_TRIALS",
     "S_TARGET",
     "LOCAL_BOUND",
-    "within_local_bound",
+    "local_bound_check",
     "CHSH",
     "build_chsh_operators",
     "chsh_distribution",
@@ -177,7 +178,7 @@ def _cell_statistics(cells: Sequence, variances: Sequence[float]) -> tuple[dict,
         averages[name] = cell.mean
         counts[name] = cell.count
         std_errors[name] = cell.std_error
-        tolerances[name] = 4.0 * math.sqrt(variance / cell.count)
+        tolerances[name] = SIGMAS * math.sqrt(variance / cell.count)
     return averages, counts, std_errors, tolerances
 
 
@@ -220,7 +221,7 @@ def run_chsh(
     ]
     # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
     averages, counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
-    tolerances["s_value"] = 4.0 * math.sqrt(sum(0.5 / n for n in counts.values()))
+    tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in counts.values()))
     batteries = {}
     for ((c, d), _), event, cell_tally, cell in zip(
         _AVERAGES.values(), events, tallied.cells, cells
@@ -351,31 +352,36 @@ def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     return rs + qs + rt - qt
 
 
-def within_local_bound(s_value: float) -> bool:
-    """Whether ``|s_value| <= LOCAL_BOUND`` (read at call time), with ``1e-12`` of slack."""
-    return abs(s_value) <= LOCAL_BOUND + 1e-12
+def local_bound_check(s_value: float) -> Check:
+    """The ``chsh-bound`` check ``|s_value| <= LOCAL_BOUND`` (read at call time), plus ``ATOL``."""
+    return Check("chsh-bound", abs(s_value), "<=", LOCAL_BOUND + ATOL)
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Bound check over random hidden-variable distributions plus all vertices."""
+    """Max ``s_value`` of the random draws (None if none) and of the vertices, and their check."""
 
-    max_s_value: float
+    max_s_value: float | None
     vertex_max_s_value: float
     num_random: int
     num_vertices: int
     seed: int
 
     @property
+    def check(self) -> Check:
+        drawn = [s for s in (self.max_s_value, self.vertex_max_s_value) if s is not None]
+        return local_bound_check(max(drawn))
+
+    @property
     def bound_ok(self) -> bool:
-        return within_local_bound(self.max_s_value)
+        return self.check.passed
 
     def to_dict(self) -> dict:
         return {**asdict(self), "bound": LOCAL_BOUND, "bound_ok": self.bound_ok}
 
 
 def lhv_sweep(count: int, seed: int) -> SweepReport:
-    """Max ``s_value`` over ``count`` random distributions and the 16 point masses.
+    """Max ``s_value`` over ``count`` random distributions, and over the 16 point masses.
 
     The random distributions are drawn and checked one block at a time,
     so the memory of a sweep does not grow with ``count``.  The point
@@ -384,12 +390,11 @@ def lhv_sweep(count: int, seed: int) -> SweepReport:
     """
     random_max = max(
         (float(_lhv_s_values(w).max()) for w in _random_h_weights(count, seed)),
-        default=-math.inf,
+        default=None,
     )
-    vertex_max = float(_lhv_s_values(np.eye(len(RQST_TUPLES))).max())
     return SweepReport(
-        max_s_value=max(vertex_max, random_max),
-        vertex_max_s_value=vertex_max,
+        max_s_value=random_max,
+        vertex_max_s_value=float(_lhv_s_values(np.eye(len(RQST_TUPLES))).max()),
         num_random=count,
         num_vertices=len(RQST_TUPLES),
         seed=seed,

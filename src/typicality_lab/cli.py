@@ -4,14 +4,15 @@ Every command is deterministic given its flags: seeds are explicit (use
 ``--seed random`` to draw one; it is printed so the run can be replayed),
 reports carry no timestamps, and the canonical JSON output is
 byte-identical across reruns and across ``--threads`` values.  Exit
-status is 0 only when every enabled check passes; failed checks are all
-enumerated in the report's ``failures`` list.
+status is 0 only when every gating check passes; each check is listed in
+the report's ``checks``, and each failed gating one in its ``failures``.
 
 The flow is parser -> :func:`_check_args` -> handler -> :func:`main`:
 each subcommand's parser binds its handler, ``_check_args`` validates and
 resolves the parsed namespace in place, and the handler reads it and
-returns the report body and its failures.  ``main`` alone stamps the
-report with ``schema`` and ``failures`` and sets the exit status.
+returns the report body and its :class:`~typicality_lab.checks.Check`
+records.  ``main`` alone stamps the report with ``schema``, ``checks``
+and the ``failures`` it derives from them, and sets the exit status.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,13 +30,14 @@ import sys
 from . import battery as battery_mod
 from . import chsh as chsh_mod
 from . import ghz as ghz_mod
+from .checks import RELATIONS, Check
 from .linalg import ATOL
 from .spaces import FiniteProbabilitySpace
 from .worlds import WorldPrefix
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class UsageError(Exception):
@@ -130,8 +133,8 @@ def _world_saver(args: argparse.Namespace):
         raise UsageError(f"--world-out: too little memory for a world of {args.trials} trials")
 
 
-def _cross_check(distribution) -> tuple[dict, list]:
-    """The report's ``cross_check`` entry for a protocol's distribution, and its failure if any.
+def _cross_check(distribution) -> tuple[dict, Check]:
+    """The report's ``cross_check`` entry for a protocol's distribution, and its check.
 
     Callers pass the distribution function as their protocol module holds
     it at call time, so that a wrapper installed there, such as a tracer,
@@ -140,46 +143,24 @@ def _cross_check(distribution) -> tuple[dict, list]:
     analytic = distribution("analytic")
     operator = distribution("linear_algebra")
     diff = float(abs(analytic.weights - operator.weights).max())
-    passed = diff <= ATOL
-    failures = []
-    if not passed:
-        failures.append(
-            {
-                "check": "distribution-cross-check",
-                "detail": f"analytic vs operator max diff {diff:.3e} > {ATOL}",
-            }
-        )
-    return {"max_abs_diff": diff, "tolerance": ATOL, "pass": passed}, failures
-
-
-def _enumeration_failures(enumeration: ghz_mod.GhzEnumeration) -> list:
-    """The ``lhv-enumeration`` failure, should any value assignment meet every constraint."""
-    if enumeration.satisfying_count == 0:
-        return []
-    return [
-        {
-            "check": "lhv-enumeration",
-            "detail": f"{enumeration.satisfying_count} assignments satisfy all constraints",
-        }
-    ]
+    check = Check("distribution-cross-check", diff, "<=", ATOL)
+    return {"max_abs_diff": diff, "tolerance": ATOL, "pass": check.passed}, check
 
 
 def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
-    """Quantum protocol run plus the analytic/operator distribution cross-check."""
-    cross_check, failures = _cross_check(chsh_mod.chsh_distribution)
+    """Quantum protocol run and distribution cross-check; the coin-pair batteries never gate."""
+    cross_check, cross = _cross_check(chsh_mod.chsh_distribution)
     with _world_saver(args) as on_world:
         report_obj = chsh_mod.run_chsh(
             args.trials, args.seed, args.threads, battery_blocks=args.blocks, on_world=on_world
         )
     s_tolerance = report_obj.tolerances["s_value"] if args.tolerance is None else args.tolerance
     s_error = abs(report_obj.s_value - chsh_mod.S_TARGET)
-    if s_error > s_tolerance:
-        failures.append(
-            {
-                "check": "s-value",
-                "detail": f"|s - 2*sqrt(2)| = {s_error:.6f} > tolerance {s_tolerance:.6f}",
-            }
-        )
+    checks = [cross, Check("s-value", s_error, "<=", s_tolerance)] + [
+        dataclasses.replace(t.check, name=f"{t.check.name}-cell-{cell}", gating=False)
+        for cell, battery in (report_obj.batteries or {}).items()
+        for t in battery.tests
+    ]
     body = {
         "protocol": "chsh",
         **report_obj.to_dict(),
@@ -187,60 +168,39 @@ def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
         "s_tolerance": s_tolerance,
         "cross_check": cross_check,
     }
-    return body, failures
+    return body, checks
 
 
 def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
-    """Quantum protocol run plus the exhaustive hidden-value enumeration.
-
-    :func:`~typicality_lab.ghz.run_ghz` raises on the first violated
-    perfect correlation, so a run it returns has none.
-    """
-    cross_check, cross_failures = _cross_check(ghz_mod.ghz_distribution)
-    failures = []
-    try:
-        with _world_saver(args) as on_world:
-            run_dict = ghz_mod.run_ghz(
-                args.trials, args.seed, threads=args.threads, on_world=on_world
-            ).to_dict()
-    except ghz_mod.PerfectCorrelationError as err:
-        run_dict = {"trials": args.trials, "seed": args.seed}
-        failures.append({"check": "perfect-correlations", "detail": str(err)})
+    """Quantum protocol run plus the exhaustive hidden-value enumeration."""
+    cross_check, cross = _cross_check(ghz_mod.ghz_distribution)
+    with _world_saver(args) as on_world:
+        run = ghz_mod.run_ghz(args.trials, args.seed, threads=args.threads, on_world=on_world)
     enumeration = ghz_mod.lhv_ghz_enumerate()
-    failures += _enumeration_failures(enumeration) + cross_failures
-    body = {"protocol": "ghz", **run_dict, "lhv": enumeration.to_dict(), "cross_check": cross_check}
-    return body, failures
+    body = {
+        "protocol": "ghz",
+        **run.to_dict(),
+        "lhv": enumeration.to_dict(),
+        "cross_check": cross_check,
+    }
+    return body, [run.check, enumeration.check, cross]
 
 
 def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist CHSH: a sweep, or the exact (and simulated) averages of ``--h-file``."""
-    failures = []
     if args.sweep is not None:
         sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
-        body = {"sweep": sweep.to_dict()}
-        if not sweep.bound_ok:
-            failures.append(
-                {
-                    "check": "chsh-bound",
-                    "detail": f"sweep max s_value {sweep.max_s_value!r} exceeds {chsh_mod.LOCAL_BOUND:g}",
-                }
-            )
+        body, check = {"sweep": sweep.to_dict()}, sweep.check
     elif args.h_file is not None:
         h, exact = args.h
         if args.trials is not None:
             body = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, args.threads).to_dict()
         else:
             body = exact.to_dict()
-        if not chsh_mod.within_local_bound(exact.s_value):
-            failures.append(
-                {
-                    "check": "chsh-bound",
-                    "detail": f"exact s_value {exact.s_value!r} exceeds {chsh_mod.LOCAL_BOUND:g}",
-                }
-            )
+        check = chsh_mod.local_bound_check(exact.s_value)
     else:
         raise UsageError("lhv chsh requires --h-file or --sweep")
-    return {"protocol": "lhv-chsh", **body}, failures
+    return {"protocol": "lhv-chsh", **body}, [check]
 
 
 def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
@@ -250,7 +210,7 @@ def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     if args.h_file is not None:
         _, feasibility = _load_h(args.h_file, ghz_mod.lhv_ghz_feasibility)
         body["feasibility"] = feasibility.to_dict()
-    return body, _enumeration_failures(enumeration)
+    return body, [enumeration.check]
 
 
 def cmd_battery(args: argparse.Namespace) -> tuple[dict, list]:
@@ -270,21 +230,13 @@ def cmd_battery(args: argparse.Namespace) -> tuple[dict, list]:
         result = battery_mod.run_battery(world, fps, args.blocks, significance)
     except ValueError as err:
         raise UsageError(str(err))
-    failures = [
-        {
-            "check": f"block-frequency-k{t.block_len}",
-            "detail": f"p_value {t.p_value:.3e} < significance {t.significance!r}",
-        }
-        for t in result.tests
-        if not t.passed
-    ]
     body = {
         "protocol": "battery",
         "world_length": len(world),
         "significance": significance,
         **result.to_dict(),
     }
-    return body, failures
+    return body, [t.check for t in result.tests]
 
 
 # -- output ------------------------------------------------------------
@@ -321,9 +273,6 @@ def _csv_view(report: dict) -> str:
         writer.writerow(["block_len", "statistic", "p_value", "dof", "pass"])
         for t in report["tests"]:
             writer.writerow([t["block_len"], t["statistic"], t["p_value"], t["dof"], t["pass"]])
-    else:
-        writer.writerow(["report"])
-        writer.writerow([json.dumps(report, sort_keys=True)])
     return buffer.getvalue()
 
 
@@ -473,8 +422,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        body, failures = args.handler(args)
-        _emit({"schema": SCHEMA_VERSION, **body, "failures": failures}, args)
+        body, checks = args.handler(args)
+        failures = [
+            {"check": c.name, "detail": f"{c.value!r} {RELATIONS[c.relation][1]} {c.bound!r}"}
+            for c in checks
+            if c.gating and not c.passed
+        ]
+        report = {**body, "checks": [c.to_dict() for c in checks], "failures": failures}
+        _emit({"schema": SCHEMA_VERSION, **report}, args)
         return 1 if failures else 0
     except UsageError as err:
         _print_usage_error(str(err))

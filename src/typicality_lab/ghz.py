@@ -28,6 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
+from .checks import SIGMAS, Check
 from .linalg import X, Y, ghz_state
 from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace
@@ -41,7 +42,6 @@ __all__ = [
     "MIN_TRIALS",
     "COS_QUARTER_TURNS",
     "CONSTRAINTS",
-    "PerfectCorrelationError",
     "GHZ",
     "build_ghz_operators",
     "ghz_distribution",
@@ -98,10 +98,6 @@ CONSTRAINTS = {
 }
 
 
-class PerfectCorrelationError(RuntimeError):
-    """A sampled round violated a weight-zero constraint (sampler bug)."""
-
-
 def _closed_form(o: GhzOutcome) -> float:
     return (1 - o.m1 * o.m2 * o.m3 * COS_QUARTER_TURNS[o.c1 + o.c2 + o.c3]) / 64.0
 
@@ -129,14 +125,21 @@ class GhzRunReport:
 
     ``constrained`` maps the four perfectly correlated triples to their
     sample count, required product and violation count (always zero short
-    of a sampler bug); ``free`` maps the other four triples to their mean
-    product, which converges to 0 within the recorded 4-sigma tolerance.
+    of a sampler bug), and ``check`` holds their total to zero; ``free``
+    maps the other four triples to their mean product, which converges to
+    0 within the recorded 4-sigma tolerance (both null for a triple with
+    no rounds).
     """
 
     trials: int
     seed: int
     constrained: dict
     free: dict
+
+    @property
+    def check(self) -> Check:
+        violations = sum(entry["violations"] for entry in self.constrained.values())
+        return Check("perfect-correlations", violations, "==", 0)
 
     def to_dict(self) -> dict:
         return {
@@ -153,16 +156,14 @@ def run_ghz(
     threads: int = 1,
     on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> GhzRunReport:
-    """Sample a length-``trials`` world and verify the perfect correlations.
+    """Sample a length-``trials`` world and count the perfect-correlation violations.
 
     For coin triples 011/101/110 every conditioned round must have
-    product +1, and for 000 product -1; a single violation raises
-    :class:`PerfectCorrelationError`, because such outcomes have weight
-    exactly zero and the sampler cannot produce them.  The remaining four
-    triples report their empirical mean product.  The counts are taken
-    while the world is drawn; ``on_world``, if given, is called with the
-    world before it is checked, so it sees the world of a run that raises
-    too.
+    product +1, and for 000 product -1; each round that breaks this is
+    counted, though such outcomes have weight exactly zero and the
+    sampler cannot produce them.  The remaining four triples report their
+    empirical mean product.  The counts are taken while the world is
+    drawn; ``on_world``, if given, is called with the world.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
@@ -181,16 +182,11 @@ def run_ghz(
                 "required_product": required,
                 "violations": violations,
             }
-            if violations:
-                raise PerfectCorrelationError(
-                    f"coin triple {key}: {violations} rounds violated the "
-                    f"required product {required:+d}"
-                )
         else:
             free[key] = {
                 "count": cell.count,
-                "mean_product": cell.mean if cell.count else 0.0,
-                "tolerance": 4.0 / math.sqrt(cell.count) if cell.count else float("inf"),
+                "mean_product": cell.mean if cell.count else None,
+                "tolerance": SIGMAS / math.sqrt(cell.count) if cell.count else None,
             }
     return GhzRunReport(trials=trials, seed=seed, constrained=constrained, free=free)
 
@@ -215,6 +211,10 @@ class GhzEnumeration:
     per_constraint_counts: dict
     witnesses: tuple
 
+    @property
+    def check(self) -> Check:
+        return Check("lhv-enumeration", self.satisfying_count, "==", 0)
+
     def to_dict(self) -> dict:
         witnesses = [{"assignment": list(a), "fails": name} for a, name in self.witnesses]
         return {**asdict(self), "witnesses": witnesses}
@@ -229,23 +229,16 @@ def lhv_ghz_enumerate() -> GhzEnumeration:
     000 product to +1.
     """
     per_constraint = {name: 0 for name in CONSTRAINTS}
-    satisfying = 0
-    plus_only = 0
+    satisfying = plus_only = 0
     witnesses = []
     for assignment in LHV_ASSIGNMENTS:
-        verdicts = {
-            name: _constraint_satisfied(assignment, name) for name in CONSTRAINTS
-        }
+        verdicts = {name: _constraint_satisfied(assignment, name) for name in CONSTRAINTS}
         for name, ok in verdicts.items():
             per_constraint[name] += int(ok)
-        if all(verdicts.values()):
-            satisfying += 1
-        if all(verdicts[n] for n in ("011", "101", "110")):
-            plus_only += 1
-        for name in CONSTRAINTS:
-            if not verdicts[name]:
-                witnesses.append((assignment, name))
-                break
+        satisfying += all(verdicts.values())
+        plus_only += all(verdicts[n] for n in ("011", "101", "110"))
+        failed = [name for name, ok in verdicts.items() if not ok]
+        witnesses += [(assignment, failed[0])] if failed else []
     return GhzEnumeration(
         satisfying_count=satisfying,
         plus_only_count=plus_only,

@@ -449,11 +449,18 @@ class _BlockCounter:
         self._tail: np.ndarray | None = None
 
     def add(self, part: np.ndarray) -> None:
-        k = self.block_len
         if self._tail is not None:
-            part = np.concatenate((self._tail, part))
+            # Only the carried block is copied, with the symbols that finish it.
+            fill = self.block_len - self._tail.size
+            head, part = np.concatenate((self._tail, part[:fill])), part[fill:]
+            self._tail = self._count(head)
+        if part.size:
+            self._tail = self._count(part)
+
+    def _count(self, part: np.ndarray) -> np.ndarray | None:
+        """Count the whole blocks of ``part``; return a copy of the symbols left over, or None."""
+        k = self.block_len
         used = part.size - part.size % k
-        self._tail = part[used:].copy() if used < part.size else None
         codes = part[:used]
         if k > 1:
             # A copy: the parts may be read-only and narrower than the codes.
@@ -462,6 +469,7 @@ class _BlockCounter:
                 codes *= self.n_sym
                 codes += part[j:used:k]
         self.total += np.bincount(codes, minlength=self.total.size)
+        return part[used:].copy() if used < part.size else None
 
 
 def _cell_tables(alphabet: tuple, events: Sequence[Iterable]):

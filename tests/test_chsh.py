@@ -22,8 +22,8 @@ from typicality_lab.chsh import (
     lhv_chsh_simulate,
     lhv_sweep,
     random_h_spaces,
+    local_bound_check,
     run_chsh,
-    within_local_bound,
 )
 from typicality_lab.linalg import ATOL, check_completeness, dag
 from typicality_lab.spaces import FiniteProbabilitySpace, point_mass, uniform
@@ -214,6 +214,23 @@ class TestSweep:
     def test_deterministic_in_seed(self):
         assert lhv_sweep(50, seed=7).max_s_value == lhv_sweep(50, seed=7).max_s_value
 
+    def test_max_is_the_random_draws_own(self):
+        # Far below the vertex value 2: random points of the simplex average out.
+        sweep = lhv_sweep(1000, seed=3)
+        assert sweep.max_s_value == 1.3060541127552248
+        assert sweep.check.value == sweep.vertex_max_s_value == 2.0
+
+    def test_empty_sweep_has_no_random_max(self):
+        sweep = lhv_sweep(0, seed=1)
+        assert sweep.max_s_value is None
+        assert sweep.bound_ok and sweep.check.value == 2.0
+
+    @pytest.mark.parametrize(("random_max", "vertex_max"), [(2.5, 2.0), (None, 2.5), (1.0, 2.5)])
+    def test_bound_is_decided_on_both_maxima(self, random_max, vertex_max):
+        sweep = SweepReport(random_max, vertex_max, num_random=1, num_vertices=16, seed=1)
+        assert sweep.check == local_bound_check(2.5)
+        assert not sweep.bound_ok
+
 
 class TestLocalBound:
     @pytest.mark.parametrize(
@@ -229,12 +246,15 @@ class TestLocalBound:
         ],
     )
     def test_predicate(self, s_value, within):
-        assert within_local_bound(s_value) is within
+        check = local_bound_check(s_value)
+        assert check.passed is within
+        assert (check.name, check.value, check.relation) == ("chsh-bound", abs(s_value), "<=")
+        assert check.bound == 2.0 + ATOL and check.gating
 
     def test_bound_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(chsh_mod, "LOCAL_BOUND", 1.5)
-        assert not within_local_bound(2.0)
-        assert within_local_bound(1.5)
+        assert not local_bound_check(2.0).passed
+        assert local_bound_check(1.5).passed
 
     def test_sweep_report_writes_the_bound_it_decides_by(self):
         sweep = SweepReport(

@@ -13,13 +13,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from typicality_lab import battery as battery_mod
 from typicality_lab import chsh as chsh_mod
 from typicality_lab import cli as cli_mod
 from typicality_lab import ghz as ghz_mod
 from typicality_lab import worlds as worlds_mod
+from typicality_lab.checks import Check
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
 from typicality_lab.ghz import GhzOutcome, ghz_distribution
+from typicality_lab.linalg import ATOL
 from typicality_lab.spaces import fair_coin, point_mass, uniform
 from typicality_lab.worlds import WorldPrefix, sample_world
 
@@ -30,9 +33,18 @@ def run_cli(capsys, argv):
     return status, captured.out, captured.err
 
 
+def strict_json(text):
+    """``text`` parsed as JSON, refusing the tokens ``NaN``, ``Infinity`` and ``-Infinity``."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_json(capsys, argv):
     status, out, err = run_cli(capsys, argv)
-    return status, json.loads(out) if out else None, err
+    return status, strict_json(out) if out else None, err
 
 
 class TestChshCommand:
@@ -41,7 +53,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -49,6 +61,27 @@ class TestChshCommand:
         assert report["cross_check"]["pass"] is True
         assert report["failures"] == []
         assert abs(report["s_value"] - 2 * math.sqrt(2)) < 0.1
+        gating = [c["name"] for c in report["checks"] if c["gating"]]
+        assert gating == ["distribution-cross-check", "s-value"]
+        cells = [c["name"] for c in report["checks"] if not c["gating"]]
+        assert sorted(cells) == sorted(
+            f"block-frequency-k{test['block_len']}-cell-{cd}"
+            for cd, battery in report["battery"].items()
+            for test in battery["tests"]
+        )
+
+    def test_failed_cell_battery_does_not_fail_the_run(self, capsys, monkeypatch):
+        run_battery = battery_mod.run_battery
+
+        def unmeetable(world, fps, block_lens):
+            return run_battery(world, fps, block_lens, 1 - 1e-9)
+
+        monkeypatch.setattr(battery_mod, "run_battery", unmeetable)
+        status, report, _ = run_json(capsys, ["chsh", "--trials", "8000", "--seed", "1"])
+        cells = [c for c in report["checks"] if not c["gating"]]
+        assert cells and not any(c["passed"] for c in cells)
+        assert status == 0
+        assert report["failures"] == []
 
     def test_csv_view_names_the_averages(self, capsys):
         status, out, _ = run_cli(
@@ -335,6 +368,19 @@ class TestBatteryCommand:
         assert report["all_pass"] is False
         assert len(report["failures"]) == 2
 
+    def test_zero_weight_hit_writes_a_null_statistic(self, capsys, tmp_path):
+        world_path = tmp_path / "world.json"
+        fps_path = tmp_path / "fps.json"
+        world_path.write_text(WorldPrefix.from_symbols((0, 1), [0] * 100 + [1] * 5).to_json())
+        fps_path.write_text(point_mass((0, 1), 0).to_json())
+        status, report, _ = run_json(
+            capsys, ["battery", str(world_path), str(fps_path), "--blocks", "1"]
+        )
+        assert status == 1
+        (test,) = report["tests"]
+        assert (test["statistic"], test["p_value"], test["zero_cell_hits"]) == (None, 0.0, 5)
+        assert report["failures"] == [{"check": "block-frequency-k1", "detail": "0.0 < 0.01"}]
+
     def test_empty_world_file_is_usage_error(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
         fps_path = tmp_path / "fps.json"
@@ -449,15 +495,14 @@ class TestWorldOutSamplesOnce:
         argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, report, _ = run_json(capsys, argv)
         assert status == 1
-        assert report["failures"] == [
-            {
-                "check": "perfect-correlations",
-                "detail": "coin triple 000: 8000 rounds violated the required product -1",
-            }
-        ]
-        run_part = set(report) - {"schema", "protocol", "lhv", "cross_check", "failures"}
-        assert run_part == {"trials", "seed"}
+        assert report["failures"] == [{"check": "perfect-correlations", "detail": "8000 != 0"}]
         assert (report["trials"], report["seed"]) == (8000, 5)
+        assert report["perfect_correlation"]["000"]["violations"] == 8000
+        assert report["lhv"]["satisfying_count"] == 0
+        assert report["cross_check"]["pass"] is True
+        # No round falls in a free triple, so none has a mean.
+        for entry in report["free_triples"].values():
+            assert entry == {"count": 0, "mean_product": None, "tolerance": None}
         world = WorldPrefix.from_json(world_path.read_text())
         assert world == WorldPrefix(
             ghz_distribution().alphabet, np.full(8000, ghz_distribution().index(forbidden))
@@ -573,16 +618,52 @@ def _skewed(distribution, skew):
 
 class TestCrossCheck:
     def test_agreeing_distributions_pass(self):
-        entry, failures = cli_mod._cross_check(chsh_distribution)
+        entry, check = cli_mod._cross_check(chsh_distribution)
         assert entry["pass"] is True
         assert entry["max_abs_diff"] <= entry["tolerance"]
-        assert failures == []
+        assert check == Check("distribution-cross-check", entry["max_abs_diff"], "<=", ATOL)
 
     def test_disagreeing_distributions_fail_once(self):
-        entry, failures = cli_mod._cross_check(_skewed(chsh_distribution, 1e-6))
+        entry, check = cli_mod._cross_check(_skewed(chsh_distribution, 1e-6))
         assert entry["pass"] is False
         assert entry["max_abs_diff"] == pytest.approx(1e-6)
-        assert [f["check"] for f in failures] == ["distribution-cross-check"]
+        assert (check.name, check.passed) == ("distribution-cross-check", False)
+
+
+class TestChecksDecideTheRun:
+    @pytest.mark.parametrize("gating", [True, False])
+    @pytest.mark.parametrize(
+        ("relation", "value", "bound", "passed", "shown"),
+        [
+            ("<=", 1.0, 1.0, True, ">"),
+            ("<=", 1.5, 1.0, False, ">"),
+            (">=", 0.01, 0.01, True, "<"),
+            (">=", 0.005, 0.01, False, "<"),
+            ("==", 0, 0, True, "!="),
+            ("==", 3, 0, False, "!="),
+        ],
+    )
+    def test_only_a_failed_gating_check_fails(
+        self, capsys, monkeypatch, relation, value, bound, passed, shown, gating
+    ):
+        check = Check("planted", value, relation, bound, gating)
+        assert check.passed is passed
+        monkeypatch.setattr(cli_mod, "cmd_lhv_ghz", lambda args: ({"protocol": "lhv-ghz"}, [check]))
+        status, report, _ = run_json(capsys, ["lhv", "ghz"])
+        assert report["checks"] == [
+            {
+                "name": "planted",
+                "value": value,
+                "relation": relation,
+                "bound": bound,
+                "gating": gating,
+                "passed": passed,
+            }
+        ]
+        fails = gating and not passed
+        assert status == (1 if fails else 0)
+        detail = f"{value!r} {shown} {bound!r}"
+        assert report["failures"] == ([{"check": "planted", "detail": detail}] if fails else [])
 
     def test_failed_cross_check_fails_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(chsh_mod, "chsh_distribution", _skewed(chsh_distribution, 1e-6))

@@ -8,6 +8,7 @@ files are rebuilt from library constructors whose output is itself fixed.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -21,36 +22,36 @@ from typicality_lab.worlds import sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "9ecaeabc45cc792a56845c2a65b30a1a7f79b82dc4a2881c49ca5e3ac93b96f3",
+        "022d97ac5a821a5a18ecf92b6158c69419e5cc3959537ec7f841526106a2b103",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "c5052507eececc06e1454aec7b9d2a141ec6f0a45a222448555b422e3b6f2d38",
+        "f3fee1c11198d6cb0626c080495465b63448fb8919eacb146b9b9e7649006b65",
     ),
     "lhv ghz": (
         0,
-        "4ea86ddb229a4f9fa9e1acd321ba0be7de39b0c04c4b239e2af8b9a54a98c315",
+        "84f7763e2a850f5e16f54f111ea694da5e3e288674e3b8a3dc9c2bc534ea4f34",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "b2b1f37dbbe933a5f6c9088e8d9598d5b1371e252f3d14eb8e1c16ed5b679993",
+        "9a40c1a7ddb5d7d2c3aeaee73ffc42df2ba0ccac87e921c446cc378452bb31ae",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "11b1410e907dfbcde988bd33dccdf8ab3d695b3259b23099b264527207e3fdb6",
+        "b96afe337c5933c7d2e1f8b4143b667266a12687c40531e04e854b8640558f74",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "1d8a8d4b5e8a8cc16919c133deb2eb247957f92ed439f89a275205e84cdbe7a9",
+        "24779eabce32ade51db39937f9cc2c8b92b69a2f4b4b85100a4fc8a1ad79d00b",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "60c8ce0fa3610341dfe67874d6fc04ed6f144204a117e7761537cac4ab988657",
+        "c37b496ad0c78e7cd596af7c9f0d693e1ec71a2ea4edf0fb8601b486ee2b118d",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "761074d97101411b8417e9dcfd335d52070334f45d4a875e9236cc4e4acedde9",
+        "b3a3ca35466578e672f7ed2bd434aaf286ed4863e6a8b44b34c5c929cdb3df92",
     ),
 }
 
@@ -67,7 +68,7 @@ GOLDEN.update(
         ),
         "lhv chsh --sweep 1000 --seed 3 --format csv": (
             0,
-            "48519c1a5290f264ba6f11e3254338f42d49dcf191b08ca5293106949aaf628d",
+            "bd19b2801275fbdfa31bfe2b78befc0a32aeddaabeb5d490c1f8e10761f43b0f",
         ),
         "lhv ghz --format csv": (
             0,
@@ -79,25 +80,25 @@ GOLDEN.update(
         ),
         "lhv chsh --h-file {h}": (
             0,
-            "c023f9fff84a1434b123996c44b00af6b74528f745dc987b841aa9c80a21c221",
+            "b35e0151d7f4c0f63aac9bf6447040f91cca2f5efa07581b47ea7da2e9d9ea9d",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "a460cbc1e644951a9efaf3938067c0ba6630a8a1f853b8e7bad04cad75256e3b",
+            "e758e414788fc22030a069f0dbe3907d841bdad6edc1fde1d1b9f555b56f2aad",
         ),
         "chsh --trials 200000 --seed 42 --blocks 1,2,3,4": (
             0,
-            "5464d93ac33775d5f8469e21e5635b8438f78484d3736a8ab3097b78b387d6fd",
+            "faec9f5f3a375e7b945d1fcccd7fa02483dd549168ff5ebfd93d7af41c43a7a6",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "eec1c0a374ce1ad80e2331b29eb0d75a3edd6759a74e2c3ac1591b349cf0483a",
+            "3185aee72c04123b0bb55aff4c5cbce85800c156bc502cf213ae2d0c981627a2",
         ),
         # A significance the golden world fails at three block lengths.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "3d2b4d88bed30ed04ebd422af99a2bb87ba024fe579204a3524a36465f25fc3a",
+            "6b8ab75308be3cf290758b38d68a62044ac1c0e3266949e708212744fa8d4d1f",
         ),
         "battery {world} {fps} --tolerance 0.999 --format csv": (
             1,
@@ -133,11 +134,16 @@ def write_inputs(directory):
     return files
 
 
-def report_digest(template, files):
+def run_report(template, files):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         status = main(template.format(**files).split())
-    return status, hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    return status, buffer.getvalue()
+
+
+def report_digest(template, files):
+    status, out = run_report(template, files)
+    return status, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +154,14 @@ def input_files(tmp_path_factory):
 @pytest.mark.parametrize("template", sorted(GOLDEN))
 def test_report_bytes_unchanged(template, input_files):
     assert report_digest(template, input_files) == GOLDEN[template]
+
+
+@pytest.mark.parametrize("template", sorted(t for t in GOLDEN if "--format csv" not in t))
+def test_report_is_strict_json(template, input_files):
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    json.loads(run_report(template, input_files)[1], parse_constant=refuse)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -9,11 +9,11 @@ import typicality_lab
 
 PUBLIC_API = {
     "typicality_lab": [
-        "ATOL", "BatteryReport", "CHSH", "CHSH_OUTCOMES", "ChshOutcome",
+        "ATOL", "BatteryReport", "CHSH", "CHSH_OUTCOMES", "Check", "ChshOutcome",
         "ConditionalAverageReport", "EmpiricalStats", "FiniteProbabilitySpace",
         "FrequencyTest", "GHZ", "GHZ_OUTCOMES", "GhzEnumeration", "GhzOutcome",
         "GhzRunReport", "I2", "LhvAssignment", "MAX_TENSOR_DIM",
-        "MeasurementOperatorSet", "PerfectCorrelationError", "WorldPrefix", "X", "Y",
+        "MeasurementOperatorSet", "WorldPrefix", "X", "Y",
         "Z", "basis", "bell_singlet", "block_frequency_test", "build_chsh_operators",
         "build_ghz_operators", "check_completeness", "chsh_distribution",
         "condition_seq", "controlled_unitary", "empirical", "fair_coin",
@@ -27,18 +27,18 @@ PUBLIC_API = {
         "BatteryReport", "DEFAULT_BLOCK_LENS", "DEFAULT_SIGNIFICANCE", "FrequencyTest",
         "block_frequency_test", "long_enough", "run_battery",
     ],
+    "typicality_lab.checks": ["Check", "RELATIONS", "SIGMAS"],
     "typicality_lab.chsh": [
         "CHSH", "CHSH_OUTCOMES", "ChshOutcome", "ConditionalAverageReport",
         "LOCAL_BOUND", "MIN_TRIALS", "RQST_TUPLES", "S_TARGET", "SweepReport",
         "build_chsh_operators", "chsh_distribution", "coin_event", "lhv_chsh_averages",
-        "lhv_chsh_simulate", "lhv_sweep", "random_h_spaces", "run_chsh",
-        "within_local_bound",
+        "lhv_chsh_simulate", "lhv_sweep", "local_bound_check", "random_h_spaces", "run_chsh",
     ],
     "typicality_lab.cli": ["SCHEMA_VERSION", "main"],
     "typicality_lab.ghz": [
         "CONSTRAINTS", "COS_QUARTER_TURNS", "FeasibilityReport", "GHZ", "GHZ_OUTCOMES",
         "GhzEnumeration", "GhzOutcome", "GhzRunReport", "LHV_ASSIGNMENTS",
-        "LhvAssignment", "MIN_TRIALS", "PerfectCorrelationError", "build_ghz_operators",
+        "LhvAssignment", "MIN_TRIALS", "build_ghz_operators",
         "coin_event", "ghz_distribution", "lhv_ghz_enumerate", "lhv_ghz_feasibility",
         "run_ghz",
     ],
@@ -104,6 +104,8 @@ def test_package_reexports_only_module_exports():
         ("typicality_lab.worlds", None, "lln_report"),
         ("typicality_lab.worlds", None, "LlnReport"),
         ("typicality_lab.worlds", None, "LlnRow"),
+        ("typicality_lab.ghz", None, "PerfectCorrelationError"),
+        ("typicality_lab.chsh", None, "within_local_bound"),
     ],
 )
 def test_deleted_name_stays_deleted(module_name, class_name, name):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import typicality_lab
 from typicality_lab import chsh as chsh_mod
 from typicality_lab.battery import _chi2_sf
+from typicality_lab.checks import Check
 from typicality_lab.chsh import (
     CHSH_OUTCOMES,
     RQST_TUPLES,
@@ -40,7 +41,6 @@ from typicality_lab.cli import main
 from typicality_lab.ghz import (
     GHZ_OUTCOMES,
     GhzOutcome,
-    PerfectCorrelationError,
     ghz_distribution,
     run_ghz,
 )
@@ -193,7 +193,7 @@ class TestSweep:
         assert len(vertex_s) == len(RQST_TUPLES)
         if count:
             assert max(s.max() for s in random_s) == s_values(one_shot).max()
-        assert report.max_s_value == max(s_values(one_shot).max(initial=-np.inf), 2.0)
+        assert report.max_s_value == (s_values(one_shot).max() if count else None)
 
     def test_blocked_sweep_report_bytes(self, monkeypatch, capsys):
         argv = ["lhv", "chsh", "--sweep", "1000", "--seed", "3"]
@@ -205,7 +205,8 @@ class TestSweep:
 
     def test_empty_sweep_reports_the_vertices(self):
         report = chsh_mod.lhv_sweep(0, 1)
-        assert report.max_s_value == report.vertex_max_s_value == 2.0
+        assert report.max_s_value is None
+        assert report.vertex_max_s_value == 2.0
         assert report.num_random == 0
 
     @pytest.mark.parametrize(
@@ -326,10 +327,19 @@ class TestChecksKept:
         "outcome, triple",
         [(GhzOutcome(0, 0, 0, 1, 1, 1), "000"), (GhzOutcome(0, 1, 1, 1, 1, -1), "011")],
     )
-    def test_forbidden_product_raises(self, monkeypatch, outcome, triple):
+    def test_forbidden_product_is_counted(self, monkeypatch, outcome, triple):
         monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(outcome))
-        with pytest.raises(PerfectCorrelationError, match=f"{triple}: 8000 rounds"):
-            run_ghz(8000, 1)
+        report = run_ghz(8000, 1)
+        assert {key: e["violations"] for key, e in report.constrained.items()} == {
+            key: 8000 if key == triple else 0 for key in report.constrained
+        }
+        assert report.check == Check("perfect-correlations", 8000, "==", 0)
+        assert not report.check.passed
+        # Every round lies in one constrained triple, so no free triple has a mean.
+        assert all(
+            entry == {"count": 0, "mean_product": None, "tolerance": None}
+            for entry in report.free.values()
+        )
 
     def test_run_chsh_empty_cell_raises(self, monkeypatch):
         monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(CHSH_OUTCOMES[0]))
@@ -648,6 +658,19 @@ class TestTally:
         result = tally(uniform("abc"), 100, 1, events=["ab"], block_lens=[2])
         with pytest.raises(ValueError, match="block length 3 was not tallied"):
             result.cells[0].counts(3)
+
+    @pytest.mark.parametrize("block_len", [2, 3])
+    def test_block_counter_carries_no_view_of_a_reused_part(self, block_len):
+        # One-symbol parts, each written into the same buffer: every part
+        # leaves the carried block unfinished or finishes it.
+        indices = np.random.default_rng(block_len).integers(0, 5, size=100).astype(np.uint8)
+        counter = _BlockCounter(5, block_len)
+        buffer = np.empty(1, dtype=np.uint8)
+        for symbol in indices:
+            buffer[0] = symbol
+            counter.add(buffer)
+        world = WorldPrefix(range(5), indices)
+        np.testing.assert_array_equal(counter.total, reference_block_counts(world, block_len))
 
     @pytest.mark.parametrize("block_len", [1, 2, 3, 4])
     def test_block_counter_parts_may_end_anywhere(self, block_len):
