@@ -1,5 +1,19 @@
+"""The process entry point: ``python -m typicality_lab`` and the ``typicality-lab`` script."""
+
+import gc
 import sys
 
-from .cli import main
+from . import cli
 
-sys.exit(main())
+
+def main() -> None:
+    """Run :func:`typicality_lab.cli.main` on ``sys.argv`` and exit with its status."""
+    try:
+        status = cli.main()
+    finally:
+        gc.freeze()  # frozen objects are skipped by the collections run at interpreter shutdown
+    sys.exit(status)
+
+
+if __name__ == "__main__":
+    main()

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import io
 import json
 import math
-import secrets
 import sys
 
 from . import battery as battery_mod
@@ -64,6 +62,8 @@ def _resolve_seed(raw: str | None, required: bool) -> int | None:
             raise UsageError("--seed is required (use '--seed random' to draw one)")
         return None
     if raw == "random":
+        import secrets  # deferred, as csv below: most runs never use it
+
         seed = secrets.randbits(64)
         print(f"seed: {seed}", file=sys.stderr)
         return seed
@@ -248,6 +248,8 @@ def _canonical_json(report: dict) -> str:
 
 def _csv_view(report: dict) -> str:
     """Lossy CSV view: the averages or per-test rows, nothing else."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     protocol = report.get("protocol")
@@ -435,6 +437,3 @@ def main(argv: list[str] | None = None) -> int:
         _print_usage_error(str(err))
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -67,7 +67,6 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -398,6 +397,8 @@ def _stream_chunks(
     if workers == 1:
         yield from map(draw, range(n_chunks))
         return
+    from concurrent.futures import ThreadPoolExecutor  # deferred: with logging, ~7 ms of import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in range(n_chunks):

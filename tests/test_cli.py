@@ -1,6 +1,8 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import contextlib
+import gc
+import importlib
 import io
 import json
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from typicality_lab import __main__ as entry_mod
 from typicality_lab import battery as battery_mod
 from typicality_lab import chsh as chsh_mod
 from typicality_lab import cli as cli_mod
@@ -673,6 +676,12 @@ class TestChecksDecideTheRun:
         assert [f["check"] for f in report["failures"]] == ["distribution-cross-check"]
 
 
+def _with_src(env):
+    """``env`` with the ``src`` directory of the package under test first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
 #: Runs the command-line program on its arguments and prints its exit status,
 #: peak RSS in kilobytes (the Linux unit) and minor page faults.  The run is spawned from this
 #: small process, not from the test process, because a child's peak RSS
@@ -692,14 +701,10 @@ def _child_usage(argv):
     The child gets only ``PATH`` and ``PYTHONPATH``: the size of its
     environment moves its heap layout, and with it both readings.
     """
-    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-    env = {
-        "PATH": os.environ.get("PATH", ""),
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, *argv],
-        env=env,
+        env=_with_src(env),
         capture_output=True,
         text=True,
         timeout=120,
@@ -759,12 +764,10 @@ class TestBlasThreads:
             for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
         }
-        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env.update(env_vars)
         done = subprocess.run(
             [sys.executable, "-c", _BLAS_THREADS],
-            env=env,
+            env=_with_src(env),
             capture_output=True,
             text=True,
             timeout=60,
@@ -784,6 +787,84 @@ class TestBlasThreads:
         threads, openblas_var = self.blas_threads(**{var: "2"})
         assert threads == "2"
         assert openblas_var == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
+
+
+#: Prints which of the standard-library modules that only some runs use
+#: importing the command line has loaded.
+_DEFERRED_IMPORTS = """
+import sys
+import typicality_lab.cli
+print(*(name for name in ("concurrent.futures", "csv", "secrets") if name in sys.modules))
+"""
+
+
+class TestImportCost:
+    def test_rarely_used_modules_are_not_imported_up_front(self):
+        # The thread pool (with logging), secrets (with hashlib) and csv cost
+        # 20-35 ms per process; only multi-threaded, --seed random and CSV runs need them.
+        done = subprocess.run(
+            [sys.executable, "-c", _DEFERRED_IMPORTS],
+            env=_with_src(dict(os.environ)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
+
+
+class TestProcessEntryPoint:
+    """``python -m typicality_lab`` writes what ``main`` does in process, and exits with its status."""
+
+    def child(self, argv):
+        return subprocess.run(
+            [sys.executable, "-m", "typicality_lab", *argv],
+            env=_with_src(dict(os.environ)),
+            capture_output=True,
+            timeout=120,
+        )
+
+    def in_process(self, capsys, argv):
+        freezes = gc.get_freeze_count()
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            status = exc.code
+        assert gc.get_freeze_count() == freezes  # only the process entry point freezes
+        captured = capsys.readouterr()
+        return status, captured.out.encode(), captured.err.encode()
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["chsh", "--trials", "4000", "--seed", "1"], 0),
+            (["chsh", "--trials", "4000", "--seed", "1", "--tolerance", "1e-9"], 1),
+            (["chsh", "--trials", "4000"], 2),  # argparse: --seed is required
+            (["chsh", "--trials", "10", "--seed", "1"], 2),  # too few trials
+        ],
+    )
+    def test_same_output_and_status(self, capsys, argv, status):
+        expected = self.in_process(capsys, argv)
+        assert expected[0] == status
+        done = self.child(argv)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        if status == 2:
+            assert json.loads(done.stderr)["error"]["code"] == "usage"
+
+    def test_console_script_runs_the_same_function(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["typicality-lab"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is entry_mod.main
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        argv = ["chsh", "--trials", "4000", "--seed", "1", "--tolerance", "1e-9"]
+        status, out, _ = self.in_process(capsys, argv)
+        done = self.child([*argv, "--out", str(tmp_path / "report.json")])
+        assert (done.returncode, done.stdout, done.stderr) == (status, b"", b"")
+        assert (tmp_path / "report.json").read_bytes() == out
 
 
 @pytest.fixture(scope="module")
@@ -894,9 +975,6 @@ class TestTracedHarness:
     @pytest.mark.parametrize("command", ["chsh", "ghz"])
     def test_one_operator_distribution_span(self, command, tmp_path):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         spans = tmp_path / "spans.json"
         done = subprocess.run(
             [
@@ -910,7 +988,7 @@ class TestTracedHarness:
                 "--seed",
                 "1",
             ],
-            env=env,
+            env=_with_src(dict(os.environ)),
             capture_output=True,
             text=True,
             timeout=120,

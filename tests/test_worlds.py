@@ -1,8 +1,8 @@
 """Tests for world sampling, sequence operators and frequency reports."""
 
+import concurrent.futures
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,12 +144,13 @@ class TestSampling:
     def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch):
         requested = []
 
-        class RecordingPool(ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 requested.append(max_workers)
                 super().__init__(max_workers=min(max_workers, 2))
 
-        monkeypatch.setattr(worlds_mod, "ThreadPoolExecutor", RecordingPool)
+        # The sampler imports the pool class when it needs one, so patch it at its source.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
         fps = uniform("ab")
         chunk = worlds_mod._CHUNK_LEN
