@@ -7,12 +7,16 @@ byte-identical across reruns and across ``--threads`` values.  Exit
 status is 0 only when every gating check passes; each check is listed in
 the report's ``checks``, and each failed gating one in its ``failures``.
 
-The flow is parser -> :func:`_check_args` -> handler -> :func:`main`:
-each subcommand's parser binds its handler, ``_check_args`` validates and
-resolves the parsed namespace in place, and the handler reads it and
-returns the report body and its :class:`~typicality_lab.checks.Check`
-records.  ``main`` alone stamps the report with ``schema``, ``checks``
-and the ``failures`` it derives from them, and sets the exit status.
+The flow is table -> handler -> :func:`main`.  Each invocation (a
+command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
+has one entry in ``_INVOCATIONS``: its handler, the flags it reads and
+its least ``--trials``.  :func:`_check_args` works out the invocation, validates
+and resolves the parsed namespace in place against its entry, and
+returns the handler, which reads the namespace and returns the report
+body and its :class:`~typicality_lab.checks.Check` records.  ``main``
+alone stamps the report with ``schema``, ``checks`` and the ``failures``
+it derives from them, turns every :class:`UsageError` into the one-line
+JSON error, and sets the exit status.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import ghz as ghz_mod
 from .checks import RELATIONS, Check
 from .linalg import ATOL
 from .spaces import FiniteProbabilitySpace
-from .worlds import WorldPrefix
+from .worlds import _MAX_SEED, WorldPrefix
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
@@ -49,6 +53,8 @@ def _parse_blocks(raw: str) -> tuple[int, ...]:
         raise UsageError(f"--blocks expects comma-separated integers, got {raw!r}")
     if not blocks or any(b < 1 for b in blocks):
         raise UsageError(f"--blocks expects positive integers, got {raw!r}")
+    if len(set(blocks)) != len(blocks):
+        raise UsageError(f"--blocks repeats a block length, got {raw!r}")
     return blocks
 
 
@@ -71,40 +77,38 @@ def _resolve_seed(raw: str | None, required: bool) -> int | None:
         seed = int(raw)
     except ValueError:
         raise UsageError(f"--seed expects an integer or 'random', got {raw!r}")
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < _MAX_SEED:
         raise UsageError("--seed must be a 64-bit unsigned integer")
     return seed
 
 
-def _load_json_file(path: str, what: str) -> dict:
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON in ``path``; a bad file or a ValueError of ``parse`` is a UsageError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {what} file {path!r}: {err}")
     if not text.strip():
         raise UsageError(f"{what} file {path!r} is empty")
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise UsageError(f"{what} file {path!r} is not valid JSON: {err}")
-
-
-def _load_fps(path: str, what: str) -> FiniteProbabilitySpace:
-    obj = _load_json_file(path, what)
     try:
-        return FiniteProbabilitySpace.from_json(obj)
+        return parse(obj)
     except ValueError as err:
         raise UsageError(f"invalid {what} file {path!r}: {err}")
 
 
 def _load_h(path: str, analyse) -> tuple:
     """A hidden-variable distribution and ``analyse`` of it, which checks its alphabet."""
-    h = _load_fps(path, "hidden-variable")
-    try:
+
+    def parse(obj) -> tuple:
+        h = FiniteProbabilitySpace.from_json(obj)
         return h, analyse(h)
-    except ValueError as err:
-        raise UsageError(f"invalid hidden-variable file {path!r}: {err}")
+
+    return _load(path, "hidden-variable", parse)
 
 
 # -- commands ----------------------------------------------------------
@@ -186,21 +190,20 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     return body, [run.check, enumeration.check, cross]
 
 
-def cmd_lhv_chsh(args: argparse.Namespace) -> tuple[dict, list]:
-    """Local-realist CHSH: a sweep, or the exact (and simulated) averages of ``--h-file``."""
-    if args.sweep is not None:
-        sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
-        body, check = {"sweep": sweep.to_dict()}, sweep.check
-    elif args.h_file is not None:
-        h, exact = args.h
-        if args.trials is not None:
-            body = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, args.threads).to_dict()
-        else:
-            body = exact.to_dict()
-        check = chsh_mod.local_bound_check(exact.s_value)
+def cmd_lhv_chsh_sweep(args: argparse.Namespace) -> tuple[dict, list]:
+    """Local-realist CHSH: the largest ``s`` of ``--sweep`` random hidden-variable distributions."""
+    sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
+    return {"protocol": "lhv-chsh", "sweep": sweep.to_dict()}, [sweep.check]
+
+
+def cmd_lhv_chsh_h_file(args: argparse.Namespace) -> tuple[dict, list]:
+    """Local-realist CHSH: the exact averages of ``--h-file``, or ``--trials`` simulated rounds."""
+    h, exact = args.h
+    if args.trials is None:
+        body = exact.to_dict()
     else:
-        raise UsageError("lhv chsh requires --h-file or --sweep")
-    return {"protocol": "lhv-chsh", **body}, [check]
+        body = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, args.threads).to_dict()
+    return {"protocol": "lhv-chsh", **body}, [chsh_mod.local_bound_check(exact.s_value)]
 
 
 def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
@@ -215,12 +218,8 @@ def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
 
 def cmd_battery(args: argparse.Namespace) -> tuple[dict, list]:
     """Replay a stored world against a stored space through the battery."""
-    world_obj = _load_json_file(args.world_file, "world")
-    try:
-        world = WorldPrefix.from_json(world_obj)
-    except ValueError as err:
-        raise UsageError(f"invalid world file {args.world_file!r}: {err}")
-    fps = _load_fps(args.fps_file, "probability-space")
+    world = _load(args.world_file, "world", WorldPrefix.from_json)
+    fps = _load(args.fps_file, "probability-space", FiniteProbabilitySpace.from_json)
     if world.alphabet != fps.alphabet:
         raise UsageError(
             "world and probability-space alphabets differ (symbols and order must match)"
@@ -290,16 +289,10 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are JSON usage errors, exit status 2."""
+    """An argument parser whose errors are usage errors, which :func:`main` reports."""
 
     def error(self, message: str):
-        _print_usage_error(f"{self.prog}: {message}")
-        sys.exit(2)
-
-
-def _print_usage_error(message: str) -> None:
-    error = {"schema": SCHEMA_VERSION, "error": {"code": "usage", "message": message}}
-    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--seed", required=True)
     p_chsh.add_argument("--world-out", help="also save the sampled world (JSON)")
     add_common(p_chsh, battery_blocks=True)
-    p_chsh.set_defaults(handler=cmd_chsh)
 
     p_ghz = sub.add_parser("ghz", help="run the quantum GHZ protocol")
     p_ghz.add_argument("--trials", type=int, required=True)
     p_ghz.add_argument("--seed", required=True)
     p_ghz.add_argument("--world-out", help="also save the sampled world (JSON)")
     add_common(p_ghz)
-    p_ghz.set_defaults(handler=cmd_ghz)
 
     p_lhv = sub.add_parser("lhv", help="local-hidden-variable analyses")
     p_lhv.add_argument("protocol", choices=("chsh", "ghz"))
@@ -347,55 +338,55 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhv.add_argument("--trials", type=int, help="also simulate this many rounds")
     p_lhv.add_argument("--seed")
     add_common(p_lhv)
-    # The positional's choices are exactly these two handlers' protocols.
-    lhv_handlers = {"chsh": cmd_lhv_chsh, "ghz": cmd_lhv_ghz}
-    p_lhv.set_defaults(handler=lambda args: lhv_handlers[args.protocol](args))
 
     p_batt = sub.add_parser("battery", help="test a stored world against a stored space")
     p_batt.add_argument("world_file", help="world JSON file")
     p_batt.add_argument("fps_file", help="probability-space JSON file")
     p_batt.add_argument("--seed")  # parsed only to be refused as a JSON usage error
     add_common(p_batt, battery_blocks=True)
-    p_batt.set_defaults(handler=cmd_battery)
 
     return parser
 
 
-#: The optional flags, without defaults, that each invocation reads.  One
-#: given where it would be ignored is a usage error, not silently dropped.
-#: An invocation that reads ``--seed`` requires it.
-_FLAGS_READ = {
-    "chsh": {"trials", "seed", "threads", "tolerance", "world_out"},
-    "ghz": {"trials", "seed", "threads", "world_out"},
-    "lhv chsh --sweep": {"sweep", "seed"},
-    "lhv chsh --trials": {"h_file", "trials", "seed", "threads"},
-    "lhv chsh": {"h_file"},
-    "lhv ghz": {"h_file"},
-    "battery": {"tolerance"},
+#: Each invocation's handler, the optional flags (without defaults) it reads,
+#: and its least ``--trials``, or None where it takes none.  A flag given
+#: where it would be ignored is a usage error, not silently dropped.  An
+#: invocation that reads ``--seed`` requires it.
+_INVOCATIONS = {
+    "chsh": (
+        cmd_chsh,
+        {"trials", "seed", "threads", "tolerance", "world_out"},
+        chsh_mod.MIN_TRIALS,
+    ),
+    "ghz": (cmd_ghz, {"trials", "seed", "threads", "world_out"}, ghz_mod.MIN_TRIALS),
+    "lhv chsh --sweep": (cmd_lhv_chsh_sweep, {"sweep", "seed"}, None),
+    "lhv chsh --trials": (
+        cmd_lhv_chsh_h_file,
+        {"h_file", "trials", "seed", "threads"},
+        chsh_mod.MIN_TRIALS,
+    ),
+    "lhv chsh": (cmd_lhv_chsh_h_file, {"h_file"}, None),
+    "lhv ghz": (cmd_lhv_ghz, {"h_file"}, None),
+    "battery": (cmd_battery, {"tolerance"}, None),
 }
 
-#: The least ``--trials`` of each invocation that takes one.
-_MIN_TRIALS = {
-    "chsh": chsh_mod.MIN_TRIALS,
-    "ghz": ghz_mod.MIN_TRIALS,
-    "lhv chsh --trials": chsh_mod.MIN_TRIALS,
-}
 
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Validate the parsed flags and resolve them in place, or raise :class:`UsageError`.
+def _check_args(args: argparse.Namespace):
+    """Validate the parsed flags and resolve them in place; return the invocation's handler.
 
     ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``lhv chsh
     --h-file`` is loaded into ``args.h`` as the space and its exact
-    averages, and ``--seed`` becomes an integer or None.
+    averages, and ``--seed`` becomes an integer or None.  A bad invocation
+    raises :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
         mode += " --sweep"
     elif mode == "lhv chsh" and args.trials is not None:
         mode += " --trials"
+    handler, flags_read, min_trials = _INVOCATIONS[mode]
     for flag in ("trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out"):
-        if getattr(args, flag, None) is not None and flag not in _FLAGS_READ[mode]:
+        if getattr(args, flag, None) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
     if hasattr(args, "blocks"):
         args.blocks = _parse_blocks(args.blocks)
@@ -403,28 +394,28 @@ def _check_args(args: argparse.Namespace) -> None:
         args.threads = 1
     elif args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    if mode in _MIN_TRIALS and args.trials < _MIN_TRIALS[mode]:
-        raise UsageError(
-            f"{mode.removesuffix(' --trials')} requires --trials >= {_MIN_TRIALS[mode]}"
-        )
+    if min_trials is not None and args.trials < min_trials:
+        raise UsageError(f"{mode.removesuffix(' --trials')} requires --trials >= {min_trials}")
     if mode == "chsh" and args.tolerance is not None and not (
         math.isfinite(args.tolerance) and args.tolerance > 0
     ):
         raise UsageError(f"chsh requires a positive finite --tolerance, got {args.tolerance!r}")
     if mode == "lhv chsh --sweep" and args.sweep < 0:
         raise UsageError(f"--sweep must be non-negative, got {args.sweep}")
-    if mode.startswith("lhv chsh") and args.h_file is not None:
+    if handler is cmd_lhv_chsh_h_file:
+        if args.h_file is None:
+            raise UsageError("lhv chsh requires --h-file or --sweep")
         args.h = _load_h(args.h_file, chsh_mod.lhv_chsh_averages)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
-    args.seed = _resolve_seed(args.seed, required="seed" in _FLAGS_READ[mode])
+    args.seed = _resolve_seed(args.seed, required="seed" in flags_read)
+    return handler
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one invocation; return 0 or 1 with a report, or 2 after a JSON usage error."""
     try:
-        _check_args(args)
-        body, checks = args.handler(args)
+        args = build_parser().parse_args(argv)
+        body, checks = _check_args(args)(args)
         failures = [
             {"check": c.name, "detail": f"{c.value!r} {RELATIONS[c.relation][1]} {c.bound!r}"}
             for c in checks
@@ -434,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"schema": SCHEMA_VERSION, **report}, args)
         return 1 if failures else 0
     except UsageError as err:
-        _print_usage_error(str(err))
+        error = {"schema": SCHEMA_VERSION, "error": {"code": "usage", "message": str(err)}}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2
 

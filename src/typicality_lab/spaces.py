@@ -182,8 +182,13 @@ class FiniteProbabilitySpace:
             raise ValueError(
                 "probability space JSON must be an object with 'alphabet' and 'weights'"
             )
+        weights = obj["weights"]
+        # JSON numbers only: the constructor would cast strings and booleans,
+        # and iterate an object's keys.
+        if not isinstance(weights, list) or any(isinstance(w, (bool, str)) for w in weights):
+            raise ValueError("weights must be a list of JSON numbers")
         try:
-            return cls([_decode_symbol(a) for a in obj["alphabet"]], obj["weights"])
+            return cls([_decode_symbol(a) for a in obj["alphabet"]], weights)
         except TypeError as err:
             raise ValueError(f"malformed probability space JSON: {err}") from None
 

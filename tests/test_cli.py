@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -148,9 +149,8 @@ class TestChshCommand:
         assert reported == int(err.split(":")[1])
 
     def test_seed_is_required(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chsh", "--trials", "8000"])
-        assert exc.value.code == 2
+        status, out, err = run_cli(capsys, ["chsh", "--trials", "8000"])
+        assert_usage_error(status, out, err, "--seed")
 
     def test_world_out(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
@@ -270,6 +270,12 @@ class TestLhvCommand:
         status, _, err = run_cli(capsys, ["lhv", "chsh"])
         assert status == 2
         assert "--h-file or --sweep" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("seed", [["--seed", "random"], []], ids=["random", "none"])
+    def test_missing_input_is_reported_before_the_seed(self, capsys, seed):
+        status, out, err = run_cli(capsys, ["lhv", "chsh", "--trials", "5000", *seed])
+        assert len(err.splitlines()) == 1
+        assert_usage_error(status, out, err, "--h-file or --sweep")
 
     def test_malformed_h_file_names_the_problem(self, capsys, tmp_path):
         h_path = tmp_path / "h.json"
@@ -563,11 +569,8 @@ class TestExitCodeHoles:
         assert run_cli(capsys, base + ["--threads", "2"])[1] == out1
 
     def test_parse_error_is_a_json_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chsh", "--trials", "many", "--seed", "1"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert_usage_error(2, captured.out, captured.err, "--trials")
+        status, out, err = run_cli(capsys, ["chsh", "--trials", "many", "--seed", "1"])
+        assert_usage_error(status, out, err, "--trials")
 
     def test_battery_seed(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
@@ -579,6 +582,14 @@ class TestExitCodeHoles:
         assert_usage_error(status, out, err, "does not use --seed")
 
     @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (json.dumps({"alphabet": 5, "weights": [1.0], "indices": [0]}).encode(), "malformed"),
+            (b"\xff{}", "cannot read"),  # not UTF-8
+        ],
+        ids=["non-list-alphabet", "not-utf-8"],
+    )
+    @pytest.mark.parametrize(
         "argv",
         [
             ["battery", "{bad}", "{space}"],
@@ -588,20 +599,150 @@ class TestExitCodeHoles:
         ],
         ids=["battery-world", "battery-space", "lhv-chsh", "lhv-ghz"],
     )
-    def test_non_list_alphabet(self, capsys, tmp_path, argv):
+    def test_bad_input_file(self, capsys, tmp_path, argv, content, fragment):
         files = {name: tmp_path / f"{name}.json" for name in ("bad", "world", "space")}
-        files["bad"].write_text(json.dumps({"alphabet": 5, "weights": [1.0], "indices": [0]}))
+        files["bad"].write_bytes(content)
         files["world"].write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
         files["space"].write_text(fair_coin().to_json())
         status, out, err = run_cli(capsys, [arg.format(**files) for arg in argv])
-        assert_usage_error(status, out, err, "malformed")
+        assert_usage_error(status, out, err, fragment)
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            lambda n: "1" + "0" * (n - 1),
+            lambda n: ["1"] + ["0"] * (n - 1),
+            lambda n: [True] + [False] * (n - 1),
+            lambda n: {"0" * k or "1": 0.5 for k in range(n)},  # keys read 1, 0, 0, ...
+        ],
+        ids=["string", "strings", "booleans", "object"],
+    )
+    @pytest.mark.parametrize(
+        "argv, space",
+        [
+            (["battery", "{world}", "{bad}"], fair_coin()),
+            (["lhv", "chsh", "--h-file", "{bad}"], uniform(RQST_TUPLES)),
+            (["lhv", "ghz", "--h-file", "{bad}"], uniform(ghz_mod.LHV_ASSIGNMENTS)),
+        ],
+        ids=["battery", "lhv-chsh", "lhv-ghz"],
+    )
+    def test_weights_must_be_json_numbers(self, capsys, tmp_path, argv, space, weights):
+        # Each of these weights casts to a point mass on the first symbol.
+        alphabet = json.loads(space.to_json())["alphabet"]
+        files = {"bad": tmp_path / "bad.json", "world": tmp_path / "world.json"}
+        files["bad"].write_text(json.dumps({"alphabet": alphabet, "weights": weights(len(space))}))
+        files["world"].write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
+        status, out, err = run_cli(capsys, [arg.format(**files) for arg in argv])
+        assert_usage_error(status, out, err, "weights must be a list of JSON numbers")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh", "--trials", "8000", "--seed", "1", "--blocks", "1,1"],
+            ["battery", "{world}", "{space}", "--blocks", "2,3,2"],
+        ],
+        ids=["chsh", "battery"],
+    )
+    def test_repeated_block_length(self, capsys, tmp_path, argv):
+        files = {"world": tmp_path / "world.json", "space": tmp_path / "space.json"}
+        files["world"].write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
+        files["space"].write_text(fair_coin().to_json())
+        status, out, err = run_cli(capsys, [arg.format(**files) for arg in argv])
+        assert_usage_error(status, out, err, "--blocks repeats a block length")
 
     def test_max_dim_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("TYPICALITY_LAB_MAX_DIM", "abc")
         status, report, _ = run_json(capsys, ["ghz", "--trials", "8000", "--seed", "1"])
         assert status == 0
         assert report["cross_check"]["pass"] is True
+
+
+#: Invalid command lines and the message of the one JSON error line each
+#: prints.  Input files are named relative to the working directory.
+#: argparse's "invalid choice" wording differs between Python versions, so
+#: no case below depends on it.
+_USAGE_ERRORS = [
+    ("chsh --trials 8000", "typicality-lab chsh: the following arguments are required: --seed"),
+    (
+        "chsh --trials many --seed 1",
+        "typicality-lab chsh: argument --trials: invalid int value: 'many'",
+    ),
+    ("chsh --trials 10 --seed 1", "chsh requires --trials >= 4000"),
+    ("ghz --trials 10 --seed 1", "ghz requires --trials >= 8000"),
+    (
+        "chsh --trials 8000 --seed 1 --tolerance nan",
+        "chsh requires a positive finite --tolerance, got nan",
+    ),
+    ("chsh --trials 8000 --seed 18446744073709551616", "--seed must be a 64-bit unsigned integer"),
+    ("chsh --trials 8000 --seed x", "--seed expects an integer or 'random', got 'x'"),
+    ("chsh --trials 8000 --seed 1 --threads 0", "--threads must be at least 1"),
+    (
+        "chsh --trials 8000 --seed 1 --blocks 1,x",
+        "--blocks expects comma-separated integers, got '1,x'",
+    ),
+    ("battery world.json fps.json --blocks 0", "--blocks expects positive integers, got '0'"),
+    ("battery world.json fps.json --seed 3", "battery does not use --seed"),
+    ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
+    ("lhv ghz --threads 1", "lhv ghz does not use --threads"),
+    ("lhv chsh --h-file h.json --seed 5", "lhv chsh does not use --seed"),
+    ("lhv chsh --sweep -1 --seed 1", "--sweep must be non-negative, got -1"),
+    ("lhv chsh --sweep 20", "--seed is required (use '--seed random' to draw one)"),
+    ("lhv chsh", "lhv chsh requires --h-file or --sweep"),
+    ("lhv chsh --trials 5000 --seed 1", "lhv chsh requires --h-file or --sweep"),
+    (
+        "lhv chsh --h-file missing.json",
+        "cannot read hidden-variable file 'missing.json': [Errno 2] No such file or "
+        "directory: 'missing.json'",
+    ),
+    (
+        "lhv chsh --h-file broken.json",
+        "hidden-variable file 'broken.json' is not valid JSON: Expecting property name "
+        "enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    (
+        "lhv ghz --h-file h.json",
+        "invalid hidden-variable file 'h.json': hidden-variable space must be over all 64 "
+        "six-value assignments with entries +1/-1",
+    ),
+    ("battery empty.json fps.json", "world file 'empty.json' is empty"),
+    (
+        "battery float-world.json fps.json",
+        "invalid world file 'float-world.json': world indices must be integers",
+    ),
+    (
+        "battery world.json h.json",
+        "world and probability-space alphabets differ (symbols and order must match)",
+    ),
+    (
+        "lhv ghz --out no-dir/out.json",
+        "cannot write --out file 'no-dir/out.json': [Errno 2] No such file or directory: "
+        "'no-dir/out.json'",
+    ),
+]
+
+
+class TestUsageErrorLines:
+    """Each usage error prints exactly its one JSON line on stderr, nothing on stdout, and exits 2."""
+
+    @pytest.mark.parametrize(
+        "command, message", _USAGE_ERRORS, ids=[command for command, _ in _USAGE_ERRORS]
+    )
+    def test_exact_line(self, capsys, tmp_path, monkeypatch, command, message):
+        texts = {
+            "world.json": sample_world(fair_coin(), 5000, seed=8).to_json(),
+            "fps.json": fair_coin().to_json(),
+            "h.json": uniform(RQST_TUPLES).to_json(),
+            "empty.json": "",
+            "broken.json": "{",
+            "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        expected = {"error": {"code": "usage", "message": message}, "schema": 3}
+        line = json.dumps(expected, sort_keys=True) + "\n"
+        assert run_cli(capsys, command.split()) == (2, "", line)
 
 
 def _skewed(distribution, skew):
@@ -651,7 +792,9 @@ class TestChecksDecideTheRun:
     ):
         check = Check("planted", value, relation, bound, gating)
         assert check.passed is passed
-        monkeypatch.setattr(cli_mod, "cmd_lhv_ghz", lambda args: ({"protocol": "lhv-ghz"}, [check]))
+        _, flags_read, min_trials = cli_mod._INVOCATIONS["lhv ghz"]
+        planted = (lambda args: ({"protocol": "lhv-ghz"}, [check]), flags_read, min_trials)
+        monkeypatch.setitem(cli_mod._INVOCATIONS, "lhv ghz", planted)
         status, report, _ = run_json(capsys, ["lhv", "ghz"])
         assert report["checks"] == [
             {
@@ -698,17 +841,23 @@ print(child.returncode, usage.ru_maxrss, usage.ru_minflt)
 def _child_usage(argv):
     """Peak RSS in MB and minor page faults of one ``typicality_lab`` process.
 
-    The child gets only ``PATH`` and ``PYTHONPATH``: the size of its
-    environment moves its heap layout, and with it both readings.
+    The child gets only ``PATH`` and ``PYTHONPATH``, and it imports the
+    package through a link at a path whose length does not depend on where
+    the package is checked out, from a working directory of the same
+    length: the size of its environment and the lengths of the path
+    strings it holds move its heap layout, and with it both readings.
     """
-    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *argv],
-        env=_with_src(env),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    with tempfile.TemporaryDirectory() as root:
+        os.symlink(src, os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv],
+            cwd=root,
+            env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": os.path.join(root, "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
     assert done.returncode == 0, done.stderr
     status, peak_kb, faults = map(int, done.stdout.split())
     assert status == 0
@@ -826,10 +975,7 @@ class TestProcessEntryPoint:
 
     def in_process(self, capsys, argv):
         freezes = gc.get_freeze_count()
-        try:
-            status = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            status = exc.code
+        status = main(argv)
         assert gc.get_freeze_count() == freezes  # only the process entry point freezes
         captured = capsys.readouterr()
         return status, captured.out.encode(), captured.err.encode()
@@ -880,9 +1026,11 @@ def fuzz_files(tmp_path_factory):
         "empty.json": "",
         "broken.json": "{",
         "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
+        "string-weights.json": json.dumps({"alphabet": [0, 1], "weights": "10"}),
     }
     for name, text in texts.items():
         (root / name).write_text(text)
+    (root / "not-utf-8.json").write_bytes(b"\xff{}")
     return root
 
 
@@ -955,10 +1103,7 @@ class TestMainFuzz:
         def check(argv):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    status = main(argv)
-                except SystemExit as exc:
-                    status = exc.code
+                status = main(argv)
             assert status in (0, 1, 2), (argv, status)
             assert "Traceback" not in err.getvalue()
             if status == 2:
