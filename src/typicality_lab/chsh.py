@@ -186,7 +186,7 @@ def run_chsh(
     trials: int,
     seed: int,
     threads: int = 1,
-    battery_blocks: Sequence[int] | None = battery_mod.DEFAULT_BLOCK_LENS,
+    battery_blocks: Sequence[int] = battery_mod.DEFAULT_BLOCK_LENS,
     on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> ConditionalAverageReport:
     """Sample a length-``trials`` world and compute the conditional averages.
@@ -199,7 +199,7 @@ def run_chsh(
 
     Each coin pair's subsequence is also tested against its conditional
     distribution with the block-frequency battery (``battery_blocks``;
-    pass ``None`` to skip).  Raises if any coin pair collected no samples.
+    pass ``()`` to skip).  Raises if any coin pair collected no samples.
     Every statistic is taken from counts made while the world is drawn
     (:func:`~typicality_lab.worlds.tally`), so the world is not kept unless
     ``on_world`` is given; it is then called with the world before any
@@ -212,7 +212,7 @@ def run_chsh(
     # Block lengths no cell of this run can be long enough for are not counted.
     block_lens = [
         k
-        for k in battery_blocks or ()
+        for k in battery_blocks
         if battery_mod.long_enough(trials, len(events[0]), k)
     ]
     tallied = tally(fps, trials, seed, threads, events, block_lens, on_world)
@@ -228,7 +228,7 @@ def run_chsh(
     ):
         # Only block lengths the cell is long enough for.
         usable = [
-            k for k in battery_blocks or () if battery_mod.long_enough(cell.count, len(event), k)
+            k for k in battery_blocks if battery_mod.long_enough(cell.count, len(event), k)
         ]
         if usable:
             batteries[f"{c}{d}"] = battery_mod.run_battery(cell_tally, fps.condition(event), usable)

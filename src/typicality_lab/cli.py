@@ -101,12 +101,13 @@ def _load(path: str, what: str, parse):
         raise UsageError(f"invalid {what} file {path!r}: {err}")
 
 
-def _load_h(path: str, analyse) -> tuple:
-    """A hidden-variable distribution and ``analyse`` of it, which checks its alphabet."""
+def _load_h(path: str, require_alphabet) -> FiniteProbabilitySpace:
+    """A hidden-variable distribution whose alphabet ``require_alphabet`` accepts."""
 
-    def parse(obj) -> tuple:
+    def parse(obj) -> FiniteProbabilitySpace:
         h = FiniteProbabilitySpace.from_json(obj)
-        return h, analyse(h)
+        require_alphabet(h)
+        return h
 
     return _load(path, "hidden-variable", parse)
 
@@ -198,12 +199,13 @@ def cmd_lhv_chsh_sweep(args: argparse.Namespace) -> tuple[dict, list]:
 
 def cmd_lhv_chsh_h_file(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist CHSH: the exact averages of ``--h-file``, or ``--trials`` simulated rounds."""
-    h, exact = args.h
     if args.trials is None:
-        body = exact.to_dict()
+        report = exact = chsh_mod.lhv_chsh_averages(args.h)
     else:
-        body = chsh_mod.lhv_chsh_simulate(h, args.trials, args.seed, args.threads).to_dict()
-    return {"protocol": "lhv-chsh", **body}, [chsh_mod.local_bound_check(exact.s_value)]
+        report = chsh_mod.lhv_chsh_simulate(args.h, args.trials, args.seed, args.threads)
+        exact = report.exact
+    body = {"protocol": "lhv-chsh", **report.to_dict()}
+    return body, [chsh_mod.local_bound_check(exact.s_value)]
 
 
 def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
@@ -211,8 +213,8 @@ def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     enumeration = ghz_mod.lhv_ghz_enumerate()
     body = {"protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
     if args.h_file is not None:
-        _, feasibility = _load_h(args.h_file, ghz_mod.lhv_ghz_feasibility)
-        body["feasibility"] = feasibility.to_dict()
+        h = _load_h(args.h_file, ghz_mod._require_assignment_space)
+        body["feasibility"] = ghz_mod.lhv_ghz_feasibility(h).to_dict()
     return body, [enumeration.check]
 
 
@@ -375,9 +377,8 @@ def _check_args(args: argparse.Namespace):
     """Validate the parsed flags and resolve them in place; return the invocation's handler.
 
     ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``lhv chsh
-    --h-file`` is loaded into ``args.h`` as the space and its exact
-    averages, and ``--seed`` becomes an integer or None.  A bad invocation
-    raises :class:`UsageError`.
+    --h-file`` is loaded into ``args.h``, and ``--seed`` becomes an integer
+    or None.  A bad invocation raises :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -405,7 +406,7 @@ def _check_args(args: argparse.Namespace):
     if handler is cmd_lhv_chsh_h_file:
         if args.h_file is None:
             raise UsageError("lhv chsh requires --h-file or --sweep")
-        args.h = _load_h(args.h_file, chsh_mod.lhv_chsh_averages)
+        args.h = _load_h(args.h_file, chsh_mod._require_rqst_space)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
     args.seed = _resolve_seed(args.seed, required="seed" in flags_read)
     return handler

@@ -269,13 +269,17 @@ class FeasibilityReport:
         return {**asdict(self), "feasible": self.feasible}
 
 
-def lhv_ghz_feasibility(p: FiniteProbabilitySpace) -> FeasibilityReport:
-    """Per-constraint violation mass of a distribution over value assignments."""
+def _require_assignment_space(p: FiniteProbabilitySpace) -> None:
     if set(p.alphabet) != set(LHV_ASSIGNMENTS):
         raise ValueError(
             "hidden-variable space must be over all 64 six-value assignments "
             "with entries +1/-1"
         )
+
+
+def lhv_ghz_feasibility(p: FiniteProbabilitySpace) -> FeasibilityReport:
+    """Per-constraint violation mass of a distribution over value assignments."""
+    _require_assignment_space(p)
     masses = {}
     for name in CONSTRAINTS:
         masses[name] = math.fsum(

@@ -94,17 +94,17 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a: np.ndarray, atol: float = ATOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return bool(np.abs(a - dag(a)).max() <= atol)
+    return bool(np.abs(a - dag(a)).max() <= ATOL)
 
 
-def is_unitary(a: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a)
     eye = np.eye(a.shape[0])
     return bool(
-        np.abs(dag(a) @ a - eye).max() <= atol
-        and np.abs(a @ dag(a) - eye).max() <= atol
+        np.abs(dag(a) @ a - eye).max() <= ATOL
+        and np.abs(a @ dag(a) - eye).max() <= ATOL
     )
 
 

@@ -19,26 +19,31 @@ weights sum to slightly more than one.
 Generation is blocked.  Block ``i`` of a run with seed ``s`` uses a
 Philox stream with key ``s`` and counter offset ``i << 128`` (Salmon et
 al., SC'11), so blocks can be generated in any order and grouping and the
-result is byte-identical to the single-threaded one.  Work is handed out
-in chunks of 16 consecutive blocks, as one ordered stream
-(``_stream_chunks``): a thread draws a chunk's uniforms, maps them to
-symbols and runs a ``work`` function on them, and the consumer takes the
-results in chunk order, with at most two chunks per thread in flight.  A
-chunk uses one generator: it starts at the counter of the chunk's first
-block and is advanced to ``(i + 1) << 128`` after each block, which gives
-the same uniforms as a fresh generator per block, so ``GENERATOR_ID`` and
-the world bytes are those of the block-at-a-time draw.  Each thread keeps
-two chunk-sized buffers for the whole stream, one for the uniforms and one
-for their guide buckets.  The fill, the scaling, the bucket cast and the
-table lookup write into them, and the symbols end up in the uniforms'
-memory once those are spent, so a chunk's draw allocates nothing but the
-search of its mixed-bucket draws (below) and touches no fresh page.
-:func:`sample_world` stores each chunk in its slice of one preallocated
-output.  :func:`tally` counts each chunk instead: the drawing thread takes
-its symbol counts and splits it by event, and the consumer feeds each
-event's part to its block histograms, carrying the symbols of an
-unfinished block into the next chunk.  A run's statistics therefore need
-no world in memory, and its memory does not grow with its length.
+result is byte-identical to the single-threaded one.  Every draw is one
+:func:`tally`, in two pieces.  The scheduler, :func:`_in_chunk_order`,
+only schedules: it runs a step for each chunk of 16 consecutive blocks on
+at most ``min(threads, chunks, CPUs)`` threads, each at most two chunks
+ahead of the consumer, and yields the steps' results in chunk order.  The
+step draws one chunk.  It fills the chunk's uniforms from one generator,
+which starts at the counter of the chunk's first block and is advanced to
+``(i + 1) << 128`` after each block; that gives the uniforms of a fresh
+generator per block, so ``GENERATOR_ID`` and the world bytes are those of
+the block-at-a-time draw.  It maps them to symbols, stores the symbols in
+their slice of the world when the world is kept, counts them and splits
+them by event.  The consumer adds up the counts and feeds each event's
+part to its block histograms, carrying the symbols of an unfinished block
+into the next chunk.  :func:`sample_world` is the world a tally keeps.
+
+Each drawing thread keeps all its buffers on one ``threading.local`` of
+the tally: one chunk-sized buffer for the uniforms, one for their guide
+buckets, and the split's two table lookups and event mask.  Each is made
+on the thread's first chunk and reused for every later one.  The fill,
+the scaling, the bucket cast and the table lookup write into them, and
+the symbols end up in the uniforms' memory once those are spent, so a
+chunk's draw allocates nothing but the search of its mixed-bucket draws
+(below), its counts and its event parts, and touches no fresh page.  A
+run's statistics therefore need no world in memory, and its memory does
+not grow with its length.
 
 The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
 stores ``searchsorted(cum, j / 1024, side="right")``, and a draw ``u``
@@ -68,6 +73,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -91,7 +97,11 @@ __all__ = [
     "sign_cell",
 ]
 
-#: Identifier of the sampling scheme, recorded in provenance.
+#: Identifier of the sampling scheme, recorded in provenance: Philox4x64-10,
+#: block ``b`` of 8192 draws at counter ``b << 128``, and an inverse CDF.  As
+#: numpy lays it out, the 128-bit key is ``(seed mod 2**64, seed >> 64)`` in
+#: words low to high, the 256-bit counter is incremented before each
+#: four-word output, and each uniform is ``(w >> 11) * 2**-53`` of one word.
 GENERATOR_ID = "philox4x64/ctr128-block8192/invcdf"
 
 #: Symbols generated per counter block.
@@ -355,47 +365,17 @@ def _check_draw(length: int, seed: int, threads: int) -> None:
         raise ValueError("threads must be at least 1")
 
 
-def _stream_chunks(
-    fps: FiniteProbabilitySpace,
-    length: int,
-    seed: int,
-    threads: int,
-    work: Callable[[np.ndarray], object],
-    out: np.ndarray | None = None,
-) -> Iterator:
-    """``work(indices)`` for each chunk of the world, yielded in chunk order.
+def _in_chunk_order(step: Callable[[int], object], n_chunks: int, threads: int) -> Iterator:
+    """``step(chunk)`` for chunks ``0 .. n_chunks - 1``, yielded in chunk order.
 
-    ``indices`` are the chunk's symbols as ``intp``, the dtype a numpy
-    lookup or ``bincount`` would cast them to; when ``out`` is given they
-    are also stored in its slice for the chunk.  ``work`` runs in the
-    thread that drew the chunk.  Each thread draws every chunk into the
-    same two buffers, so ``work`` must not keep ``indices`` or return a
-    view of them: the thread overwrites them with its next chunk.  At most
-    ``min(threads, chunks, CPUs)`` threads run, each at most ``_WINDOW``
-    chunks ahead of the consumer, so the memory in use does not grow with
-    ``length``.
+    At most ``min(threads, n_chunks, CPUs)`` threads run the steps, each at
+    most ``_WINDOW`` chunks ahead of the consumer, so the results in flight
+    do not grow with ``n_chunks``.  With one thread the steps run in the
+    caller's thread, with no pool.
     """
-    cum = _cumulative_boundaries(fps)
-    guide, mixed = _guide_tables(cum)
-    cum *= _GUIDE
-    local = threading.local()
-
-    def draw(chunk: int):
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = (np.empty(_CHUNK_LEN), np.empty(_CHUNK_LEN, np.intp))
-        start = chunk * _CHUNK_LEN
-        u, bucket = (b[: min(_CHUNK_LEN, length - start)] for b in buffers)
-        _fill_uniforms(u, seed, chunk)
-        indices = _invert_cdf(u, bucket, cum, guide, mixed)
-        if out is not None:
-            out[start : start + indices.size] = indices
-        return work(indices)
-
-    n_chunks = -(-length // _CHUNK_LEN)
     workers = min(threads, n_chunks, os.cpu_count() or 1)
     if workers == 1:
-        yield from map(draw, range(n_chunks))
+        yield from map(step, range(n_chunks))
         return
     from concurrent.futures import ThreadPoolExecutor  # deferred: with logging, ~7 ms of import
 
@@ -404,13 +384,9 @@ def _stream_chunks(
         for chunk in range(n_chunks):
             if len(pending) == workers * _WINDOW:
                 yield pending.popleft().result()
-            pending.append(pool.submit(draw, chunk))
+            pending.append(pool.submit(step, chunk))
         while pending:
             yield pending.popleft().result()
-
-
-def _sampled_provenance(seed: int, length: int) -> dict:
-    return {"kind": "sampled", "seed": int(seed), "generator": GENERATOR_ID, "length": int(length)}
 
 
 def sample_world(
@@ -420,13 +396,11 @@ def sample_world(
 
     The result is identical for every ``threads`` value; threads only
     parallelize chunk generation.  At most ``min(threads, chunks, CPUs)``
-    threads run.
+    threads run.  It is the world :func:`tally` keeps for ``on_world``.
     """
-    _check_draw(length, seed, threads)
-    indices = np.empty(length, dtype=_index_dtype(len(fps.alphabet)))
-    for _ in _stream_chunks(fps, length, seed, threads, lambda chunk: None, indices):
-        pass
-    return WorldPrefix(fps.alphabet, indices, _sampled_provenance(seed, length))
+    kept = []
+    tally(fps, length, seed, threads, on_world=kept.append)
+    return kept[0]
 
 
 class _BlockCounter:
@@ -494,20 +468,21 @@ def _cell_tables(alphabet: tuple, events: Sequence[Iterable]):
     return keep_ids, cell, local
 
 
-def _split_buffers(cell: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Chunk-sized buffers for :func:`_split_chunk`: the two table lookups and an event mask."""
-    return tuple(np.empty(_CHUNK_LEN, dtype) for dtype in (cell.dtype, local.dtype, bool))
-
-
-def _split_chunk(indices: np.ndarray, cell: np.ndarray, local: np.ndarray, n_events: int, out):
+def _split_chunk(indices: np.ndarray, cell: np.ndarray, local: np.ndarray, n_events: int, scratch):
     """The local indices of each event's symbols in ``indices``, in order.
 
-    Lookups and masks go into ``out``, :func:`_split_buffers` reused chunk to
-    chunk, so a longer draw touches no fresh pages.  The indices are in range,
-    so the lookups "clip", which spares the copy of ``out`` that "raise" makes.
+    The two table lookups and the event mask go into chunk-sized buffers
+    kept on the namespace ``scratch``, made on its first chunk and reused
+    for every later one, so a longer draw touches no fresh pages.  The
+    indices are in range, so the lookups "clip", which spares the copy of
+    the output that "raise" makes.
     """
+    if not hasattr(scratch, "cells"):
+        scratch.cells, scratch.codes, scratch.mask = (
+            np.empty(_CHUNK_LEN, dtype) for dtype in (cell.dtype, local.dtype, bool)
+        )
     wide = indices.astype(np.intp, copy=False)  # one cast to intp serves both lookups
-    cells, codes, mask = (b[: wide.size] for b in out)
+    cells, codes, mask = (b[: wide.size] for b in (scratch.cells, scratch.codes, scratch.mask))
     cell.take(wide, out=cells, mode="clip")
     local.take(wide, out=codes, mode="clip")
     return [np.compress(np.equal(cells, i, out=mask), codes) for i in range(n_events)]
@@ -559,35 +534,47 @@ def tally(
     Returns the world's symbol counts and, for each of the disjoint
     ``events``, a :class:`CellTally` of its subsequence (what
     :func:`condition_seq` would give) with block histograms at length 1
-    and at each of ``block_lens``.  A chunk is counted in the thread that
-    drew it; its split into event subsequences is carried on, in chunk
+    and at each of ``block_lens``.  A chunk is drawn, stored, counted and
+    split in one thread, by one step that :func:`_in_chunk_order`
+    schedules; its split into event subsequences is carried on, in chunk
     order, by one :class:`_BlockCounter` per event and block length.  The
     world is kept only when ``on_world`` is given; it is then called with
     the world once the draw is done, before the counts are returned.
     """
     _check_draw(length, seed, threads)
     n_sym = len(fps.alphabet)
+    cum = _cumulative_boundaries(fps)
+    guide, mixed = _guide_tables(cum)
+    cum *= _GUIDE
     keep_ids, cell, local = _cell_tables(fps.alphabet, events)
     block_lens = sorted({k for k in block_lens if k > 1})
     counters = [[_BlockCounter(len(ids), k) for k in block_lens] for ids in keep_ids]
     split = bool(block_lens and keep_ids)
-    buffers = threading.local()  # each drawing thread's _split_buffers
+    world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
+    scratch = threading.local()  # each drawing thread's buffers, reused chunk after chunk
 
-    def work(indices: np.ndarray):
-        if split and not hasattr(buffers, "out"):
-            buffers.out = _split_buffers(cell, local)
-        parts = _split_chunk(indices, cell, local, len(keep_ids), buffers.out) if split else ()
+    def step(chunk: int):
+        if not hasattr(scratch, "u"):
+            scratch.u, scratch.bucket = np.empty(_CHUNK_LEN), np.empty(_CHUNK_LEN, np.intp)
+        start = chunk * _CHUNK_LEN
+        size = min(_CHUNK_LEN, length - start)
+        u = scratch.u[:size]
+        _fill_uniforms(u, seed, chunk)
+        indices = _invert_cdf(u, scratch.bucket[:size], cum, guide, mixed)
+        if world is not None:
+            world[start : start + size] = indices
+        parts = _split_chunk(indices, cell, local, len(keep_ids), scratch) if split else ()
         return np.bincount(indices, minlength=n_sym), parts
 
-    out = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
     total = np.zeros(n_sym, dtype=np.int64)
-    for chunk_counts, parts in _stream_chunks(fps, length, seed, threads, work, out):
+    for chunk_counts, parts in _in_chunk_order(step, -(-length // _CHUNK_LEN), threads):
         total += chunk_counts
         for part, event_counters in zip(parts, counters):
             for counter in event_counters:
                 counter.add(part)
     if on_world is not None:
-        on_world(WorldPrefix(fps.alphabet, out, _sampled_provenance(seed, length)))
+        prov = dict(kind="sampled", seed=int(seed), generator=GENERATOR_ID, length=int(length))
+        on_world(WorldPrefix(fps.alphabet, world, prov))
     cells = tuple(
         CellTally(
             tuple(fps.alphabet[i] for i in ids),
@@ -609,9 +596,9 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
     counts :func:`tally` takes.
     """
     (ids,), cell, local = _cell_tables(world.alphabet, [event])
-    out = _split_buffers(cell, local)
+    scratch = SimpleNamespace()
     parts = [
-        _split_chunk(world.indices[start : start + _CHUNK_LEN], cell, local, 1, out)[0]
+        _split_chunk(world.indices[start : start + _CHUNK_LEN], cell, local, 1, scratch)[0]
         for start in range(0, len(world), _CHUNK_LEN)
     ]
     indices = np.concatenate(parts) if parts else local[:0]

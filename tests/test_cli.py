@@ -220,6 +220,22 @@ class TestLhvCommand:
         assert report["exact"]["method"] == "lhv-exact"
         assert abs(report["s_value"]) < 0.2
 
+    @pytest.mark.parametrize("extra", [[], ["--trials", "4000", "--seed", "4"]])
+    def test_exact_averages_are_computed_once(self, capsys, tmp_path, monkeypatch, extra):
+        calls = []
+        averages = chsh_mod.lhv_chsh_averages
+
+        def counting(h):
+            calls.append(h)
+            return averages(h)
+
+        monkeypatch.setattr(chsh_mod, "lhv_chsh_averages", counting)
+        h_path = tmp_path / "h.json"
+        h_path.write_text(uniform(RQST_TUPLES).to_json())
+        status, _, _ = run_json(capsys, ["lhv", "chsh", "--h-file", str(h_path)] + extra)
+        assert status == 0
+        assert len(calls) == 1
+
     def test_sweep_respects_bound(self, capsys):
         status, report, _ = run_json(
             capsys, ["lhv", "chsh", "--sweep", "1000", "--seed", "3"]
@@ -472,13 +488,13 @@ class TestWorldOutSamplesOnce:
     @pytest.fixture
     def stream_calls(self, monkeypatch):
         calls = []
-        stream = worlds_mod._stream_chunks
+        schedule = worlds_mod._in_chunk_order
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return stream(*args, **kwargs)
+            return schedule(*args, **kwargs)
 
-        monkeypatch.setattr(worlds_mod, "_stream_chunks", counting)
+        monkeypatch.setattr(worlds_mod, "_in_chunk_order", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -495,11 +511,10 @@ class TestWorldOutSamplesOnce:
     def test_ghz_writes_the_world_of_a_failed_run(self, capsys, tmp_path, monkeypatch):
         forbidden = GhzOutcome(0, 0, 0, 1, 1, 1)
 
-        def constant(fps, length, seed, threads, work, out=None):
-            out[...] = fps.index(forbidden)
-            return (work(out[s : s + 1000]) for s in range(0, length, 1000))
-
-        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant)
+        index = ghz_distribution().index(forbidden)
+        monkeypatch.setattr(
+            worlds_mod, "_invert_cdf", lambda u, *tables: np.full(u.size, index, dtype=np.intp)
+        )
         world_path = tmp_path / "world.json"
         argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, report, _ = run_json(capsys, argv)

@@ -53,7 +53,6 @@ from typicality_lab.worlds import (
     _cumulative_boundaries,
     _fill_uniforms,
     _guide_tables,
-    _index_dtype,
     _invert_cdf,
     condition_seq,
     _BlockCounter,
@@ -254,7 +253,7 @@ def conditioned_cell(world, event, value):
 class TestCountsFirst:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_run_chsh(self, seed):
-        report = run_chsh(40_000, seed, battery_blocks=None)
+        report = run_chsh(40_000, seed, battery_blocks=())
         world = sample_world(chsh_distribution("analytic"), 40_000, seed)
         for name, ((c, d), _) in chsh_mod._AVERAGES.items():
             count, mean, std_error, _ = conditioned_cell(
@@ -309,17 +308,13 @@ class TestCountsFirst:
 CHUNK = 16 * BLOCK_LEN
 
 
-def constant_stream(symbol):
-    """A stand-in for ``worlds._stream_chunks`` whose world repeats one symbol."""
+def constant_inverse(fps, symbol):
+    """A stand-in for ``worlds._invert_cdf`` that maps every uniform to ``symbol`` of ``fps``.
 
-    def stream(fps, length, seed, threads, work, out=None):
-        indices = np.full(length, fps.index(symbol), dtype=_index_dtype(len(fps)))
-        if out is not None:
-            out[...] = indices
-            indices = out
-        return (work(indices[s : s + CHUNK]) for s in range(0, length, CHUNK))
-
-    return stream
+    The draw's real keep, count and split code runs on the constant world.
+    """
+    index = fps.index(symbol)
+    return lambda u, *tables: np.full(u.size, index, dtype=np.intp)
 
 
 class TestChecksKept:
@@ -328,7 +323,9 @@ class TestChecksKept:
         [(GhzOutcome(0, 0, 0, 1, 1, 1), "000"), (GhzOutcome(0, 1, 1, 1, 1, -1), "011")],
     )
     def test_forbidden_product_is_counted(self, monkeypatch, outcome, triple):
-        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(outcome))
+        monkeypatch.setattr(
+            worlds_mod, "_invert_cdf", constant_inverse(ghz_distribution("analytic"), outcome)
+        )
         report = run_ghz(8000, 1)
         assert {key: e["violations"] for key, e in report.constrained.items()} == {
             key: 8000 if key == triple else 0 for key in report.constrained
@@ -342,14 +339,16 @@ class TestChecksKept:
         )
 
     def test_run_chsh_empty_cell_raises(self, monkeypatch):
-        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(CHSH_OUTCOMES[0]))
+        fps = chsh_distribution("analytic")
+        monkeypatch.setattr(worlds_mod, "_invert_cdf", constant_inverse(fps, CHSH_OUTCOMES[0]))
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             run_chsh(4000, 1)
 
     def test_lhv_simulate_empty_cell_raises(self, monkeypatch):
         symbol = (RQST_TUPLES[0], 0, 0)
-        monkeypatch.setattr(worlds_mod, "_stream_chunks", constant_stream(symbol))
         h = uniform(RQST_TUPLES)
+        joint = product(h, uniform((0, 1)), uniform((0, 1)))
+        monkeypatch.setattr(worlds_mod, "_invert_cdf", constant_inverse(joint, symbol))
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             lhv_chsh_simulate(h, 4000, 1)
 

@@ -171,9 +171,7 @@ class TestSampling:
 
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 2)
         drawn = []
-        stream = worlds_mod._stream_chunks(
-            uniform("ab"), 20 * worlds_mod._CHUNK_LEN, 5, 2, drawn.append
-        )
+        stream = worlds_mod._in_chunk_order(drawn.append, 20, 2)
         next(stream)
         time.sleep(0.2)  # time enough for the threads to draw every chunk
         assert len(drawn) <= 1 + 2 * worlds_mod._WINDOW
@@ -201,24 +199,43 @@ class TestSampling:
     def test_stream_chunks_are_the_world_whichever_thread_reuses_its_buffers(
         self, monkeypatch, threads
     ):
-        # Each thread draws into its own two buffers, over and over; a
-        # buffer shared between threads, or written before ``work`` has
-        # copied the previous chunk out, would mix chunks.
+        # Each thread draws, splits and counts every chunk in its own
+        # buffers, over and over; a buffer shared between threads, or
+        # written before the previous chunk was stored and split, would
+        # mix chunks.
         import sys
 
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
         fps = chsh_distribution("analytic")
         length = 7 * worlds_mod._CHUNK_LEN + 5
-        base = sample_world(fps, length, seed=23).indices
+        events = [coin_event(c, d) for c in (0, 1) for d in (0, 1)]
+
+        def run(threads):
+            kept = []
+            counts = worlds_mod.tally(fps, length, 23, threads, events, (2, 3), kept.append)
+            return kept[0], counts
+
+        base, base_counts = run(1)
+        invert = worlds_mod._invert_cdf
+        dtypes = []
+
+        def recording(*args):
+            chunk = invert(*args)
+            dtypes.append(chunk.dtype)
+            return chunk
+
+        monkeypatch.setattr(worlds_mod, "_invert_cdf", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(2):
-                chunks = list(
-                    worlds_mod._stream_chunks(fps, length, 23, threads, lambda c: c.copy())
-                )
-                assert all(chunk.dtype == np.intp for chunk in chunks)
-                np.testing.assert_array_equal(np.concatenate(chunks), base)
+                world, counts = run(threads)
+                assert dtypes and all(dtype == np.intp for dtype in dtypes)
+                assert world == base
+                np.testing.assert_array_equal(counts.counts, base_counts.counts)
+                for cell, base_cell in zip(counts.cells, base_counts.cells):
+                    for k in (1, 2, 3):
+                        np.testing.assert_array_equal(cell.counts(k), base_cell.counts(k))
         finally:
             sys.setswitchinterval(interval)
 
