@@ -39,7 +39,7 @@ from . import battery as battery_mod
 from .checks import SIGMAS, Check
 from .linalg import ATOL, X, Z, bell_singlet
 from .protocol import Protocol
-from .spaces import SUM_ATOL, FiniteProbabilitySpace, product, uniform
+from .spaces import FiniteProbabilitySpace, _check_weights, product, uniform
 from .worlds import WorldPrefix, sign_cell, tally
 
 __all__ = [
@@ -338,16 +338,11 @@ def _random_h_weights(count: int, seed: int) -> Iterator[np.ndarray]:
 def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     """``s_value`` of each row of hidden-variable weights over ``RQST_TUPLES``.
 
-    Each row is checked by the rules of :class:`FiniteProbabilitySpace`.
+    Each row is checked by ``spaces._check_weights``, as a space's weights are.
     The matrix product rounds differently from the exact sums of
     :func:`lhv_chsh_averages`, by at most a few units in the last place.
     """
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    if np.any(np.abs(weights.sum(axis=1) - 1.0) > SUM_ATOL):
-        raise ValueError(f"weights must sum to 1 within {SUM_ATOL}")
+    _check_weights(weights)
     rs, qs, rt, qt = (weights @ _SIGNS).T
     return rs + qs + rt - qt
 

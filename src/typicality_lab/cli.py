@@ -93,12 +93,15 @@ def _load(path: str, what: str, parse):
         raise UsageError(f"{what} file {path!r} is empty")
     try:
         obj = json.loads(text)
+        if not isinstance(obj, dict):  # parse would decode a JSON string a second time
+            raise ValueError("expected a JSON object")
+        return parse(obj)
     except json.JSONDecodeError as err:
         raise UsageError(f"{what} file {path!r} is not valid JSON: {err}")
-    try:
-        return parse(obj)
     except ValueError as err:
         raise UsageError(f"invalid {what} file {path!r}: {err}")
+    except RecursionError:
+        raise UsageError(f"{what} file {path!r} is nested too deeply")
 
 
 def _load_h(path: str, require_alphabet) -> FiniteProbabilitySpace:

@@ -51,6 +51,19 @@ def _decode_symbol(value):
     return value
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Require finite, non-negative weights, each row (last axis) summing to 1 within SUM_ATOL."""
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    total = w.sum(axis=-1)
+    off = np.abs(total - 1.0) > SUM_ATOL
+    if np.any(off):
+        got = float(total[off].flat[0])
+        raise ValueError(f"weights must sum to 1 within {SUM_ATOL}, got {got!r}")
+
+
 class FiniteProbabilitySpace:
     """Non-negative weights summing to one over an ordered finite alphabet."""
 
@@ -69,13 +82,7 @@ class FiniteProbabilitySpace:
             )
         if len(set(alpha)) != len(alpha):
             raise ValueError("alphabet must be duplicate-free")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_ATOL:
-            raise ValueError(f"weights must sum to 1 within {SUM_ATOL}, got {total!r}")
+        _check_weights(w)
         w.setflags(write=False)
         self._alphabet = alpha
         self._weights = w
@@ -182,13 +189,15 @@ class FiniteProbabilitySpace:
             raise ValueError(
                 "probability space JSON must be an object with 'alphabet' and 'weights'"
             )
-        weights = obj["weights"]
-        # JSON numbers only: the constructor would cast strings and booleans,
-        # and iterate an object's keys.
+        alphabet, weights = obj["alphabet"], obj["weights"]
+        # JSON lists only: the constructor would iterate a string's
+        # characters or an object's keys, and cast strings and booleans.
+        if not isinstance(alphabet, list):
+            raise ValueError("malformed probability space JSON: 'alphabet' must be a list")
         if not isinstance(weights, list) or any(isinstance(w, (bool, str)) for w in weights):
             raise ValueError("weights must be a list of JSON numbers")
         try:
-            return cls([_decode_symbol(a) for a in obj["alphabet"]], weights)
+            return cls([_decode_symbol(a) for a in alphabet], weights)
         except TypeError as err:
             raise ValueError(f"malformed probability space JSON: {err}") from None
 

@@ -30,20 +30,21 @@ which starts at the counter of the chunk's first block and is advanced to
 generator per block, so ``GENERATOR_ID`` and the world bytes are those of
 the block-at-a-time draw.  It maps them to symbols, stores the symbols in
 their slice of the world when the world is kept, counts them and splits
-them by event.  The consumer adds up the counts and feeds each event's
-part to its block histograms, carrying the symbols of an unfinished block
-into the next chunk.  :func:`sample_world` is the world a tally keeps.
+them into each event's local indices.  The consumer adds up the counts
+and feeds each event's part to its block histograms, carrying the symbols
+of an unfinished block into the next chunk.  :func:`sample_world` is the
+world a tally keeps; :func:`condition_seq` splits a stored one separately.
 
 Each drawing thread keeps all its buffers on one ``threading.local`` of
 the tally: one chunk-sized buffer for the uniforms, one for their guide
-buckets, and the split's two table lookups and event mask.  Each is made
-on the thread's first chunk and reused for every later one.  The fill,
-the scaling, the bucket cast and the table lookup write into them, and
-the symbols end up in the uniforms' memory once those are spent, so a
-chunk's draw allocates nothing but the search of its mixed-bucket draws
-(below), its counts and its event parts, and touches no fresh page.  A
-run's statistics therefore need no world in memory, and its memory does
-not grow with its length.
+buckets and, when the draw splits, the split's two table lookups and
+event mask.  Each is made on the thread's first chunk and reused for
+every later one.  The fill, the scaling, the bucket cast and the lookups
+write into them, and the symbols end up in the uniforms' memory once
+those are spent, so a chunk's step allocates nothing but the search of
+its mixed-bucket draws (below), its counts and its event parts, and
+touches no fresh page.  A run's statistics therefore need no world in
+memory, and its memory does not grow with its length.
 
 The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
 stores ``searchsorted(cum, j / 1024, side="right")``, and a draw ``u``
@@ -73,7 +74,6 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -217,15 +217,13 @@ class WorldPrefix:
         With ``block_len`` k, occurrences of each non-overlapping length-k
         block, indexed by its code ``sum_j s_j * n**(k-1-j)`` over an
         alphabet of ``n`` symbols; a trailing partial block is not counted.
-        Counted chunk by chunk by :class:`_BlockCounter`, the one block
-        count that :func:`tally` uses too, so no index array wider than
-        the code dtype is ever built for the whole prefix.
+        Fed ``_CHUNK_LEN`` symbols at a time to :class:`_BlockCounter`, the
+        block count :func:`tally` uses too, so no array of block codes is
+        built for the whole prefix.
         """
         counter = _BlockCounter(len(self._alphabet), block_len)
-        # Parts of whole blocks, so no symbols are carried between them.
-        step = _CHUNK_LEN - _CHUNK_LEN % block_len
-        for start in range(0, len(self), step):
-            counter.add(self._indices[start : start + step])
+        for start in range(0, len(self), _CHUNK_LEN):
+            counter.add(self._indices[start : start + _CHUNK_LEN])
         return counter.total
 
     def symbols(self) -> list:
@@ -268,6 +266,10 @@ class WorldPrefix:
         obj = json.loads(source) if isinstance(source, str) else source
         if not isinstance(obj, dict) or "alphabet" not in obj:
             raise ValueError("world JSON must be an object with an 'alphabet' field")
+        # JSON lists only, not a string's characters or an object's keys.
+        for field in ("alphabet", "symbols"):
+            if field in obj and not isinstance(obj[field], list):
+                raise ValueError(f"malformed world JSON: {field!r} must be a list")
         provenance = obj.get("provenance") or {"kind": "imported", "format": "json"}
         try:
             alphabet = [_decode_symbol(a) for a in obj["alphabet"]]
@@ -468,26 +470,6 @@ def _cell_tables(alphabet: tuple, events: Sequence[Iterable]):
     return keep_ids, cell, local
 
 
-def _split_chunk(indices: np.ndarray, cell: np.ndarray, local: np.ndarray, n_events: int, scratch):
-    """The local indices of each event's symbols in ``indices``, in order.
-
-    The two table lookups and the event mask go into chunk-sized buffers
-    kept on the namespace ``scratch``, made on its first chunk and reused
-    for every later one, so a longer draw touches no fresh pages.  The
-    indices are in range, so the lookups "clip", which spares the copy of
-    the output that "raise" makes.
-    """
-    if not hasattr(scratch, "cells"):
-        scratch.cells, scratch.codes, scratch.mask = (
-            np.empty(_CHUNK_LEN, dtype) for dtype in (cell.dtype, local.dtype, bool)
-        )
-    wide = indices.astype(np.intp, copy=False)  # one cast to intp serves both lookups
-    cells, codes, mask = (b[: wide.size] for b in (scratch.cells, scratch.codes, scratch.mask))
-    cell.take(wide, out=cells, mode="clip")
-    local.take(wide, out=codes, mode="clip")
-    return [np.compress(np.equal(cells, i, out=mask), codes) for i in range(n_events)]
-
-
 class CellTally:
     """Counts of one event's subsequence of a world, as a conditioned prefix would give them.
 
@@ -534,12 +516,13 @@ def tally(
     Returns the world's symbol counts and, for each of the disjoint
     ``events``, a :class:`CellTally` of its subsequence (what
     :func:`condition_seq` would give) with block histograms at length 1
-    and at each of ``block_lens``.  A chunk is drawn, stored, counted and
-    split in one thread, by one step that :func:`_in_chunk_order`
-    schedules; its split into event subsequences is carried on, in chunk
-    order, by one :class:`_BlockCounter` per event and block length.  The
-    world is kept only when ``on_world`` is given; it is then called with
-    the world once the draw is done, before the counts are returned.
+    and at each of ``block_lens``.  One step, scheduled by
+    :func:`_in_chunk_order`, draws, stores, counts and (for block lengths
+    above 1) splits a chunk into each event's local indices, in one thread
+    and into that thread's buffers.  The parts go, in chunk order, to one
+    :class:`_BlockCounter` per event and block length.  The world is kept
+    only when ``on_world`` is given; it is then called with the world once
+    the draw is done, before the counts are returned.
     """
     _check_draw(length, seed, threads)
     n_sym = len(fps.alphabet)
@@ -556,6 +539,10 @@ def tally(
     def step(chunk: int):
         if not hasattr(scratch, "u"):
             scratch.u, scratch.bucket = np.empty(_CHUNK_LEN), np.empty(_CHUNK_LEN, np.intp)
+            if split:
+                scratch.cells, scratch.codes, scratch.mask = (
+                    np.empty(_CHUNK_LEN, dtype) for dtype in (cell.dtype, local.dtype, bool)
+                )
         start = chunk * _CHUNK_LEN
         size = min(_CHUNK_LEN, length - start)
         u = scratch.u[:size]
@@ -563,7 +550,14 @@ def tally(
         indices = _invert_cdf(u, scratch.bucket[:size], cum, guide, mixed)
         if world is not None:
             world[start : start + size] = indices
-        parts = _split_chunk(indices, cell, local, len(keep_ids), scratch) if split else ()
+        parts = ()
+        if split:
+            # The indices are in range, so "clip" never clips; it spares the
+            # copy of the output that "raise" makes.
+            cells = cell.take(indices, out=scratch.cells[:size], mode="clip")
+            codes = local.take(indices, out=scratch.codes[:size], mode="clip")
+            mask = scratch.mask[:size]
+            parts = [np.compress(np.equal(cells, i, out=mask), codes) for i in range(len(counters))]
         return np.bincount(indices, minlength=n_sym), parts
 
     total = np.zeros(n_sym, dtype=np.int64)
@@ -590,17 +584,15 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
 
     The result lives on the event alphabet (in parent order) and may be
     empty.  Its length always equals the total count of event symbols in
-    the input.  The prefix is read a chunk at a time, through the cell
-    tables :func:`tally` splits each drawn chunk with, so conditioning a
-    world on each of several disjoint events gives the subsequences whose
-    counts :func:`tally` takes.
+    the input.  Read a chunk at a time, so that no mask is as long as the
+    world, the symbols are picked and renamed by the two tables of
+    :func:`_cell_tables` that :func:`tally`'s split reads, so conditioning
+    on each of several disjoint events gives, by separate code, the
+    subsequences whose counts :func:`tally` takes.
     """
     (ids,), cell, local = _cell_tables(world.alphabet, [event])
-    scratch = SimpleNamespace()
-    parts = [
-        _split_chunk(world.indices[start : start + _CHUNK_LEN], cell, local, 1, scratch)[0]
-        for start in range(0, len(world), _CHUNK_LEN)
-    ]
+    chunks = (world.indices[at : at + _CHUNK_LEN] for at in range(0, len(world), _CHUNK_LEN))
+    parts = [local.take(chunk.compress(cell.take(chunk) == 0)) for chunk in chunks]
     indices = np.concatenate(parts) if parts else local[:0]
     prov = {"kind": "conditioned", "event_size": len(ids), "parent": world.provenance}
     return WorldPrefix(tuple(world.alphabet[i] for i in ids), indices, prov)

@@ -8,9 +8,18 @@ values: a binomial bound on each block length's rejection count and a
 10-bin chi-square test of uniformity.  The k = 1, 2, 3 tests of one cell
 share data, so each block length is tested on its own.
 
-Every bound comes from one family-wise false-alarm rate split evenly
-(Bonferroni) over the checks below.  The seeds were fixed before any
-result was looked at and must never be re-picked after a failure.
+Those checks see false alarms only; a battery that never rejects passes
+them.  The lower side plants alternatives in the law a world is drawn
+from: the CHSH (0, 0) coin-pair law ``p`` moved to ``q = p + d (1, -1,
+-1, 1)``, with ``d`` chosen so that ``n * sum((q - p)**2 / p)`` is a set
+non-centrality ``lam``.  The block-1 test against ``p`` then rejects with
+the non-central chi-square power, which a binomial bound checks.
+
+Every bound is two-sided at one per-check false-alarm rate ``ALPHA``, so
+the chance that any of this file's 11 checks fails on a correct sampler
+and battery is at most 11 x 1.25e-7 = 1.375e-6 (Bonferroni).  The seeds were
+fixed before any result was looked at and must never be re-picked after
+a failure.
 """
 
 import math
@@ -18,18 +27,32 @@ import math
 import numpy as np
 import pytest
 
-from typicality_lab.battery import DEFAULT_BLOCK_LENS, DEFAULT_SIGNIFICANCE, _chi2_sf
-from typicality_lab.chsh import S_TARGET, run_chsh
+from typicality_lab.battery import (
+    DEFAULT_BLOCK_LENS,
+    DEFAULT_SIGNIFICANCE,
+    _chi2_sf,
+    block_frequency_test,
+)
+from typicality_lab.chsh import S_TARGET, chsh_distribution, coin_event, run_chsh
 from typicality_lab.ghz import run_ghz
+from typicality_lab.spaces import FiniteProbabilitySpace
+from typicality_lab.worlds import tally
 
 SEEDS = range(400)
 TRIALS = 40_000
 
-#: Chance that this file fails on a correct sampler and battery.
+#: Non-centralities of the planted alternatives, and the draws that test each.
+LAMBDAS = (3, 10, 30)
+POWER_SEEDS = range(200)
+POWER_TRIALS = 10_000
+
+#: Chance that this file's false-alarm checks fail on a correct sampler and battery.
 FAMILY_ALPHA = 1e-6
 #: Per block length a rejection count and a uniformity test; then the
 #: CHSH z-scores and the GHZ scaled means.
 CHECKS = 2 * len(DEFAULT_BLOCK_LENS) + 2
+#: Chance that one check fails: 1.25e-7 with the 8 checks of block lengths
+#: 1, 2, 3.  The power checks, one per ``lam``, take the same rate.
 ALPHA = FAMILY_ALPHA / CHECKS
 
 
@@ -103,3 +126,48 @@ def test_ghz_free_triple_means_are_standard_normal():
     ]
     assert len(z) == 4 * len(SEEDS)
     assert uniformity_p_value([normal_cdf(v) for v in z]) >= ALPHA
+
+
+def chi2_quantile(upper, dof):
+    """The ``x`` with ``_chi2_sf(x, dof) == upper``, by bisection."""
+    lo, hi = 0.0, 1.0
+    while _chi2_sf(hi, dof) > upper:
+        hi *= 2.0
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if _chi2_sf(mid, dof) > upper else (lo, mid)
+    return hi
+
+
+def predicted_power(lam, crit, dof):
+    """``P(X >= crit)`` for non-central chi-square X, a Poisson(lam / 2) mix of central tails."""
+    return math.fsum(
+        math.exp(j * math.log(lam / 2) - lam / 2 - math.lgamma(j + 1)) * _chi2_sf(crit, dof + 2 * j)
+        for j in range(100)
+    )
+
+
+def planted(lam):
+    """The (0, 0) coin-pair law ``p``, and ``q`` at non-centrality ``lam`` from it."""
+    p = chsh_distribution("analytic").condition(coin_event(0, 0))
+    d = math.sqrt(lam / (POWER_TRIALS * np.sum(1.0 / p.weights)))
+    return p, FiniteProbabilitySpace(p.alphabet, p.weights + d * np.array([1, -1, -1, 1]))
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_rejection_rate_is_the_power(lam):
+    p, q = planted(lam)
+    cells = [tally(q, POWER_TRIALS, seed, events=[q.alphabet]).cells[0] for seed in POWER_SEEDS]
+    rejections = sum(not block_frequency_test(cell, p, 1).passed for cell in cells)
+    dof = len(p) - 1
+    power = predicted_power(lam, chi2_quantile(DEFAULT_SIGNIFICANCE, dof), dof)
+    below, above = binomial_tails(rejections, len(POWER_SEEDS), power)
+    assert min(below, above) > ALPHA / 2, (rejections, power)
+
+
+def test_power_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    crit = chi2_quantile(DEFAULT_SIGNIFICANCE, 3)
+    assert crit == pytest.approx(stats.chi2.isf(DEFAULT_SIGNIFICANCE, 3), rel=1e-12)
+    for lam in LAMBDAS:
+        assert predicted_power(lam, crit, 3) == pytest.approx(stats.ncx2.sf(crit, 3, lam), abs=1e-9)

@@ -31,6 +31,13 @@ from typicality_lab.spaces import fair_coin, point_mass, uniform
 from typicality_lab.worlds import WorldPrefix, sample_world
 
 
+#: A space, also readable as a world, whose one symbol parses as JSON but
+#: is nested too deeply to decode into a tuple within the recursion limit.
+DEEP_SYMBOL_SPACE = (
+    '{"alphabet": [' + "[" * 900 + "0" + "]" * 900 + '], "weights": [1.0], "indices": [0]}'
+)
+
+
 def run_cli(capsys, argv):
     status = main(argv)
     captured = capsys.readouterr()
@@ -601,8 +608,24 @@ class TestExitCodeHoles:
         [
             (json.dumps({"alphabet": 5, "weights": [1.0], "indices": [0]}).encode(), "malformed"),
             (b"\xff{}", "cannot read"),  # not UTF-8
+            (
+                json.dumps({"alphabet": "01", "weights": [0.5, 0.5], "indices": [0, 1]}).encode(),
+                "'alphabet' must be a list",
+            ),
+            (
+                json.dumps({"alphabet": {"0": 0, "1": 1}, "weights": [0.5, 0.5], "indices": [0]})
+                .encode(),
+                "'alphabet' must be a list",
+            ),
+            (b"[" * 200_000, "nested too deeply"),
+            (DEEP_SYMBOL_SPACE.encode(), "nested too deeply"),
+            # A JSON string holding a valid space, not decoded a second time.
+            (json.dumps(fair_coin().to_json()).encode(), "expected a JSON object"),
         ],
-        ids=["non-list-alphabet", "not-utf-8"],
+        ids=[
+            "non-list-alphabet", "not-utf-8", "string-alphabet", "object-alphabet",
+            "deep", "deep-symbol", "string-wrapped",
+        ],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -729,6 +752,28 @@ _USAGE_ERRORS = [
         "battery world.json h.json",
         "world and probability-space alphabets differ (symbols and order must match)",
     ),
+    ("battery deep.json fps.json", "world file 'deep.json' is nested too deeply"),
+    (
+        "battery world.json deep-symbol.json",
+        "probability-space file 'deep-symbol.json' is nested too deeply",
+    ),
+    (
+        "battery world.json string-alphabet.json",
+        "invalid probability-space file 'string-alphabet.json': malformed probability space "
+        "JSON: 'alphabet' must be a list",
+    ),
+    (
+        "battery string-symbols.json fps.json",
+        "invalid world file 'string-symbols.json': malformed world JSON: 'symbols' must be a list",
+    ),
+    (
+        "battery world.json string-space.json",
+        "invalid probability-space file 'string-space.json': expected a JSON object",
+    ),
+    (
+        "battery string-world.json fps.json",
+        "invalid world file 'string-world.json': expected a JSON object",
+    ),
     (
         "lhv ghz --out no-dir/out.json",
         "cannot write --out file 'no-dir/out.json': [Errno 2] No such file or directory: "
@@ -751,6 +796,12 @@ class TestUsageErrorLines:
             "empty.json": "",
             "broken.json": "{",
             "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
+            "deep.json": "[" * 200_000,
+            "deep-symbol.json": DEEP_SYMBOL_SPACE,
+            "string-alphabet.json": json.dumps({"alphabet": "01", "weights": [0.5, 0.5]}),
+            "string-symbols.json": json.dumps({"alphabet": [0, 1], "symbols": "0110"}),
+            "string-space.json": json.dumps(fair_coin().to_json()),
+            "string-world.json": json.dumps(sample_world(fair_coin(), 5000, seed=8).to_json()),
         }
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
@@ -1042,6 +1093,8 @@ def fuzz_files(tmp_path_factory):
         "broken.json": "{",
         "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
         "string-weights.json": json.dumps({"alphabet": [0, 1], "weights": "10"}),
+        "deep.json": "[" * 200_000,
+        "deep-symbol.json": DEEP_SYMBOL_SPACE,
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -1132,8 +1185,7 @@ class TestMainFuzz:
 class TestTracedHarness:
     """The benchmark's tracing harness still finds the names it wraps."""
 
-    @pytest.mark.parametrize("command", ["chsh", "ghz"])
-    def test_one_operator_distribution_span(self, command, tmp_path):
+    def trace(self, tmp_path, command):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         spans = tmp_path / "spans.json"
         done = subprocess.run(
@@ -1156,5 +1208,15 @@ class TestTracedHarness:
         assert done.returncode == 0, done.stderr
         trace = json.loads(spans.read_text())
         assert trace["exit"] == 0
-        names = [span[2] for span in trace["spans"]]
+        return [span[2] for span in trace["spans"]], trace["counts"]
+
+    @pytest.mark.parametrize("command", ["chsh", "ghz"])
+    def test_one_operator_distribution_span(self, command, tmp_path):
+        names, _ = self.trace(tmp_path, command)
         assert names.count("linalg.operator_dist") == 1
+
+    def test_chsh_battery_spans(self, tmp_path):
+        # One battery per coin pair, each testing block lengths 1, 2 and 3.
+        names, counts = self.trace(tmp_path, "chsh")
+        assert names.count("battery.run_battery") == 4
+        assert counts["battery.tests"] == 12

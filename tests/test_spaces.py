@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from typicality_lab.chsh import CHSH_OUTCOMES, chsh_distribution, coin_event
 from typicality_lab.ghz import ghz_distribution
 from typicality_lab.ghz import coin_event as ghz_coin_event
+from typicality_lab import spaces as spaces_mod
 from typicality_lab.spaces import (
     FiniteProbabilitySpace,
     fair_coin,
@@ -69,6 +70,22 @@ class TestConstruction:
     def test_from_json_rejects_missing_fields(self):
         with pytest.raises(ValueError, match="alphabet"):
             FiniteProbabilitySpace.from_json({"weights": [1.0]})
+
+    @pytest.mark.parametrize("alphabet", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
+    def test_from_json_alphabet_must_be_a_list(self, alphabet):
+        # Iterated, each would read as the alphabet ("a", "b").
+        with pytest.raises(ValueError, match="'alphabet' must be a list"):
+            FiniteProbabilitySpace.from_json({"alphabet": alphabet, "weights": [0.5, 0.5]})
+
+    def test_sum_message_names_the_total(self):
+        with pytest.raises(ValueError, match=r"sum to 1 within 1e-12, got 0\.75$"):
+            FiniteProbabilitySpace([0, 1], [0.5, 0.25])
+
+    def test_rows_checked_on_the_last_axis(self):
+        rows = np.array([[0.5, 0.5], [0.25, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"sum to 1 within 1e-12, got 0\.75$"):
+            spaces_mod._check_weights(rows)
+        spaces_mod._check_weights(rows[[0, 2]])
 
 
 class TestEventProb:

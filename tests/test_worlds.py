@@ -473,3 +473,17 @@ class TestExportImport:
     def test_from_json_rejects_missing_data(self):
         with pytest.raises(ValueError, match="indices"):
             WorldPrefix.from_json({"alphabet": ["a"]})
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"alphabet": "ab", "indices": [1, 0]}, "alphabet"),
+            ({"alphabet": {"a": 0, "b": 1}, "indices": [1, 0]}, "alphabet"),
+            ({"alphabet": ["a", "b"], "symbols": "ba"}, "symbols"),
+        ],
+        ids=["string-alphabet", "object-alphabet", "string-symbols"],
+    )
+    def test_from_json_fields_must_be_lists(self, obj, field):
+        # Iterated, each would read as a world over ("a", "b").
+        with pytest.raises(ValueError, match=f"'{field}' must be a list"):
+            WorldPrefix.from_json(obj)
