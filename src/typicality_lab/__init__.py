@@ -27,72 +27,46 @@ import os as _os
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(_os.environ):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .battery import (
-    BatteryReport,
-    FrequencyTest,
-    block_frequency_test,
-    run_battery,
-)
-from .checks import Check
-from .chsh import (
-    CHSH,
-    CHSH_OUTCOMES,
-    ChshOutcome,
-    ConditionalAverageReport,
-    build_chsh_operators,
-    chsh_distribution,
-    lhv_chsh_averages,
-    lhv_chsh_simulate,
-    lhv_sweep,
-    random_h_spaces,
-    run_chsh,
-)
-from .ghz import (
-    GHZ,
-    GHZ_OUTCOMES,
-    GhzEnumeration,
-    GhzOutcome,
-    GhzRunReport,
-    LhvAssignment,
-    build_ghz_operators,
-    ghz_distribution,
-    lhv_ghz_enumerate,
-    lhv_ghz_feasibility,
-    run_ghz,
-)
-from .linalg import (
-    ATOL,
-    I2,
-    MAX_TENSOR_DIM,
-    MeasurementOperatorSet,
-    X,
-    Y,
-    Z,
-    basis,
-    bell_singlet,
-    check_completeness,
-    controlled_unitary,
-    ghz_state,
-    involutory_pvm,
-    ket_plus,
-    projector,
-    tensor,
-)
-from .spaces import (
-    FiniteProbabilitySpace,
-    fair_coin,
-    point_mass,
-    product,
-    uniform,
-)
-from .worlds import (
-    EmpiricalStats,
-    WorldPrefix,
-    condition_seq,
-    empirical,
-    project_seq,
-    sample_world,
-    zip_seqs,
-)
+from importlib import import_module as _import_module
+
+#: Each public name, by the module that defines it.  A name's module is
+#: imported when the name is first read (PEP 562), so a process loads only
+#: the modules it uses: ``lhv ghz`` never loads the sampler or the battery.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "battery": "BatteryReport FrequencyTest block_frequency_test run_battery",
+        "checks": "Check",
+        "chsh": "CHSH CHSH_OUTCOMES ChshOutcome ConditionalAverageReport "
+        "build_chsh_operators chsh_distribution lhv_chsh_averages lhv_chsh_simulate "
+        "lhv_sweep random_h_spaces run_chsh",
+        "ghz": "GHZ GHZ_OUTCOMES GhzEnumeration GhzOutcome GhzRunReport LhvAssignment "
+        "build_ghz_operators ghz_distribution lhv_ghz_enumerate lhv_ghz_feasibility run_ghz",
+        "linalg": "ATOL I2 MAX_TENSOR_DIM MeasurementOperatorSet X Y Z basis bell_singlet "
+        "check_completeness controlled_unitary ghz_state involutory_pvm ket_plus "
+        "projector tensor",
+        "spaces": "FiniteProbabilitySpace fair_coin point_mass product uniform",
+        "worlds": "EmpiricalStats WorldPrefix condition_seq empirical project_seq "
+        "sample_world zip_seqs",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # bound once: later reads do not come here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "0.1.0"

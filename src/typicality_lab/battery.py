@@ -12,15 +12,16 @@ failure on a fresh seed is expected behaviour, not a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .checks import Check
 from .spaces import FiniteProbabilitySpace
-from .worlds import WorldPrefix
+
+if TYPE_CHECKING:  # the battery reads worlds but never builds one, so needs no sampler
+    from .worlds import WorldPrefix
 
 __all__ = [
     "DEFAULT_BLOCK_LENS",
@@ -36,8 +37,7 @@ DEFAULT_BLOCK_LENS = (1, 2, 3)
 DEFAULT_SIGNIFICANCE = 0.01
 
 
-@dataclass(frozen=True)
-class FrequencyTest:
+class FrequencyTest(NamedTuple):
     """One chi-square block-frequency test.
 
     ``check`` decides ``p_value >= significance``, where ``p_value`` is
@@ -66,11 +66,10 @@ class FrequencyTest:
 
     def to_dict(self) -> dict:
         statistic = self.statistic if math.isfinite(self.statistic) else None
-        return {**asdict(self), "statistic": statistic, "pass": self.passed}
+        return {**self._asdict(), "statistic": statistic, "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class BatteryReport:
+class BatteryReport(NamedTuple):
     """Aggregate of block-frequency tests at several block lengths."""
 
     tests: tuple[FrequencyTest, ...]

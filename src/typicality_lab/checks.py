@@ -1,7 +1,7 @@
 """Each pass/fail decision of a run as one record: a value, a relation and a bound."""
 
 import operator
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 __all__ = ["Check", "RELATIONS", "SIGMAS"]
 
@@ -12,8 +12,7 @@ SIGMAS = 4.0
 RELATIONS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<"), "==": (operator.eq, "!=")}
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """The decision ``value relation bound``; only a failed gating check fails a run."""
 
     name: str
@@ -27,4 +26,4 @@ class Check:
         return RELATIONS[self.relation][0](self.value, self.bound)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +39,9 @@ from .checks import SIGMAS, Check
 from .linalg import ATOL, X, Z, bell_singlet
 from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace, _check_weights, product, uniform
-from .worlds import WorldPrefix, sign_cell, tally
+
+if TYPE_CHECKING:  # the sampler is imported by the runs that draw, not by the sweep
+    from .worlds import WorldPrefix
 
 __all__ = [
     "ChshOutcome",
@@ -124,8 +125,7 @@ chsh_distribution = CHSH.distribution
 coin_event = CHSH.coin_event
 
 
-@dataclass(frozen=True)
-class ConditionalAverageReport:
+class ConditionalAverageReport(NamedTuple):
     """The four coin-conditioned product averages and their combination.
 
     ``averages`` maps ``rs``, ``qs``, ``rt`` and ``qt`` to their values, and
@@ -155,7 +155,7 @@ class ConditionalAverageReport:
         return a["rs"] + a["qs"] + a["rt"] - a["qt"]
 
     def to_dict(self) -> dict:
-        out = {**asdict(self), "s_value": self.s_value}
+        out = {**self._asdict(), "s_value": self.s_value}
         out["exact"] = self.exact and self.exact.to_dict()
         out["battery"] = out.pop("batteries") and {
             key: rep.to_dict() for key, rep in self.batteries.items()
@@ -205,6 +205,8 @@ def run_chsh(
     ``on_world`` is given; it is then called with the world before any
     statistic is checked.
     """
+    from .worlds import sign_cell, tally
+
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = chsh_distribution("analytic")
@@ -277,6 +279,8 @@ def lhv_chsh_simulate(
     nests the exact averages; the empirical ones converge to them, within
     the recorded 4-sigma tolerances.
     """
+    from .worlds import sign_cell, tally
+
     _require_rqst_space(h)
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -352,8 +356,7 @@ def local_bound_check(s_value: float) -> Check:
     return Check("chsh-bound", abs(s_value), "<=", LOCAL_BOUND + ATOL)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Max ``s_value`` of the random draws (None if none) and of the vertices, and their check."""
 
     max_s_value: float | None
@@ -372,7 +375,7 @@ class SweepReport:
         return self.check.passed
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "bound": LOCAL_BOUND, "bound_ok": self.bound_ok}
+        return {**self._asdict(), "bound": LOCAL_BOUND, "bound_ok": self.bound_ok}
 
 
 def lhv_sweep(count: int, seed: int) -> SweepReport:

@@ -10,10 +10,13 @@ the report's ``checks``, and each failed gating one in its ``failures``.
 The flow is table -> handler -> :func:`main`.  Each invocation (a
 command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
 has one entry in ``_INVOCATIONS``: its handler, the flags it reads and
-its least ``--trials``.  :func:`_check_args` works out the invocation, validates
-and resolves the parsed namespace in place against its entry, and
-returns the handler, which reads the namespace and returns the report
-body and its :class:`~typicality_lab.checks.Check` records.  ``main``
+the module its handler runs.  :func:`_check_args` works out the
+invocation, imports that one module, validates and resolves the parsed
+namespace in place against its entry, and returns the handler, which
+reads the namespace and returns the report body and its
+:class:`~typicality_lab.checks.Check` records.  So a process loads only
+the package modules its invocation runs: ``lhv ghz`` loads neither the
+sampler nor the battery.  ``main``
 alone stamps the report with ``schema``, ``checks`` and the ``failures``
 it derives from them, turns every :class:`UsageError` into the one-line
 JSON error, and sets the exit status.
@@ -23,19 +26,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
+import importlib
 import io
 import json
 import math
 import sys
 
-from . import battery as battery_mod
-from . import chsh as chsh_mod
-from . import ghz as ghz_mod
 from .checks import RELATIONS, Check
 from .linalg import ATOL
-from .spaces import FiniteProbabilitySpace
-from .worlds import _MAX_SEED, WorldPrefix
+from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
@@ -146,7 +145,8 @@ def _cross_check(distribution) -> tuple[dict, Check]:
 
     Callers pass the distribution function as their protocol module holds
     it at call time, so that a wrapper installed there, such as a tracer,
-    is the one called.
+    is the one called.  Every handler reads its protocol's functions that
+    way.
     """
     analytic = distribution("analytic")
     operator = distribution("linear_algebra")
@@ -157,22 +157,24 @@ def _cross_check(distribution) -> tuple[dict, Check]:
 
 def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
     """Quantum protocol run and distribution cross-check; the coin-pair batteries never gate."""
-    cross_check, cross = _cross_check(chsh_mod.chsh_distribution)
+    from . import chsh
+
+    cross_check, cross = _cross_check(chsh.chsh_distribution)
     with _world_saver(args) as on_world:
-        report_obj = chsh_mod.run_chsh(
+        report_obj = chsh.run_chsh(
             args.trials, args.seed, args.threads, battery_blocks=args.blocks, on_world=on_world
         )
     s_tolerance = report_obj.tolerances["s_value"] if args.tolerance is None else args.tolerance
-    s_error = abs(report_obj.s_value - chsh_mod.S_TARGET)
+    s_error = abs(report_obj.s_value - chsh.S_TARGET)
     checks = [cross, Check("s-value", s_error, "<=", s_tolerance)] + [
-        dataclasses.replace(t.check, name=f"{t.check.name}-cell-{cell}", gating=False)
+        t.check._replace(name=f"{t.check.name}-cell-{cell}", gating=False)
         for cell, battery in (report_obj.batteries or {}).items()
         for t in battery.tests
     ]
     body = {
         "protocol": "chsh",
         **report_obj.to_dict(),
-        "s_target": chsh_mod.S_TARGET,
+        "s_target": chsh.S_TARGET,
         "s_tolerance": s_tolerance,
         "cross_check": cross_check,
     }
@@ -181,10 +183,12 @@ def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
 
 def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     """Quantum protocol run plus the exhaustive hidden-value enumeration."""
-    cross_check, cross = _cross_check(ghz_mod.ghz_distribution)
+    from . import ghz
+
+    cross_check, cross = _cross_check(ghz.ghz_distribution)
     with _world_saver(args) as on_world:
-        run = ghz_mod.run_ghz(args.trials, args.seed, threads=args.threads, on_world=on_world)
-    enumeration = ghz_mod.lhv_ghz_enumerate()
+        run = ghz.run_ghz(args.trials, args.seed, threads=args.threads, on_world=on_world)
+    enumeration = ghz.lhv_ghz_enumerate()
     body = {
         "protocol": "ghz",
         **run.to_dict(),
@@ -196,42 +200,51 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
 
 def cmd_lhv_chsh_sweep(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist CHSH: the largest ``s`` of ``--sweep`` random hidden-variable distributions."""
-    sweep = chsh_mod.lhv_sweep(args.sweep, args.seed)
+    from . import chsh
+
+    sweep = chsh.lhv_sweep(args.sweep, args.seed)
     return {"protocol": "lhv-chsh", "sweep": sweep.to_dict()}, [sweep.check]
 
 
 def cmd_lhv_chsh_h_file(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist CHSH: the exact averages of ``--h-file``, or ``--trials`` simulated rounds."""
+    from . import chsh
+
     if args.trials is None:
-        report = exact = chsh_mod.lhv_chsh_averages(args.h)
+        report = exact = chsh.lhv_chsh_averages(args.h)
     else:
-        report = chsh_mod.lhv_chsh_simulate(args.h, args.trials, args.seed, args.threads)
+        report = chsh.lhv_chsh_simulate(args.h, args.trials, args.seed, args.threads)
         exact = report.exact
     body = {"protocol": "lhv-chsh", **report.to_dict()}
-    return body, [chsh_mod.local_bound_check(exact.s_value)]
+    return body, [chsh.local_bound_check(exact.s_value)]
 
 
 def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     """Local-realist GHZ: the enumeration, and the violation masses of ``--h-file``."""
-    enumeration = ghz_mod.lhv_ghz_enumerate()
+    from . import ghz
+
+    enumeration = ghz.lhv_ghz_enumerate()
     body = {"protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
     if args.h_file is not None:
-        h = _load_h(args.h_file, ghz_mod._require_assignment_space)
-        body["feasibility"] = ghz_mod.lhv_ghz_feasibility(h).to_dict()
+        h = _load_h(args.h_file, ghz._require_assignment_space)
+        body["feasibility"] = ghz.lhv_ghz_feasibility(h).to_dict()
     return body, [enumeration.check]
 
 
 def cmd_battery(args: argparse.Namespace) -> tuple[dict, list]:
     """Replay a stored world against a stored space through the battery."""
+    from . import battery
+    from .worlds import WorldPrefix
+
     world = _load(args.world_file, "world", WorldPrefix.from_json)
     fps = _load(args.fps_file, "probability-space", FiniteProbabilitySpace.from_json)
     if world.alphabet != fps.alphabet:
         raise UsageError(
             "world and probability-space alphabets differ (symbols and order must match)"
         )
-    significance = battery_mod.DEFAULT_SIGNIFICANCE if args.tolerance is None else args.tolerance
+    significance = battery.DEFAULT_SIGNIFICANCE if args.tolerance is None else args.tolerance
     try:
-        result = battery_mod.run_battery(world, fps, args.blocks, significance)
+        result = battery.run_battery(world, fps, args.blocks, significance)
     except ValueError as err:
         raise UsageError(str(err))
     body = {
@@ -354,25 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Each invocation's handler, the optional flags (without defaults) it reads,
-#: and its least ``--trials``, or None where it takes none.  A flag given
-#: where it would be ignored is a usage error, not silently dropped.  An
-#: invocation that reads ``--seed`` requires it.
+#: and the package module its handler runs.  A flag given where it would be
+#: ignored is a usage error, not silently dropped.  An invocation that reads
+#: ``--seed`` requires it, and one that reads ``--trials`` requires at least
+#: its module's ``MIN_TRIALS``.
 _INVOCATIONS = {
-    "chsh": (
-        cmd_chsh,
-        {"trials", "seed", "threads", "tolerance", "world_out"},
-        chsh_mod.MIN_TRIALS,
-    ),
-    "ghz": (cmd_ghz, {"trials", "seed", "threads", "world_out"}, ghz_mod.MIN_TRIALS),
-    "lhv chsh --sweep": (cmd_lhv_chsh_sweep, {"sweep", "seed"}, None),
-    "lhv chsh --trials": (
-        cmd_lhv_chsh_h_file,
-        {"h_file", "trials", "seed", "threads"},
-        chsh_mod.MIN_TRIALS,
-    ),
-    "lhv chsh": (cmd_lhv_chsh_h_file, {"h_file"}, None),
-    "lhv ghz": (cmd_lhv_ghz, {"h_file"}, None),
-    "battery": (cmd_battery, {"tolerance"}, None),
+    "chsh": (cmd_chsh, {"trials", "seed", "threads", "tolerance", "world_out"}, "chsh"),
+    "ghz": (cmd_ghz, {"trials", "seed", "threads", "world_out"}, "ghz"),
+    "lhv chsh --sweep": (cmd_lhv_chsh_sweep, {"sweep", "seed"}, "chsh"),
+    "lhv chsh --trials": (cmd_lhv_chsh_h_file, {"h_file", "trials", "seed", "threads"}, "chsh"),
+    "lhv chsh": (cmd_lhv_chsh_h_file, {"h_file"}, "chsh"),
+    "lhv ghz": (cmd_lhv_ghz, {"h_file"}, "ghz"),
+    "battery": (cmd_battery, {"tolerance"}, "battery"),
 }
 
 
@@ -388,7 +394,7 @@ def _check_args(args: argparse.Namespace):
         mode += " --sweep"
     elif mode == "lhv chsh" and args.trials is not None:
         mode += " --trials"
-    handler, flags_read, min_trials = _INVOCATIONS[mode]
+    handler, flags_read, module_name = _INVOCATIONS[mode]
     for flag in ("trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out"):
         if getattr(args, flag, None) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
@@ -398,8 +404,11 @@ def _check_args(args: argparse.Namespace):
         args.threads = 1
     elif args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    if min_trials is not None and args.trials < min_trials:
-        raise UsageError(f"{mode.removesuffix(' --trials')} requires --trials >= {min_trials}")
+    module = importlib.import_module(f"{__package__}.{module_name}")
+    if "trials" in flags_read and args.trials < module.MIN_TRIALS:
+        raise UsageError(
+            f"{mode.removesuffix(' --trials')} requires --trials >= {module.MIN_TRIALS}"
+        )
     if mode == "chsh" and args.tolerance is not None and not (
         math.isfinite(args.tolerance) and args.tolerance > 0
     ):
@@ -409,7 +418,7 @@ def _check_args(args: argparse.Namespace):
     if handler is cmd_lhv_chsh_h_file:
         if args.h_file is None:
             raise UsageError("lhv chsh requires --h-file or --sweep")
-        args.h = _load_h(args.h_file, chsh_mod._require_rqst_space)
+        args.h = _load_h(args.h_file, module._require_rqst_space)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
     args.seed = _resolve_seed(args.seed, required="seed" in flags_read)
     return handler

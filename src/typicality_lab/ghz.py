@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .checks import SIGMAS, Check
 from .linalg import X, Y, ghz_state
 from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace
-from .worlds import WorldPrefix, sign_cell, tally
+
+if TYPE_CHECKING:  # the sampler is imported by the run, not by the enumeration
+    from .worlds import WorldPrefix
 
 __all__ = [
     "GhzOutcome",
@@ -119,8 +120,7 @@ ghz_distribution = GHZ.distribution
 coin_event = GHZ.coin_event
 
 
-@dataclass(frozen=True)
-class GhzRunReport:
+class GhzRunReport(NamedTuple):
     """Per-coin-triple results of a sampled run.
 
     ``constrained`` maps the four perfectly correlated triples to their
@@ -165,6 +165,8 @@ def run_ghz(
     empirical mean product.  The counts are taken while the world is
     drawn; ``on_world``, if given, is called with the world.
     """
+    from .worlds import sign_cell, tally
+
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
@@ -197,8 +199,7 @@ def _constraint_satisfied(assignment: LhvAssignment, name: str) -> bool:
     return prod == required
 
 
-@dataclass(frozen=True)
-class GhzEnumeration:
+class GhzEnumeration(NamedTuple):
     """Exhaustive check of all 64 value assignments against the four constraints.
 
     ``witnesses`` lists, for every assignment, the first constraint (in
@@ -217,7 +218,7 @@ class GhzEnumeration:
 
     def to_dict(self) -> dict:
         witnesses = [{"assignment": list(a), "fails": name} for a, name in self.witnesses]
-        return {**asdict(self), "witnesses": witnesses}
+        return {**self._asdict(), "witnesses": witnesses}
 
 
 def lhv_ghz_enumerate() -> GhzEnumeration:
@@ -247,8 +248,7 @@ def lhv_ghz_enumerate() -> GhzEnumeration:
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Constraint-violation mass of a hidden-value distribution.
 
     ``violation_mass[name]`` is the total weight on assignments breaking
@@ -266,7 +266,7 @@ class FeasibilityReport:
         return all(mass == 0.0 for mass in self.violation_mass.values())
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "feasible": self.feasible}
+        return {**self._asdict(), "feasible": self.feasible}
 
 
 def _require_assignment_space(p: FiniteProbabilitySpace) -> None:

@@ -17,7 +17,9 @@ and the per-coin product cells.
 
 The Born weights come from the 2x2 factors: each outcome's factors are
 applied to the initial state reshaped to ``(2,)*2n``, one axis at a time,
-so no ``4**n``-dimensional projector is built.  On that path completeness
+so no ``4**n``-dimensional projector is built.  Outcomes that share their
+first factors share the state those factors make, so each factor is
+applied once per distinct prefix of factors.  On that path completeness
 is checked on each factor measurement, the coin projectors and the PVM of
 every observable.  The dense operator set, checked as a whole, is built
 only by :meth:`Protocol.operators`.
@@ -101,11 +103,34 @@ class Protocol:
         if method == "analytic":
             weights = [self.closed_form(o) for o in self.alphabet]
         elif method == "linear_algebra":
-            psi = self.initial_state().reshape((2,) * (2 * self.parties))
-            weights = [_born_weight(factors, psi) for _, factors in self._factors()]
+            weights = self._born_weights()
         else:
             raise ValueError(f"unknown method {method!r}")
         return FiniteProbabilitySpace(self.alphabet, weights)
+
+    def _born_weights(self) -> list[float]:
+        """Each outcome's Born weight ``|E psi|^2``, its factor ``k`` applied to axis ``k`` in turn.
+
+        A prefix of factors is applied once, and its state is shared by every
+        outcome that starts with it: 126 products for GHZ rather than 64 * 6,
+        and 30 for CHSH rather than 16 * 4.  Each weight still takes the same
+        products of the same operands in the same order, so it is the same
+        float as when each outcome's factors are applied on their own.
+        """
+        n = self.parties
+        states = {(): self.initial_state().reshape((2,) * (2 * n))}
+        weights = []
+        for o, factors in self._factors():
+            # Axis k < n holds coin k's factor, axis n + k party k's result on that coin.
+            labels = (*o[:n], *zip(o[:n], o[n:]))
+            for axis, f in enumerate(factors):
+                key = labels[: axis + 1]
+                if key not in states:
+                    w = np.tensordot(f, states[key[:-1]], axes=(1, axis))
+                    states[key] = np.moveaxis(w, 0, axis)
+            w = states[labels]
+            weights.append(float(np.vdot(w, w).real))
+        return weights
 
     def coin_event(self, *coins: int) -> tuple:
         """All outcomes with the given coins, one per party."""
@@ -119,10 +144,3 @@ class Protocol:
         n = self.parties
         return [math.prod(o[n:]) if o[:n] == coins else 0 for o in self.alphabet]
 
-
-def _born_weight(factors, psi: np.ndarray) -> float:
-    """``|E psi|^2`` for ``E`` the tensor product of ``factors``, axis ``k`` taking factor ``k``."""
-    w = psi
-    for axis, f in enumerate(factors):
-        w = np.moveaxis(np.tensordot(f, w, axes=(1, axis)), 0, axis)
-    return float(np.vdot(w, w).real)

@@ -36,6 +36,9 @@ SUM_ATOL = 1e-12
 #: Cap on the alphabet size of a product space.
 MAX_PRODUCT_SIZE = 10**6
 
+#: Every seed of a draw from a space is below this: one 64-bit word.
+_MAX_SEED = 2**64
+
 
 def _encode_symbol(symbol):
     """Symbol -> JSON value (tuples become lists, recursively)."""

@@ -67,18 +67,18 @@ result, such as block codes below ``n**k``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .spaces import FiniteProbabilitySpace, _decode_symbol, _encode_symbol
+from .spaces import _MAX_SEED, FiniteProbabilitySpace, _decode_symbol, _encode_symbol
 
 __all__ = [
     "GENERATOR_ID",
@@ -106,8 +106,6 @@ GENERATOR_ID = "philox4x64/ctr128-block8192/invcdf"
 
 #: Symbols generated per counter block.
 BLOCK_LEN = 8192
-
-_MAX_SEED = 2**64
 
 #: Blocks per unit of threaded work, and the symbols that covers.
 _CHUNK_BLOCKS = 16
@@ -164,7 +162,9 @@ class WorldPrefix:
     dtype that holds them; the symbol view is materialized on demand.
     Instances are immutable.  An index array that already has that dtype
     is not copied: the instance keeps a read-only view of it, so the
-    caller must not write to it afterwards.
+    caller must not write to it afterwards.  The provenance, nested parents
+    and all, is copied on the way in and on the way out, so neither a caller
+    nor a world derived from this one can change it.
     """
 
     __slots__ = ("_alphabet", "_indices", "_provenance")
@@ -179,7 +179,7 @@ class WorldPrefix:
         idx.setflags(write=False)
         self._alphabet = alpha
         self._indices = idx
-        self._provenance = dict(provenance) if provenance else {"kind": "literal"}
+        self._provenance = copy.deepcopy(provenance) if provenance else {"kind": "literal"}
 
     @classmethod
     def from_symbols(
@@ -203,7 +203,7 @@ class WorldPrefix:
 
     @property
     def provenance(self) -> dict:
-        return dict(self._provenance)
+        return copy.deepcopy(self._provenance)
 
     def __len__(self) -> int:
         return int(self._indices.size)
@@ -657,8 +657,7 @@ def _alphabet_index(alphabet: tuple, symbol) -> int:
         raise ValueError(f"symbol {symbol!r} is not in the alphabet") from None
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+class EmpiricalStats(NamedTuple):
     """Exact per-symbol occurrence counts of a prefix."""
 
     counts: dict

@@ -858,8 +858,8 @@ class TestChecksDecideTheRun:
     ):
         check = Check("planted", value, relation, bound, gating)
         assert check.passed is passed
-        _, flags_read, min_trials = cli_mod._INVOCATIONS["lhv ghz"]
-        planted = (lambda args: ({"protocol": "lhv-ghz"}, [check]), flags_read, min_trials)
+        _, flags_read, module = cli_mod._INVOCATIONS["lhv ghz"]
+        planted = (lambda args: ({"protocol": "lhv-ghz"}, [check]), flags_read, module)
         monkeypatch.setitem(cli_mod._INVOCATIONS, "lhv ghz", planted)
         status, report, _ = run_json(capsys, ["lhv", "ghz"])
         assert report["checks"] == [
@@ -1013,6 +1013,32 @@ print(*(name for name in ("concurrent.futures", "csv", "secrets") if name in sys
 """
 
 
+#: Runs ``main`` on its arguments with the report and any error discarded, then
+#: prints the exit status and the package's modules that the run loaded.
+_LOADED_MODULES = """
+import contextlib, io, sys
+from typicality_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    status = main(sys.argv[1:])
+prefix = "typicality_lab."
+print(status, *sorted(m[len(prefix):] for m in sys.modules if m.startswith(prefix)))
+"""
+
+#: Each invocation, its exit status, and package modules it must not load.
+#: ``{name}`` is a file of the ``fuzz_files`` fixture.
+_MODULE_SETS = [
+    ("lhv ghz", 0, {"worlds", "battery", "chsh"}),
+    ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh"}),
+    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "ghz"}),
+    ("lhv chsh --h-file {h.json}", 0, {"worlds", "ghz"}),
+    ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"ghz"}),
+    ("ghz --trials 8000 --seed 1", 0, {"chsh", "battery"}),
+    ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
+    ("battery {world.json} {fps.json}", 0, {"chsh", "ghz"}),
+    ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol"}),
+]
+
+
 class TestImportCost:
     def test_rarely_used_modules_are_not_imported_up_front(self):
         # The thread pool (with logging), secrets (with hashlib) and csv cost
@@ -1026,6 +1052,27 @@ class TestImportCost:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == []
+
+    @pytest.mark.parametrize(
+        ("command", "status", "not_loaded"), _MODULE_SETS, ids=[c for c, _, _ in _MODULE_SETS]
+    )
+    def test_each_invocation_loads_only_what_it_runs(self, fuzz_files, command, status, not_loaded):
+        argv = [
+            str(fuzz_files / word[1:-1]) if word.startswith("{") else word
+            for word in command.split()
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, *argv],
+            env=_with_src(dict(os.environ)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        shown, *loaded = done.stdout.split()
+        assert int(shown) == status
+        assert {"cli", "checks", "spaces"} <= set(loaded)
+        assert not_loaded.isdisjoint(loaded), loaded
 
 
 class TestProcessEntryPoint:

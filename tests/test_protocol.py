@@ -24,6 +24,14 @@ PROTOCOLS = {"chsh": CHSH, "ghz": GHZ}
 MODULES = {"chsh": chsh_mod, "ghz": ghz_mod}
 
 
+def _born_weight(factors, psi):
+    """``|E psi|^2`` for ``E`` the tensor product of ``factors``, axis ``k`` taking factor ``k``."""
+    w = psi
+    for axis, f in enumerate(factors):
+        w = np.moveaxis(np.tensordot(f, w, axes=(1, axis)), 0, axis)
+    return float(np.vdot(w, w).real)
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 class TestFactoredBornWeights:
     def test_match_the_dense_operator_set(self, name):
@@ -34,6 +42,17 @@ class TestFactoredBornWeights:
         np.testing.assert_allclose(
             factored.weights, [dense[o] for o in record.alphabet], rtol=0, atol=1e-15
         )
+
+    def test_shared_prefixes_give_each_outcome_its_own_weight_exactly(self, name, monkeypatch):
+        # The reference applies each outcome's factors to psi on their own.
+        record = PROTOCOLS[name]
+        psi = record.initial_state().reshape((2,) * (2 * record.parties))
+        expected = [_born_weight(factors, psi) for _, factors in record._factors()]
+        products = []
+        tensordot = np.tensordot
+        monkeypatch.setattr(np, "tensordot", lambda *a, **k: products.append(1) or tensordot(*a, **k))
+        assert record.distribution("linear_algebra").weights.tolist() == expected
+        assert len(products) == {"chsh": 2 + 4 + 8 + 16, "ghz": 2 + 4 + 8 + 16 + 32 + 64}[name]
 
     def test_reported_cross_check_difference_is_unchanged(self, name):
         record = PROTOCOLS[name]

@@ -62,22 +62,36 @@ PUBLIC_API = {
 
 
 def _exported(module_name):
-    # The package itself has no __all__: its public names are the non-module
-    # names it binds.  Every module lists its own in __all__.
+    # The package binds each public name when it is first read, so every
+    # pinned name is read through it first.  Its public names are then the
+    # non-module names it binds, and they must be its __all__ too.  Every
+    # module lists its own in __all__.
     module = importlib.import_module(module_name)
+    assert all(hasattr(module, name) for name in module.__all__), module_name
     if module_name == "typicality_lab":
-        return sorted(
+        for name in PUBLIC_API[module_name]:
+            getattr(module, name)
+        bound = sorted(
             name
             for name, value in vars(module).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         )
-    assert all(hasattr(module, name) for name in module.__all__), module_name
+        assert bound == sorted(module.__all__)
+        return bound
     return sorted(module.__all__)
 
 
 @pytest.mark.parametrize("module_name", sorted(PUBLIC_API))
 def test_public_api_is_pinned(module_name):
     assert _exported(module_name) == sorted(PUBLIC_API[module_name])
+
+
+def test_package_names_resolve_on_access():
+    assert set(PUBLIC_API["typicality_lab"]) <= set(dir(typicality_lab))
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        typicality_lab.not_a_name
+    with pytest.raises(ImportError):
+        from typicality_lab import not_a_name  # noqa: F401
 
 
 def test_package_reexports_only_module_exports():

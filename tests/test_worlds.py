@@ -487,3 +487,37 @@ class TestExportImport:
         # Iterated, each would read as a world over ("a", "b").
         with pytest.raises(ValueError, match=f"'{field}' must be a list"):
             WorldPrefix.from_json(obj)
+
+
+def _scribble(tree):
+    """Change every dict and list of a provenance tree in place."""
+    if isinstance(tree, dict):
+        for value in tree.values():
+            _scribble(value)
+        tree["seed"] = 999
+    elif isinstance(tree, list):
+        for value in tree:
+            _scribble(value)
+        tree.append(999)
+
+
+class TestProvenanceIsImmutable:
+    def test_no_provenance_handed_in_or_out_changes_a_world(self):
+        world = sample_world(chsh_distribution(), 100, seed=1)
+        given = {"kind": "literal", "parent": {"seed": 5, "parents": [{"kind": "x"}]}}
+        derived = [
+            WorldPrefix((0, 1), [0, 1, 1], given),
+            world.prefix(10),
+            world.prefix(10).prefix(5),
+            condition_seq(world, coin_event(0, 1)),
+            project_seq(world, (0, 2)),
+            zip_seqs([world, project_seq(world, 0)]),
+            WorldPrefix.from_json(world.prefix(10).to_json()),
+        ]
+        worlds = [world, *derived]
+        before = [w.to_json() for w in worlds]
+        _scribble(given)
+        for w in worlds:
+            _scribble(w.provenance)
+        assert [w.to_json() for w in worlds] == before
+        assert world.provenance["seed"] == 1
