@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import battery as battery_mod
 from .checks import SIGMAS, Check
 from .linalg import ATOL, X, Z, bell_singlet
 from .protocol import Protocol
@@ -186,7 +185,7 @@ def run_chsh(
     trials: int,
     seed: int,
     threads: int = 1,
-    battery_blocks: Sequence[int] = battery_mod.DEFAULT_BLOCK_LENS,
+    battery_blocks: Sequence[int] | None = None,
     on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> ConditionalAverageReport:
     """Sample a length-``trials`` world and compute the conditional averages.
@@ -198,24 +197,28 @@ def run_chsh(
     cross-checked against the operator construction).
 
     Each coin pair's subsequence is also tested against its conditional
-    distribution with the block-frequency battery (``battery_blocks``;
-    pass ``()`` to skip).  Raises if any coin pair collected no samples.
-    Every statistic is taken from counts made while the world is drawn
+    distribution with the block-frequency battery (``battery_blocks``, by
+    default ``battery.DEFAULT_BLOCK_LENS``; pass ``()`` to skip).  Raises
+    if any coin pair collected no samples.  Every statistic is taken from
+    counts made while the world is drawn
     (:func:`~typicality_lab.worlds.tally`), so the world is not kept unless
     ``on_world`` is given; it is then called with the world before any
     statistic is checked.
     """
+    from . import battery
     from .worlds import sign_cell, tally
 
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
+    if battery_blocks is None:
+        battery_blocks = battery.DEFAULT_BLOCK_LENS
     fps = chsh_distribution("analytic")
     events = [coin_event(c, d) for (c, d), _ in _AVERAGES.values()]
     # Block lengths no cell of this run can be long enough for are not counted.
     block_lens = [
         k
         for k in battery_blocks
-        if battery_mod.long_enough(trials, len(events[0]), k)
+        if battery.long_enough(trials, len(events[0]), k)
     ]
     tallied = tally(fps, trials, seed, threads, events, block_lens, on_world)
     cells = [
@@ -230,10 +233,10 @@ def run_chsh(
     ):
         # Only block lengths the cell is long enough for.
         usable = [
-            k for k in battery_blocks if battery_mod.long_enough(cell.count, len(event), k)
+            k for k in battery_blocks if battery.long_enough(cell.count, len(event), k)
         ]
         if usable:
-            batteries[f"{c}{d}"] = battery_mod.run_battery(cell_tally, fps.condition(event), usable)
+            batteries[f"{c}{d}"] = battery.run_battery(cell_tally, fps.condition(event), usable)
     return ConditionalAverageReport(
         averages,
         method="typical-sampling",

@@ -12,14 +12,14 @@ command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
 has one entry in ``_INVOCATIONS``: its handler, the flags it reads and
 the module its handler runs.  :func:`_check_args` works out the
 invocation, imports that one module, validates and resolves the parsed
-namespace in place against its entry, and returns the handler, which
-reads the namespace and returns the report body and its
-:class:`~typicality_lab.checks.Check` records.  So a process loads only
-the package modules its invocation runs: ``lhv ghz`` loads neither the
-sampler nor the battery.  ``main``
-alone stamps the report with ``schema``, ``checks`` and the ``failures``
-it derives from them, turns every :class:`UsageError` into the one-line
-JSON error, and sets the exit status.
+namespace in place against its entry, and returns the handler and the
+module.  The handler runs that module on the namespace and returns the
+report body and its :class:`~typicality_lab.checks.Check` records.  So a
+process loads only the package modules its invocation runs: ``lhv ghz``
+loads neither the sampler nor the battery.  ``main`` alone stamps the
+report with ``schema``, ``checks`` and the ``failures`` it derives from
+them, turns every :class:`UsageError` into the one-line JSON error, and
+sets the exit status.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _resolve_seed(raw: str | None, required: bool) -> int | None:
 
 
 def _load(path: str, what: str, parse):
-    """``parse`` of the JSON in ``path``; a bad file or a ValueError of ``parse`` is a UsageError."""
+    """``parse`` of the text in ``path``; a bad file or a ValueError of ``parse`` is a UsageError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -91,10 +91,7 @@ def _load(path: str, what: str, parse):
     if not text.strip():
         raise UsageError(f"{what} file {path!r} is empty")
     try:
-        obj = json.loads(text)
-        if not isinstance(obj, dict):  # parse would decode a JSON string a second time
-            raise ValueError("expected a JSON object")
-        return parse(obj)
+        return parse(text)
     except json.JSONDecodeError as err:
         raise UsageError(f"{what} file {path!r} is not valid JSON: {err}")
     except ValueError as err:
@@ -106,8 +103,8 @@ def _load(path: str, what: str, parse):
 def _load_h(path: str, require_alphabet) -> FiniteProbabilitySpace:
     """A hidden-variable distribution whose alphabet ``require_alphabet`` accepts."""
 
-    def parse(obj) -> FiniteProbabilitySpace:
-        h = FiniteProbabilitySpace.from_json(obj)
+    def parse(text: str) -> FiniteProbabilitySpace:
+        h = FiniteProbabilitySpace.from_json(text)
         require_alphabet(h)
         return h
 
@@ -155,10 +152,8 @@ def _cross_check(distribution) -> tuple[dict, Check]:
     return {"max_abs_diff": diff, "tolerance": ATOL, "pass": check.passed}, check
 
 
-def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
+def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     """Quantum protocol run and distribution cross-check; the coin-pair batteries never gate."""
-    from . import chsh
-
     cross_check, cross = _cross_check(chsh.chsh_distribution)
     with _world_saver(args) as on_world:
         report_obj = chsh.run_chsh(
@@ -181,10 +176,8 @@ def cmd_chsh(args: argparse.Namespace) -> tuple[dict, list]:
     return body, checks
 
 
-def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
+def cmd_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
     """Quantum protocol run plus the exhaustive hidden-value enumeration."""
-    from . import ghz
-
     cross_check, cross = _cross_check(ghz.ghz_distribution)
     with _world_saver(args) as on_world:
         run = ghz.run_ghz(args.trials, args.seed, threads=args.threads, on_world=on_world)
@@ -198,18 +191,14 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     return body, [run.check, enumeration.check, cross]
 
 
-def cmd_lhv_chsh_sweep(args: argparse.Namespace) -> tuple[dict, list]:
+def cmd_lhv_chsh_sweep(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     """Local-realist CHSH: the largest ``s`` of ``--sweep`` random hidden-variable distributions."""
-    from . import chsh
-
     sweep = chsh.lhv_sweep(args.sweep, args.seed)
     return {"protocol": "lhv-chsh", "sweep": sweep.to_dict()}, [sweep.check]
 
 
-def cmd_lhv_chsh_h_file(args: argparse.Namespace) -> tuple[dict, list]:
+def cmd_lhv_chsh_h_file(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     """Local-realist CHSH: the exact averages of ``--h-file``, or ``--trials`` simulated rounds."""
-    from . import chsh
-
     if args.trials is None:
         report = exact = chsh.lhv_chsh_averages(args.h)
     else:
@@ -219,10 +208,8 @@ def cmd_lhv_chsh_h_file(args: argparse.Namespace) -> tuple[dict, list]:
     return body, [chsh.local_bound_check(exact.s_value)]
 
 
-def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
+def cmd_lhv_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
     """Local-realist GHZ: the enumeration, and the violation masses of ``--h-file``."""
-    from . import ghz
-
     enumeration = ghz.lhv_ghz_enumerate()
     body = {"protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
     if args.h_file is not None:
@@ -231,9 +218,8 @@ def cmd_lhv_ghz(args: argparse.Namespace) -> tuple[dict, list]:
     return body, [enumeration.check]
 
 
-def cmd_battery(args: argparse.Namespace) -> tuple[dict, list]:
+def cmd_battery(args: argparse.Namespace, battery) -> tuple[dict, list]:
     """Replay a stored world against a stored space through the battery."""
-    from . import battery
     from .worlds import WorldPrefix
 
     world = _load(args.world_file, "world", WorldPrefix.from_json)
@@ -383,7 +369,7 @@ _INVOCATIONS = {
 
 
 def _check_args(args: argparse.Namespace):
-    """Validate the parsed flags and resolve them in place; return the invocation's handler.
+    """Validate the parsed flags and resolve them in place; return the handler and its module.
 
     ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``lhv chsh
     --h-file`` is loaded into ``args.h``, and ``--seed`` becomes an integer
@@ -421,14 +407,15 @@ def _check_args(args: argparse.Namespace):
         args.h = _load_h(args.h_file, module._require_rqst_space)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
     args.seed = _resolve_seed(args.seed, required="seed" in flags_read)
-    return handler
+    return handler, module
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one invocation; return 0 or 1 with a report, or 2 after a JSON usage error."""
     try:
         args = build_parser().parse_args(argv)
-        body, checks = _check_args(args)(args)
+        handler, module = _check_args(args)
+        body, checks = handler(args, module)
         failures = [
             {"check": c.name, "detail": f"{c.value!r} {RELATIONS[c.relation][1]} {c.bound!r}"}
             for c in checks

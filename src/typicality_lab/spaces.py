@@ -186,8 +186,8 @@ class FiniteProbabilitySpace:
 
     @classmethod
     def from_json(cls, source) -> "FiniteProbabilitySpace":
-        """Rebuild from :meth:`to_json` output (a JSON string or parsed dict)."""
-        obj = json.loads(source) if isinstance(source, str) else source
+        """Rebuild from :meth:`to_json`'s JSON text."""
+        obj = json.loads(source)
         if not isinstance(obj, dict) or "alphabet" not in obj or "weights" not in obj:
             raise ValueError(
                 "probability space JSON must be an object with 'alphabet' and 'weights'"

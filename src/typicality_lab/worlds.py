@@ -262,8 +262,8 @@ class WorldPrefix:
 
     @classmethod
     def from_json(cls, source) -> "WorldPrefix":
-        """Rebuild from :meth:`to_json` output (accepts ``symbols`` in place of ``indices``)."""
-        obj = json.loads(source) if isinstance(source, str) else source
+        """Rebuild from :meth:`to_json`'s JSON text (``symbols`` may stand for ``indices``)."""
+        obj = json.loads(source)
         if not isinstance(obj, dict) or "alphabet" not in obj:
             raise ValueError("world JSON must be an object with an 'alphabet' field")
         # JSON lists only, not a string's characters or an object's keys.
@@ -594,7 +594,7 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
     chunks = (world.indices[at : at + _CHUNK_LEN] for at in range(0, len(world), _CHUNK_LEN))
     parts = [local.take(chunk.compress(cell.take(chunk) == 0)) for chunk in chunks]
     indices = np.concatenate(parts) if parts else local[:0]
-    prov = {"kind": "conditioned", "event_size": len(ids), "parent": world.provenance}
+    prov = {"kind": "conditioned", "event_size": len(ids), "parent": world._provenance}
     return WorldPrefix(tuple(world.alphabet[i] for i in ids), indices, prov)
 
 
@@ -624,7 +624,7 @@ def project_seq(world: WorldPrefix, coords) -> WorldPrefix:
     remap = np.array(
         [new_alpha[p] for p in projected], dtype=_index_dtype(len(new_alpha))
     )
-    prov = {"kind": "projected", "coords": coords, "parent": world.provenance}
+    prov = {"kind": "projected", "coords": coords, "parent": world._provenance}
     return WorldPrefix(tuple(new_alpha), remap[world.indices], prov)
 
 
@@ -646,7 +646,7 @@ def zip_seqs(worlds: Sequence[WorldPrefix]) -> WorldPrefix:
     indices = np.zeros(length, dtype=np.int64)
     for w in worlds:
         indices = indices * len(w.alphabet) + w.indices
-    prov = {"kind": "zipped", "parents": [w.provenance for w in worlds]}
+    prov = {"kind": "zipped", "parents": [w._provenance for w in worlds]}
     return WorldPrefix(alphabet, indices, prov)
 
 

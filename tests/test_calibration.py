@@ -13,7 +13,9 @@ them.  The lower side plants alternatives in the law a world is drawn
 from: the CHSH (0, 0) coin-pair law ``p`` moved to ``q = p + d (1, -1,
 -1, 1)``, with ``d`` chosen so that ``n * sum((q - p)**2 / p)`` is a set
 non-centrality ``lam``.  The block-1 test against ``p`` then rejects with
-the non-central chi-square power, which a binomial bound checks.
+the non-central chi-square power, which a binomial bound checks.  The
+``chsh`` s-value gate is given local models to refuse: every local model
+has ``|s| <= 2``, about 18 sigma below ``2 sqrt(2)`` at ``MIN_TRIALS``.
 
 Every bound is two-sided at one per-check false-alarm rate ``ALPHA``, so
 the chance that any of this file's 11 checks fails on a correct sampler
@@ -33,9 +35,19 @@ from typicality_lab.battery import (
     _chi2_sf,
     block_frequency_test,
 )
-from typicality_lab.chsh import S_TARGET, chsh_distribution, coin_event, run_chsh
+from typicality_lab.checks import SIGMAS
+from typicality_lab.chsh import (
+    MIN_TRIALS,
+    RQST_TUPLES,
+    S_TARGET,
+    chsh_distribution,
+    coin_event,
+    lhv_chsh_simulate,
+    random_h_spaces,
+    run_chsh,
+)
 from typicality_lab.ghz import run_ghz
-from typicality_lab.spaces import FiniteProbabilitySpace
+from typicality_lab.spaces import FiniteProbabilitySpace, point_mass
 from typicality_lab.worlds import tally
 
 SEEDS = range(400)
@@ -45,6 +57,9 @@ TRIALS = 40_000
 LAMBDAS = (3, 10, 30)
 POWER_SEEDS = range(200)
 POWER_TRIALS = 10_000
+
+#: The draws of each local model that the s-value gate is given.
+GATE_SEEDS = range(5)
 
 #: Chance that this file's false-alarm checks fail on a correct sampler and battery.
 FAMILY_ALPHA = 1e-6
@@ -171,3 +186,16 @@ def test_power_matches_scipy():
     assert crit == pytest.approx(stats.chi2.isf(DEFAULT_SIGNIFICANCE, 3), rel=1e-12)
     for lam in LAMBDAS:
         assert predicted_power(lam, crit, 3) == pytest.approx(stats.ncx2.sf(crit, 3, lam), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [point_mass(RQST_TUPLES, x) for x in RQST_TUPLES] + random_h_spaces(4, seed=0),
+    ids=[f"vertex-{i}" for i in range(len(RQST_TUPLES))] + [f"interior-{i}" for i in range(4)],
+)
+def test_s_value_gate_refuses_local_models(h):
+    # The band the chsh command's gate accepts, from each run's cell counts.
+    for seed in GATE_SEEDS:
+        run = lhv_chsh_simulate(h, MIN_TRIALS, seed)
+        sigma = math.sqrt(sum(0.5 / n for n in run.counts.values()))
+        assert abs(run.s_value - S_TARGET) > SIGMAS * sigma, (seed, run.s_value, sigma)

@@ -620,7 +620,7 @@ class TestExitCodeHoles:
             (b"[" * 200_000, "nested too deeply"),
             (DEEP_SYMBOL_SPACE.encode(), "nested too deeply"),
             # A JSON string holding a valid space, not decoded a second time.
-            (json.dumps(fair_coin().to_json()).encode(), "expected a JSON object"),
+            (json.dumps(fair_coin().to_json()).encode(), "JSON must be an object with"),
         ],
         ids=[
             "non-list-alphabet", "not-utf-8", "string-alphabet", "object-alphabet",
@@ -768,11 +768,13 @@ _USAGE_ERRORS = [
     ),
     (
         "battery world.json string-space.json",
-        "invalid probability-space file 'string-space.json': expected a JSON object",
+        "invalid probability-space file 'string-space.json': probability space JSON must be an "
+        "object with 'alphabet' and 'weights'",
     ),
     (
         "battery string-world.json fps.json",
-        "invalid world file 'string-world.json': expected a JSON object",
+        "invalid world file 'string-world.json': world JSON must be an object with an "
+        "'alphabet' field",
     ),
     (
         "lhv ghz --out no-dir/out.json",
@@ -859,7 +861,7 @@ class TestChecksDecideTheRun:
         check = Check("planted", value, relation, bound, gating)
         assert check.passed is passed
         _, flags_read, module = cli_mod._INVOCATIONS["lhv ghz"]
-        planted = (lambda args: ({"protocol": "lhv-ghz"}, [check]), flags_read, module)
+        planted = (lambda args, ghz: ({"protocol": "lhv-ghz"}, [check]), flags_read, module)
         monkeypatch.setitem(cli_mod._INVOCATIONS, "lhv ghz", planted)
         status, report, _ = run_json(capsys, ["lhv", "ghz"])
         assert report["checks"] == [
@@ -897,7 +899,7 @@ def _with_src(env):
 #: counts the memory of the process it was spawned from.
 _PEAK_RSS = """
 import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-m", "typicality_lab", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+child = subprocess.Popen([sys.executable, "-B", "-m", "typicality_lab", *sys.argv[1:]], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(child.pid, 0)
 child.returncode = os.waitstatus_to_exitcode(status)
 print(child.returncode, usage.ru_maxrss, usage.ru_minflt)
@@ -911,13 +913,16 @@ def _child_usage(argv):
     package through a link at a path whose length does not depend on where
     the package is checked out, from a working directory of the same
     length: the size of its environment and the lengths of the path
-    strings it holds move its heap layout, and with it both readings.
+    strings it holds move its heap layout, and with it both readings.  So
+    both processes run as ``python -B`` rather than with
+    ``PYTHONDONTWRITEBYTECODE`` set: they write no bytecode into the package
+    under test, and their environment does not grow.
     """
     src = os.path.dirname(os.path.dirname(cli_mod.__file__))
     with tempfile.TemporaryDirectory() as root:
         os.symlink(src, os.path.join(root, "src"))
         done = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, *argv],
+            [sys.executable, "-B", "-c", _PEAK_RSS, *argv],
             cwd=root,
             env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": os.path.join(root, "src")},
             capture_output=True,
@@ -1029,9 +1034,9 @@ print(status, *sorted(m[len(prefix):] for m in sys.modules if m.startswith(prefi
 _MODULE_SETS = [
     ("lhv ghz", 0, {"worlds", "battery", "chsh"}),
     ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh"}),
-    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "ghz"}),
-    ("lhv chsh --h-file {h.json}", 0, {"worlds", "ghz"}),
-    ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"ghz"}),
+    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz"}),
+    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz"}),
+    ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"battery", "ghz"}),
     ("ghz --trials 8000 --seed 1", 0, {"chsh", "battery"}),
     ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
     ("battery {world.json} {fps.json}", 0, {"chsh", "ghz"}),

@@ -1,6 +1,7 @@
 """Tests for finite probability spaces, products, conditionals and string measures."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -55,7 +56,7 @@ class TestConstruction:
             FiniteProbabilitySpace(range(16), [[0.0625]] * 16)
         with pytest.raises(ValueError, match="flat sequence"):
             FiniteProbabilitySpace.from_json(
-                {"alphabet": list(range(16)), "weights": [[0.0625]] * 16}
+                json.dumps({"alphabet": list(range(16)), "weights": [[0.0625]] * 16})
             )
 
     def test_zero_weights_allowed(self):
@@ -69,13 +70,15 @@ class TestConstruction:
 
     def test_from_json_rejects_missing_fields(self):
         with pytest.raises(ValueError, match="alphabet"):
-            FiniteProbabilitySpace.from_json({"weights": [1.0]})
+            FiniteProbabilitySpace.from_json(json.dumps({"weights": [1.0]}))
 
     @pytest.mark.parametrize("alphabet", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
     def test_from_json_alphabet_must_be_a_list(self, alphabet):
         # Iterated, each would read as the alphabet ("a", "b").
         with pytest.raises(ValueError, match="'alphabet' must be a list"):
-            FiniteProbabilitySpace.from_json({"alphabet": alphabet, "weights": [0.5, 0.5]})
+            FiniteProbabilitySpace.from_json(
+                json.dumps({"alphabet": alphabet, "weights": [0.5, 0.5]})
+            )
 
     def test_sum_message_names_the_total(self):
         with pytest.raises(ValueError, match=r"sum to 1 within 1e-12, got 0\.75$"):

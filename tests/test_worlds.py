@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import itertools
+import json
 import math
 
 import numpy as np
@@ -260,7 +261,7 @@ class TestSampling:
         with pytest.raises(ValueError, match="must be integers"):
             WorldPrefix(range(4), [0, bad, 1])
         with pytest.raises(ValueError, match="must be integers"):
-            WorldPrefix.from_json({"alphabet": [0, 1, 2, 3], "indices": [0, bad, 1]})
+            WorldPrefix.from_json(json.dumps({"alphabet": [0, 1, 2, 3], "indices": [0, bad, 1]}))
 
     @pytest.mark.parametrize(
         "raw", [np.array([0.0, 1.0]), np.array([True, False]), np.array(["0", "1"])]
@@ -467,12 +468,12 @@ class TestExportImport:
 
     def test_json_accepts_symbols_field(self):
         obj = {"alphabet": ["a", "b"], "symbols": ["b", "a", "b"]}
-        world = WorldPrefix.from_json(obj)
+        world = WorldPrefix.from_json(json.dumps(obj))
         assert world.symbols() == ["b", "a", "b"]
 
     def test_from_json_rejects_missing_data(self):
         with pytest.raises(ValueError, match="indices"):
-            WorldPrefix.from_json({"alphabet": ["a"]})
+            WorldPrefix.from_json(json.dumps({"alphabet": ["a"]}))
 
     @pytest.mark.parametrize(
         "obj, field",
@@ -486,7 +487,7 @@ class TestExportImport:
     def test_from_json_fields_must_be_lists(self, obj, field):
         # Iterated, each would read as a world over ("a", "b").
         with pytest.raises(ValueError, match=f"'{field}' must be a list"):
-            WorldPrefix.from_json(obj)
+            WorldPrefix.from_json(json.dumps(obj))
 
 
 def _scribble(tree):
