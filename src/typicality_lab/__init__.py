@@ -20,10 +20,13 @@ correlations.
 import os as _os
 
 # Every matrix product here is at most 64x64.  OpenBLAS worker threads buy
-# nothing at that size, and the first product after the machine has been
-# idle can wait about a second for them to wake.  So one BLAS thread,
-# unless a thread count is already set.  This takes effect only if numpy
-# is first loaded after this package, as in a command-line run.
+# nothing at that size and cost twice: starting them when numpy loads adds
+# about 0.04-0.07 s of CPU to every process (0.17 against 0.24 s for
+# `lhv ghz` on a 2-vCPU VM), and the first 64x64 product in a process can
+# wait about a second for them (1.1-1.2 s in 3 of 5 processes there).  So
+# one BLAS thread, unless a thread count is already set.  This takes
+# effect only if numpy is first loaded after this package, as in a
+# command-line run.  README "Install" gives the measurements.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(_os.environ):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

@@ -105,7 +105,9 @@ def block_frequency_test(
     (#positive-probability blocks - 1) degrees of freedom.
     """
     if world.alphabet != fps.alphabet:
-        raise ValueError("world and probability space alphabets differ")
+        raise ValueError(
+            "world and probability-space alphabets differ (symbols and order must match)"
+        )
     if block_len < 1:
         raise ValueError("block_len must be at least 1")
     if not 0.0 < significance < 1.0:

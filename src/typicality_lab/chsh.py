@@ -249,7 +249,7 @@ def run_chsh(
     )
 
 
-def _require_rqst_space(h: FiniteProbabilitySpace) -> None:
+def _require_h_space(h: FiniteProbabilitySpace) -> None:
     if set(h.alphabet) != set(RQST_TUPLES):
         raise ValueError(
             "hidden-variable space must be over all 16 value tuples (r, q, s, t) "
@@ -266,7 +266,7 @@ def lhv_chsh_averages(h: FiniteProbabilitySpace) -> ConditionalAverageReport:
     rs + qs + rt - qt = +/-2); the callers check that bound.  Each sum is
     exactly rounded, whatever the order of ``h``'s alphabet.
     """
-    _require_rqst_space(h)
+    _require_h_space(h)
     w = np.array([h.prob(x) for x in RQST_TUPLES])
     averages = {name: math.fsum(w * _SIGNS[:, a]) for a, name in enumerate(_AVERAGES)}
     return ConditionalAverageReport(averages, method="lhv-exact")
@@ -284,7 +284,7 @@ def lhv_chsh_simulate(
     """
     from .worlds import sign_cell, tally
 
-    _require_rqst_space(h)
+    _require_h_space(h)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     exact = lhv_chsh_averages(h)

@@ -212,9 +212,8 @@ def cmd_lhv_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
     """Local-realist GHZ: the enumeration, and the violation masses of ``--h-file``."""
     enumeration = ghz.lhv_ghz_enumerate()
     body = {"protocol": "lhv-ghz", "lhv": enumeration.to_dict()}
-    if args.h_file is not None:
-        h = _load_h(args.h_file, ghz._require_assignment_space)
-        body["feasibility"] = ghz.lhv_ghz_feasibility(h).to_dict()
+    if args.h is not None:
+        body["feasibility"] = ghz.lhv_ghz_feasibility(args.h).to_dict()
     return body, [enumeration.check]
 
 
@@ -224,10 +223,6 @@ def cmd_battery(args: argparse.Namespace, battery) -> tuple[dict, list]:
 
     world = _load(args.world_file, "world", WorldPrefix.from_json)
     fps = _load(args.fps_file, "probability-space", FiniteProbabilitySpace.from_json)
-    if world.alphabet != fps.alphabet:
-        raise UsageError(
-            "world and probability-space alphabets differ (symbols and order must match)"
-        )
     significance = battery.DEFAULT_SIGNIFICANCE if args.tolerance is None else args.tolerance
     try:
         result = battery.run_battery(world, fps, args.blocks, significance)
@@ -371,9 +366,10 @@ _INVOCATIONS = {
 def _check_args(args: argparse.Namespace):
     """Validate the parsed flags and resolve them in place; return the handler and its module.
 
-    ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``lhv chsh
-    --h-file`` is loaded into ``args.h``, and ``--seed`` becomes an integer
-    or None.  A bad invocation raises :class:`UsageError`.
+    ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``--h-file``
+    is loaded into ``args.h`` (None without the flag) for every invocation
+    that reads it, and ``--seed`` becomes an integer or None.  A bad
+    invocation raises :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -401,10 +397,10 @@ def _check_args(args: argparse.Namespace):
         raise UsageError(f"chsh requires a positive finite --tolerance, got {args.tolerance!r}")
     if mode == "lhv chsh --sweep" and args.sweep < 0:
         raise UsageError(f"--sweep must be non-negative, got {args.sweep}")
-    if handler is cmd_lhv_chsh_h_file:
-        if args.h_file is None:
-            raise UsageError("lhv chsh requires --h-file or --sweep")
-        args.h = _load_h(args.h_file, module._require_rqst_space)
+    if handler is cmd_lhv_chsh_h_file and args.h_file is None:
+        raise UsageError("lhv chsh requires --h-file or --sweep")
+    if "h_file" in flags_read:
+        args.h = None if args.h_file is None else _load_h(args.h_file, module._require_h_space)
     # Last, so a drawn seed is printed only for an invocation that is valid so far.
     args.seed = _resolve_seed(args.seed, required="seed" in flags_read)
     return handler, module

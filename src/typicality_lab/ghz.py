@@ -98,6 +98,16 @@ CONSTRAINTS = {
     "000": ((0, 2, 4), -1),
 }
 
+#: For each of ``LHV_ASSIGNMENTS``, whether it meets each constraint, keyed
+#: in ``CONSTRAINTS`` order; both local-realist analyses read this table.
+_VERDICTS = tuple(
+    {
+        name: math.prod(a[i] for i in coords) == required
+        for name, (coords, required) in CONSTRAINTS.items()
+    }
+    for a in LHV_ASSIGNMENTS
+)
+
 
 def _closed_form(o: GhzOutcome) -> float:
     return (1 - o.m1 * o.m2 * o.m3 * COS_QUARTER_TURNS[o.c1 + o.c2 + o.c3]) / 64.0
@@ -193,12 +203,6 @@ def run_ghz(
     return GhzRunReport(trials=trials, seed=seed, constrained=constrained, free=free)
 
 
-def _constraint_satisfied(assignment: LhvAssignment, name: str) -> bool:
-    coords, required = CONSTRAINTS[name]
-    prod = assignment[coords[0]] * assignment[coords[1]] * assignment[coords[2]]
-    return prod == required
-
-
 class GhzEnumeration(NamedTuple):
     """Exhaustive check of all 64 value assignments against the four constraints.
 
@@ -229,22 +233,15 @@ def lhv_ghz_enumerate() -> GhzEnumeration:
     leaves none, since the product of the three +1 parities forces the
     000 product to +1.
     """
-    per_constraint = {name: 0 for name in CONSTRAINTS}
-    satisfying = plus_only = 0
-    witnesses = []
-    for assignment in LHV_ASSIGNMENTS:
-        verdicts = {name: _constraint_satisfied(assignment, name) for name in CONSTRAINTS}
-        for name, ok in verdicts.items():
-            per_constraint[name] += int(ok)
-        satisfying += all(verdicts.values())
-        plus_only += all(verdicts[n] for n in ("011", "101", "110"))
-        failed = [name for name, ok in verdicts.items() if not ok]
-        witnesses += [(assignment, failed[0])] if failed else []
     return GhzEnumeration(
-        satisfying_count=satisfying,
-        plus_only_count=plus_only,
-        per_constraint_counts=per_constraint,
-        witnesses=tuple(witnesses),
+        satisfying_count=sum(all(v.values()) for v in _VERDICTS),
+        plus_only_count=sum(v["011"] and v["101"] and v["110"] for v in _VERDICTS),
+        per_constraint_counts={name: sum(v[name] for v in _VERDICTS) for name in CONSTRAINTS},
+        witnesses=tuple(
+            (a, next(name for name, ok in v.items() if not ok))
+            for a, v in zip(LHV_ASSIGNMENTS, _VERDICTS)
+            if not all(v.values())
+        ),
     )
 
 
@@ -269,7 +266,7 @@ class FeasibilityReport(NamedTuple):
         return {**self._asdict(), "feasible": self.feasible}
 
 
-def _require_assignment_space(p: FiniteProbabilitySpace) -> None:
+def _require_h_space(p: FiniteProbabilitySpace) -> None:
     if set(p.alphabet) != set(LHV_ASSIGNMENTS):
         raise ValueError(
             "hidden-variable space must be over all 64 six-value assignments "
@@ -279,12 +276,11 @@ def _require_assignment_space(p: FiniteProbabilitySpace) -> None:
 
 def lhv_ghz_feasibility(p: FiniteProbabilitySpace) -> FeasibilityReport:
     """Per-constraint violation mass of a distribution over value assignments."""
-    _require_assignment_space(p)
-    masses = {}
-    for name in CONSTRAINTS:
-        masses[name] = math.fsum(
-            p.prob(x) for x in LHV_ASSIGNMENTS if not _constraint_satisfied(LhvAssignment(*x), name)
-        )
+    _require_h_space(p)
+    masses = {
+        name: math.fsum(p.prob(a) for a, v in zip(LHV_ASSIGNMENTS, _VERDICTS) if not v[name])
+        for name in CONSTRAINTS
+    }
     return FeasibilityReport(
         violation_mass=masses,
         total_violation_mass=math.fsum(masses.values()),

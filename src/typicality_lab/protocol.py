@@ -27,11 +27,10 @@ only by :meth:`Protocol.operators`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,17 @@ __all__ = ["Protocol"]
 _COIN_PROJECTORS = ((0, projector(basis(2, 0))), (1, projector(basis(2, 1))))
 
 
-@dataclass(frozen=True, eq=False)
-class Protocol:
+# Cached on the record's hashable fields: a Protocol holds arrays, so it is no key.
+@functools.cache
+def _alphabet(outcome: type, parties: int) -> tuple:
+    return tuple(
+        outcome(*coins, *results)
+        for coins in itertools.product((0, 1), repeat=parties)
+        for results in itertools.product((1, -1), repeat=parties)
+    )
+
+
+class Protocol(NamedTuple):
     """The data of one protocol, and everything derived from it.
 
     ``outcome`` is the record type of a round: the ``n`` coins (0 or 1),
@@ -54,6 +62,10 @@ class Protocol:
     ``shared_state`` is the ``n``-qubit state, party 0 outermost.
     ``closed_form`` maps an outcome to its weight, in integer arithmetic up
     to one final floating-point step, so that exact zeros stay exact.
+
+    Two records compare field by field, and a record equals itself without
+    comparing its arrays.  A ``Protocol`` is not hashed: its arrays are not
+    hashable.
     """
 
     outcome: type
@@ -65,14 +77,10 @@ class Protocol:
     def parties(self) -> int:
         return len(self.observables)
 
-    @cached_property
+    @property
     def alphabet(self) -> tuple:
         """All outcomes in the canonical sampling order: coins outermost, 0 before 1, +1 before -1."""
-        return tuple(
-            self.outcome(*coins, *results)
-            for coins in itertools.product((0, 1), repeat=self.parties)
-            for results in itertools.product((1, -1), repeat=self.parties)
-        )
+        return _alphabet(self.outcome, self.parties)
 
     def initial_state(self) -> np.ndarray:
         """``|+>^n (x) shared_state``: the coin qubits, then the shared qubits."""

@@ -74,7 +74,10 @@ class FiniteProbabilitySpace:
 
     def __init__(self, alphabet: Iterable, weights: Iterable[float]):
         alpha = tuple(alphabet)
-        w = np.array(list(weights), dtype=float)
+        try:
+            w = np.array(list(weights), dtype=float)
+        except OverflowError:  # an integer beyond the float range, such as 10**400
+            raise ValueError("weights must be finite") from None
         if len(alpha) == 0:
             raise ValueError("alphabet must be non-empty")
         if w.ndim != 1:

@@ -522,7 +522,8 @@ def tally(
     and into that thread's buffers.  The parts go, in chunk order, to one
     :class:`_BlockCounter` per event and block length.  The world is kept
     only when ``on_world`` is given; it is then called with the world once
-    the draw is done, before the counts are returned.
+    the draw is done, before the counts are returned.  A kept world too
+    long for any array, or for the memory, raises MemoryError.
     """
     _check_draw(length, seed, threads)
     n_sym = len(fps.alphabet)
@@ -533,7 +534,10 @@ def tally(
     block_lens = sorted({k for k in block_lens if k > 1})
     counters = [[_BlockCounter(len(ids), k) for k in block_lens] for ids in keep_ids]
     split = bool(block_lens and keep_ids)
-    world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
+    try:
+        world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
+    except ValueError:  # numpy's "maximum allowed dimension exceeded", from 2**63 on
+        raise MemoryError(f"no array holds a world of {length} symbols") from None
     scratch = threading.local()  # each drawing thread's buffers, reused chunk after chunk
 
     def step(chunk: int):

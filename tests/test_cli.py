@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from typicality_lab import __main__ as entry_mod
@@ -27,7 +27,7 @@ from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
 from typicality_lab.ghz import GhzOutcome, ghz_distribution
 from typicality_lab.linalg import ATOL
-from typicality_lab.spaces import fair_coin, point_mass, uniform
+from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin, point_mass, uniform
 from typicality_lab.worlds import WorldPrefix, sample_world
 
 
@@ -36,6 +36,9 @@ from typicality_lab.worlds import WorldPrefix, sample_world
 DEEP_SYMBOL_SPACE = (
     '{"alphabet": [' + "[" * 900 + "0" + "]" * 900 + '], "weights": [1.0], "indices": [0]}'
 )
+
+#: A space whose first weight is a JSON integer beyond the float range.
+BIG_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [10**400, 0]})
 
 
 def run_cli(capsys, argv):
@@ -621,10 +624,12 @@ class TestExitCodeHoles:
             (DEEP_SYMBOL_SPACE.encode(), "nested too deeply"),
             # A JSON string holding a valid space, not decoded a second time.
             (json.dumps(fair_coin().to_json()).encode(), "JSON must be an object with"),
+            # Read as a space, the weight is not finite; read as a world, it has no indices.
+            (BIG_WEIGHT_SPACE.encode(), "invalid"),
         ],
         ids=[
             "non-list-alphabet", "not-utf-8", "string-alphabet", "object-alphabet",
-            "deep", "deep-symbol", "string-wrapped",
+            "deep", "deep-symbol", "string-wrapped", "big-weight",
         ],
     )
     @pytest.mark.parametrize(
@@ -777,6 +782,22 @@ _USAGE_ERRORS = [
         "'alphabet' field",
     ),
     (
+        "battery world.json big.json",
+        "invalid probability-space file 'big.json': weights must be finite",
+    ),
+    (
+        "lhv chsh --h-file big-h.json --trials 8000 --seed random",
+        "invalid hidden-variable file 'big-h.json': weights must be finite",
+    ),
+    (
+        "chsh --trials 9223372036854775808 --seed 1 --world-out w.json",
+        "--world-out: too little memory for a world of 9223372036854775808 trials",
+    ),
+    (
+        "ghz --trials 9223372036854775808 --seed 1 --world-out w.json",
+        "--world-out: too little memory for a world of 9223372036854775808 trials",
+    ),
+    (
         "lhv ghz --out no-dir/out.json",
         "cannot write --out file 'no-dir/out.json': [Errno 2] No such file or directory: "
         "'no-dir/out.json'",
@@ -791,10 +812,11 @@ class TestUsageErrorLines:
         "command, message", _USAGE_ERRORS, ids=[command for command, _ in _USAGE_ERRORS]
     )
     def test_exact_line(self, capsys, tmp_path, monkeypatch, command, message):
+        h_text = uniform(RQST_TUPLES).to_json()
         texts = {
             "world.json": sample_world(fair_coin(), 5000, seed=8).to_json(),
             "fps.json": fair_coin().to_json(),
-            "h.json": uniform(RQST_TUPLES).to_json(),
+            "h.json": h_text,
             "empty.json": "",
             "broken.json": "{",
             "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
@@ -804,6 +826,10 @@ class TestUsageErrorLines:
             "string-symbols.json": json.dumps({"alphabet": [0, 1], "symbols": "0110"}),
             "string-space.json": json.dumps(fair_coin().to_json()),
             "string-world.json": json.dumps(sample_world(fair_coin(), 5000, seed=8).to_json()),
+            "big.json": BIG_WEIGHT_SPACE,
+            "big-h.json": json.dumps(
+                {"alphabet": json.loads(h_text)["alphabet"], "weights": [-(10**400), 1] + [0] * 14}
+            ),
         }
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
@@ -1009,12 +1035,15 @@ class TestBlasThreads:
         assert openblas_var == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
 
 
-#: Prints which of the standard-library modules that only some runs use
-#: importing the command line has loaded.
+#: Prints which of the standard-library modules that only some runs use, or
+#: that no run needs, importing the command line and both protocols has loaded.
 _DEFERRED_IMPORTS = """
 import sys
 import typicality_lab.cli
-print(*(name for name in ("concurrent.futures", "csv", "secrets") if name in sys.modules))
+import typicality_lab.chsh
+import typicality_lab.ghz
+names = ("concurrent.futures", "csv", "dataclasses", "secrets")
+print(*(name for name in names if name in sys.modules))
 """
 
 
@@ -1048,6 +1077,7 @@ class TestImportCost:
     def test_rarely_used_modules_are_not_imported_up_front(self):
         # The thread pool (with logging), secrets (with hashlib) and csv cost
         # 20-35 ms per process; only multi-threaded, --seed random and CSV runs need them.
+        # No module of the package defines a dataclass.
         done = subprocess.run(
             [sys.executable, "-c", _DEFERRED_IMPORTS],
             env=_with_src(dict(os.environ)),
@@ -1145,6 +1175,7 @@ def fuzz_files(tmp_path_factory):
         "broken.json": "{",
         "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
         "string-weights.json": json.dumps({"alphabet": [0, 1], "weights": "10"}),
+        "big-weights.json": BIG_WEIGHT_SPACE,
         "deep.json": "[" * 200_000,
         "deep-symbol.json": DEEP_SYMBOL_SPACE,
     }
@@ -1232,6 +1263,53 @@ class TestMainFuzz:
                 assert json.loads(last)["error"]["code"] == "usage"
 
         check()
+
+
+#: The leaves of the JSON documents below: integers beyond the float range,
+#: NaN and the infinities among them.
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 20),
+    st.sampled_from([10**309, -(10**309), 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+_READER_FIELDS = ("alphabet", "weights", "indices", "symbols", "provenance")
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(_READER_FIELDS), inner, max_size=5),
+    ),
+    max_leaves=16,
+)
+#: JSON documents: any value, or an object holding some of the readers' fields.
+_json_documents = st.one_of(
+    _json_values,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            field: st.one_of(st.lists(_json_leaves, max_size=4), _json_values)
+            for field in _READER_FIELDS
+        },
+    ),
+)
+
+
+class TestReaderFuzz:
+    """Each file reader returns, or raises one of the errors ``cli._load`` reports."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(document=_json_documents)
+    @example(document={"alphabet": [], "weights": [10**400]})
+    def test_any_json_document(self, document):
+        text = json.dumps(document)
+        for read in (FiniteProbabilitySpace.from_json, WorldPrefix.from_json):
+            try:
+                read(text)
+            except (ValueError, RecursionError):
+                pass
 
 
 class TestTracedHarness:

@@ -1,6 +1,5 @@
 """Tests for the protocol record: factored Born weights, their checks, and the runs' use of them."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -61,7 +60,7 @@ class TestFactoredBornWeights:
 
     def test_non_involutory_observable_rejected(self, name):
         record = PROTOCOLS[name]
-        bad = dataclasses.replace(record, observables=((X + Z, Z), *record.observables[1:]))
+        bad = record._replace(observables=((X + Z, Z), *record.observables[1:]))
         with pytest.raises(ValueError, match="square to the identity"):
             bad.distribution("linear_algebra")
 

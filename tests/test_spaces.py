@@ -59,6 +59,11 @@ class TestConstruction:
                 json.dumps({"alphabet": list(range(16)), "weights": [[0.0625]] * 16})
             )
 
+    @pytest.mark.parametrize("weights", [[10**400, 0], [-(10**400), 1]], ids=["above", "below"])
+    def test_integer_weights_beyond_the_float_range_are_not_finite(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            FiniteProbabilitySpace([0, 1], weights)
+
     def test_zero_weights_allowed(self):
         fps = FiniteProbabilitySpace(["a", "b", "z"], [0.4, 0.6, 0.0])
         assert fps.prob("z") == 0.0
