@@ -18,7 +18,7 @@ sampled 200000 rounds (seed 42)
   <RT> = +0.708226  (n=49881, target +0.707107)
   <QT> = -0.710555  (n=49937, target -0.707107)
   S = <RS> + <QS> + <RT> - <QT> = 2.831085   (2*sqrt(2) = 2.828427)
-conditioned subsequences vs conditional law (chi-square, alpha=0.01):
+conditioned subsequences vs conditional law (chi-square, Holm family):
   coins 00: pass  coins 10: pass  coins 01: pass  coins 11: pass
 """
 
@@ -50,10 +50,10 @@ def main():
         f"(2*sqrt(2) = {2 * math.sqrt(2):.6f})"
     )
 
-    print("conditioned subsequences vs conditional law (chi-square, alpha=0.01):")
+    print("conditioned subsequences vs conditional law (chi-square, Holm family):")
     verdicts = [
-        f"coins {cell}: {'pass' if rep.all_pass else 'FAIL'}"
-        for cell, rep in report.batteries.items()
+        f"coins {cell}: {'pass' if test.passed else 'FAIL'}"
+        for cell, test in report.cell_tests.items()
     ]
     print("  " + "  ".join(verdicts))
 

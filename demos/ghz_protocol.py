@@ -13,7 +13,7 @@ The other four coin triples (sum 1 or 3) are genuinely unconstrained;
 their mean product hovers near 0.
 
 === EXAMPLE OUTPUT ===
-distribution cross-check: max |analytic - operator| = 2.08e-17
+distribution cross-check: max |analytic - operator| = 2.43e-17
 structural zeros in the law: 16 of 64 outcomes
 sampled 100000 rounds (seed 7)
   coins 011: product = +1 on all 12367 rounds (violations: 0)

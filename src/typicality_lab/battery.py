@@ -29,6 +29,8 @@ __all__ = [
     "FrequencyTest",
     "BatteryReport",
     "block_frequency_test",
+    "frequency_test",
+    "holm_family",
     "long_enough",
     "run_battery",
 ]
@@ -40,11 +42,12 @@ DEFAULT_SIGNIFICANCE = 0.01
 class FrequencyTest(NamedTuple):
     """One chi-square block-frequency test.
 
-    ``check`` decides ``p_value >= significance``, where ``p_value`` is
-    the chi-square upper tail of ``statistic``.  ``zero_cells`` is the
-    number of zero-probability blocks removed from the statistic; a prefix
-    that *hits* such a block gets an infinite statistic, reported as null,
-    and p-value 0.
+    ``p_value`` is the chi-square upper tail of ``statistic``.  ``check``
+    decides ``p_value >= significance``, or, for a test of a family (see
+    :func:`holm_family`), ``adjusted_p_value >= significance``.
+    ``zero_cells`` is the number of zero-probability blocks removed from
+    the statistic; a prefix that *hits* such a block gets an infinite
+    statistic, reported as null, and p-value 0.
     """
 
     block_len: int
@@ -55,18 +58,23 @@ class FrequencyTest(NamedTuple):
     n_blocks: int
     zero_cells: int
     zero_cell_hits: int
+    adjusted_p_value: float | None = None
 
     @property
     def check(self) -> Check:
-        return Check(f"block-frequency-k{self.block_len}", self.p_value, ">=", self.significance)
+        p_value = self.p_value if self.adjusted_p_value is None else self.adjusted_p_value
+        return Check(f"block-frequency-k{self.block_len}", p_value, ">=", self.significance)
 
     @property
     def passed(self) -> bool:
         return self.check.passed
 
     def to_dict(self) -> dict:
-        statistic = self.statistic if math.isfinite(self.statistic) else None
-        return {**self._asdict(), "statistic": statistic, "pass": self.passed}
+        out = {**self._asdict(), "pass": self.passed}
+        out["statistic"] = self.statistic if math.isfinite(self.statistic) else None
+        if self.adjusted_p_value is None:
+            del out["adjusted_p_value"]
+        return out
 
 
 class BatteryReport(NamedTuple):
@@ -123,10 +131,23 @@ def block_frequency_test(
             f"world too short for block_len {block_len}: need length >= "
             f"{need}, got {len(world)}"
         )
-    n_cells = n_sym**block_len
-    n_blocks = len(world) // block_len
-    observed = world.counts(block_len)
     cell_probs = reduce(np.kron, [np.asarray(fps.weights)] * block_len)
+    return frequency_test(world.counts(block_len), cell_probs, block_len, significance)
+
+
+def frequency_test(
+    observed: np.ndarray,
+    cell_probs: np.ndarray,
+    block_len: int = 1,
+    significance: float = DEFAULT_SIGNIFICANCE,
+) -> FrequencyTest:
+    """The chi-square test of block counts ``observed`` against block weights ``cell_probs``.
+
+    The core of :func:`block_frequency_test`, for counts already taken:
+    ``observed[i]`` counts the blocks of code ``i``, and their total is the
+    number of blocks.  It checks no length rule.
+    """
+    n_blocks = int(observed.sum())
     positive = cell_probs > 0
     expected = n_blocks * cell_probs[positive]
     statistic = float((((observed[positive] - expected) ** 2) / expected).sum())
@@ -141,8 +162,30 @@ def block_frequency_test(
         dof=dof,
         significance=significance,
         n_blocks=n_blocks,
-        zero_cells=int(n_cells - positive.sum()),
+        zero_cells=int(positive.size - positive.sum()),
         zero_cell_hits=zero_hits,
+    )
+
+
+def holm_family(tests: Sequence[FrequencyTest], rate: float) -> tuple[FrequencyTest, ...]:
+    """The tests as one family at family-wise rate ``rate``, by Holm's step-down procedure.
+
+    With the ``m`` p-values sorted, ``p_(1) <= ... <= p_(m)``, the ``i``-th
+    one's adjusted p-value is the largest ``min(1, (m - j + 1) * p_(j))``
+    over ``j <= i`` (Holm, 1979), and each test's significance is ``rate``.
+    A test passes when its adjusted p-value is at least ``rate``, so the
+    family rejects a true law with probability at most ``rate``, whatever
+    the dependence between its tests.  Tied p-values get one adjusted
+    value, so the result does not depend on the order of ``tests``.
+    """
+    m = len(tests)
+    adjusted = [0.0] * m
+    running = 0.0
+    for rank, i in enumerate(sorted(range(m), key=lambda i: tests[i].p_value)):
+        running = max(running, min(1.0, (m - rank) * tests[i].p_value))
+        adjusted[i] = running
+    return tuple(
+        t._replace(significance=rate, adjusted_p_value=a) for t, a in zip(tests, adjusted)
     )
 
 

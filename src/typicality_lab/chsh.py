@@ -132,10 +132,9 @@ class ConditionalAverageReport(NamedTuple):
     For sampled runs, ``counts`` holds the per-average cell sizes,
     ``std_errors`` the binomial standard errors of each average, and
     ``tolerances`` the 4-sigma acceptance bands derived from the
-    appropriate exact distribution.  ``batteries`` holds the battery of
-    each coin pair long enough for one, and ``exact`` the noise-free
-    reference report when one exists.  Fields left at None are not
-    reported.
+    appropriate exact distribution.  ``cell_tests`` holds each coin pair's
+    block-frequency test, and ``exact`` the noise-free reference report
+    when one exists.  Fields left at None are not reported.
     """
 
     averages: dict
@@ -145,7 +144,7 @@ class ConditionalAverageReport(NamedTuple):
     counts: dict | None = None
     std_errors: dict | None = None
     tolerances: dict | None = None
-    batteries: dict | None = None
+    cell_tests: dict | None = None
     exact: "ConditionalAverageReport | None" = None
 
     @property
@@ -156,8 +155,8 @@ class ConditionalAverageReport(NamedTuple):
     def to_dict(self) -> dict:
         out = {**self._asdict(), "s_value": self.s_value}
         out["exact"] = self.exact and self.exact.to_dict()
-        out["battery"] = out.pop("batteries") and {
-            key: rep.to_dict() for key, rep in self.batteries.items()
+        out["cell_tests"] = self.cell_tests and {
+            key: test.to_dict() for key, test in self.cell_tests.items()
         }
         return {key: value for key, value in out.items() if value is not None}
 
@@ -181,11 +180,34 @@ def _cell_statistics(cells: Sequence, variances: Sequence[float]) -> tuple[dict,
     return averages, counts, std_errors, tolerances
 
 
+#: The family-wise rate of the coin pairs' tests: the s-value gate's own
+#: false-alarm rate, the two-sided normal tail beyond ``SIGMAS``.
+_CELL_FAMILY_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
+
+
+def _cell_tests(fps: FiniteProbabilitySpace, counts: np.ndarray) -> dict:
+    """Each coin pair's block-1 test against its law under ``fps``, gated as one Holm family.
+
+    ``counts`` are a world's symbol counts over ``CHSH_OUTCOMES``, the
+    alphabet of ``fps``; a coin pair's subsequence has that pair's counts
+    as its block-1 histogram.  The four tests share the family rate
+    ``_CELL_FAMILY_RATE`` by :func:`~typicality_lab.battery.holm_family`.
+    Keys are the coin pairs, ``"00"`` to ``"11"``.
+    """
+    from .battery import frequency_test, holm_family
+
+    tests = {}
+    for (c, d), _ in _AVERAGES.values():
+        event = coin_event(c, d)
+        ids = [fps.index(o) for o in event]
+        tests[f"{c}{d}"] = frequency_test(counts[ids], fps.condition(event).weights)
+    return dict(zip(tests, holm_family(list(tests.values()), _CELL_FAMILY_RATE)))
+
+
 def run_chsh(
     trials: int,
     seed: int,
     threads: int = 1,
-    battery_blocks: Sequence[int] | None = None,
     on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> ConditionalAverageReport:
     """Sample a length-``trials`` world and compute the conditional averages.
@@ -197,55 +219,31 @@ def run_chsh(
     cross-checked against the operator construction).
 
     Each coin pair's subsequence is also tested against its conditional
-    distribution with the block-frequency battery (``battery_blocks``, by
-    default ``battery.DEFAULT_BLOCK_LENS``; pass ``()`` to skip).  Raises
-    if any coin pair collected no samples.  Every statistic is taken from
-    counts made while the world is drawn
-    (:func:`~typicality_lab.worlds.tally`), so the world is not kept unless
-    ``on_world`` is given; it is then called with the world before any
-    statistic is checked.
+    distribution (see :func:`_cell_tests`).  Raises if any coin pair
+    collected no samples.  Every statistic is taken from the symbol counts
+    made while the world is drawn (:func:`~typicality_lab.worlds.tally`),
+    so the world is not kept unless ``on_world`` is given; it is then
+    called with the world before any statistic is checked.
     """
-    from . import battery
     from .worlds import sign_cell, tally
 
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
-    if battery_blocks is None:
-        battery_blocks = battery.DEFAULT_BLOCK_LENS
     fps = chsh_distribution("analytic")
-    events = [coin_event(c, d) for (c, d), _ in _AVERAGES.values()]
-    # Block lengths no cell of this run can be long enough for are not counted.
-    block_lens = [
-        k
-        for k in battery_blocks
-        if battery.long_enough(trials, len(events[0]), k)
-    ]
-    tallied = tally(fps, trials, seed, threads, events, block_lens, on_world)
-    cells = [
-        sign_cell(tallied.counts, CHSH.product_signs(c, d)) for (c, d), _ in _AVERAGES.values()
-    ]
+    counts = tally(fps, trials, seed, threads, on_world)
+    cells = [sign_cell(counts, CHSH.product_signs(c, d)) for (c, d), _ in _AVERAGES.values()]
     # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
-    averages, counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
-    tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in counts.values()))
-    batteries = {}
-    for ((c, d), _), event, cell_tally, cell in zip(
-        _AVERAGES.values(), events, tallied.cells, cells
-    ):
-        # Only block lengths the cell is long enough for.
-        usable = [
-            k for k in battery_blocks if battery.long_enough(cell.count, len(event), k)
-        ]
-        if usable:
-            batteries[f"{c}{d}"] = battery.run_battery(cell_tally, fps.condition(event), usable)
+    averages, cell_counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
+    tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
     return ConditionalAverageReport(
         averages,
         method="typical-sampling",
         trials=trials,
         seed=seed,
-        counts=counts,
+        counts=cell_counts,
         std_errors=std_errors,
         tolerances=tolerances,
-        batteries=batteries or None,
+        cell_tests=_cell_tests(fps, counts),
     )
 
 
@@ -290,7 +288,7 @@ def lhv_chsh_simulate(
     exact = lhv_chsh_averages(h)
     coin = uniform((0, 1))
     joint = product(h, coin, coin)
-    symbol_counts = tally(joint, trials, seed, threads).counts
+    symbol_counts = tally(joint, trials, seed, threads)
     cells = [
         sign_cell(
             symbol_counts,

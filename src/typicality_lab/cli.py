@@ -38,7 +38,7 @@ from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class UsageError(Exception):
@@ -153,18 +153,15 @@ def _cross_check(distribution) -> tuple[dict, Check]:
 
 
 def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
-    """Quantum protocol run and distribution cross-check; the coin-pair batteries never gate."""
+    """Quantum protocol run, distribution cross-check and the coin pairs' test family."""
     cross_check, cross = _cross_check(chsh.chsh_distribution)
     with _world_saver(args) as on_world:
-        report_obj = chsh.run_chsh(
-            args.trials, args.seed, args.threads, battery_blocks=args.blocks, on_world=on_world
-        )
+        report_obj = chsh.run_chsh(args.trials, args.seed, args.threads, on_world=on_world)
     s_tolerance = report_obj.tolerances["s_value"] if args.tolerance is None else args.tolerance
     s_error = abs(report_obj.s_value - chsh.S_TARGET)
     checks = [cross, Check("s-value", s_error, "<=", s_tolerance)] + [
-        t.check._replace(name=f"{t.check.name}-cell-{cell}", gating=False)
-        for cell, battery in (report_obj.batteries or {}).items()
-        for t in battery.tests
+        t.check._replace(name=f"{t.check.name}-cell-{cell}")
+        for cell, t in report_obj.cell_tests.items()
     ]
     body = {
         "protocol": "chsh",
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, battery_blocks: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--threads", type=int, help="sampling threads (default 1)")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", help="write the report here instead of stdout")
@@ -311,18 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             help="override the default acceptance tolerance (battery: significance)",
         )
-        if battery_blocks:
-            p.add_argument(
-                "--blocks",
-                default="1,2,3",
-                help="comma-separated block lengths for the battery",
-            )
+        p.add_argument(
+            "--blocks", help="comma-separated block lengths (battery only; default 1,2,3)"
+        )
 
     p_chsh = sub.add_parser("chsh", help="run the quantum CHSH protocol")
     p_chsh.add_argument("--trials", type=int, required=True)
     p_chsh.add_argument("--seed", required=True)
     p_chsh.add_argument("--world-out", help="also save the sampled world (JSON)")
-    add_common(p_chsh, battery_blocks=True)
+    add_common(p_chsh)
 
     p_ghz = sub.add_parser("ghz", help="run the quantum GHZ protocol")
     p_ghz.add_argument("--trials", type=int, required=True)
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batt.add_argument("world_file", help="world JSON file")
     p_batt.add_argument("fps_file", help="probability-space JSON file")
     p_batt.add_argument("--seed")  # parsed only to be refused as a JSON usage error
-    add_common(p_batt, battery_blocks=True)
+    add_common(p_batt)
 
     return parser
 
@@ -359,17 +353,18 @@ _INVOCATIONS = {
     "lhv chsh --trials": (cmd_lhv_chsh_h_file, {"h_file", "trials", "seed", "threads"}, "chsh"),
     "lhv chsh": (cmd_lhv_chsh_h_file, {"h_file"}, "chsh"),
     "lhv ghz": (cmd_lhv_ghz, {"h_file"}, "ghz"),
-    "battery": (cmd_battery, {"tolerance"}, "battery"),
+    "battery": (cmd_battery, {"tolerance", "blocks"}, "battery"),
 }
 
 
 def _check_args(args: argparse.Namespace):
     """Validate the parsed flags and resolve them in place; return the handler and its module.
 
-    ``--blocks`` becomes a tuple, ``--threads`` defaults to 1, ``--h-file``
-    is loaded into ``args.h`` (None without the flag) for every invocation
-    that reads it, and ``--seed`` becomes an integer or None.  A bad
-    invocation raises :class:`UsageError`.
+    ``--blocks`` becomes a tuple (the battery's default lengths without the
+    flag), ``--threads`` defaults to 1, ``--h-file`` is loaded into
+    ``args.h`` (None without the flag) for every invocation that reads it,
+    and ``--seed`` becomes an integer or None.  A bad invocation raises
+    :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -377,16 +372,19 @@ def _check_args(args: argparse.Namespace):
     elif mode == "lhv chsh" and args.trials is not None:
         mode += " --trials"
     handler, flags_read, module_name = _INVOCATIONS[mode]
-    for flag in ("trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out"):
+    for flag in (
+        "trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out", "blocks"
+    ):
         if getattr(args, flag, None) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
-    if hasattr(args, "blocks"):
-        args.blocks = _parse_blocks(args.blocks)
     if args.threads is None:
         args.threads = 1
     elif args.threads < 1:
         raise UsageError("--threads must be at least 1")
     module = importlib.import_module(f"{__package__}.{module_name}")
+    if "blocks" in flags_read:
+        blocks = args.blocks
+        args.blocks = module.DEFAULT_BLOCK_LENS if blocks is None else _parse_blocks(blocks)
     if "trials" in flags_read and args.trials < module.MIN_TRIALS:
         raise UsageError(
             f"{mode.removesuffix(' --trials')} requires --trials >= {module.MIN_TRIALS}"

@@ -180,7 +180,7 @@ def run_ghz(
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
-    symbol_counts = tally(fps, trials, seed, threads, on_world=on_world).counts
+    symbol_counts = tally(fps, trials, seed, threads, on_world=on_world)
     constrained: dict = {}
     free: dict = {}
     for coins in itertools.product((0, 1), repeat=3):

@@ -16,13 +16,11 @@ rest: the outcome alphabet, the distribution both ways, the coin events
 and the per-coin product cells.
 
 The Born weights come from the 2x2 factors: each outcome's factors are
-applied to the initial state reshaped to ``(2,)*2n``, one axis at a time,
-so no ``4**n``-dimensional projector is built.  Outcomes that share their
-first factors share the state those factors make, so each factor is
-applied once per distinct prefix of factors.  On that path completeness
-is checked on each factor measurement, the coin projectors and the PVM of
-every observable.  The dense operator set, checked as a whole, is built
-only by :meth:`Protocol.operators`.
+applied to its copy of the initial state, one qubit axis at a time and
+every outcome's copy at once, so no ``4**n``-dimensional projector is
+built.  On that path completeness is checked on each factor measurement,
+the coin projectors and the PVM of every observable.  The dense operator
+set, checked as a whole, is built only by :meth:`Protocol.operators`.
 """
 
 from __future__ import annotations
@@ -119,26 +117,19 @@ class Protocol(NamedTuple):
     def _born_weights(self) -> list[float]:
         """Each outcome's Born weight ``|E psi|^2``, its factor ``k`` applied to axis ``k`` in turn.
 
-        A prefix of factors is applied once, and its state is shared by every
-        outcome that starts with it: 126 products for GHZ rather than 64 * 6,
-        and 30 for CHSH rather than 16 * 4.  Each weight still takes the same
-        products of the same operands in the same order, so it is the same
-        float as when each outcome's factors are applied on their own.
+        The outcomes' states are stacked, so each axis takes one batched
+        product: every outcome's factor on that axis, applied at once.
         """
-        n = self.parties
-        states = {(): self.initial_state().reshape((2,) * (2 * n))}
-        weights = []
-        for o, factors in self._factors():
+        factors = np.array([f for _, f in self._factors()])
+        count, axes = factors.shape[:2]
+        psi = self.initial_state()
+        states = np.broadcast_to(psi, (count, psi.size))
+        for axis in range(axes):
             # Axis k < n holds coin k's factor, axis n + k party k's result on that coin.
-            labels = (*o[:n], *zip(o[:n], o[n:]))
-            for axis, f in enumerate(factors):
-                key = labels[: axis + 1]
-                if key not in states:
-                    w = np.tensordot(f, states[key[:-1]], axes=(1, axis))
-                    states[key] = np.moveaxis(w, 0, axis)
-            w = states[labels]
-            weights.append(float(np.vdot(w, w).real))
-        return weights
+            blocks = states.reshape(count, 2**axis, 2, -1)
+            states = np.einsum("oab,oxby->oxay", factors[:, axis], blocks)
+        states = states.reshape(count, -1)
+        return np.einsum("oi,oi->o", states.conj(), states).real.tolist()
 
     def coin_event(self, *coins: int) -> tuple:
         """All outcomes with the given coins, one per party."""

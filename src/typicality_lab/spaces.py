@@ -197,10 +197,13 @@ class FiniteProbabilitySpace:
             )
         alphabet, weights = obj["alphabet"], obj["weights"]
         # JSON lists only: the constructor would iterate a string's
-        # characters or an object's keys, and cast strings and booleans.
+        # characters or an object's keys, and cast strings, booleans and
+        # nulls.  A nested list is left to the constructor's flat-sequence rule.
         if not isinstance(alphabet, list):
             raise ValueError("malformed probability space JSON: 'alphabet' must be a list")
-        if not isinstance(weights, list) or any(isinstance(w, (bool, str)) for w in weights):
+        if not isinstance(weights, list) or any(
+            w is None or isinstance(w, (bool, str, dict)) for w in weights
+        ):
             raise ValueError("weights must be a list of JSON numbers")
         try:
             return cls([_decode_symbol(a) for a in alphabet], weights)

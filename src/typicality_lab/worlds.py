@@ -29,22 +29,19 @@ which starts at the counter of the chunk's first block and is advanced to
 ``(i + 1) << 128`` after each block; that gives the uniforms of a fresh
 generator per block, so ``GENERATOR_ID`` and the world bytes are those of
 the block-at-a-time draw.  It maps them to symbols, stores the symbols in
-their slice of the world when the world is kept, counts them and splits
-them into each event's local indices.  The consumer adds up the counts
-and feeds each event's part to its block histograms, carrying the symbols
-of an unfinished block into the next chunk.  :func:`sample_world` is the
-world a tally keeps; :func:`condition_seq` splits a stored one separately.
+their slice of the world when the world is kept, and counts them.  The
+consumer adds up the counts.  :func:`sample_world` is the world a tally
+keeps; :func:`condition_seq` restricts a stored one to an event.
 
-Each drawing thread keeps all its buffers on one ``threading.local`` of
-the tally: one chunk-sized buffer for the uniforms, one for their guide
-buckets and, when the draw splits, the split's two table lookups and
-event mask.  Each is made on the thread's first chunk and reused for
-every later one.  The fill, the scaling, the bucket cast and the lookups
-write into them, and the symbols end up in the uniforms' memory once
-those are spent, so a chunk's step allocates nothing but the search of
-its mixed-bucket draws (below), its counts and its event parts, and
-touches no fresh page.  A run's statistics therefore need no world in
-memory, and its memory does not grow with its length.
+Each drawing thread keeps its two buffers on one ``threading.local`` of
+the tally: one chunk-sized buffer for the uniforms and one for their guide
+buckets.  Each is made on the thread's first chunk and reused for every
+later one.  The fill, the scaling, the bucket cast and the lookup write
+into them, and the symbols end up in the uniforms' memory once those are
+spent, so a chunk's step allocates nothing but the search of its
+mixed-bucket draws (below) and its counts, and touches no fresh page.  A
+run's statistics therefore need no world in memory, and its memory does
+not grow with its length.
 
 The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
 stores ``searchsorted(cum, j / 1024, side="right")``, and a draw ``u``
@@ -86,8 +83,6 @@ __all__ = [
     "WorldPrefix",
     "sample_world",
     "tally",
-    "Tally",
-    "CellTally",
     "condition_seq",
     "project_seq",
     "zip_seqs",
@@ -217,9 +212,8 @@ class WorldPrefix:
         With ``block_len`` k, occurrences of each non-overlapping length-k
         block, indexed by its code ``sum_j s_j * n**(k-1-j)`` over an
         alphabet of ``n`` symbols; a trailing partial block is not counted.
-        Fed ``_CHUNK_LEN`` symbols at a time to :class:`_BlockCounter`, the
-        block count :func:`tally` uses too, so no array of block codes is
-        built for the whole prefix.
+        Fed ``_CHUNK_LEN`` symbols at a time to :class:`_BlockCounter`, so
+        no array of block codes is built for the whole prefix.
         """
         counter = _BlockCounter(len(self._alphabet), block_len)
         for start in range(0, len(self), _CHUNK_LEN):
@@ -449,104 +443,36 @@ class _BlockCounter:
         return part[used:].copy() if used < part.size else None
 
 
-def _cell_tables(alphabet: tuple, events: Sequence[Iterable]):
-    """Each event's alphabet indices, plus the symbol-to-event and symbol-to-local-index tables.
-
-    ``cell[i]`` is the event that symbol ``i`` belongs to (``len(events)``
-    for none) and ``local[i]`` its index in that event's alphabet, which
-    keeps the parent order.
-    """
-    keep_ids = [sorted({_alphabet_index(alphabet, s) for s in event}) for event in events]
-    if not all(keep_ids):
-        raise ValueError("event must contain at least one symbol")
-    if len(set().union(*keep_ids)) != sum(map(len, keep_ids)):
-        raise ValueError("events must be disjoint")
-    n_events = len(keep_ids)
-    cell = np.full(len(alphabet), n_events, dtype=_index_dtype(n_events + 1))
-    local = np.zeros(len(alphabet), dtype=_index_dtype(max(map(len, keep_ids), default=1)))
-    for i, ids in enumerate(keep_ids):
-        cell[ids] = i
-        local[ids] = np.arange(len(ids))
-    return keep_ids, cell, local
-
-
-class CellTally:
-    """Counts of one event's subsequence of a world, as a conditioned prefix would give them.
-
-    It has the members the battery reads of a world: ``alphabet``, the
-    event's symbols in parent order; ``len``, the subsequence length; and
-    ``counts(block_len)``, for the block lengths it was tallied with.
-    """
-
-    __slots__ = ("alphabet", "_counts")
-
-    def __init__(self, alphabet: tuple, counts: dict):
-        self.alphabet = alphabet
-        self._counts = counts
-
-    def __len__(self) -> int:
-        return int(self._counts[1].sum())
-
-    def counts(self, block_len: int = 1) -> np.ndarray:
-        """Block histogram, as :meth:`WorldPrefix.counts` of the subsequence would return."""
-        try:
-            return self._counts[block_len]
-        except KeyError:
-            raise ValueError(f"block length {block_len} was not tallied") from None
-
-
-class Tally(NamedTuple):
-    """The symbol counts of a sampled world and the :class:`CellTally` of each event."""
-
-    counts: np.ndarray
-    cells: tuple
-
-
 def tally(
     fps: FiniteProbabilitySpace,
     length: int,
     seed: int,
     threads: int = 1,
-    events: Sequence[Iterable] = (),
-    block_lens: Iterable[int] = (),
     on_world: Callable[[WorldPrefix], None] | None = None,
-) -> Tally:
-    """Counts of ``sample_world(fps, length, seed)``, taken chunk by chunk as it is drawn.
+) -> np.ndarray:
+    """The symbol counts of ``sample_world(fps, length, seed)``, taken chunk by chunk in the draw.
 
-    Returns the world's symbol counts and, for each of the disjoint
-    ``events``, a :class:`CellTally` of its subsequence (what
-    :func:`condition_seq` would give) with block histograms at length 1
-    and at each of ``block_lens``.  One step, scheduled by
-    :func:`_in_chunk_order`, draws, stores, counts and (for block lengths
-    above 1) splits a chunk into each event's local indices, in one thread
-    and into that thread's buffers.  The parts go, in chunk order, to one
-    :class:`_BlockCounter` per event and block length.  The world is kept
-    only when ``on_world`` is given; it is then called with the world once
-    the draw is done, before the counts are returned.  A kept world too
-    long for any array, or for the memory, raises MemoryError.
+    One step, scheduled by :func:`_in_chunk_order`, draws, stores and
+    counts a chunk, in one thread and into that thread's buffers; the
+    consumer adds up the counts in chunk order.  The world is kept only
+    when ``on_world`` is given; it is then called with the world once the
+    draw is done, before the counts are returned.  A kept world too long
+    for any array, or for the memory, raises MemoryError.
     """
     _check_draw(length, seed, threads)
     n_sym = len(fps.alphabet)
     cum = _cumulative_boundaries(fps)
     guide, mixed = _guide_tables(cum)
     cum *= _GUIDE
-    keep_ids, cell, local = _cell_tables(fps.alphabet, events)
-    block_lens = sorted({k for k in block_lens if k > 1})
-    counters = [[_BlockCounter(len(ids), k) for k in block_lens] for ids in keep_ids]
-    split = bool(block_lens and keep_ids)
     try:
         world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
     except ValueError:  # numpy's "maximum allowed dimension exceeded", from 2**63 on
         raise MemoryError(f"no array holds a world of {length} symbols") from None
     scratch = threading.local()  # each drawing thread's buffers, reused chunk after chunk
 
-    def step(chunk: int):
+    def step(chunk: int) -> np.ndarray:
         if not hasattr(scratch, "u"):
             scratch.u, scratch.bucket = np.empty(_CHUNK_LEN), np.empty(_CHUNK_LEN, np.intp)
-            if split:
-                scratch.cells, scratch.codes, scratch.mask = (
-                    np.empty(_CHUNK_LEN, dtype) for dtype in (cell.dtype, local.dtype, bool)
-                )
         start = chunk * _CHUNK_LEN
         size = min(_CHUNK_LEN, length - start)
         u = scratch.u[:size]
@@ -554,33 +480,15 @@ def tally(
         indices = _invert_cdf(u, scratch.bucket[:size], cum, guide, mixed)
         if world is not None:
             world[start : start + size] = indices
-        parts = ()
-        if split:
-            # The indices are in range, so "clip" never clips; it spares the
-            # copy of the output that "raise" makes.
-            cells = cell.take(indices, out=scratch.cells[:size], mode="clip")
-            codes = local.take(indices, out=scratch.codes[:size], mode="clip")
-            mask = scratch.mask[:size]
-            parts = [np.compress(np.equal(cells, i, out=mask), codes) for i in range(len(counters))]
-        return np.bincount(indices, minlength=n_sym), parts
+        return np.bincount(indices, minlength=n_sym)
 
     total = np.zeros(n_sym, dtype=np.int64)
-    for chunk_counts, parts in _in_chunk_order(step, -(-length // _CHUNK_LEN), threads):
+    for chunk_counts in _in_chunk_order(step, -(-length // _CHUNK_LEN), threads):
         total += chunk_counts
-        for part, event_counters in zip(parts, counters):
-            for counter in event_counters:
-                counter.add(part)
     if on_world is not None:
         prov = dict(kind="sampled", seed=int(seed), generator=GENERATOR_ID, length=int(length))
         on_world(WorldPrefix(fps.alphabet, world, prov))
-    cells = tuple(
-        CellTally(
-            tuple(fps.alphabet[i] for i in ids),
-            {1: total[ids], **{c.block_len: c.total for c in event_counters}},
-        )
-        for ids, event_counters in zip(keep_ids, counters)
-    )
-    return Tally(total, cells)
+    return total
 
 
 def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
@@ -588,15 +496,18 @@ def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:
 
     The result lives on the event alphabet (in parent order) and may be
     empty.  Its length always equals the total count of event symbols in
-    the input.  Read a chunk at a time, so that no mask is as long as the
-    world, the symbols are picked and renamed by the two tables of
-    :func:`_cell_tables` that :func:`tally`'s split reads, so conditioning
-    on each of several disjoint events gives, by separate code, the
-    subsequences whose counts :func:`tally` takes.
+    the input.  The world is read a chunk at a time, so that no mask is as
+    long as it is.
     """
-    (ids,), cell, local = _cell_tables(world.alphabet, [event])
+    ids = sorted({_alphabet_index(world.alphabet, s) for s in event})
+    if not ids:
+        raise ValueError("event must contain at least one symbol")
+    keep = np.zeros(len(world.alphabet), dtype=bool)
+    keep[ids] = True
+    local = np.zeros(len(world.alphabet), dtype=_index_dtype(len(ids)))
+    local[ids] = np.arange(len(ids))
     chunks = (world.indices[at : at + _CHUNK_LEN] for at in range(0, len(world), _CHUNK_LEN))
-    parts = [local.take(chunk.compress(cell.take(chunk) == 0)) for chunk in chunks]
+    parts = [local.take(chunk.compress(keep.take(chunk))) for chunk in chunks]
     indices = np.concatenate(parts) if parts else local[:0]
     prov = {"kind": "conditioned", "event_size": len(ids), "parent": world._provenance}
     return WorldPrefix(tuple(world.alphabet[i] for i in ids), indices, prov)

@@ -2,9 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from typicality_lab.battery import BatteryReport, block_frequency_test, long_enough, run_battery
+from typicality_lab.battery import (
+    BatteryReport,
+    block_frequency_test,
+    frequency_test,
+    holm_family,
+    long_enough,
+    run_battery,
+)
 from typicality_lab.chsh import chsh_distribution, coin_event
 from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin
 from typicality_lab.worlds import WorldPrefix, condition_seq, sample_world
@@ -146,4 +154,49 @@ class TestRunBattery:
         d = report.to_dict()
         assert d["total"] == 2
         assert {t["block_len"] for t in d["tests"]} == {1, 2}
+        assert all("adjusted_p_value" not in t for t in d["tests"])
         assert isinstance(report, BatteryReport)
+
+
+def _with_p_values(*p_values):
+    test = frequency_test(np.array([5, 5]), np.array([0.5, 0.5]))
+    return [test._replace(p_value=p) for p in p_values]
+
+
+class TestHolmFamily:
+    def test_adjusted_p_values_step_down(self):
+        # Sorted: 0.001, 0.01, 0.02, 0.5, scaled by 4, 3, 2, 1 and made non-decreasing.
+        tests = holm_family(_with_p_values(0.02, 0.001, 0.5, 0.01), 0.05)
+        adjusted = [t.adjusted_p_value for t in tests]
+        assert adjusted == pytest.approx([0.04, 0.004, 0.5, 0.03], rel=1e-15)
+        assert [t.passed for t in tests] == [False, False, True, False]
+        assert all(t.significance == 0.05 for t in tests)
+        assert [t.check.value for t in tests] == adjusted
+
+    def test_running_maximum_and_cap_at_one(self):
+        # 3 * 0.004 = 0.012 is below the first step's 4 * 0.004 = 0.016.
+        tests = holm_family(_with_p_values(0.004, 0.004, 0.3, 0.9), 0.05)
+        assert [t.adjusted_p_value for t in tests] == pytest.approx([0.016, 0.016, 0.6, 0.9])
+        capped = holm_family(_with_p_values(0.6, 0.7), 0.05)
+        assert [t.adjusted_p_value for t in capped] == [1.0, 1.0]
+
+    def test_order_of_the_tests_does_not_matter(self):
+        p_values = [0.03, 0.001, 0.03, 0.2, 1e-9]
+        forward = holm_family(_with_p_values(*p_values), 0.01)
+        backward = holm_family(_with_p_values(*reversed(p_values)), 0.01)
+        assert forward == tuple(reversed(backward))
+
+    def test_a_single_test_keeps_its_p_value(self):
+        (test,) = holm_family(_with_p_values(0.25), 0.1)
+        assert test.adjusted_p_value == 0.25
+        assert test.to_dict()["adjusted_p_value"] == 0.25
+
+
+class TestFrequencyTest:
+    def test_is_the_block_test_of_a_worlds_counts(self):
+        fps = chsh_distribution("analytic")
+        world = sample_world(fps, 50_000, seed=3)
+        for k in (1, 2):
+            cell_probs = fps.weights if k == 1 else np.kron(fps.weights, fps.weights)
+            expected = block_frequency_test(world, fps, k, 0.05)
+            assert frequency_test(world.counts(k), cell_probs, k, 0.05) == expected

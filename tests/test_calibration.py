@@ -5,23 +5,33 @@ block length rejects at the significance rate, and the CHSH value and
 the GHZ free-triple means are normal about their targets.  Following
 NIST SP 800-22 section 4.2, the second level tests those first-level
 values: a binomial bound on each block length's rejection count and a
-10-bin chi-square test of uniformity.  The k = 1, 2, 3 tests of one cell
-share data, so each block length is tested on its own.
+10-bin chi-square test of uniformity.  The k = 1 p-values are the ones
+each ``chsh`` run takes from its symbol counts, before its family adjusts
+them; the k = 2 and 3 ones come from the battery of each coin pair's
+conditioned world.  The k = 1, 2, 3 tests of one cell share data, so
+each block length is tested on its own.  A ``chsh`` run gates its four
+coin-pair tests as one Holm family at the s-value gate's rate
+``erfc(SIGMAS / sqrt(2))``; the runs that reject are bounded from above
+by the binomial tail at that rate.
 
 Those checks see false alarms only; a battery that never rejects passes
 them.  The lower side plants alternatives in the law a world is drawn
 from: the CHSH (0, 0) coin-pair law ``p`` moved to ``q = p + d (1, -1,
 -1, 1)``, with ``d`` chosen so that ``n * sum((q - p)**2 / p)`` is a set
-non-centrality ``lam``.  The block-1 test against ``p`` then rejects with
-the non-central chi-square power, which a binomial bound checks.  The
-``chsh`` s-value gate is given local models to refuse: every local model
-has ``|s| <= 2``, about 18 sigma below ``2 sqrt(2)`` at ``MIN_TRIALS``.
+non-centrality ``lam`` for ``n`` draws of the pair.  The block-1 test
+against ``p`` then rejects with the non-central chi-square power, which
+a binomial bound checks; planted in one cell of a whole ``chsh`` law, it
+makes the Holm family reject at least as often as that test alone at
+the family's first threshold, a quarter of its rate.  The ``chsh``
+s-value gate is given local models to refuse: every local model has
+``|s| <= 2``, about 18 sigma below ``2 sqrt(2)`` at ``MIN_TRIALS``.
 
-Every bound is two-sided at one per-check false-alarm rate ``ALPHA``, so
-the chance that any of this file's 11 checks fails on a correct sampler
-and battery is at most 11 x 1.25e-7 = 1.375e-6 (Bonferroni).  The seeds were
-fixed before any result was looked at and must never be re-picked after
-a failure.
+Every bound is two-sided at one per-check false-alarm rate ``ALPHA``, or
+one-sided at ``ALPHA`` where only one side is checked, so the chance
+that any of this file's 13 checks fails on a correct sampler and battery
+is at most 13 x 1e-6 / 9 = 1.44e-6 (Bonferroni).  The seeds were fixed
+before any result was looked at and must never be re-picked after a
+failure.
 """
 
 import math
@@ -29,11 +39,13 @@ import math
 import numpy as np
 import pytest
 
+from typicality_lab import chsh as chsh_mod
 from typicality_lab.battery import (
     DEFAULT_BLOCK_LENS,
     DEFAULT_SIGNIFICANCE,
     _chi2_sf,
     block_frequency_test,
+    run_battery,
 )
 from typicality_lab.checks import SIGMAS
 from typicality_lab.chsh import (
@@ -48,27 +60,35 @@ from typicality_lab.chsh import (
 )
 from typicality_lab.ghz import run_ghz
 from typicality_lab.spaces import FiniteProbabilitySpace, point_mass
-from typicality_lab.worlds import tally
+from typicality_lab.worlds import condition_seq, sample_world, tally
 
 SEEDS = range(400)
 TRIALS = 40_000
+COIN_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 #: Non-centralities of the planted alternatives, and the draws that test each.
 LAMBDAS = (3, 10, 30)
 POWER_SEEDS = range(200)
 POWER_TRIALS = 10_000
+#: The non-centrality planted in one cell of a whole ``chsh`` law: about
+#: even odds for the cell's test at the family's first threshold.
+FAMILY_LAMBDA = 23
 
 #: The draws of each local model that the s-value gate is given.
 GATE_SEEDS = range(5)
 
 #: Chance that this file's false-alarm checks fail on a correct sampler and battery.
 FAMILY_ALPHA = 1e-6
-#: Per block length a rejection count and a uniformity test; then the
-#: CHSH z-scores and the GHZ scaled means.
-CHECKS = 2 * len(DEFAULT_BLOCK_LENS) + 2
-#: Chance that one check fails: 1.25e-7 with the 8 checks of block lengths
-#: 1, 2, 3.  The power checks, one per ``lam``, take the same rate.
+#: Per block length a rejection count and a uniformity test; the Holm
+#: family's rejection count; then the CHSH z-scores and the GHZ scaled means.
+CHECKS = 2 * len(DEFAULT_BLOCK_LENS) + 3
+#: Chance that one check fails: 1e-6 / 9 with the 9 checks of block lengths
+#: 1, 2, 3.  The power checks, one per ``lam`` and one for the family, take
+#: the same rate.
 ALPHA = FAMILY_ALPHA / CHECKS
+
+#: The family-wise rate of a ``chsh`` run's coin-pair tests: 2 Phi(-SIGMAS).
+FAMILY_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
 
 
 def uniformity_p_value(values, bins=10):
@@ -98,27 +118,53 @@ def chsh_runs():
     return [run_chsh(TRIALS, seed) for seed in SEEDS]
 
 
-def battery_tests(runs, block_len):
-    """The battery tests at ``block_len`` of every coin pair of every run."""
+@pytest.fixture(scope="module")
+def conditioned_batteries():
+    """The battery above block length 1 of each coin pair's conditioned world, for every seed."""
+    fps = chsh_distribution()
+    block_lens = [k for k in DEFAULT_BLOCK_LENS if k > 1]
+    batteries = []
+    for seed in SEEDS:
+        world = sample_world(fps, TRIALS, seed)
+        for c, d in COIN_PAIRS:
+            event = coin_event(c, d)
+            cell = condition_seq(world, event)
+            batteries.append(run_battery(cell, fps.condition(event), block_lens))
+    return batteries
+
+
+def p_values(chsh_runs, conditioned_batteries, block_len):
+    """The unadjusted p-values at ``block_len`` of every coin pair of every seed."""
+    if block_len == 1:
+        return [t.p_value for run in chsh_runs for t in run.cell_tests.values()]
     return [
-        t for run in runs for battery in run.batteries.values() for t in battery.tests
+        t.p_value for battery in conditioned_batteries for t in battery.tests
         if t.block_len == block_len
     ]
 
 
 @pytest.mark.parametrize("block_len", DEFAULT_BLOCK_LENS)
-def test_rejection_rate_is_the_significance(chsh_runs, block_len):
-    tests = battery_tests(chsh_runs, block_len)
-    assert len(tests) == 4 * len(SEEDS)
-    rejections = sum(not t.passed for t in tests)
-    below, above = binomial_tails(rejections, len(tests), DEFAULT_SIGNIFICANCE)
-    assert min(below, above) > ALPHA / 2, (rejections, len(tests))
+def test_rejection_rate_is_the_significance(chsh_runs, conditioned_batteries, block_len):
+    values = p_values(chsh_runs, conditioned_batteries, block_len)
+    assert len(values) == 4 * len(SEEDS)
+    rejections = sum(p < DEFAULT_SIGNIFICANCE for p in values)
+    below, above = binomial_tails(rejections, len(values), DEFAULT_SIGNIFICANCE)
+    assert min(below, above) > ALPHA / 2, (rejections, len(values))
 
 
 @pytest.mark.parametrize("block_len", DEFAULT_BLOCK_LENS)
-def test_p_values_are_uniform(chsh_runs, block_len):
-    p_values = [t.p_value for t in battery_tests(chsh_runs, block_len)]
-    assert uniformity_p_value(p_values) >= ALPHA
+def test_p_values_are_uniform(chsh_runs, conditioned_batteries, block_len):
+    values = p_values(chsh_runs, conditioned_batteries, block_len)
+    assert uniformity_p_value(values) >= ALPHA
+
+
+def test_holm_family_rejects_at_most_at_its_rate(chsh_runs):
+    # Holm keeps the family's rate at most FAMILY_RATE, whatever the
+    # dependence, so the binomial tail at that rate bounds the count.
+    rejections = sum(
+        not all(t.passed for t in run.cell_tests.values()) for run in chsh_runs
+    )
+    assert binomial_tails(rejections, len(chsh_runs), FAMILY_RATE)[1] > ALPHA, rejections
 
 
 def test_chsh_s_value_is_normal_about_its_target(chsh_runs):
@@ -162,22 +208,42 @@ def predicted_power(lam, crit, dof):
     )
 
 
-def planted(lam):
-    """The (0, 0) coin-pair law ``p``, and ``q`` at non-centrality ``lam`` from it."""
+def planted(lam, n=POWER_TRIALS):
+    """The (0, 0) coin-pair law ``p``, and ``q`` at non-centrality ``lam`` for ``n`` draws of it."""
     p = chsh_distribution("analytic").condition(coin_event(0, 0))
-    d = math.sqrt(lam / (POWER_TRIALS * np.sum(1.0 / p.weights)))
+    d = math.sqrt(lam / (n * np.sum(1.0 / p.weights)))
     return p, FiniteProbabilitySpace(p.alphabet, p.weights + d * np.array([1, -1, -1, 1]))
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_rejection_rate_is_the_power(lam):
     p, q = planted(lam)
-    cells = [tally(q, POWER_TRIALS, seed, events=[q.alphabet]).cells[0] for seed in POWER_SEEDS]
-    rejections = sum(not block_frequency_test(cell, p, 1).passed for cell in cells)
+    worlds = [sample_world(q, POWER_TRIALS, seed) for seed in POWER_SEEDS]
+    rejections = sum(not block_frequency_test(world, p, 1).passed for world in worlds)
     dof = len(p) - 1
     power = predicted_power(lam, chi2_quantile(DEFAULT_SIGNIFICANCE, dof), dof)
     below, above = binomial_tails(rejections, len(POWER_SEEDS), power)
     assert min(below, above) > ALPHA / 2, (rejections, power)
+
+
+def test_holm_family_rejects_a_planted_cell():
+    # The (0, 0) cell of the chsh law, a quarter of the rounds, drawn from
+    # q; the family rejects whenever that cell's p-value is at most
+    # FAMILY_RATE / 4, its first threshold, so at least that often.
+    fps = chsh_distribution("analytic")
+    trials = 4 * POWER_TRIALS
+    p, q = planted(FAMILY_LAMBDA, trials // 4)
+    weights = fps.weights.copy()
+    weights[[fps.index(o) for o in p.alphabet]] = q.weights / 4
+    law = FiniteProbabilitySpace(fps.alphabet, weights)
+    rejections = sum(
+        not all(t.passed for t in chsh_mod._cell_tests(fps, tally(law, trials, seed)).values())
+        for seed in POWER_SEEDS
+    )
+    dof = len(p) - 1
+    power = predicted_power(FAMILY_LAMBDA, chi2_quantile(FAMILY_RATE / 4, dof), dof)
+    below, _ = binomial_tails(rejections, len(POWER_SEEDS), power)
+    assert below > ALPHA, (rejections, power)
 
 
 def test_power_matches_scipy():
@@ -186,6 +252,11 @@ def test_power_matches_scipy():
     assert crit == pytest.approx(stats.chi2.isf(DEFAULT_SIGNIFICANCE, 3), rel=1e-12)
     for lam in LAMBDAS:
         assert predicted_power(lam, crit, 3) == pytest.approx(stats.ncx2.sf(crit, 3, lam), abs=1e-9)
+    first = chi2_quantile(FAMILY_RATE / 4, 3)
+    assert first == pytest.approx(stats.chi2.isf(FAMILY_RATE / 4, 3), rel=1e-12)
+    assert predicted_power(FAMILY_LAMBDA, first, 3) == pytest.approx(
+        stats.ncx2.sf(first, 3, FAMILY_LAMBDA), abs=1e-9
+    )
 
 
 @pytest.mark.parametrize(

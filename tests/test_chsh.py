@@ -25,6 +25,7 @@ from typicality_lab.chsh import (
     local_bound_check,
     run_chsh,
 )
+from typicality_lab.checks import SIGMAS
 from typicality_lab.linalg import ATOL, check_completeness, dag
 from typicality_lab.spaces import FiniteProbabilitySpace, point_mass, uniform
 
@@ -122,10 +123,16 @@ class TestRun:
         assert set(report.std_errors) == {"rs", "qs", "rt", "qt"}
         assert all(err > 0 for err in report.std_errors.values())
 
-    def test_batteries_pass_for_fixed_seed(self):
+    def test_cell_tests_pass_for_fixed_seed(self):
         report = run_chsh(200_000, seed=42)
-        assert set(report.batteries) == {"00", "01", "10", "11"}
-        assert all(b.all_pass for b in report.batteries.values())
+        names = {f"{c}{d}": name for name, ((c, d), _) in chsh_mod._AVERAGES.items()}
+        assert set(report.cell_tests) == set(names) == {"00", "01", "10", "11"}
+        for cell, test in report.cell_tests.items():
+            assert test.passed
+            assert test.block_len == 1 and test.dof == 3
+            assert test.n_blocks == report.counts[names[cell]]
+            assert test.significance == math.erfc(SIGMAS / math.sqrt(2.0))
+            assert test.adjusted_p_value >= test.p_value
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError, match=str(MIN_TRIALS)):

@@ -40,6 +40,10 @@ DEEP_SYMBOL_SPACE = (
 #: A space whose first weight is a JSON integer beyond the float range.
 BIG_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [10**400, 0]})
 
+#: Spaces with a null and an object among their weights.
+NULL_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [None, 1]})
+OBJECT_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [{}, 1]})
+
 
 def run_cli(capsys, argv):
     status = main(argv)
@@ -67,7 +71,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -75,27 +79,31 @@ class TestChshCommand:
         assert report["cross_check"]["pass"] is True
         assert report["failures"] == []
         assert abs(report["s_value"] - 2 * math.sqrt(2)) < 0.1
-        gating = [c["name"] for c in report["checks"] if c["gating"]]
-        assert gating == ["distribution-cross-check", "s-value"]
-        cells = [c["name"] for c in report["checks"] if not c["gating"]]
-        assert sorted(cells) == sorted(
-            f"block-frequency-k{test['block_len']}-cell-{cd}"
-            for cd, battery in report["battery"].items()
-            for test in battery["tests"]
-        )
+        assert all(c["gating"] for c in report["checks"])
+        assert [c["name"] for c in report["checks"]] == [
+            "distribution-cross-check",
+            "s-value",
+            *(f"block-frequency-k1-cell-{cd}" for cd in ("00", "10", "01", "11")),
+        ]
+        for check in report["checks"][2:]:
+            test = report["cell_tests"][check["name"][-2:]]
+            assert check["value"] == test["adjusted_p_value"] >= test["p_value"]
+            assert check["bound"] == test["significance"] == math.erfc(4 / math.sqrt(2))
 
-    def test_failed_cell_battery_does_not_fail_the_run(self, capsys, monkeypatch):
-        run_battery = battery_mod.run_battery
+    def test_failed_cell_test_fails_the_run(self, capsys, monkeypatch):
+        # Each coin pair tested against its law with the weights rotated.
+        frequency_test = battery_mod.frequency_test
 
-        def unmeetable(world, fps, block_lens):
-            return run_battery(world, fps, block_lens, 1 - 1e-9)
+        def rotated(observed, cell_probs, *args):
+            return frequency_test(observed, np.roll(cell_probs, 1), *args)
 
-        monkeypatch.setattr(battery_mod, "run_battery", unmeetable)
+        monkeypatch.setattr(battery_mod, "frequency_test", rotated)
         status, report, _ = run_json(capsys, ["chsh", "--trials", "8000", "--seed", "1"])
-        cells = [c for c in report["checks"] if not c["gating"]]
-        assert cells and not any(c["passed"] for c in cells)
-        assert status == 0
-        assert report["failures"] == []
+        assert status == 1
+        assert [f["check"] for f in report["failures"]] == [
+            f"block-frequency-k1-cell-{cd}" for cd in ("00", "10", "01", "11")
+        ]
+        assert not any(t["pass"] for t in report["cell_tests"].values())
 
     def test_csv_view_names_the_averages(self, capsys):
         status, out, _ = run_cli(
@@ -658,8 +666,10 @@ class TestExitCodeHoles:
             lambda n: ["1"] + ["0"] * (n - 1),
             lambda n: [True] + [False] * (n - 1),
             lambda n: {"0" * k or "1": 0.5 for k in range(n)},  # keys read 1, 0, 0, ...
+            lambda n: [None] + [1] + [0] * (n - 2),  # a null casts to NaN
+            lambda n: [{}] + [1] + [0] * (n - 2),
         ],
-        ids=["string", "strings", "booleans", "object"],
+        ids=["string", "strings", "booleans", "object", "null-item", "object-item"],
     )
     @pytest.mark.parametrize(
         "argv, space",
@@ -671,7 +681,7 @@ class TestExitCodeHoles:
         ids=["battery", "lhv-chsh", "lhv-ghz"],
     )
     def test_weights_must_be_json_numbers(self, capsys, tmp_path, argv, space, weights):
-        # Each of these weights casts to a point mass on the first symbol.
+        # The first four cast to a point mass on the first symbol.
         alphabet = json.loads(space.to_json())["alphabet"]
         files = {"bad": tmp_path / "bad.json", "world": tmp_path / "world.json"}
         files["bad"].write_text(json.dumps({"alphabet": alphabet, "weights": weights(len(space))}))
@@ -679,19 +689,12 @@ class TestExitCodeHoles:
         status, out, err = run_cli(capsys, [arg.format(**files) for arg in argv])
         assert_usage_error(status, out, err, "weights must be a list of JSON numbers")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["chsh", "--trials", "8000", "--seed", "1", "--blocks", "1,1"],
-            ["battery", "{world}", "{space}", "--blocks", "2,3,2"],
-        ],
-        ids=["chsh", "battery"],
-    )
-    def test_repeated_block_length(self, capsys, tmp_path, argv):
+    def test_repeated_block_length(self, capsys, tmp_path):
         files = {"world": tmp_path / "world.json", "space": tmp_path / "space.json"}
         files["world"].write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
         files["space"].write_text(fair_coin().to_json())
-        status, out, err = run_cli(capsys, [arg.format(**files) for arg in argv])
+        argv = ["battery", str(files["world"]), str(files["space"]), "--blocks", "2,3,2"]
+        status, out, err = run_cli(capsys, argv)
         assert_usage_error(status, out, err, "--blocks repeats a block length")
 
     def test_max_dim_variable_is_ignored(self, capsys, monkeypatch):
@@ -721,9 +724,11 @@ _USAGE_ERRORS = [
     ("chsh --trials 8000 --seed x", "--seed expects an integer or 'random', got 'x'"),
     ("chsh --trials 8000 --seed 1 --threads 0", "--threads must be at least 1"),
     (
-        "chsh --trials 8000 --seed 1 --blocks 1,x",
+        "battery world.json fps.json --blocks 1,x",
         "--blocks expects comma-separated integers, got '1,x'",
     ),
+    ("chsh --trials 8000 --seed 1 --blocks 1", "chsh does not use --blocks"),
+    ("ghz --trials 8000 --seed 1 --blocks 1,x", "ghz does not use --blocks"),
     ("battery world.json fps.json --blocks 0", "--blocks expects positive integers, got '0'"),
     ("battery world.json fps.json --seed 3", "battery does not use --seed"),
     ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
@@ -790,6 +795,16 @@ _USAGE_ERRORS = [
         "invalid hidden-variable file 'big-h.json': weights must be finite",
     ),
     (
+        "battery world.json null-weights.json",
+        "invalid probability-space file 'null-weights.json': weights must be a list of JSON "
+        "numbers",
+    ),
+    (
+        "lhv ghz --h-file object-weights.json",
+        "invalid hidden-variable file 'object-weights.json': weights must be a list of JSON "
+        "numbers",
+    ),
+    (
         "chsh --trials 9223372036854775808 --seed 1 --world-out w.json",
         "--world-out: too little memory for a world of 9223372036854775808 trials",
     ),
@@ -830,11 +845,13 @@ class TestUsageErrorLines:
             "big-h.json": json.dumps(
                 {"alphabet": json.loads(h_text)["alphabet"], "weights": [-(10**400), 1] + [0] * 14}
             ),
+            "null-weights.json": NULL_WEIGHT_SPACE,
+            "object-weights.json": OBJECT_WEIGHT_SPACE,
         }
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
-        expected = {"error": {"code": "usage", "message": message}, "schema": 3}
+        expected = {"error": {"code": "usage", "message": message}, "schema": 4}
         line = json.dumps(expected, sort_keys=True) + "\n"
         assert run_cli(capsys, command.split()) == (2, "", line)
 
@@ -1176,6 +1193,8 @@ def fuzz_files(tmp_path_factory):
         "float-world.json": json.dumps({"alphabet": [0, 1], "indices": [0.5]}),
         "string-weights.json": json.dumps({"alphabet": [0, 1], "weights": "10"}),
         "big-weights.json": BIG_WEIGHT_SPACE,
+        "null-weights.json": NULL_WEIGHT_SPACE,
+        "object-weights.json": OBJECT_WEIGHT_SPACE,
         "deep.json": "[" * 200_000,
         "deep-symbol.json": DEEP_SYMBOL_SPACE,
     }
@@ -1315,7 +1334,7 @@ class TestReaderFuzz:
 class TestTracedHarness:
     """The benchmark's tracing harness still finds the names it wraps."""
 
-    def trace(self, tmp_path, command):
+    def trace(self, tmp_path, argv):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         spans = tmp_path / "spans.json"
         done = subprocess.run(
@@ -1324,11 +1343,7 @@ class TestTracedHarness:
                 os.path.join(root, "perfbench", "traced_cli.py"),
                 str(spans),
                 str(tmp_path / "report.json"),
-                command,
-                "--trials",
-                "8000",
-                "--seed",
-                "1",
+                *argv,
             ],
             env=_with_src(dict(os.environ)),
             capture_output=True,
@@ -1342,11 +1357,18 @@ class TestTracedHarness:
 
     @pytest.mark.parametrize("command", ["chsh", "ghz"])
     def test_one_operator_distribution_span(self, command, tmp_path):
-        names, _ = self.trace(tmp_path, command)
+        names, _ = self.trace(tmp_path, [command, "--trials", "8000", "--seed", "1"])
         assert names.count("linalg.operator_dist") == 1
 
-    def test_chsh_battery_spans(self, tmp_path):
-        # One battery per coin pair, each testing block lengths 1, 2 and 3.
-        names, counts = self.trace(tmp_path, "chsh")
-        assert names.count("battery.run_battery") == 4
-        assert counts["battery.tests"] == 12
+    def test_battery_spans(self, tmp_path):
+        # One battery of a saved world, testing block lengths 1, 2 and 3;
+        # the run that saved it tests its coin pairs from the symbol counts.
+        world, space = tmp_path / "world.json", tmp_path / "fps.json"
+        space.write_text(chsh_distribution().to_json())
+        names, _ = self.trace(
+            tmp_path, ["chsh", "--trials", "200000", "--seed", "1", "--world-out", str(world)]
+        )
+        assert "battery.run_battery" not in names
+        names, counts = self.trace(tmp_path, ["battery", str(world), str(space)])
+        assert names.count("battery.run_battery") == 1
+        assert counts["battery.tests"] == 3

@@ -12,46 +12,46 @@ import json
 
 import pytest
 
-from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
+from typicality_lab.chsh import RQST_TUPLES, chsh_distribution, coin_event
 from typicality_lab.cli import main
 from typicality_lab.ghz import LHV_ASSIGNMENTS
 from typicality_lab.spaces import FiniteProbabilitySpace, uniform
-from typicality_lab.worlds import sample_world
+from typicality_lab.worlds import condition_seq, sample_world
 
 #: argv template -> (exit status, sha256 of stdout).
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "022d97ac5a821a5a18ecf92b6158c69419e5cc3959537ec7f841526106a2b103",
+        "e495af466127942c72108d8402d1ca67cdff322fa92cee95b224704adcc3ee15",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "f3fee1c11198d6cb0626c080495465b63448fb8919eacb146b9b9e7649006b65",
+        "9a918860346cda863635de8beae1962ce5460de1285dedc9793bdc343e66ca0e",
     ),
     "lhv ghz": (
         0,
-        "84f7763e2a850f5e16f54f111ea694da5e3e288674e3b8a3dc9c2bc534ea4f34",
+        "2b2959d82ef7c441424b5594d9bb213dc56e0cd190dff4d29354476e6ebdaec8",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "9a40c1a7ddb5d7d2c3aeaee73ffc42df2ba0ccac87e921c446cc378452bb31ae",
+        "06125cc981b25859293f8094daf9a78fd80c740a76adf4edef30fec807c27a34",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "b96afe337c5933c7d2e1f8b4143b667266a12687c40531e04e854b8640558f74",
+        "066d0a5c4823f24dd5b083041ab9669cb6aa209de3c1d5f967999ca6109570b8",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "24779eabce32ade51db39937f9cc2c8b92b69a2f4b4b85100a4fc8a1ad79d00b",
+        "a5bf8686160038352de05039be05ce6e0cb7d804023dc898e3d300c2ddaefc47",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "c37b496ad0c78e7cd596af7c9f0d693e1ec71a2ea4edf0fb8601b486ee2b118d",
+        "63a28c4abcf2669bc15de40458aa1a019184408674959b5eafe39c4ecc6a32ec",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "b3a3ca35466578e672f7ed2bd434aaf286ed4863e6a8b44b34c5c929cdb3df92",
+        "c5dcbfedeff30958fa066c5866df5c17c6ea9baf96fb964702b7091a8a6dbe72",
     ),
 }
 
@@ -80,25 +80,26 @@ GOLDEN.update(
         ),
         "lhv chsh --h-file {h}": (
             0,
-            "b35e0151d7f4c0f63aac9bf6447040f91cca2f5efa07581b47ea7da2e9d9ea9d",
+            "9ae5e564da2ad67ff7ceaa1501dee2606d0ce3555d0e0c458c341ebb6e8cbcf5",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "e758e414788fc22030a069f0dbe3907d841bdad6edc1fde1d1b9f555b56f2aad",
+            "7b9b49a696161b08d499ad920fa4b188bd42a22070a1a8636d47b7c89959eebf",
         ),
-        "chsh --trials 200000 --seed 42 --blocks 1,2,3,4": (
+        # The (0, 0) coin pair of chsh --trials 200000 --seed 42, to k = 4.
+        "battery {cell} {cell_fps} --blocks 1,2,3,4": (
             0,
-            "faec9f5f3a375e7b945d1fcccd7fa02483dd549168ff5ebfd93d7af41c43a7a6",
+            "96fdf3aa5419fb7403d073baee681f729f000e50ce73dfa54bcf27c7cec271ca",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "3185aee72c04123b0bb55aff4c5cbce85800c156bc502cf213ae2d0c981627a2",
+            "994da4652d2ae43241f0c1793ff77164db54f386a2b27821524e0c385d64164e",
         ),
         # A significance the golden world fails at three block lengths.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "6b8ab75308be3cf290758b38d68a62044ac1c0e3266949e708212744fa8d4d1f",
+            "eb5c123d85539a278338b3b4008f955ea22914bf3d79d2417d0e8c4a7a67548d",
         ),
         "battery {world} {fps} --tolerance 0.999 --format csv": (
             1,
@@ -116,12 +117,13 @@ WORLD_FILE_SHA256 = "7f93effec4317e47255d33f5fe383adcc252081431e18e14e5d9804d081
 
 
 def write_inputs(directory):
-    """Hidden-variable spaces for CHSH (uniform) and GHZ, a CHSH world and the CHSH space."""
+    """Hidden-variable spaces for CHSH (uniform) and GHZ, a CHSH world and the CHSH space.
+
+    ``cell`` is the (0, 0) coin pair's subsequence of the world of ``chsh
+    --trials 200000 --seed 42``, and ``cell_fps`` that pair's law.
+    """
     files = {
-        "h": directory / "h.json",
-        "p": directory / "p.json",
-        "world": directory / "world.json",
-        "fps": directory / "fps.json",
+        name: directory / f"{name}.json" for name in ("h", "p", "world", "fps", "cell", "cell_fps")
     }
     fps = chsh_distribution("analytic")
     files["h"].write_text(uniform(RQST_TUPLES).to_json())
@@ -131,6 +133,9 @@ def write_inputs(directory):
     )
     files["world"].write_text(sample_world(fps, 200_000, 11).to_json())
     files["fps"].write_text(fps.to_json())
+    event = coin_event(0, 0)
+    files["cell"].write_text(condition_seq(sample_world(fps, 200_000, 42), event).to_json())
+    files["cell_fps"].write_text(fps.condition(event).to_json())
     return files
 
 

@@ -25,7 +25,7 @@ PUBLIC_API = {
     ],
     "typicality_lab.battery": [
         "BatteryReport", "DEFAULT_BLOCK_LENS", "DEFAULT_SIGNIFICANCE", "FrequencyTest",
-        "block_frequency_test", "long_enough", "run_battery",
+        "block_frequency_test", "frequency_test", "holm_family", "long_enough", "run_battery",
     ],
     "typicality_lab.checks": ["Check", "RELATIONS", "SIGMAS"],
     "typicality_lab.chsh": [
@@ -54,9 +54,9 @@ PUBLIC_API = {
         "uniform",
     ],
     "typicality_lab.worlds": [
-        "BLOCK_LEN", "CellTally", "EmpiricalStats", "GENERATOR_ID", "SignCell", "Tally",
-        "WorldPrefix", "condition_seq", "empirical", "project_seq", "sample_world",
-        "sign_cell", "tally", "zip_seqs",
+        "BLOCK_LEN", "EmpiricalStats", "GENERATOR_ID", "SignCell", "WorldPrefix",
+        "condition_seq", "empirical", "project_seq", "sample_world", "sign_cell", "tally",
+        "zip_seqs",
     ],
 }
 
@@ -120,6 +120,8 @@ def test_package_reexports_only_module_exports():
         ("typicality_lab.worlds", None, "LlnRow"),
         ("typicality_lab.ghz", None, "PerfectCorrelationError"),
         ("typicality_lab.chsh", None, "within_local_bound"),
+        ("typicality_lab.worlds", None, "CellTally"),
+        ("typicality_lab.worlds", None, "Tally"),
     ],
 )
 def test_deleted_name_stays_deleted(module_name, class_name, name):

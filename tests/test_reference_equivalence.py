@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import typicality_lab
 from typicality_lab import chsh as chsh_mod
-from typicality_lab.battery import _chi2_sf
+from typicality_lab.battery import _chi2_sf, block_frequency_test
 from typicality_lab.checks import Check
 from typicality_lab.chsh import (
     CHSH_OUTCOMES,
@@ -135,7 +135,7 @@ def test_commands_run_without_scipy(tmp_path):
         "sys.meta_path.insert(0, NoScipy())\n"
         "from typicality_lab.cli import main\n"
         f"for argv in (['battery', {str(world)!r}, {str(space)!r}],\n"
-        "             ['chsh', '--trials', '200000', '--seed', '42', '--blocks', '1,2,3,4'],\n"
+        "             ['chsh', '--trials', '200000', '--seed', '42'],\n"
         "             ['ghz', '--trials', '8000', '--seed', '1'], ['lhv', 'ghz'],\n"
         "             ['lhv', 'chsh', '--sweep', '100', '--seed', '1']):\n"
         "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
@@ -253,8 +253,9 @@ def conditioned_cell(world, event, value):
 class TestCountsFirst:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_run_chsh(self, seed):
-        report = run_chsh(40_000, seed, battery_blocks=())
-        world = sample_world(chsh_distribution("analytic"), 40_000, seed)
+        report = run_chsh(40_000, seed)
+        fps = chsh_distribution("analytic")
+        world = sample_world(fps, 40_000, seed)
         for name, ((c, d), _) in chsh_mod._AVERAGES.items():
             count, mean, std_error, _ = conditioned_cell(
                 world, coin_event(c, d), lambda o: o.m * o.n
@@ -262,6 +263,12 @@ class TestCountsFirst:
             assert report.counts[name] == count
             assert report.averages[name] == mean
             assert report.std_errors[name] == std_error
+            # The coin pair's test, before its family adjusts it, is the
+            # battery's block-1 test of the conditioned subsequence.
+            cell = condition_seq(world, coin_event(c, d))
+            alone = block_frequency_test(cell, fps.condition(coin_event(c, d)), 1)
+            test = report.cell_tests[f"{c}{d}"]
+            assert test._replace(significance=alone.significance, adjusted_p_value=None) == alone
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_lhv_chsh_simulate(self, seed):
@@ -541,16 +548,10 @@ class TestPartition:
                 assert part.provenance["kind"] == "conditioned"
                 np.testing.assert_array_equal(part.indices, reference_condition(world, event))
 
-    def test_overlapping_events_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            tally(uniform("abc"), 10, 1, events=["ab", "bc"])
-
     def test_empty_event_rejected(self):
         world = WorldPrefix("abc", [0, 1, 2])
         with pytest.raises(ValueError, match="at least one symbol"):
             condition_seq(world, "")
-        with pytest.raises(ValueError, match="at least one symbol"):
-            tally(uniform("abc"), 10, 1, events=["a", ""])
 
 
 def reference_block_counts(world, block_len):
@@ -593,7 +594,7 @@ class TestCompactBlockCounts:
 
 @st.composite
 def tallied_runs(draw):
-    """A space with never-drawn symbols, a length near chunk edges, disjoint events, block lengths."""
+    """A space with never-drawn symbols, and a length near chunk edges."""
     size = draw(st.integers(1, 16))
     weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=size, max_size=size)))
     weights[draw(st.integers(0, size - 1))] = 2.0
@@ -604,12 +605,7 @@ def tallied_runs(draw):
             st.integers(1, 2 * CHUNK + 5),
         )
     )
-    # Each symbol goes to one of the events or to none (label n_events).
-    n_events = draw(st.integers(0, 4))
-    labels = draw(st.lists(st.integers(0, n_events), min_size=size, max_size=size))
-    events = [[i for i in range(size) if labels[i] == e] for e in range(n_events)]
-    block_lens = draw(st.lists(st.integers(1, 4), max_size=4))
-    return fps, length, [e for e in events if e], block_lens
+    return fps, length
 
 
 class TestTally:
@@ -619,44 +615,20 @@ class TestTally:
         seed=st.integers(0, 2**64 - 1),
         threads=st.integers(1, 3),
     )
-    def test_matches_partition_then_counts(self, case, seed, threads):
-        fps, length, events, block_lens = case
-        result = tally(fps, length, seed, threads, events, block_lens)
-        world = sample_world(fps, length, seed)
-        np.testing.assert_array_equal(result.counts, world.counts())
-        assert result.counts.dtype == np.int64
-        parts = [condition_seq(world, e) for e in events]
-        assert len(result.cells) == len(parts)
-        for cell, part in zip(result.cells, parts):
-            assert cell.alphabet == part.alphabet
-            assert len(cell) == len(part)
-            for k in {1, *block_lens}:
-                np.testing.assert_array_equal(cell.counts(k), part.counts(k))
-
-    def test_chsh_cells_over_many_chunks(self):
-        fps = chsh_distribution("analytic")
-        events = [coin_event(c, d) for c in (0, 1) for d in (0, 1)]
-        length = 5 * CHUNK + 3
-        world = sample_world(fps, length, 42)
-        result = tally(fps, length, 42, 2, events, [2, 3])
-        for cell, part in zip(result.cells, [condition_seq(world, e) for e in events]):
-            for k in (1, 2, 3):
-                np.testing.assert_array_equal(cell.counts(k), part.counts(k))
+    def test_matches_the_sampled_worlds_counts(self, case, seed, threads):
+        fps, length = case
+        counts = tally(fps, length, seed, threads)
+        np.testing.assert_array_equal(counts, sample_world(fps, length, seed).counts())
+        assert counts.dtype == np.int64
 
     def test_on_world_sees_the_sampled_world(self):
         fps = chsh_distribution("analytic")
         seen = []
-        result = tally(fps, CHUNK + 5, 7, 2, on_world=seen.append)
+        counts = tally(fps, CHUNK + 5, 7, 2, on_world=seen.append)
         world = sample_world(fps, CHUNK + 5, 7)
         assert seen == [world]
         assert seen[0].provenance == world.provenance
-        np.testing.assert_array_equal(result.counts, world.counts())
-        assert result.cells == ()
-
-    def test_untallied_block_length_rejected(self):
-        result = tally(uniform("abc"), 100, 1, events=["ab"], block_lens=[2])
-        with pytest.raises(ValueError, match="block length 3 was not tallied"):
-            result.cells[0].counts(3)
+        np.testing.assert_array_equal(counts, world.counts())
 
     @pytest.mark.parametrize("block_len", [2, 3])
     def test_block_counter_carries_no_view_of_a_reused_part(self, block_len):

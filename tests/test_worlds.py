@@ -200,20 +200,18 @@ class TestSampling:
     def test_stream_chunks_are_the_world_whichever_thread_reuses_its_buffers(
         self, monkeypatch, threads
     ):
-        # Each thread draws, splits and counts every chunk in its own
-        # buffers, over and over; a buffer shared between threads, or
-        # written before the previous chunk was stored and split, would
-        # mix chunks.
+        # Each thread draws and counts every chunk in its own buffers, over
+        # and over; a buffer shared between threads, or written before the
+        # previous chunk was stored and counted, would mix chunks.
         import sys
 
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
         fps = chsh_distribution("analytic")
         length = 7 * worlds_mod._CHUNK_LEN + 5
-        events = [coin_event(c, d) for c in (0, 1) for d in (0, 1)]
 
         def run(threads):
             kept = []
-            counts = worlds_mod.tally(fps, length, 23, threads, events, (2, 3), kept.append)
+            counts = worlds_mod.tally(fps, length, 23, threads, kept.append)
             return kept[0], counts
 
         base, base_counts = run(1)
@@ -233,10 +231,8 @@ class TestSampling:
                 world, counts = run(threads)
                 assert dtypes and all(dtype == np.intp for dtype in dtypes)
                 assert world == base
-                np.testing.assert_array_equal(counts.counts, base_counts.counts)
-                for cell, base_cell in zip(counts.cells, base_counts.cells):
-                    for k in (1, 2, 3):
-                        np.testing.assert_array_equal(cell.counts(k), base_cell.counts(k))
+                np.testing.assert_array_equal(counts, base_counts)
+                np.testing.assert_array_equal(counts, world.counts())
         finally:
             sys.setswitchinterval(interval)
 
