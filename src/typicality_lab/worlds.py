@@ -22,39 +22,44 @@ al., SC'11), so blocks can be generated in any order and grouping and the
 result is byte-identical to the single-threaded one.  Every draw is one
 :func:`tally`, in two pieces.  The scheduler, :func:`_in_chunk_order`,
 only schedules: it runs a step for each chunk of 16 consecutive blocks on
-at most ``min(threads, chunks, CPUs)`` threads, each at most two chunks
-ahead of the consumer, and yields the steps' results in chunk order.  The
-step draws one chunk.  It fills the chunk's uniforms from one generator,
-which starts at the counter of the chunk's first block and is advanced to
-``(i + 1) << 128`` after each block; that gives the uniforms of a fresh
+at most ``min(threads, chunks, CPUs)`` plain ``threading`` workers, which
+start a chunk only while it is at most ``2 * workers`` chunks past the
+consumer's, and yields the steps' results in chunk order; a step's
+exception is raised to the consumer, and the workers are joined when the
+stream ends or is closed.  It imports no ``concurrent.futures`` (nor the
+``logging`` that comes with it).  The step draws one chunk.  It fills the
+chunk's raw 64-bit Philox words from one bit generator, which starts at
+the counter of the chunk's first block and is advanced to
+``(i + 1) << 128`` after each block; those are the words of a fresh
 generator per block, so ``GENERATOR_ID`` and the world bytes are those of
-the block-at-a-time draw.  It maps them to symbols, stores the symbols in
-their slice of the world when the world is kept, and counts them.  The
-consumer adds up the counts.  :func:`sample_world` is the world a tally
-keeps; :func:`condition_seq` restricts a stored one to an event.
+the block-at-a-time draw.  It counts the chunk's symbols from the words,
+and writes the symbols into their slice of the world when the world is
+kept.  The consumer adds up the counts.  :func:`sample_world` is the world
+a tally keeps; :func:`condition_seq` restricts a stored one to an event.
 
 Each drawing thread keeps its two buffers on one ``threading.local`` of
-the tally: one chunk-sized buffer for the uniforms and one for their guide
-buckets.  Each is made on the thread's first chunk and reused for every
-later one.  The fill, the scaling, the bucket cast and the lookup write
-into them, and the symbols end up in the uniforms' memory once those are
-spent, so a chunk's step allocates nothing but the search of its
-mixed-bucket draws (below) and its counts, and touches no fresh page.  A
-run's statistics therefore need no world in memory, and its memory does
-not grow with its length.
+the tally: one chunk-sized ``uint64`` buffer for the words and one
+``intp`` buffer for their guide buckets.  Each is made on the thread's
+first chunk and reused for every later one, so a chunk's step allocates
+nothing chunk-sized, and touches no fresh page; a kept world's symbols are
+written straight into its slice.  A run's statistics therefore need no
+world in memory, and its memory does not grow with its length.
 
-The search is a guide table (Chen and Asau, 1974): bucket ``j`` of 1024
-stores ``searchsorted(cum, j / 1024, side="right")``, and a draw ``u``
-looks up the entry of bucket ``floor(u * 1024)``.  In a pure bucket, one
-with no boundary strictly inside it, that entry is the answer for every
-draw.  Only the draws in a mixed bucket, one with a boundary strictly
-inside, are searched with ``searchsorted(cum, u, side="right")``.  CHSH
-has 8 mixed buckets; GHZ, whose boundaries lie on the 1/1024 grid, has
-none and skips the search.  The result is exactly what
-``searchsorted(cum, u, side="right")`` would give for every draw: scaling
-by 2**10 is exact in binary floating point, and the boundaries are
-non-decreasing, so the draws of a pure bucket all lie between the same
-two boundaries.
+The search is a guide table (Chen and Asau, 1974), worked in integers on
+the words.  A word ``w`` stands for the uniform ``u = (w >> 11) * 2**-53``,
+and ``u`` is at or past a boundary ``c`` exactly when ``w >> 11`` is at
+least the threshold ``ceil(c * 2**53)``, since ``w >> 11`` is an integer
+and scaling by a power of two is exact.  The draw's bucket of
+1024 is ``w >> 54``, which equals ``floor(u * 1024)``.  Bucket ``j`` of the
+table stores the symbol of its first word; in a pure bucket, one with no
+threshold strictly inside it, that is the symbol of every word.  So the
+counts of a chunk are its 1024-bin bucket histogram, folded through the
+table, plus the counts of the draws in mixed buckets, one with a
+threshold strictly inside, which alone are searched with
+``searchsorted(thresholds, w >> 11, side="right")``.  CHSH has 8 mixed
+buckets; GHZ, whose boundaries lie on the 1/1024 grid, has none and skips
+the search.  Every draw gets exactly the symbol of the float inverse
+CDF, ``searchsorted(cum, u, side="right")``.
 
 Indices are stored in the smallest unsigned dtype that holds the alphabet
 (``uint8`` for up to 256 symbols), 8x smaller than ``int64``.  Arithmetic
@@ -70,7 +75,6 @@ import json
 import math
 import os
 import threading
-from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -106,8 +110,12 @@ BLOCK_LEN = 8192
 _CHUNK_BLOCKS = 16
 _CHUNK_LEN = _CHUNK_BLOCKS * BLOCK_LEN
 
-#: Buckets of the inverse-CDF guide table; a power of two keeps ``u * _GUIDE`` exact.
+#: Buckets of the inverse-CDF guide table: the top 10 bits of a word name its bucket.
 _GUIDE = 1024
+_BUCKET_SHIFT = 64 - 10
+
+#: Low bits of a Philox word that its uniform ``(w >> 11) * 2**-53`` drops.
+_UNIFORM_SHIFT = 11
 
 #: Chunks each sampling thread may draw ahead of the consumer of the stream.
 _WINDOW = 2
@@ -291,65 +299,78 @@ def _cumulative_boundaries(fps: FiniteProbabilitySpace) -> np.ndarray:
     return cum
 
 
-def _guide_tables(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The guide table over ``cum``, and which of its buckets hold a boundary inside.
+def _guide_tables(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The guide table over ``cum``, which buckets hold a boundary inside, and the thresholds.
 
-    ``guide[j]`` is ``searchsorted(cum, j / _GUIDE, side="right")``, the
-    answer for every draw in bucket ``j`` that no boundary inside the
-    bucket separates from its left edge.  ``mixed[j]`` is true when a
-    boundary lies strictly inside bucket ``j``; it is None when no bucket
-    has one, as when every boundary lies on the ``1 / _GUIDE`` grid.
+    A word ``w`` of the draw stands for the uniform ``(w >> 11) * 2**-53``,
+    which is at or past boundary ``c`` exactly when ``w >> 11`` is at least
+    ``ceil(c * 2**53)``, since ``w >> 11`` is an integer and the scaling is
+    exact.  Those integers are the ``thresholds``, and the symbol
+    of ``w`` is ``searchsorted(thresholds, w >> 11, side="right")``.
+    Bucket ``j`` holds the words with ``w >> 54 == j``.  ``guide[j]``, in
+    the world's index dtype, is the symbol of the bucket's first word, and
+    of every word of the bucket when no threshold lies strictly inside it.
+    ``mixed[j]`` is true when one does; it is None when no bucket has one,
+    as when every boundary lies on the ``1 / _GUIDE`` grid.
     """
-    edges = np.arange(_GUIDE + 1) / _GUIDE
-    guide = np.searchsorted(cum, edges[:-1], side="right")
-    mixed = np.searchsorted(cum, edges[1:], side="left") > guide
-    return guide, (mixed if mixed.any() else None)
+    thresholds = np.ceil(cum * 2.0**53).astype(np.uint64)
+    edges = np.arange(_GUIDE + 1, dtype=np.uint64) << np.uint64(_BUCKET_SHIFT - _UNIFORM_SHIFT)
+    guide = np.searchsorted(thresholds, edges[:-1], side="right")
+    mixed = np.searchsorted(thresholds, edges[1:], side="left") > guide
+    guide = guide.astype(_index_dtype(cum.size))
+    return guide, (mixed if mixed.any() else None), thresholds
 
 
-def _fill_uniforms(u: np.ndarray, seed: int, chunk: int) -> None:
-    """Fill ``u`` with the first ``u.size`` uniforms of chunk ``chunk`` of the world.
+def _fill_words(words: np.ndarray, seed: int, chunk: int) -> None:
+    """Fill ``words`` with the first ``words.size`` Philox words of chunk ``chunk`` of the world.
 
-    One Philox generator starts at the chunk's first block and is advanced
-    to the counter of each next block, so the uniforms are the ones a fresh
-    generator per block would give.
+    One Philox bit generator starts at the chunk's first block and is
+    advanced to the counter of each next block, so the words are the ones a
+    fresh generator per block would give.
     """
-    gen = np.random.Generator(
-        np.random.Philox(key=seed, counter=(chunk * _CHUNK_BLOCKS) << 128)
-    )
-    for offset in range(0, u.size, BLOCK_LEN):
+    bitgen = np.random.Philox(key=seed, counter=(chunk * _CHUNK_BLOCKS) << 128)
+    for offset in range(0, words.size, BLOCK_LEN):
         if offset:
-            gen.bit_generator.advance(_NEXT_BLOCK)
-        gen.random(out=u[offset : offset + BLOCK_LEN])
+            bitgen.advance(_NEXT_BLOCK)
+        words[offset : offset + BLOCK_LEN] = bitgen.random_raw(
+            min(BLOCK_LEN, words.size - offset)
+        )
 
 
-def _invert_cdf(
-    u: np.ndarray,
+def _count_words(
+    words: np.ndarray,
     bucket: np.ndarray,
-    cum: np.ndarray,
-    guide: np.ndarray,
-    mixed: np.ndarray | None,
+    tables: tuple[np.ndarray, np.ndarray | None, np.ndarray],
+    kept: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The symbols of uniforms ``u`` in ``[0, 1)`` by inverse CDF, written over ``u``.
+    """The symbol counts of the draws of ``words``, and their symbols written to ``kept`` if given.
 
-    ``cum`` holds the boundaries scaled by ``_GUIDE``, and ``guide`` and
-    ``mixed`` are their :func:`_guide_tables`; the result equals
-    ``searchsorted(cum, u * _GUIDE, side="right")``.  ``bucket`` is an
-    ``intp`` array of ``u.size`` items.  The scaling, the bucket cast and
-    the table lookup write into ``u`` and ``bucket``, and the result is
-    ``u``'s memory viewed as ``intp``.  Only the search of the draws in
-    mixed buckets allocates.
+    ``tables`` are :func:`_guide_tables`' over the boundaries, and
+    ``bucket`` is an ``intp`` array of ``words.size`` items, overwritten
+    with the draws' guide buckets.  The counts of the pure buckets' draws
+    come from the histogram of the buckets, folded through the guide table;
+    only the draws of mixed buckets are searched, and added one by one.
+    ``kept``, in the guide table's dtype, gets the table's symbol of every
+    draw and the search's of the mixed ones.
     """
-    np.multiply(u, _GUIDE, out=u)
-    np.copyto(bucket, u, casting="unsafe")
+    guide, mixed, thresholds = tables
+    np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=bucket.view(np.uint64))
+    hist = np.bincount(bucket, minlength=_GUIDE)
     if mixed is not None:
         fix = np.flatnonzero(mixed.take(bucket, mode="clip"))
-        found = np.searchsorted(cum, u[fix], side="right")
-    # Buckets are below _GUIDE because u < 1, so "clip" never clips; it
-    # spares the copy that "raise" makes of ``out``.
-    indices = guide.take(bucket, out=u.view(np.intp), mode="clip")
+        found = np.searchsorted(thresholds, words[fix] >> np.uint64(_UNIFORM_SHIFT), side="right")
+        hist[mixed] = 0
+    # Every sum is an integer below 2**53, so the float weights count exactly.
+    counts = np.bincount(guide, weights=hist, minlength=thresholds.size).astype(np.int64)
     if mixed is not None:
-        indices[fix] = found
-    return indices
+        counts += np.bincount(found, minlength=thresholds.size)
+    if kept is not None:
+        # Buckets are below _GUIDE, so "clip" never clips; it spares the
+        # copy of ``out`` that "raise" makes.
+        guide.take(bucket, out=kept, mode="clip")
+        if mixed is not None:
+            kept[fix] = found
+    return counts
 
 
 def _check_draw(length: int, seed: int, threads: int) -> None:
@@ -364,25 +385,60 @@ def _check_draw(length: int, seed: int, threads: int) -> None:
 def _in_chunk_order(step: Callable[[int], object], n_chunks: int, threads: int) -> Iterator:
     """``step(chunk)`` for chunks ``0 .. n_chunks - 1``, yielded in chunk order.
 
-    At most ``min(threads, n_chunks, CPUs)`` threads run the steps, each at
-    most ``_WINDOW`` chunks ahead of the consumer, so the results in flight
-    do not grow with ``n_chunks``.  With one thread the steps run in the
-    caller's thread, with no pool.
+    At most ``min(threads, n_chunks, CPUs)`` worker threads run the steps,
+    taking chunks in order; a worker starts a chunk only while it is at most
+    ``workers * _WINDOW`` chunks past the last one the consumer has taken,
+    so the results in flight do not grow with ``n_chunks``.  A step's
+    exception is raised to the consumer at its chunk.  When the stream ends
+    or is closed early, the workers finish the steps they are running and
+    are joined.  With one thread the steps run in the caller's thread.
     """
     workers = min(threads, n_chunks, os.cpu_count() or 1)
     if workers == 1:
         yield from map(step, range(n_chunks))
         return
-    from concurrent.futures import ThreadPoolExecutor  # deferred: with logging, ~7 ms of import
+    turn = threading.Condition()
+    done: dict = {}  # chunk -> (raised, result or exception), until the consumer takes it
+    claimed = taken = 0
+    closed = False
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
+    def work() -> None:
+        nonlocal claimed
+        while True:
+            with turn:
+                while not closed and claimed - taken >= workers * _WINDOW:
+                    turn.wait()
+                if closed or claimed == n_chunks:
+                    return
+                chunk, claimed = claimed, claimed + 1
+            try:
+                result = (False, step(chunk))
+            except BaseException as err:  # handed to the consumer, which raises it
+                result = (True, err)
+            with turn:
+                done[chunk] = result
+                turn.notify_all()
+
+    pool = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
+    for thread in pool:
+        thread.start()
+    try:
         for chunk in range(n_chunks):
-            if len(pending) == workers * _WINDOW:
-                yield pending.popleft().result()
-            pending.append(pool.submit(step, chunk))
-        while pending:
-            yield pending.popleft().result()
+            with turn:
+                while chunk not in done:
+                    turn.wait()
+                raised, result = done.pop(chunk)
+                taken += 1
+                turn.notify_all()
+            if raised:
+                raise result
+            yield result
+    finally:
+        with turn:
+            closed = True
+            turn.notify_all()
+        for thread in pool:
+            thread.join()
 
 
 def sample_world(
@@ -461,9 +517,7 @@ def tally(
     """
     _check_draw(length, seed, threads)
     n_sym = len(fps.alphabet)
-    cum = _cumulative_boundaries(fps)
-    guide, mixed = _guide_tables(cum)
-    cum *= _GUIDE
+    tables = _guide_tables(_cumulative_boundaries(fps))
     try:
         world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
     except ValueError:  # numpy's "maximum allowed dimension exceeded", from 2**63 on
@@ -471,16 +525,15 @@ def tally(
     scratch = threading.local()  # each drawing thread's buffers, reused chunk after chunk
 
     def step(chunk: int) -> np.ndarray:
-        if not hasattr(scratch, "u"):
-            scratch.u, scratch.bucket = np.empty(_CHUNK_LEN), np.empty(_CHUNK_LEN, np.intp)
+        if not hasattr(scratch, "words"):
+            scratch.words = np.empty(_CHUNK_LEN, np.uint64)
+            scratch.bucket = np.empty(_CHUNK_LEN, np.intp)
         start = chunk * _CHUNK_LEN
         size = min(_CHUNK_LEN, length - start)
-        u = scratch.u[:size]
-        _fill_uniforms(u, seed, chunk)
-        indices = _invert_cdf(u, scratch.bucket[:size], cum, guide, mixed)
-        if world is not None:
-            world[start : start + size] = indices
-        return np.bincount(indices, minlength=n_sym)
+        words = scratch.words[:size]
+        _fill_words(words, seed, chunk)
+        kept = world[start : start + size] if world is not None else None
+        return _count_words(words, scratch.bucket[:size], tables, kept)
 
     total = np.zeros(n_sym, dtype=np.int64)
     for chunk_counts in _in_chunk_order(step, -(-length // _CHUNK_LEN), threads):

@@ -530,9 +530,14 @@ class TestWorldOutSamplesOnce:
         forbidden = GhzOutcome(0, 0, 0, 1, 1, 1)
 
         index = ghz_distribution().index(forbidden)
-        monkeypatch.setattr(
-            worlds_mod, "_invert_cdf", lambda u, *tables: np.full(u.size, index, dtype=np.intp)
-        )
+        guide_tables = worlds_mod._guide_tables
+
+        def planted(cum):
+            # A guide table that maps every draw to the forbidden outcome.
+            guide, _, thresholds = guide_tables(cum)
+            return np.full_like(guide, index), None, thresholds
+
+        monkeypatch.setattr(worlds_mod, "_guide_tables", planted)
         world_path = tmp_path / "world.json"
         argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, report, _ = run_json(capsys, argv)
@@ -1064,6 +1069,19 @@ print(*(name for name in names if name in sys.modules))
 """
 
 
+#: Runs ``main`` on its arguments with two CPUs reported, so that a draw of
+#: more than one chunk runs on worker threads, and the report discarded; then
+#: prints the exit status and which of the thread pool's modules it loaded.
+_THREADED_IMPORTS = """
+import contextlib, io, os, sys
+os.cpu_count = lambda: 2
+from typicality_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print(status, *(name for name in ("concurrent.futures", "logging") if name in sys.modules))
+"""
+
+
 #: Runs ``main`` on its arguments with the report and any error discarded, then
 #: prints the exit status and the package's modules that the run loaded.
 _LOADED_MODULES = """
@@ -1092,9 +1110,9 @@ _MODULE_SETS = [
 
 class TestImportCost:
     def test_rarely_used_modules_are_not_imported_up_front(self):
-        # The thread pool (with logging), secrets (with hashlib) and csv cost
-        # 20-35 ms per process; only multi-threaded, --seed random and CSV runs need them.
-        # No module of the package defines a dataclass.
+        # Only --seed random runs need secrets (with hashlib), and only CSV runs
+        # csv.  No run needs concurrent.futures (with logging, 5-9 ms per
+        # process), and no module of the package defines a dataclass.
         done = subprocess.run(
             [sys.executable, "-c", _DEFERRED_IMPORTS],
             env=_with_src(dict(os.environ)),
@@ -1104,6 +1122,22 @@ class TestImportCost:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == []
+
+    @pytest.mark.parametrize("trials", ["8000", "270000"])
+    @pytest.mark.parametrize("command", ["chsh", "ghz"])
+    def test_threaded_runs_load_no_thread_pool_module(self, command, trials):
+        # 270000 trials are three chunks, drawn by two worker threads; the
+        # scheduler needs neither concurrent.futures nor logging (5-9 ms).
+        argv = [command, "--trials", trials, "--threads", "2", "--seed", "1"]
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADED_IMPORTS, *argv],
+            env=_with_src(dict(os.environ)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
 
     @pytest.mark.parametrize(
         ("command", "status", "not_loaded"), _MODULE_SETS, ids=[c for c, _, _ in _MODULE_SETS]
@@ -1178,9 +1212,29 @@ class TestProcessEntryPoint:
         assert (tmp_path / "report.json").read_bytes() == out
 
 
+#: The files of the ``fuzz_files`` fixture.
+_FUZZ_FILES = (
+    "world.json",
+    "fps.json",
+    "chsh.json",
+    "h.json",
+    "p.json",
+    "empty.json",
+    "broken.json",
+    "float-world.json",
+    "string-weights.json",
+    "big-weights.json",
+    "null-weights.json",
+    "object-weights.json",
+    "deep.json",
+    "deep-symbol.json",
+    "not-utf-8.json",
+)
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """Input files of every kind a command may be handed, valid or not."""
+    """Input files of every kind a command may be handed, valid or not: those of ``_FUZZ_FILES``."""
     root = tmp_path_factory.mktemp("fuzz")
     texts = {
         "world.json": sample_world(fair_coin(), 5000, seed=8).to_json(),
@@ -1201,6 +1255,7 @@ def fuzz_files(tmp_path_factory):
     for name, text in texts.items():
         (root / name).write_text(text)
     (root / "not-utf-8.json").write_bytes(b"\xff{}")
+    assert sorted(os.listdir(root)) == sorted(_FUZZ_FILES)
     return root
 
 
@@ -1260,13 +1315,47 @@ def _fuzz_argv(root):
     )
 
 
+#: Each command's file slots, ``{}`` standing for the file handed to the slot
+#: and ``{name}`` for the file ``name`` of the ``fuzz_files`` fixture.
+_FILE_SLOTS = {
+    "battery-world": "battery {} {fps.json}",
+    "battery-space": "battery {world.json} {}",
+    "lhv-chsh-h-file": "lhv chsh --h-file {}",
+    "lhv-ghz-h-file": "lhv ghz --h-file {}",
+}
+
+
 class TestMainFuzz:
     """Every invocation ends in a report (exit 0 or 1) or a JSON usage error (exit 2)."""
+
+    @staticmethod
+    def assert_report_or_usage_error(argv, status, out, err):
+        assert status in (0, 1, 2), (argv, status)
+        assert "Traceback" not in err
+        if status == 2:
+            *before, last = err.splitlines()
+            assert all(line.startswith("seed: ") for line in before), err
+            assert json.loads(last)["error"]["code"] == "usage"
+
+    @pytest.mark.parametrize("name", _FUZZ_FILES)
+    @pytest.mark.parametrize("slot", _FILE_SLOTS)
+    def test_every_file_in_every_slot(self, capsys, fuzz_files, slot, name):
+        argv = [
+            str(fuzz_files / (name if word == "{}" else word[1:-1])) if word[0] == "{" else word
+            for word in _FILE_SLOTS[slot].split()
+        ]
+        status, out, err = run_cli(capsys, argv)
+        self.assert_report_or_usage_error(argv, status, out, err)
+        if status == 2:
+            assert out == "" and len(err.splitlines()) == 1
+        else:
+            assert strict_json(out)["protocol"]
 
     def test_any_argv(self, fuzz_files):
         @settings(
             max_examples=120,
             deadline=None,
+            derandomize=True,
             suppress_health_check=[HealthCheck.too_slow],
         )
         @given(argv=_fuzz_argv(fuzz_files))
@@ -1274,12 +1363,7 @@ class TestMainFuzz:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = main(argv)
-            assert status in (0, 1, 2), (argv, status)
-            assert "Traceback" not in err.getvalue()
-            if status == 2:
-                *before, last = err.getvalue().splitlines()
-                assert all(line.startswith("seed: ") for line in before), err.getvalue()
-                assert json.loads(last)["error"]["code"] == "usage"
+            self.assert_report_or_usage_error(argv, status, out.getvalue(), err.getvalue())
 
         check()
 

@@ -50,10 +50,10 @@ from typicality_lab.worlds import (
     BLOCK_LEN,
     WorldPrefix,
     _GUIDE,
+    _count_words,
     _cumulative_boundaries,
-    _fill_uniforms,
+    _fill_words,
     _guide_tables,
-    _invert_cdf,
     condition_seq,
     _BlockCounter,
     sample_world,
@@ -315,13 +315,19 @@ class TestCountsFirst:
 CHUNK = 16 * BLOCK_LEN
 
 
-def constant_inverse(fps, symbol):
-    """A stand-in for ``worlds._invert_cdf`` that maps every uniform to ``symbol`` of ``fps``.
+def constant_guide(fps, symbol):
+    """A stand-in for ``worlds._guide_tables`` whose table maps every draw to ``symbol`` of ``fps``.
 
-    The draw's real keep, count and split code runs on the constant world.
+    The draw's real count, keep and split code runs on the constant world.
     """
     index = fps.index(symbol)
-    return lambda u, *tables: np.full(u.size, index, dtype=np.intp)
+    guide_tables = worlds_mod._guide_tables
+
+    def planted(cum):
+        guide, _, thresholds = guide_tables(cum)
+        return np.full_like(guide, index), None, thresholds
+
+    return planted
 
 
 class TestChecksKept:
@@ -331,7 +337,7 @@ class TestChecksKept:
     )
     def test_forbidden_product_is_counted(self, monkeypatch, outcome, triple):
         monkeypatch.setattr(
-            worlds_mod, "_invert_cdf", constant_inverse(ghz_distribution("analytic"), outcome)
+            worlds_mod, "_guide_tables", constant_guide(ghz_distribution("analytic"), outcome)
         )
         report = run_ghz(8000, 1)
         assert {key: e["violations"] for key, e in report.constrained.items()} == {
@@ -347,7 +353,7 @@ class TestChecksKept:
 
     def test_run_chsh_empty_cell_raises(self, monkeypatch):
         fps = chsh_distribution("analytic")
-        monkeypatch.setattr(worlds_mod, "_invert_cdf", constant_inverse(fps, CHSH_OUTCOMES[0]))
+        monkeypatch.setattr(worlds_mod, "_guide_tables", constant_guide(fps, CHSH_OUTCOMES[0]))
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             run_chsh(4000, 1)
 
@@ -355,7 +361,7 @@ class TestChecksKept:
         symbol = (RQST_TUPLES[0], 0, 0)
         h = uniform(RQST_TUPLES)
         joint = product(h, uniform((0, 1)), uniform((0, 1)))
-        monkeypatch.setattr(worlds_mod, "_invert_cdf", constant_inverse(joint, symbol))
+        monkeypatch.setattr(worlds_mod, "_guide_tables", constant_guide(joint, symbol))
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             lhv_chsh_simulate(h, 4000, 1)
 
@@ -404,43 +410,65 @@ def grid_spaces(draw):
     return FiniteProbabilitySpace(range(ticks.size), ticks / _GUIDE)
 
 
+#: Words per guide bucket: bucket ``j`` holds ``w >> 11`` from ``j << 43`` to ``(j + 1) << 43``.
+BUCKET_WIDTH = 1 << 43
+
+
+def words_of(x, rng):
+    """Philox words with ``w >> 11 == x``, their 11 dropped bits drawn from ``rng``."""
+    x = np.asarray(x, dtype=np.uint64)
+    return (x << np.uint64(11)) | rng.integers(0, 1 << 11, x.size, dtype=np.uint64)
+
+
+def float_inverse(fps, words):
+    """The symbols of ``words`` by the float inverse CDF of the uniforms ``(w >> 11) * 2**-53``."""
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    return np.searchsorted(_cumulative_boundaries(fps), uniforms, side="right")
+
+
+def count_and_keep(fps, words):
+    """``_count_words``' counts of ``words`` under ``fps``, and the symbols it keeps."""
+    tables = _guide_tables(_cumulative_boundaries(fps))
+    kept = np.empty(words.size, dtype=tables[0].dtype)
+    counts = _count_words(words, np.empty(words.size, np.intp), tables, kept)
+    return counts, kept
+
+
 @st.composite
-def mixed_bucket_draws(draw):
-    """A space and uniforms packed into its mixed buckets, plus a few anywhere in [0, 1)."""
+def mixed_bucket_words(draw):
+    """A space, and words at its thresholds, in its mixed buckets and a few anywhere."""
     fps = draw(st.one_of(sampled_spaces(), grid_spaces()))
-    cum = _cumulative_boundaries(fps)
-    mixed = _guide_tables(cum)[1]
+    _, mixed, thresholds = _guide_tables(_cumulative_boundaries(fps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    lo = np.flatnonzero(mixed if mixed is not None else []) / _GUIDE
-    inside = cum[(cum < 1.0) & np.isin(np.floor(cum * _GUIDE) / _GUIDE, lo)]
-    draws = np.concatenate(
+    lo = np.flatnonzero(mixed if mixed is not None else []).astype(np.uint64) << np.uint64(43)
+    x = np.concatenate(
         [
             lo,
-            np.nextafter(lo + 1.0 / _GUIDE, 0.0),
-            inside,
-            np.nextafter(inside, 0.0),
-            np.nextafter(inside, 1.0),
-            np.repeat(lo, 20) + rng.random(20 * lo.size) / _GUIDE,
-            rng.random(50),
-            [0.0, np.nextafter(1.0, 0.0)],
+            lo + np.uint64(BUCKET_WIDTH - 1),
+            thresholds - np.uint64(1),  # wraps past 2**53 below a zero threshold: dropped
+            thresholds,
+            thresholds + np.uint64(1),
+            np.repeat(lo, 20) + rng.integers(0, BUCKET_WIDTH, 20 * lo.size, dtype=np.uint64),
+            rng.integers(0, 2**53, 50, dtype=np.uint64),
+            np.array([0, 2**53 - 1], dtype=np.uint64),
         ]
     )
-    return fps, draws[draws < 1.0]  # lo + r / _GUIDE may round up to 1.0
+    return fps, words_of(x[x < 2**53], rng)
 
 
 class TestGuideTableSampler:
     @settings(max_examples=150, deadline=None)
-    @given(case=mixed_bucket_draws())
+    @given(case=mixed_bucket_words())
     def test_search_matches_searchsorted_right(self, case):
-        fps, draws = case
+        fps, words = case
         cum = _cumulative_boundaries(fps)
-        guide, mixed = _guide_tables(cum)
         if np.all(cum * _GUIDE == np.floor(cum * _GUIDE)):
-            assert mixed is None  # every boundary on the grid: no search at all
-        bucket = np.empty(draws.size, dtype=np.intp)
-        picks = _invert_cdf(draws.copy(), bucket, cum * _GUIDE, guide, mixed)
-        np.testing.assert_array_equal(picks, np.searchsorted(cum, draws, side="right"))
-        assert not np.any(fps.weights[picks] == 0.0)
+            assert _guide_tables(cum)[1] is None  # every boundary on the grid: no search at all
+        expected = float_inverse(fps, words)
+        counts, kept = count_and_keep(fps, words)
+        np.testing.assert_array_equal(kept, expected)
+        np.testing.assert_array_equal(counts, np.bincount(expected, minlength=len(fps)))
+        assert not np.any(fps.weights[kept] == 0.0)
 
     def test_chsh_has_eight_mixed_buckets_and_ghz_none(self):
         chsh_mixed = _guide_tables(_cumulative_boundaries(chsh_distribution("analytic")))[1]
@@ -453,18 +481,25 @@ class TestGuideTableSampler:
     )
     def test_one_advanced_generator_matches_fresh_block_generators(self, chunk, size):
         # Sizes below CHUNK are a world's final partial chunk; those not a
-        # multiple of BLOCK_LEN end in a partial block.
+        # multiple of BLOCK_LEN end in a partial block.  The words are the
+        # fresh generators' raw words, and stand for their uniforms.
         for seed in (7, 2**64 - 1):
-            u = np.empty(size)
-            _fill_uniforms(u, seed, chunk)
+            words = np.empty(size, dtype=np.uint64)
+            _fill_words(words, seed, chunk)
             first = chunk * CHUNK // BLOCK_LEN
-            fresh = [
-                np.random.Generator(np.random.Philox(key=seed, counter=b << 128)).random(
-                    min(BLOCK_LEN, size - (b - first) * BLOCK_LEN)
-                )
+            sizes = [
+                (b, min(BLOCK_LEN, size - (b - first) * BLOCK_LEN))
                 for b in range(first, first + -(-size // BLOCK_LEN))
             ]
-            np.testing.assert_array_equal(u, np.concatenate(fresh))
+            fresh = [np.random.Philox(key=seed, counter=b << 128).random_raw(n) for b, n in sizes]
+            np.testing.assert_array_equal(words, np.concatenate(fresh))
+            uniforms = [
+                np.random.Generator(np.random.Philox(key=seed, counter=b << 128)).random(n)
+                for b, n in sizes
+            ]
+            np.testing.assert_array_equal(
+                (words >> np.uint64(11)) * 2.0**-53, np.concatenate(uniforms)
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(

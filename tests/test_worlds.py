@@ -1,16 +1,17 @@
 """Tests for world sampling, sequence operators and frequency reports."""
 
-import concurrent.futures
 import itertools
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typicality_lab.chsh import chsh_distribution, coin_event
+from typicality_lab.chsh import chsh_distribution, coin_event, random_h_spaces
+from typicality_lab.ghz import ghz_distribution
 from typicality_lab import worlds as worlds_mod
 from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin, product, uniform
 from typicality_lab.worlds import (
@@ -108,27 +109,33 @@ class TestSampling:
         [[0.25, 0.0, 0.75], [0.3, 0.0, 0.0, 0.7], [0.1, 0.2, 0.0, 0.3, 0.4], [1.0, 0.0]],
     )
     def test_guide_search_resolves_exact_ties_like_searchsorted(self, weights):
-        # Draws exactly on a boundary, on either side of it and at both ends
-        # of the unit interval; a boundary inside a guide bucket (0.3) needs
-        # the mixed-bucket search, one on a bucket edge (0.25) does not.
+        # Words whose ``w >> 11`` is one below, at and one above each
+        # boundary's threshold ceil(c * 2**53), and at both edges of every
+        # guide bucket, with the 11 dropped bits clear and set; a boundary
+        # inside a guide bucket (0.3) needs the mixed-bucket search, one on
+        # a bucket edge (0.25) does not.
         from typicality_lab.worlds import (
             _GUIDE,
+            _count_words,
             _cumulative_boundaries,
             _guide_tables,
-            _invert_cdf,
         )
 
         fps = FiniteProbabilitySpace(range(len(weights)), weights)
         cum = _cumulative_boundaries(fps)
-        draws = np.concatenate(
-            [cum[cum < 1.0], np.nextafter(cum, 0.0), np.nextafter(cum[cum < 1.0], 1.0)]
-        )
-        draws = np.concatenate([draws, [0.0, np.nextafter(1.0, 0.0)]])
-        guide, mixed = _guide_tables(cum)
-        bucket = np.empty(draws.size, dtype=np.intp)
-        picks = _invert_cdf(draws.copy(), bucket, cum * _GUIDE, guide, mixed)
-        np.testing.assert_array_equal(picks, np.searchsorted(cum, draws, side="right"))
-        assert not np.any(fps.weights[picks] == 0.0)
+        at = np.ceil(cum * 2.0**53).astype(np.uint64)
+        edges = np.arange(_GUIDE, dtype=np.uint64) << np.uint64(43)
+        one = np.uint64(1)
+        x = np.concatenate([at - one, at, at + one, edges, edges + np.uint64(2**43 - 1)])
+        x = x[x < 2**53]  # at - 1 wraps below a zero threshold
+        words = np.concatenate([x << np.uint64(11), (x << np.uint64(11)) | np.uint64(2**11 - 1)])
+        expected = np.searchsorted(cum, (words >> np.uint64(11)) * 2.0**-53, side="right")
+        tables = _guide_tables(cum)
+        kept = np.empty(words.size, dtype=tables[0].dtype)
+        counts = _count_words(words, np.empty(words.size, dtype=np.intp), tables, kept)
+        np.testing.assert_array_equal(kept, expected)
+        np.testing.assert_array_equal(counts, np.bincount(expected, minlength=len(weights)))
+        assert not np.any(fps.weights[kept] == 0.0)
 
     def test_boundaries_stay_monotone_when_weights_sum_above_one(self):
         # The weights sum to 1 + 2e-13, inside SUM_ATOL; the running sum
@@ -143,29 +150,29 @@ class TestSampling:
         assert counts[2] == 0 and counts[:2].min() > 0
 
     def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch):
-        requested = []
+        started = []
 
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        # The sampler imports the pool class when it needs one, so patch it at its source.
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(worlds_mod.threading, "Thread", RecordingThread)
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
         fps = uniform("ab")
         chunk = worlds_mod._CHUNK_LEN
         base = sample_world(fps, 4 * chunk, seed=5)
-        assert requested == []  # one thread asked for: no pool at all
+        assert started == []  # one thread asked for: no workers at all
         assert sample_world(fps, 4 * chunk, seed=5, threads=1000) == base
-        assert requested == [3]  # the CPU count
+        assert len(started) == 3  # the CPU count
         sample_world(fps, 2 * chunk, seed=5, threads=1000)
-        assert requested == [3, 2]  # the chunk count
+        assert len(started) == 3 + 2  # the chunk count
         sample_world(fps, chunk, seed=5, threads=1000)
-        assert requested == [3, 2]  # a single chunk runs without a pool
+        assert len(started) == 5  # a single chunk runs without workers
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: None)
         sample_world(fps, 4 * chunk, seed=5, threads=1000)
-        assert requested == [3, 2]  # unknown CPU count: one thread
+        assert len(started) == 5  # unknown CPU count: one thread
+        assert not any(thread.is_alive() for thread in started)
 
     def test_stream_draws_a_bounded_window_ahead(self, monkeypatch):
         import time
@@ -178,6 +185,49 @@ class TestSampling:
         assert len(drawn) <= 1 + 2 * worlds_mod._WINDOW
         assert sum(1 for _ in stream) == 19
         assert len(drawn) == 20
+
+    @pytest.mark.parametrize("close_early", [False, True])
+    def test_stream_joins_its_workers_on_error_and_on_close(self, monkeypatch, close_early):
+        # A step that raises reaches the consumer at its chunk; closing the
+        # stream early stops it.  Either way no worker outlives the stream.
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        before = threading.active_count()
+
+        def step(chunk):
+            if chunk == 5:
+                raise ArithmeticError(f"chunk {chunk}")
+            return chunk
+
+        stream = worlds_mod._in_chunk_order(step, 20, 3)
+        taken = []
+        if not close_early:
+            with pytest.raises(ArithmeticError, match="chunk 5"):
+                taken.extend(stream)
+            assert taken == [0, 1, 2, 3, 4]
+        else:
+            assert next(stream) == 0
+            stream.close()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "length",
+        [
+            1,
+            BLOCK_LEN - 1,
+            BLOCK_LEN + 1,
+            worlds_mod._CHUNK_LEN + 1,
+            3 * worlds_mod._CHUNK_LEN + 5,
+        ],
+    )
+    def test_counts_only_tally_is_the_kept_worlds_counts(self, monkeypatch, length, threads):
+        # The joint of lhv chsh --trials has 64 symbols of uneven weights,
+        # so many more of its draws fall in mixed buckets than CHSH's.
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        joint = product(random_h_spaces(1, 3)[0], fair_coin(), fair_coin())
+        for fps in (chsh_distribution("analytic"), ghz_distribution("analytic"), joint):
+            counts = worlds_mod.tally(fps, length, 11, threads)
+            np.testing.assert_array_equal(counts, sample_world(fps, length, 11).counts())
 
     def test_more_threads_than_cores_fill_disjoint_chunks(self, monkeypatch):
         # Six workers on a fast switch interval write one shared output;
@@ -215,21 +265,26 @@ class TestSampling:
             return kept[0], counts
 
         base, base_counts = run(1)
-        invert = worlds_mod._invert_cdf
-        dtypes = []
+        count_words = worlds_mod._count_words
+        buffers = []  # (thread, address of its words buffer, address of its bucket buffer)
 
-        def recording(*args):
-            chunk = invert(*args)
-            dtypes.append(chunk.dtype)
-            return chunk
+        def recording(words, bucket, *rest):
+            address = (words.ctypes.data, bucket.ctypes.data)
+            buffers.append((threading.get_ident(), *address))
+            return count_words(words, bucket, *rest)
 
-        monkeypatch.setattr(worlds_mod, "_invert_cdf", recording)
+        monkeypatch.setattr(worlds_mod, "_count_words", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(2):
+                buffers.clear()
                 world, counts = run(threads)
-                assert dtypes and all(dtype == np.intp for dtype in dtypes)
+                # Each thread draws every one of its chunks into one pair of buffers.
+                per_thread: dict = {}
+                for ident, *address in buffers:
+                    per_thread.setdefault(ident, set()).add(tuple(address))
+                assert len(buffers) == 8 and all(len(at) == 1 for at in per_thread.values())
                 assert world == base
                 np.testing.assert_array_equal(counts, base_counts)
                 np.testing.assert_array_equal(counts, world.counts())
