@@ -322,7 +322,7 @@ def random_h_spaces(count: int, seed: int) -> list[FiniteProbabilitySpace]:
 
 #: Rows of hidden-variable weights drawn at a time, so that the memory of a
 #: sweep does not grow with its count.
-_SWEEP_BLOCK = 8192
+_SWEEP_BLOCK = 1024
 
 
 def _random_h_weights(count: int, seed: int) -> Iterator[np.ndarray]:

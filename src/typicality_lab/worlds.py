@@ -20,30 +20,20 @@ Generation is blocked.  Block ``i`` of a run with seed ``s`` uses a
 Philox stream with key ``s`` and counter offset ``i << 128`` (Salmon et
 al., SC'11), so blocks can be generated in any order and grouping and the
 result is byte-identical to the single-threaded one.  Every draw is one
-:func:`tally`, in two pieces.  The scheduler, :func:`_in_chunk_order`,
-only schedules: it runs a step for each chunk of 16 consecutive blocks on
-at most ``min(threads, chunks, CPUs)`` plain ``threading`` workers, which
-start a chunk only while it is at most ``2 * workers`` chunks past the
-consumer's, and yields the steps' results in chunk order; a step's
-exception is raised to the consumer, and the workers are joined when the
-stream ends or is closed.  It imports no ``concurrent.futures`` (nor the
-``logging`` that comes with it).  The step draws one chunk.  It fills the
-chunk's raw 64-bit Philox words from one bit generator, which starts at
-the counter of the chunk's first block and is advanced to
-``(i + 1) << 128`` after each block; those are the words of a fresh
-generator per block, so ``GENERATOR_ID`` and the world bytes are those of
-the block-at-a-time draw.  It counts the chunk's symbols from the words,
-and writes the symbols into their slice of the world when the world is
-kept.  The consumer adds up the counts.  :func:`sample_world` is the world
-a tally keeps; :func:`condition_seq` restricts a stored one to an event.
-
-Each drawing thread keeps its two buffers on one ``threading.local`` of
-the tally: one chunk-sized ``uint64`` buffer for the words and one
-``intp`` buffer for their guide buckets.  Each is made on the thread's
-first chunk and reused for every later one, so a chunk's step allocates
-nothing chunk-sized, and touches no fresh page; a kept world's symbols are
-written straight into its slice.  A run's statistics therefore need no
-world in memory, and its memory does not grow with its length.
+:func:`tally`.  The calling thread and up to ``min(threads, chunks,
+CPUs) - 1`` plain ``threading`` workers take chunks of 4 consecutive
+blocks from one shared iterator, so the draw imports no
+``concurrent.futures`` (nor the ``logging`` that comes with it).  Each
+thread keeps one Philox bit generator, set to the counter of each block
+it draws, and two chunk-sized buffers, made once: ``uint64`` for the
+chunk's raw words and ``intp`` for their guide buckets.  It adds every
+chunk it draws into its own sums, a bucket histogram and the counts of
+the draws the search resolves, and writes the chunk's symbols into their
+slice of the world when the world is kept.  Sums are order-free, so no
+chunk waits for another; the threads' sums are folded into symbol counts
+once all are joined, and a thread's error is raised then.  A run's
+statistics therefore need no world in memory, and its memory does not
+grow with its length.
 
 The search is a guide table (Chen and Asau, 1974), worked in integers on
 the words.  A word ``w`` stands for the uniform ``u = (w >> 11) * 2**-53``,
@@ -53,7 +43,7 @@ and scaling by a power of two is exact.  The draw's bucket of
 1024 is ``w >> 54``, which equals ``floor(u * 1024)``.  Bucket ``j`` of the
 table stores the symbol of its first word; in a pure bucket, one with no
 threshold strictly inside it, that is the symbol of every word.  So the
-counts of a chunk are its 1024-bin bucket histogram, folded through the
+counts of a draw are its 1024-bin bucket histogram, folded through the
 table, plus the counts of the draws in mixed buckets, one with a
 threshold strictly inside, which alone are searched with
 ``searchsorted(thresholds, w >> 11, side="right")``.  CHSH has 8 mixed
@@ -75,7 +65,7 @@ import json
 import math
 import os
 import threading
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,7 +97,7 @@ GENERATOR_ID = "philox4x64/ctr128-block8192/invcdf"
 BLOCK_LEN = 8192
 
 #: Blocks per unit of threaded work, and the symbols that covers.
-_CHUNK_BLOCKS = 16
+_CHUNK_BLOCKS = 4
 _CHUNK_LEN = _CHUNK_BLOCKS * BLOCK_LEN
 
 #: Buckets of the inverse-CDF guide table: the top 10 bits of a word name its bucket.
@@ -116,13 +106,6 @@ _BUCKET_SHIFT = 64 - 10
 
 #: Low bits of a Philox word that its uniform ``(w >> 11) * 2**-53`` drops.
 _UNIFORM_SHIFT = 11
-
-#: Chunks each sampling thread may draw ahead of the consumer of the stream.
-_WINDOW = 2
-
-#: Philox counter steps from the end of one block's draws to the start of the
-#: next block, ``(b + 1) << 128``: each step yields four 64-bit draws.
-_NEXT_BLOCK = (1 << 128) - BLOCK_LEN // 4
 
 
 def _index_dtype(alphabet_size: int) -> np.dtype:
@@ -321,17 +304,22 @@ def _guide_tables(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.nd
     return guide, (mixed if mixed.any() else None), thresholds
 
 
-def _fill_words(words: np.ndarray, seed: int, chunk: int) -> None:
+def _fill_words(words: np.ndarray, bitgen: np.random.Philox, chunk: int) -> None:
     """Fill ``words`` with the first ``words.size`` Philox words of chunk ``chunk`` of the world.
 
-    One Philox bit generator starts at the chunk's first block and is
-    advanced to the counter of each next block, so the words are the ones a
-    fresh generator per block would give.
+    ``bitgen`` is keyed on the world's seed, and is set to the counter
+    ``b << 128`` of each block ``b`` before drawing it, wherever it stood,
+    so the words are the ones a fresh generator per block would give.
+    Setting the state takes less time than building a generator or
+    advancing one.
     """
-    bitgen = np.random.Philox(key=seed, counter=(chunk * _CHUNK_BLOCKS) << 128)
+    state = bitgen.state
     for offset in range(0, words.size, BLOCK_LEN):
-        if offset:
-            bitgen.advance(_NEXT_BLOCK)
+        block = chunk * _CHUNK_BLOCKS + offset // BLOCK_LEN
+        # ``block << 128`` in numpy's 64-bit counter words, low to high; 4: no buffered words.
+        state["state"]["counter"] = np.array([0, 0, block, 0], np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
         words[offset : offset + BLOCK_LEN] = bitgen.random_raw(
             min(BLOCK_LEN, words.size - offset)
         )
@@ -341,35 +329,46 @@ def _count_words(
     words: np.ndarray,
     bucket: np.ndarray,
     tables: tuple[np.ndarray, np.ndarray | None, np.ndarray],
+    sums: np.ndarray,
     kept: np.ndarray | None = None,
-) -> np.ndarray:
-    """The symbol counts of the draws of ``words``, and their symbols written to ``kept`` if given.
+) -> None:
+    """Add the draws of ``words`` to ``sums``, and write their symbols to ``kept`` if given.
 
     ``tables`` are :func:`_guide_tables`' over the boundaries, and
     ``bucket`` is an ``intp`` array of ``words.size`` items, overwritten
-    with the draws' guide buckets.  The counts of the pure buckets' draws
-    come from the histogram of the buckets, folded through the guide table;
-    only the draws of mixed buckets are searched, and added one by one.
-    ``kept``, in the guide table's dtype, gets the table's symbol of every
-    draw and the search's of the mixed ones.
+    with the draws' guide buckets.  ``sums[:_GUIDE]`` gets the histogram
+    of the buckets, and ``sums[_GUIDE:]`` the symbol counts of the draws
+    in mixed buckets, the only ones searched; :func:`_fold` turns the sums
+    into symbol counts.  ``kept``, in the guide table's dtype, gets the
+    table's symbol of every draw and the search's of the mixed ones.
     """
     guide, mixed, thresholds = tables
     np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=bucket.view(np.uint64))
-    hist = np.bincount(bucket, minlength=_GUIDE)
-    if mixed is not None:
-        fix = np.flatnonzero(mixed.take(bucket, mode="clip"))
-        found = np.searchsorted(thresholds, words[fix] >> np.uint64(_UNIFORM_SHIFT), side="right")
-        hist[mixed] = 0
-    # Every sum is an integer below 2**53, so the float weights count exactly.
-    counts = np.bincount(guide, weights=hist, minlength=thresholds.size).astype(np.int64)
-    if mixed is not None:
-        counts += np.bincount(found, minlength=thresholds.size)
+    sums[:_GUIDE] += np.bincount(bucket, minlength=_GUIDE)
     if kept is not None:
         # Buckets are below _GUIDE, so "clip" never clips; it spares the
         # copy of ``out`` that "raise" makes.
         guide.take(bucket, out=kept, mode="clip")
-        if mixed is not None:
+    if mixed is not None:
+        fix = np.flatnonzero(mixed.take(bucket, mode="clip"))
+        found = np.searchsorted(thresholds, words[fix] >> np.uint64(_UNIFORM_SHIFT), side="right")
+        sums[_GUIDE:] += np.bincount(found, minlength=thresholds.size)
+        if kept is not None:
             kept[fix] = found
+
+
+def _fold(sums: np.ndarray, tables: tuple[np.ndarray, np.ndarray | None, np.ndarray]) -> np.ndarray:
+    """The symbol counts of :func:`_count_words`' ``sums``.
+
+    The pure buckets' draws are counted through the guide table and the
+    mixed buckets' are counted as searched.  The fold stays in ``int64``,
+    since a whole draw's bucket count can pass 2**53.
+    """
+    guide, mixed, _ = tables
+    hist, counts = sums[:_GUIDE].copy(), sums[_GUIDE:].copy()
+    if mixed is not None:
+        hist[mixed] = 0
+    np.add.at(counts, guide, hist)
     return counts
 
 
@@ -380,65 +379,6 @@ def _check_draw(length: int, seed: int, threads: int) -> None:
         raise ValueError("seed must be a 64-bit unsigned integer")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-
-
-def _in_chunk_order(step: Callable[[int], object], n_chunks: int, threads: int) -> Iterator:
-    """``step(chunk)`` for chunks ``0 .. n_chunks - 1``, yielded in chunk order.
-
-    At most ``min(threads, n_chunks, CPUs)`` worker threads run the steps,
-    taking chunks in order; a worker starts a chunk only while it is at most
-    ``workers * _WINDOW`` chunks past the last one the consumer has taken,
-    so the results in flight do not grow with ``n_chunks``.  A step's
-    exception is raised to the consumer at its chunk.  When the stream ends
-    or is closed early, the workers finish the steps they are running and
-    are joined.  With one thread the steps run in the caller's thread.
-    """
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
-    if workers == 1:
-        yield from map(step, range(n_chunks))
-        return
-    turn = threading.Condition()
-    done: dict = {}  # chunk -> (raised, result or exception), until the consumer takes it
-    claimed = taken = 0
-    closed = False
-
-    def work() -> None:
-        nonlocal claimed
-        while True:
-            with turn:
-                while not closed and claimed - taken >= workers * _WINDOW:
-                    turn.wait()
-                if closed or claimed == n_chunks:
-                    return
-                chunk, claimed = claimed, claimed + 1
-            try:
-                result = (False, step(chunk))
-            except BaseException as err:  # handed to the consumer, which raises it
-                result = (True, err)
-            with turn:
-                done[chunk] = result
-                turn.notify_all()
-
-    pool = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
-    for thread in pool:
-        thread.start()
-    try:
-        for chunk in range(n_chunks):
-            with turn:
-                while chunk not in done:
-                    turn.wait()
-                raised, result = done.pop(chunk)
-                taken += 1
-                turn.notify_all()
-            if raised:
-                raise result
-            yield result
-    finally:
-        with turn:
-            closed = True
-            turn.notify_all()
-        for thread in pool:
-            thread.join()
 
 
 def sample_world(
@@ -506,14 +446,18 @@ def tally(
     threads: int = 1,
     on_world: Callable[[WorldPrefix], None] | None = None,
 ) -> np.ndarray:
-    """The symbol counts of ``sample_world(fps, length, seed)``, taken chunk by chunk in the draw.
+    """The symbol counts of ``sample_world(fps, length, seed)``, summed chunk by chunk as drawn.
 
-    One step, scheduled by :func:`_in_chunk_order`, draws, stores and
-    counts a chunk, in one thread and into that thread's buffers; the
-    consumer adds up the counts in chunk order.  The world is kept only
-    when ``on_world`` is given; it is then called with the world once the
-    draw is done, before the counts are returned.  A kept world too long
-    for any array, or for the memory, raises MemoryError.
+    The calling thread draws, and so do up to ``min(threads, chunks,
+    CPUs) - 1`` more.  Each takes the next chunk from one shared iterator,
+    draws it into its own buffers with its own Philox generator, and adds
+    it into its own sums; those are folded into counts once every thread
+    is joined.  A thread's error stops the others after their current
+    chunk, and the first error is raised once all are joined.  The world
+    is kept only when ``on_world`` is given, each chunk written into its
+    slice; ``on_world`` is then called with it once the draw is done,
+    before the counts are returned.  A kept world too long for any array,
+    or for the memory, raises MemoryError.
     """
     _check_draw(length, seed, threads)
     n_sym = len(fps.alphabet)
@@ -522,26 +466,44 @@ def tally(
         world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
     except ValueError:  # numpy's "maximum allowed dimension exceeded", from 2**63 on
         raise MemoryError(f"no array holds a world of {length} symbols") from None
-    scratch = threading.local()  # each drawing thread's buffers, reused chunk after chunk
+    n_chunks = -(-length // _CHUNK_LEN)
+    # Shared by every thread: a range iterator's next() holds the GIL, so no
+    # chunk is handed out twice.
+    chunks = iter(range(n_chunks))
+    sums: list = []  # each thread's bucket histogram and mixed-bucket counts
+    errors: list = []
 
-    def step(chunk: int) -> np.ndarray:
-        if not hasattr(scratch, "words"):
-            scratch.words = np.empty(_CHUNK_LEN, np.uint64)
-            scratch.bucket = np.empty(_CHUNK_LEN, np.intp)
-        start = chunk * _CHUNK_LEN
-        size = min(_CHUNK_LEN, length - start)
-        words = scratch.words[:size]
-        _fill_words(words, seed, chunk)
-        kept = world[start : start + size] if world is not None else None
-        return _count_words(words, scratch.bucket[:size], tables, kept)
+    def draw() -> None:
+        try:
+            words = np.empty(min(_CHUNK_LEN, length), np.uint64)
+            bucket = np.empty(words.size, np.intp)
+            bitgen = np.random.Philox(key=seed)
+            own = np.zeros(_GUIDE + n_sym, np.int64)
+            sums.append(own)
+            for chunk in chunks:
+                if errors:
+                    return
+                start = chunk * _CHUNK_LEN
+                size = min(_CHUNK_LEN, length - start)
+                _fill_words(words[:size], bitgen, chunk)
+                kept = world[start : start + size] if world is not None else None
+                _count_words(words[:size], bucket[:size], tables, own, kept)
+        except BaseException as err:  # raised by the caller once every thread is joined
+            errors.append(err)
 
-    total = np.zeros(n_sym, dtype=np.int64)
-    for chunk_counts in _in_chunk_order(step, -(-length // _CHUNK_LEN), threads):
-        total += chunk_counts
+    helpers = min(threads, n_chunks, os.cpu_count() or 1) - 1
+    pool = [threading.Thread(target=draw, daemon=True) for _ in range(helpers)]
+    for thread in pool:
+        thread.start()
+    draw()
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[0]
     if on_world is not None:
         prov = dict(kind="sampled", seed=int(seed), generator=GENERATOR_ID, length=int(length))
         on_world(WorldPrefix(fps.alphabet, world, prov))
-    return total
+    return _fold(np.sum(sums, axis=0), tables)
 
 
 def condition_seq(world: WorldPrefix, event: Iterable) -> WorldPrefix:

@@ -504,26 +504,26 @@ def assert_usage_error(status, out, err, fragment):
 
 class TestWorldOutSamplesOnce:
     @pytest.fixture
-    def stream_calls(self, monkeypatch):
+    def draws(self, monkeypatch):
         calls = []
-        schedule = worlds_mod._in_chunk_order
+        tally = worlds_mod.tally
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return schedule(*args, **kwargs)
+            return tally(*args, **kwargs)
 
-        monkeypatch.setattr(worlds_mod, "_in_chunk_order", counting)
+        monkeypatch.setattr(worlds_mod, "tally", counting)
         return calls
 
     @pytest.mark.parametrize(
         "command, fps", [("chsh", chsh_distribution()), ("ghz", ghz_distribution())]
     )
-    def test_one_draw_writes_the_run_world(self, capsys, tmp_path, stream_calls, command, fps):
+    def test_one_draw_writes_the_run_world(self, capsys, tmp_path, draws, command, fps):
         world_path = tmp_path / "world.json"
         argv = [command, "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, _, _ = run_cli(capsys, argv)
         assert status == 0
-        assert len(stream_calls) == 1
+        assert len(draws) == 1
         assert WorldPrefix.from_json(world_path.read_text()) == sample_world(fps, 8000, 5)
 
     def test_ghz_writes_the_world_of_a_failed_run(self, capsys, tmp_path, monkeypatch):
@@ -994,6 +994,18 @@ class TestPeakMemory:
         small, large = self.peak_mb(400_000), self.peak_mb(4_000_000)
         assert large - small < 3.0, (small, large)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss unit")
+    @pytest.mark.parametrize("command", ["chsh", "ghz"])
+    def test_two_threads_add_little_to_a_one_chunk_run(self, command):
+        # 8000 trials are one chunk, drawn by the calling thread into
+        # buffers of its size.  4M trials add the second thread, and each
+        # thread's two 4-block buffers of 256 KB: about 1 MB in all.
+        small, large = (
+            _child_usage([command, "--trials", trials, "--seed", "3", "--threads", "2"])[0]
+            for trials in ("8000", "4000000")
+        )
+        assert large - small < 2.0, (small, large)
+
 
 class TestPageFaults:
     """Each drawing thread reuses its chunk buffers, so a longer draw touches no fresh pages."""
@@ -1001,8 +1013,8 @@ class TestPageFaults:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt")
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_chsh_faults_do_not_grow_with_trials(self, threads):
-        # Fresh 1 MB arrays per 131072-symbol chunk cost about 5500 faults
-        # per million trials, about 20000 between these two sizes.
+        # Memory that grew with the draw, such as a world kept at 8 bytes a
+        # trial, would take about 7000 more faults between these two sizes.
         faults = [
             _child_usage(["chsh", "--trials", trials, "--seed", "3", "--threads", threads])[1]
             for trials in ("400000", "4000000")
@@ -1325,8 +1337,65 @@ _FILE_SLOTS = {
 }
 
 
+#: A valid argument list for each invocation of ``cli._INVOCATIONS``, in
+#: its order, with ``{name}`` for the file ``name`` of the ``fuzz_files``
+#: fixture.
+_VALID_INVOCATIONS = {
+    "chsh": "chsh --trials 4000 --seed 1",
+    "ghz": "ghz --trials 8000 --seed 1",
+    "lhv chsh --sweep": "lhv chsh --sweep 20 --seed 1",
+    "lhv chsh --trials": "lhv chsh --h-file {h.json} --trials 4000 --seed 1",
+    "lhv chsh": "lhv chsh --h-file {h.json}",
+    "lhv ghz": "lhv ghz",
+    "battery": "battery {world.json} {fps.json}",
+}
+
+#: A valid value for each flag some invocation reads, by its ``argparse`` name.
+#: No invocation that does not read ``--world-out`` accepts it, so the path
+#: is never written.
+_FLAG_VALUES = {
+    "trials": "8000",
+    "seed": "1",
+    "threads": "2",
+    "tolerance": "0.5",
+    "sweep": "20",
+    "h_file": "{h.json}",
+    "world_out": "{world-out.json}",
+    "blocks": "1,2",
+}
+
+
+def _fuzz_words(root, template):
+    """``template``'s words, with each ``{name}`` made the path of the file ``name`` in ``root``."""
+    return [str(root / word[1:-1]) if word[0] == "{" else word for word in template.split()]
+
+
 class TestMainFuzz:
     """Every invocation ends in a report (exit 0 or 1) or a JSON usage error (exit 2)."""
+
+    def test_every_unread_flag_is_a_usage_error(self, capsys, fuzz_files):
+        # Each invocation runs as it is, and then once with each flag it does
+        # not read, in a fixed order; a flag that names another invocation of
+        # the same command (``lhv chsh`` with ``--trials``) is that invocation.
+        invocations = cli_mod._INVOCATIONS
+        assert list(_VALID_INVOCATIONS) == list(invocations)
+        flags = set().union(*(read for _, read, _ in invocations.values()))
+        assert set(_FLAG_VALUES) == flags
+        for mode, (_, flags_read, _) in invocations.items():
+            argv = _fuzz_words(fuzz_files, _VALID_INVOCATIONS[mode])
+            status, out, _ = run_cli(capsys, argv)
+            assert status in (0, 1) and strict_json(out)["protocol"], argv
+            for flag in sorted(flags - flags_read):
+                option = "--" + flag.replace("_", "-")
+                if f"{mode} {option}" in invocations:
+                    continue
+                extra = [option, *_fuzz_words(fuzz_files, _FLAG_VALUES[flag])]
+                status, out, err = run_cli(capsys, argv + extra)
+                assert (status, out, len(err.splitlines())) == (2, "", 1), argv + extra
+                error = json.loads(err)["error"]
+                assert error["code"] == "usage"
+                refused = ("does not use --", f"unrecognized arguments: {option}")
+                assert any(words in error["message"] for words in refused), error
 
     @staticmethod
     def assert_report_or_usage_error(argv, status, out, err):

@@ -53,6 +53,7 @@ from typicality_lab.worlds import (
     _count_words,
     _cumulative_boundaries,
     _fill_words,
+    _fold,
     _guide_tables,
     condition_seq,
     _BlockCounter,
@@ -312,7 +313,7 @@ class TestCountsFirst:
         assert cell.std_error == 2.0 * math.sqrt(0.7 * 0.3 / 10)
 
 
-CHUNK = 16 * BLOCK_LEN
+CHUNK = worlds_mod._CHUNK_LEN
 
 
 def constant_guide(fps, symbol):
@@ -430,8 +431,9 @@ def count_and_keep(fps, words):
     """``_count_words``' counts of ``words`` under ``fps``, and the symbols it keeps."""
     tables = _guide_tables(_cumulative_boundaries(fps))
     kept = np.empty(words.size, dtype=tables[0].dtype)
-    counts = _count_words(words, np.empty(words.size, np.intp), tables, kept)
-    return counts, kept
+    sums = np.zeros(_GUIDE + len(fps), dtype=np.int64)
+    _count_words(words, np.empty(words.size, np.intp), tables, sums, kept)
+    return _fold(sums, tables), kept
 
 
 @st.composite
@@ -482,10 +484,16 @@ class TestGuideTableSampler:
     def test_one_advanced_generator_matches_fresh_block_generators(self, chunk, size):
         # Sizes below CHUNK are a world's final partial chunk; those not a
         # multiple of BLOCK_LEN end in a partial block.  The words are the
-        # fresh generators' raw words, and stand for their uniforms.
+        # fresh generators' raw words, and stand for their uniforms.  Chunk 3
+        # is drawn by a generator that drew part of chunk 1 and so stands
+        # mid-block with words buffered, and jumps over chunk 2, which
+        # another thread took.
         for seed in (7, 2**64 - 1):
+            bitgen = np.random.Philox(key=seed)
+            if chunk:
+                _fill_words(np.empty(BLOCK_LEN + 3, dtype=np.uint64), bitgen, 1)
             words = np.empty(size, dtype=np.uint64)
-            _fill_words(words, seed, chunk)
+            _fill_words(words, bitgen, chunk)
             first = chunk * CHUNK // BLOCK_LEN
             sizes = [
                 (b, min(BLOCK_LEN, size - (b - first) * BLOCK_LEN))
@@ -605,7 +613,7 @@ class TestCompactBlockCounts:
         # Every block length up to 4 whose histogram has at most 2**20 cells.
         [(n, k) for n in (1, 2, 4, 16, 300) for k in (1, 2, 3, 4) if n**k <= 2**20],
     )
-    @pytest.mark.parametrize("length", [0, 11, CHUNK - 1, CHUNK + 2, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("length", [0, 11, 4 * CHUNK - 1, 4 * CHUNK + 2, 8 * CHUNK + 3])
     def test_matches_int64_horner(self, n_sym, block_len, length):
         rng = np.random.default_rng(n_sym * 1000 + block_len * 10 + length)
         world = WorldPrefix(range(n_sym), rng.integers(0, n_sym, size=length))

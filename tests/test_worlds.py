@@ -118,6 +118,7 @@ class TestSampling:
             _GUIDE,
             _count_words,
             _cumulative_boundaries,
+            _fold,
             _guide_tables,
         )
 
@@ -132,7 +133,9 @@ class TestSampling:
         expected = np.searchsorted(cum, (words >> np.uint64(11)) * 2.0**-53, side="right")
         tables = _guide_tables(cum)
         kept = np.empty(words.size, dtype=tables[0].dtype)
-        counts = _count_words(words, np.empty(words.size, dtype=np.intp), tables, kept)
+        sums = np.zeros(_GUIDE + len(weights), dtype=np.int64)
+        _count_words(words, np.empty(words.size, dtype=np.intp), tables, sums, kept)
+        counts = _fold(sums, tables)
         np.testing.assert_array_equal(kept, expected)
         np.testing.assert_array_equal(counts, np.bincount(expected, minlength=len(weights)))
         assert not np.any(fps.weights[kept] == 0.0)
@@ -150,6 +153,7 @@ class TestSampling:
         assert counts[2] == 0 and counts[:2].min() > 0
 
     def test_thread_pool_is_capped_by_chunks_and_cpus(self, monkeypatch):
+        # The calling thread draws too, so it counts as one of the threads.
         started = []
 
         class RecordingThread(threading.Thread):
@@ -162,51 +166,40 @@ class TestSampling:
         fps = uniform("ab")
         chunk = worlds_mod._CHUNK_LEN
         base = sample_world(fps, 4 * chunk, seed=5)
-        assert started == []  # one thread asked for: no workers at all
+        assert started == []  # one thread asked for: the caller alone
         assert sample_world(fps, 4 * chunk, seed=5, threads=1000) == base
-        assert len(started) == 3  # the CPU count
+        assert len(started) == 3 - 1  # the CPU count, less the caller
         sample_world(fps, 2 * chunk, seed=5, threads=1000)
-        assert len(started) == 3 + 2  # the chunk count
+        assert len(started) == 2 + 1  # one more: the chunk count, less the caller
         sample_world(fps, chunk, seed=5, threads=1000)
-        assert len(started) == 5  # a single chunk runs without workers
+        assert len(started) == 3  # a single chunk: the caller alone
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: None)
         sample_world(fps, 4 * chunk, seed=5, threads=1000)
-        assert len(started) == 5  # unknown CPU count: one thread
+        assert len(started) == 3  # unknown CPU count: one thread
         assert not any(thread.is_alive() for thread in started)
 
-    def test_stream_draws_a_bounded_window_ahead(self, monkeypatch):
-        import time
-
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 2)
-        drawn = []
-        stream = worlds_mod._in_chunk_order(drawn.append, 20, 2)
-        next(stream)
-        time.sleep(0.2)  # time enough for the threads to draw every chunk
-        assert len(drawn) <= 1 + 2 * worlds_mod._WINDOW
-        assert sum(1 for _ in stream) == 19
-        assert len(drawn) == 20
-
-    @pytest.mark.parametrize("close_early", [False, True])
-    def test_stream_joins_its_workers_on_error_and_on_close(self, monkeypatch, close_early):
-        # A step that raises reaches the consumer at its chunk; closing the
-        # stream early stops it.  Either way no worker outlives the stream.
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_draw_joins_its_threads_on_error(self, monkeypatch, raiser):
+        # A chunk that raises, in the calling thread or in a worker, reaches
+        # the caller once, and only after every thread is joined.  The other
+        # threads wait in their first chunk until the error is raised, so
+        # that the raiser surely draws a chunk.
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
         before = threading.active_count()
+        fill_words = worlds_mod._fill_words
+        raised = threading.Event()
+        caller = threading.get_ident()
 
-        def step(chunk):
-            if chunk == 5:
-                raise ArithmeticError(f"chunk {chunk}")
-            return chunk
+        def failing(words, bitgen, chunk):
+            if (threading.get_ident() == caller) == (raiser == "caller"):
+                raised.set()
+                raise ArithmeticError(f"chunk {chunk} in the {raiser}")
+            assert raised.wait(timeout=30)
+            fill_words(words, bitgen, chunk)
 
-        stream = worlds_mod._in_chunk_order(step, 20, 3)
-        taken = []
-        if not close_early:
-            with pytest.raises(ArithmeticError, match="chunk 5"):
-                taken.extend(stream)
-            assert taken == [0, 1, 2, 3, 4]
-        else:
-            assert next(stream) == 0
-            stream.close()
+        monkeypatch.setattr(worlds_mod, "_fill_words", failing)
+        with pytest.raises(ArithmeticError, match=f"in the {raiser}"):
+            worlds_mod.tally(uniform("ab"), 20 * worlds_mod._CHUNK_LEN, 5, threads=3)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -216,8 +209,8 @@ class TestSampling:
             1,
             BLOCK_LEN - 1,
             BLOCK_LEN + 1,
-            worlds_mod._CHUNK_LEN + 1,
-            3 * worlds_mod._CHUNK_LEN + 5,
+            4 * worlds_mod._CHUNK_LEN + 1,
+            12 * worlds_mod._CHUNK_LEN + 5,
         ],
     )
     def test_counts_only_tally_is_the_kept_worlds_counts(self, monkeypatch, length, threads):
@@ -250,9 +243,10 @@ class TestSampling:
     def test_stream_chunks_are_the_world_whichever_thread_reuses_its_buffers(
         self, monkeypatch, threads
     ):
-        # Each thread draws and counts every chunk in its own buffers, over
-        # and over; a buffer shared between threads, or written before the
-        # previous chunk was stored and counted, would mix chunks.
+        # Each thread draws every chunk with its own generator, and counts
+        # it in its own buffers and sums, over and over; a buffer shared
+        # between threads, or written before the previous chunk was stored
+        # and counted, would mix chunks.
         import sys
 
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
@@ -265,26 +259,37 @@ class TestSampling:
             return kept[0], counts
 
         base, base_counts = run(1)
-        count_words = worlds_mod._count_words
-        buffers = []  # (thread, address of its words buffer, address of its bucket buffer)
+        fill_words, count_words = worlds_mod._fill_words, worlds_mod._count_words
+        # (thread, its generator) per chunk drawn, and (thread, the addresses of
+        # its words, buckets and sums) per chunk counted.
+        generators, buffers = [], []
 
-        def recording(words, bucket, *rest):
-            address = (words.ctypes.data, bucket.ctypes.data)
-            buffers.append((threading.get_ident(), *address))
-            return count_words(words, bucket, *rest)
+        def filling(words, bitgen, chunk):
+            generators.append((threading.get_ident(), id(bitgen)))
+            fill_words(words, bitgen, chunk)
 
-        monkeypatch.setattr(worlds_mod, "_count_words", recording)
+        def counting(words, bucket, tables, sums, kept):
+            address = (words.ctypes.data, bucket.ctypes.data, sums.ctypes.data)
+            buffers.append((threading.get_ident(), address))
+            count_words(words, bucket, tables, sums, kept)
+
+        monkeypatch.setattr(worlds_mod, "_fill_words", filling)
+        monkeypatch.setattr(worlds_mod, "_count_words", counting)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(2):
+                generators.clear()
                 buffers.clear()
                 world, counts = run(threads)
-                # Each thread draws every one of its chunks into one pair of buffers.
-                per_thread: dict = {}
-                for ident, *address in buffers:
-                    per_thread.setdefault(ident, set()).add(tuple(address))
-                assert len(buffers) == 8 and all(len(at) == 1 for at in per_thread.values())
+                # Each thread draws every one of its chunks with one generator,
+                # into one set of buffers.
+                for per_chunk in (generators, buffers):
+                    per_thread: dict = {}
+                    for ident, used in per_chunk:
+                        per_thread.setdefault(ident, set()).add(used)
+                    assert len(per_chunk) == 8
+                    assert all(len(used) == 1 for used in per_thread.values())
                 assert world == base
                 np.testing.assert_array_equal(counts, base_counts)
                 np.testing.assert_array_equal(counts, world.counts())
