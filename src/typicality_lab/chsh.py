@@ -161,16 +161,17 @@ class ConditionalAverageReport(NamedTuple):
         return {key: value for key, value in out.items() if value is not None}
 
 
-def _cell_statistics(cells: Sequence, variances: Sequence[float]) -> tuple[dict, dict, dict, dict]:
+def _cell_statistics(cells: dict, variances: Sequence[float]) -> tuple[dict, dict, dict, dict]:
     """Averages, counts, standard errors and 4-sigma tolerances of the four coin-pair cells.
 
-    ``cells`` are the :class:`~typicality_lab.worlds.SignCell` of each
-    average in ``_AVERAGES`` order, and ``variances`` the variance of its
-    product under the exact conditional law, which sets its tolerance.
-    Raises if any coin pair collected no samples.
+    ``cells`` maps each coin pair to its :class:`~typicality_lab.worlds.SignCell`,
+    and ``variances`` are, in ``_AVERAGES`` order, each average's variance
+    under the exact conditional law, which sets its tolerance.  Raises if
+    any coin pair collected no samples.
     """
     averages, counts, std_errors, tolerances = {}, {}, {}, {}
-    for (name, ((c, d), _)), cell, variance in zip(_AVERAGES.items(), cells, variances):
+    for (name, ((c, d), _)), variance in zip(_AVERAGES.items(), variances):
+        cell = cells[c, d]
         if cell.count == 0:
             raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
         averages[name] = cell.mean
@@ -189,18 +190,18 @@ def _cell_tests(fps: FiniteProbabilitySpace, counts: np.ndarray) -> dict:
     """Each coin pair's block-1 test against its law under ``fps``, gated as one Holm family.
 
     ``counts`` are a world's symbol counts over ``CHSH_OUTCOMES``, the
-    alphabet of ``fps``; a coin pair's subsequence has that pair's counts
-    as its block-1 histogram.  The four tests share the family rate
+    alphabet of ``fps``; a coin pair's row of them is its subsequence's
+    block-1 histogram.  The four tests share the family rate
     ``_CELL_FAMILY_RATE`` by :func:`~typicality_lab.battery.holm_family`.
     Keys are the coin pairs, ``"00"`` to ``"11"``.
     """
     from .battery import frequency_test, holm_family
 
-    tests = {}
-    for (c, d), _ in _AVERAGES.values():
-        event = coin_event(c, d)
-        ids = [fps.index(o) for o in event]
-        tests[f"{c}{d}"] = frequency_test(counts[ids], fps.condition(event).weights)
+    rows = counts.reshape(4, 4)
+    tests = {
+        f"{c}{d}": frequency_test(rows[2 * c + d], fps.condition(coin_event(c, d)).weights)
+        for (c, d), _ in _AVERAGES.values()
+    }
     return dict(zip(tests, holm_family(list(tests.values()), _CELL_FAMILY_RATE)))
 
 
@@ -221,17 +222,12 @@ def run_chsh(
     Each coin pair's subsequence is also tested against its conditional
     distribution (see :func:`_cell_tests`).  Raises if any coin pair
     collected no samples.  Every statistic is taken from the symbol counts
-    made while the world is drawn (:func:`~typicality_lab.worlds.tally`),
+    and per-coin cells of :meth:`~typicality_lab.protocol.Protocol.tally_cells`,
     so the world is not kept unless ``on_world`` is given; it is then
     called with the world before any statistic is checked.
     """
-    from .worlds import sign_cell, tally
-
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = chsh_distribution("analytic")
-    counts = tally(fps, trials, seed, threads, on_world)
-    cells = [sign_cell(counts, CHSH.product_signs(c, d)) for (c, d), _ in _AVERAGES.values()]
+    counts, cells = CHSH.tally_cells(fps, trials, seed, threads, on_world, min_trials=MIN_TRIALS)
     # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
     averages, cell_counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
     tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
@@ -280,22 +276,20 @@ def lhv_chsh_simulate(
     nests the exact averages; the empirical ones converge to them, within
     the recorded 4-sigma tolerances.
     """
-    from .worlds import sign_cell, tally
+    from .worlds import SignCell, tally
 
     _require_h_space(h)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     exact = lhv_chsh_averages(h)
     coin = uniform((0, 1))
-    joint = product(h, coin, coin)
-    symbol_counts = tally(joint, trials, seed, threads)
-    cells = [
-        sign_cell(
-            symbol_counts,
-            [sym[0][i] * sym[0][j] if sym[1:] == (c, d) else 0 for sym in joint.alphabet],
-        )
-        for (c, d), (i, j) in _AVERAGES.values()
-    ]
+    # The joint alphabet is (x, c, d): a row per value tuple x, in h's order, of 4 coin pairs.
+    table = tally(product(h, coin, coin), trials, seed, threads).reshape(len(h.alphabet), 4)
+    cells = {}
+    for (c, d), (i, j) in _AVERAGES.values():
+        column = table[:, 2 * c + d]
+        plus = [x[i] * x[j] > 0 for x in h.alphabet]
+        cells[c, d] = SignCell(int(column.sum()), int(column[plus].sum()))
     variances = [max(0.0, 1.0 - average**2) for average in exact.averages.values()]
     averages, counts, std_errors, tolerances = _cell_statistics(cells, variances)
     return ConditionalAverageReport(

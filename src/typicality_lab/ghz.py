@@ -172,27 +172,21 @@ def run_ghz(
     product +1, and for 000 product -1; each round that breaks this is
     counted, though such outcomes have weight exactly zero and the
     sampler cannot produce them.  The remaining four triples report their
-    empirical mean product.  The counts are taken while the world is
-    drawn; ``on_world``, if given, is called with the world.
+    empirical mean product.  Each triple's cell is taken from
+    :meth:`~typicality_lab.protocol.Protocol.tally_cells`, counted while
+    the world is drawn; ``on_world``, if given, is called with the world.
     """
-    from .worlds import sign_cell, tally
-
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     fps = ghz_distribution("analytic")
-    symbol_counts = tally(fps, trials, seed, threads, on_world=on_world)
-    constrained: dict = {}
-    free: dict = {}
-    for coins in itertools.product((0, 1), repeat=3):
+    _, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world, min_trials=MIN_TRIALS)
+    constrained, free = {}, {}
+    for coins, cell in cells.items():
         key = "".join(str(c) for c in coins)
-        cell = sign_cell(symbol_counts, GHZ.product_signs(*coins))
         if key in CONSTRAINTS:
             required = CONSTRAINTS[key][1]
-            violations = cell.plus if required < 0 else cell.minus
             constrained[key] = {
                 "count": cell.count,
                 "required_product": required,
-                "violations": violations,
+                "violations": cell.plus if required < 0 else cell.minus,
             }
         else:
             free[key] = {

@@ -13,7 +13,9 @@ result ``m`` of party ``k``'s observable ``A^k_c``.  :class:`Protocol`
 holds what differs between protocols -- the outcome record, the
 observables, the shared state and the closed form -- and derives the
 rest: the outcome alphabet, the distribution both ways, the coin events
-and the per-coin product cells.
+and a sampled run's per-coin cells.  The coins are outermost in the
+alphabet, so a run's symbol counts, reshaped to ``(2**n, 2**n)``, hold
+one row per coin tuple, and every row lists the same result tuples.
 
 The Born weights come from the 2x2 factors: each outcome's factors are
 applied to its copy of the initial state, one qubit axis at a time and
@@ -135,11 +137,31 @@ class Protocol(NamedTuple):
         """All outcomes with the given coins, one per party."""
         return tuple(o for o in self.alphabet if o[: self.parties] == coins)
 
-    def product_signs(self, *coins: int) -> list[int]:
-        """The product of the results on each outcome with these coins, 0 on the others.
+    def tally_cells(
+        self,
+        fps: FiniteProbabilitySpace,
+        trials: int,
+        seed: int,
+        threads: int = 1,
+        on_world: Callable | None = None,
+        *,
+        min_trials: int,
+    ) -> tuple[np.ndarray, dict]:
+        """Draw a run of ``fps``, this protocol's distribution: its counts and per-coin cells.
 
-        This is the cell :func:`~typicality_lab.worlds.sign_cell` tallies.
+        The counts are :func:`~typicality_lab.worlds.tally`'s over
+        :attr:`alphabet`, and ``on_world`` is passed to it.  Each coin tuple,
+        in alphabet order, maps to the :class:`~typicality_lab.worlds.SignCell`
+        of the results' product on its rounds.  Raises below ``min_trials``.
         """
-        n = self.parties
-        return [math.prod(o[n:]) if o[:n] == coins else 0 for o in self.alphabet]
+        from .worlds import SignCell, tally
 
+        if trials < min_trials:
+            raise ValueError(f"trials must be at least {min_trials}, got {trials}")
+        counts = tally(fps, trials, seed, threads, on_world)
+        n = self.parties
+        plus = [math.prod(o[n:]) > 0 for o in self.alphabet[: 2**n]]
+        return counts, {
+            o[:n]: SignCell(int(row.sum()), int(row[plus].sum()))
+            for o, row in zip(self.alphabet[:: 2**n], counts.reshape(2**n, 2**n))
+        }

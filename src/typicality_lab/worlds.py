@@ -83,7 +83,6 @@ __all__ = [
     "empirical",
     "EmpiricalStats",
     "SignCell",
-    "sign_cell",
 ]
 
 #: Identifier of the sampling scheme, recorded in provenance: Philox4x64-10,
@@ -203,13 +202,27 @@ class WorldPrefix:
         With ``block_len`` k, occurrences of each non-overlapping length-k
         block, indexed by its code ``sum_j s_j * n**(k-1-j)`` over an
         alphabet of ``n`` symbols; a trailing partial block is not counted.
-        Fed ``_CHUNK_LEN`` symbols at a time to :class:`_BlockCounter`, so
-        no array of block codes is built for the whole prefix.
+        Counted in slices of ``max(k, _CHUNK_LEN - _CHUNK_LEN % k)`` symbols,
+        so no block crosses a slice and no array of codes is as long as the
+        prefix.  Codes are built by Horner's rule in the smallest unsigned
+        dtype that holds ``n**k - 1``: every intermediate is below ``n**k``.
         """
-        counter = _BlockCounter(len(self._alphabet), block_len)
-        for start in range(0, len(self), _CHUNK_LEN):
-            counter.add(self._indices[start : start + _CHUNK_LEN])
-        return counter.total
+        if block_len < 1:
+            raise ValueError("block_len must be at least 1")
+        n_sym, k = len(self._alphabet), block_len
+        total = np.zeros(n_sym**k, dtype=np.int64)
+        dtype = np.min_scalar_type(total.size - 1)
+        used = len(self) - len(self) % k
+        step = max(k, _CHUNK_LEN - _CHUNK_LEN % k)
+        for start in range(0, used, step):
+            part = self._indices[start : min(start + step, used)]
+            # A copy when k > 1: the world is read-only and may be narrower than the codes.
+            codes = part[::k].astype(dtype, copy=k > 1)
+            for j in range(1, k):
+                codes *= n_sym
+                codes += part[j::k]
+            total += np.bincount(codes, minlength=total.size)
+        return total
 
     def symbols(self) -> list:
         """The prefix as a list of symbols."""
@@ -393,50 +406,6 @@ def sample_world(
     kept = []
     tally(fps, length, seed, threads, on_world=kept.append)
     return kept[0]
-
-
-class _BlockCounter:
-    """Histogram of the non-overlapping ``block_len``-blocks of a sequence fed in parts.
-
-    A block's code is ``sum_j s_j * n**(k-1-j)`` over ``n`` symbols, built
-    by Horner's rule in the smallest unsigned dtype that holds ``n**k - 1``;
-    that is exact because every intermediate value is below ``n**k``.  The
-    symbols of a part that do not fill a block are carried into the next
-    one, so parts may end anywhere; a partial block left at the end is not
-    counted.
-    """
-
-    def __init__(self, n_sym: int, block_len: int):
-        if block_len < 1:
-            raise ValueError("block_len must be at least 1")
-        self.n_sym = n_sym
-        self.block_len = block_len
-        self.total = np.zeros(n_sym**block_len, dtype=np.int64)
-        self._dtype = np.min_scalar_type(self.total.size - 1)
-        self._tail: np.ndarray | None = None
-
-    def add(self, part: np.ndarray) -> None:
-        if self._tail is not None:
-            # Only the carried block is copied, with the symbols that finish it.
-            fill = self.block_len - self._tail.size
-            head, part = np.concatenate((self._tail, part[:fill])), part[fill:]
-            self._tail = self._count(head)
-        if part.size:
-            self._tail = self._count(part)
-
-    def _count(self, part: np.ndarray) -> np.ndarray | None:
-        """Count the whole blocks of ``part``; return a copy of the symbols left over, or None."""
-        k = self.block_len
-        used = part.size - part.size % k
-        codes = part[:used]
-        if k > 1:
-            # A copy: the parts may be read-only and narrower than the codes.
-            codes = part[0:used:k].astype(self._dtype)
-            for j in range(1, k):
-                codes *= self.n_sym
-                codes += part[j:used:k]
-        self.total += np.bincount(codes, minlength=self.total.size)
-        return part[used:].copy() if used < part.size else None
 
 
 def tally(
@@ -625,17 +594,3 @@ class SignCell(NamedTuple):
         """Binomial standard error of :attr:`mean`, via the +1 fraction."""
         p_hat = self.plus / self.count
         return 2.0 * math.sqrt(p_hat * (1.0 - p_hat) / self.count)
-
-
-def sign_cell(counts: np.ndarray, signs: Sequence[int]) -> SignCell:
-    """Tally a +/-1 value from per-symbol occurrence ``counts``.
-
-    ``signs[i]`` is the value on alphabet symbol ``i``: +1 or -1 inside the
-    cell, 0 outside it.  Counting first gives the same averages as
-    conditioning the world and averaging the values, since every sum
-    involved is an exact integer.
-    """
-    signs = np.asarray(signs)
-    return SignCell(
-        count=int(counts[signs != 0].sum()), plus=int(counts[signs > 0].sum())
-    )

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1365,6 +1366,87 @@ _FLAG_VALUES = {
 }
 
 
+#: The outcome classes of an edge case besides a usage error: a report (exit
+#: 0 or 1), or a run that starts to draw its trials.
+REPORT, DRAW = "report", "draw"
+
+
+def _trials_edges(command, module, beyond):
+    """``--trials`` at ``MIN_TRIALS - 1``, 0 and a negative, then ``beyond`` for 2**63."""
+    too_few = f"^{command} requires --trials >= {module.MIN_TRIALS}$"
+    return [(f"--trials {t}", too_few) for t in (module.MIN_TRIALS - 1, 0, -1)] + [beyond]
+
+
+_SEED_EDGES = [
+    (f"--seed {2**64}", "^--seed must be a 64-bit unsigned integer$"),
+    ("--seed -1", "^--seed must be a 64-bit unsigned integer$"),
+    (f"--seed {2**64 - 1}", REPORT),
+]
+_THREADS_EDGES = [("--threads 0", "^--threads must be at least 1$")]
+#: 2**63 trials are past any array, so keeping their world is refused.
+_WORLD_BEYOND = (
+    f"--trials {2**63} --world-out {{world-out.json}}",
+    f"^--world-out: too little memory for a world of {2**63} trials$",
+)
+_WORLD_OUT_EDGES = [
+    ("--world-out {no-dir/world.json}", "^cannot write --world-out file '.*world.json': "),
+]
+_H_FILE_EDGES = [
+    ("--h-file {big-weights.json}", "^invalid hidden-variable file '.*': weights must be finite$"),
+    ("--h-file {missing.json}", "^cannot read hidden-variable file '.*missing.json': "),
+]
+
+#: Each invocation's cases at the edge values of the flags it reads, in
+#: ``cli._INVOCATIONS`` order: the words added to its argument list in
+#: ``_VALID_INVOCATIONS`` (``argparse`` reads the last of a repeated flag),
+#: and the outcome, a usage error's message pattern or a class above.
+_EDGE_CASES = {
+    "chsh": [
+        *_trials_edges("chsh", chsh_mod, _WORLD_BEYOND),
+        *_SEED_EDGES,
+        *_THREADS_EDGES,
+        *[
+            (f"--tolerance {raw}", f"^chsh requires a positive finite --tolerance, got {got}$")
+            for raw, got in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"))
+        ],
+        *_WORLD_OUT_EDGES,
+    ],
+    "ghz": [
+        *_trials_edges("ghz", ghz_mod, _WORLD_BEYOND),
+        *_SEED_EDGES,
+        *_THREADS_EDGES,
+        *_WORLD_OUT_EDGES,
+    ],
+    "lhv chsh --sweep": [
+        ("--sweep -1", "^--sweep must be non-negative, got -1$"),
+        ("--sweep 0", REPORT),
+        *_SEED_EDGES,
+    ],
+    "lhv chsh --trials": [
+        # No world is kept, so 2**63 trials are drawn: not a usage error.
+        *_trials_edges("lhv chsh", chsh_mod, (f"--trials {2**63}", DRAW)),
+        *_SEED_EDGES,
+        *_THREADS_EDGES,
+        *_H_FILE_EDGES,
+    ],
+    "lhv chsh": _H_FILE_EDGES,
+    "lhv ghz": _H_FILE_EDGES,
+    "battery": [
+        *[
+            (f"--tolerance {raw}", "^significance must be in \\(0, 1\\)$")
+            for raw in ("nan", "inf", "0", "-1")
+        ],
+        ("--blocks 0", "^--blocks expects positive integers, got '0'$"),
+        ("--blocks 1,1", "^--blocks repeats a block length, got '1,1'$"),
+        ("--blocks=", "^--blocks expects positive integers, got ''$"),
+    ],
+}
+
+
+class _Drawn(Exception):
+    """Raised in place of a draw, with its length."""
+
+
 def _fuzz_words(root, template):
     """``template``'s words, with each ``{name}`` made the path of the file ``name`` in ``root``."""
     return [str(root / word[1:-1]) if word[0] == "{" else word for word in template.split()]
@@ -1396,6 +1478,40 @@ class TestMainFuzz:
                 assert error["code"] == "usage"
                 refused = ("does not use --", f"unrecognized arguments: {option}")
                 assert any(words in error["message"] for words in refused), error
+
+    def test_every_read_flag_at_its_edge_values(self, capsys, monkeypatch, fuzz_files):
+        invocations = cli_mod._INVOCATIONS
+        assert list(_EDGE_CASES) == list(invocations)
+
+        def drawn(fps, length, *args, **kwargs):
+            raise _Drawn(length)
+
+        for mode, (_, flags_read, _) in invocations.items():
+            named = {
+                word[2:].split("=")[0].replace("-", "_")
+                for extra, _ in _EDGE_CASES[mode]
+                for word in extra.split()
+                if word.startswith("--")
+            }
+            assert named == flags_read, mode
+            for extra, outcome in _EDGE_CASES[mode]:
+                argv = _fuzz_words(fuzz_files, f"{_VALID_INVOCATIONS[mode]} {extra}")
+                if outcome == DRAW:
+                    with monkeypatch.context() as patch, pytest.raises(_Drawn) as raised:
+                        patch.setattr(worlds_mod, "tally", drawn)
+                        main(argv)
+                    assert raised.value.args == (2**63,), argv
+                    assert capsys.readouterr() == ("", ""), argv
+                    continue
+                status, out, err = run_cli(capsys, argv)
+                if outcome == REPORT:
+                    assert status in (0, 1) and strict_json(out)["protocol"], argv
+                    assert err == "", argv
+                    continue
+                assert (status, out, len(err.splitlines())) == (2, "", 1), argv
+                line = json.loads(err)
+                assert sorted(line) == ["error", "schema"] and line["error"]["code"] == "usage"
+                assert re.search(outcome, line["error"]["message"]), (argv, line)
 
     @staticmethod
     def assert_report_or_usage_error(argv, status, out, err):

@@ -1,6 +1,8 @@
 """Tests for the protocol record: factored Born weights, their checks, and the runs' use of them."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -109,9 +111,58 @@ def test_cross_check_failure_fails_the_run(name, monkeypatch, capsys):
 
 def test_coin_cells():
     assert CHSH.coin_event(1, 0) == tuple(o for o in CHSH.alphabet if (o.c, o.d) == (1, 0))
-    assert CHSH.product_signs(1, 0) == [
-        o.m * o.n if (o.c, o.d) == (1, 0) else 0 for o in CHSH.alphabet
-    ]
-    assert GHZ.product_signs(0, 1, 1) == [
-        o.m1 * o.m2 * o.m3 if o[:3] == (0, 1, 1) else 0 for o in GHZ.alphabet
-    ]
+    for record in (CHSH, GHZ):
+        n, kept = record.parties, []
+        counts, cells = record.tally_cells(
+            record.distribution(), 5000, 3, 2, kept.append, min_trials=5000
+        )
+        np.testing.assert_array_equal(counts, kept[0].counts())
+        assert list(cells) == list(itertools.product((0, 1), repeat=n))
+        for coins, cell in cells.items():
+            products = [math.prod(o[n:]) for o in kept[0].symbols() if o[:n] == coins]
+            assert cell == (len(products), products.count(1))
+    with pytest.raises(ValueError, match="at least 5001, got 5000"):
+        CHSH.tally_cells(CHSH.distribution(), 5000, 3, min_trials=5001)
+
+
+def _exact_conditional_means(record):
+    """Each coin tuple's exact conditional law of the results' product: its mass on +1 and -1."""
+    fps = record.distribution("analytic")
+    n = record.parties
+    laws = {}
+    for coins in itertools.product((0, 1), repeat=n):
+        cell = fps.condition(record.coin_event(*coins))
+        products = [math.prod(o[n:]) for o in cell.alphabet]
+        laws[coins] = {
+            sign: math.fsum(w for p, w in zip(products, cell.weights) if p == sign)
+            for sign in (1, -1)
+        }
+    return laws
+
+
+class TestVariancesHeldAsData:
+    """The runs hold each cell's variance as a constant; the exact distribution bears them out."""
+
+    def test_chsh_coin_pairs_have_variance_one_half(self):
+        report = chsh_mod.run_chsh(chsh_mod.MIN_TRIALS, 5)
+        for name, ((c, d), _) in chsh_mod._AVERAGES.items():
+            law = _exact_conditional_means(CHSH)[c, d]
+            mean = law[1] - law[-1]
+            # The run holds Var(m*n) = 1 - 1/2 as the constant 0.5; derived
+            # as 1 - mean**2 it would be 0.5000000000000001 and move report bytes.
+            assert abs(mean**2 - 0.5) <= math.ulp(0.5)
+            assert report.tolerances[name] == 4.0 * math.sqrt(0.5 / report.counts[name])
+
+    def test_ghz_constraints_are_the_exact_conditional_means(self):
+        laws = _exact_conditional_means(GHZ)
+        for key, (_, required) in ghz_mod.CONSTRAINTS.items():
+            law = laws[tuple(map(int, key))]
+            assert law[-required] == 0.0
+            assert law[1] - law[-1] == required
+
+    def test_ghz_free_triples_have_mean_zero(self):
+        laws = _exact_conditional_means(GHZ)
+        free = [coins for coins in laws if "".join(map(str, coins)) not in ghz_mod.CONSTRAINTS]
+        assert len(free) == 4
+        for coins in free:
+            assert laws[coins][1] - laws[coins][-1] == 0.0

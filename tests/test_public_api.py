@@ -55,8 +55,7 @@ PUBLIC_API = {
     ],
     "typicality_lab.worlds": [
         "BLOCK_LEN", "EmpiricalStats", "GENERATOR_ID", "SignCell", "WorldPrefix",
-        "condition_seq", "empirical", "project_seq", "sample_world", "sign_cell", "tally",
-        "zip_seqs",
+        "condition_seq", "empirical", "project_seq", "sample_world", "tally", "zip_seqs",
     ],
 }
 
@@ -122,6 +121,9 @@ def test_package_reexports_only_module_exports():
         ("typicality_lab.chsh", None, "within_local_bound"),
         ("typicality_lab.worlds", None, "CellTally"),
         ("typicality_lab.worlds", None, "Tally"),
+        ("typicality_lab.worlds", None, "sign_cell"),
+        ("typicality_lab.worlds", None, "_BlockCounter"),
+        ("typicality_lab.protocol", "Protocol", "product_signs"),
     ],
 )
 def test_deleted_name_stays_deleted(module_name, class_name, name):

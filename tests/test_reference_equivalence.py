@@ -56,9 +56,7 @@ from typicality_lab.worlds import (
     _fold,
     _guide_tables,
     condition_seq,
-    _BlockCounter,
     sample_world,
-    sign_cell,
     tally,
 )
 
@@ -304,13 +302,6 @@ class TestCountsFirst:
             else:
                 assert entry["mean_product"] == mean
                 assert entry["tolerance"] == 4.0 / math.sqrt(count)
-
-    def test_sign_cell_counts_only_its_cell(self):
-        counts = np.array([5, 3, 7, 2])
-        cell = sign_cell(counts, [1, -1, 0, 1])
-        assert (cell.count, cell.plus, cell.minus) == (10, 7, 3)
-        assert cell.mean == (7 - 3) / 10
-        assert cell.std_error == 2.0 * math.sqrt(0.7 * 0.3 / 10)
 
 
 CHUNK = worlds_mod._CHUNK_LEN
@@ -610,8 +601,10 @@ def reference_block_counts(world, block_len):
 class TestCompactBlockCounts:
     @pytest.mark.parametrize(
         "n_sym, block_len",
-        # Every block length up to 4 whose histogram has at most 2**20 cells.
-        [(n, k) for n in (1, 2, 4, 16, 300) for k in (1, 2, 3, 4) if n**k <= 2**20],
+        # Every block length up to 4 whose histogram has at most 2**20 cells,
+        # and blocks longer than a chunk, each counted in a slice of its own.
+        [(n, k) for n in (1, 2, 4, 16, 300) for k in (1, 2, 3, 4) if n**k <= 2**20]
+        + [(1, CHUNK + 1)],
     )
     @pytest.mark.parametrize("length", [0, 11, 4 * CHUNK - 1, 4 * CHUNK + 2, 8 * CHUNK + 3])
     def test_matches_int64_horner(self, n_sym, block_len, length):
@@ -673,26 +666,3 @@ class TestTally:
         assert seen[0].provenance == world.provenance
         np.testing.assert_array_equal(counts, world.counts())
 
-    @pytest.mark.parametrize("block_len", [2, 3])
-    def test_block_counter_carries_no_view_of_a_reused_part(self, block_len):
-        # One-symbol parts, each written into the same buffer: every part
-        # leaves the carried block unfinished or finishes it.
-        indices = np.random.default_rng(block_len).integers(0, 5, size=100).astype(np.uint8)
-        counter = _BlockCounter(5, block_len)
-        buffer = np.empty(1, dtype=np.uint8)
-        for symbol in indices:
-            buffer[0] = symbol
-            counter.add(buffer)
-        world = WorldPrefix(range(5), indices)
-        np.testing.assert_array_equal(counter.total, reference_block_counts(world, block_len))
-
-    @pytest.mark.parametrize("block_len", [1, 2, 3, 4])
-    def test_block_counter_parts_may_end_anywhere(self, block_len):
-        rng = np.random.default_rng(block_len)
-        indices = rng.integers(0, 5, size=1000).astype(np.uint8)
-        cuts = np.sort(rng.integers(0, indices.size, size=40))
-        counter = _BlockCounter(5, block_len)
-        for part in np.split(indices, cuts):
-            counter.add(part)
-        world = WorldPrefix(range(5), indices)
-        np.testing.assert_array_equal(counter.total, reference_block_counts(world, block_len))
