@@ -341,11 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The least ``--trials`` refused: the int64 symbol counts of a run hold less,
+#: and a draw that long would take thousands of years.
+_TRIALS_BEYOND = 2**63
+
 #: Each invocation's handler, the optional flags (without defaults) it reads,
 #: and the package module its handler runs.  A flag given where it would be
 #: ignored is a usage error, not silently dropped.  An invocation that reads
 #: ``--seed`` requires it, and one that reads ``--trials`` requires at least
-#: its module's ``MIN_TRIALS``.
+#: its module's ``MIN_TRIALS`` and less than ``_TRIALS_BEYOND``.
 _INVOCATIONS = {
     "chsh": (cmd_chsh, {"trials", "seed", "threads", "tolerance", "world_out"}, "chsh"),
     "ghz": (cmd_ghz, {"trials", "seed", "threads", "world_out"}, "ghz"),
@@ -389,6 +393,8 @@ def _check_args(args: argparse.Namespace):
         raise UsageError(
             f"{mode.removesuffix(' --trials')} requires --trials >= {module.MIN_TRIALS}"
         )
+    if "trials" in flags_read and args.trials >= _TRIALS_BEYOND:
+        raise UsageError("--trials must be below 2**63")
     if mode == "chsh" and args.tolerance is not None and not (
         math.isfinite(args.tolerance) and args.tolerance > 0
     ):

@@ -21,19 +21,21 @@ Philox stream with key ``s`` and counter offset ``i << 128`` (Salmon et
 al., SC'11), so blocks can be generated in any order and grouping and the
 result is byte-identical to the single-threaded one.  Every draw is one
 :func:`tally`.  The calling thread and up to ``min(threads, chunks,
-CPUs) - 1`` plain ``threading`` workers take chunks of 4 consecutive
-blocks from one shared iterator, so the draw imports no
-``concurrent.futures`` (nor the ``logging`` that comes with it).  Each
-thread keeps one Philox bit generator, set to the counter of each block
-it draws, and two chunk-sized buffers, made once: ``uint64`` for the
-chunk's raw words and ``intp`` for their guide buckets.  It adds every
-chunk it draws into its own sums, a bucket histogram and the counts of
-the draws the search resolves, and writes the chunk's symbols into their
-slice of the world when the world is kept.  Sums are order-free, so no
-chunk waits for another; the threads' sums are folded into symbol counts
-once all are joined, and a thread's error is raised then.  A run's
-statistics therefore need no world in memory, and its memory does not
-grow with its length.
+CPUs) - 1`` plain ``threading`` workers, where the CPUs are those the
+process may run on, take chunks of 4 consecutive blocks from one shared
+iterator, so the draw imports no ``concurrent.futures`` (nor the
+``logging`` that comes with it).  Each drawing thread starts on a CPU of
+its own, since a new thread would otherwise share its creator's CPU for
+the whole draw.  Each thread keeps one Philox bit generator, set to the
+counter of each block it draws, and two chunk-sized buffers, made once:
+``uint64`` for the chunk's raw words and ``intp`` for their guide
+buckets.  It adds every chunk it draws into its own sums, a bucket
+histogram and the counts of the draws the search resolves, and writes
+the chunk's symbols into their slice of the world when the world is
+kept.  Sums are order-free, so no chunk waits for another; the threads'
+sums are folded into symbol counts once all are joined, and a thread's
+error is raised then.  A run's statistics therefore need no world in
+memory, and its memory does not grow with its length.
 
 The search is a guide table (Chen and Asau, 1974), worked in integers on
 the words.  A word ``w`` stands for the uniform ``u = (w >> 11) * 2**-53``,
@@ -385,6 +387,39 @@ def _fold(sums: np.ndarray, tables: tuple[np.ndarray, np.ndarray | None, np.ndar
     return counts
 
 
+def _draw_cpus() -> list[int]:
+    """The CPUs the calling thread may run on, in order.
+
+    Where the system cannot say, as on macOS and Windows, CPUs ``0`` to
+    ``os.cpu_count() - 1``; no thread is moved there, as they have no
+    ``sched_setaffinity`` either.
+    """
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
+def _start_on(cpu: int, cpus: list[int]) -> None:
+    """Move the calling thread onto ``cpu``, then let it run on all of ``cpus`` again.
+
+    A new thread starts on the CPU of the thread that made it, and the
+    scheduler leaves it there for a draw of tens of milliseconds, so two
+    drawing threads would share one CPU.  Set to one CPU, a thread moves
+    there at once; given its full set back, it stays until the scheduler
+    has a reason to move it.  On Linux ``sched_setaffinity(0, ...)`` acts
+    on the calling thread alone.  Where the call is missing, or refuses
+    (a CPU that is not there), the thread draws where it is.  The full set
+    is the one the thread was started with, so giving it back is refused
+    only if the CPUs the process may use change in between.
+    """
+    try:
+        os.sched_setaffinity(0, (cpu,))
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
 def _check_draw(length: int, seed: int, threads: int) -> None:
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -401,7 +436,8 @@ def sample_world(
 
     The result is identical for every ``threads`` value; threads only
     parallelize chunk generation.  At most ``min(threads, chunks, CPUs)``
-    threads run.  It is the world :func:`tally` keeps for ``on_world``.
+    threads run, counting the CPUs this process may run on.  It is the
+    world :func:`tally` keeps for ``on_world``.
     """
     kept = []
     tally(fps, length, seed, threads, on_world=kept.append)
@@ -418,14 +454,19 @@ def tally(
     """The symbol counts of ``sample_world(fps, length, seed)``, summed chunk by chunk as drawn.
 
     The calling thread draws, and so do up to ``min(threads, chunks,
-    CPUs) - 1`` more.  Each takes the next chunk from one shared iterator,
-    draws it into its own buffers with its own Philox generator, and adds
-    it into its own sums; those are folded into counts once every thread
-    is joined.  A thread's error stops the others after their current
-    chunk, and the first error is raised once all are joined.  The world
-    is kept only when ``on_world`` is given, each chunk written into its
-    slice; ``on_world`` is then called with it once the draw is done,
-    before the counts are returned.  A kept world too long for any array,
+    CPUs) - 1`` more, where the CPUs are those :func:`_draw_cpus` reads
+    once per draw.  When more than one thread draws, each moves itself
+    onto a CPU of its own, the caller onto the first, and at once lets
+    itself run on all of them again (:func:`_start_on`); the caller so
+    returns, or raises, with the CPU set it came in with.  Each thread
+    takes the next chunk from one shared iterator, draws it into its own
+    buffers with its own Philox generator, and adds it into its own sums;
+    those are folded into counts once every thread is joined.  A
+    thread's error stops the others after their current chunk, and the
+    first error is raised once all are joined.  The world is kept only
+    when ``on_world`` is given, each chunk written into its slice;
+    ``on_world`` is then called with it once the draw is done, before
+    the counts are returned.  A kept world too long for any array,
     or for the memory, raises MemoryError.
     """
     _check_draw(length, seed, threads)
@@ -442,8 +483,10 @@ def tally(
     sums: list = []  # each thread's bucket histogram and mixed-bucket counts
     errors: list = []
 
-    def draw() -> None:
+    def draw(cpu: int | None) -> None:
         try:
+            if cpu is not None:
+                _start_on(cpu, cpus)
             words = np.empty(min(_CHUNK_LEN, length), np.uint64)
             bucket = np.empty(words.size, np.intp)
             bitgen = np.random.Philox(key=seed)
@@ -460,11 +503,15 @@ def tally(
         except BaseException as err:  # raised by the caller once every thread is joined
             errors.append(err)
 
-    helpers = min(threads, n_chunks, os.cpu_count() or 1) - 1
-    pool = [threading.Thread(target=draw, daemon=True) for _ in range(helpers)]
+    cpus = _draw_cpus()
+    helpers = min(threads, n_chunks, len(cpus)) - 1
+    pool = [
+        threading.Thread(target=draw, args=(cpus[slot],), daemon=True)
+        for slot in range(1, helpers + 1)
+    ]
     for thread in pool:
         thread.start()
-    draw()
+    draw(cpus[0] if pool else None)  # a draw on one thread stays where it is
     for thread in pool:
         thread.join()
     if errors:

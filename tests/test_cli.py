@@ -710,6 +710,9 @@ class TestExitCodeHoles:
         assert report["cross_check"]["pass"] is True
 
 
+#: The message for ``--trials`` of 2**63 or more, whatever the invocation.
+TRIALS_BEYOND = "--trials must be below 2**63"
+
 #: Invalid command lines and the message of the one JSON error line each
 #: prints.  Input files are named relative to the working directory.
 #: argparse's "invalid choice" wording differs between Python versions, so
@@ -810,13 +813,12 @@ _USAGE_ERRORS = [
         "invalid hidden-variable file 'object-weights.json': weights must be a list of JSON "
         "numbers",
     ),
+    ("chsh --trials 9223372036854775808 --seed 1 --world-out w.json", TRIALS_BEYOND),
+    ("ghz --trials 9223372036854775808 --seed 1 --world-out w.json", TRIALS_BEYOND),
+    ("lhv chsh --h-file h.json --trials 9223372036854775808 --seed 1", TRIALS_BEYOND),
     (
-        "chsh --trials 9223372036854775808 --seed 1 --world-out w.json",
-        "--world-out: too little memory for a world of 9223372036854775808 trials",
-    ),
-    (
-        "ghz --trials 9223372036854775808 --seed 1 --world-out w.json",
-        "--world-out: too little memory for a world of 9223372036854775808 trials",
+        "chsh --trials 4611686018427387904 --seed 1 --world-out w.json",
+        "--world-out: too little memory for a world of 4611686018427387904 trials",
     ),
     (
         "lhv ghz --out no-dir/out.json",
@@ -1082,12 +1084,13 @@ print(*(name for name in names if name in sys.modules))
 """
 
 
-#: Runs ``main`` on its arguments with two CPUs reported, so that a draw of
+#: Runs ``main`` on its arguments with two CPUs allowed, so that a draw of
 #: more than one chunk runs on worker threads, and the report discarded; then
 #: prints the exit status and which of the thread pool's modules it loaded.
 _THREADED_IMPORTS = """
-import contextlib, io, os, sys
-os.cpu_count = lambda: 2
+import contextlib, io, sys
+import typicality_lab.worlds
+typicality_lab.worlds._draw_cpus = lambda: [0, 1]
 from typicality_lab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
@@ -1139,8 +1142,8 @@ class TestImportCost:
     @pytest.mark.parametrize("trials", ["8000", "270000"])
     @pytest.mark.parametrize("command", ["chsh", "ghz"])
     def test_threaded_runs_load_no_thread_pool_module(self, command, trials):
-        # 270000 trials are three chunks, drawn by two worker threads; the
-        # scheduler needs neither concurrent.futures nor logging (5-9 ms).
+        # 270000 trials are nine chunks, drawn by the caller and one worker;
+        # the scheduler needs neither concurrent.futures nor logging (5-9 ms).
         argv = [command, "--trials", trials, "--threads", "2", "--seed", "1"]
         done = subprocess.run(
             [sys.executable, "-c", _THREADED_IMPORTS, *argv],
@@ -1367,14 +1370,17 @@ _FLAG_VALUES = {
 
 
 #: The outcome classes of an edge case besides a usage error: a report (exit
-#: 0 or 1), or a run that starts to draw its trials.
+#: 0 or 1), or a run that starts to draw its 2**63 - 1 trials.
 REPORT, DRAW = "report", "draw"
 
 
-def _trials_edges(command, module, beyond):
-    """``--trials`` at ``MIN_TRIALS - 1``, 0 and a negative, then ``beyond`` for 2**63."""
+def _trials_edges(command, module):
+    """``--trials`` at ``MIN_TRIALS - 1``, 0 and a negative, then at 2**63 - 1 and 2**63."""
     too_few = f"^{command} requires --trials >= {module.MIN_TRIALS}$"
-    return [(f"--trials {t}", too_few) for t in (module.MIN_TRIALS - 1, 0, -1)] + [beyond]
+    return [(f"--trials {t}", too_few) for t in (module.MIN_TRIALS - 1, 0, -1)] + [
+        (f"--trials {2**63 - 1}", DRAW),
+        (f"--trials {2**63}", f"^{re.escape(TRIALS_BEYOND)}$"),
+    ]
 
 
 _SEED_EDGES = [
@@ -1383,10 +1389,10 @@ _SEED_EDGES = [
     (f"--seed {2**64 - 1}", REPORT),
 ]
 _THREADS_EDGES = [("--threads 0", "^--threads must be at least 1$")]
-#: 2**63 trials are past any array, so keeping their world is refused.
+#: No memory holds a world of 2**62 trials, so keeping it is refused.
 _WORLD_BEYOND = (
-    f"--trials {2**63} --world-out {{world-out.json}}",
-    f"^--world-out: too little memory for a world of {2**63} trials$",
+    f"--trials {2**62} --world-out {{world-out.json}}",
+    f"^--world-out: too little memory for a world of {2**62} trials$",
 )
 _WORLD_OUT_EDGES = [
     ("--world-out {no-dir/world.json}", "^cannot write --world-out file '.*world.json': "),
@@ -1402,7 +1408,8 @@ _H_FILE_EDGES = [
 #: and the outcome, a usage error's message pattern or a class above.
 _EDGE_CASES = {
     "chsh": [
-        *_trials_edges("chsh", chsh_mod, _WORLD_BEYOND),
+        *_trials_edges("chsh", chsh_mod),
+        _WORLD_BEYOND,
         *_SEED_EDGES,
         *_THREADS_EDGES,
         *[
@@ -1412,7 +1419,8 @@ _EDGE_CASES = {
         *_WORLD_OUT_EDGES,
     ],
     "ghz": [
-        *_trials_edges("ghz", ghz_mod, _WORLD_BEYOND),
+        *_trials_edges("ghz", ghz_mod),
+        _WORLD_BEYOND,
         *_SEED_EDGES,
         *_THREADS_EDGES,
         *_WORLD_OUT_EDGES,
@@ -1423,8 +1431,7 @@ _EDGE_CASES = {
         *_SEED_EDGES,
     ],
     "lhv chsh --trials": [
-        # No world is kept, so 2**63 trials are drawn: not a usage error.
-        *_trials_edges("lhv chsh", chsh_mod, (f"--trials {2**63}", DRAW)),
+        *_trials_edges("lhv chsh", chsh_mod),
         *_SEED_EDGES,
         *_THREADS_EDGES,
         *_H_FILE_EDGES,
@@ -1500,7 +1507,7 @@ class TestMainFuzz:
                     with monkeypatch.context() as patch, pytest.raises(_Drawn) as raised:
                         patch.setattr(worlds_mod, "tally", drawn)
                         main(argv)
-                    assert raised.value.args == (2**63,), argv
+                    assert raised.value.args == (2**63 - 1,), argv
                     assert capsys.readouterr() == ("", ""), argv
                     continue
                 status, out, err = run_cli(capsys, argv)

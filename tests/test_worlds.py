@@ -28,6 +28,14 @@ from typicality_lab.worlds import (
 SQRT2 = math.sqrt(2.0)
 
 
+def _allow_cpus(monkeypatch, n):
+    """Let a draw use ``n`` CPUs, so that it may start ``n - 1`` workers on any host.
+
+    A worker set to a CPU the host does not have draws where it is.
+    """
+    monkeypatch.setattr(worlds_mod, "_draw_cpus", lambda: list(range(n)))
+
+
 @st.composite
 def small_worlds(draw):
     size = draw(st.integers(min_value=1, max_value=4))
@@ -162,7 +170,7 @@ class TestSampling:
                 super().start()
 
         monkeypatch.setattr(worlds_mod.threading, "Thread", RecordingThread)
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        _allow_cpus(monkeypatch, 3)
         fps = uniform("ab")
         chunk = worlds_mod._CHUNK_LEN
         base = sample_world(fps, 4 * chunk, seed=5)
@@ -173,10 +181,105 @@ class TestSampling:
         assert len(started) == 2 + 1  # one more: the chunk count, less the caller
         sample_world(fps, chunk, seed=5, threads=1000)
         assert len(started) == 3  # a single chunk: the caller alone
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: None)
+        _allow_cpus(monkeypatch, 1)
         sample_world(fps, 4 * chunk, seed=5, threads=1000)
-        assert len(started) == 3  # unknown CPU count: one thread
+        assert len(started) == 3  # one CPU: one thread
         assert not any(thread.is_alive() for thread in started)
+
+    def test_cpus_without_sched_getaffinity_are_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(worlds_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        assert worlds_mod._draw_cpus() == [0, 1, 2]
+        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: None)
+        assert worlds_mod._draw_cpus() == [0]  # unknown CPU count: one thread
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_drawing_thread_starts_on_its_own_cpu(self, monkeypatch, threads):
+        # Each thread asks once for one CPU, the caller for the first, and
+        # then for the whole set; a draw on one thread moves nothing.
+        calls = []
+        caller = threading.get_ident()
+        monkeypatch.setattr(worlds_mod, "_draw_cpus", lambda: [5, 7, 9])
+        monkeypatch.setattr(
+            worlds_mod.os,
+            "sched_setaffinity",
+            lambda pid, cpus: calls.append((threading.get_ident(), pid, list(cpus))),
+            raising=False,
+        )
+        fps = chsh_distribution("analytic")
+        counts = worlds_mod.tally(fps, 6 * worlds_mod._CHUNK_LEN, 3, threads)
+        np.testing.assert_array_equal(counts, worlds_mod.tally(fps, 6 * worlds_mod._CHUNK_LEN, 3))
+        per_thread: dict = {}
+        for ident, pid, cpus in calls:
+            assert pid == 0  # the calling thread
+            per_thread.setdefault(ident, []).append(cpus)
+        if threads == 1:
+            assert calls == []
+            return
+        assert len(per_thread) == threads
+        assert per_thread[caller] == [[5], [5, 7, 9]]
+        singles = []
+        for single, everywhere in per_thread.values():
+            assert len(single) == 1 and everywhere == [5, 7, 9]
+            singles += single
+        assert sorted(singles) == [5, 7, 9][:threads]
+
+    @pytest.mark.parametrize("fault", [None, "chunk", "sched_setaffinity"])
+    def test_caller_leaves_with_the_cpus_it_came_in_with(self, monkeypatch, fault):
+        # On the real calls: a draw that ends, one whose chunk raises, and one
+        # whose every sched_setaffinity call is refused.
+        if not hasattr(worlds_mod.os, "sched_setaffinity"):
+            pytest.skip("no sched_setaffinity on this platform")
+        before = worlds_mod.os.sched_getaffinity(0)
+        fps = chsh_distribution("analytic")
+        length = 6 * worlds_mod._CHUNK_LEN
+        base = worlds_mod.tally(fps, length, 3)
+        if fault == "chunk":
+            fill_words = worlds_mod._fill_words
+
+            def failing(words, bitgen, chunk):
+                if chunk == 4:
+                    raise ArithmeticError("chunk 4")
+                fill_words(words, bitgen, chunk)
+
+            monkeypatch.setattr(worlds_mod, "_fill_words", failing)
+        elif fault == "sched_setaffinity":
+
+            def refused(pid, cpus):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(worlds_mod.os, "sched_setaffinity", refused)
+        # The allowed CPUs, each twice, so that workers start even on one CPU
+        # and every CPU set asked for is one the caller may have.
+        monkeypatch.setattr(worlds_mod, "_draw_cpus", lambda: sorted(before) * 2)
+        for threads in (2, 3):
+            if fault == "chunk":
+                with pytest.raises(ArithmeticError, match="chunk 4"):
+                    worlds_mod.tally(fps, length, 3, threads)
+            else:
+                np.testing.assert_array_equal(worlds_mod.tally(fps, length, 3, threads), base)
+            assert worlds_mod.os.sched_getaffinity(0) == before
+
+    def test_a_process_allowed_one_cpu_starts_no_worker(self, monkeypatch):
+        if not hasattr(worlds_mod.os, "sched_setaffinity"):
+            pytest.skip("no sched_setaffinity on this platform")
+        started = []
+        monkeypatch.setattr(
+            worlds_mod.threading,
+            "Thread",
+            lambda *args, **kwargs: started.append(args) or threading.Thread(*args, **kwargs),
+        )
+        before = worlds_mod.os.sched_getaffinity(0)
+        fps = chsh_distribution("analytic")
+        length = 6 * worlds_mod._CHUNK_LEN
+        worlds_mod.os.sched_setaffinity(0, {min(before)})
+        try:
+            counts = worlds_mod.tally(fps, length, 3, threads=4)
+            assert worlds_mod.os.sched_getaffinity(0) == {min(before)}
+        finally:
+            worlds_mod.os.sched_setaffinity(0, before)
+        assert started == []
+        np.testing.assert_array_equal(counts, worlds_mod.tally(fps, length, 3))
 
     @pytest.mark.parametrize("raiser", ["caller", "worker"])
     def test_draw_joins_its_threads_on_error(self, monkeypatch, raiser):
@@ -184,7 +287,7 @@ class TestSampling:
         # the caller once, and only after every thread is joined.  The other
         # threads wait in their first chunk until the error is raised, so
         # that the raiser surely draws a chunk.
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        _allow_cpus(monkeypatch, 3)
         before = threading.active_count()
         fill_words = worlds_mod._fill_words
         raised = threading.Event()
@@ -216,7 +319,7 @@ class TestSampling:
     def test_counts_only_tally_is_the_kept_worlds_counts(self, monkeypatch, length, threads):
         # The joint of lhv chsh --trials has 64 symbols of uneven weights,
         # so many more of its draws fall in mixed buckets than CHSH's.
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        _allow_cpus(monkeypatch, 3)
         joint = product(random_h_spaces(1, 3)[0], fair_coin(), fair_coin())
         for fps in (chsh_distribution("analytic"), ghz_distribution("analytic"), joint):
             counts = worlds_mod.tally(fps, length, 11, threads)
@@ -227,7 +330,7 @@ class TestSampling:
         # a chunk written twice or not at all would change the world.
         import sys
 
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 6)
+        _allow_cpus(monkeypatch, 6)
         fps = chsh_distribution("analytic")
         length = 9 * worlds_mod._CHUNK_LEN + 3
         base = sample_world(fps, length, seed=31)
@@ -249,7 +352,7 @@ class TestSampling:
         # and counted, would mix chunks.
         import sys
 
-        monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
+        _allow_cpus(monkeypatch, 3)
         fps = chsh_distribution("analytic")
         length = 7 * worlds_mod._CHUNK_LEN + 5
 
