@@ -31,12 +31,14 @@ __all__ = [
     "block_frequency_test",
     "frequency_test",
     "holm_family",
-    "long_enough",
     "run_battery",
 ]
 
 DEFAULT_BLOCK_LENS = (1, 2, 3)
 DEFAULT_SIGNIFICANCE = 0.01
+
+#: The longest block any test counts.
+_MAX_BLOCK_LEN = 64
 
 
 class FrequencyTest(NamedTuple):
@@ -107,29 +109,27 @@ def block_frequency_test(
 ) -> FrequencyTest:
     """Chi-square test of non-overlapping length-k block frequencies.
 
-    Requires ``block_len >= 1`` and ``block_len * |alphabet|**block_len
+    Requires ``1 <= block_len <= 64`` and ``block_len * |alphabet|**block_len
     <= len(world) / 10`` so every positive-probability cell has a usable
-    expected count.  The p-value is the chi-square upper tail with
-    (#positive-probability blocks - 1) degrees of freedom.
+    expected count.  With two or more symbols the length rule alone refuses
+    every block longer than 64; with one, every test has 0 degrees of
+    freedom and decides nothing, so no longer block is counted.  The p-value
+    is the chi-square upper tail with (#positive-probability blocks - 1)
+    degrees of freedom.
     """
     if world.alphabet != fps.alphabet:
         raise ValueError(
             "world and probability-space alphabets differ (symbols and order must match)"
         )
-    if block_len < 1:
-        raise ValueError("block_len must be at least 1")
+    if not 1 <= block_len <= _MAX_BLOCK_LEN:
+        raise ValueError(f"block_len must be from 1 to {_MAX_BLOCK_LEN}, got {block_len}")
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must be in (0, 1)")
-    n_sym = len(fps.alphabet)
-    if not long_enough(len(world), n_sym, block_len):
-        need = (
-            10 * block_len * n_sym**block_len
-            if block_len <= _MAX_REPORTED_BLOCK_LEN
-            else f"10 * {block_len} * {n_sym}**{block_len}"
-        )
+    cells = len(fps.alphabet) ** block_len
+    if block_len * cells > len(world) / 10:
         raise ValueError(
             f"world too short for block_len {block_len}: need length >= "
-            f"{need}, got {len(world)}"
+            f"{10 * block_len * cells}, got {len(world)}"
         )
     cell_probs = reduce(np.kron, [np.asarray(fps.weights)] * block_len)
     return frequency_test(world.counts(block_len), cell_probs, block_len, significance)
@@ -187,23 +187,6 @@ def holm_family(tests: Sequence[FrequencyTest], rate: float) -> tuple[FrequencyT
     return tuple(
         t._replace(significance=rate, adjusted_p_value=a) for t, a in zip(tests, adjusted)
     )
-
-
-#: Beyond this block length the required length is named, not computed.
-_MAX_REPORTED_BLOCK_LEN = 64
-
-
-def long_enough(length: int, n_sym: int, block_len: int) -> bool:
-    """Whether ``block_len * n_sym**block_len <= length / 10``, the battery's length rule.
-
-    With two or more symbols a block length above ``length.bit_length()``
-    fails it (``n_sym**block_len`` alone exceeds ``length``), and is
-    rejected without building that power, which for an absurd
-    ``--blocks`` value would not fit in memory.
-    """
-    if n_sym > 1 and block_len > length.bit_length():
-        return False
-    return block_len * n_sym**block_len <= length / 10
 
 
 def _chi2_sf(x: float, dof: int) -> float:

@@ -10,11 +10,10 @@ from typicality_lab.battery import (
     block_frequency_test,
     frequency_test,
     holm_family,
-    long_enough,
     run_battery,
 )
 from typicality_lab.chsh import chsh_distribution, coin_event
-from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin
+from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin, point_mass, uniform
 from typicality_lab.worlds import WorldPrefix, condition_seq, sample_world
 
 
@@ -71,20 +70,29 @@ class TestBlockFrequency:
     def test_length_rule(self):
         for length in (0, 9, 80, 1000, 10**6):
             for n_sym in (1, 2, 4, 16):
+                fps = uniform(range(n_sym))
+                world = WorldPrefix(range(n_sym), np.arange(length) % n_sym)
                 for k in range(1, 30):
-                    assert long_enough(length, n_sym, k) == (k * n_sym**k <= length / 10)
+                    if k * n_sym**k <= length / 10:
+                        assert block_frequency_test(world, fps, k).n_blocks == length // k
+                    else:
+                        with pytest.raises(ValueError, match="too short"):
+                            block_frequency_test(world, fps, k)
 
-    def test_absurd_block_len_is_too_short_at_once(self):
-        class NoPower(int):
-            def __pow__(self, exponent):
-                raise AssertionError("the power was built")
-
-        # 4**(10**8) alone would take seconds and a 25 MB integer to build.
-        assert not long_enough(10**6, NoPower(4), 10**8)
-        assert long_enough(10**9, 1, 10**8)
-        world = sample_world(fair_coin(), 100, seed=1)
-        with pytest.raises(ValueError, match=r"need length >= 10 \* 100000000 \* 2\*\*100000000"):
-            block_frequency_test(world, fair_coin(), 10**8)
+    def test_block_len_above_64_is_refused_at_once(self):
+        # The cap is checked first: a one-symbol world of 10**4 meets the
+        # length rule at k = 65, and 3**(10**8) alone would take seconds to
+        # build, so reaching the length rule would show either way.
+        one = WorldPrefix(["a"], np.zeros(10**4, dtype=np.intp))
+        three = WorldPrefix("abc", np.arange(100) % 3)
+        for world, fps in ((one, point_mass(["a"], "a")), (three, uniform("abc"))):
+            for block_len in (65, 10**8):
+                message = f"^block_len must be from 1 to 64, got {block_len}$"
+                with pytest.raises(ValueError, match=message):
+                    block_frequency_test(world, fps, block_len)
+        # At 64 the one-symbol test runs, and decides nothing.
+        result = block_frequency_test(one, point_mass(["a"], "a"), 64)
+        assert (result.n_blocks, result.dof, result.p_value) == (156, 0, 1.0)
 
     def test_block_len_must_be_positive(self):
         world = sample_world(fair_coin(), 100, seed=1)

@@ -44,6 +44,10 @@ BIG_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [10**400, 0]})
 #: Spaces with a null and an object among their weights.
 NULL_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [None, 1]})
 OBJECT_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [{}, 1]})
+#: A one-symbol world and its space: the length rule admits every block
+#: length up to 64 here, so only the cap refuses 65.
+ONE_SYMBOL_WORLD = WorldPrefix([0], np.zeros(640, dtype=np.intp)).to_json()
+ONE_SYMBOL_SPACE = point_mass([0], 0).to_json()
 
 
 def run_cli(capsys, argv):
@@ -739,6 +743,7 @@ _USAGE_ERRORS = [
     ("chsh --trials 8000 --seed 1 --blocks 1", "chsh does not use --blocks"),
     ("ghz --trials 8000 --seed 1 --blocks 1,x", "ghz does not use --blocks"),
     ("battery world.json fps.json --blocks 0", "--blocks expects positive integers, got '0'"),
+    ("battery one.json one_fps.json --blocks 65", "block_len must be from 1 to 64, got 65"),
     ("battery world.json fps.json --seed 3", "battery does not use --seed"),
     ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
     ("lhv ghz --threads 1", "lhv ghz does not use --threads"),
@@ -855,6 +860,8 @@ class TestUsageErrorLines:
             ),
             "null-weights.json": NULL_WEIGHT_SPACE,
             "object-weights.json": OBJECT_WEIGHT_SPACE,
+            "one.json": ONE_SYMBOL_WORLD,
+            "one_fps.json": ONE_SYMBOL_SPACE,
         }
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
@@ -1011,7 +1018,13 @@ class TestPeakMemory:
 
 
 class TestPageFaults:
-    """Each drawing thread reuses its chunk buffers, so a longer draw touches no fresh pages."""
+    """Memory that grows with the draw, such as a kept world, shows as fresh pages.
+
+    A buffer allocated per chunk does not: the allocator hands back the
+    block the last chunk freed, so it touches no fresh page.  That is
+    caught in ``tests/test_worlds.py`` by
+    ``TestSampling::test_stream_chunks_are_the_world_whichever_thread_reuses_its_buffers``.
+    """
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt")
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1245,6 +1258,8 @@ _FUZZ_FILES = (
     "deep.json",
     "deep-symbol.json",
     "not-utf-8.json",
+    "one.json",
+    "one_fps.json",
 )
 
 
@@ -1267,6 +1282,8 @@ def fuzz_files(tmp_path_factory):
         "object-weights.json": OBJECT_WEIGHT_SPACE,
         "deep.json": "[" * 200_000,
         "deep-symbol.json": DEEP_SYMBOL_SPACE,
+        "one.json": ONE_SYMBOL_WORLD,
+        "one_fps.json": ONE_SYMBOL_SPACE,
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -1351,7 +1368,8 @@ _VALID_INVOCATIONS = {
     "lhv chsh --trials": "lhv chsh --h-file {h.json} --trials 4000 --seed 1",
     "lhv chsh": "lhv chsh --h-file {h.json}",
     "lhv ghz": "lhv ghz",
-    "battery": "battery {world.json} {fps.json}",
+    # The one-symbol world, where the length rule admits every --blocks to 64.
+    "battery": "battery {one.json} {one_fps.json}",
 }
 
 #: A valid value for each flag some invocation reads, by its ``argparse`` name.
@@ -1446,6 +1464,8 @@ _EDGE_CASES = {
         ("--blocks 0", "^--blocks expects positive integers, got '0'$"),
         ("--blocks 1,1", "^--blocks repeats a block length, got '1,1'$"),
         ("--blocks=", "^--blocks expects positive integers, got ''$"),
+        ("--blocks 64", REPORT),
+        ("--blocks 65", "^block_len must be from 1 to 64, got 65$"),
     ],
 }
 
