@@ -39,13 +39,13 @@ _EXPORTS = {
     name: module
     for module, names in {
         "battery": "BatteryReport FrequencyTest block_frequency_test run_battery",
-        "checks": "Check",
+        "checks": "ATOL Check",
         "chsh": "CHSH CHSH_OUTCOMES ChshOutcome ConditionalAverageReport "
         "build_chsh_operators chsh_distribution lhv_chsh_averages lhv_chsh_simulate "
         "lhv_sweep random_h_spaces run_chsh",
         "ghz": "GHZ GHZ_OUTCOMES GhzEnumeration GhzOutcome GhzRunReport LhvAssignment "
         "build_ghz_operators ghz_distribution lhv_ghz_enumerate lhv_ghz_feasibility run_ghz",
-        "linalg": "ATOL I2 MAX_TENSOR_DIM MeasurementOperatorSet X Y Z basis bell_singlet "
+        "linalg": "I2 MAX_TENSOR_DIM MeasurementOperatorSet X Y Z basis bell_singlet "
         "check_completeness controlled_unitary ghz_state involutory_pvm ket_plus "
         "projector tensor",
         "spaces": "FiniteProbabilitySpace fair_coin point_mass product uniform",

@@ -3,7 +3,10 @@
 import operator
 from typing import NamedTuple
 
-__all__ = ["Check", "RELATIONS", "SIGMAS"]
+__all__ = ["ATOL", "Check", "RELATIONS", "SIGMAS"]
+
+#: Absolute tolerance of every operator identity and of every gated exact check.
+ATOL = 1e-12
 
 #: Width, in standard errors, of every acceptance band on a sampled average.
 SIGMAS = 4.0

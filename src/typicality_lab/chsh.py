@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .checks import SIGMAS, Check
-from .linalg import ATOL, X, Z, bell_singlet
+from .checks import ATOL, SIGMAS, Check
+from .linalg import X, Z, bell_singlet
 from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace, _check_weights, product, uniform
 
@@ -338,12 +338,12 @@ def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     """``s_value`` of each row of hidden-variable weights over ``RQST_TUPLES``.
 
     Each row is checked by ``spaces._check_weights``, as a space's weights are.
-    The matrix product rounds differently from the exact sums of
-    :func:`lhv_chsh_averages`, by at most a few units in the last place.
+    Its s-value is one numpy row sum of its weights times each tuple's ``rs + qs + rt - qt``
+    (``_SIGNS`` read at call time), whose order neither the BLAS kernel nor the block moves.
     """
     _check_weights(weights)
-    rs, qs, rt, qt = (weights @ _SIGNS).T
-    return rs + qs + rt - qt
+    rs, qs, rt, qt = _SIGNS.T
+    return (weights * (rs + qs + rt - qt)).sum(axis=-1)
 
 
 def local_bound_check(s_value: float) -> Check:
@@ -378,8 +378,8 @@ def lhv_sweep(count: int, seed: int) -> SweepReport:
 
     The random distributions are drawn and checked one block at a time,
     so the memory of a sweep does not grow with ``count``.  The point
-    masses are the rows of the identity, whose ``s_value`` the matrix
-    product gives exactly; they are taken after the random draw.
+    masses are the rows of the identity, whose ``s_value`` is exactly a
+    tuple's ``+/-2``; they are taken after the random draw.
     """
     random_max = max(
         (float(_lhv_s_values(w).max()) for w in _random_h_weights(count, seed)),

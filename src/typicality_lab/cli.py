@@ -32,8 +32,7 @@ import json
 import math
 import sys
 
-from .checks import RELATIONS, Check
-from .linalg import ATOL
+from .checks import ATOL, RELATIONS, Check
 from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]

@@ -24,6 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checks import ATOL
+
 __all__ = [
     "ATOL",
     "I2",
@@ -45,9 +47,6 @@ __all__ = [
     "check_completeness",
     "controlled_unitary",
 ]
-
-#: Absolute entrywise tolerance for every operator identity in the package.
-ATOL = 1e-12
 
 #: Largest total dimension ``tensor`` will produce.
 MAX_TENSOR_DIM = 2**12

@@ -1132,8 +1132,8 @@ _MODULE_SETS = [
     ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"battery", "ghz"}),
     ("ghz --trials 8000 --seed 1", 0, {"chsh", "battery"}),
     ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
-    ("battery {world.json} {fps.json}", 0, {"chsh", "ghz"}),
-    ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol"}),
+    ("battery {world.json} {fps.json}", 0, {"chsh", "ghz", "protocol", "linalg"}),
+    ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg"}),
 ]
 
 

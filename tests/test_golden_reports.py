@@ -34,7 +34,7 @@ GOLDEN = {
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "06125cc981b25859293f8094daf9a78fd80c740a76adf4edef30fec807c27a34",
+        "178422bc83a2c4688826f1f7648f5f3459866cb524d45e956a6b2ee1839696aa",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
@@ -68,7 +68,7 @@ GOLDEN.update(
         ),
         "lhv chsh --sweep 1000 --seed 3 --format csv": (
             0,
-            "bd19b2801275fbdfa31bfe2b78befc0a32aeddaabeb5d490c1f8e10761f43b0f",
+            "174b27c9edf342c96fc1dec8f7e23bf9db62c3c3b1d3dae1103d74e262668223",
         ),
         "lhv ghz --format csv": (
             0,

@@ -1,4 +1,4 @@
-"""The ``lhv chsh --h-file --trials`` report against a plain-Python reference, field by field.
+"""The ``lhv chsh --h-file`` reports against plain-Python references, field by field.
 
 The reference shares no code with the package past its own test helpers.
 It reads the hidden-variable file as JSON, draws rounds of the value
@@ -18,6 +18,12 @@ order, and one in a shuffled order that ends on a tuple of weight zero.
 Integers, strings, booleans and the exit status must match exactly, and
 every other float within 1e-12 relative.  The seeds were fixed before any
 report was looked at.
+
+Without ``--trials`` the report holds the exact averages alone.  Each is
+the ``fractions.Fraction`` sum of the file's weights times the products,
+and the report's float must be that sum correctly rounded, exactly; the
+s-value is ``rs + qs + rt - qt`` of those floats.  That reference also
+reads the golden uniform file, and checks the CSV view byte for byte.
 """
 
 import bisect
@@ -27,6 +33,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -58,11 +65,38 @@ def shuffled_h():
     return {"alphabet": [list(x) for x in order], "weights": [w / total for w in weights]}
 
 
+def uniform_h():
+    """The golden file: weight 1/16 on each tuple, in lexicographic order."""
+    return {"alphabet": [list(x) for x in TUPLES], "weights": [1 / 16] * 16}
+
+
 H_FILES = {"ordered": ordered_h, "shuffled": shuffled_h}
+
+#: The files the exact reference reads.
+EXACT_H_FILES = {**H_FILES, "uniform": uniform_h}
 
 
 def average_name(c, d):
     return "rq"[c] + "st"[d]
+
+
+def s_value(a):
+    return a["rs"] + a["qs"] + a["rt"] - a["qt"]
+
+
+def bound_check(s):
+    """The ``chsh-bound`` check of an exact s-value, and the failures it makes."""
+    value = abs(s)
+    passed = value <= LOCAL_BOUND + ATOL
+    check = {
+        "name": "chsh-bound",
+        "value": value,
+        "relation": "<=",
+        "bound": LOCAL_BOUND + ATOL,
+        "gating": True,
+        "passed": passed,
+    }
+    return check, [] if passed else ["chsh-bound"]
 
 
 def reference_report(h, seed):
@@ -94,18 +128,7 @@ def reference_report(h, seed):
         std_errors[name] = 2.0 * math.sqrt((plus / total) * (1.0 - plus / total) / total)
         tolerances[name] = SIGMAS * math.sqrt(max(0.0, 1.0 - exact[name] ** 2) / total)
 
-    def s_value(a):
-        return a["rs"] + a["qs"] + a["rt"] - a["qt"]
-
-    bound = {
-        "name": "chsh-bound",
-        "value": abs(s_value(exact)),
-        "relation": "<=",
-        "bound": LOCAL_BOUND + ATOL,
-        "gating": True,
-    }
-    bound["passed"] = bound["value"] <= bound["bound"]
-    failures = [] if bound["passed"] else ["chsh-bound"]
+    bound, failures = bound_check(s_value(exact))
     report = {
         "schema": 4,
         "protocol": "lhv-chsh",
@@ -150,3 +173,56 @@ def test_the_shuffled_file_is_a_reordering():
     assert sorted(map(tuple, h["alphabet"])) == sorted(TUPLES)
     assert [tuple(x) for x in h["alphabet"]] != TUPLES
     assert h["weights"][-1] == 0.0 and abs(sum(h["weights"]) - 1.0) <= 1e-12
+
+
+def exact_reference(h):
+    """The report, exit status and CSV view of ``lhv chsh --h-file h``."""
+    averages = {}
+    for c, d in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        terms = (Fraction(w) * x[c] * x[2 + d] for x, w in zip(h["alphabet"], h["weights"]))
+        averages[average_name(c, d)] = float(sum(terms))
+    bound, failures = bound_check(s_value(averages))
+    report = {
+        "schema": 4,
+        "protocol": "lhv-chsh",
+        "method": "lhv-exact",
+        "averages": averages,
+        "s_value": s_value(averages),
+        "checks": [bound],
+        "failures": failures,
+    }
+    row = [*averages.values(), s_value(averages)]
+    csv_view = "rs,qs,rt,qt,s_value\n" + ",".join(map(repr, row)) + "\n"
+    return report, 1 if failures else 0, csv_view
+
+
+def run_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return out.getvalue(), status
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_H_FILES))
+def test_exact_report_matches_the_reference(tmp_path, name):
+    h = EXACT_H_FILES[name]()
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h))
+    expected, expected_status, expected_csv = exact_reference(h)
+    text, status = run_text(["lhv", "chsh", "--h-file", str(path)])
+    got = json.loads(text)
+    got["failures"] = [f["check"] for f in got["failures"]]
+    # As JSON text: every float exactly, and 2.0 is not 2.
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert status == expected_status == 0
+    assert run_text(["lhv", "chsh", "--h-file", str(path), "--format", "csv"]) == (
+        expected_csv,
+        expected_status,
+    )
+
+
+def test_the_uniform_file_is_the_golden_one():
+    from typicality_lab.chsh import RQST_TUPLES
+    from typicality_lab.spaces import uniform
+
+    assert json.loads(uniform(RQST_TUPLES).to_json()) == uniform_h()

@@ -7,9 +7,10 @@ cell by cell for the run statistics, one ``searchsorted`` per Philox
 block for the sampler, a membership mask per event for the one-pass cell
 split, int64 Horner codes for the battery's block histograms, and the
 materialised world, split and counted, for the counts taken while it is
-drawn.  The fast paths must agree exactly, except the sweep's matrix
-product, which may round in the last place, and the closed-form
-chi-square tail, which must agree to a stated relative error.
+drawn.  The fast paths must agree exactly, except the sweep's s-values,
+summed in another order than the exact averages and so free to round in
+the last place, and the closed-form chi-square tail, which must agree to
+a stated relative error.
 """
 
 import json
@@ -193,13 +194,26 @@ class TestSweep:
             assert max(s.max() for s in random_s) == s_values(one_shot).max()
         assert report.max_s_value == (s_values(one_shot).max() if count else None)
 
+    def test_s_value_does_not_depend_on_the_rows_beside_it(self):
+        # One row alone, in blocks of 1024 rows and in one block of 3000.
+        weights = np.vstack(list(chsh_mod._random_h_weights(3000, 42)))
+        one_block = chsh_mod._lhv_s_values(weights)
+        blocks = [chsh_mod._lhv_s_values(weights[i : i + 1024]) for i in range(0, 3000, 1024)]
+        alone = [chsh_mod._lhv_s_values(row[None])[0] for row in weights]
+        assert np.array_equal(np.concatenate(blocks), one_block)
+        assert np.array_equal(alone, one_block)
+
     def test_blocked_sweep_report_bytes(self, monkeypatch, capsys):
-        argv = ["lhv", "chsh", "--sweep", "1000", "--seed", "3"]
-        assert main(argv) == 0
-        one_block = capsys.readouterr().out
-        monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", 64)
-        assert main(argv) == 0
-        assert capsys.readouterr().out == one_block
+        # Seed 7: a summation order that varied with the block would move its last digit.
+        for seed in ("3", "7"):
+            argv = ["lhv", "chsh", "--sweep", "1000", "--seed", seed]
+            monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", 1024)
+            assert main(argv) == 0
+            default = capsys.readouterr().out
+            for block in (1, 7, 64, 1000):
+                monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", block)
+                assert main(argv) == 0
+                assert capsys.readouterr().out == default, (seed, block)
 
     def test_empty_sweep_reports_the_vertices(self):
         report = chsh_mod.lhv_sweep(0, 1)
