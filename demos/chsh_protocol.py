@@ -19,7 +19,7 @@ sampled 200000 rounds (seed 42)
   <QT> = -0.710555  (n=49937, target -0.707107)
   S = <RS> + <QS> + <RT> - <QT> = 2.831085   (2*sqrt(2) = 2.828427)
 conditioned subsequences vs conditional law (chi-square, Holm family):
-  coins 00: pass  coins 10: pass  coins 01: pass  coins 11: pass
+  coins 00: pass  coins 01: pass  coins 10: pass  coins 11: pass
 """
 
 import math

@@ -105,7 +105,8 @@ _SIGNS = np.array(
 
 def _closed_form(o: ChshOutcome) -> float:
     sign = 1 if (o.c * o.d) % 2 == 0 else -1  # integer (-1)^(cd)
-    return (1.0 + sign * o.m * o.n / _SQRT2) / 16.0
+    # (2 + sign m n sqrt 2) / 32, sqrt 2 to 200 bits: one int ratio, which division rounds once.
+    return (2 * 2**200 + sign * o.m * o.n * math.isqrt(2 * 4**200)) / (32 * 2**200)
 
 
 #: Party A measures (R, Q) = (X, Z), party B (S, T) = (-(X+Z)/sqrt2, (-X+Z)/sqrt2).
@@ -181,30 +182,6 @@ def _cell_statistics(cells: dict, variances: Sequence[float]) -> tuple[dict, dic
     return averages, counts, std_errors, tolerances
 
 
-#: The family-wise rate of the coin pairs' tests: the s-value gate's own
-#: false-alarm rate, the two-sided normal tail beyond ``SIGMAS``.
-_CELL_FAMILY_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
-
-
-def _cell_tests(fps: FiniteProbabilitySpace, counts: np.ndarray) -> dict:
-    """Each coin pair's block-1 test against its law under ``fps``, gated as one Holm family.
-
-    ``counts`` are a world's symbol counts over ``CHSH_OUTCOMES``, the
-    alphabet of ``fps``; a coin pair's row of them is its subsequence's
-    block-1 histogram.  The four tests share the family rate
-    ``_CELL_FAMILY_RATE`` by :func:`~typicality_lab.battery.holm_family`.
-    Keys are the coin pairs, ``"00"`` to ``"11"``.
-    """
-    from .battery import frequency_test, holm_family
-
-    rows = counts.reshape(4, 4)
-    tests = {
-        f"{c}{d}": frequency_test(rows[2 * c + d], fps.condition(coin_event(c, d)).weights)
-        for (c, d), _ in _AVERAGES.values()
-    }
-    return dict(zip(tests, holm_family(list(tests.values()), _CELL_FAMILY_RATE)))
-
-
 def run_chsh(
     trials: int,
     seed: int,
@@ -219,9 +196,9 @@ def run_chsh(
     statistics at far higher cost (and the distribution itself is
     cross-checked against the operator construction).
 
-    Each coin pair's subsequence is also tested against its conditional
-    distribution (see :func:`_cell_tests`).  Raises if any coin pair
-    collected no samples.  Every statistic is taken from the symbol counts
+    Each coin pair is also tested against its conditional law (see
+    :meth:`~typicality_lab.protocol.Protocol.cell_tests`).  Raises if any coin
+    pair collected no samples.  Every statistic is taken from the symbol counts
     and per-coin cells of :meth:`~typicality_lab.protocol.Protocol.tally_cells`,
     so the world is not kept unless ``on_world`` is given; it is then
     called with the world before any statistic is checked.
@@ -239,7 +216,7 @@ def run_chsh(
         counts=cell_counts,
         std_errors=std_errors,
         tolerances=tolerances,
-        cell_tests=_cell_tests(fps, counts),
+        cell_tests=CHSH.cell_tests(fps, counts),
     )
 
 

@@ -37,7 +37,7 @@ from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class UsageError(Exception):
@@ -151,6 +151,11 @@ def _cross_check(distribution) -> tuple[dict, Check]:
     return {"max_abs_diff": diff, "tolerance": ATOL, "pass": check.passed}, check
 
 
+def _cell_checks(run) -> list:
+    """The check of each of a run's coin-tuple tests, named for its coins."""
+    return [t.check._replace(name=f"{t.check.name}-cell-{c}") for c, t in run.cell_tests.items()]
+
+
 def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     """Quantum protocol run, distribution cross-check and the coin pairs' test family."""
     cross_check, cross = _cross_check(chsh.chsh_distribution)
@@ -158,10 +163,7 @@ def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
         report_obj = chsh.run_chsh(args.trials, args.seed, args.threads, on_world=on_world)
     s_tolerance = report_obj.tolerances["s_value"] if args.tolerance is None else args.tolerance
     s_error = abs(report_obj.s_value - chsh.S_TARGET)
-    checks = [cross, Check("s-value", s_error, "<=", s_tolerance)] + [
-        t.check._replace(name=f"{t.check.name}-cell-{cell}")
-        for cell, t in report_obj.cell_tests.items()
-    ]
+    checks = [cross, Check("s-value", s_error, "<=", s_tolerance), *_cell_checks(report_obj)]
     body = {
         "protocol": "chsh",
         **report_obj.to_dict(),
@@ -173,7 +175,7 @@ def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
 
 
 def cmd_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
-    """Quantum protocol run plus the exhaustive hidden-value enumeration."""
+    """Quantum protocol run, its coin triples' test family and the hidden-value enumeration."""
     cross_check, cross = _cross_check(ghz.ghz_distribution)
     with _world_saver(args) as on_world:
         run = ghz.run_ghz(args.trials, args.seed, threads=args.threads, on_world=on_world)
@@ -184,7 +186,7 @@ def cmd_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
         "lhv": enumeration.to_dict(),
         "cross_check": cross_check,
     }
-    return body, [run.check, enumeration.check, cross]
+    return body, [run.check, *_cell_checks(run), enumeration.check, cross]
 
 
 def cmd_lhv_chsh_sweep(args: argparse.Namespace, chsh) -> tuple[dict, list]:
@@ -266,9 +268,10 @@ def _csv_view(report: dict) -> str:
         writer.writerow(["satisfying_count", report["lhv"]["satisfying_count"]])
         writer.writerow(["plus_only_count", report["lhv"]["plus_only_count"]])
     elif protocol == "battery":
-        writer.writerow(["block_len", "statistic", "p_value", "dof", "pass"])
+        fields = ["block_len", "statistic", "p_value", "adjusted_p_value", "dof", "pass"]
+        writer.writerow(fields)
         for t in report["tests"]:
-            writer.writerow([t["block_len"], t["statistic"], t["p_value"], t["dof"], t["pass"]])
+            writer.writerow([t[field] for field in fields])
     return buffer.getvalue()
 
 
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tolerance",
             type=float,
-            help="override the default acceptance tolerance (battery: significance)",
+            help="override the default acceptance tolerance (battery: family-wise significance)",
         )
         p.add_argument(
             "--blocks", help="comma-separated block lengths (battery only; default 1,2,3)"

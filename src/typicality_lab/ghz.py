@@ -138,13 +138,14 @@ class GhzRunReport(NamedTuple):
     of a sampler bug), and ``check`` holds their total to zero; ``free``
     maps the other four triples to their mean product, which converges to
     0 within the recorded 4-sigma tolerance (both null for a triple with
-    no rounds).
+    no rounds).  ``cell_tests`` holds each triple's chi-square test, keyed alike.
     """
 
     trials: int
     seed: int
     constrained: dict
     free: dict
+    cell_tests: dict
 
     @property
     def check(self) -> Check:
@@ -157,6 +158,7 @@ class GhzRunReport(NamedTuple):
             "seed": self.seed,
             "perfect_correlation": dict(self.constrained),
             "free_triples": dict(self.free),
+            "cell_tests": {key: test.to_dict() for key, test in self.cell_tests.items()},
         }
 
 
@@ -175,9 +177,11 @@ def run_ghz(
     empirical mean product.  Each triple's cell is taken from
     :meth:`~typicality_lab.protocol.Protocol.tally_cells`, counted while
     the world is drawn; ``on_world``, if given, is called with the world.
+    Each triple is also tested against its conditional law (see
+    :meth:`~typicality_lab.protocol.Protocol.cell_tests`), which a forbidden outcome fails.
     """
     fps = ghz_distribution("analytic")
-    _, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world, min_trials=MIN_TRIALS)
+    counts, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world, min_trials=MIN_TRIALS)
     constrained, free = {}, {}
     for coins, cell in cells.items():
         key = "".join(str(c) for c in coins)
@@ -194,7 +198,7 @@ def run_ghz(
                 "mean_product": cell.mean if cell.count else None,
                 "tolerance": SIGMAS / math.sqrt(cell.count) if cell.count else None,
             }
-    return GhzRunReport(trials=trials, seed=seed, constrained=constrained, free=free)
+    return GhzRunReport(trials, seed, constrained, free, GHZ.cell_tests(fps, counts))
 
 
 class GhzEnumeration(NamedTuple):

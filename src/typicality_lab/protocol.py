@@ -13,9 +13,9 @@ result ``m`` of party ``k``'s observable ``A^k_c``.  :class:`Protocol`
 holds what differs between protocols -- the outcome record, the
 observables, the shared state and the closed form -- and derives the
 rest: the outcome alphabet, the distribution both ways, the coin events
-and a sampled run's per-coin cells.  The coins are outermost in the
-alphabet, so a run's symbol counts, reshaped to ``(2**n, 2**n)``, hold
-one row per coin tuple, and every row lists the same result tuples.
+and a sampled run's per-coin cells and tests.  The coins are outermost in
+the alphabet, so a run's symbol counts, reshaped to ``(2**n, 2**n)``,
+hold one row per coin tuple, and every row lists the same result tuples.
 
 The Born weights come from the 2x2 factors: each outcome's factors are
 applied to its copy of the initial state, one qubit axis at a time and
@@ -34,13 +34,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .checks import SIGMAS
 from .linalg import MeasurementOperatorSet, basis, involutory_pvm, ket_plus, projector, tensor
 from .spaces import FiniteProbabilitySpace
 
-__all__ = ["Protocol"]
+__all__ = ["CELL_FAMILY_RATE", "Protocol"]
 
 #: Each party's coin measurement, ``E_c = |c><c|``.
 _COIN_PROJECTORS = ((0, projector(basis(2, 0))), (1, projector(basis(2, 1))))
+
+#: The family-wise rate of a run's coin-tuple tests: the s-value gate's own
+#: false-alarm rate, the two-sided normal tail beyond ``SIGMAS``.
+CELL_FAMILY_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
 
 
 # Cached on the record's hashable fields: a Protocol holds arrays, so it is no key.
@@ -165,3 +170,21 @@ class Protocol(NamedTuple):
             o[:n]: SignCell(int(row.sum()), int(row[plus].sum()))
             for o, row in zip(self.alphabet[:: 2**n], counts.reshape(2**n, 2**n))
         }
+
+    def cell_tests(self, fps: FiniteProbabilitySpace, counts: np.ndarray) -> dict:
+        """Each coin tuple's block-1 test against its law under ``fps``, as one Holm family.
+
+        A coin tuple's row of ``counts``, a run's symbol counts over the
+        alphabet of ``fps``, is its block-1 histogram.  The family's rate is
+        ``CELL_FAMILY_RATE``, and its keys are the coin digits in alphabet order.
+        """
+        from .battery import frequency_test, holm_family
+
+        n = self.parties
+        coins = [o[:n] for o in self.alphabet[:: 2**n]]
+        tests = [
+            frequency_test(row, fps.condition(self.coin_event(*c)).weights)
+            for c, row in zip(coins, counts.reshape(2**n, 2**n))
+        ]
+        family = holm_family(tests, CELL_FAMILY_RATE)
+        return {"".join(map(str, c)): test for c, test in zip(coins, family)}

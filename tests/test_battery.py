@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from typicality_lab.battery import (
+    DEFAULT_SIGNIFICANCE,
     BatteryReport,
     block_frequency_test,
     frequency_test,
@@ -162,7 +163,11 @@ class TestRunBattery:
         d = report.to_dict()
         assert d["total"] == 2
         assert {t["block_len"] for t in d["tests"]} == {1, 2}
-        assert all("adjusted_p_value" not in t for t in d["tests"])
+        # The tests are one Holm family, each decided by its adjusted p-value.
+        assert all(t["adjusted_p_value"] >= t["p_value"] for t in d["tests"])
+        assert report.tests == holm_family(
+            [block_frequency_test(world, fair_coin(), k) for k in (1, 2)], DEFAULT_SIGNIFICANCE
+        )
         assert isinstance(report, BatteryReport)
 
 
@@ -208,3 +213,16 @@ class TestFrequencyTest:
             cell_probs = fps.weights if k == 1 else np.kron(fps.weights, fps.weights)
             expected = block_frequency_test(world, fps, k, 0.05)
             assert frequency_test(world.counts(k), cell_probs, k, 0.05) == expected
+
+    def test_is_a_family_of_one(self):
+        test = frequency_test(np.array([30, 70]), np.array([0.5, 0.5]))
+        assert test.adjusted_p_value == test.p_value < test.significance
+        assert holm_family([test], test.significance) == (test,)
+        assert test.check.value == test.p_value and not test.passed
+
+    def test_no_blocks_decide_nothing(self):
+        # No 0/0: a row without rounds, with or without zero cells, passes.
+        for cell_probs in ([0.25] * 4, [0.5, 0.0, 0.5, 0.0]):
+            test = frequency_test(np.zeros(4, dtype=np.int64), np.array(cell_probs))
+            assert (test.statistic, test.p_value, test.adjusted_p_value) == (0.0, 1.0, 1.0)
+            assert (test.n_blocks, test.zero_cell_hits) == (0, 0) and test.passed

@@ -8,9 +8,11 @@ its symbols' weights, and sums the chi-square statistic with
 ``math.fsum``.  Its upper tail is taken in closed form in 50-digit
 ``decimal`` arithmetic: for ``h = x / 2``, the sum of ``e**-h h**a / a!``
 over ``a = 0 .. dof/2 - 1`` for an even ``dof``, and over ``a = 1/2 ..
-dof/2 - 1`` plus ``erfc(sqrt(h))`` for an odd one.  From those it builds
-every test entry, the checks, ``failures``, the exit status and the rows
-of the CSV view.
+dof/2 - 1`` plus ``erfc(sqrt(h))`` for an odd one.  The tests of one
+report are one family: their p-values are adjusted by Holm's step-down
+procedure in plain Python, and each test passes when its adjusted p-value
+is at least the significance.  From those it builds every test entry, the
+checks, ``failures``, the exit status and the rows of the CSV view.
 
 The inputs are the golden world and space files of
 ``test_golden_reports``: a 200000-symbol CHSH world over 16 symbols, and
@@ -30,7 +32,7 @@ import math
 
 import pytest
 
-from test_chsh_reference import REL, assert_same
+from test_chsh_reference import REL, assert_same, holm
 from test_golden_reports import write_inputs
 from typicality_lab.cli import main
 
@@ -108,20 +110,20 @@ def reference_report(world_path, fps_path, blocks, significance):
         if k * n_sym**k > length / 10:
             message = f"world too short for block_len {k}: need length >= {10 * k * n_sym**k}, "
             error = {"code": "usage", "message": f"{message}got {length}"}
-            return {"error": error, "schema": 4}, 2
-    tests = []
-    for k in blocks:
-        test = block_test(world_path, fps_path, k)
-        passed = test["p_value"] >= significance
-        tests.append({**test, "significance": significance, "pass": passed})
+            return {"error": error, "schema": 5}, 2
+    tests = [block_test(world_path, fps_path, k) for k in blocks]
+    tests = [
+        {**test, "adjusted_p_value": p, "significance": significance, "pass": p >= significance}
+        for test, p in zip(tests, holm([t["p_value"] for t in tests]))
+    ]
     checks = [
-        {"name": f"block-frequency-k{t['block_len']}", "value": t["p_value"], "relation": ">=",
-         "bound": significance, "gating": True, "passed": t["pass"]}
+        {"name": f"block-frequency-k{t['block_len']}", "value": t["adjusted_p_value"],
+         "relation": ">=", "bound": significance, "gating": True, "passed": t["pass"]}
         for t in tests
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 4,
+        "schema": 5,
         "protocol": "battery",
         "world_length": length,
         "significance": significance,
@@ -174,20 +176,27 @@ def test_report_matches_the_reference(files, world, fps, blocks, tolerance):
     status, out, _ = run_command(argv + ["--format", "csv"])
     assert status == expected_status
     header, *rows = csv.reader(io.StringIO(out))
-    assert header == ["block_len", "statistic", "p_value", "dof", "pass"]
+    assert header == ["block_len", "statistic", "p_value", "adjusted_p_value", "dof", "pass"]
     assert len(rows) == len(expected["tests"])
     for row, test in zip(rows, expected["tests"]):
-        assert row[0] == str(test["block_len"]) and row[3:] == [str(test["dof"]), str(test["pass"])]
-        for text, value in zip(row[1:3], (test["statistic"], test["p_value"])):
-            assert float(text) == pytest.approx(value, rel=REL, abs=0.0)
+        assert row[0] == str(test["block_len"]) and row[4:] == [str(test["dof"]), str(test["pass"])]
+        for text, field in zip(row[1:4], ("statistic", "p_value", "adjusted_p_value")):
+            assert float(text) == pytest.approx(test[field], rel=REL, abs=0.0)
 
 
 def test_the_reference_decides_every_way(files):
-    # At 0.2 each golden file passes every test, and at 0.999 fails at least
-    # one; k = 4 on the 16-symbol world is too short, as 4 * 16**4 > 200000 / 10.
-    for world, fps, blocks in (("world", "fps", [1, 2, 3]), ("cell", "cell_fps", [1, 2, 3, 4])):
-        for tolerance, status in ((0.2, 0), (0.999, 1)):
-            assert reference_report(files[world], files[fps], blocks, tolerance)[1] == status
+    # The golden world passes every test at 0.2 and fails at 0.999, at k = 2
+    # alone.  The cell's smallest p-value is above 1/4, so its family of four
+    # adjusts each to 1 and passes at every significance, although each
+    # test alone would fail at 0.999.  k = 4 on the 16-symbol world is too
+    # short, as 4 * 16**4 > 200000 / 10.
+    world = [reference_report(files["world"], files["fps"], [1, 2, 3], t) for t in (0.2, 0.999)]
+    assert [status for _, status in world] == [0, 1]
+    assert world[1][0]["failures"] == ["block-frequency-k2"]
+    for tolerance in TOLERANCES:
+        cell, status = reference_report(files["cell"], files["cell_fps"], [1, 2, 3, 4], tolerance)
+        assert status == 0 and {t["adjusted_p_value"] for t in cell["tests"]} == {1.0}
+        assert all(t["p_value"] < 0.999 for t in cell["tests"])
     error, status = reference_report(files["world"], files["fps"], [4], 0.2)
     assert status == 2
     assert error["error"]["message"] == (

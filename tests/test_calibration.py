@@ -7,29 +7,33 @@ NIST SP 800-22 section 4.2, the second level tests those first-level
 values: a binomial bound on each block length's rejection count and a
 10-bin chi-square test of uniformity.  The k = 1 p-values are the ones
 each ``chsh`` run takes from its symbol counts, before its family adjusts
-them; the k = 2 and 3 ones come from the battery of each coin pair's
-conditioned world.  The k = 1, 2, 3 tests of one cell share data, so
-each block length is tested on its own.  A ``chsh`` run gates its four
-coin-pair tests as one Holm family at the s-value gate's rate
-``erfc(SIGMAS / sqrt(2))``; the runs that reject are bounded from above
-by the binomial tail at that rate.
+them; the k = 2 and 3 ones come from the default battery (k = 1, 2, 3)
+of each coin pair's conditioned world.  The k = 1, 2, 3 tests of one
+cell share data, so each block length is tested on its own.  A ``chsh``
+run gates its four coin-pair tests, and a ``ghz`` run its eight
+coin-triple tests, as one Holm family at the s-value gate's rate
+``erfc(SIGMAS / sqrt(2))``, and a battery its block lengths' tests as
+one Holm family at its significance; the runs and batteries that reject
+are bounded from above by the binomial tail at their family's rate.
 
 Those checks see false alarms only; a battery that never rejects passes
 them.  The lower side plants alternatives in the law a world is drawn
 from: the CHSH (0, 0) coin-pair law ``p`` moved to ``q = p + d (1, -1,
--1, 1)``, with ``d`` chosen so that ``n * sum((q - p)**2 / p)`` is a set
-non-centrality ``lam`` for ``n`` draws of the pair.  The block-1 test
-against ``p`` then rejects with the non-central chi-square power, which
-a binomial bound checks; planted in one cell of a whole ``chsh`` law, it
-makes the Holm family reject at least as often as that test alone at
-the family's first threshold, a quarter of its rate.  The ``chsh``
-s-value gate is given local models to refuse: every local model has
-``|s| <= 2``, about 18 sigma below ``2 sqrt(2)`` at ``MIN_TRIALS``.
+-1, 1)``, along the product of the results, with ``d`` chosen so that
+``n * sum((q - p)**2 / p)`` is a set non-centrality ``lam`` for ``n``
+draws of the pair.  The block-1 test against ``p`` then rejects with the
+non-central chi-square power, which a binomial bound checks.  Planted in
+one cell of a whole ``chsh`` law, or in the free GHZ triple 001 of a
+whole ``ghz`` law, it makes the Holm family reject at least as often as
+that test alone at the family's first threshold, the rate over the
+number of cells.  The ``chsh`` s-value gate is given local models to
+refuse: every local model has ``|s| <= 2``, about 18 sigma below
+``2 sqrt(2)`` at ``MIN_TRIALS``.
 
 Every bound is two-sided at one per-check false-alarm rate ``ALPHA``, or
 one-sided at ``ALPHA`` where only one side is checked, so the chance
-that any of this file's 13 checks fails on a correct sampler and battery
-is at most 13 x 1e-6 / 9 = 1.44e-6 (Bonferroni).  The seeds were fixed
+that any of this file's 16 checks fails on a correct sampler and battery
+is at most 16 x 1e-6 / 9 = 1.78e-6 (Bonferroni).  The seeds were fixed
 before any result was looked at and must never be re-picked after a
 failure.
 """
@@ -39,7 +43,6 @@ import math
 import numpy as np
 import pytest
 
-from typicality_lab import chsh as chsh_mod
 from typicality_lab.battery import (
     DEFAULT_BLOCK_LENS,
     DEFAULT_SIGNIFICANCE,
@@ -49,6 +52,7 @@ from typicality_lab.battery import (
 )
 from typicality_lab.checks import SIGMAS
 from typicality_lab.chsh import (
+    CHSH,
     MIN_TRIALS,
     RQST_TUPLES,
     S_TARGET,
@@ -58,7 +62,7 @@ from typicality_lab.chsh import (
     random_h_spaces,
     run_chsh,
 )
-from typicality_lab.ghz import run_ghz
+from typicality_lab.ghz import GHZ, ghz_distribution, run_ghz
 from typicality_lab.spaces import FiniteProbabilitySpace, point_mass
 from typicality_lab.worlds import condition_seq, sample_world, tally
 
@@ -73,21 +77,20 @@ POWER_TRIALS = 10_000
 #: The non-centrality planted in one cell of a whole ``chsh`` law: about
 #: even odds for the cell's test at the family's first threshold.
 FAMILY_LAMBDA = 23
+#: The same for one free triple of a whole ``ghz`` law, 7 dof at rate / 8.
+GHZ_FAMILY_LAMBDA = 30
 
 #: The draws of each local model that the s-value gate is given.
 GATE_SEEDS = range(5)
 
-#: Chance that this file's false-alarm checks fail on a correct sampler and battery.
-FAMILY_ALPHA = 1e-6
-#: Per block length a rejection count and a uniformity test; the Holm
-#: family's rejection count; then the CHSH z-scores and the GHZ scaled means.
-CHECKS = 2 * len(DEFAULT_BLOCK_LENS) + 3
-#: Chance that one check fails: 1e-6 / 9 with the 9 checks of block lengths
-#: 1, 2, 3.  The power checks, one per ``lam`` and one for the family, take
-#: the same rate.
-ALPHA = FAMILY_ALPHA / CHECKS
+#: Chance that one check fails on a correct sampler and battery.  Every check
+#: takes it: per block length a rejection count and a uniformity test; the
+#: rejection counts of the three Holm families (chsh cells, ghz cells,
+#: battery); the CHSH z-scores; the GHZ scaled means; and the power checks,
+#: one per ``lam`` and one per protocol's family.
+ALPHA = 1e-6 / 9
 
-#: The family-wise rate of a ``chsh`` run's coin-pair tests: 2 Phi(-SIGMAS).
+#: The family-wise rate of a run's coin-tuple tests: 2 Phi(-SIGMAS).
 FAMILY_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
 
 
@@ -119,17 +122,21 @@ def chsh_runs():
 
 
 @pytest.fixture(scope="module")
+def ghz_runs():
+    return [run_ghz(TRIALS, seed) for seed in SEEDS]
+
+
+@pytest.fixture(scope="module")
 def conditioned_batteries():
-    """The battery above block length 1 of each coin pair's conditioned world, for every seed."""
+    """The default battery of each coin pair's conditioned world, for every seed."""
     fps = chsh_distribution()
-    block_lens = [k for k in DEFAULT_BLOCK_LENS if k > 1]
     batteries = []
     for seed in SEEDS:
         world = sample_world(fps, TRIALS, seed)
         for c, d in COIN_PAIRS:
             event = coin_event(c, d)
             cell = condition_seq(world, event)
-            batteries.append(run_battery(cell, fps.condition(event), block_lens))
+            batteries.append(run_battery(cell, fps.condition(event)))
     return batteries
 
 
@@ -167,6 +174,21 @@ def test_holm_family_rejects_at_most_at_its_rate(chsh_runs):
     assert binomial_tails(rejections, len(chsh_runs), FAMILY_RATE)[1] > ALPHA, rejections
 
 
+def test_ghz_holm_family_rejects_at_most_at_its_rate(ghz_runs):
+    # The eight triples' tests, four of them with four zero cells each.
+    rejections = sum(not all(t.passed for t in run.cell_tests.values()) for run in ghz_runs)
+    assert binomial_tails(rejections, len(ghz_runs), FAMILY_RATE)[1] > ALPHA, rejections
+
+
+def test_battery_family_rejects_at_most_at_its_significance(conditioned_batteries):
+    # Given the coins, the four coin pairs' worlds of a seed are independent,
+    # and each battery rejects with probability at most its significance.
+    rejections = sum(not battery.all_pass for battery in conditioned_batteries)
+    assert {len(battery.tests) for battery in conditioned_batteries} == {len(DEFAULT_BLOCK_LENS)}
+    tail = binomial_tails(rejections, len(conditioned_batteries), DEFAULT_SIGNIFICANCE)[1]
+    assert tail > ALPHA, rejections
+
+
 def test_chsh_s_value_is_normal_about_its_target(chsh_runs):
     # Given the cell counts n, each coin pair's mean product has variance
     # 0.5 / n under the exact law, and the four are independent.
@@ -177,13 +199,13 @@ def test_chsh_s_value_is_normal_about_its_target(chsh_runs):
     assert uniformity_p_value([normal_cdf(v) for v in z]) >= ALPHA
 
 
-def test_ghz_free_triple_means_are_standard_normal():
+def test_ghz_free_triple_means_are_standard_normal(ghz_runs):
     # A free triple's product is +-1 with mean 0, so sqrt(n) times its
     # mean over n rounds is close to N(0, 1).
     z = [
         entry["mean_product"] * math.sqrt(entry["count"])
-        for seed in SEEDS
-        for entry in run_ghz(TRIALS, seed).free.values()
+        for run in ghz_runs
+        for entry in run.free.values()
     ]
     assert len(z) == 4 * len(SEEDS)
     assert uniformity_p_value([normal_cdf(v) for v in z]) >= ALPHA
@@ -208,11 +230,32 @@ def predicted_power(lam, crit, dof):
     )
 
 
+def shifted(p, lam, n):
+    """``p`` moved along the product of the results to non-centrality ``lam`` for ``n`` draws."""
+    signs = np.array([math.prod(o[len(o) // 2 :]) for o in p.alphabet])
+    d = math.sqrt(lam / (n * np.sum(1.0 / p.weights)))
+    return FiniteProbabilitySpace(p.alphabet, p.weights + d * signs)
+
+
 def planted(lam, n=POWER_TRIALS):
     """The (0, 0) coin-pair law ``p``, and ``q`` at non-centrality ``lam`` for ``n`` draws of it."""
     p = chsh_distribution("analytic").condition(coin_event(0, 0))
-    d = math.sqrt(lam / (n * np.sum(1.0 / p.weights)))
-    return p, FiniteProbabilitySpace(p.alphabet, p.weights + d * np.array([1, -1, -1, 1]))
+    return p, shifted(p, lam, n)
+
+
+def family_rejections(protocol, fps, coins, lam):
+    """Runs of ``POWER_SEEDS`` whose cell family rejects, with cell ``coins`` at ``lam``.
+
+    Each run has ``POWER_TRIALS`` rounds per cell on average, and the cell
+    ``coins`` of its law is shifted to non-centrality ``lam`` for as many.
+    """
+    cells = 2**protocol.parties
+    p = fps.condition(protocol.coin_event(*coins))
+    weights = fps.weights.copy()
+    weights[[fps.index(o) for o in p.alphabet]] = shifted(p, lam, POWER_TRIALS).weights / cells
+    law = FiniteProbabilitySpace(fps.alphabet, weights)
+    families = (protocol.cell_tests(fps, tally(law, cells * POWER_TRIALS, s)) for s in POWER_SEEDS)
+    return sum(not all(t.passed for t in family.values()) for family in families)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -230,18 +273,18 @@ def test_holm_family_rejects_a_planted_cell():
     # The (0, 0) cell of the chsh law, a quarter of the rounds, drawn from
     # q; the family rejects whenever that cell's p-value is at most
     # FAMILY_RATE / 4, its first threshold, so at least that often.
-    fps = chsh_distribution("analytic")
-    trials = 4 * POWER_TRIALS
-    p, q = planted(FAMILY_LAMBDA, trials // 4)
-    weights = fps.weights.copy()
-    weights[[fps.index(o) for o in p.alphabet]] = q.weights / 4
-    law = FiniteProbabilitySpace(fps.alphabet, weights)
-    rejections = sum(
-        not all(t.passed for t in chsh_mod._cell_tests(fps, tally(law, trials, seed)).values())
-        for seed in POWER_SEEDS
-    )
-    dof = len(p) - 1
-    power = predicted_power(FAMILY_LAMBDA, chi2_quantile(FAMILY_RATE / 4, dof), dof)
+    rejections = family_rejections(CHSH, chsh_distribution("analytic"), (0, 0), FAMILY_LAMBDA)
+    power = predicted_power(FAMILY_LAMBDA, chi2_quantile(FAMILY_RATE / 4, 3), 3)
+    below, _ = binomial_tails(rejections, len(POWER_SEEDS), power)
+    assert below > ALPHA, (rejections, power)
+
+
+def test_ghz_holm_family_rejects_a_planted_free_triple():
+    # The free triple 001, an eighth of the rounds, its eight results moved
+    # along their product; its first threshold is FAMILY_RATE / 8, at 7 dof.
+    fps = ghz_distribution("analytic")
+    rejections = family_rejections(GHZ, fps, (0, 0, 1), GHZ_FAMILY_LAMBDA)
+    power = predicted_power(GHZ_FAMILY_LAMBDA, chi2_quantile(FAMILY_RATE / 8, 7), 7)
     below, _ = binomial_tails(rejections, len(POWER_SEEDS), power)
     assert below > ALPHA, (rejections, power)
 
@@ -252,11 +295,13 @@ def test_power_matches_scipy():
     assert crit == pytest.approx(stats.chi2.isf(DEFAULT_SIGNIFICANCE, 3), rel=1e-12)
     for lam in LAMBDAS:
         assert predicted_power(lam, crit, 3) == pytest.approx(stats.ncx2.sf(crit, 3, lam), abs=1e-9)
-    first = chi2_quantile(FAMILY_RATE / 4, 3)
-    assert first == pytest.approx(stats.chi2.isf(FAMILY_RATE / 4, 3), rel=1e-12)
-    assert predicted_power(FAMILY_LAMBDA, first, 3) == pytest.approx(
-        stats.ncx2.sf(first, 3, FAMILY_LAMBDA), abs=1e-9
-    )
+    for cells, lam in ((4, FAMILY_LAMBDA), (8, GHZ_FAMILY_LAMBDA)):
+        dof = cells - 1
+        first = chi2_quantile(FAMILY_RATE / cells, dof)
+        assert first == pytest.approx(stats.chi2.isf(FAMILY_RATE / cells, dof), rel=1e-12)
+        assert predicted_power(lam, first, dof) == pytest.approx(
+            stats.ncx2.sf(first, dof, lam), abs=1e-9
+        )
 
 
 @pytest.mark.parametrize(

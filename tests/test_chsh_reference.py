@@ -1,7 +1,8 @@
 """The ``chsh`` report against a plain-Python reference, field by field.
 
 The reference shares no code with the package past its own test helpers.
-It writes the closed form P(c, d, m, n) = [1 + (-1)^(cd) m n / sqrt 2] / 16
+It writes the closed form P(c, d, m, n) = [1 + (-1)^(cd) m n / sqrt 2] / 16,
+each weight taken to 60 digits in ``decimal`` and rounded once to a float,
 over the sampling order (coins outermost, 0 before 1, +1 before -1), draws
 the world with the pure-Python Philox4x64-10 of ``test_philox_reference``
 and a ``bisect`` inverse CDF, counts each coin pair's outcomes in dicts,
@@ -9,7 +10,8 @@ and derives from those counts every figure of the report: the four
 averages, their binomial standard errors, the ``SIGMAS`` tolerances, the
 s-value and its tolerance, each coin pair's chi-square statistic and its
 p-value (3 degrees of freedom, in closed form), the Holm-adjusted
-p-values of the four, the checks, ``failures`` and the exit status.
+p-values of the four, the checks (the coin pairs' in the order 00, 01, 10,
+11), ``failures`` and the exit status.
 
 Integers, strings, booleans and the exit status must match exactly, and
 every other float within 1e-12 relative.  The one figure the reference
@@ -21,6 +23,7 @@ report was looked at.
 
 import bisect
 import contextlib
+import decimal
 import io
 import itertools
 import json
@@ -43,8 +46,11 @@ OUTCOMES = list(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
 
 
 def closed_form(c, d, m, n):
+    """The weight of outcome ``(c, d, m, n)``, correctly rounded."""
     sign = -1 if c == d == 1 else 1
-    return (1.0 + sign * m * n / math.sqrt(2.0)) / 16.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float((1 + sign * m * n / decimal.Decimal(2).sqrt()) / 16)
 
 
 def chi2_sf_3(x):
@@ -107,11 +113,11 @@ def reference_report(seed, tolerance=None, max_abs_diff=0.0):
         check("s-value", abs(s_value - s_target), "<=", s_tolerance),
     ] + [
         check(f"block-frequency-k1-cell-{cell}", test["adjusted_p_value"], ">=", rate)
-        for cell, test in cell_tests.items()
+        for cell, test in sorted(cell_tests.items())
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 4,
+        "schema": 5,
         "protocol": "chsh",
         "method": "typical-sampling",
         "trials": TRIALS,
@@ -179,3 +185,11 @@ def test_chi2_sf_3_is_the_chi_square_tail():
     stats = pytest.importorskip("scipy.stats")
     for x in (0.01, 0.5, 3.0, 7.8, 25.0, 60.0):
         assert chi2_sf_3(x) == pytest.approx(stats.chi2.sf(x, 3), rel=1e-12)
+
+
+def test_closed_form_is_correctly_rounded():
+    # Half the weights are (2 - sqrt 2) / 32, which a float evaluation of
+    # (1 - 1/sqrt 2) / 16 rounds three times and misses by one ulp.
+    assert closed_form(0, 0, 1, -1) == float.fromhex("0x1.2bec333018867p-6")
+    assert closed_form(0, 0, 1, 1) == float.fromhex("0x1.b504f333f9de6p-4")
+    assert (1.0 - 1.0 / math.sqrt(2.0)) / 16.0 == float.fromhex("0x1.2bec333018868p-6")

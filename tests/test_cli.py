@@ -76,7 +76,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -88,7 +88,7 @@ class TestChshCommand:
         assert [c["name"] for c in report["checks"]] == [
             "distribution-cross-check",
             "s-value",
-            *(f"block-frequency-k1-cell-{cd}" for cd in ("00", "10", "01", "11")),
+            *(f"block-frequency-k1-cell-{cd}" for cd in ("00", "01", "10", "11")),
         ]
         for check in report["checks"][2:]:
             test = report["cell_tests"][check["name"][-2:]]
@@ -106,7 +106,7 @@ class TestChshCommand:
         status, report, _ = run_json(capsys, ["chsh", "--trials", "8000", "--seed", "1"])
         assert status == 1
         assert [f["check"] for f in report["failures"]] == [
-            f"block-frequency-k1-cell-{cd}" for cd in ("00", "10", "01", "11")
+            f"block-frequency-k1-cell-{cd}" for cd in ("00", "01", "10", "11")
         ]
         assert not any(t["pass"] for t in report["cell_tests"].values())
 
@@ -473,7 +473,7 @@ class TestBatteryCommand:
             ["battery", str(world_path), str(fps_path), "--format", "csv"],
         )
         assert status == 0
-        assert out.splitlines()[0] == "block_len,statistic,p_value,dof,pass"
+        assert out.splitlines()[0] == "block_len,statistic,p_value,adjusted_p_value,dof,pass"
 
     def test_significance_override(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
@@ -547,7 +547,12 @@ class TestWorldOutSamplesOnce:
         argv = ["ghz", "--trials", "8000", "--seed", "5", "--world-out", str(world_path)]
         status, report, _ = run_json(capsys, argv)
         assert status == 1
-        assert report["failures"] == [{"check": "perfect-correlations", "detail": "8000 != 0"}]
+        rate = repr(math.erfc(4 / math.sqrt(2)))
+        assert report["failures"] == [
+            {"check": "perfect-correlations", "detail": "8000 != 0"},
+            {"check": "block-frequency-k1-cell-000", "detail": f"0.0 < {rate}"},
+        ]
+        assert report["cell_tests"]["000"]["zero_cell_hits"] == 8000
         assert (report["trials"], report["seed"]) == (8000, 5)
         assert report["perfect_correlation"]["000"]["violations"] == 8000
         assert report["lhv"]["satisfying_count"] == 0
@@ -866,7 +871,7 @@ class TestUsageErrorLines:
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
-        expected = {"error": {"code": "usage", "message": message}, "schema": 4}
+        expected = {"error": {"code": "usage", "message": message}, "schema": 5}
         line = json.dumps(expected, sort_keys=True) + "\n"
         assert run_cli(capsys, command.split()) == (2, "", line)
 
@@ -1130,7 +1135,7 @@ _MODULE_SETS = [
     ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz"}),
     ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz"}),
     ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"battery", "ghz"}),
-    ("ghz --trials 8000 --seed 1", 0, {"chsh", "battery"}),
+    ("ghz --trials 8000 --seed 1", 0, {"chsh"}),
     ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
     ("battery {world.json} {fps.json}", 0, {"chsh", "ghz", "protocol", "linalg"}),
     ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg"}),

@@ -218,9 +218,9 @@ def test_every_born_weight_is_its_closed_form():
 
 
 #: How far each analytic float weight lies from the correctly rounded exact one,
-#: in ulps, by the sign of ``(-1)^(cd) m n``.  ``(1.0 + m n / sqrt2) / 16.0``
-#: rounds three times, and ``(1 - 1/sqrt 2) / 16`` comes out one ulp high.
-ULPS_OFF = {"chsh": {1: 0, -1: 1}, "ghz": 0}
+#: in ulps, by the sign of ``(-1)^(cd) m n``: none, for both protocols.  Each
+#: closed form is one int ratio, rounded once.
+ULPS_OFF = {"chsh": {1: 0, -1: 0}, "ghz": 0}
 
 
 def test_analytic_floats_are_the_exact_weights_correctly_rounded():

@@ -7,9 +7,14 @@ cos(pi (c1 + c2 + c3) / 2)] / 64 over the sampling order (coins outermost,
 world with the pure-Python Philox4x64-10 of ``test_philox_reference`` and
 a ``bisect`` inverse CDF, counts each coin triple's outcomes in dicts, and
 derives from those counts the ``perfect_correlation`` and
-``free_triples`` entries.  It enumerates the 64 assignments of values to
-the six observables for the ``lhv`` entry and its witnesses, and builds
-the checks, ``failures`` and the exit status.
+``free_triples`` entries and the ``cell_tests``: each triple's chi-square
+test against the law its own closed form gives (zero-weight results
+removed, a hit on one failing it), the tail from the reference helpers
+``test_battery_reference`` shares with ``test_chsh_reference``, and the
+eight p-values adjusted as one Holm family in plain Python.  It
+enumerates the 64 assignments of values to the six observables for the
+``lhv`` entry and its witnesses, and builds the checks, ``failures`` and
+the exit status.
 
 Integers, strings, booleans and the exit status must match exactly, and
 every other float within 1e-12 relative.  The one figure the reference
@@ -28,7 +33,8 @@ import math
 
 import pytest
 
-from test_chsh_reference import assert_same
+from test_battery_reference import chi2_sf
+from test_chsh_reference import assert_same, holm
 from test_philox_reference import block_uniforms
 from typicality_lab.cli import main
 
@@ -64,7 +70,7 @@ def required_product(triple):
 
 
 def check(name, value, relation, bound):
-    passed = value == bound if relation == "==" else value <= bound
+    passed = {"==": value == bound, "<=": value <= bound, ">=": value >= bound}[relation]
     return {"name": name, "value": value, "relation": relation, "bound": bound,
             "gating": True, "passed": passed}
 
@@ -94,6 +100,35 @@ def enumeration():
         "per_constraint_counts": per_constraint,
         "witnesses": witnesses,
     }
+
+
+def cell_test(triple, counts):
+    """The block-1 chi-square test of ``triple``'s outcome counts, before its family adjusts it."""
+    results = list(itertools.product((1, -1), repeat=3))
+    weights = {m: closed_form(*triple, *m) for m in results}
+    mass = sum(weights.values())
+    total = sum(counts[(*triple, *m)] for m in results)
+    zero_cells = sum(w == 0 for w in weights.values())
+    zero_hits = sum(counts[(*triple, *m)] for m in results if weights[m] == 0)
+    expected = {m: total * w / mass for m, w in weights.items() if w > 0}
+    # A triple without rounds decides nothing: no terms, statistic 0, p-value 1.
+    terms = [(counts[(*triple, *m)] - e) ** 2 / e for m, e in expected.items()] if total else []
+    statistic = math.inf if zero_hits else math.fsum(terms)
+    dof = len(results) - zero_cells - 1
+    return {
+        "block_len": 1, "dof": dof, "n_blocks": total, "p_value": chi2_sf(statistic, dof),
+        "statistic": statistic if math.isfinite(statistic) else None,
+        "zero_cells": zero_cells, "zero_cell_hits": zero_hits,
+    }
+
+
+def cell_tests(counts):
+    """Every triple's test, keyed by its coins, as one Holm family at 2 Phi(-SIGMAS)."""
+    tests = {key(triple): cell_test(triple, counts) for triple in TRIPLES}
+    rate = math.erfc(SIGMAS / math.sqrt(2.0))
+    for test, p in zip(tests.values(), holm([t["p_value"] for t in tests.values()])):
+        test.update(adjusted_p_value=p, significance=rate, **{"pass": p >= rate})
+    return tests
 
 
 def reference_report(seed, max_abs_diff=0.0):
@@ -127,19 +162,25 @@ def reference_report(seed, max_abs_diff=0.0):
                 "tolerance": SIGMAS / math.sqrt(total),
             }
     lhv = enumeration()
+    tests = cell_tests(counts)
     checks = [
         check("perfect-correlations", sum(e["violations"] for e in perfect.values()), "==", 0),
+        *(
+            check(f"block-frequency-k1-cell-{k}", t["adjusted_p_value"], ">=", t["significance"])
+            for k, t in tests.items()
+        ),
         check("lhv-enumeration", lhv["satisfying_count"], "==", 0),
         check("distribution-cross-check", max_abs_diff, "<=", ATOL),
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 4,
+        "schema": 5,
         "protocol": "ghz",
         "trials": TRIALS,
         "seed": seed,
         "perfect_correlation": perfect,
         "free_triples": free,
+        "cell_tests": tests,
         "lhv": lhv,
         "cross_check": {"max_abs_diff": max_abs_diff, "tolerance": ATOL, "pass": True},
         "checks": checks,
@@ -174,3 +215,18 @@ def test_the_enumeration_finds_the_known_counts():
     assert (lhv["satisfying_count"], lhv["plus_only_count"]) == (0, 8)
     assert set(lhv["per_constraint_counts"].values()) == {32}
     assert len(lhv["witnesses"]) == 64
+
+
+def test_a_forbidden_outcome_fails_its_triples_test():
+    # One round of weight zero on 000, and no round at all on 111.
+    counts = dict.fromkeys(OUTCOMES, 1000)
+    counts.update({o: 0 for o in OUTCOMES if closed_form(*o) == 0})
+    counts.update({o: 0 for o in OUTCOMES if o[:3] == (1, 1, 1)})
+    counts[(0, 0, 0, 1, 1, 1)] = 1
+    tests = cell_tests(counts)
+    assert (tests["000"]["zero_cell_hits"], tests["000"]["p_value"]) == (1, 0.0)
+    assert not tests["000"]["pass"] and tests["000"]["statistic"] is None
+    assert tests["111"]["n_blocks"] == 0 and tests["111"]["p_value"] == 1.0
+    assert [k for k, t in tests.items() if not t["pass"]] == ["000"]
+    assert {t["dof"] for k, t in tests.items() if k in map(key, CONSTRAINED)} == {3}
+    assert {t["dof"] for k, t in tests.items() if k not in map(key, CONSTRAINED)} == {7}

@@ -22,36 +22,36 @@ from typicality_lab.worlds import condition_seq, sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "e495af466127942c72108d8402d1ca67cdff322fa92cee95b224704adcc3ee15",
+        "d6a12677a807a09f7e3595505da5e418d670d1dfdd9d8147e84a0f225119862c",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "9a918860346cda863635de8beae1962ce5460de1285dedc9793bdc343e66ca0e",
+        "a0819ea5a6fb6b9a8b094c94874e2fd9024c37723605b369dcff583a6658fec8",
     ),
     "lhv ghz": (
         0,
-        "2b2959d82ef7c441424b5594d9bb213dc56e0cd190dff4d29354476e6ebdaec8",
+        "c115ee2226efd93c4a327c71fa8395366c55b6307d3cbaa291749b684455411e",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "178422bc83a2c4688826f1f7648f5f3459866cb524d45e956a6b2ee1839696aa",
+        "f9a716addc9e5f819e26a41db6cc42eae05b6a2ef8c839fd27441f575bcc0c90",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "066d0a5c4823f24dd5b083041ab9669cb6aa209de3c1d5f967999ca6109570b8",
+        "8eb6a2d622ff05370a13744ffa1ffff7a8d70ac6437ad40897915b900a161e8b",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "a5bf8686160038352de05039be05ce6e0cb7d804023dc898e3d300c2ddaefc47",
+        "eb205b30837661debf6c82615524e9b28b15036ec2096fd1aa39c5fa1d91da9e",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "63a28c4abcf2669bc15de40458aa1a019184408674959b5eafe39c4ecc6a32ec",
+        "cf90b3739dd96674df316d6dbd84bd2463841afbc35d3ab86322cbab3c072ebb",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "c5dcbfedeff30958fa066c5866df5c17c6ea9baf96fb964702b7091a8a6dbe72",
+        "48be6acc9bdcb2a26f1e2425486f04af3c78cfbf05b4833d7352baa421d62d74",
     ),
 }
 
@@ -76,34 +76,35 @@ GOLDEN.update(
         ),
         "battery {world} {fps} --tolerance 0.2 --format csv": (
             0,
-            "75b23637ca6c31b48b1dcb14c0bd8781dc3ba3de43627816f6e69a685d7a498a",
+            "707f5fdb0e8cadf0eb4776b9ac86685d110e7e373eba3daf722ecf0e607f791a",
         ),
         "lhv chsh --h-file {h}": (
             0,
-            "9ae5e564da2ad67ff7ceaa1501dee2606d0ce3555d0e0c458c341ebb6e8cbcf5",
+            "d608bcebb43f7825e7c698f88bae1d81e04c67f1afdb6c21675082dcc69b5d22",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "7b9b49a696161b08d499ad920fa4b188bd42a22070a1a8636d47b7c89959eebf",
+            "1e3a3be6d184df69cc083de4ada08521f1de75e7fc54d9c1e7da4cdab5dfc49e",
         ),
         # The (0, 0) coin pair of chsh --trials 200000 --seed 42, to k = 4.
         "battery {cell} {cell_fps} --blocks 1,2,3,4": (
             0,
-            "96fdf3aa5419fb7403d073baee681f729f000e50ce73dfa54bcf27c7cec271ca",
+            "a092209924a4a066847c428ea39bcc0f36abf850252ed76f596bc72dbe2067fb",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "994da4652d2ae43241f0c1793ff77164db54f386a2b27821524e0c385d64164e",
+            "ee43323227d057850789900889d41a1ac0344bdeafbdfcfe06ca034a44619f76",
         ),
-        # A significance the golden world fails at three block lengths.
+        # A significance the golden world fails at k = 2, its one Holm-adjusted
+        # p-value below it.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "eb5c123d85539a278338b3b4008f955ea22914bf3d79d2417d0e8c4a7a67548d",
+            "ee008c601d6f22f5f35ba1eb9e5b2e628dd1f0cec88b270a387925a0d6b8040c",
         ),
         "battery {world} {fps} --tolerance 0.999 --format csv": (
             1,
-            "24cae9c30e2a041c41f9834921e4f5081d0267e2aa2a84a814542be35fe7081a",
+            "f24ac50abd6e305203ca7cbee8bc452594dab88cb8eebef5a99f9154f8e4b684",
         ),
         "lhv chsh --h-file {h} --trials 20000 --seed 4 --format csv": (
             0,

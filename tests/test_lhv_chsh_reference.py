@@ -130,7 +130,7 @@ def reference_report(h, seed):
 
     bound, failures = bound_check(s_value(exact))
     report = {
-        "schema": 4,
+        "schema": 5,
         "protocol": "lhv-chsh",
         "method": "lhv-simulated",
         "trials": TRIALS,
@@ -183,7 +183,7 @@ def exact_reference(h):
         averages[average_name(c, d)] = float(sum(terms))
     bound, failures = bound_check(s_value(averages))
     report = {
-        "schema": 4,
+        "schema": 5,
         "protocol": "lhv-chsh",
         "method": "lhv-exact",
         "averages": averages,

@@ -48,7 +48,7 @@ PUBLIC_API = {
         "ghz_state", "involutory_pvm", "is_hermitian", "is_unitary", "ket_plus",
         "projector", "tensor",
     ],
-    "typicality_lab.protocol": ["Protocol"],
+    "typicality_lab.protocol": ["CELL_FAMILY_RATE", "Protocol"],
     "typicality_lab.spaces": [
         "FiniteProbabilitySpace", "SUM_ATOL", "fair_coin", "point_mass", "product",
         "uniform",

@@ -280,8 +280,8 @@ class TestCountsFirst:
             # battery's block-1 test of the conditioned subsequence.
             cell = condition_seq(world, coin_event(c, d))
             alone = block_frequency_test(cell, fps.condition(coin_event(c, d)), 1)
-            test = report.cell_tests[f"{c}{d}"]
-            assert test._replace(significance=alone.significance, adjusted_p_value=None) == alone
+            test = report.cell_tests[f"{c}{d}"]._replace(significance=alone.significance)
+            assert test._replace(adjusted_p_value=alone.p_value) == alone
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_lhv_chsh_simulate(self, seed):
@@ -302,7 +302,8 @@ class TestCountsFirst:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_run_ghz(self, seed):
         report = run_ghz(40_000, seed)
-        world = sample_world(ghz_distribution("analytic"), 40_000, seed)
+        fps = ghz_distribution("analytic")
+        world = sample_world(fps, 40_000, seed)
         for key, entry in {**report.constrained, **report.free}.items():
             coins = tuple(int(ch) for ch in key)
             event = [o for o in GHZ_OUTCOMES if o[:3] == coins]
@@ -310,6 +311,10 @@ class TestCountsFirst:
                 world, event, lambda o: o.m1 * o.m2 * o.m3
             )
             assert entry["count"] == count
+            # As for chsh: the triple's test before its family adjusts it.
+            alone = block_frequency_test(condition_seq(world, event), fps.condition(event), 1)
+            test = report.cell_tests[key]._replace(significance=alone.significance)
+            assert test._replace(adjusted_p_value=alone.p_value) == alone
             if key in report.constrained:
                 required = entry["required_product"]
                 assert entry["violations"] == int((values != required).sum()) == 0
@@ -341,7 +346,7 @@ class TestChecksKept:
         "outcome, triple",
         [(GhzOutcome(0, 0, 0, 1, 1, 1), "000"), (GhzOutcome(0, 1, 1, 1, 1, -1), "011")],
     )
-    def test_forbidden_product_is_counted(self, monkeypatch, outcome, triple):
+    def test_forbidden_product_is_counted(self, monkeypatch, capsys, outcome, triple):
         monkeypatch.setattr(
             worlds_mod, "_guide_tables", constant_guide(ghz_distribution("analytic"), outcome)
         )
@@ -356,6 +361,17 @@ class TestChecksKept:
             entry == {"count": 0, "mean_product": None, "tolerance": None}
             for entry in report.free.values()
         )
+        # The forbidden outcome is a zero cell of its triple's test, which
+        # fails; a triple without rounds decides nothing, and passes.
+        for key, test in report.cell_tests.items():
+            hits, blocks = (8000, 8000) if key == triple else (0, 0)
+            assert (test.zero_cell_hits, test.n_blocks, test.passed) == (hits, blocks, not hits)
+            assert test.p_value == (0.0 if hits else 1.0)
+        assert main(["ghz", "--trials", "8000", "--seed", "1"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert [f["check"] for f in failures] == [
+            "perfect-correlations", f"block-frequency-k1-cell-{triple}"
+        ]
 
     def test_run_chsh_empty_cell_raises(self, monkeypatch):
         fps = chsh_distribution("analytic")
