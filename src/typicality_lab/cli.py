@@ -7,19 +7,20 @@ byte-identical across reruns and across ``--threads`` values.  Exit
 status is 0 only when every gating check passes; each check is listed in
 the report's ``checks``, and each failed gating one in its ``failures``.
 
-The flow is table -> handler -> :func:`main`.  Each invocation (a
-command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
+The flow is table -> parser -> handler -> :func:`main`.  Each invocation
+(a command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
 has one entry in ``_INVOCATIONS``: its handler, the flags it reads and
-the module its handler runs.  :func:`_check_args` works out the
-invocation, imports that one module, validates and resolves the parsed
-namespace in place against its entry, and returns the handler and the
-module.  The handler runs that module on the namespace and returns the
-report body and its :class:`~typicality_lab.checks.Check` records.  So a
-process loads only the package modules its invocation runs: ``lhv ghz``
-loads neither the sampler nor the battery.  ``main`` alone stamps the
-report with ``schema``, ``checks`` and the ``failures`` it derives from
-them, turns every :class:`UsageError` into the one-line JSON error, and
-sets the exit status.
+the module its handler runs.  :func:`build_parser` gives every command
+each flag of ``_FLAGS`` and helps only with those its invocations read.
+:func:`_check_args` works out the invocation, refuses each flag it does
+not read, imports its one module, validates and resolves the namespace
+in place, and returns the handler and the module.  The handler runs that
+module on the namespace and returns the report body and its checks.  So
+a process loads only the package modules its invocation runs:
+``lhv ghz`` loads neither the sampler nor the battery.  ``main`` alone
+stamps the report with ``schema``, ``checks`` and the ``failures`` it
+derives from them, turns every :class:`UsageError` into the one-line
+JSON error, and sets the exit status.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import importlib
 import io
 import json
 import math
+import os
 import sys
 
 from .checks import ATOL, RELATIONS, Check
@@ -293,53 +295,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+#: Each optional flag's ``argparse`` settings, by its ``args`` name.  Every
+#: command parses all of them, so :func:`_check_args` refuses each flag an
+#: invocation does not read by one rule, whichever command it was given to.
+_FLAGS = {
+    "trials": {"type": int, "help": "rounds to draw (lhv chsh: also simulate this many)"},
+    "seed": {"help": "an integer, or 'random' to draw one and print it"},
+    "threads": {"type": int, "help": "sampling threads (default 1)"},
+    "tolerance": {"type": float, "help": "acceptance band (battery: family-wise significance)"},
+    "sweep": {"type": int, "help": "number of random distributions to test"},
+    "h_file": {"help": "hidden-variable distribution (JSON)"},
+    "world_out": {"help": "also save the sampled world (JSON)"},
+    "blocks": {"help": "comma-separated block lengths (default 1,2,3)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="typicality-lab",
         description="Seeded CHSH/GHZ protocol runs, local-hidden-variable analyses, "
         "and block-frequency randomness checks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, help="sampling threads (default 1)")
+    commands = {}
+    for command, about in (
+        ("chsh", "run the quantum CHSH protocol"),
+        ("ghz", "run the quantum GHZ protocol"),
+        ("lhv", "local-hidden-variable analyses"),
+        ("battery", "test a stored world against a stored space"),
+    ):
+        p = commands[command] = sub.add_parser(command, help=about, allow_abbrev=False)
+        invocations = [entry for mode, entry in _INVOCATIONS.items() if mode.split()[0] == command]
+        read = set().union(*(flags for _, flags, _ in invocations))
+        for name, settings in _FLAGS.items():
+            shown = settings if name in read else {**settings, "help": argparse.SUPPRESS}
+            p.add_argument("--" + name.replace("_", "-"), **shown)
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            help="override the default acceptance tolerance (battery: family-wise significance)",
-        )
-        p.add_argument(
-            "--blocks", help="comma-separated block lengths (battery only; default 1,2,3)"
-        )
-
-    p_chsh = sub.add_parser("chsh", help="run the quantum CHSH protocol")
-    p_chsh.add_argument("--trials", type=int, required=True)
-    p_chsh.add_argument("--seed", required=True)
-    p_chsh.add_argument("--world-out", help="also save the sampled world (JSON)")
-    add_common(p_chsh)
-
-    p_ghz = sub.add_parser("ghz", help="run the quantum GHZ protocol")
-    p_ghz.add_argument("--trials", type=int, required=True)
-    p_ghz.add_argument("--seed", required=True)
-    p_ghz.add_argument("--world-out", help="also save the sampled world (JSON)")
-    add_common(p_ghz)
-
-    p_lhv = sub.add_parser("lhv", help="local-hidden-variable analyses")
-    p_lhv.add_argument("protocol", choices=("chsh", "ghz"))
-    p_lhv.add_argument("--h-file", help="hidden-variable distribution (JSON)")
-    p_lhv.add_argument("--sweep", type=int, help="number of random distributions to test")
-    p_lhv.add_argument("--trials", type=int, help="also simulate this many rounds")
-    p_lhv.add_argument("--seed")
-    add_common(p_lhv)
-
-    p_batt = sub.add_parser("battery", help="test a stored world against a stored space")
-    p_batt.add_argument("world_file", help="world JSON file")
-    p_batt.add_argument("fps_file", help="probability-space JSON file")
-    p_batt.add_argument("--seed")  # parsed only to be refused as a JSON usage error
-    add_common(p_batt)
-
+    commands["lhv"].add_argument("protocol", choices=("chsh", "ghz"))
+    commands["battery"].add_argument("world_file", help="world JSON file")
+    commands["battery"].add_argument("fps_file", help="probability-space JSON file")
     return parser
 
 
@@ -349,7 +345,8 @@ _TRIALS_BEYOND = 2**63
 
 #: Each invocation's handler, the optional flags (without defaults) it reads,
 #: and the package module its handler runs.  A flag given where it would be
-#: ignored is a usage error, not silently dropped.  An invocation that reads
+#: ignored is a usage error, not silently dropped, and a command's help shows
+#: only the flags its invocations read.  An invocation that reads
 #: ``--seed`` requires it, and one that reads ``--trials`` requires at least
 #: its module's ``MIN_TRIALS`` and less than ``_TRIALS_BEYOND``.
 _INVOCATIONS = {
@@ -378,11 +375,12 @@ def _check_args(args: argparse.Namespace):
     elif mode == "lhv chsh" and args.trials is not None:
         mode += " --trials"
     handler, flags_read, module_name = _INVOCATIONS[mode]
-    for flag in (
-        "trials", "seed", "threads", "tolerance", "sweep", "h_file", "world_out", "blocks"
-    ):
-        if getattr(args, flag, None) is not None and flag not in flags_read:
+    for flag in _FLAGS:
+        if getattr(args, flag) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
+    if args.out and args.world_out:
+        if os.path.realpath(args.out) == os.path.realpath(args.world_out):
+            raise UsageError("--out and --world-out name the same file")
     if args.threads is None:
         args.threads = 1
     elif args.threads < 1:
@@ -391,7 +389,7 @@ def _check_args(args: argparse.Namespace):
     if "blocks" in flags_read:
         blocks = args.blocks
         args.blocks = module.DEFAULT_BLOCK_LENS if blocks is None else _parse_blocks(blocks)
-    if "trials" in flags_read and args.trials < module.MIN_TRIALS:
+    if "trials" in flags_read and (args.trials is None or args.trials < module.MIN_TRIALS):
         raise UsageError(
             f"{mode.removesuffix(' --trials')} requires --trials >= {module.MIN_TRIALS}"
         )

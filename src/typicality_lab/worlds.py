@@ -270,6 +270,8 @@ class WorldPrefix:
         for field in ("alphabet", "symbols"):
             if field in obj and not isinstance(obj[field], list):
                 raise ValueError(f"malformed world JSON: {field!r} must be a list")
+        if not isinstance(obj.get("provenance"), (dict, type(None))):
+            raise ValueError("malformed world JSON: 'provenance' must be an object")
         provenance = obj.get("provenance") or {"kind": "imported", "format": "json"}
         try:
             alphabet = [_decode_symbol(a) for a in obj["alphabet"]]

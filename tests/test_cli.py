@@ -48,6 +48,8 @@ OBJECT_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [{}, 1]})
 #: length up to 64 here, so only the cap refuses 65.
 ONE_SYMBOL_WORLD = WorldPrefix([0], np.zeros(640, dtype=np.intp)).to_json()
 ONE_SYMBOL_SPACE = point_mass([0], 0).to_json()
+#: A valid world whose provenance is a JSON string, not an object.
+STRING_PROVENANCE_WORLD = json.dumps({"alphabet": [0, 1], "indices": [0, 1], "provenance": "x"})
 
 
 def run_cli(capsys, argv):
@@ -616,6 +618,15 @@ class TestExitCodeHoles:
         assert status == 0
         assert run_cli(capsys, base + ["--threads", "2"])[1] == out1
 
+    def test_out_and_world_out_name_one_file(self, capsys, tmp_path, monkeypatch):
+        # Two spellings of one path: the report would overwrite the world.
+        monkeypatch.chdir(tmp_path)
+        argv = ["ghz", "--trials", "8000", "--seed", "random", "--world-out", "same.json"]
+        status, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "same.json")])
+        assert_usage_error(status, out, err, "--out and --world-out name the same file")
+        assert len(err.splitlines()) == 1  # no seed drawn
+        assert os.listdir(tmp_path) == []
+
     def test_parse_error_is_a_json_usage_error(self, capsys):
         status, out, err = run_cli(capsys, ["chsh", "--trials", "many", "--seed", "1"])
         assert_usage_error(status, out, err, "--trials")
@@ -727,7 +738,9 @@ TRIALS_BEYOND = "--trials must be below 2**63"
 #: argparse's "invalid choice" wording differs between Python versions, so
 #: no case below depends on it.
 _USAGE_ERRORS = [
-    ("chsh --trials 8000", "typicality-lab chsh: the following arguments are required: --seed"),
+    ("chsh --trials 8000", "--seed is required (use '--seed random' to draw one)"),
+    ("chsh --seed 1", "chsh requires --trials >= 4000"),
+    ("chsh --tri 8000 --seed 1", "typicality-lab: unrecognized arguments: --tri 8000"),
     (
         "chsh --trials many --seed 1",
         "typicality-lab chsh: argument --trials: invalid int value: 'many'",
@@ -750,6 +763,17 @@ _USAGE_ERRORS = [
     ("battery world.json fps.json --blocks 0", "--blocks expects positive integers, got '0'"),
     ("battery one.json one_fps.json --blocks 65", "block_len must be from 1 to 64, got 65"),
     ("battery world.json fps.json --seed 3", "battery does not use --seed"),
+    ("battery world.json fps.json --trials 5", "battery does not use --trials"),
+    (
+        "battery world.json fps.json --trials x",
+        "typicality-lab battery: argument --trials: invalid int value: 'x'",
+    ),
+    ("ghz --trials 8000 --seed 1 --sweep 5", "ghz does not use --sweep"),
+    ("lhv ghz --world-out x.json", "lhv ghz does not use --world-out"),
+    (
+        "chsh --trials 8000 --seed 1 --world-out same.json --out ./same.json",
+        "--out and --world-out name the same file",
+    ),
     ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
     ("lhv ghz --threads 1", "lhv ghz does not use --threads"),
     ("lhv chsh --h-file h.json --seed 5", "lhv chsh does not use --seed"),
@@ -799,6 +823,11 @@ _USAGE_ERRORS = [
         "battery world.json string-space.json",
         "invalid probability-space file 'string-space.json': probability space JSON must be an "
         "object with 'alphabet' and 'weights'",
+    ),
+    (
+        "battery string-provenance.json fps.json",
+        "invalid world file 'string-provenance.json': malformed world JSON: 'provenance' must "
+        "be an object",
     ),
     (
         "battery string-world.json fps.json",
@@ -859,6 +888,7 @@ class TestUsageErrorLines:
             "string-symbols.json": json.dumps({"alphabet": [0, 1], "symbols": "0110"}),
             "string-space.json": json.dumps(fair_coin().to_json()),
             "string-world.json": json.dumps(sample_world(fair_coin(), 5000, seed=8).to_json()),
+            "string-provenance.json": STRING_PROVENANCE_WORLD,
             "big.json": BIG_WEIGHT_SPACE,
             "big-h.json": json.dumps(
                 {"alphabet": json.loads(h_text)["alphabet"], "weights": [-(10**400), 1] + [0] * 14}
@@ -1265,6 +1295,7 @@ _FUZZ_FILES = (
     "not-utf-8.json",
     "one.json",
     "one_fps.json",
+    "string-provenance.json",
 )
 
 
@@ -1289,6 +1320,7 @@ def fuzz_files(tmp_path_factory):
         "deep-symbol.json": DEEP_SYMBOL_SPACE,
         "one.json": ONE_SYMBOL_WORLD,
         "one_fps.json": ONE_SYMBOL_SPACE,
+        "string-provenance.json": STRING_PROVENANCE_WORLD,
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -1508,8 +1540,19 @@ class TestMainFuzz:
                 assert (status, out, len(err.splitlines())) == (2, "", 1), argv + extra
                 error = json.loads(err)["error"]
                 assert error["code"] == "usage"
-                refused = ("does not use --", f"unrecognized arguments: {option}")
-                assert any(words in error["message"] for words in refused), error
+                assert "does not use --" in error["message"], error
+
+    @pytest.mark.parametrize("command", ["chsh", "ghz", "lhv", "battery"])
+    def test_help_lists_the_flags_read(self, capsys, command):
+        # The flags the command's invocations read, and the two every invocation reads.
+        invocations = cli_mod._INVOCATIONS.items()
+        read = set().union(*(e[1] for mode, e in invocations if mode.split()[0] == command))
+        expected = {"--" + flag.replace("_", "-") for flag in read} | {"--format", "--out"}
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert shown == expected
 
     def test_every_read_flag_at_its_edge_values(self, capsys, monkeypatch, fuzz_files):
         invocations = cli_mod._INVOCATIONS

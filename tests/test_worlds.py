@@ -648,6 +648,17 @@ class TestExportImport:
         with pytest.raises(ValueError, match=f"'{field}' must be a list"):
             WorldPrefix.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("provenance", ["x", [1], 5], ids=["string", "list", "number"])
+    def test_from_json_provenance_must_be_an_object(self, provenance):
+        # Replayed, each would fail in repr(world), which reads the provenance's kind.
+        obj = {"alphabet": ["a", "b"], "indices": [1, 0], "provenance": provenance}
+        with pytest.raises(ValueError, match="'provenance' must be an object"):
+            WorldPrefix.from_json(json.dumps(obj))
+
+    def test_from_json_null_provenance_is_imported(self):
+        obj = {"alphabet": ["a", "b"], "indices": [1, 0], "provenance": None}
+        assert WorldPrefix.from_json(json.dumps(obj)).provenance["kind"] == "imported"
+
 
 def _scribble(tree):
     """Change every dict and list of a provenance tree in place."""
