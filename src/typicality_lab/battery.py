@@ -209,8 +209,8 @@ def run_battery(
     block_lens: Sequence[int] = DEFAULT_BLOCK_LENS,
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> BatteryReport:
-    """Block-frequency tests at each block length, as one family at rate ``significance``."""
-    if not block_lens:
-        raise ValueError("block_lens must name at least one block length")
+    """A block-frequency test at each distinct length, as one family at rate ``significance``."""
+    if not block_lens or len(set(block_lens)) < len(block_lens):
+        raise ValueError(f"block_lens must be one or more distinct block lengths, got {block_lens}")
     tests = [block_frequency_test(world, fps, k, significance) for k in block_lens]
     return BatteryReport(tests=holm_family(tests, significance))

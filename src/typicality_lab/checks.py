@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 __all__ = ["ATOL", "Check", "RELATIONS", "SIGMAS"]
 
-#: Absolute tolerance of every operator identity and of every gated exact check.
+#: Absolute tolerance of every operator identity and of every exact check.
 ATOL = 1e-12
 
 #: Width, in standard errors, of every acceptance band on a sampled average.
@@ -16,13 +16,12 @@ RELATIONS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<"), "==": (operator
 
 
 class Check(NamedTuple):
-    """The decision ``value relation bound``; only a failed gating check fails a run."""
+    """The decision ``value relation bound``; any failed check fails its run."""
 
     name: str
     value: float
     relation: str
     bound: float
-    gating: bool = True
 
     @property
     def passed(self) -> bool:

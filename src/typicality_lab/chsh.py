@@ -115,6 +115,7 @@ CHSH = Protocol(
     observables=((X, Z), (-(X + Z) / _SQRT2, (-X + Z) / _SQRT2)),
     shared_state=bell_singlet(),
     closed_form=_closed_form,
+    min_trials=MIN_TRIALS,
 )
 
 #: All 16 outcomes, in the canonical sampling order.
@@ -204,7 +205,7 @@ def run_chsh(
     called with the world before any statistic is checked.
     """
     fps = chsh_distribution("analytic")
-    counts, cells = CHSH.tally_cells(fps, trials, seed, threads, on_world, min_trials=MIN_TRIALS)
+    counts, cells = CHSH.tally_cells(fps, trials, seed, threads, on_world)
     # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
     averages, cell_counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
     tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))

@@ -4,8 +4,8 @@ Every command is deterministic given its flags: seeds are explicit (use
 ``--seed random`` to draw one; it is printed so the run can be replayed),
 reports carry no timestamps, and the canonical JSON output is
 byte-identical across reruns and across ``--threads`` values.  Exit
-status is 0 only when every gating check passes; each check is listed in
-the report's ``checks``, and each failed gating one in its ``failures``.
+status is 0 only when every check passes; each check is listed in the
+report's ``checks``, and each failed one in its ``failures``.
 
 The flow is table -> parser -> handler -> :func:`main`.  Each invocation
 (a command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class UsageError(Exception):
@@ -48,14 +49,9 @@ class UsageError(Exception):
 
 def _parse_blocks(raw: str) -> tuple[int, ...]:
     try:
-        blocks = tuple(int(part) for part in raw.split(",") if part.strip())
+        return tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise UsageError(f"--blocks expects comma-separated integers, got {raw!r}")
-    if not blocks or any(b < 1 for b in blocks):
-        raise UsageError(f"--blocks expects positive integers, got {raw!r}")
-    if len(set(blocks)) != len(blocks):
-        raise UsageError(f"--blocks repeats a block length, got {raw!r}")
-    return blocks
 
 
 def _resolve_seed(raw: str | None, required: bool) -> int | None:
@@ -224,8 +220,9 @@ def cmd_battery(args: argparse.Namespace, battery) -> tuple[dict, list]:
     world = _load(args.world_file, "world", WorldPrefix.from_json)
     fps = _load(args.fps_file, "probability-space", FiniteProbabilitySpace.from_json)
     significance = battery.DEFAULT_SIGNIFICANCE if args.tolerance is None else args.tolerance
+    blocks = battery.DEFAULT_BLOCK_LENS if args.blocks is None else _parse_blocks(args.blocks)
     try:
-        result = battery.run_battery(world, fps, args.blocks, significance)
+        result = battery.run_battery(world, fps, blocks, significance)
     except ValueError as err:
         raise UsageError(str(err))
     body = {
@@ -363,11 +360,10 @@ _INVOCATIONS = {
 def _check_args(args: argparse.Namespace):
     """Validate the parsed flags and resolve them in place; return the handler and its module.
 
-    ``--blocks`` becomes a tuple (the battery's default lengths without the
-    flag), ``--threads`` defaults to 1, ``--h-file`` is loaded into
-    ``args.h`` (None without the flag) for every invocation that reads it,
-    and ``--seed`` becomes an integer or None.  A bad invocation raises
-    :class:`UsageError`.
+    ``--threads`` defaults to 1, ``--h-file`` is loaded into ``args.h``
+    (None without the flag) for every invocation that reads it, and
+    ``--seed`` becomes an integer or None.  No output may name a path the
+    invocation also reads or writes.  A bad invocation raises :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -378,17 +374,19 @@ def _check_args(args: argparse.Namespace):
     for flag in _FLAGS:
         if getattr(args, flag) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
-    if args.out and args.world_out:
-        if os.path.realpath(args.out) == os.path.realpath(args.world_out):
-            raise UsageError("--out and --world-out name the same file")
+    # No output may overwrite another path named; each pair that may clash starts with one.
+    named = [("--out", args.out), ("--world-out", args.world_out), ("--h-file", args.h_file)]
+    named += [("the world file", getattr(args, "world_file", None))]
+    named += [("the probability-space file", getattr(args, "fps_file", None))]
+    paths = [(name, os.path.realpath(path)) for name, path in named if path]
+    for (output, out_path), (name, path) in itertools.combinations(paths, 2):
+        if output in ("--out", "--world-out") and path == out_path:
+            raise UsageError(f"{output} and {name} name the same file")
     if args.threads is None:
         args.threads = 1
     elif args.threads < 1:
         raise UsageError("--threads must be at least 1")
     module = importlib.import_module(f"{__package__}.{module_name}")
-    if "blocks" in flags_read:
-        blocks = args.blocks
-        args.blocks = module.DEFAULT_BLOCK_LENS if blocks is None else _parse_blocks(blocks)
     if "trials" in flags_read and (args.trials is None or args.trials < module.MIN_TRIALS):
         raise UsageError(
             f"{mode.removesuffix(' --trials')} requires --trials >= {module.MIN_TRIALS}"
@@ -419,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         failures = [
             {"check": c.name, "detail": f"{c.value!r} {RELATIONS[c.relation][1]} {c.bound!r}"}
             for c in checks
-            if c.gating and not c.passed
+            if not c.passed
         ]
         report = {**body, "checks": [c.to_dict() for c in checks], "failures": failures}
         _emit({"schema": SCHEMA_VERSION, **report}, args)

@@ -120,6 +120,7 @@ GHZ = Protocol(
     observables=((X, Y),) * 3,
     shared_state=ghz_state(),
     closed_form=_closed_form,
+    min_trials=MIN_TRIALS,
 )
 
 #: All 64 outcomes, in the canonical sampling order.
@@ -181,7 +182,7 @@ def run_ghz(
     :meth:`~typicality_lab.protocol.Protocol.cell_tests`), which a forbidden outcome fails.
     """
     fps = ghz_distribution("analytic")
-    counts, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world, min_trials=MIN_TRIALS)
+    counts, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world)
     constrained, free = {}, {}
     for coins, cell in cells.items():
         key = "".join(str(c) for c in coins)

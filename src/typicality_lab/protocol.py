@@ -11,11 +11,12 @@ prepared in ``|+>^n (x) shared state``, with one projector per outcome:
 where ``E_c = |c><c|`` and ``E^k_{c,m} = (I + m A^k_c) / 2`` projects onto
 result ``m`` of party ``k``'s observable ``A^k_c``.  :class:`Protocol`
 holds what differs between protocols -- the outcome record, the
-observables, the shared state and the closed form -- and derives the
-rest: the outcome alphabet, the distribution both ways, the coin events
-and a sampled run's per-coin cells and tests.  The coins are outermost in
-the alphabet, so a run's symbol counts, reshaped to ``(2**n, 2**n)``,
-hold one row per coin tuple, and every row lists the same result tuples.
+observables, the shared state, the closed form and the shortest run --
+and derives the rest: the outcome alphabet, the distribution both ways,
+the coin events and a sampled run's per-coin cells and tests.  The coins
+are outermost in the alphabet, so a run's symbol counts, reshaped to
+``(2**n, 2**n)``, hold one row per coin tuple, and every row lists the
+same result tuples.
 
 The Born weights come from the 2x2 factors: each outcome's factors are
 applied to its copy of the initial state, one qubit axis at a time and
@@ -67,6 +68,7 @@ class Protocol(NamedTuple):
     ``shared_state`` is the ``n``-qubit state, party 0 outermost.
     ``closed_form`` maps an outcome to its weight, in integer arithmetic up
     to one final floating-point step, so that exact zeros stay exact.
+    ``min_trials`` is the shortest run drawn, 1000 rounds per coin tuple.
 
     Two records compare field by field, and a record equals itself without
     comparing its arrays.  A ``Protocol`` is not hashed: its arrays are not
@@ -77,6 +79,7 @@ class Protocol(NamedTuple):
     observables: tuple
     shared_state: np.ndarray
     closed_form: Callable
+    min_trials: int
 
     @property
     def parties(self) -> int:
@@ -149,20 +152,18 @@ class Protocol(NamedTuple):
         seed: int,
         threads: int = 1,
         on_world: Callable | None = None,
-        *,
-        min_trials: int,
     ) -> tuple[np.ndarray, dict]:
         """Draw a run of ``fps``, this protocol's distribution: its counts and per-coin cells.
 
         The counts are :func:`~typicality_lab.worlds.tally`'s over
         :attr:`alphabet`, and ``on_world`` is passed to it.  Each coin tuple,
         in alphabet order, maps to the :class:`~typicality_lab.worlds.SignCell`
-        of the results' product on its rounds.  Raises below ``min_trials``.
+        of the results' product on its rounds.  Raises below :attr:`min_trials`.
         """
         from .worlds import SignCell, tally
 
-        if trials < min_trials:
-            raise ValueError(f"trials must be at least {min_trials}, got {trials}")
+        if trials < self.min_trials:
+            raise ValueError(f"trials must be at least {self.min_trials}, got {trials}")
         counts = tally(fps, trials, seed, threads, on_world)
         n = self.parties
         plus = [math.prod(o[n:]) > 0 for o in self.alphabet[: 2**n]]

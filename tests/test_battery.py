@@ -157,6 +157,13 @@ class TestRunBattery:
         with pytest.raises(ValueError, match="block length"):
             run_battery(world, fair_coin(), ())
 
+    def test_repeated_block_length_is_refused_before_counting(self, monkeypatch):
+        # Counted twice, k = 1 would scale every adjusted p-value for a family of three.
+        world = sample_world(fair_coin(), 1000, seed=1)
+        monkeypatch.setattr(WorldPrefix, "counts", lambda *args: pytest.fail("counted"))
+        with pytest.raises(ValueError, match=r"^block_lens must be one or more distinct .*\(1, 1\)$"):
+            run_battery(world, fair_coin(), (1, 1))
+
     def test_report_dict_shape(self):
         world = sample_world(fair_coin(), 1000, seed=4)
         report = run_battery(world, fair_coin(), (1, 2))

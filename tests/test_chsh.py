@@ -256,7 +256,7 @@ class TestLocalBound:
         check = local_bound_check(s_value)
         assert check.passed is within
         assert (check.name, check.value, check.relation) == ("chsh-bound", abs(s_value), "<=")
-        assert check.bound == 2.0 + ATOL and check.gating
+        assert check.bound == 2.0 + ATOL
 
     def test_bound_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(chsh_mod, "LOCAL_BOUND", 1.5)

@@ -69,8 +69,7 @@ def holm(p_values):
 
 def check(name, value, relation, bound):
     passed = value <= bound if relation == "<=" else value >= bound
-    return {"name": name, "value": value, "relation": relation, "bound": bound,
-            "gating": True, "passed": passed}
+    return {"name": name, "value": value, "relation": relation, "bound": bound, "passed": passed}
 
 
 def reference_report(seed, tolerance=None, max_abs_diff=0.0):
@@ -117,7 +116,7 @@ def reference_report(seed, tolerance=None, max_abs_diff=0.0):
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 5,
+        "schema": 6,
         "protocol": "chsh",
         "method": "typical-sampling",
         "trials": TRIALS,

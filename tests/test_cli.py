@@ -78,7 +78,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -86,7 +86,6 @@ class TestChshCommand:
         assert report["cross_check"]["pass"] is True
         assert report["failures"] == []
         assert abs(report["s_value"] - 2 * math.sqrt(2)) < 0.1
-        assert all(c["gating"] for c in report["checks"])
         assert [c["name"] for c in report["checks"]] == [
             "distribution-cross-check",
             "s-value",
@@ -721,7 +720,7 @@ class TestExitCodeHoles:
         files["space"].write_text(fair_coin().to_json())
         argv = ["battery", str(files["world"]), str(files["space"]), "--blocks", "2,3,2"]
         status, out, err = run_cli(capsys, argv)
-        assert_usage_error(status, out, err, "--blocks repeats a block length")
+        assert_usage_error(status, out, err, "one or more distinct block lengths")
 
     def test_max_dim_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("TYPICALITY_LAB_MAX_DIM", "abc")
@@ -760,7 +759,11 @@ _USAGE_ERRORS = [
     ),
     ("chsh --trials 8000 --seed 1 --blocks 1", "chsh does not use --blocks"),
     ("ghz --trials 8000 --seed 1 --blocks 1,x", "ghz does not use --blocks"),
-    ("battery world.json fps.json --blocks 0", "--blocks expects positive integers, got '0'"),
+    ("battery world.json fps.json --blocks 0", "block_len must be from 1 to 64, got 0"),
+    (
+        "battery world.json fps.json --blocks 2,3,2",
+        "block_lens must be one or more distinct block lengths, got (2, 3, 2)",
+    ),
     ("battery one.json one_fps.json --blocks 65", "block_len must be from 1 to 64, got 65"),
     ("battery world.json fps.json --seed 3", "battery does not use --seed"),
     ("battery world.json fps.json --trials 5", "battery does not use --trials"),
@@ -774,6 +777,26 @@ _USAGE_ERRORS = [
         "chsh --trials 8000 --seed 1 --world-out same.json --out ./same.json",
         "--out and --world-out name the same file",
     ),
+    (
+        "battery world.json fps.json --blocks 1 --out world.json",
+        "--out and the world file name the same file",
+    ),
+    (
+        "battery world.json fps.json --out ./fps.json",
+        "--out and the probability-space file name the same file",
+    ),
+    # A symlink names the file it points to.
+    (
+        "battery link-world.json fps.json --out world.json",
+        "--out and the world file name the same file",
+    ),
+    ("lhv chsh --h-file h.json --out h.json", "--out and --h-file name the same file"),
+    ("lhv chsh --h-file h.json --out link-h.json", "--out and --h-file name the same file"),
+    (
+        "lhv chsh --h-file h.json --trials 8000 --seed random --out h.json",
+        "--out and --h-file name the same file",
+    ),
+    ("lhv ghz --h-file h.json --out h.json", "--out and --h-file name the same file"),
     ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
     ("lhv ghz --threads 1", "lhv ghz does not use --threads"),
     ("lhv chsh --h-file h.json --seed 5", "lhv chsh does not use --seed"),
@@ -900,10 +923,15 @@ class TestUsageErrorLines:
         }
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
+        for link, target in (("link-world.json", "world.json"), ("link-h.json", "h.json")):
+            (tmp_path / link).symlink_to(target)
         monkeypatch.chdir(tmp_path)
-        expected = {"error": {"code": "usage", "message": message}, "schema": 5}
+        expected = {"error": {"code": "usage", "message": message}, "schema": 6}
         line = json.dumps(expected, sort_keys=True) + "\n"
         assert run_cli(capsys, command.split()) == (2, "", line)
+        # No usage error writes a file, or writes over one of its inputs.
+        assert sorted(os.listdir(tmp_path)) == sorted([*texts, "link-world.json", "link-h.json"])
+        assert {name: (tmp_path / name).read_text() for name in texts} == texts
 
 
 def _skewed(distribution, skew):
@@ -936,7 +964,9 @@ class TestCrossCheck:
 
 
 class TestChecksDecideTheRun:
-    @pytest.mark.parametrize("gating", [True, False])
+    # Every check gates the run: the planted check alone decides the status, and a
+    # passed check beside it adds no failure.
+    @pytest.mark.parametrize("beside_a_passed_check", [True, False])
     @pytest.mark.parametrize(
         ("relation", "value", "bound", "passed", "shown"),
         [
@@ -949,12 +979,13 @@ class TestChecksDecideTheRun:
         ],
     )
     def test_only_a_failed_gating_check_fails(
-        self, capsys, monkeypatch, relation, value, bound, passed, shown, gating
+        self, capsys, monkeypatch, relation, value, bound, passed, shown, beside_a_passed_check
     ):
-        check = Check("planted", value, relation, bound, gating)
+        check = Check("planted", value, relation, bound)
         assert check.passed is passed
+        checks = [check] + ([Check("beside", 0, "==", 0)] if beside_a_passed_check else [])
         _, flags_read, module = cli_mod._INVOCATIONS["lhv ghz"]
-        planted = (lambda args, ghz: ({"protocol": "lhv-ghz"}, [check]), flags_read, module)
+        planted = (lambda args, ghz: ({"protocol": "lhv-ghz"}, checks), flags_read, module)
         monkeypatch.setitem(cli_mod._INVOCATIONS, "lhv ghz", planted)
         status, report, _ = run_json(capsys, ["lhv", "ghz"])
         assert report["checks"] == [
@@ -963,14 +994,16 @@ class TestChecksDecideTheRun:
                 "value": value,
                 "relation": relation,
                 "bound": bound,
-                "gating": gating,
                 "passed": passed,
             }
-        ]
-        fails = gating and not passed
-        assert status == (1 if fails else 0)
+        ] + (
+            [{"name": "beside", "value": 0, "relation": "==", "bound": 0, "passed": True}]
+            if beside_a_passed_check
+            else []
+        )
+        assert status == (0 if passed else 1)
         detail = f"{value!r} {shown} {bound!r}"
-        assert report["failures"] == ([{"check": "planted", "detail": detail}] if fails else [])
+        assert report["failures"] == ([] if passed else [{"check": "planted", "detail": detail}])
 
     def test_failed_cross_check_fails_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(chsh_mod, "chsh_distribution", _skewed(chsh_distribution, 1e-6))
@@ -1498,9 +1531,10 @@ _EDGE_CASES = {
             (f"--tolerance {raw}", "^significance must be in \\(0, 1\\)$")
             for raw in ("nan", "inf", "0", "-1")
         ],
-        ("--blocks 0", "^--blocks expects positive integers, got '0'$"),
-        ("--blocks 1,1", "^--blocks repeats a block length, got '1,1'$"),
-        ("--blocks=", "^--blocks expects positive integers, got ''$"),
+        ("--blocks 0", "^block_len must be from 1 to 64, got 0$"),
+        ("--blocks -1", "^block_len must be from 1 to 64, got -1$"),
+        ("--blocks 1,1", "^block_lens must be one or more distinct block lengths, got \\(1, 1\\)$"),
+        ("--blocks=", "^block_lens must be one or more distinct block lengths, got \\(\\)$"),
         ("--blocks 64", REPORT),
         ("--blocks 65", "^block_len must be from 1 to 64, got 65$"),
     ],

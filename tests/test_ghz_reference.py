@@ -71,8 +71,7 @@ def required_product(triple):
 
 def check(name, value, relation, bound):
     passed = {"==": value == bound, "<=": value <= bound, ">=": value >= bound}[relation]
-    return {"name": name, "value": value, "relation": relation, "bound": bound,
-            "gating": True, "passed": passed}
+    return {"name": name, "value": value, "relation": relation, "bound": bound, "passed": passed}
 
 
 def enumeration():
@@ -174,7 +173,7 @@ def reference_report(seed, max_abs_diff=0.0):
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 5,
+        "schema": 6,
         "protocol": "ghz",
         "trials": TRIALS,
         "seed": seed,

@@ -22,36 +22,36 @@ from typicality_lab.worlds import condition_seq, sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "d6a12677a807a09f7e3595505da5e418d670d1dfdd9d8147e84a0f225119862c",
+        "877d60b28b593d572078841aada5d0e2c2c3a48e21f326c5047642e887a556f8",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "a0819ea5a6fb6b9a8b094c94874e2fd9024c37723605b369dcff583a6658fec8",
+        "e12ccdccff443d62eac8440281f09281e1437923a3c3b9a4c261a261b007a77f",
     ),
     "lhv ghz": (
         0,
-        "c115ee2226efd93c4a327c71fa8395366c55b6307d3cbaa291749b684455411e",
+        "1a7dd7b25a50667631c3541b73e0ea6765e92532c7b652c43987a1d3805696b7",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "f9a716addc9e5f819e26a41db6cc42eae05b6a2ef8c839fd27441f575bcc0c90",
+        "3ee348b697f822200b9792c73d843c18efc85e94a6338f8f9d7d04af224d7969",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "8eb6a2d622ff05370a13744ffa1ffff7a8d70ac6437ad40897915b900a161e8b",
+        "4521d3f2439394bbb90d502182e25efa77444e60e7c8675d1eab53f96d16c1a1",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "eb205b30837661debf6c82615524e9b28b15036ec2096fd1aa39c5fa1d91da9e",
+        "4b6da04cff591909fabd8b92cad6e3c22899d3189adab184f250741300264203",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "cf90b3739dd96674df316d6dbd84bd2463841afbc35d3ab86322cbab3c072ebb",
+        "feb4f5e5c20ed7bd42bf73ee922d499d9c206d685340e7fec956efefd9c1e039",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "48be6acc9bdcb2a26f1e2425486f04af3c78cfbf05b4833d7352baa421d62d74",
+        "1d73a8959eb19c64c00de3c8cda1a952a57ab61df5d1b8b68476cdbdaeb6c374",
     ),
 }
 
@@ -80,27 +80,27 @@ GOLDEN.update(
         ),
         "lhv chsh --h-file {h}": (
             0,
-            "d608bcebb43f7825e7c698f88bae1d81e04c67f1afdb6c21675082dcc69b5d22",
+            "d389ecfcfda79d8f7da59d529977d66c50013d7072415746e51ea75cee6950c9",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "1e3a3be6d184df69cc083de4ada08521f1de75e7fc54d9c1e7da4cdab5dfc49e",
+            "6ce57e01cc63781ed44ee0c76148ccc5e7fc7f98c4a41b7c7a34f9b9b8a2b1b1",
         ),
         # The (0, 0) coin pair of chsh --trials 200000 --seed 42, to k = 4.
         "battery {cell} {cell_fps} --blocks 1,2,3,4": (
             0,
-            "a092209924a4a066847c428ea39bcc0f36abf850252ed76f596bc72dbe2067fb",
+            "9feb712bec23ff825b898886ef92c096cf95e0b03d50799da58fabe70476493a",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "ee43323227d057850789900889d41a1ac0344bdeafbdfcfe06ca034a44619f76",
+            "fcbc79065479ed00af79995354770102917dd756b40cc4002c6015e2c1f173cb",
         ),
         # A significance the golden world fails at k = 2, its one Holm-adjusted
         # p-value below it.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "ee008c601d6f22f5f35ba1eb9e5b2e628dd1f0cec88b270a387925a0d6b8040c",
+            "6afe01eec9f00e16b5c1e4f6c939d6ad97e39e07cdc13dd7454c8361773789eb",
         ),
         "battery {world} {fps} --tolerance 0.999 --format csv": (
             1,
@@ -168,6 +168,13 @@ def test_report_is_strict_json(template, input_files):
         raise ValueError(f"{token} is not strict JSON")
 
     json.loads(run_report(template, input_files)[1], parse_constant=refuse)
+
+
+@pytest.mark.parametrize("template", sorted(t for t in GOLDEN if "--format csv" not in t))
+def test_each_check_holds_its_decision_only(template, input_files):
+    checks = json.loads(run_report(template, input_files)[1])["checks"]
+    assert checks
+    assert all(sorted(c) == ["bound", "name", "passed", "relation", "value"] for c in checks)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -93,7 +93,6 @@ def bound_check(s):
         "value": value,
         "relation": "<=",
         "bound": LOCAL_BOUND + ATOL,
-        "gating": True,
         "passed": passed,
     }
     return check, [] if passed else ["chsh-bound"]
@@ -130,7 +129,7 @@ def reference_report(h, seed):
 
     bound, failures = bound_check(s_value(exact))
     report = {
-        "schema": 5,
+        "schema": 6,
         "protocol": "lhv-chsh",
         "method": "lhv-simulated",
         "trials": TRIALS,
@@ -183,7 +182,7 @@ def exact_reference(h):
         averages[average_name(c, d)] = float(sum(terms))
     bound, failures = bound_check(s_value(averages))
     report = {
-        "schema": 5,
+        "schema": 6,
         "protocol": "lhv-chsh",
         "method": "lhv-exact",
         "averages": averages,

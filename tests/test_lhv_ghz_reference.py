@@ -83,11 +83,11 @@ def reference_report(h_path=None):
     lhv = enumeration()
     passed = lhv["satisfying_count"] == 0
     report = {
-        "schema": 5,
+        "schema": 6,
         "protocol": "lhv-ghz",
         "lhv": lhv,
         "checks": [{"name": "lhv-enumeration", "value": lhv["satisfying_count"],
-                    "relation": "==", "bound": 0, "gating": True, "passed": passed}],
+                    "relation": "==", "bound": 0, "passed": passed}],
         "failures": [] if passed else ["lhv-enumeration"],
     }
     if h_path is not None:

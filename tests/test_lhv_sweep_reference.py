@@ -68,7 +68,7 @@ def reference_report(count, seed):
     vertex_max = float(max(COEFFICIENTS))
     check, failures = bound_check(float(max(Fraction(vertex_max), exact or 0)))
     report = {
-        "schema": 5,
+        "schema": 6,
         "protocol": "lhv-chsh",
         "sweep": {
             "max_s_value": exact,

@@ -112,17 +112,15 @@ def test_cross_check_failure_fails_the_run(name, monkeypatch, capsys):
 def test_coin_cells():
     assert CHSH.coin_event(1, 0) == tuple(o for o in CHSH.alphabet if (o.c, o.d) == (1, 0))
     for record in (CHSH, GHZ):
-        n, kept = record.parties, []
-        counts, cells = record.tally_cells(
-            record.distribution(), 5000, 3, 2, kept.append, min_trials=5000
-        )
+        n, kept, floor = record.parties, [], record.min_trials
+        counts, cells = record.tally_cells(record.distribution(), floor, 3, 2, kept.append)
         np.testing.assert_array_equal(counts, kept[0].counts())
         assert list(cells) == list(itertools.product((0, 1), repeat=n))
         for coins, cell in cells.items():
             products = [math.prod(o[n:]) for o in kept[0].symbols() if o[:n] == coins]
             assert cell == (len(products), products.count(1))
-    with pytest.raises(ValueError, match="at least 5001, got 5000"):
-        CHSH.tally_cells(CHSH.distribution(), 5000, 3, min_trials=5001)
+        with pytest.raises(ValueError, match=f"at least {floor}, got {floor - 1}"):
+            record.tally_cells(record.distribution(), floor - 1, 3)
 
 
 def _exact_conditional_means(record):
@@ -166,3 +164,12 @@ class TestVariancesHeldAsData:
         assert len(free) == 4
         for coins in free:
             assert laws[coins][1] - laws[coins][-1] == 0.0
+
+
+class TestTrialsFloorHeldAsData:
+    """Each record holds its shortest run, and its module's ``MIN_TRIALS`` is that floor."""
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_one_thousand_rounds_per_coin_tuple(self, name):
+        record = PROTOCOLS[name]
+        assert record.min_trials == 1000 * 2**record.parties == MODULES[name].MIN_TRIALS
