@@ -34,9 +34,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _lazy_record
 from .checks import ATOL, SIGMAS, Check
-from .linalg import X, Z, bell_singlet
-from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace, _check_weights, product, uniform
 
 if TYPE_CHECKING:  # the sampler is imported by the runs that draw, not by the sweep
@@ -109,21 +108,20 @@ def _closed_form(o: ChshOutcome) -> float:
     return (2 * 2**200 + sign * o.m * o.n * math.isqrt(2 * 4**200)) / (32 * 2**200)
 
 
-#: Party A measures (R, Q) = (X, Z), party B (S, T) = (-(X+Z)/sqrt2, (-X+Z)/sqrt2).
-CHSH = Protocol(
-    outcome=ChshOutcome,
-    observables=((X, Z), (-(X + Z) / _SQRT2, (-X + Z) / _SQRT2)),
-    shared_state=bell_singlet(),
-    closed_form=_closed_form,
-    min_trials=MIN_TRIALS,
+def _build_record():
+    from .linalg import X, Z, bell_singlet
+    from .protocol import Protocol
+
+    # Party A measures (R, Q) = (X, Z), party B (S, T) = (-(X+Z)/sqrt2, (-X+Z)/sqrt2).
+    observables = ((X, Z), (-(X + Z) / _SQRT2, (-X + Z) / _SQRT2))
+    return Protocol(ChshOutcome, observables, bell_singlet(), _closed_form, MIN_TRIALS)
+
+
+#: ``CHSH`` and the names below are bound on first use, so the sweep loads no ``protocol``.
+__getattr__ = _lazy_record(
+    globals(), _build_record,
+    "CHSH", "CHSH_OUTCOMES", "build_chsh_operators", "chsh_distribution", "coin_event",
 )
-
-#: All 16 outcomes, in the canonical sampling order.
-CHSH_OUTCOMES = CHSH.alphabet
-
-build_chsh_operators = CHSH.operators
-chsh_distribution = CHSH.distribution
-coin_event = CHSH.coin_event
 
 
 class ConditionalAverageReport(NamedTuple):
@@ -204,8 +202,9 @@ def run_chsh(
     so the world is not kept unless ``on_world`` is given; it is then
     called with the world before any statistic is checked.
     """
+    record = __getattr__("CHSH")  # binds chsh_distribution too
     fps = chsh_distribution("analytic")
-    counts, cells = CHSH.tally_cells(fps, trials, seed, threads, on_world)
+    counts, cells = record.tally_cells(fps, trials, seed, threads, on_world)
     # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
     averages, cell_counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
     tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
@@ -217,7 +216,7 @@ def run_chsh(
         counts=cell_counts,
         std_errors=std_errors,
         tolerances=tolerances,
-        cell_tests=CHSH.cell_tests(fps, counts),
+        cell_tests=record.cell_tests(fps, counts),
     )
 
 
@@ -315,7 +314,8 @@ def _random_h_weights(count: int, seed: int) -> Iterator[np.ndarray]:
 def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
     """``s_value`` of each row of hidden-variable weights over ``RQST_TUPLES``.
 
-    Each row is checked by ``spaces._check_weights``, as a space's weights are.
+    Each row is checked by ``spaces._check_weights``, whose pairwise sum may put a total
+    within a few ulps of ``1 +/- SUM_ATOL`` on the other side than the constructor's fsum.
     Its s-value is one numpy row sum of its weights times each tuple's ``rs + qs + rt - qt``
     (``_SIGNS`` read at call time), whose order neither the BLAS kernel nor the block moves.
     """

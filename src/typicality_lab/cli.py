@@ -17,7 +17,7 @@ not read, imports its one module, validates and resolves the namespace
 in place, and returns the handler and the module.  The handler runs that
 module on the namespace and returns the report body and its checks.  So
 a process loads only the package modules its invocation runs:
-``lhv ghz`` loads neither the sampler nor the battery.  ``main`` alone
+``lhv ghz`` loads no sampler, battery or numpy.  ``main`` alone
 stamps the report with ``schema``, ``checks`` and the ``failures`` it
 derives from them, turns every :class:`UsageError` into the one-line
 JSON error, and sets the exit status.
@@ -362,8 +362,9 @@ def _check_args(args: argparse.Namespace):
 
     ``--threads`` defaults to 1, ``--h-file`` is loaded into ``args.h``
     (None without the flag) for every invocation that reads it, and
-    ``--seed`` becomes an integer or None.  No output may name a path the
-    invocation also reads or writes.  A bad invocation raises :class:`UsageError`.
+    ``--seed`` becomes an integer or None.  No path may hold a NUL, and no output
+    may name a path the invocation also reads or writes.  A bad invocation raises
+    :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -374,10 +375,14 @@ def _check_args(args: argparse.Namespace):
     for flag in _FLAGS:
         if getattr(args, flag) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
-    # No output may overwrite another path named; each pair that may clash starts with one.
+    # Every path named: none may hold a NUL, which no file name can, and no output may
+    # overwrite another path named; each pair that may clash starts with one.
     named = [("--out", args.out), ("--world-out", args.world_out), ("--h-file", args.h_file)]
     named += [("the world file", getattr(args, "world_file", None))]
     named += [("the probability-space file", getattr(args, "fps_file", None))]
+    for name, path in named:
+        if path and "\0" in path:
+            raise UsageError(f"{name} path {path!r} holds a NUL character")
     paths = [(name, os.path.realpath(path)) for name, path in named if path]
     for (output, out_path), (name, path) in itertools.combinations(paths, 2):
         if output in ("--out", "--world-out") and path == out_path:

@@ -27,9 +27,8 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from . import _lazy_record
 from .checks import SIGMAS, Check
-from .linalg import X, Y, ghz_state
-from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace
 
 if TYPE_CHECKING:  # the sampler is imported by the run, not by the enumeration
@@ -113,22 +112,20 @@ def _closed_form(o: GhzOutcome) -> float:
     return (1 - o.m1 * o.m2 * o.m3 * COS_QUARTER_TURNS[o.c1 + o.c2 + o.c3]) / 64.0
 
 
-#: Every party measures X on coin 0 and Y on coin 1.  The Y observable
-#: makes the Born weights complex; a real-only shortcut would be wrong.
-GHZ = Protocol(
-    outcome=GhzOutcome,
-    observables=((X, Y),) * 3,
-    shared_state=ghz_state(),
-    closed_form=_closed_form,
-    min_trials=MIN_TRIALS,
+def _build_record():
+    from .linalg import X, Y, ghz_state
+    from .protocol import Protocol
+
+    # Every party measures X on coin 0 and Y on coin 1.  The Y observable
+    # makes the Born weights complex; a real-only shortcut would be wrong.
+    return Protocol(GhzOutcome, ((X, Y),) * 3, ghz_state(), _closed_form, MIN_TRIALS)
+
+
+#: ``GHZ`` and the names below are bound on first use, so ``lhv ghz`` loads no numpy.
+__getattr__ = _lazy_record(
+    globals(), _build_record,
+    "GHZ", "GHZ_OUTCOMES", "build_ghz_operators", "ghz_distribution", "coin_event",
 )
-
-#: All 64 outcomes, in the canonical sampling order.
-GHZ_OUTCOMES = GHZ.alphabet
-
-build_ghz_operators = GHZ.operators
-ghz_distribution = GHZ.distribution
-coin_event = GHZ.coin_event
 
 
 class GhzRunReport(NamedTuple):
@@ -181,8 +178,9 @@ def run_ghz(
     Each triple is also tested against its conditional law (see
     :meth:`~typicality_lab.protocol.Protocol.cell_tests`), which a forbidden outcome fails.
     """
+    record = __getattr__("GHZ")  # binds ghz_distribution too
     fps = ghz_distribution("analytic")
-    counts, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world)
+    counts, cells = record.tally_cells(fps, trials, seed, threads, on_world)
     constrained, free = {}, {}
     for coins, cell in cells.items():
         key = "".join(str(c) for c in coins)
@@ -199,7 +197,7 @@ def run_ghz(
                 "mean_product": cell.mean if cell.count else None,
                 "tolerance": SIGMAS / math.sqrt(cell.count) if cell.count else None,
             }
-    return GhzRunReport(trials, seed, constrained, free, GHZ.cell_tests(fps, counts))
+    return GhzRunReport(trials, seed, constrained, free, record.cell_tests(fps, counts))
 
 
 class GhzEnumeration(NamedTuple):

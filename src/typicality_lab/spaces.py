@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import reduce
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where an array is made, so `lhv ghz` never loads it
+    import numpy as np
 
 __all__ = [
     "SUM_ATOL",
@@ -56,6 +56,8 @@ def _decode_symbol(value):
 
 def _check_weights(w: np.ndarray) -> None:
     """Require finite, non-negative weights, each row (last axis) summing to 1 within SUM_ATOL."""
+    import numpy as np
+
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     if np.any(w < 0):
@@ -70,29 +72,41 @@ def _check_weights(w: np.ndarray) -> None:
 class FiniteProbabilitySpace:
     """Non-negative weights summing to one over an ordered finite alphabet."""
 
-    __slots__ = ("_alphabet", "_weights", "_index")
+    __slots__ = ("_alphabet", "_weights", "_index", "_array")
 
     def __init__(self, alphabet: Iterable, weights: Iterable[float]):
         alpha = tuple(alphabet)
         try:
-            w = np.array(list(weights), dtype=float)
+            items = list(weights)
+            if any(getattr(x, "ndim", 0) for x in items):  # an array, which float() unwraps
+                raise TypeError
+            w = tuple(map(float, items))
         except OverflowError:  # an integer beyond the float range, such as 10**400
             raise ValueError("weights must be finite") from None
+        except TypeError:  # not a sequence, a nested one, or a value that is no number
+            raise ValueError("weights must be a flat sequence of numbers") from None
         if len(alpha) == 0:
             raise ValueError("alphabet must be non-empty")
-        if w.ndim != 1:
-            raise ValueError("weights must be a flat sequence of numbers")
-        if len(alpha) != w.size:
+        if len(alpha) != len(w):
             raise ValueError(
-                f"alphabet size {len(alpha)} does not match weight count {w.size}"
+                f"alphabet size {len(alpha)} does not match weight count {len(w)}"
             )
         if len(set(alpha)) != len(alpha):
             raise ValueError("alphabet must be duplicate-free")
-        _check_weights(w)
-        w.setflags(write=False)
+        if not all(map(math.isfinite, w)):
+            raise ValueError("weights must be finite")
+        if any(x < 0 for x in w):
+            raise ValueError("weights must be non-negative")
+        try:
+            total = math.fsum(w)
+        except OverflowError:  # finite weights whose sum passes the float range
+            total = math.inf
+        if abs(total - 1.0) > SUM_ATOL:
+            raise ValueError(f"weights must sum to 1 within {SUM_ATOL}, got {total!r}")
         self._alphabet = alpha
         self._weights = w
         self._index = {a: i for i, a in enumerate(alpha)}
+        self._array = None
 
     @property
     def alphabet(self) -> tuple:
@@ -100,7 +114,13 @@ class FiniteProbabilitySpace:
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights
+        """The weights as one read-only float array, made when first read."""
+        if self._array is None:
+            import numpy as np
+
+            self._array = np.array(self._weights)
+            self._array.setflags(write=False)
+        return self._array
 
     def __len__(self) -> int:
         return len(self._alphabet)
@@ -108,9 +128,7 @@ class FiniteProbabilitySpace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteProbabilitySpace):
             return NotImplemented
-        return self._alphabet == other._alphabet and np.array_equal(
-            self._weights, other._weights
-        )
+        return self._alphabet == other._alphabet and self._weights == other._weights
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a!r}: {p:g}" for a, p in zip(self._alphabet, self._weights))
@@ -124,7 +142,7 @@ class FiniteProbabilitySpace:
 
     def prob(self, symbol) -> float:
         """Weight of a single symbol."""
-        return float(self._weights[self.index(symbol)])
+        return self._weights[self.index(symbol)]
 
     def _event_indices(self, event: Iterable) -> list[int]:
         seen = set()
@@ -135,7 +153,7 @@ class FiniteProbabilitySpace:
     def event_prob(self, event: Iterable) -> float:
         """Total weight of a set of symbols (the empty event has weight 0)."""
         idx = self._event_indices(event)
-        return float(self._weights[idx].sum()) if idx else 0.0
+        return float(self.weights[idx].sum()) if idx else 0.0
 
     def condition(self, event: Iterable) -> "FiniteProbabilitySpace":
         """Restrict to an event of positive probability and renormalize.
@@ -143,12 +161,11 @@ class FiniteProbabilitySpace:
         The conditional alphabet keeps the parent ordering.
         """
         idx = self._event_indices(event)
-        mass = float(self._weights[idx].sum()) if idx else 0.0
+        mass = float(self.weights[idx].sum()) if idx else 0.0
         if mass <= 0.0:
             raise ValueError("cannot condition on an event of probability zero")
         alpha = tuple(self._alphabet[i] for i in idx)
-        weights = self._weights[idx] / mass
-        return FiniteProbabilitySpace(alpha, weights)
+        return FiniteProbabilitySpace(alpha, (self.weights[idx] / mass).tolist())
 
     def marginal(self, side: str) -> "FiniteProbabilitySpace":
         """Marginal of a space over pairs, keeping the left or right coordinate."""
@@ -174,7 +191,7 @@ class FiniteProbabilitySpace:
                 raise ValueError(
                     f"coordinate {coord} out of range for symbol {symbol!r}"
                 )
-            groups.setdefault(symbol[coord], []).append(float(weight))
+            groups.setdefault(symbol[coord], []).append(weight)
         return FiniteProbabilitySpace(
             tuple(groups), [math.fsum(parts) for parts in groups.values()]
         )
@@ -183,7 +200,7 @@ class FiniteProbabilitySpace:
         """Serialize as ``{"alphabet": [...], "weights": [...]}``."""
         obj = {
             "alphabet": [_encode_symbol(a) for a in self._alphabet],
-            "weights": [float(w) for w in self._weights],
+            "weights": list(self._weights),
         }
         return json.dumps(obj)
 
@@ -246,9 +263,6 @@ def product(*spaces: FiniteProbabilitySpace) -> FiniteProbabilitySpace:
     if size > MAX_PRODUCT_SIZE:
         raise ValueError(f"product alphabet size {size} exceeds cap {MAX_PRODUCT_SIZE}")
     alphabet = tuple(itertools.product(*(sp.alphabet for sp in spaces)))
-    weights = reduce(
-        lambda acc, sp: np.multiply.outer(acc, sp.weights).reshape(-1),
-        spaces[1:],
-        np.asarray(spaces[0].weights),
-    )
+    # A symbol's weight is its factors' weights multiplied left to right.
+    weights = [math.prod(ws) for ws in itertools.product(*(sp._weights for sp in spaces))]
     return FiniteProbabilitySpace(alphabet, weights)

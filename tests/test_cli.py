@@ -41,6 +41,9 @@ DEEP_SYMBOL_SPACE = (
 #: A space whose first weight is a JSON integer beyond the float range.
 BIG_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [10**400, 0]})
 
+#: A space of finite weights whose sum passes the float range.
+HUGE_SUM_SPACE = json.dumps({"alphabet": [0, 1], "weights": [1e308, 1e308]})
+
 #: Spaces with a null and an object among their weights.
 NULL_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [None, 1]})
 OBJECT_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [{}, 1]})
@@ -797,6 +800,19 @@ _USAGE_ERRORS = [
         "--out and --h-file name the same file",
     ),
     ("lhv ghz --h-file h.json --out h.json", "--out and --h-file name the same file"),
+    # A NUL names no file: each path slot refuses one before any file is opened or resolved.
+    ("lhv ghz --h-file a\x00b", "--h-file path 'a\\x00b' holds a NUL character"),
+    ("lhv chsh --h-file a\x00b", "--h-file path 'a\\x00b' holds a NUL character"),
+    ("lhv ghz --out a\x00b", "--out path 'a\\x00b' holds a NUL character"),
+    (
+        "chsh --trials 8000 --seed 1 --world-out a\x00b",
+        "--world-out path 'a\\x00b' holds a NUL character",
+    ),
+    ("battery a\x00b fps.json", "the world file path 'a\\x00b' holds a NUL character"),
+    (
+        "battery world.json a\x00b",
+        "the probability-space file path 'a\\x00b' holds a NUL character",
+    ),
     ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
     ("lhv ghz --threads 1", "lhv ghz does not use --threads"),
     ("lhv chsh --h-file h.json --seed 5", "lhv chsh does not use --seed"),
@@ -866,6 +882,16 @@ _USAGE_ERRORS = [
         "invalid hidden-variable file 'big-h.json': weights must be finite",
     ),
     (
+        "battery world.json huge-sum.json",
+        "invalid probability-space file 'huge-sum.json': weights must sum to 1 within 1e-12, "
+        "got inf",
+    ),
+    (
+        "lhv chsh --h-file huge-sum-h.json",
+        "invalid hidden-variable file 'huge-sum-h.json': weights must sum to 1 within 1e-12, "
+        "got inf",
+    ),
+    (
         "battery world.json null-weights.json",
         "invalid probability-space file 'null-weights.json': weights must be a list of JSON "
         "numbers",
@@ -915,6 +941,10 @@ class TestUsageErrorLines:
             "big.json": BIG_WEIGHT_SPACE,
             "big-h.json": json.dumps(
                 {"alphabet": json.loads(h_text)["alphabet"], "weights": [-(10**400), 1] + [0] * 14}
+            ),
+            "huge-sum.json": HUGE_SUM_SPACE,
+            "huge-sum-h.json": json.dumps(
+                {"alphabet": json.loads(h_text)["alphabet"], "weights": [1e308, 1e308] + [0] * 14}
             ),
             "null-weights.json": NULL_WEIGHT_SPACE,
             "object-weights.json": OBJECT_WEIGHT_SPACE,
@@ -1180,29 +1210,56 @@ print(status, *(name for name in ("concurrent.futures", "logging") if name in sy
 
 
 #: Runs ``main`` on its arguments with the report and any error discarded, then
-#: prints the exit status and the package's modules that the run loaded.
+#: prints the exit status, the package's modules that the run loaded, and
+#: ``numpy`` if the run loaded it.
 _LOADED_MODULES = """
 import contextlib, io, sys
 from typicality_lab.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    status = main(sys.argv[1:])
+    try:
+        status = main(sys.argv[1:])
+    except SystemExit as done:  # --help
+        status = done.code
 prefix = "typicality_lab."
-print(status, *sorted(m[len(prefix):] for m in sys.modules if m.startswith(prefix)))
+loaded = {m[len(prefix):] for m in sys.modules if m.startswith(prefix)}
+print(status, *sorted(loaded | ({"numpy"} & sys.modules.keys())))
 """
 
-#: Each invocation, its exit status, and package modules it must not load.
-#: ``{name}`` is a file of the ``fuzz_files`` fixture.
+#: Each invocation, its exit status, and the package modules (and numpy) it
+#: must not load.  ``{name}`` is a file of the ``fuzz_files`` fixture.
 _MODULE_SETS = [
-    ("lhv ghz", 0, {"worlds", "battery", "chsh"}),
-    ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh"}),
-    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz"}),
-    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz"}),
-    ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"battery", "ghz"}),
+    ("lhv ghz", 0, {"worlds", "battery", "chsh", "linalg", "protocol", "numpy"}),
+    ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh", "linalg", "protocol", "numpy"}),
+    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz", "linalg", "protocol"}),
+    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz", "linalg", "protocol"}),
+    (
+        "lhv chsh --h-file {h.json} --trials 4000 --seed 1",
+        0,
+        {"battery", "ghz", "linalg", "protocol"},
+    ),
     ("ghz --trials 8000 --seed 1", 0, {"chsh"}),
     ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
     ("battery {world.json} {fps.json}", 0, {"chsh", "ghz", "protocol", "linalg"}),
-    ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg"}),
+    ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg", "numpy"}),
+    ("--help", 0, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg", "numpy"}),
 ]
+
+
+#: Rebinds a protocol module's distribution before its record is built, runs
+#: the protocol, and prints whether the record was unbuilt at the rebinding,
+#: each method the rebinding was called with, and whether it is still bound.
+_REBOUND_BEFORE_THE_RECORD = """
+import sys
+from typicality_lab import {module} as mod
+calls = []
+def rebound(method="analytic"):
+    calls.append(method)
+    return mod.{record}.distribution(method)
+unbuilt = "typicality_lab.protocol" not in sys.modules
+mod.{name} = rebound
+mod.{run}(8000, 1)
+print(unbuilt, *calls, mod.{name} is rebound)
+"""
 
 
 class TestImportCost:
@@ -1256,6 +1313,51 @@ class TestImportCost:
         assert int(shown) == status
         assert {"cli", "checks", "spaces"} <= set(loaded)
         assert not_loaded.isdisjoint(loaded), loaded
+
+    @pytest.mark.parametrize(
+        "statement", ["import typicality_lab.cli", "from typicality_lab import lhv_ghz_feasibility"]
+    )
+    def test_package_imports_load_no_numpy(self, statement):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; {statement}; print('numpy' in sys.modules)"],
+            env=_with_src(dict(os.environ)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize(
+        ("module", "record", "outcomes"),
+        [(chsh_mod, "CHSH", "CHSH_OUTCOMES"), (ghz_mod, "GHZ", "GHZ_OUTCOMES")],
+    )
+    def test_each_module_holds_one_record(self, module, record, outcomes):
+        assert getattr(module, record) is getattr(module, record)
+        assert getattr(module, outcomes) is getattr(module, record).alphabet
+        with pytest.raises(AttributeError, match="has no attribute 'NOPE'"):
+            module.NOPE
+
+    @pytest.mark.parametrize(
+        ("module", "record", "name", "run"),
+        [
+            ("chsh", "CHSH", "chsh_distribution", "run_chsh"),
+            ("ghz", "GHZ", "ghz_distribution", "run_ghz"),
+        ],
+    )
+    def test_a_distribution_rebound_before_the_record_is_the_one_run(
+        self, module, record, name, run
+    ):
+        script = _REBOUND_BEFORE_THE_RECORD.format(module=module, record=record, name=name, run=run)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=_with_src(dict(os.environ)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "analytic", "True"]
 
 
 class TestProcessEntryPoint:

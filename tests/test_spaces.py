@@ -58,11 +58,22 @@ class TestConstruction:
             FiniteProbabilitySpace.from_json(
                 json.dumps({"alphabet": list(range(16)), "weights": [[0.0625]] * 16})
             )
+        # As an array, or a list of one-element arrays, which float() would unwrap.
+        with pytest.raises(ValueError, match="flat sequence"):
+            FiniteProbabilitySpace(range(16), np.full((16, 1), 0.0625))
+        with pytest.raises(ValueError, match="flat sequence"):
+            FiniteProbabilitySpace(range(16), [np.array([0.0625])] * 16)
+        # A 0-d array or a numpy scalar is one number.
+        assert FiniteProbabilitySpace(range(2), [np.array(0.5), np.float64(0.5)]).prob(0) == 0.5
 
     @pytest.mark.parametrize("weights", [[10**400, 0], [-(10**400), 1]], ids=["above", "below"])
     def test_integer_weights_beyond_the_float_range_are_not_finite(self, weights):
         with pytest.raises(ValueError, match="weights must be finite"):
             FiniteProbabilitySpace([0, 1], weights)
+
+    def test_finite_weights_summing_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match=r"sum to 1 within 1e-12, got inf$"):
+            FiniteProbabilitySpace([0, 1], [1e308, 1e308])
 
     def test_zero_weights_allowed(self):
         fps = FiniteProbabilitySpace(["a", "b", "z"], [0.4, 0.6, 0.0])
@@ -94,6 +105,89 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"sum to 1 within 1e-12, got 0\.75$"):
             spaces_mod._check_weights(rows)
         spaces_mod._check_weights(rows[[0, 2]])
+
+
+#: Edge values of a weight: non-finite, signed zeros, subnormals, and values
+#: that put a total near 1 +/- SUM_ATOL.
+_EDGE_WEIGHTS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 3 * 5e-324, 2.2250738585072014e-308,
+    1e-16, 1e-12, 2e-12, 0.5, 0.5 + 1e-12, 0.5 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, -1e-12,
+)
+
+#: Two vectors inside the band where the two totals fall on either side of the
+#: bound: the constructor refuses the first and accepts the second, by fsum.
+_BAND_REFUSED = (0.5, 0.49999999999899986, 1.1e-16)  # fsum 0.9999999999989999
+_BAND_ACCEPTED = (0.3, 0.699999999999, 3e-17)  # fsum 0.999999999999
+
+
+def _verdict(check, weights):
+    """None if ``check`` accepts ``weights``, else the rule its message names."""
+    try:
+        check(weights)
+    except ValueError as err:
+        return next(rule for rule in ("finite", "non-negative", "sum to 1") if rule in str(err))
+    return None
+
+
+class TestWeightRule:
+    """The constructor's plain-Python rule against the sweep's vectorized one.
+
+    Both refuse non-finite and negative weights alike.  The constructor's
+    total is ``math.fsum``'s, correctly rounded, and the array rule's is
+    numpy's pairwise sum, so the two may disagree on a total within a few
+    ulps of ``1 +/- SUM_ATOL``, and nowhere else.
+    """
+
+    @staticmethod
+    def _vectors():
+        for size in (1, 2, 3):
+            yield from itertools.product(_EDGE_WEIGHTS, repeat=size)
+        # Sixteen weights take numpy's pairwise path, as the sweep's rows do.
+        for edge in _EDGE_WEIGHTS:
+            for at in (0, 7, 15):
+                yield tuple(edge if k == at else 1 / 16 for k in range(16))
+        yield from (_BAND_REFUSED, _BAND_ACCEPTED)
+
+    def test_same_verdicts_off_the_bound(self):
+        compared = 0
+        for w in self._vectors():
+            one = _verdict(lambda w: FiniteProbabilitySpace(range(len(w)), w), w)
+            rows = _verdict(lambda w: spaces_mod._check_weights(np.array([w])), w)
+            if one != rows:
+                totals = (math.fsum(w), float(np.array(w).sum()))
+                assert all(
+                    abs(abs(t - 1.0) - spaces_mod.SUM_ATOL) <= 4 * math.ulp(1.0) for t in totals
+                ), (w, one, rows)
+            compared += 1
+        assert compared > 6000
+
+    def test_each_side_of_the_band(self):
+        # A declared input rule: numpy's pairwise total decided both the other way.
+        with pytest.raises(ValueError, match=r"got 0\.9999999999989999$"):
+            FiniteProbabilitySpace(range(3), _BAND_REFUSED)
+        spaces_mod._check_weights(np.array([_BAND_REFUSED]))
+        accepted = FiniteProbabilitySpace(range(3), _BAND_ACCEPTED)
+        assert accepted.weights.tolist() == list(_BAND_ACCEPTED)
+        with pytest.raises(ValueError, match=r"got 0\.9999999999989999$"):
+            spaces_mod._check_weights(np.array([_BAND_ACCEPTED]))
+
+    def test_weights_are_one_cached_read_only_array(self):
+        fps = FiniteProbabilitySpace("abc", [0.25, 0.25, 0.5])
+        assert fps.weights is fps.weights
+        assert fps.weights.dtype == np.float64
+        assert fps.weights.tolist() == [0.25, 0.25, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            fps.weights[0] = 0.5
+        assert fps.prob("a") == 0.25
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[None, 1.0], [1j, 1.0], [[0.5], 0.5], 1.0],
+        ids=["null", "complex", "ragged", "scalar"],
+    )
+    def test_no_number_is_no_flat_sequence(self, weights):
+        with pytest.raises(ValueError, match="flat sequence of numbers"):
+            FiniteProbabilitySpace([0, 1], weights)
 
 
 class TestEventProb:
