@@ -13,13 +13,13 @@ lands where the exact value says it must.
 
 === EXAMPLE OUTPUT ===
 vertex S values: {2.0, -2.0} (maximum exactly 2)
-sweep of 1000 random H: max S = 1.306054  (bound 2 holds)
+sweep of 1000 random H: max S = 1.320163  (bound 2 holds)
 one random H, exact vs simulated (100000 rounds, seed 12):
-  <RS> exact +0.135464  simulated +0.136273
-  <QS> exact +0.507956  simulated +0.507766
-  <RT> exact +0.318477  simulated +0.319062
-  <QT> exact -0.169523  simulated -0.183920
-  S    exact +1.131420  simulated +1.147021
+  <RS> exact -0.010782  simulated -0.014741
+  <QS> exact +0.167197  simulated +0.176968
+  <RT> exact -0.032103  simulated -0.033363
+  <QT> exact -0.055622  simulated -0.049428
+  S    exact +0.179934  simulated +0.178292
 """
 
 from typicality_lab import lhv_chsh_averages, lhv_chsh_simulate, lhv_sweep

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _lazy_record
 from .checks import ATOL, SIGMAS, Check
-from .spaces import FiniteProbabilitySpace, _check_weights, product, uniform
+from .spaces import FiniteProbabilitySpace, product, uniform
 
 if TYPE_CHECKING:  # the sampler is imported by the runs that draw, not by the sweep
     from .worlds import WorldPrefix
@@ -93,13 +93,6 @@ _AVERAGES = {
     "rt": ((0, 1), (0, 3)),
     "qt": ((1, 1), (1, 3)),
 }
-
-
-#: ``_SIGNS[x, a]`` is the value product that tuple ``RQST_TUPLES[x]``
-#: contributes to average ``a`` (``_AVERAGES`` order: rs, qs, rt, qt).
-_SIGNS = np.array(
-    [[x[i] * x[j] for _, (i, j) in _AVERAGES.values()] for x in RQST_TUPLES], dtype=float
-)
 
 
 def _closed_form(o: ChshOutcome) -> float:
@@ -238,8 +231,10 @@ def lhv_chsh_averages(h: FiniteProbabilitySpace) -> ConditionalAverageReport:
     exactly rounded, whatever the order of ``h``'s alphabet.
     """
     _require_h_space(h)
-    w = np.array([h.prob(x) for x in RQST_TUPLES])
-    averages = {name: math.fsum(w * _SIGNS[:, a]) for a, name in enumerate(_AVERAGES)}
+    averages = {
+        name: math.fsum(h.prob(x) * x[i] * x[j] for x in RQST_TUPLES)
+        for name, (_, (i, j)) in _AVERAGES.items()
+    }
     return ConditionalAverageReport(averages, method="lhv-exact")
 
 
@@ -281,47 +276,46 @@ def lhv_chsh_simulate(
     )
 
 
-def random_h_spaces(count: int, seed: int) -> list[FiniteProbabilitySpace]:
-    """Hidden-variable distributions drawn uniformly from the simplex.
+#: Each value tuple's ``rs + qs + rt - qt``, +2 or -2, in ``RQST_TUPLES`` order.
+_S_COEFFICIENTS = np.array([
+    ConditionalAverageReport(
+        {name: x[i] * x[j] for name, (_, (i, j)) in _AVERAGES.items()}, "lhv-exact"
+    ).s_value
+    for x in RQST_TUPLES
+])
 
-    Uses normalized exponential draws (symmetric over the 16 vertices),
-    from a Philox stream keyed on ``seed``.
-    """
-    blocks = _random_h_weights(count, seed)
-    return [FiniteProbabilitySpace(RQST_TUPLES, w) for block in blocks for w in block]
+#: A swept weight is an integer count of ``2**-53``.
+_ONE = 2**53
 
-
-#: Rows of hidden-variable weights drawn at a time, so that the memory of a
-#: sweep does not grow with its count.
+#: Rows of hidden-variable weights drawn at a time, which bounds a sweep's memory.
 _SWEEP_BLOCK = 1024
 
 
-def _random_h_weights(count: int, seed: int) -> Iterator[np.ndarray]:
-    """The weights of :func:`random_h_spaces`, in blocks of at most ``_SWEEP_BLOCK`` rows.
+def random_h_spaces(count: int, seed: int) -> list[FiniteProbabilitySpace]:
+    """Hidden-variable distributions uniform on the simplex, :func:`_random_h_counts` / 2**53."""
+    blocks = _random_h_counts(count, seed)
+    return [FiniteProbabilitySpace(RQST_TUPLES, w) for block in blocks for w in block / _ONE]
 
-    The blocks' draws from one Philox generator consume its stream exactly
-    as one ``(count, 16)`` draw does, and each row is normalized by its own
-    sum, so row ``k`` of the stacked blocks is the ``k``-th space's weights.
+
+def _random_h_counts(count: int, seed: int) -> Iterator[np.ndarray]:
+    """The weights of :func:`random_h_spaces` times ``2**53``, ``_SWEEP_BLOCK`` rows at a time.
+
+    Row ``k`` sorts the top 53 bits, ``w >> 11``, of raw words ``15k`` to ``15k + 14`` of
+    one Philox stream keyed on ``seed``.  Its int64 counts are the 16 gaps from 0 through
+    those cuts to ``2**53``, in ``RQST_TUPLES`` order: spacings of sorted uniforms are
+    uniform on the simplex (Devroye, *Non-Uniform Random Variate Generation*, 1986, V.2).
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    bitgen = np.random.Philox(key=seed)
     for start in range(0, count, _SWEEP_BLOCK):
-        w = gen.standard_exponential((min(_SWEEP_BLOCK, count - start), len(RQST_TUPLES)))
-        yield w / w.sum(axis=1, keepdims=True)
+        words = bitgen.random_raw((min(_SWEEP_BLOCK, count - start), len(RQST_TUPLES) - 1))
+        yield np.diff(np.sort((words >> 11).astype(np.int64)), prepend=0, append=_ONE)
 
 
-def _lhv_s_values(weights: np.ndarray) -> np.ndarray:
-    """``s_value`` of each row of hidden-variable weights over ``RQST_TUPLES``.
-
-    Each row is checked by ``spaces._check_weights``, whose pairwise sum may put a total
-    within a few ulps of ``1 +/- SUM_ATOL`` on the other side than the constructor's fsum.
-    Its s-value is one numpy row sum of its weights times each tuple's ``rs + qs + rt - qt``
-    (``_SIGNS`` read at call time), whose order neither the BLAS kernel nor the block moves.
-    """
-    _check_weights(weights)
-    rs, qs, rt, qt = _SIGNS.T
-    return (weights * (rs + qs + rt - qt)).sum(axis=-1)
+def _max_s_value(counts: np.ndarray) -> float:
+    """The largest ``s_value`` of rows of weights ``counts * 2**-53``, from exact int64 sums."""
+    return int((counts @ _S_COEFFICIENTS).max()) / _ONE
 
 
 def local_bound_check(s_value: float) -> Check:
@@ -354,18 +348,14 @@ class SweepReport(NamedTuple):
 def lhv_sweep(count: int, seed: int) -> SweepReport:
     """Max ``s_value`` over ``count`` random distributions, and over the 16 point masses.
 
-    The random distributions are drawn and checked one block at a time,
-    so the memory of a sweep does not grow with ``count``.  The point
-    masses are the rows of the identity, whose ``s_value`` is exactly a
-    tuple's ``+/-2``; they are taken after the random draw.
+    The random distributions are drawn and scored one block at a time, so the
+    memory of a sweep does not grow with ``count``.  The point masses, taken
+    after them, are the rows of ``2**53`` times the identity.
     """
-    random_max = max(
-        (float(_lhv_s_values(w).max()) for w in _random_h_weights(count, seed)),
-        default=None,
-    )
+    random_max = max(map(_max_s_value, _random_h_counts(count, seed)), default=None)
     return SweepReport(
         max_s_value=random_max,
-        vertex_max_s_value=float(_lhv_s_values(np.eye(len(RQST_TUPLES))).max()),
+        vertex_max_s_value=_max_s_value(_ONE * np.eye(len(RQST_TUPLES), dtype=np.int64)),
         num_random=count,
         num_vertices=len(RQST_TUPLES),
         seed=seed,

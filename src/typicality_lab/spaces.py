@@ -54,21 +54,6 @@ def _decode_symbol(value):
     return value
 
 
-def _check_weights(w: np.ndarray) -> None:
-    """Require finite, non-negative weights, each row (last axis) summing to 1 within SUM_ATOL."""
-    import numpy as np
-
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum(axis=-1)
-    off = np.abs(total - 1.0) > SUM_ATOL
-    if np.any(off):
-        got = float(total[off].flat[0])
-        raise ValueError(f"weights must sum to 1 within {SUM_ATOL}, got {got!r}")
-
-
 class FiniteProbabilitySpace:
     """Non-negative weights summing to one over an ordered finite alphabet."""
 
@@ -78,7 +63,12 @@ class FiniteProbabilitySpace:
         alpha = tuple(alphabet)
         try:
             items = list(weights)
-            if any(getattr(x, "ndim", 0) for x in items):  # an array, which float() unwraps
+            # float() would also unwrap an array, parse text and cast a truth value, numpy's too.
+            if any(
+                getattr(x, "ndim", 0) or isinstance(x, (str, bytes, bytearray, bool))
+                or getattr(getattr(x, "dtype", None), "kind", "f") not in "iuf"
+                for x in items
+            ):
                 raise TypeError
             w = tuple(map(float, items))
         except OverflowError:  # an integer beyond the float range, such as 10**400

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution, coin_event
@@ -34,7 +35,7 @@ GOLDEN = {
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "3ee348b697f822200b9792c73d843c18efc85e94a6338f8f9d7d04af224d7969",
+        "66a8823d94197997b4f8ad0d04cc5b4da5f643119988b5da2762137b1e40047c",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
@@ -68,7 +69,7 @@ GOLDEN.update(
         ),
         "lhv chsh --sweep 1000 --seed 3 --format csv": (
             0,
-            "174b27c9edf342c96fc1dec8f7e23bf9db62c3c3b1d3dae1103d74e262668223",
+            "e86471895f3ff083b912b021c7922d1b95c85359eb4edeae63c2d8fbe907b34b",
         ),
         "lhv ghz --format csv": (
             0,
@@ -175,6 +176,28 @@ def test_each_check_holds_its_decision_only(template, input_files):
     checks = json.loads(run_report(template, input_files)[1])["checks"]
     assert checks
     assert all(sorted(c) == ["bound", "name", "passed", "relation", "value"] for c in checks)
+
+
+#: One golden run of each report kind.
+ONE_OF_EACH_KIND = [
+    "chsh --trials 200000 --seed 42",
+    "ghz --trials 100000 --seed 7",
+    "battery {world} {fps} --tolerance 0.2",
+    "lhv chsh --sweep 1000 --seed 3",
+    "lhv chsh --h-file {h}",
+    "lhv chsh --h-file {h} --trials 20000 --seed 4",
+    "lhv ghz",
+]
+
+
+@pytest.mark.parametrize("template", ONE_OF_EACH_KIND)
+def test_every_random_byte_is_a_raw_philox_word(template, input_files, monkeypatch):
+    # numpy's Generator methods may change between releases; raw bit-generator words may not.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report drew through numpy.random.Generator")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    assert report_digest(template, input_files) == GOLDEN[template]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

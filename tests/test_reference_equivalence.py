@@ -1,16 +1,14 @@
 """The fast paths against the computations they replaced.
 
 Each reference below is the straightforward version kept for comparison:
-``scipy.stats.chi2`` for the battery p-value, one probability space
-per hidden-variable distribution for the sweep, conditioning the world
-cell by cell for the run statistics, one ``searchsorted`` per Philox
+``scipy.stats.chi2`` for the battery p-value, one draw of raw words spaced
+in Python and ``fractions.Fraction`` sums for the sweep, conditioning the
+world cell by cell for the run statistics, one ``searchsorted`` per Philox
 block for the sampler, a membership mask per event for the one-pass cell
 split, int64 Horner codes for the battery's block histograms, and the
 materialised world, split and counted, for the counts taken while it is
-drawn.  The fast paths must agree exactly, except the sweep's s-values,
-summed in another order than the exact averages and so free to round in
-the last place, and the closed-form chi-square tail, which must agree to
-a stated relative error.
+drawn.  The fast paths must agree exactly, except the closed-form
+chi-square tail, which must agree to a stated relative error.
 """
 
 import json
@@ -18,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,66 +144,75 @@ def test_commands_run_without_scipy(tmp_path):
 
 
 class TestSweep:
-    def per_row_weights(self, count, seed):
-        gen = np.random.Generator(np.random.Philox(key=seed))
+    @staticmethod
+    def python_counts(count, seed):
+        """One ``(count, 15)`` draw of raw words, each row's cuts ``w >> 11`` spaced in Python."""
         rows = []
-        for _ in range(count):
-            w = gen.standard_exponential(len(RQST_TUPLES))
-            rows.append(w / w.sum())
-        return np.array(rows).reshape(count, len(RQST_TUPLES))
+        for words in np.random.Philox(key=seed).random_raw((count, 15)).tolist():
+            cuts = [0, *sorted(w >> 11 for w in words), 2**53]
+            rows.append([b - a for a, b in zip(cuts, cuts[1:])])
+        return np.array(rows, dtype=np.int64).reshape(count, len(RQST_TUPLES))
+
+    @staticmethod
+    def exact_averages(h):
+        """The four averages of ``h`` as Fractions."""
+        return {
+            name: sum(Fraction(h.prob(x)) * x[i] * x[j] for x in RQST_TUPLES)
+            for name, (_, (i, j)) in chsh_mod._AVERAGES.items()
+        }
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_rows_are_the_spaces_weights(self, seed):
-        weights = np.vstack(list(chsh_mod._random_h_weights(3000, seed)))
-        assert np.array_equal(weights, self.per_row_weights(3000, seed))
+        counts = np.vstack(list(chsh_mod._random_h_counts(3000, seed)))
+        assert np.array_equal(counts, self.python_counts(3000, seed))
+        assert (counts >= 0).all() and (counts.sum(axis=1) == 2**53).all()
         spaces = random_h_spaces(3000, seed)
-        assert np.array_equal(weights, np.array([h.weights for h in spaces]))
+        assert [[Fraction(w) * 2**53 for w in h.weights] for h in spaces] == counts.tolist()
+        assert all(math.fsum(h.weights) == 1.0 for h in spaces)
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_s_values_match_exact_averages(self, seed):
-        weights = np.vstack(list(chsh_mod._random_h_weights(3000, seed)))
-        s_values = chsh_mod._lhv_s_values(weights)
-        exact = np.array([lhv_chsh_averages(h).s_value for h in random_h_spaces(3000, seed)])
-        assert np.abs(s_values - exact).max() <= 1e-15
+        counts = np.vstack(list(chsh_mod._random_h_counts(500, seed)))
+        for row, h in zip(counts, random_h_spaces(500, seed)):
+            exact = self.exact_averages(h)
+            assert lhv_chsh_averages(h).averages == {n: float(a) for n, a in exact.items()}
+            s_value = exact["rs"] + exact["qs"] + exact["rt"] - exact["qt"]
+            assert Fraction(chsh_mod._max_s_value(row[None])) == s_value
 
     @pytest.mark.parametrize("count", [0, 1, 4, 5, 12])
     def test_blocked_sweep_is_the_one_shot_sweep(self, count, monkeypatch):
         # Blocks of 4 rows: none, one short, one full, one and a bit, three.
         monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", 4)
-        gen = np.random.Generator(np.random.Philox(key=9))
-        one_shot = gen.standard_exponential((count, len(RQST_TUPLES)))
-        one_shot /= one_shot.sum(axis=1, keepdims=True)
-        blocks = list(chsh_mod._random_h_weights(count, 9))
+        one_shot = self.python_counts(count, 9)
+        blocks = list(chsh_mod._random_h_counts(count, 9))
         assert [len(block) for block in blocks] == [min(4, count - s) for s in range(0, count, 4)]
-        assert np.array_equal(np.vstack([np.empty((0, 16)), *blocks]), one_shot)
+        assert np.array_equal(np.vstack([np.empty((0, 16), np.int64), *blocks]), one_shot)
 
-        checked = []
-        s_values = chsh_mod._lhv_s_values
+        scored = []
+        max_s_value = chsh_mod._max_s_value
 
-        def recording(weights):
-            checked.append(s_values(weights))
-            return checked[-1]
+        def recording(counts):
+            scored.append(counts)
+            return max_s_value(counts)
 
-        monkeypatch.setattr(chsh_mod, "_lhv_s_values", recording)
+        monkeypatch.setattr(chsh_mod, "_max_s_value", recording)
         report = chsh_mod.lhv_sweep(count, 9)
-        *random_s, vertex_s = checked
-        assert [len(s) for s in random_s] == [len(block) for block in blocks]
-        assert len(vertex_s) == len(RQST_TUPLES)
-        if count:
-            assert max(s.max() for s in random_s) == s_values(one_shot).max()
-        assert report.max_s_value == (s_values(one_shot).max() if count else None)
+        *random_rows, vertices = scored
+        assert [len(rows) for rows in random_rows] == [len(block) for block in blocks]
+        assert vertices.tolist() == (2**53 * np.eye(len(RQST_TUPLES), dtype=int)).tolist()
+        coefficients = chsh_mod._S_COEFFICIENTS.tolist()
+        exact = [sum(n * c for n, c in zip(row, coefficients)) for row in one_shot.tolist()]
+        assert report.max_s_value == (Fraction(max(exact), 2**53) if count else None)
 
     def test_s_value_does_not_depend_on_the_rows_beside_it(self):
         # One row alone, in blocks of 1024 rows and in one block of 3000.
-        weights = np.vstack(list(chsh_mod._random_h_weights(3000, 42)))
-        one_block = chsh_mod._lhv_s_values(weights)
-        blocks = [chsh_mod._lhv_s_values(weights[i : i + 1024]) for i in range(0, 3000, 1024)]
-        alone = [chsh_mod._lhv_s_values(row[None])[0] for row in weights]
-        assert np.array_equal(np.concatenate(blocks), one_block)
-        assert np.array_equal(alone, one_block)
+        counts = np.vstack(list(chsh_mod._random_h_counts(3000, 42)))
+        one_block = chsh_mod._max_s_value(counts)
+        blocks = [chsh_mod._max_s_value(counts[i : i + 1024]) for i in range(0, 3000, 1024)]
+        alone = [chsh_mod._max_s_value(row[None]) for row in counts]
+        assert max(blocks) == max(alone) == one_block
 
     def test_blocked_sweep_report_bytes(self, monkeypatch, capsys):
-        # Seed 7: a summation order that varied with the block would move its last digit.
         for seed in ("3", "7"):
             argv = ["lhv", "chsh", "--sweep", "1000", "--seed", seed]
             monkeypatch.setattr(chsh_mod, "_SWEEP_BLOCK", 1024)
@@ -221,25 +229,10 @@ class TestSweep:
         assert report.vertex_max_s_value == 2.0
         assert report.num_random == 0
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ([np.nan] + [1 / 15] * 15, "finite"),
-            ([-0.5, 1.5] + [0.0] * 14, "non-negative"),
-            ([0.5] + [0.0] * 15, "sum to 1"),
-        ],
-    )
-    def test_rows_validated_like_spaces(self, row, message):
-        with pytest.raises(ValueError, match=message):
-            FiniteProbabilitySpace(RQST_TUPLES, row)
-        weights = np.vstack([*chsh_mod._random_h_weights(3, 1), row])
-        with pytest.raises(ValueError, match=message):
-            chsh_mod._lhv_s_values(weights)
-
     @pytest.mark.parametrize("mode", ["--sweep", "--h-file"])
     def test_bound_violation_is_a_report_failure(self, mode, monkeypatch, capsys, tmp_path):
-        # A planted breach: every value product doubled, so a vertex reaches 4.
-        monkeypatch.setattr(chsh_mod, "_SIGNS", 2.0 * chsh_mod._SIGNS)
+        # A planted breach: a bound of 1, which every vertex's |s| of 2 exceeds.
+        monkeypatch.setattr(chsh_mod, "LOCAL_BOUND", 1.0)
         h_file = tmp_path / "h.json"
         h_file.write_text(point_mass(RQST_TUPLES, (1, 1, 1, 1)).to_json())
         args = ["10", "--seed", "1"] if mode == "--sweep" else [str(h_file)]
