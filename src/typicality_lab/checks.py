@@ -1,15 +1,20 @@
 """Each pass/fail decision of a run as one record: a value, a relation and a bound."""
 
+import math
 import operator
 from typing import NamedTuple
 
-__all__ = ["ATOL", "Check", "RELATIONS", "SIGMAS"]
+__all__ = ["ATOL", "Check", "FALSE_ALARM_RATE", "RELATIONS", "SIGMAS"]
 
 #: Absolute tolerance of every operator identity and of every exact check.
 ATOL = 1e-12
 
-#: Width, in standard errors, of every acceptance band on a sampled average.
+#: Width, in standard errors, of the ``chsh`` s-value band, which sets ``FALSE_ALARM_RATE``.
 SIGMAS = 4.0
+
+#: The false-alarm rate of every gate on a sampled run: the two-sided normal tail beyond
+#: ``SIGMAS``, 2 Phi(-4), about 6.33e-5.
+FALSE_ALARM_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
 
 #: Each relation's test of ``value`` against ``bound``, and the relation a failure shows.
 RELATIONS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<"), "==": (operator.eq, "!=")}

@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import _lazy_record
-from .checks import ATOL, SIGMAS, Check
+from .checks import ATOL, FALSE_ALARM_RATE, SIGMAS, Check
 from .spaces import FiniteProbabilitySpace, product, uniform
 
-if TYPE_CHECKING:  # the sampler is imported by the runs that draw, not by the sweep
+if TYPE_CHECKING:  # numpy is imported by the sweep, the sampler by the runs that draw
+    import numpy as np
+
     from .worlds import WorldPrefix
 
 __all__ = [
@@ -122,12 +122,11 @@ class ConditionalAverageReport(NamedTuple):
 
     ``averages`` maps ``rs``, ``qs``, ``rt`` and ``qt`` to their values, and
     ``s_value`` is ``rs + qs + rt - qt`` computed from them in that order.
-    For sampled runs, ``counts`` holds the per-average cell sizes,
-    ``std_errors`` the binomial standard errors of each average, and
-    ``tolerances`` the 4-sigma acceptance bands derived from the
-    appropriate exact distribution.  ``cell_tests`` holds each coin pair's
-    block-frequency test, and ``exact`` the noise-free reference report
-    when one exists.  Fields left at None are not reported.
+    For sampled runs, ``counts`` holds the per-average cell sizes, and
+    :attr:`check` holds ``s_value`` within ``s_tolerance`` of ``s_target``.
+    ``cell_tests`` holds each coin pair's block-frequency test, and
+    ``exact`` the noise-free reference report when one exists.  Fields left
+    at None are not reported.
     """
 
     averages: dict
@@ -135,8 +134,8 @@ class ConditionalAverageReport(NamedTuple):
     trials: int | None = None
     seed: int | None = None
     counts: dict | None = None
-    std_errors: dict | None = None
-    tolerances: dict | None = None
+    s_target: float | None = None
+    s_tolerance: float | None = None
     cell_tests: dict | None = None
     exact: "ConditionalAverageReport | None" = None
 
@@ -144,6 +143,11 @@ class ConditionalAverageReport(NamedTuple):
     def s_value(self) -> float:
         a = self.averages
         return a["rs"] + a["qs"] + a["rt"] - a["qt"]
+
+    @property
+    def check(self) -> Check:
+        """The ``s-value`` check of a sampled run: ``|s_value - s_target| <= s_tolerance``."""
+        return Check("s-value", abs(self.s_value - self.s_target), "<=", self.s_tolerance)
 
     def to_dict(self) -> dict:
         out = {**self._asdict(), "s_value": self.s_value}
@@ -154,24 +158,20 @@ class ConditionalAverageReport(NamedTuple):
         return {key: value for key, value in out.items() if value is not None}
 
 
-def _cell_statistics(cells: dict, variances: Sequence[float]) -> tuple[dict, dict, dict, dict]:
-    """Averages, counts, standard errors and 4-sigma tolerances of the four coin-pair cells.
+def _cell_statistics(cells: dict) -> tuple[dict, dict]:
+    """Averages and counts of the four coin-pair cells, keyed as ``_AVERAGES``.
 
-    ``cells`` maps each coin pair to its :class:`~typicality_lab.worlds.SignCell`,
-    and ``variances`` are, in ``_AVERAGES`` order, each average's variance
-    under the exact conditional law, which sets its tolerance.  Raises if
-    any coin pair collected no samples.
+    ``cells`` maps each coin pair to its :class:`~typicality_lab.worlds.SignCell`.
+    Raises if any coin pair collected no samples.
     """
-    averages, counts, std_errors, tolerances = {}, {}, {}, {}
-    for (name, ((c, d), _)), variance in zip(_AVERAGES.items(), variances):
+    averages, counts = {}, {}
+    for name, ((c, d), _) in _AVERAGES.items():
         cell = cells[c, d]
         if cell.count == 0:
             raise RuntimeError(f"coin pair ({c},{d}) collected no samples")
         averages[name] = cell.mean
         counts[name] = cell.count
-        std_errors[name] = cell.std_error
-        tolerances[name] = SIGMAS * math.sqrt(variance / cell.count)
-    return averages, counts, std_errors, tolerances
+    return averages, counts
 
 
 def run_chsh(
@@ -188,7 +188,9 @@ def run_chsh(
     statistics at far higher cost (and the distribution itself is
     cross-checked against the operator construction).
 
-    Each coin pair is also tested against its conditional law (see
+    ``s_value`` is held to ``S_TARGET`` within ``SIGMAS`` times its standard
+    deviation ``sqrt(sum 0.5 / n)`` given the cell counts ``n``.  Each coin
+    pair is also tested against its conditional law (see
     :meth:`~typicality_lab.protocol.Protocol.cell_tests`).  Raises if any coin
     pair collected no samples.  Every statistic is taken from the symbol counts
     and per-coin cells of :meth:`~typicality_lab.protocol.Protocol.tally_cells`,
@@ -198,17 +200,15 @@ def run_chsh(
     record = __getattr__("CHSH")  # binds chsh_distribution too
     fps = chsh_distribution("analytic")
     counts, cells = record.tally_cells(fps, trials, seed, threads, on_world)
-    # Under the exact conditional law every average has Var(m*n) = 1 - 1/2.
-    averages, cell_counts, std_errors, tolerances = _cell_statistics(cells, [0.5] * len(cells))
-    tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
+    averages, cell_counts = _cell_statistics(cells)
     return ConditionalAverageReport(
         averages,
         method="typical-sampling",
         trials=trials,
         seed=seed,
         counts=cell_counts,
-        std_errors=std_errors,
-        tolerances=tolerances,
+        s_target=S_TARGET,
+        s_tolerance=SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values())),
         cell_tests=record.cell_tests(fps, counts),
     )
 
@@ -245,8 +245,12 @@ def lhv_chsh_simulate(
 
     Draws rounds from the product of ``h`` with two fair coins, restricts
     to each coin pair, and averages the revealed products.  The report
-    nests the exact averages; the empirical ones converge to them, within
-    the recorded 4-sigma tolerances.
+    nests the exact averages, and its check holds ``s_value`` to the exact one
+    within Hoeffding's band (*JASA* 58, 1963): given the cell counts ``n``, it
+    sums ``n`` independent terms of range ``2 / n`` per coin pair, so it strays
+    ``t`` from its mean with probability at most ``2 exp(-t**2 / (2 sum 1/n))``
+    for every ``h``, and the band is the ``t`` where that is ``FALSE_ALARM_RATE``.
+    A normal band rejects far above that rate for an ``h`` near a vertex.
     """
     from .worlds import SignCell, tally
 
@@ -262,27 +266,27 @@ def lhv_chsh_simulate(
         column = table[:, 2 * c + d]
         plus = [x[i] * x[j] > 0 for x in h.alphabet]
         cells[c, d] = SignCell(int(column.sum()), int(column[plus].sum()))
-    variances = [max(0.0, 1.0 - average**2) for average in exact.averages.values()]
-    averages, counts, std_errors, tolerances = _cell_statistics(cells, variances)
+    averages, counts = _cell_statistics(cells)
+    spread = sum(1 / n for n in counts.values())
     return ConditionalAverageReport(
         averages,
         method="lhv-simulated",
         trials=trials,
         seed=seed,
         counts=counts,
-        std_errors=std_errors,
-        tolerances=tolerances,
+        s_target=exact.s_value,
+        s_tolerance=math.sqrt(2 * math.log(2 / FALSE_ALARM_RATE) * spread),
         exact=exact,
     )
 
 
 #: Each value tuple's ``rs + qs + rt - qt``, +2 or -2, in ``RQST_TUPLES`` order.
-_S_COEFFICIENTS = np.array([
+_S_COEFFICIENTS = tuple(
     ConditionalAverageReport(
         {name: x[i] * x[j] for name, (_, (i, j)) in _AVERAGES.items()}, "lhv-exact"
     ).s_value
     for x in RQST_TUPLES
-])
+)
 
 #: A swept weight is an integer count of ``2**-53``.
 _ONE = 2**53
@@ -305,6 +309,8 @@ def _random_h_counts(count: int, seed: int) -> Iterator[np.ndarray]:
     those cuts to ``2**53``, in ``RQST_TUPLES`` order: spacings of sorted uniforms are
     uniform on the simplex (Devroye, *Non-Uniform Random Variate Generation*, 1986, V.2).
     """
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be non-negative")
     bitgen = np.random.Philox(key=seed)
@@ -350,8 +356,11 @@ def lhv_sweep(count: int, seed: int) -> SweepReport:
 
     The random distributions are drawn and scored one block at a time, so the
     memory of a sweep does not grow with ``count``.  The point masses, taken
-    after them, are the rows of ``2**53`` times the identity.
+    after them, are the rows of ``2**53`` times the identity.  Only the sweep
+    loads numpy, so the exact ``lhv chsh`` run loads none.
     """
+    import numpy as np
+
     random_max = max(map(_max_s_value, _random_h_counts(count, seed)), default=None)
     return SweepReport(
         max_s_value=random_max,

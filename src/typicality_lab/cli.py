@@ -40,7 +40,7 @@ from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class UsageError(Exception):
@@ -159,17 +159,10 @@ def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     cross_check, cross = _cross_check(chsh.chsh_distribution)
     with _world_saver(args) as on_world:
         report_obj = chsh.run_chsh(args.trials, args.seed, args.threads, on_world=on_world)
-    s_tolerance = report_obj.tolerances["s_value"] if args.tolerance is None else args.tolerance
-    s_error = abs(report_obj.s_value - chsh.S_TARGET)
-    checks = [cross, Check("s-value", s_error, "<=", s_tolerance), *_cell_checks(report_obj)]
-    body = {
-        "protocol": "chsh",
-        **report_obj.to_dict(),
-        "s_target": chsh.S_TARGET,
-        "s_tolerance": s_tolerance,
-        "cross_check": cross_check,
-    }
-    return body, checks
+    if args.tolerance is not None:
+        report_obj = report_obj._replace(s_tolerance=args.tolerance)
+    body = {"protocol": "chsh", **report_obj.to_dict(), "cross_check": cross_check}
+    return body, [cross, report_obj.check, *_cell_checks(report_obj)]
 
 
 def cmd_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
@@ -196,12 +189,12 @@ def cmd_lhv_chsh_sweep(args: argparse.Namespace, chsh) -> tuple[dict, list]:
 def cmd_lhv_chsh_h_file(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     """Local-realist CHSH: the exact averages of ``--h-file``, or ``--trials`` simulated rounds."""
     if args.trials is None:
-        report = exact = chsh.lhv_chsh_averages(args.h)
+        report = chsh.lhv_chsh_averages(args.h)
+        checks = [chsh.local_bound_check(report.s_value)]
     else:
         report = chsh.lhv_chsh_simulate(args.h, args.trials, args.seed, args.threads)
-        exact = report.exact
-    body = {"protocol": "lhv-chsh", **report.to_dict()}
-    return body, [chsh.local_bound_check(exact.s_value)]
+        checks = [chsh.local_bound_check(report.exact.s_value), report.check]
+    return {"protocol": "lhv-chsh", **report.to_dict()}, checks
 
 
 def cmd_lhv_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:

@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import _lazy_record
-from .checks import SIGMAS, Check
+from .checks import Check
 from .spaces import FiniteProbabilitySpace
 
 if TYPE_CHECKING:  # the sampler is imported by the run, not by the enumeration
@@ -134,9 +134,9 @@ class GhzRunReport(NamedTuple):
     ``constrained`` maps the four perfectly correlated triples to their
     sample count, required product and violation count (always zero short
     of a sampler bug), and ``check`` holds their total to zero; ``free``
-    maps the other four triples to their mean product, which converges to
-    0 within the recorded 4-sigma tolerance (both null for a triple with
-    no rounds).  ``cell_tests`` holds each triple's chi-square test, keyed alike.
+    maps the other four triples to their sample count and mean product,
+    which tends to 0 (null for a triple with no rounds).  ``cell_tests``
+    holds each triple's chi-square test, keyed alike, which decides both kinds.
     """
 
     trials: int
@@ -176,7 +176,8 @@ def run_ghz(
     :meth:`~typicality_lab.protocol.Protocol.tally_cells`, counted while
     the world is drawn; ``on_world``, if given, is called with the world.
     Each triple is also tested against its conditional law (see
-    :meth:`~typicality_lab.protocol.Protocol.cell_tests`), which a forbidden outcome fails.
+    :meth:`~typicality_lab.protocol.Protocol.cell_tests`), which a forbidden
+    outcome fails; for a free triple that test, not a band on its mean, decides.
     """
     record = __getattr__("GHZ")  # binds ghz_distribution too
     fps = ghz_distribution("analytic")
@@ -195,7 +196,6 @@ def run_ghz(
             free[key] = {
                 "count": cell.count,
                 "mean_product": cell.mean if cell.count else None,
-                "tolerance": SIGMAS / math.sqrt(cell.count) if cell.count else None,
             }
     return GhzRunReport(trials, seed, constrained, free, record.cell_tests(fps, counts))
 

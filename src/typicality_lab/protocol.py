@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checks import SIGMAS
+from .checks import FALSE_ALARM_RATE
 from .linalg import MeasurementOperatorSet, basis, involutory_pvm, ket_plus, projector, tensor
 from .spaces import FiniteProbabilitySpace
 
@@ -44,9 +44,8 @@ __all__ = ["CELL_FAMILY_RATE", "Protocol"]
 #: Each party's coin measurement, ``E_c = |c><c|``.
 _COIN_PROJECTORS = ((0, projector(basis(2, 0))), (1, projector(basis(2, 1))))
 
-#: The family-wise rate of a run's coin-tuple tests: the s-value gate's own
-#: false-alarm rate, the two-sided normal tail beyond ``SIGMAS``.
-CELL_FAMILY_RATE = math.erfc(SIGMAS / math.sqrt(2.0))
+#: The family-wise rate of a run's coin-tuple tests: the s-value gate's own.
+CELL_FAMILY_RATE = FALSE_ALARM_RATE
 
 
 # Cached on the record's hashable fields: a Protocol holds arrays, so it is no key.

@@ -64,7 +64,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import math
 import os
 import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -637,9 +636,3 @@ class SignCell(NamedTuple):
     def mean(self) -> float:
         """``(plus - minus) / count``: the cell's average value."""
         return (self.plus - self.minus) / self.count
-
-    @property
-    def std_error(self) -> float:
-        """Binomial standard error of :attr:`mean`, via the +1 fraction."""
-        p_hat = self.plus / self.count
-        return 2.0 * math.sqrt(p_hat * (1.0 - p_hat) / self.count)

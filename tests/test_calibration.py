@@ -30,14 +30,32 @@ number of cells.  The ``chsh`` s-value gate is given local models to
 refuse: every local model has ``|s| <= 2``, about 18 sigma below
 ``2 sqrt(2)`` at ``MIN_TRIALS``.
 
+An ``lhv chsh --trials`` run holds its simulated s-value to the exact one
+within Hoeffding's band, whose false-alarm rate is at most
+``FALSE_ALARM_RATE`` for every hidden-variable law h, so the runs that
+reject are bounded from above by the binomial tail at that rate: for the
+uniform h, for h uniform on the simplex, and for skewed h, weight
+``1 - 15 eps`` on one value tuple and ``eps`` on each other one, at eps =
+1e-3 and 1e-6, where the averages are far from normal and a normal band
+would reject far above its rate.  The lower side draws each run from a
+planted ``h' = (1 - w) h + w v``, v the vertex farthest from h in s, and
+holds it to the s-value of h.  Where ``|s(h') - s(h)|`` is at least twice
+the band, as each run checks, a run passes only if it strays a band from
+s(h'), which the same bound puts at the same rate; so the runs that pass
+are bounded from above by that tail too.  A ``lhv chsh`` command drawn so
+exits 1 on its ``s-value`` check.
+
 Every bound is two-sided at one per-check false-alarm rate ``ALPHA``, or
 one-sided at ``ALPHA`` where only one side is checked, so the chance
-that any of this file's 16 checks fails on a correct sampler and battery
-is at most 16 x 1e-6 / 9 = 1.78e-6 (Bonferroni).  The seeds were fixed
+that any of this file's 22 checks fails on a correct sampler and battery
+is at most 22 x 1e-6 / 9 = 2.44e-6 (Bonferroni).  The seeds were fixed
 before any result was looked at and must never be re-picked after a
 failure.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -50,7 +68,8 @@ from typicality_lab.battery import (
     block_frequency_test,
     run_battery,
 )
-from typicality_lab.checks import SIGMAS
+from typicality_lab import chsh as chsh_mod
+from typicality_lab.checks import FALSE_ALARM_RATE, SIGMAS
 from typicality_lab.chsh import (
     CHSH,
     MIN_TRIALS,
@@ -58,12 +77,14 @@ from typicality_lab.chsh import (
     S_TARGET,
     chsh_distribution,
     coin_event,
+    lhv_chsh_averages,
     lhv_chsh_simulate,
     random_h_spaces,
     run_chsh,
 )
+from typicality_lab.cli import main
 from typicality_lab.ghz import GHZ, ghz_distribution, run_ghz
-from typicality_lab.spaces import FiniteProbabilitySpace, point_mass
+from typicality_lab.spaces import FiniteProbabilitySpace, point_mass, uniform
 from typicality_lab.worlds import condition_seq, sample_world, tally
 
 SEEDS = range(400)
@@ -83,11 +104,20 @@ GHZ_FAMILY_LAMBDA = 30
 #: The draws of each local model that the s-value gate is given.
 GATE_SEEDS = range(5)
 
+#: The ``lhv chsh`` runs of ``MIN_TRIALS`` rounds per hidden-variable law, and the 20
+#: laws uniform on the simplex that share them, ``LHV_SEEDS`` / 20 seeds each.
+LHV_SEEDS = range(1000)
+SIMPLEX_LAWS = 20
+#: The runs drawn from a planted law, and each case's length and weight on its vertex.
+PLANTED_SEEDS = range(200)
+PLANTED = ((MIN_TRIALS, 0.4), (10 * MIN_TRIALS, 0.15))
+
 #: Chance that one check fails on a correct sampler and battery.  Every check
 #: takes it: per block length a rejection count and a uniformity test; the
 #: rejection counts of the three Holm families (chsh cells, ghz cells,
-#: battery); the CHSH z-scores; the GHZ scaled means; and the power checks,
-#: one per ``lam`` and one per protocol's family.
+#: battery); the CHSH z-scores; the GHZ scaled means; the power checks,
+#: one per ``lam`` and one per protocol's family; and the ``lhv chsh`` band's
+#: rejection counts, four of false alarms and two of planted laws.
 ALPHA = 1e-6 / 9
 
 #: The family-wise rate of a run's coin-tuple tests: 2 Phi(-SIGMAS).
@@ -315,3 +345,74 @@ def test_s_value_gate_refuses_local_models(h):
         run = lhv_chsh_simulate(h, MIN_TRIALS, seed)
         sigma = math.sqrt(sum(0.5 / n for n in run.counts.values()))
         assert abs(run.s_value - S_TARGET) > SIGMAS * sigma, (seed, run.s_value, sigma)
+
+
+def skewed(eps):
+    """Weight ``1 - 15 eps`` on the first value tuple and ``eps`` on each other one."""
+    return FiniteProbabilitySpace(RQST_TUPLES, [1 - 15 * eps] + [eps] * 15)
+
+
+def lhv_runs(h, seeds, trials=MIN_TRIALS):
+    return [lhv_chsh_simulate(h, trials, seed) for seed in seeds]
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        lambda: lhv_runs(uniform(RQST_TUPLES), LHV_SEEDS),
+        lambda: [
+            run
+            for h in random_h_spaces(SIMPLEX_LAWS, seed=2)
+            for run in lhv_runs(h, range(len(LHV_SEEDS) // SIMPLEX_LAWS))
+        ],
+        lambda: lhv_runs(skewed(1e-3), LHV_SEEDS),
+        lambda: lhv_runs(skewed(1e-6), LHV_SEEDS),
+    ],
+    ids=["uniform", "simplex", "skewed-1e-3", "skewed-1e-6"],
+)
+def test_lhv_band_rejects_at_most_at_its_rate(runs):
+    # Hoeffding's bound holds given the cell counts, for every law, so each
+    # run rejects with probability at most FALSE_ALARM_RATE.
+    runs = runs()
+    assert len(runs) == len(LHV_SEEDS)
+    rejections = sum(not run.check.passed for run in runs)
+    assert binomial_tails(rejections, len(runs), FALSE_ALARM_RATE)[1] > ALPHA, rejections
+
+
+def planted_law(h, weight):
+    """``(1 - weight) h + weight v``, v the vertex whose s-value is farthest from that of ``h``."""
+    s = lhv_chsh_averages(h).s_value
+    vertex = max(
+        (point_mass(RQST_TUPLES, x) for x in RQST_TUPLES),
+        key=lambda v: abs(lhv_chsh_averages(v).s_value - s),
+    )
+    return FiniteProbabilitySpace(RQST_TUPLES, (1 - weight) * h.weights + weight * vertex.weights)
+
+
+@pytest.mark.parametrize("trials, weight", PLANTED)
+def test_lhv_band_catches_a_planted_law(trials, weight):
+    h = random_h_spaces(1, seed=3)[0]
+    target = lhv_chsh_averages(h).s_value
+    planted = planted_law(h, weight)
+    shift = abs(lhv_chsh_averages(planted).s_value - target)
+    runs = [run._replace(s_target=target) for run in lhv_runs(planted, PLANTED_SEEDS, trials)]
+    assert all(shift >= 2 * run.s_tolerance for run in runs), shift
+    passes = sum(run.check.passed for run in runs)
+    assert binomial_tails(passes, len(runs), FALSE_ALARM_RATE)[1] > ALPHA, passes
+
+
+def test_lhv_command_drawn_from_a_planted_law_fails(tmp_path, monkeypatch):
+    # A planted sampler fault: every round is drawn from h' for the file's h.
+    h = random_h_spaces(1, seed=3)[0]
+    draw = chsh_mod.product
+    monkeypatch.setattr(chsh_mod, "product", lambda _, *coins: draw(planted_law(h, 0.4), *coins))
+    path = tmp_path / "h.json"
+    path.write_text(h.to_json())
+    out = io.StringIO()
+    argv = ["lhv", "chsh", "--h-file", str(path), "--trials", str(MIN_TRIALS), "--seed", "1"]
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    report = json.loads(out.getvalue())
+    assert status == 1
+    assert [f["check"] for f in report["failures"]] == ["s-value"]
+    assert report["s_target"] == lhv_chsh_averages(h).s_value

@@ -7,8 +7,7 @@ over the sampling order (coins outermost, 0 before 1, +1 before -1), draws
 the world with the pure-Python Philox4x64-10 of ``test_philox_reference``
 and a ``bisect`` inverse CDF, counts each coin pair's outcomes in dicts,
 and derives from those counts every figure of the report: the four
-averages, their binomial standard errors, the ``SIGMAS`` tolerances, the
-s-value and its tolerance, each coin pair's chi-square statistic and its
+averages, the s-value and its ``SIGMAS`` tolerance, each coin pair's chi-square statistic and its
 p-value (3 degrees of freedom, in closed form), the Holm-adjusted
 p-values of the four, the checks (the coin pairs' in the order 00, 01, 10,
 11), ``failures`` and the exit status.
@@ -82,15 +81,13 @@ def reference_report(seed, tolerance=None, max_abs_diff=0.0):
     for u in uniforms:
         counts[OUTCOMES[bisect.bisect_right(cum, u)]] += 1
 
-    averages, cell_counts, std_errors, tolerances, cell_tests = {}, {}, {}, {}, {}
+    averages, cell_counts, cell_tests = {}, {}, {}
     for name, (c, d) in AVERAGES.items():
         cell = {(m, n): counts[(c, d, m, n)] for m in (1, -1) for n in (1, -1)}
         total = sum(cell.values())
         plus = cell[(1, 1)] + cell[(-1, -1)]
         averages[name] = (plus - (total - plus)) / total
         cell_counts[name] = total
-        std_errors[name] = 2.0 * math.sqrt((plus / total) * (1.0 - plus / total) / total)
-        tolerances[name] = SIGMAS * math.sqrt(0.5 / total)
         mass = sum(closed_form(c, d, m, n) for m, n in cell)
         expected = [total * closed_form(c, d, m, n) / mass for m, n in cell]
         statistic = sum((o - e) ** 2 / e for o, e in zip(cell.values(), expected))
@@ -98,7 +95,6 @@ def reference_report(seed, tolerance=None, max_abs_diff=0.0):
             "block_len": 1, "dof": 3, "n_blocks": total, "statistic": statistic,
             "p_value": chi2_sf_3(statistic), "zero_cells": 0, "zero_cell_hits": 0,
         }
-    tolerances["s_value"] = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
     s_value = averages["rs"] + averages["qs"] + averages["rt"] - averages["qt"]
     rate = math.erfc(SIGMAS / math.sqrt(2.0))
     adjusted = holm([t["p_value"] for t in cell_tests.values()])
@@ -106,29 +102,29 @@ def reference_report(seed, tolerance=None, max_abs_diff=0.0):
         test.update(adjusted_p_value=p, significance=rate, **{"pass": p >= rate})
 
     s_target = 2.0 * math.sqrt(2.0)
-    s_tolerance = tolerances["s_value"] if tolerance is None else tolerance
+    if tolerance is None:
+        # Given the counts n, each average has variance 0.5 / n, and the four are independent.
+        tolerance = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
     checks = [
         check("distribution-cross-check", max_abs_diff, "<=", ATOL),
-        check("s-value", abs(s_value - s_target), "<=", s_tolerance),
+        check("s-value", abs(s_value - s_target), "<=", tolerance),
     ] + [
         check(f"block-frequency-k1-cell-{cell}", test["adjusted_p_value"], ">=", rate)
         for cell, test in sorted(cell_tests.items())
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 6,
+        "schema": 7,
         "protocol": "chsh",
         "method": "typical-sampling",
         "trials": TRIALS,
         "seed": seed,
         "averages": averages,
         "counts": cell_counts,
-        "std_errors": std_errors,
-        "tolerances": tolerances,
         "s_value": s_value,
         "cell_tests": cell_tests,
         "s_target": s_target,
-        "s_tolerance": s_tolerance,
+        "s_tolerance": tolerance,
         "cross_check": {"max_abs_diff": max_abs_diff, "tolerance": ATOL, "pass": True},
         "checks": checks,
         "failures": failures,

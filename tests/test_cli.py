@@ -81,7 +81,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -246,6 +246,8 @@ class TestLhvCommand:
         assert report["method"] == "lhv-simulated"
         assert report["exact"]["method"] == "lhv-exact"
         assert abs(report["s_value"]) < 0.2
+        assert [c["name"] for c in report["checks"]] == ["chsh-bound", "s-value"]
+        assert report["s_target"] == report["exact"]["s_value"]
 
     @pytest.mark.parametrize("extra", [[], ["--trials", "4000", "--seed", "4"]])
     def test_exact_averages_are_computed_once(self, capsys, tmp_path, monkeypatch, extra):
@@ -563,7 +565,7 @@ class TestWorldOutSamplesOnce:
         assert report["cross_check"]["pass"] is True
         # No round falls in a free triple, so none has a mean.
         for entry in report["free_triples"].values():
-            assert entry == {"count": 0, "mean_product": None, "tolerance": None}
+            assert entry == {"count": 0, "mean_product": None}
         world = WorldPrefix.from_json(world_path.read_text())
         assert world == WorldPrefix(
             ghz_distribution().alphabet, np.full(8000, ghz_distribution().index(forbidden))
@@ -956,7 +958,7 @@ class TestUsageErrorLines:
         for link, target in (("link-world.json", "world.json"), ("link-h.json", "h.json")):
             (tmp_path / link).symlink_to(target)
         monkeypatch.chdir(tmp_path)
-        expected = {"error": {"code": "usage", "message": message}, "schema": 6}
+        expected = {"error": {"code": "usage", "message": message}, "schema": 7}
         line = json.dumps(expected, sort_keys=True) + "\n"
         assert run_cli(capsys, command.split()) == (2, "", line)
         # No usage error writes a file, or writes over one of its inputs.
@@ -1231,7 +1233,7 @@ _MODULE_SETS = [
     ("lhv ghz", 0, {"worlds", "battery", "chsh", "linalg", "protocol", "numpy"}),
     ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh", "linalg", "protocol", "numpy"}),
     ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz", "linalg", "protocol"}),
-    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz", "linalg", "protocol"}),
+    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz", "linalg", "protocol", "numpy"}),
     (
         "lhv chsh --h-file {h.json} --trials 4000 --seed 1",
         0,

@@ -158,7 +158,6 @@ def reference_report(seed, max_abs_diff=0.0):
             free[key(triple)] = {
                 "count": total,
                 "mean_product": (by_product[1] - by_product[-1]) / total,
-                "tolerance": SIGMAS / math.sqrt(total),
             }
     lhv = enumeration()
     tests = cell_tests(counts)
@@ -173,7 +172,7 @@ def reference_report(seed, max_abs_diff=0.0):
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 6,
+        "schema": 7,
         "protocol": "ghz",
         "trials": TRIALS,
         "seed": seed,

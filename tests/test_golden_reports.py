@@ -23,36 +23,36 @@ from typicality_lab.worlds import condition_seq, sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "877d60b28b593d572078841aada5d0e2c2c3a48e21f326c5047642e887a556f8",
+        "a7a9baa23fbbd2f7d99a74e19ac5222b4f53287da0219985e70b361958331c89",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "e12ccdccff443d62eac8440281f09281e1437923a3c3b9a4c261a261b007a77f",
+        "3c26c57b8f8a0c1f99a6fe47647441c081b1d39e7f9b8f0ac750ce80024e4179",
     ),
     "lhv ghz": (
         0,
-        "1a7dd7b25a50667631c3541b73e0ea6765e92532c7b652c43987a1d3805696b7",
+        "92aacaccd6d4ef4d42c3937e1b7150809a7f62b5aec24c12bd7bcfbfe5745ea4",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "66a8823d94197997b4f8ad0d04cc5b4da5f643119988b5da2762137b1e40047c",
+        "913f2eb05873a6b73f802734eac9bf82506ae97659821e4031153fee6d8613d4",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "4521d3f2439394bbb90d502182e25efa77444e60e7c8675d1eab53f96d16c1a1",
+        "af4221d100c8c6013fc06223ccddc0bf45671c35611533b265a148462c445156",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "4b6da04cff591909fabd8b92cad6e3c22899d3189adab184f250741300264203",
+        "f9b5e19df11d623333f13a983b88c5944421fae4c82f6134f5f34b0f0eb34f74",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "feb4f5e5c20ed7bd42bf73ee922d499d9c206d685340e7fec956efefd9c1e039",
+        "79bb646a5d70dba224935f32374039d551a844a2cf62cdd1b510fc6fefacb788",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "1d73a8959eb19c64c00de3c8cda1a952a57ab61df5d1b8b68476cdbdaeb6c374",
+        "66bfee25872726bde0fe88d424d76442896f08e63c0e5879d27bb47330085f1f",
     ),
 }
 
@@ -81,27 +81,27 @@ GOLDEN.update(
         ),
         "lhv chsh --h-file {h}": (
             0,
-            "d389ecfcfda79d8f7da59d529977d66c50013d7072415746e51ea75cee6950c9",
+            "08b106011fb0d3638910d5cef31397335b448cf167eae6acd7252db1c5c56ba1",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "6ce57e01cc63781ed44ee0c76148ccc5e7fc7f98c4a41b7c7a34f9b9b8a2b1b1",
+            "a6310411160aee28b3b4afbfae8292bf1aa045fa32ad1f1b104cc132a6604ea1",
         ),
         # The (0, 0) coin pair of chsh --trials 200000 --seed 42, to k = 4.
         "battery {cell} {cell_fps} --blocks 1,2,3,4": (
             0,
-            "9feb712bec23ff825b898886ef92c096cf95e0b03d50799da58fabe70476493a",
+            "135a89be4cd662b688a387ff79731672c2b53bfbc22316396ffacbc5c7f18b8d",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "fcbc79065479ed00af79995354770102917dd756b40cc4002c6015e2c1f173cb",
+            "e76abe02a0ed743ee19268e3b3304ad73953c3a2be1292b628eee84df2e104f7",
         ),
         # A significance the golden world fails at k = 2, its one Holm-adjusted
         # p-value below it.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "6afe01eec9f00e16b5c1e4f6c939d6ad97e39e07cdc13dd7454c8361773789eb",
+            "b09cdd408c7d26b2d54d520a4ada46ab4691f5025ff9579d6b18cbf07650d00a",
         ),
         "battery {world} {fps} --tolerance 0.999 --format csv": (
             1,

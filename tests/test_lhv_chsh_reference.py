@@ -7,11 +7,12 @@ round with the coins innermost and x in the file's own order, from the
 pure-Python Philox4x64-10 of ``test_philox_reference`` and a ``bisect``
 inverse CDF, and counts them in dicts.  Party A reveals r on coin 0 and q
 on coin 1, party B s on coin 0 and t on coin 1.  From the counts it
-derives the four averages, their binomial standard errors and the
-``SIGMAS`` tolerances from the exact variance ``1 - average**2``; from the
-file alone the nested ``exact`` report, each average an exactly rounded
-sum; and the ``chsh-bound`` check on the exact s-value, ``failures`` and
-the exit status.
+derives the four averages and the s-value's Hoeffding band
+``sqrt(2 ln(2 / rate) sum 1/n)`` over the coin pairs' counts ``n``, at the
+rate ``2 Phi(-SIGMAS)``; from the file alone the nested ``exact`` report,
+each average an exactly rounded sum; then the ``chsh-bound`` check on the
+exact s-value, the ``s-value`` check of the simulated one against the
+exact one, ``failures`` and the exit status.
 
 Two files are read: one listing the value tuples in ``RQST_TUPLES``
 order, and one in a shuffled order that ends on a tuple of weight zero.
@@ -110,7 +111,7 @@ def reference_report(h, seed):
     for u in block_uniforms(seed, 0, TRIALS):
         counts[symbols[bisect.bisect_right(cum, u)]] += 1
 
-    exact, averages, cell_counts, std_errors, tolerances = {}, {}, {}, {}, {}
+    exact, averages, cell_counts = {}, {}, {}
     for c, d in ((0, 0), (1, 0), (0, 1), (1, 1)):
         name = average_name(c, d)
         exact[name] = math.fsum(w * x[c] * x[2 + d] for x, w in h_weights.items())
@@ -124,23 +125,27 @@ def reference_report(h, seed):
         total = plus + minus
         averages[name] = (plus - minus) / total
         cell_counts[name] = total
-        std_errors[name] = 2.0 * math.sqrt((plus / total) * (1.0 - plus / total) / total)
-        tolerances[name] = SIGMAS * math.sqrt(max(0.0, 1.0 - exact[name] ** 2) / total)
 
     bound, failures = bound_check(s_value(exact))
+    rate = math.erfc(SIGMAS / math.sqrt(2.0))
+    s_tolerance = math.sqrt(2.0 * math.log(2.0 / rate) * sum(1.0 / n for n in cell_counts.values()))
+    s_error = abs(s_value(averages) - s_value(exact))
+    band = {"name": "s-value", "value": s_error, "relation": "<=", "bound": s_tolerance}
+    band["passed"] = s_error <= s_tolerance
+    failures += [] if band["passed"] else ["s-value"]
     report = {
-        "schema": 6,
+        "schema": 7,
         "protocol": "lhv-chsh",
         "method": "lhv-simulated",
         "trials": TRIALS,
         "seed": seed,
         "averages": averages,
         "counts": cell_counts,
-        "std_errors": std_errors,
-        "tolerances": tolerances,
         "s_value": s_value(averages),
+        "s_target": s_value(exact),
+        "s_tolerance": s_tolerance,
         "exact": {"averages": exact, "method": "lhv-exact", "s_value": s_value(exact)},
-        "checks": [bound],
+        "checks": [bound, band],
         "failures": failures,
     }
     return report, 1 if failures else 0
@@ -182,7 +187,7 @@ def exact_reference(h):
         averages[average_name(c, d)] = float(sum(terms))
     bound, failures = bound_check(s_value(averages))
     report = {
-        "schema": 6,
+        "schema": 7,
         "protocol": "lhv-chsh",
         "method": "lhv-exact",
         "averages": averages,

@@ -61,7 +61,7 @@ def reference_report(count, seed):
     vertex_max = float(max(COEFFICIENTS))
     check, failures = bound_check(max(vertex_max, random_max or 0.0))
     report = {
-        "schema": 6,
+        "schema": 7,
         "protocol": "lhv-chsh",
         "sweep": {
             "max_s_value": random_max,

@@ -149,7 +149,7 @@ class TestVariancesHeldAsData:
             # The run holds Var(m*n) = 1 - 1/2 as the constant 0.5; derived
             # as 1 - mean**2 it would be 0.5000000000000001 and move report bytes.
             assert abs(mean**2 - 0.5) <= math.ulp(0.5)
-            assert report.tolerances[name] == 4.0 * math.sqrt(0.5 / report.counts[name])
+        assert report.s_tolerance == 4.0 * math.sqrt(sum(0.5 / n for n in report.counts.values()))
 
     def test_ghz_constraints_are_the_exact_conditional_means(self):
         laws = _exact_conditional_means(GHZ)

@@ -27,7 +27,7 @@ PUBLIC_API = {
         "BatteryReport", "DEFAULT_BLOCK_LENS", "DEFAULT_SIGNIFICANCE", "FrequencyTest",
         "block_frequency_test", "frequency_test", "holm_family", "run_battery",
     ],
-    "typicality_lab.checks": ["ATOL", "Check", "RELATIONS", "SIGMAS"],
+    "typicality_lab.checks": ["ATOL", "Check", "FALSE_ALARM_RATE", "RELATIONS", "SIGMAS"],
     "typicality_lab.chsh": [
         "CHSH", "CHSH_OUTCOMES", "ChshOutcome", "ConditionalAverageReport",
         "LOCAL_BOUND", "MIN_TRIALS", "RQST_TUPLES", "S_TARGET", "SweepReport",

@@ -200,7 +200,7 @@ class TestSweep:
         *random_rows, vertices = scored
         assert [len(rows) for rows in random_rows] == [len(block) for block in blocks]
         assert vertices.tolist() == (2**53 * np.eye(len(RQST_TUPLES), dtype=int)).tolist()
-        coefficients = chsh_mod._S_COEFFICIENTS.tolist()
+        coefficients = list(chsh_mod._S_COEFFICIENTS)
         exact = [sum(n * c for n, c in zip(row, coefficients)) for row in one_shot.tolist()]
         assert report.max_s_value == (Fraction(max(exact), 2**53) if count else None)
 
@@ -244,16 +244,10 @@ class TestSweep:
 
 
 def conditioned_cell(world, event, value):
-    """Count, mean and binomial standard error of ``value`` on one conditioned cell."""
+    """Count, mean and values of ``value`` on one conditioned cell."""
     cell = condition_seq(world, event)
     values = np.array([value(sym) for sym in cell.alphabet])[cell.indices]
-    p_hat = float((values > 0).mean())
-    return (
-        len(cell),
-        float(values.mean()),
-        2.0 * math.sqrt(p_hat * (1.0 - p_hat) / len(cell)),
-        values,
-    )
+    return len(cell), float(values.mean()), values
 
 
 class TestCountsFirst:
@@ -263,12 +257,9 @@ class TestCountsFirst:
         fps = chsh_distribution("analytic")
         world = sample_world(fps, 40_000, seed)
         for name, ((c, d), _) in chsh_mod._AVERAGES.items():
-            count, mean, std_error, _ = conditioned_cell(
-                world, coin_event(c, d), lambda o: o.m * o.n
-            )
+            count, mean, _ = conditioned_cell(world, coin_event(c, d), lambda o: o.m * o.n)
             assert report.counts[name] == count
             assert report.averages[name] == mean
-            assert report.std_errors[name] == std_error
             # The coin pair's test, before its family adjusts it, is the
             # battery's block-1 test of the conditioned subsequence.
             cell = condition_seq(world, coin_event(c, d))
@@ -285,12 +276,9 @@ class TestCountsFirst:
         world = sample_world(joint, 40_000, seed)
         for name, ((c, d), (i, j)) in chsh_mod._AVERAGES.items():
             event = [sym for sym in joint.alphabet if sym[1:] == (c, d)]
-            count, mean, std_error, _ = conditioned_cell(
-                world, event, lambda sym: sym[0][i] * sym[0][j]
-            )
+            count, mean, _ = conditioned_cell(world, event, lambda sym: sym[0][i] * sym[0][j])
             assert report.counts[name] == count
             assert report.averages[name] == mean
-            assert report.std_errors[name] == std_error
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_run_ghz(self, seed):
@@ -300,7 +288,7 @@ class TestCountsFirst:
         for key, entry in {**report.constrained, **report.free}.items():
             coins = tuple(int(ch) for ch in key)
             event = [o for o in GHZ_OUTCOMES if o[:3] == coins]
-            count, mean, _, values = conditioned_cell(
+            count, mean, values = conditioned_cell(
                 world, event, lambda o: o.m1 * o.m2 * o.m3
             )
             assert entry["count"] == count
@@ -313,7 +301,6 @@ class TestCountsFirst:
                 assert entry["violations"] == int((values != required).sum()) == 0
             else:
                 assert entry["mean_product"] == mean
-                assert entry["tolerance"] == 4.0 / math.sqrt(count)
 
 
 CHUNK = worlds_mod._CHUNK_LEN
@@ -351,7 +338,7 @@ class TestChecksKept:
         assert not report.check.passed
         # Every round lies in one constrained triple, so no free triple has a mean.
         assert all(
-            entry == {"count": 0, "mean_product": None, "tolerance": None}
+            entry == {"count": 0, "mean_product": None}
             for entry in report.free.values()
         )
         # The forbidden outcome is a zero cell of its triple's test, which
