@@ -24,17 +24,15 @@ result is byte-identical to the single-threaded one.  Every draw is one
 CPUs) - 1`` plain ``threading`` workers, where the CPUs are those the
 process may run on, take chunks of 4 consecutive blocks from one shared
 iterator, so the draw imports no ``concurrent.futures`` (nor the
-``logging`` that comes with it).  Each drawing thread starts on a CPU of
-its own, since a new thread would otherwise share its creator's CPU for
-the whole draw.  Each thread keeps one Philox bit generator, set to the
-counter of each block it draws, and two chunk-sized buffers, made once:
-``uint64`` for the chunk's raw words and ``intp`` for their guide
-buckets.  It adds every chunk it draws into its own sums, a bucket
-histogram and the counts of the draws the search resolves, and writes
-the chunk's symbols into their slice of the world when the world is
-kept.  Sums are order-free, so no chunk waits for another; the threads'
-sums are folded into symbol counts once all are joined, and a thread's
-error is raised then.  A run's statistics therefore need no world in
+``logging`` that comes with it), and the scheduler places them.  Each
+thread keeps one Philox bit generator, set to the counter of each block
+it draws, and two chunk-sized buffers, made once: ``uint64`` for the
+chunk's raw words and ``intp`` for their guide buckets.  It adds every
+chunk it draws into its own sums, a bucket histogram and the counts of
+the draws the search resolves, and writes the chunk's symbols into their
+slice of the world when the world is kept.  Sums are order-free, so no
+chunk waits for another; the threads' sums are folded into symbol counts
+once all are joined, and a thread's error is raised then.  A run's statistics therefore need no world in
 memory, and its memory does not grow with its length.
 
 The search is a guide table (Chen and Asau, 1974), worked in integers on
@@ -117,10 +115,13 @@ def _as_indices(indices, alphabet_size: int) -> np.ndarray:
     """Validated indices in the compact dtype; a compact array is not copied.
 
     Only integers are indices: floats, booleans and strings are rejected
-    rather than cast, so a stored world cannot silently replay as another.
+    rather than cast, and an array must be one-dimensional rather than
+    flattened, so a stored world cannot silently replay as another.
     """
     if isinstance(indices, np.ndarray):
-        idx = indices.reshape(-1)
+        if indices.ndim != 1:
+            raise ValueError(f"world indices must be one-dimensional, not {indices.ndim}-d")
+        idx = indices
     else:
         items = indices if isinstance(indices, (list, tuple)) else list(indices)
         if any(
@@ -265,6 +266,8 @@ class WorldPrefix:
         obj = json.loads(source)
         if not isinstance(obj, dict) or "alphabet" not in obj:
             raise ValueError("world JSON must be an object with an 'alphabet' field")
+        if "indices" in obj and "symbols" in obj:
+            raise ValueError("world JSON must give 'indices' or 'symbols', not both")
         # JSON lists only, not a string's characters or an object's keys.
         for field in ("alphabet", "symbols"):
             if field in obj and not isinstance(obj[field], list):
@@ -388,37 +391,12 @@ def _fold(sums: np.ndarray, tables: tuple[np.ndarray, np.ndarray | None, np.ndar
     return counts
 
 
-def _draw_cpus() -> list[int]:
-    """The CPUs the calling thread may run on, in order.
-
-    Where the system cannot say, as on macOS and Windows, CPUs ``0`` to
-    ``os.cpu_count() - 1``; no thread is moved there, as they have no
-    ``sched_setaffinity`` either.
-    """
+def _cpu_count() -> int:
+    """How many CPUs the process may run on: all of them where the system cannot say."""
     try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        return list(range(os.cpu_count() or 1))
-
-
-def _start_on(cpu: int, cpus: list[int]) -> None:
-    """Move the calling thread onto ``cpu``, then let it run on all of ``cpus`` again.
-
-    A new thread starts on the CPU of the thread that made it, and the
-    scheduler leaves it there for a draw of tens of milliseconds, so two
-    drawing threads would share one CPU.  Set to one CPU, a thread moves
-    there at once; given its full set back, it stays until the scheduler
-    has a reason to move it.  On Linux ``sched_setaffinity(0, ...)`` acts
-    on the calling thread alone.  Where the call is missing, or refuses
-    (a CPU that is not there), the thread draws where it is.  The full set
-    is the one the thread was started with, so giving it back is refused
-    only if the CPUs the process may use change in between.
-    """
-    try:
-        os.sched_setaffinity(0, (cpu,))
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
-        pass
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows
+        return os.cpu_count() or 1
 
 
 def _check_draw(length: int, seed: int, threads: int) -> None:
@@ -455,15 +433,13 @@ def tally(
     """The symbol counts of ``sample_world(fps, length, seed)``, summed chunk by chunk as drawn.
 
     The calling thread draws, and so do up to ``min(threads, chunks,
-    CPUs) - 1`` more, where the CPUs are those :func:`_draw_cpus` reads
-    once per draw.  When more than one thread draws, each moves itself
-    onto a CPU of its own, the caller onto the first, and at once lets
-    itself run on all of them again (:func:`_start_on`); the caller so
-    returns, or raises, with the CPU set it came in with.  Each thread
-    takes the next chunk from one shared iterator, draws it into its own
-    buffers with its own Philox generator, and adds it into its own sums;
-    those are folded into counts once every thread is joined.  A
-    thread's error stops the others after their current chunk, and the
+    CPUs) - 1`` more, counting the :func:`_cpu_count` CPUs the process
+    may run on; the cap bounds the threads, and the two chunk-sized
+    buffers each one holds, however many ``threads`` asks for.  Each
+    thread takes the next chunk from one shared iterator, draws it into
+    its own buffers with its own Philox generator, and adds it into its
+    own sums; those are folded into counts once every thread is joined.
+    A thread's error stops the others after their current chunk, and the
     first error is raised once all are joined.  The world is kept only
     when ``on_world`` is given, each chunk written into its slice;
     ``on_world`` is then called with it once the draw is done, before
@@ -484,10 +460,8 @@ def tally(
     sums: list = []  # each thread's bucket histogram and mixed-bucket counts
     errors: list = []
 
-    def draw(cpu: int | None) -> None:
+    def draw() -> None:
         try:
-            if cpu is not None:
-                _start_on(cpu, cpus)
             words = np.empty(min(_CHUNK_LEN, length), np.uint64)
             bucket = np.empty(words.size, np.intp)
             bitgen = np.random.Philox(key=seed)
@@ -504,15 +478,11 @@ def tally(
         except BaseException as err:  # raised by the caller once every thread is joined
             errors.append(err)
 
-    cpus = _draw_cpus()
-    helpers = min(threads, n_chunks, len(cpus)) - 1
-    pool = [
-        threading.Thread(target=draw, args=(cpus[slot],), daemon=True)
-        for slot in range(1, helpers + 1)
-    ]
+    helpers = min(threads, n_chunks, _cpu_count()) - 1
+    pool = [threading.Thread(target=draw, daemon=True) for _ in range(helpers)]
     for thread in pool:
         thread.start()
-    draw(cpus[0] if pool else None)  # a draw on one thread stays where it is
+    draw()
     for thread in pool:
         thread.join()
     if errors:

@@ -8,10 +8,11 @@ its symbols' weights, and sums the chi-square statistic with
 ``math.fsum``.  Its upper tail is taken in closed form in 50-digit
 ``decimal`` arithmetic: for ``h = x / 2``, the sum of ``e**-h h**a / a!``
 over ``a = 0 .. dof/2 - 1`` for an even ``dof``, and over ``a = 1/2 ..
-dof/2 - 1`` plus ``erfc(sqrt(h))`` for an odd one.  The tests of one
-report are one family: their p-values are adjusted by Holm's step-down
-procedure in plain Python, and each test passes when its adjusted p-value
-is at least the significance.  From those it builds every test entry, the
+dof/2 - 1`` plus ``erfc(sqrt(h))`` for an odd one; the package's
+``_chi2_sf`` is held to it within a few ulps on a grid of ``x`` and dof.
+The tests of one report are one family: their p-values are adjusted by
+Holm's step-down procedure in plain Python, and each test passes when
+its adjusted p-value is at least the significance.  From those it builds every test entry, the
 checks, ``failures``, the exit status and the rows of the CSV view.
 
 The inputs are the golden world and space files of
@@ -34,6 +35,7 @@ import pytest
 
 from test_chsh_reference import REL, assert_same, holm
 from test_golden_reports import write_inputs
+from typicality_lab.battery import _chi2_sf
 from typicality_lab.cli import main
 
 #: The tolerances the golden reports run at: passing, failing none, failing all.
@@ -202,6 +204,18 @@ def test_the_reference_decides_every_way(files):
     assert error["error"]["message"] == (
         "world too short for block_len 4: need length >= 2621440, got 200000"
     )
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 15, 16, 31, 255, 4095, 16383, 65535])
+def test_package_chi2_sf_is_the_reference_to_the_last_digits(dof):
+    # x = dof + z sqrt(2 dof), on both sides of dof: within 2e-15 out to four
+    # standard deviations, and within 1e-14 in the upper tail beyond, where
+    # the largest term's exponent, rounded once, is some tens.
+    for z, bound in [(k / 2, 2e-15) for k in range(-8, 9)] + [(z, 1e-14) for z in (5, 6, 7, 8)]:
+        x = dof + z * math.sqrt(2.0 * dof)
+        if x > 0.0:
+            expected = chi2_sf(x, dof)
+            assert abs(_chi2_sf(x, dof) - expected) <= bound * expected, (x, dof)
 
 
 def test_chi2_sf_is_the_chi_square_tail():

@@ -53,6 +53,10 @@ ONE_SYMBOL_WORLD = WorldPrefix([0], np.zeros(640, dtype=np.intp)).to_json()
 ONE_SYMBOL_SPACE = point_mass([0], 0).to_json()
 #: A valid world whose provenance is a JSON string, not an object.
 STRING_PROVENANCE_WORLD = json.dumps({"alphabet": [0, 1], "indices": [0, 1], "provenance": "x"})
+#: A world that names its indices twice, as 3 indices and as 4 symbols.
+TWO_INDEX_FIELDS_WORLD = json.dumps(
+    {"alphabet": [0, 1], "indices": [0, 1, 1], "symbols": [1, 1, 1, 1]}
+)
 
 
 def run_cli(capsys, argv):
@@ -871,6 +875,11 @@ _USAGE_ERRORS = [
         "be an object",
     ),
     (
+        "battery two-index-fields.json fps.json",
+        "invalid world file 'two-index-fields.json': world JSON must give 'indices' or "
+        "'symbols', not both",
+    ),
+    (
         "battery string-world.json fps.json",
         "invalid world file 'string-world.json': world JSON must be an object with an "
         "'alphabet' field",
@@ -940,6 +949,7 @@ class TestUsageErrorLines:
             "string-space.json": json.dumps(fair_coin().to_json()),
             "string-world.json": json.dumps(sample_world(fair_coin(), 5000, seed=8).to_json()),
             "string-provenance.json": STRING_PROVENANCE_WORLD,
+            "two-index-fields.json": TWO_INDEX_FIELDS_WORLD,
             "big.json": BIG_WEIGHT_SPACE,
             "big-h.json": json.dumps(
                 {"alphabet": json.loads(h_text)["alphabet"], "weights": [-(10**400), 1] + [0] * 14}
@@ -1197,13 +1207,13 @@ print(*(name for name in names if name in sys.modules))
 """
 
 
-#: Runs ``main`` on its arguments with two CPUs allowed, so that a draw of
+#: Runs ``main`` on its arguments with two CPUs counted, so that a draw of
 #: more than one chunk runs on worker threads, and the report discarded; then
 #: prints the exit status and which of the thread pool's modules it loaded.
 _THREADED_IMPORTS = """
 import contextlib, io, sys
 import typicality_lab.worlds
-typicality_lab.worlds._draw_cpus = lambda: [0, 1]
+typicality_lab.worlds._cpu_count = lambda: 2
 from typicality_lab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
@@ -1433,6 +1443,7 @@ _FUZZ_FILES = (
     "one.json",
     "one_fps.json",
     "string-provenance.json",
+    "two-index-fields.json",
 )
 
 
@@ -1458,6 +1469,7 @@ def fuzz_files(tmp_path_factory):
         "one.json": ONE_SYMBOL_WORLD,
         "one_fps.json": ONE_SYMBOL_SPACE,
         "string-provenance.json": STRING_PROVENANCE_WORLD,
+        "two-index-fields.json": TWO_INDEX_FIELDS_WORLD,
     }
     for name, text in texts.items():
         (root / name).write_text(text)

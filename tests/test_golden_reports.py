@@ -23,11 +23,11 @@ from typicality_lab.worlds import condition_seq, sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "a7a9baa23fbbd2f7d99a74e19ac5222b4f53287da0219985e70b361958331c89",
+        "5b4dfb255f822c3f0ba24d813fb83f5b66dd8670489f40a84899a5fc2e9c1c1c",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "3c26c57b8f8a0c1f99a6fe47647441c081b1d39e7f9b8f0ac750ce80024e4179",
+        "aa70d639dba19feef886f4f086c2d9f7058f641460f621efa716b8d01b77762c",
     ),
     "lhv ghz": (
         0,
@@ -43,16 +43,16 @@ GOLDEN = {
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "f9b5e19df11d623333f13a983b88c5944421fae4c82f6134f5f34b0f0eb34f74",
+        "b78a71e6d9fff26e8cc6af177f2bc650119ffde339bd6f40c1926f6f2dca7df5",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "79bb646a5d70dba224935f32374039d551a844a2cf62cdd1b510fc6fefacb788",
+        "f0aa74e3a91a95df0a13e447f5e558938d5515f41706d55b27f48a4b030c7354",
     ),
     # 300001 trials: two full 16-block chunks and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "66bfee25872726bde0fe88d424d76442896f08e63c0e5879d27bb47330085f1f",
+        "d6559792392bab5f69926f508e550b3e6be320a75ec9fc16a1e4556f838e6281",
     ),
 }
 
@@ -77,7 +77,7 @@ GOLDEN.update(
         ),
         "battery {world} {fps} --tolerance 0.2 --format csv": (
             0,
-            "707f5fdb0e8cadf0eb4776b9ac86685d110e7e373eba3daf722ecf0e607f791a",
+            "d4cf10093978e372472afe7cce78e6d2c1705612b41cc5787b0f74b79e498803",
         ),
         "lhv chsh --h-file {h}": (
             0,
@@ -90,22 +90,22 @@ GOLDEN.update(
         # The (0, 0) coin pair of chsh --trials 200000 --seed 42, to k = 4.
         "battery {cell} {cell_fps} --blocks 1,2,3,4": (
             0,
-            "135a89be4cd662b688a387ff79731672c2b53bfbc22316396ffacbc5c7f18b8d",
+            "1383710fda44a6742386a303d25a5994c119eaa823e16e9613a152e5f82112cf",
         ),
         # A tolerance no sampled run meets: the s-value check fails.
         "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
             1,
-            "e76abe02a0ed743ee19268e3b3304ad73953c3a2be1292b628eee84df2e104f7",
+            "f9f4f8fd820ad8d3be45084c7219a3ff010930397d5a23a118d20851ab3ad7a6",
         ),
         # A significance the golden world fails at k = 2, its one Holm-adjusted
         # p-value below it.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "b09cdd408c7d26b2d54d520a4ada46ab4691f5025ff9579d6b18cbf07650d00a",
+            "a8c5130fcf4f26e9b7b50d5dd4c8d3139cb71750785945aa11c503357ca85468",
         ),
         "battery {world} {fps} --tolerance 0.999 --format csv": (
             1,
-            "f24ac50abd6e305203ca7cbee8bc452594dab88cb8eebef5a99f9154f8e4b684",
+            "4e945c94e3bb8eb4158165ce9c2fdbf567e1836f5576da0e92fb21813eddb226",
         ),
         "lhv chsh --h-file {h} --trials 20000 --seed 4 --format csv": (
             0,

@@ -29,11 +29,8 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _allow_cpus(monkeypatch, n):
-    """Let a draw use ``n`` CPUs, so that it may start ``n - 1`` workers on any host.
-
-    A worker set to a CPU the host does not have draws where it is.
-    """
-    monkeypatch.setattr(worlds_mod, "_draw_cpus", lambda: list(range(n)))
+    """Let a draw count ``n`` CPUs, so that it may start ``n - 1`` workers on any host."""
+    monkeypatch.setattr(worlds_mod, "_cpu_count", lambda: n)
 
 
 @st.composite
@@ -189,48 +186,20 @@ class TestSampling:
     def test_cpus_without_sched_getaffinity_are_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(worlds_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: 3)
-        assert worlds_mod._draw_cpus() == [0, 1, 2]
+        assert worlds_mod._cpu_count() == 3
         monkeypatch.setattr(worlds_mod.os, "cpu_count", lambda: None)
-        assert worlds_mod._draw_cpus() == [0]  # unknown CPU count: one thread
+        assert worlds_mod._cpu_count() == 1  # unknown CPU count: one thread
 
+    @pytest.mark.parametrize("fault", [None, "chunk"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_each_drawing_thread_starts_on_its_own_cpu(self, monkeypatch, threads):
-        # Each thread asks once for one CPU, the caller for the first, and
-        # then for the whole set; a draw on one thread moves nothing.
+    def test_a_draw_leaves_the_cpu_affinity_alone(self, monkeypatch, threads, fault):
+        # The scheduler places the drawing threads: no thread of a draw, one
+        # that ends or one whose chunk raises, sets the CPUs it may run on.
         calls = []
-        caller = threading.get_ident()
-        monkeypatch.setattr(worlds_mod, "_draw_cpus", lambda: [5, 7, 9])
         monkeypatch.setattr(
-            worlds_mod.os,
-            "sched_setaffinity",
-            lambda pid, cpus: calls.append((threading.get_ident(), pid, list(cpus))),
-            raising=False,
+            worlds_mod.os, "sched_setaffinity", lambda *args: calls.append(args), raising=False
         )
-        fps = chsh_distribution("analytic")
-        counts = worlds_mod.tally(fps, 6 * worlds_mod._CHUNK_LEN, 3, threads)
-        np.testing.assert_array_equal(counts, worlds_mod.tally(fps, 6 * worlds_mod._CHUNK_LEN, 3))
-        per_thread: dict = {}
-        for ident, pid, cpus in calls:
-            assert pid == 0  # the calling thread
-            per_thread.setdefault(ident, []).append(cpus)
-        if threads == 1:
-            assert calls == []
-            return
-        assert len(per_thread) == threads
-        assert per_thread[caller] == [[5], [5, 7, 9]]
-        singles = []
-        for single, everywhere in per_thread.values():
-            assert len(single) == 1 and everywhere == [5, 7, 9]
-            singles += single
-        assert sorted(singles) == [5, 7, 9][:threads]
-
-    @pytest.mark.parametrize("fault", [None, "chunk", "sched_setaffinity"])
-    def test_caller_leaves_with_the_cpus_it_came_in_with(self, monkeypatch, fault):
-        # On the real calls: a draw that ends, one whose chunk raises, and one
-        # whose every sched_setaffinity call is refused.
-        if not hasattr(worlds_mod.os, "sched_setaffinity"):
-            pytest.skip("no sched_setaffinity on this platform")
-        before = worlds_mod.os.sched_getaffinity(0)
+        _allow_cpus(monkeypatch, 3)
         fps = chsh_distribution("analytic")
         length = 6 * worlds_mod._CHUNK_LEN
         base = worlds_mod.tally(fps, length, 3)
@@ -243,22 +212,11 @@ class TestSampling:
                 fill_words(words, bitgen, chunk)
 
             monkeypatch.setattr(worlds_mod, "_fill_words", failing)
-        elif fault == "sched_setaffinity":
-
-            def refused(pid, cpus):
-                raise OSError(22, "Invalid argument")
-
-            monkeypatch.setattr(worlds_mod.os, "sched_setaffinity", refused)
-        # The allowed CPUs, each twice, so that workers start even on one CPU
-        # and every CPU set asked for is one the caller may have.
-        monkeypatch.setattr(worlds_mod, "_draw_cpus", lambda: sorted(before) * 2)
-        for threads in (2, 3):
-            if fault == "chunk":
-                with pytest.raises(ArithmeticError, match="chunk 4"):
-                    worlds_mod.tally(fps, length, 3, threads)
-            else:
-                np.testing.assert_array_equal(worlds_mod.tally(fps, length, 3, threads), base)
-            assert worlds_mod.os.sched_getaffinity(0) == before
+            with pytest.raises(ArithmeticError, match="chunk 4"):
+                worlds_mod.tally(fps, length, 3, threads)
+        else:
+            np.testing.assert_array_equal(worlds_mod.tally(fps, length, 3, threads), base)
+        assert calls == []
 
     def test_a_process_allowed_one_cpu_starts_no_worker(self, monkeypatch):
         if not hasattr(worlds_mod.os, "sched_setaffinity"):
@@ -428,6 +386,16 @@ class TestSampling:
     def test_non_integer_index_arrays_rejected(self, raw):
         with pytest.raises(ValueError, match="must be integers"):
             WorldPrefix("ab", raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [np.array([[0, 1, 2], [2, 1, 0]], np.uint8), np.array(1, np.uint8)],
+        ids=["2-d", "0-d"],
+    )
+    def test_index_arrays_of_other_than_one_dimension_rejected(self, raw):
+        # Neither is flattened: not into a 6-symbol world, nor into a 1-symbol one.
+        with pytest.raises(ValueError, match="must be one-dimensional"):
+            WorldPrefix((0, 1, 2), raw)
 
     @pytest.mark.parametrize("bad", [[2], [-1], [2**64]])
     def test_out_of_range_indices_rejected(self, bad):
@@ -629,6 +597,12 @@ class TestExportImport:
         obj = {"alphabet": ["a", "b"], "symbols": ["b", "a", "b"]}
         world = WorldPrefix.from_json(json.dumps(obj))
         assert world.symbols() == ["b", "a", "b"]
+
+    def test_from_json_refuses_indices_and_symbols_together(self):
+        # Neither field silently wins: 3 indices here, or 4 symbols.
+        obj = {"alphabet": [0, 1], "indices": [0, 1, 1], "symbols": [1, 1, 1, 1]}
+        with pytest.raises(ValueError, match="'indices' or 'symbols', not both"):
+            WorldPrefix.from_json(json.dumps(obj))
 
     def test_from_json_rejects_missing_data(self):
         with pytest.raises(ValueError, match="indices"):
