@@ -1,6 +1,7 @@
 """The process entry point: ``python -m typicality_lab`` and the ``typicality-lab`` script."""
 
 import gc
+import os
 import sys
 
 from . import cli
@@ -12,6 +13,13 @@ def main() -> None:
         status = cli.main()
     finally:
         gc.freeze()  # frozen objects are skipped by the collections run at interpreter shutdown
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                # The text a full disk or a closed pipe refused goes to the null device,
+                # so the flush at shutdown neither reports it nor changes the exit status.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(status)
 
 

@@ -166,10 +166,14 @@ def holm_family(tests: Sequence[FrequencyTest], rate: float) -> tuple[FrequencyT
     With the ``m`` p-values sorted, ``p_(1) <= ... <= p_(m)``, the ``i``-th
     one's adjusted p-value is the largest ``min(1, (m - j + 1) * p_(j))``
     over ``j <= i`` (Holm, 1979), and each test's significance is ``rate``.
-    A test passes when its adjusted p-value is at least ``rate``, so the
-    family rejects a true law with probability at most ``rate``, whatever
-    the dependence between its tests.  Tied p-values get one adjusted
-    value, so the result does not depend on the order of ``tests``.
+    A test passes when its adjusted p-value is at least ``rate``.  With
+    exact p-values the family would reject a true law with probability at
+    most ``rate``, whatever the dependence between its tests; chi-square
+    p-values are asymptotic, and a battery at the shortest CHSH world its
+    length rule allows rejects at 1.28x, 1.60x and 2.39x a ``rate`` of
+    0.01 for k = 1, 2 and 3 (README gives every measured rate).  Tied
+    p-values get one adjusted value, so the result does not depend on the
+    order of ``tests``.
     """
     m = len(tests)
     adjusted = [0.0] * m

@@ -251,12 +251,13 @@ def lhv_chsh_simulate(
     ``t`` from its mean with probability at most ``2 exp(-t**2 / (2 sum 1/n))``
     for every ``h``, and the band is the ``t`` where that is ``FALSE_ALARM_RATE``.
     A normal band rejects far above that rate for an ``h`` near a vertex.
+    Raises below ``MIN_TRIALS``, before drawing, as the quantum runs do.
     """
     from .worlds import SignCell, tally
 
     _require_h_space(h)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     exact = lhv_chsh_averages(h)
     coin = uniform((0, 1))
     # The joint alphabet is (x, c, d): a row per value tuple x, in h's order, of 4 coin pairs.

@@ -2,8 +2,8 @@
 
 Every command is deterministic given its flags: seeds are explicit (use
 ``--seed random`` to draw one; it is printed so the run can be replayed),
-reports carry no timestamps, and the canonical JSON output is
-byte-identical across reruns and across ``--threads`` values.  Exit
+and each writes one report, as canonical JSON with no timestamps, which
+is byte-identical across reruns and across ``--threads`` values.  Exit
 status is 0 only when every check passes; each check is listed in the
 report's ``checks``, and each failed one in its ``failures``.
 
@@ -19,8 +19,9 @@ module on the namespace and returns the report body and its checks.  So
 a process loads only the package modules its invocation runs:
 ``lhv ghz`` loads no sampler, battery or numpy.  ``main`` alone
 stamps the report with ``schema``, ``checks`` and the ``failures`` it
-derives from them, turns every :class:`UsageError` into the one-line
-JSON error, and sets the exit status.
+derives from them, turns every :class:`UsageError`, every MemoryError and
+every output stream that refuses its text into the one-line JSON error,
+and sets the exit status.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
-import io
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -64,10 +63,10 @@ def _resolve_seed(raw: str | None, required: bool) -> int | None:
             raise UsageError("--seed is required (use '--seed random' to draw one)")
         return None
     if raw == "random":
-        import secrets  # deferred, as csv below: most runs never use it
+        import secrets  # deferred: most runs never use it
 
         seed = secrets.randbits(64)
-        print(f"seed: {seed}", file=sys.stderr)
+        _write_stream(sys.stderr, f"seed: {seed}\n", "the seed")
         return seed
     try:
         seed = int(raw)
@@ -119,19 +118,20 @@ def _write_text(path: str, text: str, flag: str) -> None:
         raise UsageError(f"cannot write {flag} file {path!r}: {err}")
 
 
-@contextlib.contextmanager
-def _world_saver(args: argparse.Namespace):
-    """The callback that saves the run's own world to ``--world-out``, or None.
-
-    Too little memory to keep or serialize that world is a usage error.
-    """
-    if not args.world_out:
-        yield None
-        return
+def _write_stream(stream, text: str, what: str) -> None:
+    """Write and flush ``text``; a full disk or a closed pipe is a UsageError."""
     try:
-        yield lambda world: _write_text(args.world_out, world.to_json(), "--world-out")
-    except MemoryError:
-        raise UsageError(f"--world-out: too little memory for a world of {args.trials} trials")
+        stream.write(text)
+        stream.flush()
+    except OSError as err:
+        raise UsageError(f"cannot write {what}: {err}")
+
+
+def _world_writer(args: argparse.Namespace):
+    """The callback that saves the run's own world to ``--world-out``, or None."""
+    if args.world_out:
+        return lambda world: _write_text(args.world_out, world.to_json(), "--world-out")
+    return None
 
 
 def _cross_check(distribution) -> tuple[dict, Check]:
@@ -157,10 +157,7 @@ def _cell_checks(run) -> list:
 def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
     """Quantum protocol run, distribution cross-check and the coin pairs' test family."""
     cross_check, cross = _cross_check(chsh.chsh_distribution)
-    with _world_saver(args) as on_world:
-        report_obj = chsh.run_chsh(args.trials, args.seed, args.threads, on_world=on_world)
-    if args.tolerance is not None:
-        report_obj = report_obj._replace(s_tolerance=args.tolerance)
+    report_obj = chsh.run_chsh(args.trials, args.seed, args.threads, _world_writer(args))
     body = {"protocol": "chsh", **report_obj.to_dict(), "cross_check": cross_check}
     return body, [cross, report_obj.check, *_cell_checks(report_obj)]
 
@@ -168,8 +165,7 @@ def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
 def cmd_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
     """Quantum protocol run, its coin triples' test family and the hidden-value enumeration."""
     cross_check, cross = _cross_check(ghz.ghz_distribution)
-    with _world_saver(args) as on_world:
-        run = ghz.run_ghz(args.trials, args.seed, threads=args.threads, on_world=on_world)
+    run = ghz.run_ghz(args.trials, args.seed, args.threads, _world_writer(args))
     enumeration = ghz.lhv_ghz_enumerate()
     body = {
         "protocol": "ghz",
@@ -234,45 +230,12 @@ def _canonical_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_view(report: dict) -> str:
-    """Lossy CSV view: the averages or per-test rows, nothing else."""
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    protocol = report.get("protocol")
-    if protocol in ("chsh", "lhv-chsh") and "averages" in report:
-        avg = report["averages"]
-        writer.writerow(["rs", "qs", "rt", "qt", "s_value"])
-        writer.writerow([avg["rs"], avg["qs"], avg["rt"], avg["qt"], report["s_value"]])
-    elif protocol == "lhv-chsh" and "sweep" in report:
-        fields = ["max_s_value", "vertex_max_s_value", "num_random", "bound_ok"]
-        writer.writerow(fields)
-        writer.writerow([report["sweep"][field] for field in fields])
-    elif protocol == "ghz":
-        writer.writerow(["triple", "kind", "count", "value"])
-        for triple, entry in sorted(report.get("perfect_correlation", {}).items()):
-            writer.writerow([triple, "violations", entry["count"], entry["violations"]])
-        for triple, entry in sorted(report.get("free_triples", {}).items()):
-            writer.writerow([triple, "mean_product", entry["count"], entry["mean_product"]])
-    elif protocol == "lhv-ghz":
-        writer.writerow(["field", "value"])
-        writer.writerow(["satisfying_count", report["lhv"]["satisfying_count"]])
-        writer.writerow(["plus_only_count", report["lhv"]["plus_only_count"]])
-    elif protocol == "battery":
-        fields = ["block_len", "statistic", "p_value", "adjusted_p_value", "dof", "pass"]
-        writer.writerow(fields)
-        for t in report["tests"]:
-            writer.writerow([t[field] for field in fields])
-    return buffer.getvalue()
-
-
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    text = _canonical_json(report) if args.fmt == "json" else _csv_view(report)
+    text = _canonical_json(report)
     if args.out:
         _write_text(args.out, text, "--out")
     else:
-        sys.stdout.write(text)
+        _write_stream(sys.stdout, text, "the report")
 
 
 # -- argument parsing ----------------------------------------------------
@@ -292,7 +255,7 @@ _FLAGS = {
     "trials": {"type": int, "help": "rounds to draw (lhv chsh: also simulate this many)"},
     "seed": {"help": "an integer, or 'random' to draw one and print it"},
     "threads": {"type": int, "help": "sampling threads (default 1)"},
-    "tolerance": {"type": float, "help": "acceptance band (battery: family-wise significance)"},
+    "tolerance": {"type": float, "help": "family-wise significance (default 0.01)"},
     "sweep": {"type": int, "help": "number of random distributions to test"},
     "h_file": {"help": "hidden-variable distribution (JSON)"},
     "world_out": {"help": "also save the sampled world (JSON)"},
@@ -321,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         for name, settings in _FLAGS.items():
             shown = settings if name in read else {**settings, "help": argparse.SUPPRESS}
             p.add_argument("--" + name.replace("_", "-"), **shown)
-        p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", help="write the report here instead of stdout")
     commands["lhv"].add_argument("protocol", choices=("chsh", "ghz"))
     commands["battery"].add_argument("world_file", help="world JSON file")
@@ -340,7 +302,7 @@ _TRIALS_BEYOND = 2**63
 #: ``--seed`` requires it, and one that reads ``--trials`` requires at least
 #: its module's ``MIN_TRIALS`` and less than ``_TRIALS_BEYOND``.
 _INVOCATIONS = {
-    "chsh": (cmd_chsh, {"trials", "seed", "threads", "tolerance", "world_out"}, "chsh"),
+    "chsh": (cmd_chsh, {"trials", "seed", "threads", "world_out"}, "chsh"),
     "ghz": (cmd_ghz, {"trials", "seed", "threads", "world_out"}, "ghz"),
     "lhv chsh --sweep": (cmd_lhv_chsh_sweep, {"sweep", "seed"}, "chsh"),
     "lhv chsh --trials": (cmd_lhv_chsh_h_file, {"h_file", "trials", "seed", "threads"}, "chsh"),
@@ -391,10 +353,6 @@ def _check_args(args: argparse.Namespace):
         )
     if "trials" in flags_read and args.trials >= _TRIALS_BEYOND:
         raise UsageError("--trials must be below 2**63")
-    if mode == "chsh" and args.tolerance is not None and not (
-        math.isfinite(args.tolerance) and args.tolerance > 0
-    ):
-        raise UsageError(f"chsh requires a positive finite --tolerance, got {args.tolerance!r}")
     if mode == "lhv chsh --sweep" and args.sweep < 0:
         raise UsageError(f"--sweep must be non-negative, got {args.sweep}")
     if handler is cmd_lhv_chsh_h_file and args.h_file is None:
@@ -420,8 +378,10 @@ def main(argv: list[str] | None = None) -> int:
         report = {**body, "checks": [c.to_dict() for c in checks], "failures": failures}
         _emit({"schema": SCHEMA_VERSION, **report}, args)
         return 1 if failures else 0
-    except UsageError as err:
-        error = {"schema": SCHEMA_VERSION, "error": {"code": "usage", "message": str(err)}}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    except (UsageError, MemoryError) as err:
+        message = str(err) or "too little memory"
+        error = {"schema": SCHEMA_VERSION, "error": {"code": "usage", "message": message}}
+        with contextlib.suppress(OSError):  # a stderr that refuses the line: the status tells
+            print(json.dumps(error, sort_keys=True), file=sys.stderr, flush=True)
         return 2
 

@@ -451,8 +451,8 @@ def tally(
     tables = _guide_tables(_cumulative_boundaries(fps))
     try:
         world = np.empty(length, dtype=_index_dtype(n_sym)) if on_world is not None else None
-    except ValueError:  # numpy's "maximum allowed dimension exceeded", from 2**63 on
-        raise MemoryError(f"no array holds a world of {length} symbols") from None
+    except (ValueError, MemoryError):  # ValueError: numpy's "maximum allowed dimension exceeded"
+        raise MemoryError(f"too little memory for a world of {length} symbols") from None
     n_chunks = -(-length // _CHUNK_LEN)
     # Shared by every thread: a range iterator's next() holds the GIL, so no
     # chunk is handed out twice.

@@ -13,7 +13,7 @@ dof/2 - 1`` plus ``erfc(sqrt(h))`` for an odd one; the package's
 The tests of one report are one family: their p-values are adjusted by
 Holm's step-down procedure in plain Python, and each test passes when
 its adjusted p-value is at least the significance.  From those it builds every test entry, the
-checks, ``failures``, the exit status and the rows of the CSV view.
+checks, ``failures`` and the exit status.
 
 The inputs are the golden world and space files of
 ``test_golden_reports``: a 200000-symbol CHSH world over 16 symbols, and
@@ -23,7 +23,6 @@ relative, as in ``test_chsh_reference``.
 """
 
 import contextlib
-import csv
 import decimal
 import functools
 import io
@@ -174,16 +173,6 @@ def test_report_matches_the_reference(files, world, fps, blocks, tolerance):
     # A failure's detail restates its check's value and bound.
     got["failures"] = [f["check"] for f in got["failures"]]
     assert_same(got, expected)
-
-    status, out, _ = run_command(argv + ["--format", "csv"])
-    assert status == expected_status
-    header, *rows = csv.reader(io.StringIO(out))
-    assert header == ["block_len", "statistic", "p_value", "adjusted_p_value", "dof", "pass"]
-    assert len(rows) == len(expected["tests"])
-    for row, test in zip(rows, expected["tests"]):
-        assert row[0] == str(test["block_len"]) and row[4:] == [str(test["dof"]), str(test["pass"])]
-        for text, field in zip(row[1:4], ("statistic", "p_value", "adjusted_p_value")):
-            assert float(text) == pytest.approx(test[field], rel=REL, abs=0.0)
 
 
 def test_the_reference_decides_every_way(files):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from typicality_lab import chsh as chsh_mod
+from typicality_lab import worlds as worlds_mod
 from typicality_lab.chsh import (
     CHSH,
     CHSH_OUTCOMES,
@@ -189,7 +190,7 @@ def exact_variance_band(report, name):
 class TestLhvSimulate:
     def test_point_mass_is_exact_from_the_start(self):
         h = point_mass(RQST_TUPLES, (1, -1, -1, 1))
-        report = lhv_chsh_simulate(h, trials=500, seed=21)
+        report = lhv_chsh_simulate(h, trials=MIN_TRIALS, seed=21)
         assert report.averages == report.exact.averages
         assert report.s_value == report.exact.s_value
 
@@ -212,6 +213,16 @@ class TestLhvSimulate:
     def test_counts_recorded(self):
         report = lhv_chsh_simulate(uniform(RQST_TUPLES), trials=8000, seed=2)
         assert sum(report.counts.values()) == 8000
+
+    @pytest.mark.parametrize("trials", [MIN_TRIALS - 1, 10, 1, 0, -1])
+    def test_a_run_too_short_for_its_cells_is_refused_before_drawing(self, trials, monkeypatch):
+        # At 10 trials, 41 of seeds 0-199 left a coin pair empty; the floor refuses all of them.
+        def drawn(*args, **kwargs):
+            raise AssertionError("drew a run below MIN_TRIALS")
+
+        monkeypatch.setattr(worlds_mod, "tally", drawn)
+        with pytest.raises(ValueError, match=f"^trials must be at least {MIN_TRIALS}, got {trials}$"):
+            lhv_chsh_simulate(uniform(RQST_TUPLES), trials, seed=1)
 
 
 class TestSweep:

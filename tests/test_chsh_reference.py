@@ -31,6 +31,7 @@ import math
 import pytest
 
 from test_philox_reference import block_uniforms
+from typicality_lab import chsh as chsh_mod
 from typicality_lab.cli import main
 
 TRIALS = 8000
@@ -71,8 +72,11 @@ def check(name, value, relation, bound):
     return {"name": name, "value": value, "relation": relation, "bound": bound, "passed": passed}
 
 
-def reference_report(seed, tolerance=None, max_abs_diff=0.0):
-    """The report and exit status of ``chsh --trials TRIALS --seed seed``."""
+def reference_report(seed, sigmas=SIGMAS, max_abs_diff=0.0):
+    """The report and exit status of ``chsh --trials TRIALS --seed seed``, its band ``sigmas`` wide.
+
+    The coin pairs' family keeps the rate of the ``SIGMAS`` band.
+    """
     weights = [closed_form(*o) for o in OUTCOMES]
     cum = list(itertools.accumulate(weights))
     cum[-1] = 1.0  # the last positive weight's boundary is pinned to 1
@@ -102,9 +106,8 @@ def reference_report(seed, tolerance=None, max_abs_diff=0.0):
         test.update(adjusted_p_value=p, significance=rate, **{"pass": p >= rate})
 
     s_target = 2.0 * math.sqrt(2.0)
-    if tolerance is None:
-        # Given the counts n, each average has variance 0.5 / n, and the four are independent.
-        tolerance = SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
+    # Given the counts n, each average has variance 0.5 / n, and the four are independent.
+    tolerance = sigmas * math.sqrt(sum(0.5 / n for n in cell_counts.values()))
     checks = [
         check("distribution-cross-check", max_abs_diff, "<=", ATOL),
         check("s-value", abs(s_value - s_target), "<=", tolerance),
@@ -157,23 +160,22 @@ def run_chsh_command(argv):
 
 
 @pytest.mark.parametrize(
-    "seed, tolerance",
-    [(seed, None) for seed in SEEDS] + [(SEEDS[0], 1e-9)],
-    ids=[str(seed) for seed in SEEDS] + [f"{SEEDS[0]}-tolerance-1e-9"],
+    "seed, sigmas",
+    [(seed, SIGMAS) for seed in SEEDS] + [(SEEDS[0], 1e-9)],
+    ids=[str(seed) for seed in SEEDS] + [f"{SEEDS[0]}-sigmas-1e-9"],
 )
-def test_report_matches_the_reference(seed, tolerance):
-    argv = ["chsh", "--trials", str(TRIALS), "--seed", str(seed)]
-    if tolerance is not None:
-        argv += ["--tolerance", repr(tolerance)]
-    got, status = run_chsh_command(argv)
+def test_report_matches_the_reference(seed, sigmas, monkeypatch):
+    # A band of 1e-9 standard deviations, planted in the package, is one no sampled run meets.
+    monkeypatch.setattr(chsh_mod, "SIGMAS", sigmas)
+    got, status = run_chsh_command(["chsh", "--trials", str(TRIALS), "--seed", str(seed)])
     max_abs_diff = got["cross_check"]["max_abs_diff"]
     assert 0.0 <= max_abs_diff <= ATOL
-    expected, expected_status = reference_report(seed, tolerance, max_abs_diff)
+    expected, expected_status = reference_report(seed, sigmas, max_abs_diff)
     # A failure's detail restates its check's value and bound.
     got["failures"] = [f["check"] for f in got["failures"]]
     assert_same(got, expected)
     assert status == expected_status
-    assert status == (0 if tolerance is None else 1)
+    assert status == (0 if sigmas == SIGMAS else 1)
 
 
 def test_chi2_sf_3_is_the_chi_square_tail():

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -118,14 +119,6 @@ class TestChshCommand:
         ]
         assert not any(t["pass"] for t in report["cell_tests"].values())
 
-    def test_csv_view_names_the_averages(self, capsys):
-        status, out, _ = run_cli(
-            capsys, ["chsh", "--trials", "8000", "--seed", "1", "--format", "csv"]
-        )
-        assert status == 0
-        header = out.splitlines()[0]
-        assert header == "rs,qs,rt,qt,s_value"
-
     def test_below_minimum_trials_is_usage_error(self, capsys):
         status, out, err = run_cli(capsys, ["chsh", "--trials", "10", "--seed", "1"])
         assert status == 2
@@ -154,23 +147,14 @@ class TestChshCommand:
         assert out == ""
         assert json.loads(target.read_text())["protocol"] == "chsh"
 
-    def test_tolerance_override_recorded(self, capsys):
-        status, report, _ = run_json(
-            capsys,
-            ["chsh", "--trials", "8000", "--seed", "2", "--tolerance", "0.5"],
-        )
-        assert status == 0
-        assert report["s_tolerance"] == 0.5
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
-    def test_tolerance_must_be_positive_and_finite(self, capsys, tolerance):
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1", "0.5"])
+    def test_tolerance_is_refused(self, capsys, tolerance):
+        # The s-value band is the 4-sigma one, whose false-alarm rate the report states.
         status, out, err = run_cli(
             capsys,
             ["chsh", "--trials", "8000", "--seed", "2", f"--tolerance={tolerance}"],
         )
-        assert status == 2
-        assert out == ""
-        assert "--tolerance" in json.loads(err)["error"]["message"]
+        assert_usage_error(status, out, err, "chsh does not use --tolerance")
 
     def test_seed_random_prints_seed(self, capsys):
         status, out, err = run_cli(capsys, ["chsh", "--trials", "8000", "--seed", "random"])
@@ -216,15 +200,6 @@ class TestGhzCommand:
         status, _, err = run_cli(capsys, ["ghz", "--trials", "500", "--seed", "1"])
         assert status == 2
         assert "8000" in json.loads(err)["error"]["message"]
-
-    def test_csv_view(self, capsys):
-        status, out, _ = run_cli(
-            capsys, ["ghz", "--trials", "10000", "--seed", "7", "--format", "csv"]
-        )
-        assert status == 0
-        lines = out.splitlines()
-        assert lines[0] == "triple,kind,count,value"
-        assert len(lines) == 9  # header + 8 coin triples
 
 
 class TestLhvCommand:
@@ -473,18 +448,6 @@ class TestBatteryCommand:
         assert status == 2
         assert "alphabets differ" in json.loads(err)["error"]["message"]
 
-    def test_csv_view(self, capsys, tmp_path):
-        world_path = tmp_path / "world.json"
-        fps_path = tmp_path / "fps.json"
-        world_path.write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
-        fps_path.write_text(fair_coin().to_json())
-        status, out, _ = run_cli(
-            capsys,
-            ["battery", str(world_path), str(fps_path), "--format", "csv"],
-        )
-        assert status == 0
-        assert out.splitlines()[0] == "block_len,statistic,p_value,adjusted_p_value,dof,pass"
-
     def test_significance_override(self, capsys, tmp_path):
         world_path = tmp_path / "world.json"
         fps_path = tmp_path / "fps.json"
@@ -595,8 +558,7 @@ class TestExitCodeHoles:
         target = tmp_path / "world.json"
         argv = [command, "--trials", str(10**15), "--seed", "1", "--world-out", str(target)]
         status, out, err = run_cli(capsys, argv)
-        assert_usage_error(status, out, err, "--world-out")
-        assert str(10**15) in json.loads(err)["error"]["message"]
+        assert_usage_error(status, out, err, f"too little memory for a world of {10**15} symbols")
         assert len(err.splitlines()) == 1
         assert not target.exists()
 
@@ -612,6 +574,7 @@ class TestExitCodeHoles:
             (["lhv", "chsh", "--sweep", "10", "--seed", "1", "--threads", "2"], "--threads"),
             (["lhv", "ghz", "--threads", "1"], "--threads"),
             (["battery", "world.json", "fps.json", "--threads", "4"], "--threads"),
+            (["chsh", "--trials", "8000", "--seed", "1", "--tolerance", "0.5"], "--tolerance"),
         ],
     )
     def test_unused_flag(self, capsys, argv, flag):
@@ -757,7 +720,7 @@ _USAGE_ERRORS = [
     ("ghz --trials 10 --seed 1", "ghz requires --trials >= 8000"),
     (
         "chsh --trials 8000 --seed 1 --tolerance nan",
-        "chsh requires a positive finite --tolerance, got nan",
+        "chsh does not use --tolerance",
     ),
     ("chsh --trials 8000 --seed 18446744073709551616", "--seed must be a 64-bit unsigned integer"),
     ("chsh --trials 8000 --seed x", "--seed expects an integer or 'random', got 'x'"),
@@ -820,6 +783,11 @@ _USAGE_ERRORS = [
         "the probability-space file path 'a\\x00b' holds a NUL character",
     ),
     ("ghz --trials 8000 --seed 1 --tolerance 0.5", "ghz does not use --tolerance"),
+    ("chsh --trials 4000 --seed 1 --tolerance 0.5", "chsh does not use --tolerance"),
+    (
+        "chsh --trials 4000 --seed 1 --format json",
+        "typicality-lab: unrecognized arguments: --format json",
+    ),
     ("lhv ghz --threads 1", "lhv ghz does not use --threads"),
     ("lhv chsh --h-file h.json --seed 5", "lhv chsh does not use --seed"),
     ("lhv chsh --sweep -1 --seed 1", "--sweep must be non-negative, got -1"),
@@ -917,7 +885,7 @@ _USAGE_ERRORS = [
     ("lhv chsh --h-file h.json --trials 9223372036854775808 --seed 1", TRIALS_BEYOND),
     (
         "chsh --trials 4611686018427387904 --seed 1 --world-out w.json",
-        "--world-out: too little memory for a world of 4611686018427387904 trials",
+        "too little memory for a world of 4611686018427387904 symbols",
     ),
     (
         "lhv ghz --out no-dir/out.json",
@@ -1276,9 +1244,9 @@ print(unbuilt, *calls, mod.{name} is rebound)
 
 class TestImportCost:
     def test_rarely_used_modules_are_not_imported_up_front(self):
-        # Only --seed random runs need secrets (with hashlib), and only CSV runs
-        # csv.  No run needs concurrent.futures (with logging, 5-9 ms per
-        # process), and no module of the package defines a dataclass.
+        # Only --seed random runs need secrets (with hashlib).  No run needs csv,
+        # or concurrent.futures (with logging, 5-9 ms per process), and no
+        # module of the package defines a dataclass.
         done = subprocess.run(
             [sys.executable, "-c", _DEFERRED_IMPORTS],
             env=_with_src(dict(os.environ)),
@@ -1383,6 +1351,16 @@ class TestProcessEntryPoint:
             timeout=120,
         )
 
+    @staticmethod
+    def with_files(argv, root):
+        """``argv`` with ``{zeros}`` a world of 1000 zeros and ``{coin}`` a fair coin, in ``root``.
+
+        Every block test of that world against that coin fails.
+        """
+        (root / "zeros.json").write_text(WorldPrefix.from_symbols((0, 1), [0] * 1000).to_json())
+        (root / "coin.json").write_text(fair_coin().to_json())
+        return [str(root / f"{word[1:-1]}.json") if word[0] == "{" else word for word in argv]
+
     def in_process(self, capsys, argv):
         freezes = gc.get_freeze_count()
         status = main(argv)
@@ -1394,12 +1372,13 @@ class TestProcessEntryPoint:
         "argv, status",
         [
             (["chsh", "--trials", "4000", "--seed", "1"], 0),
-            (["chsh", "--trials", "4000", "--seed", "1", "--tolerance", "1e-9"], 1),
+            (["battery", "{zeros}", "{coin}"], 1),
             (["chsh", "--trials", "4000"], 2),  # argparse: --seed is required
             (["chsh", "--trials", "10", "--seed", "1"], 2),  # too few trials
         ],
     )
-    def test_same_output_and_status(self, capsys, argv, status):
+    def test_same_output_and_status(self, capsys, tmp_path, argv, status):
+        argv = self.with_files(argv, tmp_path)
         expected = self.in_process(capsys, argv)
         assert expected[0] == status
         done = self.child(argv)
@@ -1416,11 +1395,129 @@ class TestProcessEntryPoint:
         assert getattr(importlib.import_module(module), name) is entry_mod.main
 
     def test_out_file_is_complete(self, capsys, tmp_path):
-        argv = ["chsh", "--trials", "4000", "--seed", "1", "--tolerance", "1e-9"]
+        argv = self.with_files(["battery", "{zeros}", "{coin}"], tmp_path)
         status, out, _ = self.in_process(capsys, argv)
+        assert status == 1
         done = self.child([*argv, "--out", str(tmp_path / "report.json")])
         assert (done.returncode, done.stdout, done.stderr) == (status, b"", b"")
         assert (tmp_path / "report.json").read_bytes() == out
+
+
+class _Refusing(io.StringIO):
+    """A stream that refuses every write, as a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+#: The one JSON line of a report that a full disk refused.
+_REFUSED = json.dumps(
+    {
+        "error": {
+            "code": "usage",
+            "message": f"cannot write the report: [Errno {errno.ENOSPC}] "
+            + os.strerror(errno.ENOSPC),
+        },
+        "schema": 7,
+    },
+    sort_keys=True,
+)
+
+
+class TestOutputFailures:
+    """A stream that refuses its text, or a MemoryError, ends in the JSON usage error (exit 2)."""
+
+    def test_a_refused_report_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _Refusing())
+        assert main(["ghz", "--trials", "8000", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == _REFUSED + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["nope"], io.StringIO()),
+            (["ghz", "--trials", "8000", "--seed", "random"], io.StringIO()),
+            (["lhv", "ghz"], _Refusing()),
+        ],
+        ids=["usage-error", "seed-line", "report"],
+    )
+    def test_a_refused_stderr_ends_with_exit_2(self, monkeypatch, argv, out):
+        # No line reaches stderr, and a run whose seed line was refused writes no report.
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", _Refusing())
+        assert main(argv) == 2
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8 GiB")])
+    def test_a_loader_out_of_memory_is_a_usage_error(self, capsys, tmp_path, monkeypatch, error):
+        def too_big(text):
+            raise error
+
+        (tmp_path / "world.json").write_text(sample_world(fair_coin(), 5000, seed=8).to_json())
+        (tmp_path / "fps.json").write_text(fair_coin().to_json())
+        monkeypatch.setattr(WorldPrefix, "from_json", too_big)
+        argv = ["battery", str(tmp_path / "world.json"), str(tmp_path / "fps.json")]
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, str(error) or "too little memory")
+        assert len(err.splitlines()) == 1
+
+    def test_a_world_write_out_of_memory_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        def too_big(world):
+            raise MemoryError
+
+        monkeypatch.setattr(WorldPrefix, "to_json", too_big)
+        argv = ["chsh", "--trials", "4000", "--seed", "1", "--world-out", str(tmp_path / "w.json")]
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, "too little memory")
+        assert not (tmp_path / "w.json").exists()
+
+
+#: A report longer than a stream buffer's 8192 bytes, and one shorter, which a buffered
+#: stdout holds until it is flushed.
+_LONG_AND_SHORT = [["ghz", "--trials", "8000", "--seed", "1"], ["lhv", "chsh", "--sweep", "0"]]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+class TestOutputFailuresInAProcess:
+    """Exit 2 with the one JSON line in a real process, and no error from interpreter shutdown."""
+
+    @staticmethod
+    def run(argv, buffered, **streams):
+        env = _with_src(dict(os.environ))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "typicality_lab", *argv]
+        return subprocess.run(command, env=env, timeout=120, **streams)
+
+    @pytest.mark.parametrize("argv", _LONG_AND_SHORT, ids=["long", "short"])
+    def test_a_full_disk(self, buffered, argv):
+        with open("/dev/full", "wb") as full:
+            done = self.run([*argv, "--seed", "1"], buffered, stdout=full, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr.decode()) == (2, _REFUSED + "\n")
+
+    @pytest.mark.parametrize("argv", _LONG_AND_SHORT, ids=["long", "short"])
+    def test_a_pipe_with_no_reader(self, buffered, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self.run([*argv, "--seed", "1"], buffered, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert json.loads(done.stderr)["error"] == {
+            "code": "usage",
+            "message": f"cannot write the report: [Errno {errno.EPIPE}] "
+            + os.strerror(errno.EPIPE),
+        }
+
+    @pytest.mark.parametrize("argv", [["nope"], ["lhv", "chsh", "--sweep", "0", "--seed", "random"]])
+    def test_a_full_disk_behind_stderr(self, buffered, argv):
+        # The usage error's line, or the seed line, refused: the run writes no report.
+        with open("/dev/full", "wb") as full:
+            done = self.run(argv, buffered, stdout=subprocess.PIPE, stderr=full)
+        assert (done.returncode, done.stdout) == (2, b"")
 
 
 #: The files of the ``fuzz_files`` fixture.
@@ -1504,7 +1601,6 @@ def _fuzz_argv(root):
                 junk,
             ),
         ),
-        _flag("--format", st.sampled_from(["json", "csv", "xml"])),
         _flag("--sweep", st.one_of(st.integers(-2, 300), junk)),
         _flag("--h-file", paths),
         _flag("--world-out", outputs),
@@ -1596,7 +1692,7 @@ _THREADS_EDGES = [("--threads 0", "^--threads must be at least 1$")]
 #: No memory holds a world of 2**62 trials, so keeping it is refused.
 _WORLD_BEYOND = (
     f"--trials {2**62} --world-out {{world-out.json}}",
-    f"^--world-out: too little memory for a world of {2**62} trials$",
+    f"^too little memory for a world of {2**62} symbols$",
 )
 _WORLD_OUT_EDGES = [
     ("--world-out {no-dir/world.json}", "^cannot write --world-out file '.*world.json': "),
@@ -1616,10 +1712,6 @@ _EDGE_CASES = {
         _WORLD_BEYOND,
         *_SEED_EDGES,
         *_THREADS_EDGES,
-        *[
-            (f"--tolerance {raw}", f"^chsh requires a positive finite --tolerance, got {got}$")
-            for raw, got in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"))
-        ],
         *_WORLD_OUT_EDGES,
     ],
     "ghz": [
@@ -1694,15 +1786,27 @@ class TestMainFuzz:
 
     @pytest.mark.parametrize("command", ["chsh", "ghz", "lhv", "battery"])
     def test_help_lists_the_flags_read(self, capsys, command):
-        # The flags the command's invocations read, and the two every invocation reads.
+        # The flags the command's invocations read, and --out, which every invocation reads.
         invocations = cli_mod._INVOCATIONS.items()
         read = set().union(*(e[1] for mode, e in invocations if mode.split()[0] == command))
-        expected = {"--" + flag.replace("_", "-") for flag in read} | {"--format", "--out"}
+        expected = {"--" + flag.replace("_", "-") for flag in read} | {"--out"}
         with pytest.raises(SystemExit) as exited:
             main([command, "--help"])
         assert exited.value.code == 0
         shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
         assert shown == expected
+
+    def test_every_flag_has_a_reader(self, capsys):
+        # So removing a flag's last reader removes the flag; --format and chsh's
+        # --tolerance are gone, and no help offers them.
+        read = set().union(*(flags for _, flags, _ in cli_mod._INVOCATIONS.values()))
+        assert set(cli_mod._FLAGS) <= read
+        for command in ("chsh", "ghz", "lhv", "battery"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            assert "--format" not in shown
+            assert command != "chsh" or "--tolerance" not in shown
 
     def test_every_read_flag_at_its_edge_values(self, capsys, monkeypatch, fuzz_files):
         invocations = cli_mod._INVOCATIONS

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from typicality_lab import chsh as chsh_mod
 from typicality_lab.chsh import RQST_TUPLES, chsh_distribution, coin_event
 from typicality_lab.cli import main
 from typicality_lab.ghz import LHV_ASSIGNMENTS
@@ -56,29 +57,9 @@ GOLDEN = {
     ),
 }
 
-#: The CSV views, and the modes the reports above do not reach.
+#: The modes the reports above do not reach.
 GOLDEN.update(
     {
-        "chsh --trials 200000 --seed 42 --format csv": (
-            0,
-            "25fb23b07ac766c78f4b90e01c8b6d35bba8a99dd74dc5ba445f8c0b7ff2ed8e",
-        ),
-        "ghz --trials 100000 --seed 7 --format csv": (
-            0,
-            "92d7288a818e674f0f291a61bc5fb4cf001b449b459123d66a9dfb0df150f26c",
-        ),
-        "lhv chsh --sweep 1000 --seed 3 --format csv": (
-            0,
-            "e86471895f3ff083b912b021c7922d1b95c85359eb4edeae63c2d8fbe907b34b",
-        ),
-        "lhv ghz --format csv": (
-            0,
-            "16c6ffa54e6e6a3e42885beb255c5e6f9828198e93565b4d55b8e91bdac07175",
-        ),
-        "battery {world} {fps} --tolerance 0.2 --format csv": (
-            0,
-            "d4cf10093978e372472afe7cce78e6d2c1705612b41cc5787b0f74b79e498803",
-        ),
         "lhv chsh --h-file {h}": (
             0,
             "08b106011fb0d3638910d5cef31397335b448cf167eae6acd7252db1c5c56ba1",
@@ -92,24 +73,16 @@ GOLDEN.update(
             0,
             "1383710fda44a6742386a303d25a5994c119eaa823e16e9613a152e5f82112cf",
         ),
-        # A tolerance no sampled run meets: the s-value check fails.
-        "chsh --trials 200000 --seed 42 --tolerance 1e-9": (
+        # A band no sampled run meets, planted as ``chsh.SIGMAS``: the s-value check fails.
+        "chsh --trials 200000 --seed 42 @SIGMAS=1e-9": (
             1,
-            "f9f4f8fd820ad8d3be45084c7219a3ff010930397d5a23a118d20851ab3ad7a6",
+            "821067e9e40681b1e164b1ce7da6b3f4612a80d66c09f29e7d11f801de465167",
         ),
         # A significance the golden world fails at k = 2, its one Holm-adjusted
         # p-value below it.
         "battery {world} {fps} --tolerance 0.999": (
             1,
             "a8c5130fcf4f26e9b7b50d5dd4c8d3139cb71750785945aa11c503357ca85468",
-        ),
-        "battery {world} {fps} --tolerance 0.999 --format csv": (
-            1,
-            "4e945c94e3bb8eb4158165ce9c2fdbf567e1836f5576da0e92fb21813eddb226",
-        ),
-        "lhv chsh --h-file {h} --trials 20000 --seed 4 --format csv": (
-            0,
-            "175d161fceba7595b2ff09c3ed19cb9c8b8403c8649d502dfa66d901a0426820",
         ),
     }
 )
@@ -142,9 +115,17 @@ def write_inputs(directory):
 
 
 def run_report(template, files):
+    """The exit status and stdout of ``template``'s command, with any ``@NAME=value`` planted.
+
+    A planted ``NAME`` is a constant of the ``chsh`` module, set to the float ``value``.
+    """
+    command, _, planted = template.partition(" @")
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        status = main(template.format(**files).split())
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(buffer):
+        if planted:
+            name, value = planted.split("=")
+            patch.setattr(chsh_mod, name, float(value))
+        status = main(command.format(**files).split())
     return status, buffer.getvalue()
 
 
@@ -163,7 +144,7 @@ def test_report_bytes_unchanged(template, input_files):
     assert report_digest(template, input_files) == GOLDEN[template]
 
 
-@pytest.mark.parametrize("template", sorted(t for t in GOLDEN if "--format csv" not in t))
+@pytest.mark.parametrize("template", sorted(GOLDEN))
 def test_report_is_strict_json(template, input_files):
     def refuse(token):
         raise ValueError(f"{token} is not strict JSON")
@@ -171,7 +152,7 @@ def test_report_is_strict_json(template, input_files):
     json.loads(run_report(template, input_files)[1], parse_constant=refuse)
 
 
-@pytest.mark.parametrize("template", sorted(t for t in GOLDEN if "--format csv" not in t))
+@pytest.mark.parametrize("template", sorted(GOLDEN))
 def test_each_check_holds_its_decision_only(template, input_files):
     checks = json.loads(run_report(template, input_files)[1])["checks"]
     assert checks

@@ -144,14 +144,6 @@ def test_report_matches_the_reference(h_files, h_file):
     assert got == expected
     assert status == expected_status == 0
 
-    csv_text, csv_status = run_command(argv + ["--format", "csv"])
-    lhv = expected["lhv"]
-    assert csv_text == (
-        f"field,value\nsatisfying_count,{lhv['satisfying_count']}\n"
-        f"plus_only_count,{lhv['plus_only_count']}\n"
-    )
-    assert csv_status == status
-
 
 def test_the_enumeration_finds_the_known_counts():
     # The three +1 constraints are three independent parities on six values

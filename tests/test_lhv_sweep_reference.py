@@ -10,8 +10,8 @@ tuple contributes rs + qs + rt - qt to the s-value, as PAPER.md defines
 it, so every s-value is a Python integer over 2**53.  The report's
 ``max_s_value`` must be the largest of them exactly, at most 2; the
 vertices, the point masses on each tuple, reach 2 exactly.  Every field,
-the ``chsh-bound`` check, ``failures``, the exit status and the CSV view
-must match exactly.
+the ``chsh-bound`` check, ``failures`` and the exit status must match
+exactly.
 
 The counts cover an empty sweep, a single draw, two seeds of 1000 draws,
 and 1025 draws, whose last block of the package's 1024-row blocks holds
@@ -20,7 +20,6 @@ its last partial block shows.
 """
 
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -98,18 +97,6 @@ def test_report_matches_the_reference(count, seed):
     # As JSON text, so that 2.0 is not 2 and True is not 1.
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert status == expected_status == 0
-
-    text, status = run_text(argv + ["--format", "csv"])
-    header, row = csv.reader(io.StringIO(text))
-    assert header == ["max_s_value", "vertex_max_s_value", "num_random", "bound_ok"]
-    sweep = expected["sweep"]
-    assert row == [
-        "" if random_max is None else repr(random_max),
-        repr(sweep["vertex_max_s_value"]),
-        str(count),
-        str(sweep["bound_ok"]),
-    ]
-    assert status == expected_status
 
 
 def test_the_last_row_of_1025_holds_the_maximum():
