@@ -72,25 +72,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_EXPORTS})
 
 
-def _lazy_record(namespace: dict, build, *names: str):
-    """A protocol module's ``__getattr__`` (PEP 562), binding its quantum record on first use.
-
-    ``names`` name ``build()``'s record and its ``alphabet``, ``operators``, ``distribution``
-    and ``coin_event``; the first read of one binds all five, but a name rebound before then
-    keeps its binding.
-    """
-
-    def __getattr__(name: str):
-        if name not in names:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        if not all(bound in namespace for bound in names):
-            r = build()
-            values = (r, r.alphabet, r.operators, r.distribution, r.coin_event)
-            for bound, value in zip(names, values):
-                namespace.setdefault(bound, value)
-        return namespace[name]
-
-    return __getattr__
-
-
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ come out at +1/sqrt(2) except ``<QT>``.)
 
 One full round is a single 16-outcome measurement on coin-A (x) coin-B
 (x) qubit-A (x) qubit-B, declared once as the :data:`CHSH` record (see
-:mod:`typicality_lab.protocol`).  Its outcome distribution has the closed
-form
+:mod:`typicality_lab.protocol`) when this module is imported.  Its
+observables and singlet are built on first use, so the local-realist
+analyses load no ``linalg``.  Its outcome distribution has the closed form
 
     P(c, d, m, n) = [1 + (-1)^(cd) * m * n / sqrt(2)] / 16,
 
@@ -28,12 +29,13 @@ caps the same combination at 2 (the CHSH inequality).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from . import _lazy_record
 from .checks import ATOL, FALSE_ALARM_RATE, SIGMAS, Check
+from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace, product, uniform
 
 if TYPE_CHECKING:  # numpy is imported by the sweep, the sampler by the runs that draw
@@ -101,20 +103,19 @@ def _closed_form(o: ChshOutcome) -> float:
     return (2 * 2**200 + sign * o.m * o.n * math.isqrt(2 * 4**200)) / (32 * 2**200)
 
 
-def _build_record():
+@functools.cache
+def _arrays() -> tuple:
     from .linalg import X, Z, bell_singlet
-    from .protocol import Protocol
 
     # Party A measures (R, Q) = (X, Z), party B (S, T) = (-(X+Z)/sqrt2, (-X+Z)/sqrt2).
-    observables = ((X, Z), (-(X + Z) / _SQRT2, (-X + Z) / _SQRT2))
-    return Protocol(ChshOutcome, observables, bell_singlet(), _closed_form, MIN_TRIALS)
+    return ((X, Z), (-(X + Z) / _SQRT2, (-X + Z) / _SQRT2)), bell_singlet()
 
 
-#: ``CHSH`` and the names below are bound on first use, so the sweep loads no ``protocol``.
-__getattr__ = _lazy_record(
-    globals(), _build_record,
-    "CHSH", "CHSH_OUTCOMES", "build_chsh_operators", "chsh_distribution", "coin_event",
-)
+CHSH = Protocol(ChshOutcome, _arrays, _closed_form, MIN_TRIALS)
+CHSH_OUTCOMES = CHSH.alphabet
+build_chsh_operators = CHSH.operators
+chsh_distribution = CHSH.distribution
+coin_event = CHSH.coin_event
 
 
 class ConditionalAverageReport(NamedTuple):
@@ -197,9 +198,8 @@ def run_chsh(
     so the world is not kept unless ``on_world`` is given; it is then
     called with the world before any statistic is checked.
     """
-    record = __getattr__("CHSH")  # binds chsh_distribution too
     fps = chsh_distribution("analytic")
-    counts, cells = record.tally_cells(fps, trials, seed, threads, on_world)
+    counts, cells = CHSH.tally_cells(fps, trials, seed, threads, on_world)
     averages, cell_counts = _cell_statistics(cells)
     return ConditionalAverageReport(
         averages,
@@ -209,7 +209,7 @@ def run_chsh(
         counts=cell_counts,
         s_target=S_TARGET,
         s_tolerance=SIGMAS * math.sqrt(sum(0.5 / n for n in cell_counts.values())),
-        cell_tests=record.cell_tests(fps, counts),
+        cell_tests=CHSH.cell_tests(fps, counts),
     )
 
 

@@ -129,7 +129,7 @@ def _write_stream(stream, text: str, what: str) -> None:
 
 def _world_writer(args: argparse.Namespace):
     """The callback that saves the run's own world to ``--world-out``, or None."""
-    if args.world_out:
+    if args.world_out is not None:
         return lambda world: _write_text(args.world_out, world.to_json(), "--world-out")
     return None
 
@@ -232,7 +232,7 @@ def _canonical_json(report: dict) -> str:
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
     text = _canonical_json(report)
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, text, "--out")
     else:
         _write_stream(sys.stdout, text, "the report")
@@ -242,10 +242,14 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are usage errors, which :func:`main` reports."""
+    """An argument parser whose errors, and help a stream refuses, are usage errors."""
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            _write_stream(file or sys.stderr, message, "the help")
 
 
 #: Each optional flag's ``argparse`` settings, by its ``args`` name.  Every
@@ -317,9 +321,9 @@ def _check_args(args: argparse.Namespace):
 
     ``--threads`` defaults to 1, ``--h-file`` is loaded into ``args.h``
     (None without the flag) for every invocation that reads it, and
-    ``--seed`` becomes an integer or None.  No path may hold a NUL, and no output
-    may name a path the invocation also reads or writes.  A bad invocation raises
-    :class:`UsageError`.
+    ``--seed`` becomes an integer or None.  No path may be empty or hold a NUL,
+    and no output may name a path the invocation also reads or writes.  A bad
+    invocation raises :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -330,12 +334,14 @@ def _check_args(args: argparse.Namespace):
     for flag in _FLAGS:
         if getattr(args, flag) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
-    # Every path named: none may hold a NUL, which no file name can, and no output may
-    # overwrite another path named; each pair that may clash starts with one.
+    # Every path named: none may be empty or hold a NUL, as no file name can, and no
+    # output may overwrite another path named; each pair that may clash starts with one.
     named = [("--out", args.out), ("--world-out", args.world_out), ("--h-file", args.h_file)]
     named += [("the world file", getattr(args, "world_file", None))]
     named += [("the probability-space file", getattr(args, "fps_file", None))]
     for name, path in named:
+        if path == "":
+            raise UsageError(f"{name} path '' names no file")
         if path and "\0" in path:
             raise UsageError(f"{name} path {path!r} holds a NUL character")
     paths = [(name, os.path.realpath(path)) for name, path in named if path]

@@ -4,7 +4,9 @@ Each round, a source distributes the three qubits of the state
 ``(|000> - |111>)/sqrt(2)`` to three parties.  Each party tosses a fair
 coin and measures ``X`` on 0 or ``Y`` on 1.  One round is a single
 64-outcome measurement, declared once as the :data:`GHZ` record (see
-:mod:`typicality_lab.protocol`), whose distribution is
+:mod:`typicality_lab.protocol`) when this module is imported; its
+observables and state are built on first use, so ``lhv ghz`` loads no
+numpy.  The round's distribution is
 
     P(c1, c2, c3, m1, m2, m3) = [1 - m1*m2*m3 * cos(pi*(c1+c2+c3)/2)] / 64.
 
@@ -23,12 +25,13 @@ reproduce those correlations: the four parity constraints they impose on
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import _lazy_record
 from .checks import Check
+from .protocol import Protocol
 from .spaces import FiniteProbabilitySpace
 
 if TYPE_CHECKING:  # the sampler is imported by the run, not by the enumeration
@@ -112,20 +115,20 @@ def _closed_form(o: GhzOutcome) -> float:
     return (1 - o.m1 * o.m2 * o.m3 * COS_QUARTER_TURNS[o.c1 + o.c2 + o.c3]) / 64.0
 
 
-def _build_record():
+@functools.cache
+def _arrays() -> tuple:
     from .linalg import X, Y, ghz_state
-    from .protocol import Protocol
 
     # Every party measures X on coin 0 and Y on coin 1.  The Y observable
     # makes the Born weights complex; a real-only shortcut would be wrong.
-    return Protocol(GhzOutcome, ((X, Y),) * 3, ghz_state(), _closed_form, MIN_TRIALS)
+    return ((X, Y),) * 3, ghz_state()
 
 
-#: ``GHZ`` and the names below are bound on first use, so ``lhv ghz`` loads no numpy.
-__getattr__ = _lazy_record(
-    globals(), _build_record,
-    "GHZ", "GHZ_OUTCOMES", "build_ghz_operators", "ghz_distribution", "coin_event",
-)
+GHZ = Protocol(GhzOutcome, _arrays, _closed_form, MIN_TRIALS)
+GHZ_OUTCOMES = GHZ.alphabet
+build_ghz_operators = GHZ.operators
+ghz_distribution = GHZ.distribution
+coin_event = GHZ.coin_event
 
 
 class GhzRunReport(NamedTuple):
@@ -179,9 +182,8 @@ def run_ghz(
     :meth:`~typicality_lab.protocol.Protocol.cell_tests`), which a forbidden
     outcome fails; for a free triple that test, not a band on its mean, decides.
     """
-    record = __getattr__("GHZ")  # binds ghz_distribution too
     fps = ghz_distribution("analytic")
-    counts, cells = record.tally_cells(fps, trials, seed, threads, on_world)
+    counts, cells = GHZ.tally_cells(fps, trials, seed, threads, on_world)
     constrained, free = {}, {}
     for coins, cell in cells.items():
         key = "".join(str(c) for c in coins)
@@ -197,7 +199,7 @@ def run_ghz(
                 "count": cell.count,
                 "mean_product": cell.mean if cell.count else None,
             }
-    return GhzRunReport(trials, seed, constrained, free, record.cell_tests(fps, counts))
+    return GhzRunReport(trials, seed, constrained, free, GHZ.cell_tests(fps, counts))
 
 
 class GhzEnumeration(NamedTuple):

@@ -11,9 +11,12 @@ prepared in ``|+>^n (x) shared state``, with one projector per outcome:
 where ``E_c = |c><c|`` and ``E^k_{c,m} = (I + m A^k_c) / 2`` projects onto
 result ``m`` of party ``k``'s observable ``A^k_c``.  :class:`Protocol`
 holds what differs between protocols -- the outcome record, the
-observables, the shared state, the closed form and the shortest run --
+observables and the shared state, the closed form and the shortest run --
 and derives the rest: the outcome alphabet, the distribution both ways,
-the coin events and a sampled run's per-coin cells and tests.  The coins
+the coin events and a sampled run's per-coin cells and tests.  A record
+is plain data, declared when its protocol module is imported; its arrays
+are built by the first call that needs them, so a run that only reads the
+closed form, such as a dump of the distribution, loads no numpy.  The coins
 are outermost in the alphabet, so a run's symbol counts, reshaped to
 ``(2**n, 2**n)``, hold one row per coin tuple, and every row lists the
 same result tuples.
@@ -31,18 +34,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .checks import FALSE_ALARM_RATE
-from .linalg import MeasurementOperatorSet, basis, involutory_pvm, ket_plus, projector, tensor
 from .spaces import FiniteProbabilitySpace
 
-__all__ = ["CELL_FAMILY_RATE", "Protocol"]
+if TYPE_CHECKING:  # numpy and linalg are imported by the methods that build arrays
+    import numpy as np
 
-#: Each party's coin measurement, ``E_c = |c><c|``.
-_COIN_PROJECTORS = ((0, projector(basis(2, 0))), (1, projector(basis(2, 1))))
+    from .linalg import MeasurementOperatorSet
+
+__all__ = ["CELL_FAMILY_RATE", "Protocol"]
 
 #: The family-wise rate of a run's coin-tuple tests: the s-value gate's own.  It is stated,
 #: not exact, since chi-square p-values are asymptotic: a ``chsh`` family rejects a true law
@@ -51,7 +53,14 @@ _COIN_PROJECTORS = ((0, projector(basis(2, 0))), (1, projector(basis(2, 1))))
 CELL_FAMILY_RATE = FALSE_ALARM_RATE
 
 
-# Cached on the record's hashable fields: a Protocol holds arrays, so it is no key.
+@functools.cache
+def _coin_projectors() -> tuple:
+    """Each party's coin measurement, ``E_c = |c><c|``."""
+    from .linalg import basis, projector
+
+    return (0, projector(basis(2, 0))), (1, projector(basis(2, 1)))
+
+
 @functools.cache
 def _alphabet(outcome: type, parties: int) -> tuple:
     return tuple(
@@ -65,27 +74,32 @@ class Protocol(NamedTuple):
     """The data of one protocol, and everything derived from it.
 
     ``outcome`` is the record type of a round: the ``n`` coins (0 or 1),
-    then the ``n`` results (+1 or -1).  ``observables[k][c]`` is party
-    ``k``'s observable on coin ``c``, a 2x2 Hermitian involution.
-    ``shared_state`` is the ``n``-qubit state, party 0 outermost.
+    then the ``n`` results (+1 or -1).  ``arrays()``, cached where it is
+    defined, builds :attr:`observables` and :attr:`shared_state` once:
+    ``observables[k][c]`` is party ``k``'s observable on coin ``c``, a 2x2
+    Hermitian involution, and the shared state has party 0 outermost.
     ``closed_form`` maps an outcome to its weight, in integer arithmetic up
     to one final floating-point step, so that exact zeros stay exact.
     ``min_trials`` is the shortest run drawn, 1000 rounds per coin tuple.
-
-    Two records compare field by field, and a record equals itself without
-    comparing its arrays.  A ``Protocol`` is not hashed: its arrays are not
-    hashable.
+    A record is plain data: it compares and hashes field by field.
     """
 
     outcome: type
-    observables: tuple
-    shared_state: np.ndarray
+    arrays: Callable
     closed_form: Callable
     min_trials: int
 
     @property
     def parties(self) -> int:
-        return len(self.observables)
+        return len(self.outcome._fields) // 2
+
+    @property
+    def observables(self) -> tuple:
+        return self.arrays()[0]
+
+    @property
+    def shared_state(self) -> np.ndarray:
+        return self.arrays()[1]
 
     @property
     def alphabet(self) -> tuple:
@@ -94,11 +108,15 @@ class Protocol(NamedTuple):
 
     def initial_state(self) -> np.ndarray:
         """``|+>^n (x) shared_state``: the coin qubits, then the shared qubits."""
+        from .linalg import ket_plus, tensor
+
         return tensor(*[ket_plus()] * self.parties, self.shared_state)
 
     def _factors(self):
         """Each outcome with its 2x2 factors, taken from checked factor measurements."""
-        coin = MeasurementOperatorSet(_COIN_PROJECTORS)
+        from .linalg import MeasurementOperatorSet, involutory_pvm
+
+        coin = MeasurementOperatorSet(_coin_projectors())
         pvms = [[involutory_pvm(a) for a in party] for party in self.observables]
         n = self.parties
         for o in self.alphabet:
@@ -108,6 +126,8 @@ class Protocol(NamedTuple):
 
     def operators(self) -> MeasurementOperatorSet:
         """The dense projector of every outcome, on dimension ``4**n``, checked as one set."""
+        from .linalg import MeasurementOperatorSet, tensor
+
         return MeasurementOperatorSet((o, tensor(*factors)) for o, factors in self._factors())
 
     def distribution(self, method: str = "analytic") -> FiniteProbabilitySpace:
@@ -132,6 +152,8 @@ class Protocol(NamedTuple):
         The outcomes' states are stacked, so each axis takes one batched
         product: every outcome's factor on that axis, applied at once.
         """
+        import numpy as np
+
         factors = np.array([f for _, f in self._factors()])
         count, axes = factors.shape[:2]
         psi = self.initial_state()
@@ -178,16 +200,15 @@ class Protocol(NamedTuple):
         """Each coin tuple's block-1 test against its law under ``fps``, as one Holm family.
 
         A coin tuple's row of ``counts``, a run's symbol counts over the
-        alphabet of ``fps``, is its block-1 histogram.  The family's rate is
+        alphabet of ``fps``, is its block-1 histogram, and its law is the same
+        row of the weights of ``fps``, normalized.  The family's rate is
         ``CELL_FAMILY_RATE``, and its keys are the coin digits in alphabet order.
         """
         from .battery import frequency_test, holm_family
 
         n = self.parties
         coins = [o[:n] for o in self.alphabet[:: 2**n]]
-        tests = [
-            frequency_test(row, fps.condition(self.coin_event(*c)).weights)
-            for c, row in zip(coins, counts.reshape(2**n, 2**n))
-        ]
+        rows = zip(counts.reshape(2**n, 2**n), fps.weights.reshape(2**n, 2**n))
+        tests = [frequency_test(row, law / law.sum()) for row, law in rows]
         family = holm_family(tests, CELL_FAMILY_RATE)
         return {"".join(map(str, c)): test for c, test in zip(coins, family)}

@@ -778,6 +778,10 @@ _USAGE_ERRORS = [
         "--world-out path 'a\\x00b' holds a NUL character",
     ),
     ("battery a\x00b fps.json", "the world file path 'a\\x00b' holds a NUL character"),
+    # An empty path names no file either: it neither falls back to stdout nor skips a write.
+    ("lhv ghz --out=", "--out path '' names no file"),
+    ("ghz --trials 8000 --seed 1 --world-out=", "--world-out path '' names no file"),
+    ("lhv chsh --h-file=", "--h-file path '' names no file"),
     (
         "battery world.json a\x00b",
         "the probability-space file path 'a\\x00b' holds a NUL character",
@@ -942,6 +946,17 @@ class TestUsageErrorLines:
         # No usage error writes a file, or writes over one of its inputs.
         assert sorted(os.listdir(tmp_path)) == sorted([*texts, "link-world.json", "link-h.json"])
         assert {name: (tmp_path / name).read_text() for name in texts} == texts
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["battery", "", "fps.json"], "the world file"),
+            (["battery", "world.json", ""], "the probability-space file"),
+        ],
+    )
+    def test_an_empty_input_path(self, capsys, argv, name):
+        status, out, err = run_cli(capsys, argv)
+        assert_usage_error(status, out, err, f"{name} path '' names no file")
 
 
 def _skewed(distribution, skew):
@@ -1208,15 +1223,11 @@ print(status, *sorted(loaded | ({"numpy"} & sys.modules.keys())))
 #: Each invocation, its exit status, and the package modules (and numpy) it
 #: must not load.  ``{name}`` is a file of the ``fuzz_files`` fixture.
 _MODULE_SETS = [
-    ("lhv ghz", 0, {"worlds", "battery", "chsh", "linalg", "protocol", "numpy"}),
-    ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh", "linalg", "protocol", "numpy"}),
-    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz", "linalg", "protocol"}),
-    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz", "linalg", "protocol", "numpy"}),
-    (
-        "lhv chsh --h-file {h.json} --trials 4000 --seed 1",
-        0,
-        {"battery", "ghz", "linalg", "protocol"},
-    ),
+    ("lhv ghz", 0, {"worlds", "battery", "chsh", "linalg", "numpy"}),
+    ("lhv ghz --h-file {p.json}", 0, {"worlds", "battery", "chsh", "linalg", "numpy"}),
+    ("lhv chsh --sweep 100 --seed 1", 0, {"worlds", "battery", "ghz", "linalg"}),
+    ("lhv chsh --h-file {h.json}", 0, {"worlds", "battery", "ghz", "linalg", "numpy"}),
+    ("lhv chsh --h-file {h.json} --trials 4000 --seed 1", 0, {"battery", "ghz", "linalg"}),
     ("ghz --trials 8000 --seed 1", 0, {"chsh"}),
     ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
     ("battery {world.json} {fps.json}", 0, {"chsh", "ghz", "protocol", "linalg"}),
@@ -1225,20 +1236,18 @@ _MODULE_SETS = [
 ]
 
 
-#: Rebinds a protocol module's distribution before its record is built, runs
-#: the protocol, and prints whether the record was unbuilt at the rebinding,
-#: each method the rebinding was called with, and whether it is still bound.
+#: Rebinds a protocol module's distribution before its record runs, runs the
+#: protocol, and prints each method the rebinding was called with, and whether
+#: it is still bound.
 _REBOUND_BEFORE_THE_RECORD = """
-import sys
 from typicality_lab import {module} as mod
 calls = []
 def rebound(method="analytic"):
     calls.append(method)
     return mod.{record}.distribution(method)
-unbuilt = "typicality_lab.protocol" not in sys.modules
 mod.{name} = rebound
 mod.{run}(8000, 1)
-print(unbuilt, *calls, mod.{name} is rebound)
+print(*calls, mod.{name} is rebound)
 """
 
 
@@ -1295,18 +1304,26 @@ class TestImportCost:
         assert not_loaded.isdisjoint(loaded), loaded
 
     @pytest.mark.parametrize(
-        "statement", ["import typicality_lab.cli", "from typicality_lab import lhv_ghz_feasibility"]
+        "statement",
+        [
+            "import typicality_lab.cli",
+            "from typicality_lab import lhv_ghz_feasibility",
+            # The closed forms build no arrays, so a dump of either distribution needs none.
+            "import typicality_lab.chsh as c, typicality_lab.ghz as g; "
+            "c.chsh_distribution().to_json(); g.ghz_distribution().to_json()",
+        ],
     )
     def test_package_imports_load_no_numpy(self, statement):
+        loaded = "print('numpy' in sys.modules, 'typicality_lab.linalg' in sys.modules)"
         done = subprocess.run(
-            [sys.executable, "-c", f"import sys; {statement}; print('numpy' in sys.modules)"],
+            [sys.executable, "-c", f"import sys; {statement}; {loaded}"],
             env=_with_src(dict(os.environ)),
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False"]
+        assert done.stdout.split() == ["False", "False"]
 
     @pytest.mark.parametrize(
         ("module", "record", "outcomes"),
@@ -1337,7 +1354,7 @@ class TestImportCost:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True", "analytic", "True"]
+        assert done.stdout.split() == ["analytic", "True"]
 
 
 class TestProcessEntryPoint:
@@ -1432,6 +1449,11 @@ class TestOutputFailures:
         assert main(["ghz", "--trials", "8000", "--seed", "1"]) == 2
         assert capsys.readouterr().err == _REFUSED + "\n"
 
+    def test_a_refused_help_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _Refusing())
+        assert main(["ghz", "--help"]) == 2
+        assert capsys.readouterr().err == _REFUSED.replace("the report", "the help") + "\n"
+
     @pytest.mark.parametrize(
         "argv, out",
         [
@@ -1511,6 +1533,12 @@ class TestOutputFailuresInAProcess:
             "message": f"cannot write the report: [Errno {errno.EPIPE}] "
             + os.strerror(errno.EPIPE),
         }
+
+    def test_help_into_a_full_disk(self, buffered):
+        with open("/dev/full", "wb") as full:
+            done = self.run(["ghz", "--help"], buffered, stdout=full, stderr=subprocess.PIPE)
+        refused = _REFUSED.replace("the report", "the help")
+        assert (done.returncode, done.stderr.decode()) == (2, refused + "\n")
 
     @pytest.mark.parametrize("argv", [["nope"], ["lhv", "chsh", "--sweep", "0", "--seed", "random"]])
     def test_a_full_disk_behind_stderr(self, buffered, argv):
@@ -1696,8 +1724,10 @@ _WORLD_BEYOND = (
 )
 _WORLD_OUT_EDGES = [
     ("--world-out {no-dir/world.json}", "^cannot write --world-out file '.*world.json': "),
+    ("--world-out=", "^--world-out path '' names no file$"),
 ]
 _H_FILE_EDGES = [
+    ("--h-file=", "^--h-file path '' names no file$"),
     ("--h-file {big-weights.json}", "^invalid hidden-variable file '.*': weights must be finite$"),
     ("--h-file {missing.json}", "^cannot read hidden-variable file '.*missing.json': "),
 ]

@@ -66,15 +66,24 @@ class TestFactoredBornWeights:
 
     def test_non_involutory_observable_rejected(self, name):
         record = PROTOCOLS[name]
-        bad = record._replace(observables=((X + Z, Z), *record.observables[1:]))
+        observables, state = record.arrays()
+        bad = record._replace(arrays=lambda: (((X + Z, Z), *observables[1:]), state))
         with pytest.raises(ValueError, match="square to the identity"):
             bad.distribution("linear_algebra")
 
     def test_incomplete_coin_projectors_rejected(self, name, monkeypatch):
         p0 = projector(basis(2, 0))
-        monkeypatch.setattr(protocol_mod, "_COIN_PROJECTORS", ((0, p0), (1, p0)))
+        monkeypatch.setattr(protocol_mod, "_coin_projectors", lambda: ((0, p0), (1, p0)))
         with pytest.raises(ValueError, match="sum to the identity"):
             PROTOCOLS[name].distribution("linear_algebra")
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_arrays_are_built_once(name):
+    record = PROTOCOLS[name]
+    assert record.observables is record.observables
+    assert record.shared_state is record.shared_state
+    assert {record: name}[record._replace()] == name  # plain data: equal records hash alike
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
