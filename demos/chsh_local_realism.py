@@ -15,11 +15,11 @@ lands where the exact value says it must.
 vertex S values: {2.0, -2.0} (maximum exactly 2)
 sweep of 1000 random H: max S = 1.320163  (bound 2 holds)
 one random H, exact vs simulated (100000 rounds, seed 12):
-  <RS> exact -0.010782  simulated -0.014741
-  <QS> exact +0.167197  simulated +0.176968
-  <RT> exact -0.032103  simulated -0.033363
-  <QT> exact -0.055622  simulated -0.049428
-  S    exact +0.179934  simulated +0.178292
+  <RS> exact -0.010782  simulated +0.000883
+  <QS> exact +0.167197  simulated +0.177829
+  <RT> exact -0.032103  simulated -0.032433
+  <QT> exact -0.055622  simulated -0.050689
+  S    exact +0.179934  simulated +0.196968
 """
 
 from typicality_lab import lhv_chsh_averages, lhv_chsh_simulate, lhv_sweep

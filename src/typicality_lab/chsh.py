@@ -24,7 +24,8 @@ which every run cross-checks against the Born weights of the operator
 construction.  Conditioning on the coin pair and averaging the outcome
 product m*n gives <RS> + <QS> + <RT> - <QT> = 2*sqrt(2), whereas any
 assignment of pre-existing values to R, Q, S, T -- however distributed --
-caps the same combination at 2 (the CHSH inequality).
+caps the same combination at 2 (the CHSH inequality).  Rounds of such a model
+are drawn as a run of the law their values reveal over the same 16 outcomes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .checks import ATOL, FALSE_ALARM_RATE, SIGMAS, Check
 from .protocol import Protocol
-from .spaces import FiniteProbabilitySpace, product, uniform
+from .spaces import FiniteProbabilitySpace
 
 if TYPE_CHECKING:  # numpy is imported by the sweep, the sampler by the runs that draw
     import numpy as np
@@ -162,7 +163,7 @@ class ConditionalAverageReport(NamedTuple):
 def _cell_statistics(cells: dict) -> tuple[dict, dict]:
     """Averages and counts of the four coin-pair cells, keyed as ``_AVERAGES``.
 
-    ``cells`` maps each coin pair to its :class:`~typicality_lab.worlds.SignCell`.
+    ``cells`` maps each coin pair to its cell, as :meth:`CHSH.tally_cells` returns them.
     Raises if any coin pair collected no samples.
     """
     averages, counts = {}, {}
@@ -238,35 +239,34 @@ def lhv_chsh_averages(h: FiniteProbabilitySpace) -> ConditionalAverageReport:
     return ConditionalAverageReport(averages, method="lhv-exact")
 
 
+def _revealed_law(h: FiniteProbabilitySpace) -> FiniteProbabilitySpace:
+    """The law a local round reveals on ``CHSH.alphabet``: ``h{x[c] = m, x[2 + d] = n} / 4``.
+
+    Its sums, and the total of ``h`` they are divided by, are exactly rounded,
+    so it does not depend on the order of ``h``'s alphabet.
+    """
+    total = 4 * math.fsum(map(h.prob, RQST_TUPLES))
+    revealed = [[x for x in RQST_TUPLES if (x[o.c], x[2 + o.d]) == o[2:]] for o in CHSH.alphabet]
+    weights = [math.fsum(map(h.prob, xs)) / total for xs in revealed]
+    return FiniteProbabilitySpace(CHSH.alphabet, weights)
+
+
 def lhv_chsh_simulate(
     h: FiniteProbabilitySpace, trials: int, seed: int, threads: int = 1
 ) -> ConditionalAverageReport:
     """Sampled counterpart of :func:`lhv_chsh_averages`.
 
-    Draws rounds from the product of ``h`` with two fair coins, restricts
-    to each coin pair, and averages the revealed products.  The report
-    nests the exact averages, and its check holds ``s_value`` to the exact one
-    within Hoeffding's band (*JASA* 58, 1963): given the cell counts ``n``, it
-    sums ``n`` independent terms of range ``2 / n`` per coin pair, so it strays
-    ``t`` from its mean with probability at most ``2 exp(-t**2 / (2 sum 1/n))``
-    for every ``h``, and the band is the ``t`` where that is ``FALSE_ALARM_RATE``.
-    A normal band rejects far above that rate for an ``h`` near a vertex.
-    Raises below ``MIN_TRIALS``, before drawing, as the quantum runs do.
+    A CHSH run of :func:`_revealed_law`, read off its coin-pair cells as :func:`run_chsh`
+    reads its own.  The report nests the exact averages, and its check holds ``s_value`` to
+    the exact one within Hoeffding's band (*JASA* 58, 1963): given the cell counts ``n``, it
+    sums ``n`` independent terms of range ``2 / n`` per coin pair, so it strays ``t`` from
+    its mean with probability at most ``2 exp(-t**2 / (2 sum 1/n))`` for every ``h``, and
+    the band is the ``t`` where that is ``FALSE_ALARM_RATE``.  A normal band rejects far
+    above that rate for an ``h`` near a vertex.  Raises below ``MIN_TRIALS``, before
+    drawing, as the quantum runs do.
     """
-    from .worlds import SignCell, tally
-
-    _require_h_space(h)
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     exact = lhv_chsh_averages(h)
-    coin = uniform((0, 1))
-    # The joint alphabet is (x, c, d): a row per value tuple x, in h's order, of 4 coin pairs.
-    table = tally(product(h, coin, coin), trials, seed, threads).reshape(len(h.alphabet), 4)
-    cells = {}
-    for (c, d), (i, j) in _AVERAGES.values():
-        column = table[:, 2 * c + d]
-        plus = [x[i] * x[j] > 0 for x in h.alphabet]
-        cells[c, d] = SignCell(int(column.sum()), int(column[plus].sum()))
+    _, cells = CHSH.tally_cells(_revealed_law(h), trials, seed, threads)
     averages, counts = _cell_statistics(cells)
     spread = sum(1 / n for n in counts.values())
     return ConditionalAverageReport(

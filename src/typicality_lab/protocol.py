@@ -177,15 +177,18 @@ class Protocol(NamedTuple):
         threads: int = 1,
         on_world: Callable | None = None,
     ) -> tuple[np.ndarray, dict]:
-        """Draw a run of ``fps``, this protocol's distribution: its counts and per-coin cells.
+        """Draw a run of ``fps``, a law over :attr:`alphabet`: its counts and per-coin cells.
 
         The counts are :func:`~typicality_lab.worlds.tally`'s over
         :attr:`alphabet`, and ``on_world`` is passed to it.  Each coin tuple,
         in alphabet order, maps to the :class:`~typicality_lab.worlds.SignCell`
-        of the results' product on its rounds.  Raises below :attr:`min_trials`.
+        of the results' product on its rounds.  Raises below :attr:`min_trials`, and
+        for a law not over :attr:`alphabet` in its order.
         """
         from .worlds import SignCell, tally
 
+        if fps.alphabet != self.alphabet:
+            raise ValueError("the law must be over the protocol's alphabet, in its order")
         if trials < self.min_trials:
             raise ValueError(f"trials must be at least {self.min_trials}, got {trials}")
         counts = tally(fps, trials, seed, threads, on_world)
@@ -203,9 +206,12 @@ class Protocol(NamedTuple):
         alphabet of ``fps``, is its block-1 histogram, and its law is the same
         row of the weights of ``fps``, normalized.  The family's rate is
         ``CELL_FAMILY_RATE``, and its keys are the coin digits in alphabet order.
+        Raises for a law not over :attr:`alphabet` in its order.
         """
         from .battery import frequency_test, holm_family
 
+        if fps.alphabet != self.alphabet:
+            raise ValueError("the law must be over the protocol's alphabet, in its order")
         n = self.parties
         coins = [o[:n] for o in self.alphabet[:: 2**n]]
         rows = zip(counts.reshape(2**n, 2**n), fps.weights.reshape(2**n, 2**n))

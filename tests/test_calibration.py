@@ -404,8 +404,8 @@ def test_lhv_band_catches_a_planted_law(trials, weight):
 def test_lhv_command_drawn_from_a_planted_law_fails(tmp_path, monkeypatch):
     # A planted sampler fault: every round is drawn from h' for the file's h.
     h = random_h_spaces(1, seed=3)[0]
-    draw = chsh_mod.product
-    monkeypatch.setattr(chsh_mod, "product", lambda _, *coins: draw(planted_law(h, 0.4), *coins))
+    reveal = chsh_mod._revealed_law
+    monkeypatch.setattr(chsh_mod, "_revealed_law", lambda _: reveal(planted_law(h, 0.4)))
     path = tmp_path / "h.json"
     path.write_text(h.to_json())
     out = io.StringIO()

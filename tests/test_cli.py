@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,11 +26,11 @@ from typicality_lab import cli as cli_mod
 from typicality_lab import ghz as ghz_mod
 from typicality_lab import worlds as worlds_mod
 from typicality_lab.checks import Check
-from typicality_lab.chsh import RQST_TUPLES, chsh_distribution
+from typicality_lab.chsh import CHSH, RQST_TUPLES, chsh_distribution
 from typicality_lab.cli import main
 from typicality_lab.ghz import GhzOutcome, ghz_distribution
 from typicality_lab.linalg import ATOL
-from typicality_lab.spaces import FiniteProbabilitySpace, fair_coin, point_mass, uniform
+from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, fair_coin, point_mass, uniform
 from typicality_lab.worlds import WorldPrefix, sample_world
 
 
@@ -48,6 +49,22 @@ HUGE_SUM_SPACE = json.dumps({"alphabet": [0, 1], "weights": [1e308, 1e308]})
 #: Spaces with a null and an object among their weights.
 NULL_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [None, 1]})
 OBJECT_WEIGHT_SPACE = json.dumps({"alphabet": [0, 1], "weights": [{}, 1]})
+
+
+def _h_at_sum_edge(seed, shift):
+    """Random weights on the 16 value tuples, normalized, then ``shift`` added to the first."""
+    rng = random.Random(seed)
+    raw = [rng.random() for _ in RQST_TUPLES]
+    weights = [w / math.fsum(raw) for w in raw]
+    weights[0] += shift
+    return FiniteProbabilitySpace(RQST_TUPLES, weights).to_json()
+
+
+#: Hidden-variable files the loader accepts, summing to 1 + 9.9987e-13 and 1 - 9.9998e-13:
+#: the farthest floats from 1 within ``SUM_ATOL``.  Their revealed laws' quarter sums, were
+#: they not divided by the file's total, would sum past ``SUM_ATOL`` from 1.
+H_SUM_ABOVE_SPACE = _h_at_sum_edge(21, 9.999e-13)
+H_SUM_BELOW_SPACE = _h_at_sum_edge(453, -9.999e-13)
 #: A one-symbol world and its space: the length rule admits every block
 #: length up to 64 here, so only the cap refuses 65.
 ONE_SYMBOL_WORLD = WorldPrefix([0], np.zeros(640, dtype=np.intp)).to_json()
@@ -203,6 +220,20 @@ class TestGhzCommand:
 
 
 class TestLhvCommand:
+    @pytest.mark.parametrize("text", [H_SUM_ABOVE_SPACE, H_SUM_BELOW_SPACE], ids=["above", "below"])
+    def test_the_sum_edge_files_sit_at_the_tolerance(self, text):
+        h = FiniteProbabilitySpace.from_json(text)
+        total = math.fsum(h.weights)
+        outward = math.nextafter(total, 2 * total - 1)
+        assert abs(total - 1) <= SUM_ATOL < abs(outward - 1)
+        # Quarter sums of the revealed law, not divided by the file's total.
+        quarters = [
+            0.25 * math.fsum(h.prob(x) for x in RQST_TUPLES if (x[o.c], x[2 + o.d]) == o[2:])
+            for o in CHSH.alphabet
+        ]
+        with pytest.raises(ValueError, match="^weights must sum to 1 within"):
+            FiniteProbabilitySpace(CHSH.alphabet, quarters)
+
     def test_uniform_h_file_gives_zero_s(self, capsys, tmp_path):
         h_path = tmp_path / "h.json"
         h_path.write_text(uniform(RQST_TUPLES).to_json())
@@ -1569,6 +1600,8 @@ _FUZZ_FILES = (
     "one_fps.json",
     "string-provenance.json",
     "two-index-fields.json",
+    "h-sum-above.json",
+    "h-sum-below.json",
 )
 
 
@@ -1595,6 +1628,8 @@ def fuzz_files(tmp_path_factory):
         "one_fps.json": ONE_SYMBOL_SPACE,
         "string-provenance.json": STRING_PROVENANCE_WORLD,
         "two-index-fields.json": TWO_INDEX_FIELDS_WORLD,
+        "h-sum-above.json": H_SUM_ABOVE_SPACE,
+        "h-sum-below.json": H_SUM_BELOW_SPACE,
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -1731,6 +1766,7 @@ _H_FILE_EDGES = [
     ("--h-file {big-weights.json}", "^invalid hidden-variable file '.*': weights must be finite$"),
     ("--h-file {missing.json}", "^cannot read hidden-variable file '.*missing.json': "),
 ]
+_H_SUM_EDGES = [("--h-file {h-sum-above.json}", REPORT), ("--h-file {h-sum-below.json}", REPORT)]
 
 #: Each invocation's cases at the edge values of the flags it reads, in
 #: ``cli._INVOCATIONS`` order: the words added to its argument list in
@@ -1761,8 +1797,9 @@ _EDGE_CASES = {
         *_SEED_EDGES,
         *_THREADS_EDGES,
         *_H_FILE_EDGES,
+        *_H_SUM_EDGES,
     ],
-    "lhv chsh": _H_FILE_EDGES,
+    "lhv chsh": [*_H_FILE_EDGES, *_H_SUM_EDGES],
     "lhv ghz": _H_FILE_EDGES,
     "battery": [
         *[

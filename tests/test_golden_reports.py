@@ -40,7 +40,7 @@ GOLDEN = {
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "af4221d100c8c6013fc06223ccddc0bf45671c35611533b265a148462c445156",
+        "963e56d6e2bc30d703472b8b8bcd595e04e688a2274bd8e2f2c10e754490f4b5",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,

@@ -1,24 +1,29 @@
 """The ``lhv chsh --h-file`` reports against plain-Python references, field by field.
 
 The reference shares no code with the package past its own test helpers.
-It reads the hidden-variable file as JSON, draws rounds of the value
-tuple x = (r, q, s, t) with two fair coins, one symbol (x, c, d) per
-round with the coins innermost and x in the file's own order, from the
-pure-Python Philox4x64-10 of ``test_philox_reference`` and a ``bisect``
-inverse CDF, and counts them in dicts.  Party A reveals r on coin 0 and q
-on coin 1, party B s on coin 0 and t on coin 1.  From the counts it
-derives the four averages and the s-value's Hoeffding band
-``sqrt(2 ln(2 / rate) sum 1/n)`` over the coin pairs' counts ``n``, at the
-rate ``2 Phi(-SIGMAS)``; from the file alone the nested ``exact`` report,
-each average an exactly rounded sum; then the ``chsh-bound`` check on the
-exact s-value, the ``s-value`` check of the simulated one against the
-exact one, ``failures`` and the exit status.
+It reads the hidden-variable file as JSON and writes the law a round of
+the local model reveals: with two fair coins c, d and the value tuple
+x = (r, q, s, t) drawn from the file, party A reveals m = x[c] (r on coin
+0, q on coin 1) and party B n = x[2 + d] (s on coin 0, t on coin 1), so
+outcome (c, d, m, n) has weight h{x : x[c] = m, x[2 + d] = n} / 4.  Each
+such sum, and the file's total weight it is divided by, is an exactly
+rounded ``math.fsum``.  The outcomes are in the sampling order of the
+``chsh`` reference (coins outermost, 0 before 1, +1 before -1).  It draws
+rounds of that law from the pure-Python Philox4x64-10 of
+``test_philox_reference`` and a ``bisect`` inverse CDF, and counts them in
+dicts.  From the counts it derives the four averages and the s-value's
+Hoeffding band ``sqrt(2 ln(2 / rate) sum 1/n)`` over the coin pairs'
+counts ``n``, at the rate ``2 Phi(-SIGMAS)``; from the file alone the
+nested ``exact`` report, each average an exactly rounded sum; then the
+``chsh-bound`` check on the exact s-value, the ``s-value`` check of the
+simulated one against the exact one, ``failures`` and the exit status.
 
 Two files are read: one listing the value tuples in ``RQST_TUPLES``
 order, and one in a shuffled order that ends on a tuple of weight zero.
 Integers, strings, booleans and the exit status must match exactly, and
 every other float within 1e-12 relative.  The seeds were fixed before any
-report was looked at.
+report was looked at.  A law is the same however its file lists it, so
+the same law listed in reverse must give the same report bytes.
 
 Without ``--trials`` the report holds the exact averages alone.  Each is
 the ``fractions.Fraction`` sum of the file's weights times the products,
@@ -38,7 +43,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_chsh_reference import assert_same
+from test_chsh_reference import OUTCOMES, assert_same
 from test_philox_reference import block_uniforms
 from typicality_lab.cli import main
 
@@ -99,29 +104,32 @@ def bound_check(s):
     return check, [] if passed else ["chsh-bound"]
 
 
+def revealed_law(h_weights):
+    """Each outcome's weight h{x : x[c] = m, x[2 + d] = n} / 4, in ``OUTCOMES`` order."""
+    total = 4 * math.fsum(h_weights.values())
+    return [
+        math.fsum(w for x, w in h_weights.items() if (x[c], x[2 + d]) == (m, n)) / total
+        for c, d, m, n in OUTCOMES
+    ]
+
+
 def reference_report(h, seed):
     """The report and exit status of ``lhv chsh --h-file h --trials TRIALS --seed seed``."""
     h_weights = {tuple(x): w for x, w in zip(h["alphabet"], h["weights"])}
-    symbols = [(x, c, d) for x in h_weights for c in (0, 1) for d in (0, 1)]
-    weights = [h_weights[x] * 0.5 * 0.5 for x, _, _ in symbols]
+    weights = revealed_law(h_weights)
     cum = [min(total, 1.0) for total in itertools.accumulate(weights)]
     last = max(i for i, w in enumerate(weights) if w > 0)
     cum[last:] = [1.0] * (len(cum) - last)  # pinned from the last positive weight on
-    counts = dict.fromkeys(symbols, 0)
+    counts = dict.fromkeys(OUTCOMES, 0)
     for u in block_uniforms(seed, 0, TRIALS):
-        counts[symbols[bisect.bisect_right(cum, u)]] += 1
+        counts[OUTCOMES[bisect.bisect_right(cum, u)]] += 1
 
     exact, averages, cell_counts = {}, {}, {}
     for c, d in ((0, 0), (1, 0), (0, 1), (1, 1)):
         name = average_name(c, d)
         exact[name] = math.fsum(w * x[c] * x[2 + d] for x, w in h_weights.items())
-        plus = minus = 0
-        for (x, cc, dd), n in counts.items():
-            if (cc, dd) == (c, d):
-                if x[c] * x[2 + d] > 0:
-                    plus += n
-                else:
-                    minus += n
+        plus = counts[(c, d, 1, 1)] + counts[(c, d, -1, -1)]
+        minus = counts[(c, d, 1, -1)] + counts[(c, d, -1, 1)]
         total = plus + minus
         averages[name] = (plus - minus) / total
         cell_counts[name] = total
@@ -177,6 +185,18 @@ def test_the_shuffled_file_is_a_reordering():
     assert sorted(map(tuple, h["alphabet"])) == sorted(TUPLES)
     assert [tuple(x) for x in h["alphabet"]] != TUPLES
     assert h["weights"][-1] == 0.0 and abs(sum(h["weights"]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(H_FILES))
+def test_a_law_listed_in_reverse_gives_the_same_report_bytes(tmp_path, name):
+    h = H_FILES[name]()
+    outputs = []
+    for listing in (h, {key: value[::-1] for key, value in h.items()}):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(listing))
+        argv = ["lhv", "chsh", "--h-file", str(path), "--trials", str(TRIALS), "--seed", "4"]
+        outputs.append(run_text(argv))
+    assert outputs[0] == outputs[1]
 
 
 def exact_reference(h):

@@ -11,11 +11,12 @@ from typicality_lab import chsh as chsh_mod
 from typicality_lab import ghz as ghz_mod
 from typicality_lab import linalg
 from typicality_lab import protocol as protocol_mod
+from typicality_lab import worlds as worlds_mod
 from typicality_lab.chsh import CHSH
 from typicality_lab.cli import main
 from typicality_lab.ghz import GHZ
 from typicality_lab.linalg import X, Z, basis, projector
-from typicality_lab.spaces import uniform
+from typicality_lab.spaces import FiniteProbabilitySpace, uniform
 
 #: The cross-check's ``max_abs_diff`` each protocol reports, fixed to the bit.
 REPORTED_MAX_ABS_DIFF = {"chsh": 5.551115123125783e-17, "ghz": 2.42861286636753e-17}
@@ -130,6 +131,30 @@ def test_coin_cells():
             assert cell == (len(products), products.count(1))
         with pytest.raises(ValueError, match=f"at least {floor}, got {floor - 1}"):
             record.tally_cells(record.distribution(), floor - 1, 3)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_law_off_the_alphabet_or_its_order_is_refused(name, monkeypatch):
+    # Reshaped as the record's rows, a reordered law would put each count
+    # under another outcome, and its cell tests would read the same wrong rows.
+    record = PROTOCOLS[name]
+    fps = record.distribution()
+    counts = worlds_mod.tally(fps, record.min_trials, 3)
+    reordered = FiniteProbabilitySpace(fps.alphabet[::-1], fps.weights[::-1])
+    foreign = uniform(range(len(fps)))
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("drew a run of a refused law")
+
+    monkeypatch.setattr(worlds_mod, "tally", drawn)
+    for law in (reordered, foreign):
+        with pytest.raises(ValueError, match="^the law must be over the protocol's alphabet"):
+            record.tally_cells(law, record.min_trials, 3)
+        with pytest.raises(ValueError, match="^the law must be over the protocol's alphabet"):
+            record.cell_tests(law, counts)
+    # The same outcomes in the same order are the record's alphabet, whatever tuple holds them.
+    same = FiniteProbabilitySpace(list(fps.alphabet), fps.weights)
+    assert record.cell_tests(same, counts) == record.cell_tests(fps, counts)
 
 
 def _exact_conditional_means(record):

@@ -45,7 +45,7 @@ from typicality_lab.ghz import (
     run_ghz,
 )
 from typicality_lab import worlds as worlds_mod
-from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, product, uniform
+from typicality_lab.spaces import SUM_ATOL, FiniteProbabilitySpace, point_mass, uniform
 from typicality_lab.worlds import (
     BLOCK_LEN,
     WorldPrefix,
@@ -273,12 +273,9 @@ class TestCountsFirst:
     def test_lhv_chsh_simulate(self, seed):
         h = random_h_spaces(1, seed)[0]
         report = lhv_chsh_simulate(h, 40_000, seed)
-        coin = uniform((0, 1))
-        joint = product(h, coin, coin)
-        world = sample_world(joint, 40_000, seed)
-        for name, ((c, d), (i, j)) in chsh_mod._AVERAGES.items():
-            event = [sym for sym in joint.alphabet if sym[1:] == (c, d)]
-            count, mean, _ = conditioned_cell(world, event, lambda sym: sym[0][i] * sym[0][j])
+        world = sample_world(chsh_mod._revealed_law(h), 40_000, seed)
+        for name, ((c, d), _) in chsh_mod._AVERAGES.items():
+            count, mean, _ = conditioned_cell(world, coin_event(c, d), lambda o: o.m * o.n)
             assert report.counts[name] == count
             assert report.averages[name] == mean
 
@@ -362,10 +359,9 @@ class TestChecksKept:
             run_chsh(4000, 1)
 
     def test_lhv_simulate_empty_cell_raises(self, monkeypatch):
-        symbol = (RQST_TUPLES[0], 0, 0)
         h = uniform(RQST_TUPLES)
-        joint = product(h, uniform((0, 1)), uniform((0, 1)))
-        monkeypatch.setattr(worlds_mod, "_guide_tables", constant_guide(joint, symbol))
+        law = chsh_mod._revealed_law(h)
+        monkeypatch.setattr(worlds_mod, "_guide_tables", constant_guide(law, CHSH_OUTCOMES[0]))
         with pytest.raises(RuntimeError, match=r"coin pair \(1,0\) collected no samples"):
             lhv_chsh_simulate(h, 4000, 1)
 

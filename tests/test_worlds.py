@@ -275,8 +275,8 @@ class TestSampling:
         ],
     )
     def test_counts_only_tally_is_the_kept_worlds_counts(self, monkeypatch, length, threads):
-        # The joint of lhv chsh --trials has 64 symbols of uneven weights,
-        # so many more of its draws fall in mixed buckets than CHSH's.
+        # A joint of 64 symbols of uneven weights puts many more of its
+        # draws in mixed buckets than CHSH's law does.
         _allow_cpus(monkeypatch, 3)
         joint = product(random_h_spaces(1, 3)[0], fair_coin(), fair_coin())
         for fps in (chsh_distribution("analytic"), ghz_distribution("analytic"), joint):
