@@ -39,7 +39,7 @@ from .spaces import _MAX_SEED, FiniteProbabilitySpace
 
 __all__ = ["SCHEMA_VERSION", "main"]
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class UsageError(Exception):
@@ -149,31 +149,15 @@ def _cross_check(distribution) -> tuple[dict, Check]:
     return {"max_abs_diff": diff, "tolerance": ATOL, "pass": check.passed}, check
 
 
-def _cell_checks(run) -> list:
-    """The check of each of a run's coin-tuple tests, named for its coins."""
-    return [t.check._replace(name=f"{t.check.name}-cell-{c}") for c, t in run.cell_tests.items()]
-
-
-def cmd_chsh(args: argparse.Namespace, chsh) -> tuple[dict, list]:
-    """Quantum protocol run, distribution cross-check and the coin pairs' test family."""
-    cross_check, cross = _cross_check(chsh.chsh_distribution)
-    report_obj = chsh.run_chsh(args.trials, args.seed, args.threads, _world_writer(args))
-    body = {"protocol": "chsh", **report_obj.to_dict(), "cross_check": cross_check}
-    return body, [cross, report_obj.check, *_cell_checks(report_obj)]
-
-
-def cmd_ghz(args: argparse.Namespace, ghz) -> tuple[dict, list]:
-    """Quantum protocol run, its coin triples' test family and the hidden-value enumeration."""
-    cross_check, cross = _cross_check(ghz.ghz_distribution)
-    run = ghz.run_ghz(args.trials, args.seed, args.threads, _world_writer(args))
-    enumeration = ghz.lhv_ghz_enumerate()
-    body = {
-        "protocol": "ghz",
-        **run.to_dict(),
-        "lhv": enumeration.to_dict(),
-        "cross_check": cross_check,
-    }
-    return body, [run.check, *_cell_checks(run), enumeration.check, cross]
+def cmd_run(args: argparse.Namespace, protocol) -> tuple[dict, list]:
+    """A quantum ``chsh`` or ``ghz`` run: cross-check, the run and its coin-cell test family."""
+    name = args.command
+    cross_check, cross = _cross_check(getattr(protocol, f"{name}_distribution"))
+    run_protocol = getattr(protocol, f"run_{name}")
+    run = run_protocol(args.trials, args.seed, args.threads, _world_writer(args))
+    body = {"protocol": name, **run.to_dict(), "cross_check": cross_check}
+    cells = [t.check._replace(name=f"{t.check.name}-cell-{c}") for c, t in run.cell_tests.items()]
+    return body, [cross, run.check, *cells]
 
 
 def cmd_lhv_chsh_sweep(args: argparse.Namespace, chsh) -> tuple[dict, list]:
@@ -306,8 +290,8 @@ _TRIALS_BEYOND = 2**63
 #: ``--seed`` requires it, and one that reads ``--trials`` requires at least
 #: its module's ``MIN_TRIALS`` and less than ``_TRIALS_BEYOND``.
 _INVOCATIONS = {
-    "chsh": (cmd_chsh, {"trials", "seed", "threads", "world_out"}, "chsh"),
-    "ghz": (cmd_ghz, {"trials", "seed", "threads", "world_out"}, "ghz"),
+    "chsh": (cmd_run, {"trials", "seed", "threads", "world_out"}, "chsh"),
+    "ghz": (cmd_run, {"trials", "seed", "threads", "world_out"}, "ghz"),
     "lhv chsh --sweep": (cmd_lhv_chsh_sweep, {"sweep", "seed"}, "chsh"),
     "lhv chsh --trials": (cmd_lhv_chsh_h_file, {"h_file", "trials", "seed", "threads"}, "chsh"),
     "lhv chsh": (cmd_lhv_chsh_h_file, {"h_file"}, "chsh"),

@@ -111,7 +111,7 @@ def reference_report(world_path, fps_path, blocks, significance):
         if k * n_sym**k > length / 10:
             message = f"world too short for block_len {k}: need length >= {10 * k * n_sym**k}, "
             error = {"code": "usage", "message": f"{message}got {length}"}
-            return {"error": error, "schema": 7}, 2
+            return {"error": error, "schema": 8}, 2
     tests = [block_test(world_path, fps_path, k) for k in blocks]
     tests = [
         {**test, "adjusted_p_value": p, "significance": significance, "pass": p >= significance}
@@ -124,7 +124,7 @@ def reference_report(world_path, fps_path, blocks, significance):
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 7,
+        "schema": 8,
         "protocol": "battery",
         "world_length": length,
         "significance": significance,

@@ -117,7 +117,7 @@ def reference_report(seed, sigmas=SIGMAS, max_abs_diff=0.0):
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 7,
+        "schema": 8,
         "protocol": "chsh",
         "method": "typical-sampling",
         "trials": TRIALS,

@@ -103,7 +103,7 @@ class TestChshCommand:
             capsys, ["chsh", "--trials", "20000", "--seed", "42"]
         )
         assert status == 0
-        assert report["schema"] == 7
+        assert report["schema"] == 8
         assert report["protocol"] == "chsh"
         assert report["seed"] == 42
         assert report["trials"] == 20000
@@ -200,9 +200,13 @@ class TestGhzCommand:
         status, report, _ = run_json(capsys, ["ghz", "--trials", "20000", "--seed", "7"])
         assert status == 0
         assert report["protocol"] == "ghz"
-        assert report["lhv"]["satisfying_count"] == 0
-        assert report["lhv"]["plus_only_count"] == 8
-        assert len(report["lhv"]["witnesses"]) == 64
+        # The hidden-value enumeration is reported by ``lhv ghz`` alone.
+        assert "lhv" not in report
+        assert [c["name"] for c in report["checks"]] == [
+            "distribution-cross-check",
+            "perfect-correlations",
+            *(f"block-frequency-k1-cell-{c:03b}" for c in range(8)),
+        ]
         for entry in report["perfect_correlation"].values():
             assert entry["violations"] == 0
         assert report["failures"] == []
@@ -382,6 +386,8 @@ class TestLhvCommand:
         assert status == 0
         assert report["protocol"] == "lhv-ghz"
         assert report["lhv"]["satisfying_count"] == 0
+        assert report["lhv"]["plus_only_count"] == 8
+        assert len(report["lhv"]["witnesses"]) == 64
         assert report["failures"] == []
 
     def test_ghz_with_p_file_reports_masses(self, capsys, tmp_path):
@@ -559,7 +565,6 @@ class TestWorldOutSamplesOnce:
         assert report["cell_tests"]["000"]["zero_cell_hits"] == 8000
         assert (report["trials"], report["seed"]) == (8000, 5)
         assert report["perfect_correlation"]["000"]["violations"] == 8000
-        assert report["lhv"]["satisfying_count"] == 0
         assert report["cross_check"]["pass"] is True
         # No round falls in a free triple, so none has a mean.
         for entry in report["free_triples"].values():
@@ -971,7 +976,7 @@ class TestUsageErrorLines:
         for link, target in (("link-world.json", "world.json"), ("link-h.json", "h.json")):
             (tmp_path / link).symlink_to(target)
         monkeypatch.chdir(tmp_path)
-        expected = {"error": {"code": "usage", "message": message}, "schema": 7}
+        expected = {"error": {"code": "usage", "message": message}, "schema": 8}
         line = json.dumps(expected, sort_keys=True) + "\n"
         assert run_cli(capsys, command.split()) == (2, "", line)
         # No usage error writes a file, or writes over one of its inputs.
@@ -1466,7 +1471,7 @@ _REFUSED = json.dumps(
             "message": f"cannot write the report: [Errno {errno.ENOSPC}] "
             + os.strerror(errno.ENOSPC),
         },
-        "schema": 7,
+        "schema": 8,
     },
     sort_keys=True,
 )

@@ -11,10 +11,10 @@ derives from those counts the ``perfect_correlation`` and
 test against the law its own closed form gives (zero-weight results
 removed, a hit on one failing it), the tail from the reference helpers
 ``test_battery_reference`` shares with ``test_chsh_reference``, and the
-eight p-values adjusted as one Holm family in plain Python.  It
-enumerates the 64 assignments of values to the six observables for the
-``lhv`` entry and its witnesses, and builds the checks, ``failures`` and
-the exit status.
+eight p-values adjusted as one Holm family in plain Python.  It builds
+the checks, ``failures`` and the exit status.  The enumeration of
+assignments that ``lhv ghz`` reports has its own reference,
+``test_lhv_ghz_reference``.
 
 Integers, strings, booleans and the exit status must match exactly, and
 every other float within 1e-12 relative.  The one figure the reference
@@ -47,7 +47,7 @@ ATOL = 1e-12
 COS = {0: 1, 1: 0, 2: -1, 3: 0}
 OUTCOMES = list(itertools.product((0, 1), (0, 1), (0, 1), (1, -1), (1, -1), (1, -1)))
 TRIPLES = list(itertools.product((0, 1), repeat=3))
-#: The perfectly correlated triples, in the order the enumeration tries them.
+#: The perfectly correlated triples.
 CONSTRAINED = [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)]
 
 
@@ -72,33 +72,6 @@ def required_product(triple):
 def check(name, value, relation, bound):
     passed = {"==": value == bound, "<=": value <= bound, ">=": value >= bound}[relation]
     return {"name": name, "value": value, "relation": relation, "bound": bound, "passed": passed}
-
-
-def enumeration():
-    """The ``lhv`` entry: every assignment (m1_0, m1_1, m2_0, m2_1, m3_0, m3_1) tried."""
-    required = {triple: required_product(triple) for triple in CONSTRAINED}
-    per_constraint = dict.fromkeys(map(key, CONSTRAINED), 0)
-    satisfying = plus_only = 0
-    witnesses = []
-    for values in itertools.product((1, -1), repeat=6):
-        met = {
-            triple: math.prod(values[2 * party + c] for party, c in enumerate(triple))
-            == required[triple]
-            for triple in CONSTRAINED
-        }
-        for triple, ok in met.items():
-            per_constraint[key(triple)] += ok
-        satisfying += all(met.values())
-        plus_only += all(ok for triple, ok in met.items() if required[triple] > 0)
-        failed = [key(triple) for triple, ok in met.items() if not ok]
-        if failed:
-            witnesses.append({"assignment": list(values), "fails": failed[0]})
-    return {
-        "satisfying_count": satisfying,
-        "plus_only_count": plus_only,
-        "per_constraint_counts": per_constraint,
-        "witnesses": witnesses,
-    }
 
 
 def cell_test(triple, counts):
@@ -159,27 +132,24 @@ def reference_report(seed, max_abs_diff=0.0):
                 "count": total,
                 "mean_product": (by_product[1] - by_product[-1]) / total,
             }
-    lhv = enumeration()
     tests = cell_tests(counts)
     checks = [
+        check("distribution-cross-check", max_abs_diff, "<=", ATOL),
         check("perfect-correlations", sum(e["violations"] for e in perfect.values()), "==", 0),
         *(
             check(f"block-frequency-k1-cell-{k}", t["adjusted_p_value"], ">=", t["significance"])
             for k, t in tests.items()
         ),
-        check("lhv-enumeration", lhv["satisfying_count"], "==", 0),
-        check("distribution-cross-check", max_abs_diff, "<=", ATOL),
     ]
     failures = [c["name"] for c in checks if not c["passed"]]
     report = {
-        "schema": 7,
+        "schema": 8,
         "protocol": "ghz",
         "trials": TRIALS,
         "seed": seed,
         "perfect_correlation": perfect,
         "free_triples": free,
         "cell_tests": tests,
-        "lhv": lhv,
         "cross_check": {"max_abs_diff": max_abs_diff, "tolerance": ATOL, "pass": True},
         "checks": checks,
         "failures": failures,
@@ -204,15 +174,6 @@ def test_report_matches_the_reference(seed):
     got["failures"] = [f["check"] for f in got["failures"]]
     assert_same(got, expected)
     assert status == expected_status == 0
-
-
-def test_the_enumeration_finds_the_known_counts():
-    # Three independent parities on six values leave 8 of 64 assignments;
-    # each constraint alone holds on half of them; none holds all four.
-    lhv = enumeration()
-    assert (lhv["satisfying_count"], lhv["plus_only_count"]) == (0, 8)
-    assert set(lhv["per_constraint_counts"].values()) == {32}
-    assert len(lhv["witnesses"]) == 64
 
 
 def test_a_forbidden_outcome_fails_its_triples_test():

@@ -24,36 +24,36 @@ from typicality_lab.worlds import condition_seq, sample_world
 GOLDEN = {
     "chsh --trials 200000 --seed 42": (
         0,
-        "5b4dfb255f822c3f0ba24d813fb83f5b66dd8670489f40a84899a5fc2e9c1c1c",
+        "43bfb285df4c0e9962cb9b43da943ea58f71f247d315d83658f7248d1048b086",
     ),
     "ghz --trials 100000 --seed 7": (
         0,
-        "aa70d639dba19feef886f4f086c2d9f7058f641460f621efa716b8d01b77762c",
+        "ce55ed3c731cab8d93e91352513c36bac4e0bc93d12f707be1800b9272ab8d1b",
     ),
     "lhv ghz": (
         0,
-        "92aacaccd6d4ef4d42c3937e1b7150809a7f62b5aec24c12bd7bcfbfe5745ea4",
+        "8478600f9ca594e35e9828d0e30b508f5b9ab53eae6890fa0325e75558378809",
     ),
     "lhv chsh --sweep 1000 --seed 3": (
         0,
-        "913f2eb05873a6b73f802734eac9bf82506ae97659821e4031153fee6d8613d4",
+        "ffa6f7ae2d7f06e749f4551d67d2103b4dea4a306437ff1824f06d3324efc177",
     ),
     "lhv chsh --h-file {h} --trials 20000 --seed 4": (
         0,
-        "963e56d6e2bc30d703472b8b8bcd595e04e688a2274bd8e2f2c10e754490f4b5",
+        "5a4e5b228a6fc5e42c896284f2b239f4dfcac3d1cc5071e815b174c81adb3153",
     ),
     "battery {world} {fps} --tolerance 0.2": (
         0,
-        "b78a71e6d9fff26e8cc6af177f2bc650119ffde339bd6f40c1926f6f2dca7df5",
+        "45d1acea96e4c1377f61a22c9c7d7ab88d160eb16c2e60ed4c07bb65ff65d087",
     ),
     "battery {world} {fps} --tolerance 1e-6": (
         0,
-        "f0aa74e3a91a95df0a13e447f5e558938d5515f41706d55b27f48a4b030c7354",
+        "8f11d555c6ae6e5a326173d085eb74f94a3121fd5787520882ed7d89b532a240",
     ),
-    # 300001 trials: two full 16-block chunks and a partial one.
+    # 300001 trials: nine full 4-block chunks of 32768 symbols and a partial one.
     "ghz --trials 300001 --seed 5": (
         0,
-        "d6559792392bab5f69926f508e550b3e6be320a75ec9fc16a1e4556f838e6281",
+        "9a3aaee6523692d1512ed9ed93eb568e7314ed0012301e6be986c98a2feef586",
     ),
 }
 
@@ -62,27 +62,27 @@ GOLDEN.update(
     {
         "lhv chsh --h-file {h}": (
             0,
-            "08b106011fb0d3638910d5cef31397335b448cf167eae6acd7252db1c5c56ba1",
+            "f03b33746f8b3c22265ffcfecd1aacda2ea24c9c3bb5b1eec7085de506638585",
         ),
         "lhv ghz --h-file {p}": (
             0,
-            "a6310411160aee28b3b4afbfae8292bf1aa045fa32ad1f1b104cc132a6604ea1",
+            "2e22a5afa58c17f5dc2f3c49154d151f22cce865e769617170926f6877c33815",
         ),
         # The (0, 0) coin pair of chsh --trials 200000 --seed 42, to k = 4.
         "battery {cell} {cell_fps} --blocks 1,2,3,4": (
             0,
-            "1383710fda44a6742386a303d25a5994c119eaa823e16e9613a152e5f82112cf",
+            "dce48022fc2d02e4eeb1ab285f59836de4161283186537242fde07b4892a897b",
         ),
         # A band no sampled run meets, planted as ``chsh.SIGMAS``: the s-value check fails.
         "chsh --trials 200000 --seed 42 @SIGMAS=1e-9": (
             1,
-            "821067e9e40681b1e164b1ce7da6b3f4612a80d66c09f29e7d11f801de465167",
+            "b11d824c99da8c3636be4a88f285ae7a82c8743c8b3b54b9b747b23f50edff8c",
         ),
         # A significance the golden world fails at k = 2, its one Holm-adjusted
         # p-value below it.
         "battery {world} {fps} --tolerance 0.999": (
             1,
-            "a8c5130fcf4f26e9b7b50d5dd4c8d3139cb71750785945aa11c503357ca85468",
+            "f3ef45466563e63f6ba6110a9cbda19be293859d98042eddca75957bf367107d",
         ),
     }
 )

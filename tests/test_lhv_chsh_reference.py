@@ -142,7 +142,7 @@ def reference_report(h, seed):
     band["passed"] = s_error <= s_tolerance
     failures += [] if band["passed"] else ["s-value"]
     report = {
-        "schema": 7,
+        "schema": 8,
         "protocol": "lhv-chsh",
         "method": "lhv-simulated",
         "trials": TRIALS,
@@ -207,7 +207,7 @@ def exact_reference(h):
         averages[average_name(c, d)] = float(sum(terms))
     bound, failures = bound_check(s_value(averages))
     report = {
-        "schema": 7,
+        "schema": 8,
         "protocol": "lhv-chsh",
         "method": "lhv-exact",
         "averages": averages,

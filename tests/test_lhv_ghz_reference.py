@@ -83,7 +83,7 @@ def reference_report(h_path=None):
     lhv = enumeration()
     passed = lhv["satisfying_count"] == 0
     report = {
-        "schema": 7,
+        "schema": 8,
         "protocol": "lhv-ghz",
         "lhv": lhv,
         "checks": [{"name": "lhv-enumeration", "value": lhv["satisfying_count"],
