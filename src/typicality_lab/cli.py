@@ -2,10 +2,11 @@
 
 Every command is deterministic given its flags: seeds are explicit (use
 ``--seed random`` to draw one; it is printed so the run can be replayed),
-and each writes one report, as canonical JSON with no timestamps, which
-is byte-identical across reruns and across ``--threads`` values.  Exit
-status is 0 only when every check passes; each check is listed in the
-report's ``checks``, and each failed one in its ``failures``.
+and each writes one report to stdout, as canonical JSON with no
+timestamps, which is byte-identical across reruns and across
+``--threads`` values.  Exit status is 0 only when every check passes;
+each check is listed in the report's ``checks``, and each failed one in
+its ``failures``.
 
 The flow is table -> parser -> handler -> :func:`main`.  Each invocation
 (a command, with its protocol for ``lhv`` and its input for ``lhv chsh``)
@@ -29,9 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
-import itertools
 import json
-import os
 import sys
 
 from .checks import ATOL, RELATIONS, Check
@@ -56,8 +55,8 @@ def _parse_blocks(raw: str) -> tuple[int, ...]:
 def _resolve_seed(raw: str | None, required: bool) -> int | None:
     # A drawn seed is printed at once.  Callers resolve it after every input
     # check that needs no seed, so a usage error prints no seed.  Writing
-    # --out or --world-out can still fail later, after the run has used the
-    # seed; the seed line printed before that error names the run.
+    # --world-out or the report can still fail later, after the run has used
+    # the seed; the seed line printed before that error names the run.
     if raw is None:
         if required:
             raise UsageError("--seed is required (use '--seed random' to draw one)")
@@ -207,21 +206,6 @@ def cmd_battery(args: argparse.Namespace, battery) -> tuple[dict, list]:
     return body, [t.check for t in result.tests]
 
 
-# -- output ------------------------------------------------------------
-
-
-def _canonical_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(report: dict, args: argparse.Namespace) -> None:
-    text = _canonical_json(report)
-    if args.out is not None:
-        _write_text(args.out, text, "--out")
-    else:
-        _write_stream(sys.stdout, text, "the report")
-
-
 # -- argument parsing ----------------------------------------------------
 
 
@@ -272,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         for name, settings in _FLAGS.items():
             shown = settings if name in read else {**settings, "help": argparse.SUPPRESS}
             p.add_argument("--" + name.replace("_", "-"), **shown)
-        p.add_argument("--out", help="write the report here instead of stdout")
     commands["lhv"].add_argument("protocol", choices=("chsh", "ghz"))
     commands["battery"].add_argument("world_file", help="world JSON file")
     commands["battery"].add_argument("fps_file", help="probability-space JSON file")
@@ -305,9 +288,8 @@ def _check_args(args: argparse.Namespace):
 
     ``--threads`` defaults to 1, ``--h-file`` is loaded into ``args.h``
     (None without the flag) for every invocation that reads it, and
-    ``--seed`` becomes an integer or None.  No path may be empty or hold a NUL,
-    and no output may name a path the invocation also reads or writes.  A bad
-    invocation raises :class:`UsageError`.
+    ``--seed`` becomes an integer or None.  No path may be empty or hold a
+    NUL.  A bad invocation raises :class:`UsageError`.
     """
     mode = " ".join(filter(None, [args.command, getattr(args, "protocol", None)]))
     if mode == "lhv chsh" and args.sweep is not None:
@@ -318,9 +300,9 @@ def _check_args(args: argparse.Namespace):
     for flag in _FLAGS:
         if getattr(args, flag) is not None and flag not in flags_read:
             raise UsageError(f"{mode} does not use --{flag.replace('_', '-')}")
-    # Every path named: none may be empty or hold a NUL, as no file name can, and no
-    # output may overwrite another path named; each pair that may clash starts with one.
-    named = [("--out", args.out), ("--world-out", args.world_out), ("--h-file", args.h_file)]
+    # Every path named: none may be empty or hold a NUL, as no file name can.  The one
+    # output, --world-out, is read only by runs that name no other path.
+    named = [("--world-out", args.world_out), ("--h-file", args.h_file)]
     named += [("the world file", getattr(args, "world_file", None))]
     named += [("the probability-space file", getattr(args, "fps_file", None))]
     for name, path in named:
@@ -328,10 +310,6 @@ def _check_args(args: argparse.Namespace):
             raise UsageError(f"{name} path '' names no file")
         if path and "\0" in path:
             raise UsageError(f"{name} path {path!r} holds a NUL character")
-    paths = [(name, os.path.realpath(path)) for name, path in named if path]
-    for (output, out_path), (name, path) in itertools.combinations(paths, 2):
-        if output in ("--out", "--world-out") and path == out_path:
-            raise UsageError(f"{output} and {name} name the same file")
     if args.threads is None:
         args.threads = 1
     elif args.threads < 1:
@@ -366,7 +344,8 @@ def main(argv: list[str] | None = None) -> int:
             if not c.passed
         ]
         report = {**body, "checks": [c.to_dict() for c in checks], "failures": failures}
-        _emit({"schema": SCHEMA_VERSION, **report}, args)
+        text = json.dumps({"schema": SCHEMA_VERSION, **report}, indent=2, sort_keys=True)
+        _write_stream(sys.stdout, text + "\n", "the report")
         return 1 if failures else 0
     except (UsageError, MemoryError) as err:
         message = str(err) or "too little memory"

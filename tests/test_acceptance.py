@@ -6,6 +6,8 @@ Statistical criteria run at fixed seeds; the tolerances are 4-sigma bands
 derived from the exact distributions.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -40,10 +42,16 @@ def report(criterion: str, ok: bool) -> bool:
     return ok
 
 
-def cli_json(tmp_path, name, argv):
-    out = tmp_path / name
-    status = main(argv + ["--out", str(out)])
-    return status, json.loads(out.read_text())
+def cli_run(argv):
+    """The exit status of ``main(argv)`` and the report it wrote to stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        status = main(argv)
+    return status, out.getvalue()
+
+
+def cli_json(argv):
+    status, out = cli_run(argv)
+    return status, json.loads(out)
 
 
 def test_01_chsh_distribution_oracle_equivalence():
@@ -72,11 +80,9 @@ def test_02_ghz_distribution_oracle_equivalence():
     assert elapsed < 1.0
 
 
-def test_03_two_sqrt_two_equality(tmp_path):
+def test_03_two_sqrt_two_equality():
     start = time.perf_counter()
-    status, out = cli_json(
-        tmp_path, "chsh.json", ["chsh", "--trials", "200000", "--seed", "42"]
-    )
+    status, out = cli_json(["chsh", "--trials", "200000", "--seed", "42"])
     elapsed = time.perf_counter() - start
     targets = {"rs": 1 / SQRT2, "qs": 1 / SQRT2, "rt": 1 / SQRT2, "qt": -1 / SQRT2}
     avg_ok = all(
@@ -106,11 +112,9 @@ def test_04_chsh_bound():
     assert elapsed < 1.0
 
 
-def test_05_ghz_perfect_correlations(tmp_path):
+def test_05_ghz_perfect_correlations():
     start = time.perf_counter()
-    status, out = cli_json(
-        tmp_path, "ghz.json", ["ghz", "--trials", "100000", "--seed", "7"]
-    )
+    status, out = cli_json(["ghz", "--trials", "100000", "--seed", "7"])
     elapsed = time.perf_counter() - start
     perfect = out["perfect_correlation"]
     constrained_ok = (
@@ -288,20 +292,8 @@ def test_11_reproducibility(tmp_path):
     }
     world_path = tmp_path / "world.json"
     fps_path = tmp_path / "fps.json"
-    status = main(
-        [
-            "chsh",
-            "--trials",
-            "20000",
-            "--seed",
-            "9",
-            "--world-out",
-            str(world_path),
-            "--out",
-            str(tmp_path / "seed9.json"),
-        ]
-    )
-    assert status == 0
+    argv = ["chsh", "--trials", "20000", "--seed", "9", "--world-out", str(world_path)]
+    assert cli_run(argv)[0] == 0
     fps_path.write_text(chsh_distribution("analytic").to_json())
     commands["battery"] = ["battery", str(world_path), str(fps_path), "--blocks", "1,2"]
 
@@ -310,12 +302,11 @@ def test_11_reproducibility(tmp_path):
     ok = True
     for name, argv in commands.items():
         outputs = []
-        for run_id, threads in (("a", 1), ("b", 1), ("c", 4)):
-            out = tmp_path / f"{name}-{run_id}.json"
+        for threads in (1, 1, 4):
             flags = ["--threads", str(threads)] if name in threaded else []
-            status = main(argv + flags + ["--out", str(out)])
+            status, out = cli_run(argv + flags)
             assert status == 0, name
-            outputs.append(out.read_bytes())
+            outputs.append(out)
         ok = ok and outputs[0] == outputs[1] == outputs[2]
     assert report("C11 reproducibility", ok)
     assert ok

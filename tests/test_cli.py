@@ -154,16 +154,6 @@ class TestChshCommand:
         _, out4, _ = run_cli(capsys, base + ["--threads", "4"])
         assert out1 == out4
 
-    def test_out_flag_writes_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        status, out, _ = run_cli(
-            capsys,
-            ["chsh", "--trials", "8000", "--seed", "2", "--out", str(target)],
-        )
-        assert status == 0
-        assert out == ""
-        assert json.loads(target.read_text())["protocol"] == "chsh"
-
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1", "0.5"])
     def test_tolerance_is_refused(self, capsys, tolerance):
         # The s-value band is the 4-sigma one, whose false-alarm rate the report states.
@@ -576,11 +566,6 @@ class TestWorldOutSamplesOnce:
 
 
 class TestExitCodeHoles:
-    def test_unwritable_out(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "report.json"
-        status, out, err = run_cli(capsys, ["lhv", "ghz", "--out", str(target)])
-        assert_usage_error(status, out, err, "--out")
-
     def test_unwritable_world_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "world.json"
         argv = ["chsh", "--trials", "8000", "--seed", "5", "--world-out", str(target)]
@@ -624,15 +609,6 @@ class TestExitCodeHoles:
         status, out1, _ = run_cli(capsys, base)
         assert status == 0
         assert run_cli(capsys, base + ["--threads", "2"])[1] == out1
-
-    def test_out_and_world_out_name_one_file(self, capsys, tmp_path, monkeypatch):
-        # Two spellings of one path: the report would overwrite the world.
-        monkeypatch.chdir(tmp_path)
-        argv = ["ghz", "--trials", "8000", "--seed", "random", "--world-out", "same.json"]
-        status, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "same.json")])
-        assert_usage_error(status, out, err, "--out and --world-out name the same file")
-        assert len(err.splitlines()) == 1  # no seed drawn
-        assert os.listdir(tmp_path) == []
 
     def test_parse_error_is_a_json_usage_error(self, capsys):
         status, out, err = run_cli(capsys, ["chsh", "--trials", "many", "--seed", "1"])
@@ -781,41 +757,17 @@ _USAGE_ERRORS = [
     ),
     ("ghz --trials 8000 --seed 1 --sweep 5", "ghz does not use --sweep"),
     ("lhv ghz --world-out x.json", "lhv ghz does not use --world-out"),
-    (
-        "chsh --trials 8000 --seed 1 --world-out same.json --out ./same.json",
-        "--out and --world-out name the same file",
-    ),
-    (
-        "battery world.json fps.json --blocks 1 --out world.json",
-        "--out and the world file name the same file",
-    ),
-    (
-        "battery world.json fps.json --out ./fps.json",
-        "--out and the probability-space file name the same file",
-    ),
-    # A symlink names the file it points to.
-    (
-        "battery link-world.json fps.json --out world.json",
-        "--out and the world file name the same file",
-    ),
-    ("lhv chsh --h-file h.json --out h.json", "--out and --h-file name the same file"),
-    ("lhv chsh --h-file h.json --out link-h.json", "--out and --h-file name the same file"),
-    (
-        "lhv chsh --h-file h.json --trials 8000 --seed random --out h.json",
-        "--out and --h-file name the same file",
-    ),
-    ("lhv ghz --h-file h.json --out h.json", "--out and --h-file name the same file"),
-    # A NUL names no file: each path slot refuses one before any file is opened or resolved.
+    # The report goes to stdout only.
+    ("lhv ghz --out report.json", "typicality-lab: unrecognized arguments: --out report.json"),
+    # A NUL names no file: each path slot refuses one before any file is opened.
     ("lhv ghz --h-file a\x00b", "--h-file path 'a\\x00b' holds a NUL character"),
     ("lhv chsh --h-file a\x00b", "--h-file path 'a\\x00b' holds a NUL character"),
-    ("lhv ghz --out a\x00b", "--out path 'a\\x00b' holds a NUL character"),
     (
         "chsh --trials 8000 --seed 1 --world-out a\x00b",
         "--world-out path 'a\\x00b' holds a NUL character",
     ),
     ("battery a\x00b fps.json", "the world file path 'a\\x00b' holds a NUL character"),
-    # An empty path names no file either: it neither falls back to stdout nor skips a write.
-    ("lhv ghz --out=", "--out path '' names no file"),
+    # An empty path names no file either: it skips no write.
     ("ghz --trials 8000 --seed 1 --world-out=", "--world-out path '' names no file"),
     ("lhv chsh --h-file=", "--h-file path '' names no file"),
     (
@@ -928,9 +880,9 @@ _USAGE_ERRORS = [
         "too little memory for a world of 4611686018427387904 symbols",
     ),
     (
-        "lhv ghz --out no-dir/out.json",
-        "cannot write --out file 'no-dir/out.json': [Errno 2] No such file or directory: "
-        "'no-dir/out.json'",
+        "ghz --trials 8000 --seed 1 --world-out no-dir/w",
+        "cannot write --world-out file 'no-dir/w': [Errno 2] No such file or directory: "
+        "'no-dir/w'",
     ),
 ]
 
@@ -1268,6 +1220,10 @@ _MODULE_SETS = [
     ("chsh --trials 4000 --seed 1", 0, {"ghz"}),
     ("battery {world.json} {fps.json}", 0, {"chsh", "ghz", "protocol", "linalg"}),
     ("nope", 2, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg", "numpy"}),
+    # A usage error after the invocation's module is imported: that module's own imports only.
+    ("chsh --trials 4000", 2, {"worlds", "battery", "ghz", "linalg", "numpy"}),
+    ("lhv chsh --h-file {missing.json}", 2, {"worlds", "battery", "ghz", "linalg", "numpy"}),
+    ("battery {missing.json} {fps.json}", 2, {"chsh", "ghz", "protocol", "linalg"}),
     ("--help", 0, {"worlds", "battery", "chsh", "ghz", "protocol", "linalg", "numpy"}),
 ]
 
@@ -1396,11 +1352,12 @@ class TestImportCost:
 class TestProcessEntryPoint:
     """``python -m typicality_lab`` writes what ``main`` does in process, and exits with its status."""
 
-    def child(self, argv):
+    def child(self, argv, stdout=subprocess.PIPE):
         return subprocess.run(
             [sys.executable, "-m", "typicality_lab", *argv],
             env=_with_src(dict(os.environ)),
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             timeout=120,
         )
 
@@ -1448,11 +1405,13 @@ class TestProcessEntryPoint:
         assert getattr(importlib.import_module(module), name) is entry_mod.main
 
     def test_out_file_is_complete(self, capsys, tmp_path):
+        # A child's stdout sent to a file holds the whole report, byte for byte.
         argv = self.with_files(["battery", "{zeros}", "{coin}"], tmp_path)
         status, out, _ = self.in_process(capsys, argv)
         assert status == 1
-        done = self.child([*argv, "--out", str(tmp_path / "report.json")])
-        assert (done.returncode, done.stdout, done.stderr) == (status, b"", b"")
+        with open(tmp_path / "report.json", "wb") as report:
+            done = self.child(argv, stdout=report)
+        assert (done.returncode, done.stderr) == (status, b"")
         assert (tmp_path / "report.json").read_bytes() == out
 
 
@@ -1570,6 +1529,13 @@ class TestOutputFailuresInAProcess:
             + os.strerror(errno.EPIPE),
         }
 
+    def test_a_world_into_a_full_disk(self, buffered):
+        # The file refuses the world only when it is flushed, at its close.
+        argv = ["ghz", "--trials", "8000", "--seed", "1", "--world-out", "/dev/full"]
+        done = self.run(argv, buffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        refused = _REFUSED.replace("the report", "--world-out file '/dev/full'")
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (2, b"", refused + "\n")
+
     def test_help_into_a_full_disk(self, buffered):
         with open("/dev/full", "wb") as full:
             done = self.run(["ghz", "--help"], buffered, stdout=full, stderr=subprocess.PIPE)
@@ -1672,7 +1638,6 @@ def _fuzz_argv(root):
         _flag("--sweep", st.one_of(st.integers(-2, 300), junk)),
         _flag("--h-file", paths),
         _flag("--world-out", outputs),
-        _flag("--out", outputs),
     )
     h_file, world, fps = (str(root / name) for name in ("h.json", "world.json", "fps.json"))
     # Valid invocations to start from; a repeated flag overrides, as argparse reads the last.
@@ -1858,10 +1823,10 @@ class TestMainFuzz:
 
     @pytest.mark.parametrize("command", ["chsh", "ghz", "lhv", "battery"])
     def test_help_lists_the_flags_read(self, capsys, command):
-        # The flags the command's invocations read, and --out, which every invocation reads.
+        # The flags the command's invocations read, and no other.
         invocations = cli_mod._INVOCATIONS.items()
         read = set().union(*(e[1] for mode, e in invocations if mode.split()[0] == command))
-        expected = {"--" + flag.replace("_", "-") for flag in read} | {"--out"}
+        expected = {"--" + flag.replace("_", "-") for flag in read}
         with pytest.raises(SystemExit) as exited:
             main([command, "--help"])
         assert exited.value.code == 0

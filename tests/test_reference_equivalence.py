@@ -128,18 +128,19 @@ def test_commands_run_without_scipy(tmp_path):
     world.write_text(sample_world(fps, 200_000, 11).to_json())
     space.write_text(fps.to_json())
     out = _python(
-        "import os, sys\n"
+        "import contextlib, os, sys\n"
         "class NoScipy:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
         "        if name.split('.')[0] == 'scipy':\n"
         "            raise ImportError(f'{name} is blocked')\n"
         "sys.meta_path.insert(0, NoScipy())\n"
         "from typicality_lab.cli import main\n"
-        f"for argv in (['battery', {str(world)!r}, {str(space)!r}],\n"
-        "             ['chsh', '--trials', '200000', '--seed', '42'],\n"
-        "             ['ghz', '--trials', '8000', '--seed', '1'], ['lhv', 'ghz'],\n"
-        "             ['lhv', 'chsh', '--sweep', '100', '--seed', '1']):\n"
-        "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
+        "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null):\n"
+        f"    for argv in (['battery', {str(world)!r}, {str(space)!r}],\n"
+        "                 ['chsh', '--trials', '200000', '--seed', '42'],\n"
+        "                 ['ghz', '--trials', '8000', '--seed', '1'], ['lhv', 'ghz'],\n"
+        "                 ['lhv', 'chsh', '--sweep', '100', '--seed', '1']):\n"
+        "        assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert out.strip() == "[]"
